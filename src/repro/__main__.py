@@ -230,9 +230,7 @@ def _cmd_bench(args) -> int:
     argv = list(args.names)
     if args.quick:
         argv.append("--quick")
-    if args.cold:
-        argv.append("--cold")
-    argv += ["--engine", args.engine, "--out", args.out]
+    argv += ["--out", args.out]
     if args.min_stage_coverage is not None:
         argv += ["--min-stage-coverage", str(args.min_stage_coverage)]
     if args.cache_dir:
@@ -737,14 +735,6 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument(
         "--quick", action="store_true", help="smoke subset, one iteration"
-    )
-    p_bench.add_argument(
-        "--cold",
-        action="store_true",
-        help="disable the incremental LAC solver (baseline timing)",
-    )
-    p_bench.add_argument(
-        "--engine", choices=("auto", "highs", "ssp"), default="auto"
     )
     p_bench.add_argument(
         "--out", default="benchmarks/results", metavar="DIR",

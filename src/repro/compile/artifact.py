@@ -13,8 +13,7 @@ the artifact and never recomputes any of it.
 Artifacts are content-addressed: :func:`compile_fingerprint` hashes the
 circuit JSON (:func:`repro.netlist.io.graph_to_dict`), the
 :class:`~repro.tech.params.Technology` fields and the
-compilation-relevant config switches (``prune``,
-``min_period_prober``). The planner compiles the *expanded* graph of
+compilation-relevant config switch (``prune``). The planner compiles the *expanded* graph of
 each iteration, whose content already reflects every upstream stage
 (partition seed, floorplan, routes, repeaters), so equal fingerprints
 really do mean equal solve inputs — and therefore bit-identical
@@ -49,7 +48,6 @@ def compile_fingerprint(
     graph: CircuitGraph,
     tech: Technology = DEFAULT_TECH,
     prune: bool = True,
-    prober: str = "auto",
 ) -> str:
     """Content hash naming the compilation of ``graph``.
 
@@ -62,7 +60,7 @@ def compile_fingerprint(
         "schema": COMPILE_SCHEMA,
         "graph": graph_to_dict(graph),
         "tech": dataclasses.asdict(tech),
-        "config": {"prune": bool(prune), "min_period_prober": prober},
+        "config": {"prune": bool(prune)},
     }
     blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -105,12 +103,11 @@ class CompiledCircuit:
         graph: CircuitGraph,
         tech: Technology = DEFAULT_TECH,
         prune: bool = True,
-        prober: str = "auto",
         fingerprint: Optional[str] = None,
     ) -> "CompiledCircuit":
         """Run the full compile front half on ``graph``."""
         if fingerprint is None:
-            fingerprint = compile_fingerprint(graph, tech, prune=prune, prober=prober)
+            fingerprint = compile_fingerprint(graph, tech, prune=prune)
         order = list(graph.units())
         wd = wd_matrices(graph)
         try:

@@ -143,7 +143,6 @@ class CompileCache:
         graph,
         tech: Technology = DEFAULT_TECH,
         prune: bool = True,
-        prober: str = "auto",
     ) -> Tuple[CompiledCircuit, bool]:
         """The artifact for ``graph`` — cached, or freshly compiled.
 
@@ -151,14 +150,14 @@ class CompileCache:
         immediately (in ``"auto"`` mode), before the solve enriches it;
         :meth:`save` persists the enrichment afterwards.
         """
-        fingerprint = compile_fingerprint(graph, tech, prune=prune, prober=prober)
+        fingerprint = compile_fingerprint(graph, tech, prune=prune)
         artifact = self.get(fingerprint)
         if artifact is not None:
             self.stats.hits += 1
             return artifact, True
         self.stats.misses += 1
         artifact = CompiledCircuit.compile(
-            graph, tech, prune=prune, prober=prober, fingerprint=fingerprint
+            graph, tech, prune=prune, fingerprint=fingerprint
         )
         self.put(artifact)
         return artifact, False

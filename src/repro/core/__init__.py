@@ -9,7 +9,6 @@ from repro.core.placement import (
 )
 from repro.core.flowreport import flow_report_markdown, write_flow_report
 from repro.core.timing import TimingReport, timing_report
-from repro.core.validate import validate_iteration
 from repro.core.planner import (
     PlannerConfig,
     PlanningIteration,
@@ -34,7 +33,6 @@ __all__ = [
     "TimedRetiming",
     "plan_interconnect",
     "validate_planner_config",
-    "validate_iteration",
     "TimingReport",
     "timing_report",
     "flow_report_markdown",

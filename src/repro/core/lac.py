@@ -28,15 +28,15 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.metrics import AreaAccountant, AreaReport, area_report
+from repro.core.metrics import AreaAccountant, AreaReport
 from repro.netlist.graph import CircuitGraph
 from repro.obs import NOOP_TRACER
 from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import IO_REGION
 from repro.retime.incremental import IncrementalMinArea
-from repro.retime.minarea import RetimingResult, min_area_retiming
+from repro.retime.minarea import RetimingResult
 from repro.retime.wd import WDMatrices, wd_matrices
 from repro.tech.params import DEFAULT_TECH, Technology
 from repro.tiles.grid import TileGrid
@@ -58,7 +58,7 @@ class LACResult:
     tile_weights: Dict[str, float]
     history: List[Tuple[int, int]]  # (N_FOA, N_F) per round
     round_seconds: List[float] = dataclasses.field(default_factory=list)
-    solver_stats: Optional[Dict[str, object]] = None  # incremental path only
+    solver_stats: Optional[Dict[str, object]] = None  # IncrementalStats.to_dict()
 
     @property
     def n_foa(self) -> int:
@@ -77,8 +77,6 @@ def lac_retiming(
     prune: bool = True,
     wd: Optional[WDMatrices] = None,
     system=None,
-    incremental: bool = True,
-    solver_engine: str = "auto",
     tracer=None,
     compiled=None,
 ) -> LACResult:
@@ -99,16 +97,6 @@ def lac_retiming(
         system: Optional precomputed constraint system for ``period``
             (the planner shares one system between the min-area
             baseline and LAC, since both retime at the same target).
-        incremental: Use the warm-started incremental solver
-            (:class:`~repro.retime.incremental.IncrementalMinArea`):
-            the flow network is built and Bellman–Ford run once, each
-            round only updates demands and re-solves from the previous
-            optimum, and rounds are scored from labels without
-            materialising a retimed graph. ``False`` runs the original
-            cold path (a full ``min_area_retiming`` per round) — kept
-            for benchmarking and as a reference implementation.
-        solver_engine: Engine for the incremental solver (``"auto"``,
-            ``"highs"``, or ``"ssp"``); ignored on the cold path.
         tracer: Optional :class:`repro.obs.Tracer`; each weighted
             min-area round becomes a ``lac/round`` span carrying the
             round's ``N_FOA``/``N_F``, weighted-FF objective, per-tile
@@ -138,23 +126,20 @@ def lac_retiming(
             graph, wd, period, prune=prune, compiled=compiled
         )
 
-    solver: Optional[IncrementalMinArea] = None
-    accountant: Optional[AreaAccountant] = None
-    if incremental:
-        # Network construction + Bellman–Ford happen once, here; an
-        # infeasible system surfaces immediately as
-        # InfeasiblePeriodError, matching the cold path's first round.
-        solver = IncrementalMinArea(
-            graph, system, engine=solver_engine, compiled=compiled
-        )
-        accountant = AreaAccountant(graph, unit_region)
+    # The weighted min-area rounds share one warm-started solver: the
+    # flow network is built and Bellman–Ford run once, here (an
+    # infeasible system surfaces immediately as InfeasiblePeriodError),
+    # and each round only updates demands and re-solves from the
+    # previous optimum. Rounds are scored from labels; the retimed
+    # graph is materialised only once, for the winner.
+    solver = IncrementalMinArea(graph, system, compiled=compiled)
+    accountant = AreaAccountant(graph, unit_region)
 
     regions = set(unit_region.values())
     tile_weight: Dict[str, float] = {t: 1.0 for t in regions}
-    # candidate: labels dict (incremental) or RetimingResult (cold) —
-    # the retimed graph is materialised only once, for the winner.
-    Candidate = Union[Dict[str, int], RetimingResult]
-    best: Optional[Tuple[int, int, Candidate, AreaReport, Dict[str, float]]] = None
+    best: Optional[
+        Tuple[int, int, Dict[str, int], AreaReport, Dict[str, float]]
+    ] = None
     history: List[Tuple[int, int]] = []
     round_seconds: List[float] = []
     stale = 0
@@ -166,14 +151,8 @@ def lac_retiming(
         }
         round_start = time.perf_counter()
         with tracer.span("lac/round", round=_round + 1) as span:
-            if incremental:
-                candidate: Candidate = solver.solve(unit_weights)
-                report = accountant.report(candidate, grid, tech)
-            else:
-                candidate = min_area_retiming(
-                    graph, period, weights=unit_weights, system=system
-                )
-                report = area_report(candidate.graph, unit_region, grid, tech)
+            candidate = solver.solve(unit_weights)
+            report = accountant.report(candidate, grid, tech)
             if tracer.enabled:
                 # Weighted-FF objective of the round: what the weighted
                 # min-area solve actually minimised, in tile-weight
@@ -188,8 +167,8 @@ def lac_retiming(
                     objective=objective,
                     violations=dict(report.violations),
                     weight_max=max(tile_weight.values(), default=1.0),
-                    engine=solver.stats.engine if solver is not None else "cold",
-                    warm_start=incremental and _round > 0,
+                    engine=solver.stats.engine,
+                    warm_start=_round > 0,
                 )
         round_seconds.append(time.perf_counter() - round_start)
         n_wr += 1
@@ -223,16 +202,13 @@ def lac_retiming(
 
     assert best is not None  # loop ran at least once or raised
     _foa, _nf, winner, report, weights = best
-    if incremental:
-        retimed = graph.retimed(winner)
-        result = RetimingResult(
-            labels=winner,
-            graph=retimed,
-            period=period,
-            total_ffs=retimed.total_flip_flops(),
-        )
-    else:
-        result = winner
+    retimed = graph.retimed(winner)
+    result = RetimingResult(
+        labels=winner,
+        graph=retimed,
+        period=period,
+        total_ffs=retimed.total_flip_flops(),
+    )
     return LACResult(
         retiming=result,
         report=report,
@@ -240,5 +216,5 @@ def lac_retiming(
         tile_weights=weights,
         history=history,
         round_seconds=round_seconds,
-        solver_stats=solver.stats.to_dict() if solver is not None else None,
+        solver_stats=solver.stats.to_dict(),
     )

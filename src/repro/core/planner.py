@@ -70,7 +70,7 @@ from repro.resilience.runner import StageRunner, perturbed_seed
 from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import ExpandedCircuit, expand_interconnects
 from repro.retime.minarea import RetimingResult, min_area_retiming
-from repro.retime.minperiod import PROBERS, min_period_retiming
+from repro.retime.minperiod import min_period_retiming
 from repro.route.router import GlobalRouter, nets_from_graph
 from repro.tech.params import DEFAULT_TECH, Technology
 from repro.tiles.grid import SOFT, TileGrid, build_tile_grid
@@ -106,9 +106,6 @@ class PlannerConfig:
     repeater_backend: str = "path"  # "path" (per-connection DP) | "tree"
     tech: Technology = DEFAULT_TECH
     resilience: Optional[ResilienceConfig] = None  # None -> defaults
-    lac_incremental: bool = True  # warm-started LAC solver (False = cold)
-    lac_solver_engine: str = "auto"  # "auto" | "highs" | "ssp"
-    min_period_prober: str = "auto"  # "auto" | "feas" | "bellman-ford"
     trace_path: Optional[str] = None  # write a repro-trace/1 JSONL here
     metrics_path: Optional[str] = None  # repro-metrics/1 JSONL (+ .prom sibling)
     progress_path: Optional[str] = None  # repro-events/1 live stream ("-" = TTY)
@@ -167,16 +164,6 @@ def validate_planner_config(config: PlannerConfig) -> None:
     if config.max_rounds < 1:
         raise PlanningError(
             f"PlannerConfig.max_rounds must be >= 1, got {config.max_rounds}"
-        )
-    if config.lac_solver_engine not in ("auto", "highs", "ssp"):
-        raise PlanningError(
-            "PlannerConfig.lac_solver_engine must be 'auto', 'highs' or "
-            f"'ssp', got {config.lac_solver_engine!r}"
-        )
-    if config.min_period_prober not in PROBERS:
-        raise PlanningError(
-            "PlannerConfig.min_period_prober must be one of "
-            f"{', '.join(PROBERS)}, got {config.min_period_prober!r}"
         )
     if config.compile_cache not in CACHE_MODES:
         raise PlanningError(
@@ -486,7 +473,6 @@ def _run_iteration_stages(
             expanded.graph,
             tech=config.tech,
             prune=config.prune,
-            prober=config.min_period_prober,
         )
         tracer.current.set(
             cache="hit" if hit else "miss",
@@ -507,7 +493,6 @@ def _run_iteration_stages(
         lambda _a: min_period_retiming(
             expanded.graph,
             wd,
-            prober=config.min_period_prober,
             tracer=tracer,
             compiled=compiled,
         ),
@@ -554,8 +539,6 @@ def _run_iteration_stages(
                 max_rounds=config.max_rounds,
                 wd=wd,
                 system=system,
-                incremental=config.lac_incremental,
-                solver_engine=config.lac_solver_engine,
                 tracer=tracer,
                 compiled=compiled,
             )

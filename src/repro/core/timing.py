@@ -13,7 +13,6 @@ import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.feas import arrival_times
 
 
 @dataclasses.dataclass
@@ -77,8 +76,16 @@ class TimingReport:
 
 
 def timing_report(graph: CircuitGraph, period: float) -> TimingReport:
-    """Analyse ``graph`` against ``period``."""
-    arrivals = arrival_times(graph)
+    """Analyse ``graph`` against ``period``.
+
+    Raises:
+        NetlistError: ``graph`` has a combinational (zero-weight) cycle.
+    """
+    # Function-level import: importing repro.verify loads its checkers,
+    # which every `import repro.core` (e.g. each serve worker) would pay.
+    from repro.verify.timing import unit_arrivals
+
+    arrivals = unit_arrivals(graph)
     critical = _critical_path(graph, arrivals)
     return TimingReport(period=period, arrivals=arrivals, critical_path=critical)
 

@@ -5,30 +5,25 @@ connectivity, the standard objective for interconnect-driven
 floorplanning. Moves: swap a random pair in one sequence, swap in both
 sequences, or reshape a random soft block's aspect ratio.
 
-Two evaluation paths share one move stream:
-
-* the **incremental** path (default) keeps positions, dimensions and
-  net endpoints in flat numpy arrays
-  (:class:`~repro.floorplan.sequence_pair.ArrayPacker`), re-packs only
-  the ``gamma_minus`` suffix a move disturbs, and evaluates wirelength
-  as one vectorised gather over a precomputed net-pair index array;
-* the **reference** path (``incremental=False``) is the historical
-  object implementation, kept as the auditable oracle the property
-  suite compares against.
-
-Every float in the incremental path is produced by the same arithmetic
-expressions as the reference path, so costs — and therefore the
-annealing trajectory, acceptance decisions and the best floorplan —
-are bit-identical between the two.
+The annealer keeps positions, dimensions and net endpoints in flat
+numpy arrays (:class:`~repro.floorplan.sequence_pair.ArrayPacker`),
+re-packs only the ``gamma_minus`` suffix a move disturbs, and evaluates
+wirelength as one vectorised gather over a precomputed net-pair index
+array. Every float is produced by the same arithmetic expressions as
+the historical object implementation (a full
+:func:`~repro.floorplan.sequence_pair.pack` plus a per-net loop), so
+costs — and therefore the annealing trajectory, acceptance decisions
+and the best floorplan — are bit-identical to it. The test suite keeps
+that implementation in ``tests/oracles/annealer.py`` and compares the
+two.
 
 Degenerate moves (a swap with ``i == j``, a reshape that lands on a
 hard block) used to be packed and cost-evaluated just to be accepted
-with ``delta == 0``. Both paths now classify them up front and skip
-the evaluation while performing the *same* bookkeeping (the move
-counts as accepted, the temperature steps). The RNG stream is
-deliberately left untouched — resampling would perturb every
-downstream decision and break reproducibility against recorded
-benchmark results.
+with ``delta == 0``. They are now classified up front and skip the
+evaluation while performing the *same* bookkeeping (the move counts as
+accepted, the temperature steps). The RNG stream is deliberately left
+untouched — resampling would perturb every downstream decision and
+break reproducibility against recorded benchmark results.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.floorplan.blocks import Block, Placement
-from repro.floorplan.sequence_pair import ArrayPacker, pack
+from repro.floorplan.sequence_pair import ArrayPacker
 from repro.obs import NOOP_TRACER
 
 log = logging.getLogger(__name__)
@@ -69,9 +64,6 @@ class SequencePairAnnealer:
         seed: RNG seed.
         wirelength_weight: Relative weight of wirelength vs chip area
             in the cost (both are normalised by their initial values).
-        incremental: Use the array-backed delta-evaluating packer
-            (default). ``False`` selects the historical object path;
-            both produce bit-identical results.
     """
 
     def __init__(
@@ -80,7 +72,6 @@ class SequencePairAnnealer:
         net_pairs: Sequence[Tuple[str, str, int]] = (),
         seed: int = 0,
         wirelength_weight: float = 0.3,
-        incremental: bool = True,
     ):
         self.blocks: Dict[str, Block] = {b.name: b for b in blocks}
         self.net_pairs = [
@@ -88,29 +79,9 @@ class SequencePairAnnealer:
         ]
         self.rng = random.Random(seed)
         self.wirelength_weight = wirelength_weight
-        self.incremental = incremental
         self.best_cost: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def _wirelength(self, placements: List[Placement]) -> float:
-        centers = {p.name: p.center for p in placements}
-        total = 0.0
-        for a, b, mult in self.net_pairs:
-            (ax, ay), (bx, by) = centers[a], centers[b]
-            total += mult * (abs(ax - bx) + abs(ay - by))
-        return total
-
-    def _cost(
-        self, gamma_plus: List[str], gamma_minus: List[str]
-    ) -> Tuple[float, List[Placement], float, float]:
-        placements, w, h = pack(gamma_plus, gamma_minus, self.blocks)
-        area = w * h
-        # Penalise elongated chips: routing and tiling prefer near-square.
-        squareness = max(w, h) / max(min(w, h), 1e-9)
-        wl = self._wirelength(placements)
-        cost = area * (1.0 + 0.1 * (squareness - 1.0)) + self.wirelength_weight * wl
-        return cost, placements, w, h
-
     def _propose(self, gp: List[str]):
         """Draw the next move from the RNG.
 
@@ -168,91 +139,15 @@ class SequencePairAnnealer:
         self.rng.shuffle(gp)
         self.rng.shuffle(gm)
         if span is not None:
-            return self._anneal(gp, gm, iterations, t_start, t_end, tracer, span)
-        with tracer.span("floorplan/anneal", iterations=iterations) as span_:
-            return self._anneal(gp, gm, iterations, t_start, t_end, tracer, span_)
-
-    def _anneal(self, gp, gm, iterations, t_start, t_end, tracer, span):
-        if self.incremental:
             return self._anneal_arrays(
                 gp, gm, iterations, t_start, t_end, tracer, span
             )
-        return self._anneal_objects(
-            gp, gm, iterations, t_start, t_end, tracer, span
-        )
+        with tracer.span("floorplan/anneal", iterations=iterations) as span_:
+            return self._anneal_arrays(
+                gp, gm, iterations, t_start, t_end, tracer, span_
+            )
 
-    # -- reference (object) path ---------------------------------------
-    def _anneal_objects(self, gp, gm, iterations, t_start, t_end, tracer, span):
-        cost, placements, w, h = self._cost(gp, gm)
-        initial_cost = cost
-        best = (cost, placements, w, h)
-        self.best_sequences = (list(gp), list(gm))
-        self.best_blocks = dict(self.blocks)
-
-        alpha = (t_end / t_start) ** (1.0 / max(iterations, 1))
-        temp = t_start * cost  # scale temperature to the cost magnitude
-        accepted = 0
-        checkpoint = max(1, iterations // 10)
-        for i in range(iterations):
-            mv = self._propose(gp)
-            kind = mv[0]
-            if kind == "noop":
-                # The candidate equals the current state: delta == 0,
-                # always accepted, nothing else changes.
-                accepted += 1
-            else:
-                if kind == "reshape":
-                    cand_gp, cand_gm = list(gp), list(gm)
-                    self.blocks[mv[1]] = mv[3]
-                else:
-                    cand_gp, cand_gm = list(gp), list(gm)
-                    _, a, b = mv
-                    if kind == "swap_p":
-                        cand_gp[a], cand_gp[b] = cand_gp[b], cand_gp[a]
-                    else:
-                        cand_gm[a], cand_gm[b] = cand_gm[b], cand_gm[a]
-                cand_cost, cand_pl, cand_w, cand_h = self._cost(cand_gp, cand_gm)
-                delta = cand_cost - cost
-                if delta <= 0 or self.rng.random() < math.exp(
-                    -delta / max(temp, 1e-12)
-                ):
-                    gp, gm, cost = cand_gp, cand_gm, cand_cost
-                    accepted += 1
-                    if cost < best[0]:
-                        best = (cost, cand_pl, cand_w, cand_h)
-                        self.best_sequences = (list(gp), list(gm))
-                        self.best_blocks = dict(self.blocks)
-                elif kind == "reshape":
-                    self.blocks[mv[1]] = mv[2]
-            temp *= alpha
-            if tracer.enabled and (i + 1) % checkpoint == 0:
-                span.event(
-                    "checkpoint",
-                    iteration=i + 1,
-                    temperature=temp,
-                    cost=cost,
-                    best_cost=best[0],
-                )
-        span.set(
-            acceptance_rate=accepted / max(iterations, 1),
-            initial_cost=initial_cost,
-            best_cost=best[0],
-            t_final=temp,
-        )
-        tracer.metrics.counter("anneal_moves_total").inc(iterations)
-        tracer.metrics.counter("anneal_accepts_total").inc(accepted)
-        self.best_cost = best[0]
-        _best_cost, placements, w, h = best
-        log.debug(
-            "anneal: %d moves, %d accepted, cost %.1f -> %.1f",
-            iterations,
-            accepted,
-            initial_cost,
-            _best_cost,
-        )
-        return placements, w, h
-
-    # -- incremental (array) path --------------------------------------
+    # ------------------------------------------------------------------
     def _cost_arrays(self, packer, xs, ys, pa, pb, pm):
         xa = np.array(xs, dtype=np.float64)
         ya = np.array(ys, dtype=np.float64)
@@ -262,8 +157,8 @@ class SequencePairAnnealer:
         cx = xa + packer.wid / 2.0
         cy = ya + packer.hei / 2.0
         terms = pm * (np.abs(cx[pa] - cx[pb]) + np.abs(cy[pa] - cy[pb]))
-        # Left-to-right scalar accumulation, matching _wirelength's
-        # loop exactly (np.sum pairs terms differently).
+        # Left-to-right scalar accumulation, matching a per-net loop
+        # exactly (np.sum pairs terms differently).
         wl = sum(terms.tolist())
         cost = area * (1.0 + 0.1 * (squareness - 1.0)) + self.wirelength_weight * wl
         return cost, w, h
@@ -411,10 +306,8 @@ class SequencePairAnnealer:
 # ----------------------------------------------------------------------
 def _anneal_replica(payload) -> Tuple[float, Tuple[List[str], List[str]], Dict[str, Block]]:
     """One multi-start replica; module-level so it pickles to workers."""
-    blocks, net_pairs, seed, iterations, t_start, incremental = payload
-    annealer = SequencePairAnnealer(
-        blocks, net_pairs, seed=seed, incremental=incremental
-    )
+    blocks, net_pairs, seed, iterations, t_start = payload
+    annealer = SequencePairAnnealer(blocks, net_pairs, seed=seed)
     annealer.run(iterations=iterations, t_start=t_start)
     return annealer.best_cost, annealer.best_sequences, annealer.best_blocks
 
@@ -426,7 +319,6 @@ def anneal_multistart(
     iterations: int = 3000,
     replicas: int = 1,
     jobs: int = 1,
-    incremental: bool = True,
     tracer=None,
 ) -> Tuple[Tuple[List[str], List[str]], Dict[str, Block], float]:
     """Parallel-tempered multi-start annealing; returns the best replica.
@@ -449,9 +341,7 @@ def anneal_multistart(
     if tracer is None:
         tracer = NOOP_TRACER
     if replicas <= 1:
-        annealer = SequencePairAnnealer(
-            blocks, net_pairs, seed=seed, incremental=incremental
-        )
+        annealer = SequencePairAnnealer(blocks, net_pairs, seed=seed)
         annealer.run(iterations=iterations, tracer=tracer)
         return annealer.best_sequences, annealer.best_blocks, annealer.best_cost
 
@@ -463,7 +353,6 @@ def anneal_multistart(
             seed + r * _REPLICA_SEED_STRIDE,
             iterations,
             _TEMPER_LADDER**r,
-            incremental,
         )
         for r in range(1, replicas)
     ]
@@ -477,9 +366,7 @@ def anneal_multistart(
                 others = list(pool.map(_anneal_replica, payloads))
         else:
             others = [_anneal_replica(p) for p in payloads]
-        annealer = SequencePairAnnealer(
-            block_list, net_pairs, seed=seed, incremental=incremental
-        )
+        annealer = SequencePairAnnealer(block_list, net_pairs, seed=seed)
         annealer.run(iterations=iterations, tracer=tracer, span=span)
         results = [
             (annealer.best_cost, annealer.best_sequences, annealer.best_blocks)

@@ -12,7 +12,6 @@ import dataclasses
 from typing import Dict
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.feas import arrival_times
 
 
 @dataclasses.dataclass
@@ -64,7 +63,10 @@ def circuit_stats(graph: CircuitGraph) -> CircuitStats:
     for _cid, w in graph.connections():
         if w > 0:
             register_hist[w] = register_hist.get(w, 0) + 1
-    arrivals = arrival_times(graph)
+    # Function-level import: repro.verify imports the netlist package.
+    from repro.verify.timing import unit_arrivals
+
+    arrivals = unit_arrivals(graph)
     n_inputs = sum(len(graph.fanout(h)) for h in hosts if not graph.fanin(h))
     n_outputs = sum(len(graph.fanin(h)) for h in hosts if not graph.fanout(h))
     return CircuitStats(

@@ -175,7 +175,7 @@ def _format_feas_tables(doc: TraceDocument) -> List[str]:
         scope = _scope_of(doc, search)
         title = "min-period search" + (f" ({scope})" if scope else "")
         lines.append(
-            f"{title}: prober={search.attrs.get('prober', '?')}, "
+            f"{title}: engine={search.attrs.get('engine', '?')}, "
             f"{search.attrs.get('n_candidates', '?')} candidates, "
             f"T_min={search.attrs.get('t_min', float('nan')):.4f} "
             f"({len(probes)} probes)"

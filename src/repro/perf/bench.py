@@ -4,8 +4,7 @@ Each run produces one JSON document (schema ``repro-bench/3``)::
 
     {
       "schema": "repro-bench/3",
-      "mode": "warm" | "cold",        # incremental LAC solver on/off
-      "engine": "auto" | "highs" | "ssp",
+      "mode": "warm",                 # warm-started LAC solver
       "quick": bool,
       "circuits": [
         {
@@ -14,7 +13,7 @@ Each run produces one JSON document (schema ``repro-bench/3``)::
           "ma_seconds": ...,          # min-area baseline (null if skipped)
           "lac_seconds": ...,         # whole LAC stage, first iteration
           "lac_round_seconds": [...], # per weighted-min-area round
-          "solver": {...},            # IncrementalStats (null on cold path)
+          "solver": {...},            # IncrementalStats
           "stages": [{"name", "seconds", "calls"}, ...],
           "stage_coverage": ...,      # recorded top-level stage s / wall s
           "wall_seconds": ...
@@ -49,8 +48,10 @@ ignores absent fields. ``repro bench history`` reads a directory of
 BENCH files into a per-stage wall/RSS trend report.
 
 Files are numbered ``BENCH_0.json``, ``BENCH_1.json``, ... — the next
-free integer in the output directory — so successive runs (e.g. a cold
-baseline and an optimised run) sit side by side for comparison.
+free integer in the output directory — so successive runs sit side by
+side for comparison. Documents written before the cold LAC path was
+removed may carry ``"mode": "cold"`` and an ``"engine"`` field; they
+stay loadable, and ``bench history`` only compares runs of equal mode.
 
 A circuit that fails with a :class:`~repro.errors.ReproError` is
 recorded as ``{"ok": false, "error": ...}`` and benching continues;
@@ -97,8 +98,6 @@ _SOLVE_STAGES = {"min_period", "retime"}
 def bench_circuit(
     spec: CircuitSpec,
     quick: bool = False,
-    cold: bool = False,
-    engine: str = "auto",
     cache: Optional[CompileCache] = None,
 ) -> Dict[str, object]:
     """Bench one circuit; returns its entry for the JSON document.
@@ -109,11 +108,7 @@ def bench_circuit(
     perf = PerfRecorder()
     if cache is None:
         cache = CompileCache(None, mode="off")
-    overrides: Dict[str, object] = {"lac_incremental": not cold}
-    if not cold:
-        overrides["lac_solver_engine"] = engine
-    if quick:
-        overrides.update(QUICK_OVERRIDES)
+    overrides: Dict[str, object] = dict(QUICK_OVERRIDES) if quick else {}
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     start = time.perf_counter()
     try:
@@ -178,8 +173,6 @@ def bench_circuit(
 def run_bench(
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
-    cold: bool = False,
-    engine: str = "auto",
     verbose: bool = False,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, object]:
@@ -201,9 +194,7 @@ def run_bench(
     )
     entries: List[Dict[str, object]] = []
     for spec in specs:
-        entry = bench_circuit(
-            spec, quick=quick, cold=cold, engine=engine, cache=cache
-        )
+        entry = bench_circuit(spec, quick=quick, cache=cache)
         entries.append(entry)
         if verbose:
             if entry["ok"]:
@@ -237,8 +228,7 @@ def run_bench(
     }
     return {
         "schema": BENCH_SCHEMA,
-        "mode": "cold" if cold else "warm",
-        "engine": "cold" if cold else engine,
+        "mode": "warm",
         "quick": quick,
         "cache": "auto" if cache_dir else "off",
         "circuits": entries,
@@ -383,17 +373,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="smoke subset with a short floorplan anneal, one iteration",
     )
     parser.add_argument(
-        "--cold",
-        action="store_true",
-        help="disable the incremental LAC solver (baseline timing)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("auto", "highs", "ssp"),
-        default="auto",
-        help="incremental solver engine (ignored with --cold)",
-    )
-    parser.add_argument(
         "--out",
         default="benchmarks/results",
         help="output directory for BENCH_<n>.json",
@@ -447,8 +426,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     doc = run_bench(
         names=args.names,
         quick=args.quick,
-        cold=args.cold,
-        engine=args.engine,
         verbose=True,
         cache_dir=None if args.no_cache else args.cache_dir,
     )

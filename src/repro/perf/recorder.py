@@ -6,13 +6,6 @@ span, and :meth:`PerfRecorder.ingest_spans` collapses those spans into
 the flat name -> seconds table the bench JSON embeds; ``python -m
 repro trace summarize`` derives its stage table from the same spans,
 so the two always agree.
-
-The older ledger route (:meth:`ingest_ledger` /
-:meth:`ingest_outcome`) remains for callers that have a finished
-:class:`~repro.core.planner.PlanningOutcome` but no trace. The two
-routes are alternatives for the *same* stages — ingest a run through
-exactly one of them, never both, or every stage double-counts; the
-planner picks the span route whenever a recorder is attached.
 """
 
 from __future__ import annotations
@@ -123,34 +116,6 @@ class PerfRecorder:
                 self.add(span.name, span.elapsed, rss, cpu)
             elif span.name == "lac/round":
                 self.add("retime/lac/rounds", span.elapsed, rss, cpu)
-
-    # ------------------------------------------------------------------
-    def ingest_ledger(self, ledger) -> None:
-        """Pull per-stage wall time from a :class:`RunLedger`.
-
-        Ledger fallback — covers the same stages as the stage spans of
-        :meth:`ingest_spans`; use one route or the other, not both.
-        """
-        for record in ledger.records:
-            self.add(record.name, record.seconds)
-
-    def ingest_outcome(self, outcome) -> None:
-        """Ingest a :class:`PlanningOutcome`: ledger stages + retiming
-        sub-timings (min-area baseline, LAC total, LAC per-round sum).
-
-        Ledger fallback for span-less callers; equivalent to (and
-        mutually exclusive with) ingesting the run's trace spans.
-        """
-        self.ingest_ledger(outcome.ledger)
-        for it in outcome.iterations:
-            if it.constraints_seconds:
-                self.add("retime/constraints", it.constraints_seconds)
-            if it.min_area is not None:
-                self.add("retime/min_area", it.min_area.seconds)
-            if it.lac is not None:
-                self.add("retime/lac", it.lac_seconds)
-                for s in it.lac.round_seconds:
-                    self.add("retime/lac/rounds", s)
 
     # ------------------------------------------------------------------
     @property

@@ -70,25 +70,37 @@ OUTCOME_KEY = "outcome"
 _SLUG_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
+#: PlannerConfig fields that never change a stage's result: telemetry
+#: sinks, the resource monitor, retry posture and the compiled-circuit
+#: cache (wall-clock only). Checkpoints are interchangeable across them.
+_UNFINGERPRINTED = (
+    "trace_path",
+    "metrics_path",
+    "progress_path",
+    "monitor",
+    "monitor_interval",
+    "resilience",
+    "compile_cache_dir",
+    "compile_cache",
+)
+
+
 def run_fingerprint(graph, config, max_iterations: int) -> str:
     """Content hash identifying what a run computes.
 
     Two runs with equal fingerprints produce identical results, so
     their checkpoints are interchangeable. Covers the full graph (via
     :func:`repro.netlist.io.graph_to_dict`), every result-affecting
-    config field, and ``max_iterations``; ``trace_path`` and
-    ``resilience`` are excluded (observability and retry posture do
-    not change what a successful stage returns).
+    config field, and ``max_iterations``. Observability settings
+    (trace, metrics and progress paths, the resource monitor) and
+    ``resilience`` are excluded: they do not change what a successful
+    stage returns.
     """
     from repro.netlist.io import graph_to_dict
 
     cfg = dataclasses.asdict(config)
-    cfg.pop("trace_path", None)
-    cfg.pop("resilience", None)
-    # The compiled-circuit cache changes wall-clock, never results, so
-    # checkpoints are interchangeable across cache settings.
-    cfg.pop("compile_cache_dir", None)
-    cfg.pop("compile_cache", None)
+    for field in _UNFINGERPRINTED:
+        cfg.pop(field, None)
     doc = {
         "schema": CKPT_SCHEMA,
         "graph": graph_to_dict(graph),

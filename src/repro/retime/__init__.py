@@ -1,6 +1,5 @@
 """Retiming engine: W/D matrices, constraints, min-area / min-period."""
 
-from repro.retime.apply import cycle_weight_invariant, verify_retiming
 from repro.retime.constraints import (
     Constraint,
     ConstraintSystem,
@@ -10,9 +9,8 @@ from repro.retime.constraints import (
     host_constraints,
     prune_redundant,
 )
-from repro.retime.feas import arrival_times, feas_labels
 from repro.retime.feas_probe import FeasProbe, FeasUndecidedError
-from repro.retime.flow import feasible_labels, optimal_labels
+from repro.retime.flow import optimal_labels
 from repro.retime.incremental import IncrementalMinArea, IncrementalStats
 from repro.retime.minarea import (
     RetimingResult,
@@ -20,24 +18,13 @@ from repro.retime.minarea import (
     normalise_labels,
     retiming_objective,
 )
-from repro.retime.minperiod import (
-    PROBERS,
-    clock_period,
-    is_feasible_period,
-    min_period_retiming,
-)
+from repro.retime.minperiod import clock_period, min_period_retiming
 from repro.retime.sharing import min_area_retiming_shared, shared_register_count
-from repro.retime.wd import (
-    WDMatrices,
-    candidate_periods,
-    wd_matrices,
-    wd_matrices_reference,
-)
+from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
 
 __all__ = [
     "WDMatrices",
     "wd_matrices",
-    "wd_matrices_reference",
     "candidate_periods",
     "Constraint",
     "ConstraintSystem",
@@ -46,9 +33,6 @@ __all__ = [
     "clock_constraints",
     "prune_redundant",
     "build_constraint_system",
-    "feasible_labels",
-    "feas_labels",
-    "arrival_times",
     "FeasProbe",
     "FeasUndecidedError",
     "optimal_labels",
@@ -60,10 +44,6 @@ __all__ = [
     "min_area_retiming_shared",
     "shared_register_count",
     "normalise_labels",
-    "PROBERS",
     "clock_period",
-    "is_feasible_period",
     "min_period_retiming",
-    "verify_retiming",
-    "cycle_weight_invariant",
 ]

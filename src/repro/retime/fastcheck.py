@@ -19,9 +19,9 @@ everything in numpy arrays:
   ``v -> u`` with weight ``b``; distances from an implicit all-zero
   source satisfy every constraint iff no negative cycle exists).
 
-The result is exact for the split-host semantics — identical to
-:func:`repro.retime.minperiod.is_feasible_period`, which the test
-suite cross-checks — at a fraction of the cost.
+The result is exact for the split-host semantics — identical to the
+constraint-object reference in ``tests/oracles/feasibility.py``, which
+the test suite cross-checks — at a fraction of the cost.
 
 This module is *solver machinery*, not a certifier: it shares the CSR
 caches and W/D matrices whose correctness is under test. Independent

@@ -20,8 +20,8 @@ vectors and never materialises a clocking pair.
 Three departures from the textbook algorithm make it exact for this
 repository's *split-host* semantics and fast inside a binary search:
 
-**Tied hosts instead of contraction.** :mod:`repro.retime.feas`
-contracts the source and sink hosts into one vertex, which creates
+**Tied hosts instead of contraction.** Classic FEAS contracts the
+source and sink hosts into one vertex, which creates
 paths *through* the environment and therefore clocking constraints the
 split-host model does not have (the classic algorithm is conservative
 on open circuits). Here the graph stays split — arrival times see

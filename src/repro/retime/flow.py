@@ -1,32 +1,31 @@
-"""Solvers for difference-constraint systems.
+"""The min-area retiming LP as a min-cost flow (Leiserson & Saxe).
 
-Two operations are needed by retiming:
+:func:`optimal_labels` finds the integer solution of
+``r(u) - r(v) <= bound`` minimising a linear objective
+``sum_v c_v * r(v)``. The LP
 
-* :func:`feasible_labels` — find *any* integer solution of
-  ``r(u) - r(v) <= bound`` (or report infeasibility). This is the
-  classic difference-constraint shortest-path construction
-  (Bellman–Ford from a virtual source), used by minimum-period
-  retiming.
+    min  c^T r   s.t.   r(u) - r(v) <= b_a
 
-* :func:`optimal_labels` — find the solution minimising a linear
-  objective ``sum_v c_v * r(v)``. Following Leiserson & Saxe, the LP
+is the dual of a minimum-cost flow problem: node ``v`` has demand
+``c_v`` (``sum_v c_v`` must be 0, which holds for all retiming
+objectives), and each constraint ``a = (u, v, b)`` is an arc
+``u -> v`` with cost ``b`` and infinite capacity. The flow is solved
+with :func:`networkx.network_simplex`; the optimal labels are
+recovered as shortest-path potentials of the *residual* graph, which
+satisfies both primal feasibility and complementary slackness (see
+DESIGN.md for the derivation). With integer bounds and demands, the
+recovered labels are integral.
 
-      min  c^T r   s.t.   r(u) - r(v) <= b_a
-
-  is the dual of a minimum-cost flow problem: node ``v`` has demand
-  ``c_v`` (``sum_v c_v`` must be 0, which holds for all retiming
-  objectives), and each constraint ``a = (u, v, b)`` is an arc
-  ``u -> v`` with cost ``b`` and infinite capacity. The flow is solved
-  with :func:`networkx.network_simplex`; the optimal labels are
-  recovered as shortest-path potentials of the *residual* graph, which
-  satisfies both primal feasibility and complementary slackness (see
-  DESIGN.md for the derivation). With integer bounds and demands, the
-  recovered labels are integral.
+The optimum is often degenerate, so the labels (and therefore a
+circuit's flip-flop placement) depend on the solver: this network
+simplex path is the one the min-area baseline of Table 1 is measured
+with. The in-house SSP solver (:func:`repro.retime.mcf.solve_retiming_dual`)
+reaches the same objective value.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 import networkx as nx
 
@@ -40,44 +39,9 @@ from repro.retime.constraints import Constraint
 _SOURCE = object()  # virtual Bellman–Ford source, never collides with names
 
 
-def _constraint_digraph(constraints: Iterable[Constraint]) -> nx.DiGraph:
-    """Shortest-path graph for difference constraints.
-
-    ``r(u) - r(v) <= b`` becomes an arc ``v -> u`` with weight ``b``;
-    any shortest-path distance vector then satisfies every constraint.
-    Parallel constraints collapse to the tightest bound.
-    """
-    g = nx.DiGraph()
-    for c in constraints:
-        g.add_node(c.u)
-        g.add_node(c.v)
-        if g.has_edge(c.v, c.u):
-            if c.bound < g.edges[c.v, c.u]["weight"]:
-                g.edges[c.v, c.u]["weight"] = c.bound
-        else:
-            g.add_edge(c.v, c.u, weight=c.bound)
-    return g
-
-
-def feasible_labels(
-    constraints: Iterable[Constraint],
-) -> Optional[Dict[str, int]]:
-    """Any integral solution of the constraints, or ``None`` if infeasible."""
-    g = _constraint_digraph(constraints)
-    nodes = list(g.nodes)
-    g.add_node(_SOURCE)
-    g.add_weighted_edges_from((_SOURCE, v, 0) for v in nodes)
-    try:
-        dist = nx.single_source_bellman_ford_path_length(g, _SOURCE)
-    except nx.NetworkXUnbounded:
-        return None
-    return {v: int(dist[v]) for v in nodes}
-
-
 def optimal_labels(
     constraints: Iterable[Constraint],
     objective: Mapping[str, float],
-    backend: str = "networkx",
 ) -> Dict[str, int]:
     """Minimise ``sum_v objective[v] * r(v)`` subject to the constraints.
 
@@ -85,30 +49,10 @@ def optimal_labels(
     :mod:`repro.retime.minarea`) and must sum to zero. Vertices missing
     from ``objective`` get coefficient 0.
 
-    ``backend`` selects the min-cost-flow solver: ``"networkx"``
-    (network simplex) or ``"native"`` (the in-house successive
-    shortest-path solver, :mod:`repro.retime.mcf`); the test suite
-    checks both give the same optimum.
-
     Raises :class:`RetimingError` if the constraints are infeasible
     (the dual flow is unbounded) or if the objective is unbounded on
     the feasible region.
     """
-    constraints = list(constraints)
-    if backend == "native":
-        from repro.retime.mcf import solve_retiming_dual
-
-        nodes = {c.u for c in constraints} | {c.v for c in constraints}
-        nodes.update(objective)
-        full_objective = {v: int(round(objective.get(v, 0))) for v in nodes}
-        if sum(full_objective.values()) != 0:
-            raise RetimingError(
-                f"objective coefficients sum to "
-                f"{sum(full_objective.values())}, not 0"
-            )
-        return solve_retiming_dual(constraints, full_objective)
-    if backend != "networkx":
-        raise ValueError(f"unknown backend {backend!r}")
     flow_g = nx.DiGraph()
     nodes = set()
     for c in constraints:

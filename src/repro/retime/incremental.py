@@ -14,9 +14,8 @@ a solver model build, and a cold solve.
 * Bellman–Ford over those arcs runs once, at construction — which is
   also where an infeasible system (negative-cost constraint cycle)
   surfaces, as :class:`InfeasiblePeriodError`;
-* re-solves are warm-started from the previous optimum, with two
-  interchangeable engines (``engine="auto"`` picks the best one
-  available):
+* re-solves are warm-started from the previous optimum, on HiGHS when
+  scipy ships the bindings and on SSP otherwise:
 
   - ``"highs"`` — the retiming LP ``min c^T r`` s.t.
     ``r_u - r_v <= b`` is loaded once into a persistent HiGHS model
@@ -29,8 +28,9 @@ a solver model build, and a cold solve.
     potentials carry over between solves (at an optimum every forward
     arc keeps residual capacity, so the final potentials price all
     arcs non-negatively and remain valid Dijkstra potentials after a
-    flow reset — no fresh Bellman–Ford). Pure Python; the fallback
-    when scipy's vendored HiGHS bindings are unavailable.
+    flow reset — no fresh Bellman–Ford). Pure Python; the only path
+    when :func:`_load_highs` finds no bindings (or HiGHS rejects the
+    model).
 
 Each solve is an exact LP optimum either way — warm-starting changes
 where the search *starts*, not what it converges to — so the objective
@@ -176,25 +176,22 @@ class IncrementalMinArea:
             read, once, at construction).
         system: The difference-constraint system (edge + host +
             clocking) for the target period.
-        engine: ``"auto"`` (HiGHS when available, else SSP),
-            ``"highs"``, or ``"ssp"``.
+
+    The solving engine (``stats.engine``) is ``"highs"`` when scipy's
+    bindings load and accept the model, else ``"ssp"``.
 
     Raises:
         InfeasiblePeriodError: The system has no solution (negative
             constraint cycle) — raised at construction, since no
             reweighting can fix it.
-        ValueError: Unknown engine name.
     """
 
     def __init__(
         self,
         graph: CircuitGraph,
         system: ConstraintSystem,
-        engine: str = "auto",
         compiled=None,
     ):
-        if engine not in ("auto", "highs", "ssp"):
-            raise ValueError(f"unknown engine {engine!r}")
         start = time.perf_counter()
         self.graph = graph
         self.system = system
@@ -247,17 +244,15 @@ class IncrementalMinArea:
             raise InfeasiblePeriodError(system.period, str(exc)) from exc
 
         self._highs: Optional[_HighsEngine] = None
-        if engine in ("auto", "highs"):
-            try:
-                self._highs = _HighsEngine(
-                    len(self._order),
-                    self._net._bf_tails,
-                    self._net._bf_heads,
-                    self._net._bf_costs,
-                )
-            except RuntimeError:
-                if engine == "highs":
-                    raise
+        try:
+            self._highs = _HighsEngine(
+                len(self._order),
+                self._net._bf_tails,
+                self._net._bf_heads,
+                self._net._bf_costs,
+            )
+        except RuntimeError:
+            pass  # no bindings, or HiGHS rejected the model: SSP
         self.engine = "highs" if self._highs is not None else "ssp"
         self.stats = IncrementalStats(engine=self.engine)
         self.stats.bellman_ford_runs += 1

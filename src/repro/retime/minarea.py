@@ -113,7 +113,6 @@ def min_area_retiming(
     wd: Optional[WDMatrices] = None,
     system: Optional[ConstraintSystem] = None,
     prune: bool = False,
-    backend: str = "networkx",
 ) -> RetimingResult:
     """Exact (weighted) minimum-area retiming for a target clock period.
 
@@ -127,7 +126,6 @@ def min_area_retiming(
             paper's LAC loop exploits this to generate clocking
             constraints only once.
         prune: Apply redundancy pruning when generating constraints.
-        backend: Min-cost-flow solver ("networkx" or "native").
 
     Raises:
         InfeasiblePeriodError: No retiming meets the period.
@@ -138,7 +136,7 @@ def min_area_retiming(
         system = build_constraint_system(graph, wd, period, prune=prune)
     objective = retiming_objective(graph, weights)
     try:
-        labels = optimal_labels(system.constraints, objective, backend=backend)
+        labels = optimal_labels(system.constraints, objective)
     except InfeasibleConstraintsError as exc:
         raise InfeasiblePeriodError(period, str(exc)) from exc
     labels = {v: labels.get(v, 0) for v in graph.units()}

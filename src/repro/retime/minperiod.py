@@ -23,18 +23,17 @@ default, on the sparse vectorised FEAS engine
   feasible period the search resumes below it with a larger budget
   (each resume strictly lowers the best index, so this terminates).
 
-The dense Bellman–Ford checker (:mod:`repro.retime.fastcheck`) remains
-available behind ``prober="bellman-ford"`` as the cross-checked
-reference; the constraint-object route (:func:`is_feasible_period`
-with ``use_fast=False``) is kept as the auditable slow path.
+The dense Bellman–Ford checker (:mod:`repro.retime.fastcheck`)
+certifies the boundary candidate, and runs the whole search when
+:meth:`FeasProbe.build` rejects the graph.
 
 The search runs over *merged* candidates (:func:`candidate_periods`
 collapses float-noise runs of ``D`` values), so every search finishes
 with an exact-tie refinement: a warm-started bisection over the few
 exact ``D`` values inside the winning run, decided by the exact
 checker (:meth:`FeasibilityChecker.refine`). ``T_min`` is therefore
-the minimum over the *exact* candidate set and does not depend on the
-prober choice.
+the minimum over the *exact* candidate set and does not depend on
+which checker decided the search.
 
 The paper uses min-period retiming to establish ``T_min``, then sets
 ``T_clk`` 20% of the way from ``T_min`` up to ``T_init``.
@@ -51,17 +50,12 @@ import numpy as np
 from repro.errors import InfeasiblePeriodError, RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.obs import NOOP_TRACER
-from repro.retime.constraints import build_constraint_system
 from repro.retime.fastcheck import FeasibilityChecker
 from repro.retime.feas_probe import FeasProbe
-from repro.retime.flow import feasible_labels
 from repro.retime.minarea import RetimingResult, normalise_labels
 from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
 
 log = logging.getLogger(__name__)
-
-#: Legal values for the ``prober`` switch of :func:`min_period_retiming`.
-PROBERS = ("auto", "feas", "bellman-ford")
 
 #: Initial FEAS round budget for tentative probes inside the binary
 #: search (quadrupled on every boundary-certification miss).
@@ -82,31 +76,6 @@ def clock_period(graph: CircuitGraph, wd: Optional[WDMatrices] = None) -> float:
     return float(wd.d[zero_weight].max())
 
 
-def is_feasible_period(
-    graph: CircuitGraph,
-    period: float,
-    wd: Optional[WDMatrices] = None,
-    use_fast: bool = True,
-) -> Optional[Dict[str, int]]:
-    """Labels achieving ``period`` (hosts normalised to 0), or ``None``."""
-    if wd is None:
-        wd = wd_matrices(graph)
-    if wd.max_vertex_delay() > period:
-        return None
-    if use_fast:
-        labels = FeasibilityChecker.build(graph, wd).labels(period)
-    else:
-        try:
-            system = build_constraint_system(graph, wd, period, prune=False)
-        except InfeasiblePeriodError:
-            return None
-        labels = feasible_labels(system.constraints)
-    if labels is None:
-        return None
-    labels = {v: labels.get(v, 0) for v in graph.units()}
-    return normalise_labels(graph, labels)
-
-
 #: Result of one candidate search: the best (merged) candidate, its
 #: witness labels, the largest candidate certified infeasible (``None``
 #: if the search never moved above the first candidate), and the dense
@@ -121,21 +90,18 @@ def _feas_search(
     graph: CircuitGraph,
     wd: WDMatrices,
     candidates,
-    allow_fallback: bool,
     tracer=NOOP_TRACER,
 ) -> _SearchResult:
     """Clamped, warm-started, budgeted binary search (see module doc).
 
-    ``allow_fallback`` routes the (rare — usually one per search)
-    boundary certification through the Bellman–Ford checker: FEAS's
-    infeasibility certificate needs up to ``|V|`` increments of one
-    vertex and increments interleave, so certifying a near-feasible
-    period can take several thousand rounds where one warm-started
-    exact relaxation (:meth:`FeasibilityChecker.refine`, seeded with
-    the witness of the best verified period) converges in a handful of
-    rounds over the pruned constraint arcs. Without fallback
-    (``prober="feas"``) the certification is the sound FEAS probe
-    itself.
+    The (rare — usually one per search) boundary certification runs on
+    the Bellman–Ford checker: FEAS's infeasibility certificate needs up
+    to ``|V|`` increments of one vertex and increments interleave, so
+    certifying a near-feasible period can take several thousand rounds
+    where one warm-started exact relaxation
+    (:meth:`FeasibilityChecker.refine`, seeded with the witness of the
+    best verified period) converges in a handful of rounds over the
+    pruned constraint arcs.
     """
     checker: Optional[FeasibilityChecker] = None
     perm: Optional[np.ndarray] = None  # engine position -> wd position
@@ -145,24 +111,18 @@ def _feas_search(
     ) -> Optional[np.ndarray]:
         nonlocal checker, perm
         with tracer.span(
-            "feas/certify",
-            t=candidates[idx],
-            method="bellman-ford" if allow_fallback else "feas",
+            "feas/certify", t=candidates[idx], method="bellman-ford"
         ) as span:
-            if not allow_fallback:
-                raw = engine.probe(candidates[idx], start=start)
-                span.set(rounds=engine.last_rounds)
-            else:
-                if checker is None:
-                    checker = FeasibilityChecker.build(graph, wd)
-                    perm = np.array(
-                        [wd.index[v] for v in engine.order], dtype=np.int64
-                    )
-                warm = np.zeros(engine.n, dtype=np.int64)
-                if start is not None:
-                    warm[perm] = start
-                refined = checker.refine(candidates[idx], warm)
-                raw = None if refined is None else refined[perm]
+            if checker is None:
+                checker = FeasibilityChecker.build(graph, wd)
+                perm = np.array(
+                    [wd.index[v] for v in engine.order], dtype=np.int64
+                )
+            warm = np.zeros(engine.n, dtype=np.int64)
+            if start is not None:
+                warm[perm] = start
+            refined = checker.refine(candidates[idx], warm)
+            raw = None if refined is None else refined[perm]
             verdict = "infeasible" if raw is None else "feasible"
             span.set(verdict=verdict)
             tracer.metrics.counter(
@@ -217,7 +177,10 @@ def _feas_search(
 def _bellman_ford_search(
     graph: CircuitGraph, wd: WDMatrices, candidates, tracer=NOOP_TRACER
 ) -> _SearchResult:
-    """Binary search with the dense Bellman–Ford reference checker."""
+    """Binary search with the dense Bellman–Ford checker.
+
+    The fallback for graphs :meth:`FeasProbe.build` rejects.
+    """
     checker = FeasibilityChecker.build(graph, wd)
 
     def probe(t: float) -> Optional[Dict[str, int]]:
@@ -318,22 +281,18 @@ def _refine_exact(
 def min_period_retiming(
     graph: CircuitGraph,
     wd: Optional[WDMatrices] = None,
-    prober: str = "auto",
     tracer=None,
     compiled=None,
 ) -> Tuple[float, RetimingResult]:
     """Find the minimum feasible period and a retiming achieving it.
 
     Returns ``(T_min, result)``; binary-searches the sorted distinct
-    ``D`` values. ``prober`` selects the feasibility engine:
-
-    * ``"auto"`` (default) — the sparse FEAS engine, with the dense
-      checker as a defensive fallback;
-    * ``"feas"`` — FEAS only, no fallback;
-    * ``"bellman-ford"`` — the dense reference checker throughout.
-
-    All probers decide feasibility exactly, so ``T_min`` is identical
-    for every choice (the witness retiming may differ).
+    ``D`` values. Probes run on the sparse FEAS engine; when
+    :meth:`FeasProbe.build` rejects the graph (e.g. a zero-delay unit
+    with a zero-weight self-loop) the whole search runs on the dense
+    Bellman–Ford checker instead. Both decide feasibility exactly, so
+    ``T_min`` does not depend on which one ran (the witness retiming
+    may differ).
 
     ``tracer`` (a :class:`repro.obs.Tracer`) wraps the whole search in
     a ``min_period/search`` span; every budgeted probe, boundary
@@ -347,10 +306,6 @@ def min_period_retiming(
     witness replayed (the outcome is bit-identical — the witness *is*
     the previous search's pre-normalise result).
     """
-    if prober not in PROBERS:
-        raise RetimingError(
-            f"unknown prober {prober!r} (expected one of {', '.join(PROBERS)})"
-        )
     if tracer is None:
         tracer = NOOP_TRACER
     if compiled is not None:
@@ -368,7 +323,7 @@ def min_period_retiming(
         and compiled.t_min is not None
         and compiled.t_min_labels is not None
     )
-    with tracer.span("min_period/search", prober=prober) as search:
+    with tracer.span("min_period/search") as search:
         if replay:
             period = compiled.t_min
             labels: Dict[str, int] = dict(compiled.t_min_labels)
@@ -380,31 +335,26 @@ def min_period_retiming(
             )
         else:
             engine: Optional[FeasProbe] = None
-            if prober in ("auto", "feas"):
-                if compiled is not None and compiled.feas is not None:
-                    engine = compiled.feas_probe()
-                else:
-                    try:
-                        engine = FeasProbe.build(graph)
-                    except RetimingError:
-                        if prober == "feas":
-                            raise
-                        log.debug(
-                            "FEAS engine unavailable for %s; using Bellman-Ford",
-                            graph.name,
-                        )
-            if engine is not None:
-                period, labels, lower, checker = _feas_search(
-                    engine,
-                    graph,
-                    wd,
-                    candidates,
-                    allow_fallback=(prober == "auto"),
-                    tracer=tracer,
-                )
+            if compiled is not None:
+                # compile() already ran FeasProbe.build; None means the
+                # graph was rejected.
+                engine = compiled.feas_probe()
             else:
+                try:
+                    engine = FeasProbe.build(graph)
+                except RetimingError:
+                    pass
+            if engine is None:
+                log.debug(
+                    "FEAS engine unavailable for %s; using Bellman-Ford",
+                    graph.name,
+                )
                 period, labels, lower, checker = _bellman_ford_search(
                     graph, wd, candidates, tracer=tracer
+                )
+            else:
+                period, labels, lower, checker = _feas_search(
+                    engine, graph, wd, candidates, tracer=tracer
                 )
             period, labels = _refine_exact(
                 graph,

@@ -8,18 +8,14 @@ For vertices ``u, v``:
   included) over paths from ``u`` to ``v`` whose weight is ``W(u, v)``.
 
 Both reduce to a lexicographic shortest-path problem with edge cost
-``(w(e), -d(u))``. Two implementations are provided and cross-checked
-by the test suite:
+``(w(e), -d(u))``. :func:`wd_matrices` scalarises the tuple as
+``w(e) * B - d(u)`` with ``B`` greater than the total circuit delay and
+solves it with :func:`scipy.sparse.csgraph.johnson` (compiled);
+``W = ceil(dist / B)`` and ``D = d(v) + (W * B - dist)`` decode the two
+components. The test suite cross-checks it against a pure-Python tuple
+Bellman–Ford kept in ``tests/oracles/wd.py``.
 
-* :func:`wd_matrices_reference` — pure-Python Bellman–Ford over tuple
-  costs; easy to audit, used on small graphs;
-* :func:`wd_matrices` — the fast path: the tuple is scalarised as
-  ``w(e) * B - d(u)`` with ``B`` greater than the total circuit delay,
-  and solved with :func:`scipy.sparse.csgraph.johnson` (compiled).
-  ``W = ceil(dist / B)`` and ``D = d(v) + (W * B - dist)`` decode the
-  two components.
-
-Both require every cycle to carry at least one flip-flop (checked by
+Every cycle must carry at least one flip-flop (checked by
 :meth:`CircuitGraph.validate`); otherwise the scalarised graph has a
 negative cycle and the matrices are undefined.
 """
@@ -27,7 +23,6 @@ negative cycle and the matrices are undefined.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -81,8 +76,7 @@ def _scalarised_csr(graph: CircuitGraph, order: List[str]) -> Tuple[csr_matrix, 
     Parallel connections collapse to the minimum cost per ``(u, v)``
     pair via a NumPy duplicate-pair reduction (lexsort by flattened
     pair key, then ``minimum.reduceat`` over each run) instead of a
-    per-edge Python dict; :func:`_scalarised_csr_reference` keeps the
-    dict formulation for the equality test.
+    per-edge Python dict.
     """
     index = {v: i for i, v in enumerate(order)}
     base = graph.total_delay() + 1.0
@@ -107,30 +101,8 @@ def _scalarised_csr(graph: CircuitGraph, order: List[str]) -> Tuple[csr_matrix, 
     return csr_matrix((data, (keys // n, keys % n)), shape=(n, n)), base
 
 
-def _scalarised_csr_reference(
-    graph: CircuitGraph, order: List[str]
-) -> Tuple[csr_matrix, float]:
-    """Per-edge dict-loop reference for :func:`_scalarised_csr`."""
-    index = {v: i for i, v in enumerate(order)}
-    base = graph.total_delay() + 1.0
-    best: Dict[Tuple[int, int], float] = {}
-    for (u, v, _key), w in graph.connections():
-        cost = w * base - graph.delay(u)
-        pair = (index[u], index[v])
-        if pair not in best or cost < best[pair]:
-            best[pair] = cost
-    n = len(order)
-    if best:
-        pairs = np.array(list(best.keys()), dtype=np.int64)
-        data = np.array(list(best.values()), dtype=np.float64)
-        matrix = csr_matrix((data, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    else:
-        matrix = csr_matrix((n, n), dtype=np.float64)
-    return matrix, base
-
-
 def wd_matrices(graph: CircuitGraph) -> WDMatrices:
-    """Compute W/D with the scalarised Johnson algorithm (fast path)."""
+    """Compute W/D with the scalarised Johnson algorithm."""
     order = list(graph.units())
     n = len(order)
     matrix, base = _scalarised_csr(graph, order)
@@ -155,43 +127,6 @@ def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     # Johnson reports dist(v, v) = 0: the empty path. Decoded that gives
     # W = 0 and D = d(v), which is exactly the convention we document.
     index = {v: i for i, v in enumerate(order)}
-    return WDMatrices(order=order, index=index, w=w, d=d)
-
-
-def wd_matrices_reference(graph: CircuitGraph) -> WDMatrices:
-    """Pure-Python tuple Bellman–Ford (reference implementation)."""
-    order = list(graph.units())
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    simple = graph.simple_min_weight_digraph()
-    inf = math.inf
-    w = np.full((n, n), np.inf)
-    d = np.full((n, n), np.inf)
-
-    arcs = [
-        (index[u], index[v], wt, graph.delay(u))
-        for u, v, wt in simple.edges(data="weight")
-    ]
-    for src_i in range(n):
-        dist: List[Tuple[float, float]] = [(inf, inf)] * n
-        dist[src_i] = (0.0, 0.0)
-        for _iteration in range(n + 1):
-            changed = False
-            for ui, vi, wt, du in arcs:
-                if dist[ui][0] == inf:
-                    continue
-                cand = (dist[ui][0] + wt, dist[ui][1] - du)
-                if cand < dist[vi]:
-                    dist[vi] = cand
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise RetimingError("zero-weight cycle: W/D undefined")
-        for vi in range(n):
-            if math.isfinite(dist[vi][0]):
-                w[src_i, vi] = dist[vi][0]
-                d[src_i, vi] = graph.delay(order[vi]) - dist[vi][1]
     return WDMatrices(order=order, index=index, w=w, d=d)
 
 

@@ -41,12 +41,12 @@ def verify_outcome(outcome, tracer=None) -> VerificationReport:
         tracer = NOOP_TRACER
     config = getattr(outcome, "config", None)
     tech = getattr(config, "tech", None) or DEFAULT_TECH
-    backend = getattr(config, "repeater_backend", None)
+    repeater_backend = getattr(config, "repeater_backend", None)
     certificates: List[Certificate] = []
     with tracer.span("verify", circuit=outcome.circuit) as span:
         for iteration in outcome.iterations:
             for cert in verify_iteration(
-                iteration, tech, repeater_backend=backend
+                iteration, tech, repeater_backend=repeater_backend
             ):
                 certificates.append(cert)
                 with tracer.span(

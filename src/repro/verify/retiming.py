@@ -4,9 +4,8 @@ These functions re-derive retimed weights directly from the label map
 — ``w_r(e) = w(e) + r(v) - r(u)`` — touching none of the solver-side
 caches (no CSR snapshots, no warm accountants), and compare them
 against whatever graph the solver stored. They are the single source
-of truth for retiming legality: :func:`repro.retime.apply.verify_retiming`
-and the :mod:`repro.verify.checkers` retiming certificate both build
-on them.
+of truth for retiming legality: the :mod:`repro.verify.checkers`
+retiming certificate builds on them.
 """
 
 from __future__ import annotations

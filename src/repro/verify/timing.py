@@ -49,12 +49,12 @@ def combinational_arrivals(graph) -> Dict[str, float]:
     return arrival
 
 
-def critical_period(graph) -> float:
-    """Clock period of ``graph``: its longest register-free path delay.
+def unit_arrivals(graph) -> Dict[str, float]:
+    """:func:`combinational_arrivals` for every unit, in unit order.
 
     Raises:
         NetlistError: The zero-weight subgraph has a cycle (a
-            combinational loop), so no period is defined.
+            combinational loop), so some units have no arrival.
     """
     arrival = combinational_arrivals(graph)
     if len(arrival) != graph.num_units:
@@ -62,7 +62,17 @@ def critical_period(graph) -> float:
         raise NetlistError(
             f"combinational (zero-weight) cycle through {stuck[:5]}"
         )
-    return max(arrival.values(), default=0.0)
+    return {u: arrival[u] for u in graph.units()}
+
+
+def critical_period(graph) -> float:
+    """Clock period of ``graph``: its longest register-free path delay.
+
+    Raises:
+        NetlistError: The zero-weight subgraph has a cycle (a
+            combinational loop), so no period is defined.
+    """
+    return max(unit_arrivals(graph).values(), default=0.0)
 
 
 def late_units(

@@ -119,6 +119,19 @@ class TestFingerprint:
             2,
         )
 
+    def test_ignores_observability_settings(self):
+        g = s27_graph()
+        assert run_fingerprint(g, PlannerConfig(), 2) == run_fingerprint(
+            g,
+            PlannerConfig(
+                metrics_path="m.jsonl",
+                progress_path="-",
+                monitor=False,
+                monitor_interval=0.5,
+            ),
+            2,
+        )
+
 
 class TestCheckpointManager:
     def _bound(self, tmp_path, resume=False):
@@ -514,6 +527,45 @@ class TestCLI:
         assert main(
             ["plan", "s27", "--quick", "--checkpoint-dir", ckdir, "--resume"]
         ) in (0, 1)
+
+    def test_resume_with_new_metrics_path_restores_stages(
+        self, tmp_path, capsys, keep_signal_handlers, monkeypatch
+    ):
+        import repro.core.planner as planner_mod
+        from repro.__main__ import EXIT_INTERRUPTED, main
+
+        ckdir = str(tmp_path / "ck")
+        real_plan = planner_mod.plan_interconnect
+
+        def _killed(graph, *a, **kw):
+            kw["faults"] = FaultInjector(
+                [FaultSpec("*", on_call=5, error=InterruptedRunError)]
+            )
+            return real_plan(graph, *a, **kw)
+
+        monkeypatch.setattr("repro.core.plan_interconnect", _killed)
+        first = ["plan", "s27", "--quick", "--checkpoint-dir", ckdir]
+        metrics = ["--metrics", str(tmp_path / "first.jsonl")]
+        assert main(first + metrics) == EXIT_INTERRUPTED
+        monkeypatch.setattr("repro.core.plan_interconnect", real_plan)
+        trace = tmp_path / "resume.trace.jsonl"
+        resumed = first + [
+            "--resume",
+            "--metrics",
+            str(tmp_path / "second.jsonl"),
+            "--trace",
+            str(trace),
+        ]
+        assert main(resumed) in (0, 1)
+        capsys.readouterr()
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        restored = [
+            r
+            for r in records
+            if r.get("attrs", {}).get("kind") == "stage"
+            and r.get("attrs", {}).get("resumed")
+        ]
+        assert len(restored) >= 4  # the stages committed before the kill
 
     def test_sigterm_handler_raises_interrupted(self, keep_signal_handlers):
         import os

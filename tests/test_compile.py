@@ -56,9 +56,8 @@ class TestFingerprint:
         assert compile_fingerprint(graph, tech=tweaked) != base
 
     def test_compile_switches_change_digest(self, graph):
-        base = compile_fingerprint(graph, prune=True, prober="auto")
+        base = compile_fingerprint(graph, prune=True)
         assert compile_fingerprint(graph, prune=False) != base
-        assert compile_fingerprint(graph, prober="bellman-ford") != base
 
 
 class TestArtifact:

@@ -1,29 +1,65 @@
-"""Tests for the sparse FEAS engine and the prober switch.
+"""Tests for the sparse FEAS engine and the min-period search's checkers.
 
-Unlike :mod:`repro.retime.feas` (classic single-host FEAS, conservative
-on open circuits), :class:`FeasProbe` ties the split hosts' labels
-instead of contracting them and must therefore decide *exactly* the
-split-host feasibility question — the same one the Bellman–Ford
-checker and the constraint-object reference answer. These tests pin
-that equivalence, the warm-start contract, and T_min invariance across
-probers.
+Unlike classic single-host FEAS (conservative on open circuits),
+:class:`FeasProbe` ties the split hosts' labels instead of contracting
+them and must therefore decide *exactly* the split-host feasibility
+question — the same one the Bellman–Ford checker and the
+constraint-object oracle (``tests/oracles/feasibility.py``) answer.
+These tests pin that equivalence, the warm-start contract, and T_min
+invariance between the FEAS search and the Bellman–Ford fallback that
+runs when :meth:`FeasProbe.build` rejects a graph.
 """
 
 import numpy as np
 import pytest
 
+from repro.compile import CompiledCircuit
 from repro.errors import RetimingError
 from repro.netlist import CircuitGraph, random_circuit, s27_graph
 from repro.retime import (
-    PROBERS,
     FeasProbe,
     candidate_periods,
     clock_period,
-    is_feasible_period,
     min_period_retiming,
+    minperiod,
     wd_matrices,
 )
+from tests.oracles.feasibility import is_feasible_period
 from tests.test_wd import correlator
+
+
+class _RejectingFeasProbe:
+    """Stands in for :class:`FeasProbe` to force the Bellman–Ford search."""
+
+    @staticmethod
+    def build(graph):
+        raise RetimingError("FEAS engine rejected the graph")
+
+
+def t_min_per_prober(graph, monkeypatch):
+    """``{prober: (T_min, result)}`` for the FEAS search and the fallback."""
+    out = {"feas": min_period_retiming(graph)}
+    with monkeypatch.context() as m:
+        m.setattr(minperiod, "FeasProbe", _RejectingFeasProbe)
+        out["bellman-ford"] = min_period_retiming(graph)
+    return out
+
+
+def self_loop_graph():
+    """A zero-delay unit with a zero-weight self-loop on a 1-FF ring.
+
+    W/D are defined (the loop adds no delay), but FEAS arrival times
+    are not, so :meth:`FeasProbe.build` rejects it.
+    """
+    g = CircuitGraph("selfloop")
+    g.add_unit("z", delay=0.0)
+    g.add_unit("a", delay=1.0)
+    g.add_unit("b", delay=2.0)
+    g.add_connection("z", "z", weight=0)
+    g.add_connection("z", "a", weight=0)
+    g.add_connection("a", "b", weight=0)
+    g.add_connection("b", "z", weight=1)
+    return g
 
 
 class TestAgreement:
@@ -127,11 +163,10 @@ class TestWarmStart:
 
 class TestMinPeriodProbers:
     @pytest.mark.parametrize("seed", range(4))
-    def test_t_min_independent_of_prober(self, seed):
+    def test_t_min_independent_of_prober(self, seed, monkeypatch):
         g = random_circuit("fm", n_units=30, n_ffs=20, seed=seed)
         results = {}
-        for prober in PROBERS:
-            t_min, result = min_period_retiming(g, prober=prober)
+        for prober, (t_min, result) in t_min_per_prober(g, monkeypatch).items():
             results[prober] = t_min
             assert clock_period(result.graph) <= t_min + 1e-9
         assert len(set(results.values())) == 1, results
@@ -140,24 +175,40 @@ class TestMinPeriodProbers:
         # T_min is the minimum over the *exact* candidate set (tol=0),
         # not just the merged search domain: the exact-tie refinement
         # must land on the same value as an exhaustive scan with the
-        # auditable constraint-object checker.
+        # constraint-object oracle.
         g = random_circuit("fm", n_units=25, n_ffs=15, seed=11)
         wd = wd_matrices(g)
         t_min, _ = min_period_retiming(g, wd)
         feasible = [
             t
             for t in candidate_periods(wd, tol=0.0)
-            if is_feasible_period(g, t, wd, use_fast=False) is not None
+            if is_feasible_period(g, t, wd) is not None
         ]
         assert t_min == min(feasible)
 
-    def test_s27_t_min_independent_of_prober(self):
-        g = s27_graph()
+    def test_s27_t_min_independent_of_prober(self, monkeypatch):
         periods = {
-            p: min_period_retiming(g, prober=p)[0] for p in PROBERS
+            p: t_min for p, (t_min, _r) in t_min_per_prober(
+                s27_graph(), monkeypatch
+            ).items()
         }
         assert len(set(periods.values())) == 1, periods
 
-    def test_unknown_prober_rejected(self):
-        with pytest.raises(RetimingError, match="prober"):
-            min_period_retiming(s27_graph(), prober="quantum")
+    def test_rejected_graph_falls_back_to_bellman_ford(self):
+        g = self_loop_graph()
+        with pytest.raises(RetimingError, match="self-loop"):
+            FeasProbe.build(g)
+        assert CompiledCircuit.compile(g).feas is None
+        wd = wd_matrices(g)
+        oracle = min(
+            t
+            for t in candidate_periods(wd, tol=0.0)
+            if is_feasible_period(g, t, wd) is not None
+        )
+        assert oracle == 3.0
+        t_min, result = min_period_retiming(g)
+        assert t_min == oracle
+        assert clock_period(result.graph) <= t_min + 1e-9
+        # the compiled route takes the same fallback
+        compiled = CompiledCircuit.compile(g)
+        assert min_period_retiming(g, compiled=compiled)[0] == oracle

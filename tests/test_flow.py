@@ -2,7 +2,9 @@
 
 ``optimal_labels`` is cross-checked against brute-force enumeration of
 small integer label spaces, which validates the min-cost-flow duality
-and the potential-recovery step end to end.
+and the potential-recovery step end to end. ``feasible_labels`` is the
+Bellman–Ford oracle from ``tests/oracles/feasibility.py``; the
+feasibility tests pin it before other tests trust it.
 """
 
 import itertools
@@ -11,7 +13,8 @@ import random
 import pytest
 
 from repro.errors import InfeasibleConstraintsError, RetimingError
-from repro.retime import Constraint, feasible_labels, optimal_labels
+from repro.retime import Constraint, optimal_labels
+from tests.oracles.feasibility import feasible_labels
 
 
 def check(constraints, labels):

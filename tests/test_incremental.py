@@ -6,6 +6,9 @@ warm-starting (HiGHS basis reuse, SSP potential carry-over) changes
 where the search starts, never what it converges to. Labels may differ
 between engines on degenerate optima, so equality is asserted on the
 weighted objective value, which the LP guarantees.
+
+The solver picks HiGHS when scipy's bindings load and SSP otherwise;
+the SSP cases hide the bindings by monkeypatching ``_load_highs``.
 """
 
 import random
@@ -16,12 +19,20 @@ from repro.core import lac_retiming
 from repro.errors import InfeasiblePeriodError
 from repro.netlist.generate import random_circuit
 from repro.retime.constraints import build_constraint_system
+from repro.retime import incremental
 from repro.retime.incremental import IncrementalMinArea, _load_highs
 from repro.retime.minarea import min_area_retiming
 from repro.retime.minperiod import clock_period, min_period_retiming
 from repro.retime.wd import wd_matrices
+from tests.oracles.lac_cold import lac_retiming_cold
 
 ENGINES = ["ssp"] + (["highs"] if _load_highs() is not None else [])
+
+
+def force_engine(monkeypatch, engine: str) -> None:
+    """Make the next solver pick ``engine`` (SSP: hide the bindings)."""
+    if engine == "ssp":
+        monkeypatch.setattr(incremental, "_load_highs", lambda: None)
 
 
 def prepared(seed: int, n_units: int = 40):
@@ -51,9 +62,11 @@ def weight_rounds(graph, seed: int, rounds: int):
 class TestObjectiveEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_matches_cold_solver_across_rounds(self, engine, seed):
+    def test_matches_cold_solver_across_rounds(self, engine, seed, monkeypatch):
         graph, wd, period, system = prepared(seed)
-        inc = IncrementalMinArea(graph, system, engine=engine)
+        force_engine(monkeypatch, engine)
+        inc = IncrementalMinArea(graph, system)
+        assert inc.stats.engine == engine
         for weights in weight_rounds(graph, seed, rounds=4):
             warm = inc.solve(weights)
             cold = min_area_retiming(
@@ -64,9 +77,10 @@ class TestObjectiveEquivalence:
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_unweighted_matches_cold_solver(self, engine):
+    def test_unweighted_matches_cold_solver(self, engine, monkeypatch):
         graph, wd, period, system = prepared(seed=7)
-        inc = IncrementalMinArea(graph, system, engine=engine)
+        force_engine(monkeypatch, engine)
+        inc = IncrementalMinArea(graph, system)
         warm = inc.solve()
         cold = min_area_retiming(graph, period, wd=wd, system=system)
         assert inc.objective_value(warm) == inc.objective_value(cold.labels)
@@ -74,9 +88,10 @@ class TestObjectiveEquivalence:
 
 class TestWarmStart:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_bellman_ford_runs_once(self, engine):
+    def test_bellman_ford_runs_once(self, engine, monkeypatch):
         graph, _wd, _period, system = prepared(seed=5)
-        inc = IncrementalMinArea(graph, system, engine=engine)
+        force_engine(monkeypatch, engine)
+        inc = IncrementalMinArea(graph, system)
         for weights in weight_rounds(graph, 5, rounds=3):
             inc.solve(weights)
         assert inc.stats.bellman_ford_runs == 1
@@ -94,16 +109,34 @@ class TestWarmStart:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        graph, _wd, _period, system = prepared(seed=5)
-        with pytest.raises(ValueError, match="engine"):
-            IncrementalMinArea(graph, system, engine="simplex")
-
     def test_auto_picks_available_engine(self):
         graph, _wd, _period, system = prepared(seed=5)
-        inc = IncrementalMinArea(graph, system, engine="auto")
+        inc = IncrementalMinArea(graph, system)
         expected = "highs" if _load_highs() is not None else "ssp"
         assert inc.engine == expected
+
+    def test_ssp_when_highs_bindings_missing(self, monkeypatch):
+        graph, _wd, _period, system = prepared(seed=5)
+        monkeypatch.setattr(incremental, "_load_highs", lambda: None)
+        inc = IncrementalMinArea(graph, system)
+        assert inc.stats.engine == "ssp"
+        assert inc.stats.to_dict()["engine"] == "ssp"
+
+    @pytest.mark.skipif(_load_highs() is None, reason="no scipy HiGHS bindings")
+    def test_lac_ssp_matches_highs(self, monkeypatch):
+        from tests.test_lac import TECH, ring_scenario
+
+        g, unit_region, grid = ring_scenario()
+        kwargs = dict(tech=TECH, alpha=0.5, n_max=3, max_rounds=8)
+        highs = lac_retiming(g, unit_region, grid, period=10.0, **kwargs)
+        monkeypatch.setattr(incremental, "_load_highs", lambda: None)
+        ssp = lac_retiming(g, unit_region, grid, period=10.0, **kwargs)
+        assert highs.solver_stats["engine"] == "highs"
+        assert ssp.solver_stats["engine"] == "ssp"
+        assert (ssp.report.n_foa, ssp.report.n_f) == (
+            highs.report.n_foa,
+            highs.report.n_f,
+        )
 
     def test_infeasible_period_raises_at_construction(self):
         graph, wd, _period, _system = prepared(seed=3)
@@ -114,34 +147,26 @@ class TestEngineSelection:
 
 
 class TestLacEquivalence:
-    """The incremental LAC path lands on the same quality solution as
-    the cold reference path (identical best ``(N_FOA, N_F)`` key)."""
+    """The warm-started LAC loop lands on the same quality solution as
+    the cold reference loop in ``tests/oracles/lac_cold.py`` (identical
+    best ``(N_FOA, N_F)`` key; per-round keys may differ, since the
+    weighted optimum of a round can be degenerate)."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_best_key_matches_cold_path(self, engine):
+    def test_best_key_matches_cold_path(self, engine, monkeypatch):
         from tests.test_lac import TECH, ring_scenario
 
         g, unit_region, grid = ring_scenario()
         kwargs = dict(tech=TECH, alpha=0.5, n_max=3, max_rounds=8)
-        cold = lac_retiming(
-            g, unit_region, grid, period=10.0, incremental=False, **kwargs
+        _result, cold_report, _history = lac_retiming_cold(
+            g, unit_region, grid, period=10.0, **kwargs
         )
-        warm = lac_retiming(
-            g,
-            unit_region,
-            grid,
-            period=10.0,
-            incremental=True,
-            solver_engine=engine,
-            **kwargs,
-        )
+        force_engine(monkeypatch, engine)
+        warm = lac_retiming(g, unit_region, grid, period=10.0, **kwargs)
         assert (warm.report.n_foa, warm.report.n_f) == (
-            cold.report.n_foa,
-            cold.report.n_f,
+            cold_report.n_foa,
+            cold_report.n_f,
         )
-        assert warm.solver_stats is not None
         assert warm.solver_stats["engine"] == engine
-        assert cold.solver_stats is None
-        # Both paths report one timing per weighted solve.
+        # One timing per weighted solve.
         assert len(warm.round_seconds) == warm.n_wr
-        assert len(cold.round_seconds) == cold.n_wr

@@ -11,9 +11,10 @@ import pytest
 
 from repro.netlist import CircuitGraph, bench_to_graph, random_bench_netlist
 from repro.netlist.retime_bench import register_count, retime_bench
-from repro.retime import wd_matrices, wd_matrices_reference
+from repro.retime import wd_matrices
 from repro.retime.fastcheck import FeasibilityChecker
 from repro.retime.sharing import shared_register_count
+from tests.oracles.wd import wd_matrices_reference
 
 
 class TestWDDecodePrecision:

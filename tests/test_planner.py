@@ -17,7 +17,8 @@ from repro.core import (
     plan_interconnect,
 )
 from repro.netlist import random_circuit
-from repro.retime import clock_period, verify_retiming
+from repro.retime import clock_period
+from tests.test_retiming import assert_legal_retiming
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +46,10 @@ class TestFlow:
 
     def test_retimings_verify(self, outcome):
         it = outcome.first
-        verify_retiming(it.expanded.graph, it.lac.retiming.labels, period=it.t_clk)
-        verify_retiming(
+        assert_legal_retiming(
+            it.expanded.graph, it.lac.retiming.labels, period=it.t_clk
+        )
+        assert_legal_retiming(
             it.expanded.graph, it.min_area.result.labels, period=it.t_clk
         )
 
@@ -124,16 +127,16 @@ class TestConfig:
 
 class TestValidation:
     def test_validate_iteration_passes(self, outcome):
-        from repro.core import validate_iteration
+        from repro.verify import verify_iteration
 
-        checks = validate_iteration(outcome.first, outcome.config.tech)
-        assert len(checks) >= 6
+        certs = verify_iteration(outcome.first, outcome.config.tech)
+        assert len(certs) >= 6
+        assert all(c.ok for c in certs), [c.label for c in certs if not c.ok]
 
     def test_validate_detects_tampering(self, outcome):
         import copy
 
-        from repro.core import validate_iteration
-        from repro.errors import PlanningError
+        from repro.verify import verify_iteration
 
         tampered = copy.copy(outcome.first)
         tampered_report = copy.copy(tampered.lac.report)
@@ -141,8 +144,8 @@ class TestValidation:
         tampered_lac = copy.copy(tampered.lac)
         tampered_lac.report = tampered_report
         tampered.lac = tampered_lac
-        with pytest.raises(PlanningError):
-            validate_iteration(tampered, outcome.config.tech)
+        certs = verify_iteration(tampered, outcome.config.tech)
+        assert not all(c.ok for c in certs)
 
 
 class TestFlowReport:
@@ -234,7 +237,9 @@ class TestRepeaterBackends:
         )
         it = out.first
         assert it.lac is not None
-        verify_retiming(it.expanded.graph, it.lac.retiming.labels, period=it.t_clk)
+        assert_legal_retiming(
+            it.expanded.graph, it.lac.retiming.labels, period=it.t_clk
+        )
         assert it.lac.report.n_foa <= it.min_area.report.n_foa
 
     def test_unknown_repeater_backend_rejected(self):

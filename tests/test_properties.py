@@ -5,10 +5,11 @@ DAG edges with weight >= 0, feedback edges with weight >= 1, so every
 cycle carries a register) and the library's key invariants are checked
 on them:
 
-* W/D fast path == reference path;
+* W/D fast path == the tuple Bellman–Ford oracle;
 * a min-area retiming at T_init never increases the flip-flop count,
   keeps all weights non-negative, and preserves every cycle's weight;
-* feasibility checkers agree with each other;
+* the shipped feasibility checker agrees with the constraint-object
+  oracle;
 * retiming labels produced by any solver satisfy the constraint system
   they were solved under.
 """
@@ -21,13 +22,14 @@ from repro.netlist import CircuitGraph
 from repro.retime import (
     build_constraint_system,
     clock_period,
-    cycle_weight_invariant,
-    is_feasible_period,
     min_area_retiming,
     min_period_retiming,
     wd_matrices,
-    wd_matrices_reference,
 )
+from repro.retime.fastcheck import FeasibilityChecker
+from repro.verify.retiming import cycle_conservation_witnesses
+from tests.oracles.feasibility import is_feasible_period
+from tests.oracles.wd import wd_matrices_reference
 
 
 @st.composite
@@ -85,7 +87,7 @@ def test_min_area_invariants(g):
     # all weights legal (retimed() enforces, but double-check)
     assert all(w >= 0 for _c, w in result.graph.connections())
     # register conservation around cycles
-    assert cycle_weight_invariant(g, result.graph)
+    assert not cycle_conservation_witnesses(g, result.graph)
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,8 +107,8 @@ def test_min_period_result_is_feasible_and_tight(g):
 def test_checkers_agree(g, frac):
     wd = wd_matrices(g)
     period = frac * max(clock_period(g, wd), 1e-6)
-    fast = is_feasible_period(g, period, wd, use_fast=True)
-    slow = is_feasible_period(g, period, wd, use_fast=False)
+    fast = FeasibilityChecker.build(g, wd).labels(period)
+    slow = is_feasible_period(g, period, wd)
     assert (fast is None) == (slow is None)
 
 

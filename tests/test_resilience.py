@@ -302,7 +302,8 @@ class TestDegradation:
 
     def test_find_relaxed_period_bounds(self, small_probe):
         from repro.resilience import find_relaxed_period
-        from repro.retime import clock_period, is_feasible_period
+        from repro.retime import clock_period
+        from tests.oracles.feasibility import is_feasible_period
 
         g, probe = small_probe
         graph = probe.first.expanded.graph

@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from repro.netlist import CircuitGraph, random_circuit, s27_graph
-from repro.retime import clock_period, min_area_retiming, verify_retiming
+from repro.retime import clock_period, min_area_retiming
 from repro.retime.sharing import (
     min_area_retiming_shared,
     shared_register_count,
 )
+from tests.test_retiming import assert_legal_retiming
 
 
 def star_circuit():
@@ -56,7 +57,7 @@ class TestSharedRetiming:
             assert shared_register_count(shared.graph) <= shared_register_count(
                 classic.graph
             )
-            verify_retiming(g, shared.labels, period=period)
+            assert_legal_retiming(g, shared.labels, period=period)
 
     def test_is_true_shared_optimum_on_star(self):
         g = star_circuit()
@@ -89,4 +90,4 @@ class TestSharedRetiming:
         period = clock_period(g)
         result = min_area_retiming_shared(g, period)
         assert shared_register_count(result.graph) <= shared_register_count(g)
-        verify_retiming(g, result.labels, period=period)
+        assert_legal_retiming(g, result.labels, period=period)

@@ -279,12 +279,6 @@ class TestBackwardCompatibility:
         assert len(certs) == 1
         assert certs[0].skipped and certs[0].checker == "period"
 
-    def test_validate_iteration_facade(self, outcome):
-        from repro.core import validate_iteration
-
-        checks = validate_iteration(outcome.first, outcome.config.tech)
-        assert len(checks) >= 6
-
     def test_report_mentions_verification(self, outcome):
         audited = copy.copy(outcome)
         audited.verification = verify_outcome(outcome)

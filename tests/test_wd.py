@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import RetimingError
 from repro.netlist import CircuitGraph, random_circuit
-from repro.retime import candidate_periods, wd_matrices, wd_matrices_reference
+from repro.retime import candidate_periods, wd_matrices
+from tests.oracles.wd import scalarised_csr_reference, wd_matrices_reference
 
 
 def correlator():
@@ -174,12 +175,12 @@ class TestScalarisedCsr:
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 11])
     def test_matches_reference_on_random_circuits(self, seed):
-        from repro.retime.wd import _scalarised_csr, _scalarised_csr_reference
+        from repro.retime.wd import _scalarised_csr
 
         g = random_circuit("rnd", n_units=40, n_ffs=30, seed=seed)
         order = list(g.units())
         fast, base_fast = _scalarised_csr(g, order)
-        ref, base_ref = _scalarised_csr_reference(g, order)
+        ref, base_ref = scalarised_csr_reference(g, order)
         assert base_fast == base_ref
         assert (fast != ref).nnz == 0  # identical sparsity AND values
 
