@@ -16,9 +16,11 @@ import dataclasses
 
 import pytest
 
+from repro.compile import CompileCache
 from repro.core.planner import _congested_blocks, _run_iteration, plan_interconnect
 from repro.experiments import get_circuit
 from repro.floorplan import expand_floorplan
+from repro.resilience import ResilienceConfig, StageRunner
 
 
 def test_incremental_vs_reanneal(benchmark):
@@ -40,13 +42,17 @@ def test_incremental_vs_reanneal(benchmark):
     assert congested
 
     config = outcome.config
+    # Single attempts, no period degradation: the infeasible case must show.
+    strict = dict(
+        runner=StageRunner(ResilienceConfig(degrade_t_clk=False)), cache=CompileCache()
+    )
 
     # Incremental: re-pack the stored sequence pair.
     plan_inc = expand_floorplan(
         first.floorplan, graph, congested, factor=config.expansion_factor
     )
     it_inc = _run_iteration(
-        graph, first.partition, plan_inc, config, index=2, t_clk=first.t_clk
+        graph, first.partition, plan_inc, config, index=2, t_clk=first.t_clk, **strict
     )
 
     # Re-anneal: drop the sequence pair, forcing a from-scratch anneal
@@ -60,7 +66,7 @@ def test_incremental_vs_reanneal(benchmark):
         seed=config.seed + 99,
     )
     it_re = _run_iteration(
-        graph, first.partition, plan_re, config, index=2, t_clk=first.t_clk
+        graph, first.partition, plan_re, config, index=2, t_clk=first.t_clk, **strict
     )
 
     inc_foa = it_inc.lac.report.n_foa if it_inc.lac else None

@@ -78,8 +78,9 @@ from repro.cliutil import (
 
 
 def _cmd_plan(args) -> int:
-    from repro.core import plan_interconnect
-    from repro.errors import InterruptedRunError, ReproError
+    from repro.compile import CompileCache
+    from repro.core import RunContext, plan_interconnect
+    from repro.errors import InterruptedRunError, ReproError, TelemetryError
     from repro.experiments.circuits import load_circuit
     from repro.resilience import CheckpointManager, default_resilience
 
@@ -87,7 +88,7 @@ def _cmd_plan(args) -> int:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return EXIT_ERROR
     try:
-        graph, plan_kwargs = load_circuit(args.circuit)
+        graph, overrides = load_circuit(args.circuit)
     except KeyError:
         print(
             f"error: unknown circuit {args.circuit!r} "
@@ -101,34 +102,30 @@ def _cmd_plan(args) -> int:
         resilience = resilience.with_timeout(args.stage_timeout)
     if args.no_degrade:
         resilience.degrade_t_clk = False
-
-    overrides = dict(plan_kwargs)
     iterations = args.iterations
     if args.quick:
         overrides["floorplan_iterations"] = 300
         iterations = 1
-    if args.no_cache:
-        overrides["compile_cache"] = "off"
-    elif args.cache_dir:
-        overrides["compile_cache_dir"] = args.cache_dir
-    if args.metrics:
-        overrides["metrics_path"] = args.metrics
-    if args.progress:
-        overrides["progress_path"] = args.progress
-
-    checkpoint = (
-        CheckpointManager(args.checkpoint_dir, resume=args.resume)
-        if args.checkpoint_dir
-        else None
+    ctx = RunContext(
+        resilience=resilience,
+        compile_cache=(
+            CompileCache(mode="off") if args.no_cache else CompileCache(args.cache_dir)
+        ),
+        checkpoint=(
+            CheckpointManager(args.checkpoint_dir, resume=args.resume)
+            if args.checkpoint_dir
+            else None
+        ),
+        trace_path=args.trace,
+        metrics_path=args.metrics,
+        progress_path=args.progress,
     )
     install_interrupt_handlers()
     try:
         outcome = plan_interconnect(
             graph,
+            ctx=ctx,
             max_iterations=iterations,
-            resilience=resilience,
-            trace_path=args.trace,
-            checkpoint=checkpoint,
             verify=args.verify,
             **overrides,
         )
@@ -147,7 +144,7 @@ def _cmd_plan(args) -> int:
         )
         return EXIT_INTERRUPTED
     except ReproError as exc:
-        if args.trace:
+        if args.trace and not isinstance(exc, TelemetryError):
             print(f"trace written to {args.trace}", file=sys.stderr)
         print(f"error: planning {args.circuit} failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -382,7 +379,7 @@ def _cmd_cache(args) -> int:
     # over the same settings hits on every iteration.
     from repro.errors import ReproError
     from repro.experiments import TABLE1_CIRCUITS, get_circuit
-    from repro.core import plan_interconnect
+    from repro.core import RunContext, plan_interconnect
 
     try:
         specs = (
@@ -403,8 +400,8 @@ def _cmd_cache(args) -> int:
                 seed=spec.seed,
                 whitespace=spec.whitespace,
                 n_blocks=spec.n_blocks,
+                ctx=RunContext(compile_cache=cache),
                 max_iterations=1 if args.quick else 2,
-                compile_cache=cache,
                 **overrides,
             )
         except ReproError as exc:

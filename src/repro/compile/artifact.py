@@ -17,9 +17,9 @@ compilation-relevant config switch (``prune``). The planner compiles the *expand
 each iteration, whose content already reflects every upstream stage
 (partition seed, floorplan, routes, repeaters), so equal fingerprints
 really do mean equal solve inputs — and therefore bit-identical
-results. Fields that only shape caching or observability
-(``compile_cache_dir`` itself, ``trace_path``, resilience posture) are
-deliberately excluded.
+results. The run's plumbing (the cache itself, telemetry sinks,
+resilience posture) lives in a
+:class:`~repro.core.context.RunContext` and never reaches the hash.
 """
 
 from __future__ import annotations

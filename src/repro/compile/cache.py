@@ -31,8 +31,7 @@ wins" indistinguishable from "first writer wins"). Service workers and
 Modes:
 
 * ``"auto"`` — read and write (the default);
-* ``"readonly"`` — serve hits, never touch the disk (safe for
-  ``--jobs`` workers sharing one prewarmed store);
+* ``"readonly"`` — serve hits, never write to the disk;
 * ``"off"`` — compile fresh every time, no disk access at all.
 
 A small in-process LRU fronts the disk store either way, so the

@@ -1,5 +1,6 @@
 """The paper's contribution: LAC-retiming and the planning flow."""
 
+from repro.core.context import RunContext
 from repro.core.lac import LACResult, lac_retiming
 from repro.core.metrics import AreaAccountant, AreaReport, area_report
 from repro.core.placement import (
@@ -28,6 +29,7 @@ __all__ = [
     "commit_flip_flop_area",
     "PlacedFlipFlop",
     "PlannerConfig",
+    "RunContext",
     "PlanningIteration",
     "PlanningOutcome",
     "TimedRetiming",

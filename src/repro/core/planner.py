@@ -42,30 +42,20 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.compile import CACHE_MODES, CompileCache
+from repro.compile import CompileCache
+from repro.core.context import RunContext
 from repro.core.lac import LACResult, lac_retiming
 from repro.core.metrics import AreaReport, area_report
 from repro.errors import InfeasiblePeriodError, PlanningError
 from repro.floorplan.plan import Floorplan, build_floorplan, expand_floorplan
 from repro.netlist.graph import CircuitGraph
-from repro.obs import NOOP_TRACER, Tracer
-from repro.obs.export import write_trace
-from repro.obs.metrics import MetricsRegistry, write_metrics, write_prometheus
-from repro.obs.monitor import ResourceSampler
-from repro.obs.progress import open_progress
 from repro.partition.multiway import Partition, default_block_count, partition_graph
 from repro.repeater.insertion import buffer_routed_nets
-from repro.resilience.checkpoint import (
-    OUTCOME_KEY as CKPT_OUTCOME_KEY,
-    run_fingerprint,
-)
+from repro.resilience.checkpoint import OUTCOME_KEY as CKPT_OUTCOME_KEY
 from repro.resilience.degrade import find_relaxed_period
-from repro.resilience.faults import FaultInjector
 from repro.resilience.ledger import RunLedger
-from repro.resilience.policy import ResilienceConfig, default_resilience
 from repro.resilience.runner import StageRunner, perturbed_seed
 from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import ExpandedCircuit, expand_interconnects
@@ -84,7 +74,12 @@ REPEATER_BACKENDS = ("path", "tree")
 
 @dataclasses.dataclass
 class PlannerConfig:
-    """Knobs for the planning flow; defaults follow the paper."""
+    """Knobs for the planning flow; defaults follow the paper.
+
+    Only what changes a result lives here; the run's plumbing
+    (telemetry, checkpoints, compile cache, retries, faults) is a
+    :class:`~repro.core.context.RunContext`.
+    """
 
     seed: int = 0
     n_blocks: Optional[int] = None
@@ -105,14 +100,6 @@ class PlannerConfig:
     floorplan_backend: str = "sequence_pair"
     repeater_backend: str = "path"  # "path" (per-connection DP) | "tree"
     tech: Technology = DEFAULT_TECH
-    resilience: Optional[ResilienceConfig] = None  # None -> defaults
-    trace_path: Optional[str] = None  # write a repro-trace/1 JSONL here
-    metrics_path: Optional[str] = None  # repro-metrics/1 JSONL (+ .prom sibling)
-    progress_path: Optional[str] = None  # repro-events/1 live stream ("-" = TTY)
-    monitor: bool = True  # sample RSS/CPU/GC while instrumented
-    monitor_interval: float = 0.05  # seconds between resource samples
-    compile_cache_dir: Optional[str] = None  # compiled-circuit disk cache root
-    compile_cache: str = "auto"  # "auto" | "off" | "readonly"
 
 
 def validate_planner_config(config: PlannerConfig) -> None:
@@ -164,16 +151,6 @@ def validate_planner_config(config: PlannerConfig) -> None:
     if config.max_rounds < 1:
         raise PlanningError(
             f"PlannerConfig.max_rounds must be >= 1, got {config.max_rounds}"
-        )
-    if config.compile_cache not in CACHE_MODES:
-        raise PlanningError(
-            "PlannerConfig.compile_cache must be one of "
-            f"{', '.join(CACHE_MODES)}, got {config.compile_cache!r}"
-        )
-    if config.monitor_interval <= 0:
-        raise PlanningError(
-            "PlannerConfig.monitor_interval must be > 0, got "
-            f"{config.monitor_interval}"
         )
 
 
@@ -336,20 +313,13 @@ def _run_iteration(
     plan: Floorplan,
     config: PlannerConfig,
     index: int,
+    *,
+    runner: StageRunner,
+    cache: CompileCache,
     t_clk: Optional[float] = None,
-    runner: Optional[StageRunner] = None,
-    cache: Optional[CompileCache] = None,
 ) -> PlanningIteration:
     """Steps 3-8 on a given floorplan. ``t_clk`` fixes the target period
-    (used by the second iteration); otherwise it is derived.
-
-    Without an explicit ``runner`` the stages run strictly — single
-    attempts, no degradation — which is the historical behaviour.
-    """
-    if runner is None:
-        runner = StageRunner(ResilienceConfig(degrade_t_clk=False))
-    if cache is None:
-        cache = CompileCache(config.compile_cache_dir, mode=config.compile_cache)
+    (used by the second iteration); otherwise it is derived."""
     tracer = runner.tracer
     outer_scope = runner.scope
     runner.scope = f"iteration {index}"
@@ -656,32 +626,19 @@ def _congested_blocks(iteration: PlanningIteration) -> List[str]:
 def plan_interconnect(
     graph: CircuitGraph,
     config: Optional[PlannerConfig] = None,
+    ctx: Optional[RunContext] = None,
     max_iterations: int = 2,
-    faults: Optional[FaultInjector] = None,
-    perf=None,
-    tracer=None,
-    checkpoint=None,
     verify: bool = False,
-    compile_cache: Optional[CompileCache] = None,
-    metrics=None,
-    progress=None,
     **overrides,
 ) -> PlanningOutcome:
     """Run the full interconnect-planning flow on a circuit.
 
-    Keyword overrides are applied on top of ``config`` (or the default
-    config), e.g. ``plan_interconnect(g, seed=3, alpha=0.3)``.
-
-    ``compile_cache`` (a :class:`repro.compile.CompileCache`) serves
-    and stores the per-iteration compiled-circuit artifacts; when not
-    given, one is created from ``config.compile_cache_dir`` /
-    ``config.compile_cache`` (with no directory configured that is a
-    process-local LRU only). Passing a mode string instead
-    (``compile_cache="off"``) sets the config field, mirroring the
-    other keyword overrides. The cache affects wall-clock, never
-    results: artifacts are content-addressed over the expanded graph,
-    tech and compile-relevant config, so a hit replays exactly what a
-    fresh compile+search would produce.
+    ``config`` holds the flow's knobs and ``ctx`` (a
+    :class:`~repro.core.context.RunContext`) the run's plumbing:
+    telemetry sinks, checkpoint store, compile cache, retry posture and
+    injected faults. Keyword overrides name a field of either and are
+    applied on top of it, e.g. ``plan_interconnect(g, seed=3,
+    trace_path="t.jsonl")``; any other name raises ``TypeError``.
 
     With ``verify=True`` the finished outcome (fresh *or* restored
     from a checkpoint) is certified end-to-end by the independent
@@ -689,117 +646,19 @@ def plan_interconnect(
     resulting report is attached as ``outcome.verification``; the
     caller decides what a failed certificate means (the CLI exits 5).
 
-    Stages run under ``config.resilience`` (the default posture gives
-    the stochastic stages a retry and degrades infeasible periods);
-    ``faults`` optionally injects deterministic failures/delays for
-    testing the recovery paths.
-
-    Durability: ``checkpoint`` (a
-    :class:`~repro.resilience.checkpoint.CheckpointManager`) persists
-    every successful stage result — and the finished outcome — to
-    disk; a manager created with ``resume=True`` restores them, so an
-    interrupted run picks up at the last completed stage and a
-    finished run returns its outcome without recomputing anything.
-    The manager is bound here to the circuit and the run fingerprint
+    A checkpoint store is bound to the circuit and the run fingerprint
     (graph + config + ``max_iterations``), so checkpoints from a
-    different run can never be resumed silently.
-
-    Observability: ``tracer`` (a :class:`repro.obs.Tracer`) receives
-    the run's span tree — stages, iterations, LAC rounds, FEAS probes.
-    When ``config.trace_path`` is set the spans are also written there
-    as ``repro-trace/1`` JSONL (on failure too, for post-mortems).
-    ``perf``, if given, is a :class:`repro.perf.PerfRecorder` whose
-    stage table is derived from those same spans. ``metrics`` (a
-    :class:`repro.obs.MetricsRegistry`, or one created when
-    ``config.metrics_path`` is set) is installed as ``tracer.metrics``
-    so every stage and solver meters into it; the registry is written
-    as ``repro-metrics/1`` JSONL to ``config.metrics_path`` plus a
-    Prometheus-text ``.prom`` sibling. ``progress`` (a
-    :class:`repro.obs.ProgressStream` / ``HumanProgress``, or one
-    opened from ``config.progress_path``) streams span open/close live
-    as ``repro-events/1``. Whenever any instrumentation is on and
-    ``config.monitor`` is true, a background
-    :class:`repro.obs.ResourceSampler` attributes peak-RSS / CPU / GC
-    deltas to stage spans. With none of these requested, the flow runs
-    on the no-op tracer and pays ~nothing.
+    different run can never be resumed silently; a store created with
+    ``resume=True`` restores completed stages, and a finished run's
+    outcome, instead of recomputing them. The compile cache affects
+    wall-clock, never results: artifacts are content-addressed over the
+    expanded graph, tech and compile-relevant config.
     """
-    if config is None:
-        config = PlannerConfig()
-    if isinstance(compile_cache, str):
-        # plan_interconnect(g, compile_cache="off") reads as a config
-        # override, like every other keyword; honour that.
-        overrides = {**overrides, "compile_cache": compile_cache}
-        compile_cache = None
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    config, ctx = _apply_overrides(
+        config or PlannerConfig(), ctx or RunContext(), overrides
+    )
     validate_planner_config(config)
     graph.validate()
-
-    trace_path = config.trace_path
-    instrumented = bool(
-        trace_path
-        or config.metrics_path
-        or config.progress_path
-        or perf is not None
-        or metrics is not None
-        or progress is not None
-    )
-    if tracer is None:
-        # perf/metrics/progress all derive from spans, so any of them
-        # needs a real tracer even when no trace file was requested.
-        if instrumented:
-            # wall_start anchors the monotonic span clock to the epoch
-            # so traces can be correlated across runs and with logs.
-            tracer = Tracer(
-                meta={
-                    "circuit": graph.name,
-                    "seed": config.seed,
-                    "wall_start": round(time.time(), 6),
-                }
-            )
-        else:
-            tracer = NOOP_TRACER
-
-    if metrics is None and config.metrics_path:
-        metrics = MetricsRegistry(
-            meta={"circuit": graph.name, "seed": config.seed}
-        )
-    if metrics is not None and tracer.enabled:
-        tracer.metrics = metrics
-
-    # The monitor listener attaches before the progress listener so
-    # progress events for closing spans already carry resource stamps.
-    sampler = None
-    if tracer.enabled and config.monitor:
-        sampler = ResourceSampler(
-            interval=config.monitor_interval, metrics=metrics
-        )
-        tracer.add_listener(sampler)
-        sampler.start()
-
-    own_progress = False
-    if progress is None and config.progress_path:
-        progress = open_progress(config.progress_path, metrics=metrics)
-        own_progress = True
-    if progress is not None and tracer.enabled:
-        progress.attach(tracer)
-
-    if checkpoint is not None:
-        checkpoint.bind(
-            graph.name, run_fingerprint(graph, config, max_iterations)
-        )
-        if checkpoint.faults is None:
-            checkpoint.faults = faults
-
-    resilience = config.resilience or default_resilience()
-    ledger = RunLedger()
-    runner = StageRunner(
-        resilience, ledger, faults=faults, tracer=tracer, checkpoint=checkpoint
-    )
-    if compile_cache is None:
-        compile_cache = CompileCache(
-            config.compile_cache_dir, mode=config.compile_cache
-        )
 
     hosts = set(graph.host_units())
     n_units = graph.num_units - len(hosts)
@@ -812,7 +671,16 @@ def plan_interconnect(
         config.seed,
     )
 
-    try:
+    with ctx.session(graph, config, max_iterations) as run:
+        tracer, checkpoint = run.tracer, run.checkpoint
+        ledger = RunLedger()
+        runner = StageRunner(
+            run.resilience,
+            ledger,
+            faults=run.faults,
+            tracer=tracer,
+            checkpoint=checkpoint,
+        )
         with tracer.span(
             "plan",
             circuit=graph.name,
@@ -841,7 +709,7 @@ def plan_interconnect(
                     runner,
                     n_blocks,
                     ledger,
-                    compile_cache,
+                    run.compile_cache,
                 )
                 if checkpoint is not None:
                     checkpoint.commit_outcome(outcome)
@@ -860,36 +728,36 @@ def plan_interconnect(
                         outcome.verification.failed_checkers()
                     ),
                 )
-    finally:
-        # Written on failure too: a trace of a crashed run is exactly
-        # what the post-mortem needs. Monitor stops first so its final
-        # sample lands, and a progress stream this call opened gets its
-        # terminal run_end line; a caller-owned stream (table1 sharing
-        # one across circuits) is only detached.
-        if sampler is not None:
-            sampler.stop()
-            tracer.remove_listener(sampler)
-        if progress is not None:
-            if own_progress:
-                progress.close(spans=len(tracer.spans))
-            else:
-                progress.detach()
-        if trace_path:
-            write_trace(tracer, trace_path)
-        if metrics is not None and config.metrics_path:
-            write_metrics(metrics, config.metrics_path)
-            write_prometheus(
-                metrics, Path(config.metrics_path).with_suffix(".prom")
-            )
     log.info(
         "planning %s done: converged=%s, %d iteration(s)",
         graph.name,
         outcome.converged,
         len(outcome.iterations),
     )
-    if perf is not None:
-        perf.ingest_spans(tracer.spans)
     return outcome
+
+
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(PlannerConfig))
+_CONTEXT_FIELDS = frozenset(f.name for f in dataclasses.fields(RunContext))
+
+
+def _apply_overrides(
+    config: PlannerConfig, ctx: RunContext, overrides: Dict[str, object]
+) -> Tuple[PlannerConfig, RunContext]:
+    """Split keyword overrides between the config and the context."""
+    unknown = sorted(set(overrides) - _CONFIG_FIELDS - _CONTEXT_FIELDS)
+    if unknown:
+        raise TypeError(
+            "plan_interconnect() got unexpected keyword argument(s): "
+            + ", ".join(unknown)
+        )
+    config_kw = {k: v for k, v in overrides.items() if k in _CONFIG_FIELDS}
+    ctx_kw = {k: v for k, v in overrides.items() if k in _CONTEXT_FIELDS}
+    if config_kw:
+        config = dataclasses.replace(config, **config_kw)
+    if ctx_kw:
+        ctx = dataclasses.replace(ctx, **ctx_kw)
+    return config, ctx
 
 
 def _plan_stages(
@@ -899,7 +767,7 @@ def _plan_stages(
     runner: StageRunner,
     n_blocks: int,
     ledger: RunLedger,
-    cache: Optional[CompileCache] = None,
+    cache: CompileCache,
 ) -> PlanningOutcome:
     """The planning flow proper, run inside the root ``plan`` span."""
     tracer = runner.tracer

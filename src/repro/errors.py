@@ -45,6 +45,15 @@ class CheckpointError(ReproError):
     """A checkpoint store could not be created, written, or bound."""
 
 
+class TelemetryError(ReproError):
+    """A telemetry sink (trace, metrics or progress file) cannot be written.
+
+    Raised before the first stage when a sink path is unusable (its
+    parent is a regular file, or the path is a directory), so the CLI
+    reports one line and exits 2 instead of planning for nothing.
+    """
+
+
 class VerificationError(ReproError):
     """Independent plan certification failed (or could not run).
 

@@ -28,6 +28,8 @@ import time
 
 from repro.ioutil import atomic_write
 
+from repro.compile import CompileCache
+from repro.core.context import RunContext
 from repro.core.planner import PlanningOutcome, plan_interconnect
 from repro.errors import InterruptedRunError, ReproError, VerificationError
 from repro.experiments.circuits import TABLE1_CIRCUITS, CircuitSpec
@@ -96,46 +98,29 @@ class Table1Row:
 def run_circuit(
     spec: CircuitSpec,
     max_iterations: int = 2,
-    faults: Optional[FaultInjector] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
+    ctx: Optional[RunContext] = None,
     verify: bool = False,
-    progress=None,
     **plan_overrides,
 ) -> Table1Row:
     """Run the planning flow for one benchmark circuit.
 
-    With ``checkpoint_dir`` set, stage progress is persisted under
-    ``<checkpoint_dir>/<circuit>/``; with ``resume`` additionally set,
-    a circuit whose outcome was already committed is returned without
-    recomputation and a partially-planned circuit picks up at its last
-    completed stage.
+    ``ctx`` carries the run's plumbing: with a checkpoint store, stage
+    progress is persisted under ``<root>/<circuit>/`` and a resuming
+    store returns an already-committed circuit without recomputation.
 
     With ``verify`` set the finished plan is independently certified
     (:mod:`repro.verify`); a failing certificate raises
     :class:`~repro.errors.VerificationError`, which batch isolation
     records like any other per-circuit failure.
-
-    ``progress`` is a live-event sink (see :mod:`repro.obs.progress`)
-    shared by the caller across circuits; the planner attaches it to
-    this circuit's tracer and detaches it afterwards, leaving closing
-    the stream to the owner.
     """
-    checkpoint = (
-        CheckpointManager(checkpoint_dir, resume=resume)
-        if checkpoint_dir is not None
-        else None
-    )
     outcome = plan_interconnect(
         spec.build(),
-        seed=spec.seed,
+        ctx=ctx,
         max_iterations=max_iterations,
+        verify=verify,
+        seed=spec.seed,
         whitespace=spec.whitespace,
         n_blocks=spec.n_blocks,
-        faults=faults,
-        checkpoint=checkpoint,
-        verify=verify,
-        progress=progress,
         **plan_overrides,
     )
     if verify:
@@ -189,25 +174,11 @@ def _run_circuit_item(payload) -> BatchItem:
     ``InfeasiblePeriodError(period, detail)``) do not round-trip
     through pickle as raised exceptions.
     """
-    (
-        spec,
-        max_iterations,
-        faults,
-        overrides,
-        checkpoint_dir,
-        resume,
-        verify,
-    ) = payload
+    spec, max_iterations, ctx, overrides, verify = payload
     start = time.perf_counter()
     try:
         row = run_circuit(
-            spec,
-            max_iterations=max_iterations,
-            faults=faults,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            verify=verify,
-            **overrides,
+            spec, max_iterations=max_iterations, ctx=ctx, verify=verify, **overrides
         )
     except ReproError as exc:
         return BatchItem(
@@ -222,26 +193,6 @@ def _run_circuit_item(payload) -> BatchItem:
         result=row,
         seconds=time.perf_counter() - start,
     )
-
-
-def _circuit_overrides(
-    overrides: Mapping[str, object],
-    trace_dir: Optional[str],
-    name: str,
-) -> dict:
-    """Per-circuit plan overrides: base + trace/metrics paths.
-
-    With ``trace_dir`` set every circuit writes its own
-    ``<name>.trace.jsonl`` and ``<name>.metrics.jsonl`` — plain path
-    strings, so the overrides pickle unchanged into ``jobs > 1``
-    worker processes.
-    """
-    merged = dict(overrides)
-    if trace_dir is not None:
-        base = Path(trace_dir)
-        merged["trace_path"] = str(base / f"{name}.trace.jsonl")
-        merged["metrics_path"] = str(base / f"{name}.metrics.jsonl")
-    return merged
 
 
 def write_batch_summary(batch: BatchResult, trace_dir: str) -> Path:
@@ -305,6 +256,7 @@ def run_table1_resilient(
     verify: bool = False,
     trace_dir: Optional[str] = None,
     progress=None,
+    compile_cache: Optional[CompileCache] = None,
 ) -> BatchResult:
     """Fault-isolated Table-1 run: one bad circuit cannot kill the batch.
 
@@ -326,6 +278,11 @@ def run_table1_resilient(
     skips already-completed circuits via their committed outcomes. An
     interrupt (:class:`~repro.errors.InterruptedRunError`) stops the
     batch and returns the partial result with ``interrupted`` set.
+
+    ``compile_cache`` sets the compiled-circuit store: each circuit
+    plans with its own cache of the same root and mode, so a disk store
+    is shared across the batch (``jobs > 1`` workers too, in ``"auto"``
+    mode). ``None`` gives each circuit a memory-only cache.
 
     ``trace_dir`` instruments every circuit: each writes its own
     ``<name>.trace.jsonl`` + ``<name>.metrics.jsonl`` under the
@@ -354,19 +311,30 @@ def run_table1_resilient(
     if verbose and specs:
         print(format_rows([], header=True))
 
+    def _context(spec: CircuitSpec) -> RunContext:
+        # Everything in a circuit's context pickles, so it ships
+        # unchanged into jobs > 1 worker processes.
+        ctx = RunContext(
+            faults=faults_for(spec.name) if faults_for is not None else None,
+            progress=progress,
+            compile_cache=(
+                CompileCache(compile_cache.root, compile_cache.mode)
+                if compile_cache is not None
+                else None
+            ),
+        )
+        if checkpoint_dir is not None:
+            ctx.checkpoint = CheckpointManager(checkpoint_dir, resume=resume)
+        if trace_dir is not None:
+            ctx.trace_path = str(Path(trace_dir) / f"{spec.name}.trace.jsonl")
+            ctx.metrics_path = str(Path(trace_dir) / f"{spec.name}.metrics.jsonl")
+        return ctx
+
     if jobs > 1 and len(specs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         payloads = [
-            (
-                spec,
-                max_iterations,
-                faults_for(spec.name) if faults_for is not None else None,
-                _circuit_overrides(overrides, trace_dir, spec.name),
-                checkpoint_dir,
-                resume,
-                verify,
-            )
+            (spec, max_iterations, _context(spec), overrides, verify)
             for spec in specs
         ]
         batch = BatchResult()
@@ -394,16 +362,9 @@ def run_table1_resilient(
         return batch
 
     def _thunk(spec: CircuitSpec):
-        faults = faults_for(spec.name) if faults_for is not None else None
+        ctx = _context(spec)
         return lambda: run_circuit(
-            spec,
-            max_iterations=max_iterations,
-            faults=faults,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            verify=verify,
-            progress=progress,
-            **_circuit_overrides(overrides, trace_dir, spec.name),
+            spec, max_iterations=max_iterations, ctx=ctx, verify=verify, **overrides
         )
 
     batch = run_batch(
@@ -621,10 +582,6 @@ def main(argv=None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     overrides = {"floorplan_iterations": 300} if args.quick else {}
-    if args.no_cache:
-        overrides["compile_cache"] = "off"
-    elif args.cache_dir:
-        overrides["compile_cache_dir"] = args.cache_dir
     install_interrupt_handlers()
     progress = None
     if args.progress:
@@ -646,6 +603,11 @@ def main(argv=None) -> int:
             verify=args.verify,
             trace_dir=args.trace_dir,
             progress=progress,
+            compile_cache=(
+                CompileCache(mode="off")
+                if args.no_cache
+                else CompileCache(args.cache_dir)
+            ),
         )
     finally:
         if progress is not None:

@@ -20,16 +20,18 @@ monitor that attributes peak RSS / CPU to spans
 
 Typical use::
 
+    from repro.core import RunContext, plan_interconnect
     from repro.obs import Tracer
     from repro.obs.export import write_trace
 
     tracer = Tracer()
-    outcome = plan_interconnect(graph, tracer=tracer)
+    outcome = plan_interconnect(graph, ctx=RunContext(tracer=tracer))
     write_trace(tracer, "out.jsonl")
 
-or, equivalently, ``plan_interconnect(graph, trace_path="out.jsonl")``
-/ ``python -m repro plan s1423 --trace out.jsonl`` followed by
-``python -m repro trace summarize out.jsonl``.
+or, equivalently, ``plan_interconnect(graph,
+ctx=RunContext(trace_path="out.jsonl"))`` / ``python -m repro plan
+s1423 --trace out.jsonl`` followed by ``python -m repro trace
+summarize out.jsonl``.
 """
 
 from repro.obs.export import (

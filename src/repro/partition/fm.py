@@ -54,21 +54,15 @@ class FMBipartitioner:
         self.max_side_area = max(
             self.balance * self.total_area, self.total_area / 2.0 + max_cell
         )
-        self._nets_of: Dict[str, List[int]] = {c: [] for c in self.cells}
-        for i, net in enumerate(self.nets):
-            for c in net:
-                if c in self._nets_of:
-                    self._nets_of[c].append(i)
         self._build_incidence()
 
     def _build_incidence(self) -> None:
         """Flatten the cell/net incidence into CSR-style arrays.
 
         One "pin" per (net, member cell) pair, restricted to this
-        instance's cells — the same restriction ``_nets_of`` applies.
-        ``_one_pass`` works entirely on these arrays; the dict-based
-        :meth:`_gain` is kept as the auditable reference and is what
-        the property tests compare against.
+        instance's cells. ``_one_pass`` works entirely on these arrays;
+        the dict-based gain and pass in ``tests/oracles/fm.py`` are the
+        auditable reference the property tests compare against.
         """
         pos = {c: k for k, c in enumerate(self.cells)}
         self._cell_pos = pos
@@ -168,20 +162,6 @@ class FMBipartitioner:
             else:
                 side[c] = 1
         return side
-
-    def _gain(self, cell: str, side: Mapping[str, int]) -> int:
-        """Cut-size reduction if ``cell`` moves to the other side."""
-        gain = 0
-        s = side[cell]
-        for i in self._nets_of[cell]:
-            net = self.nets[i]
-            same = sum(1 for c in net if c != cell and side[c] == s)
-            other = len(net) - 1 - same
-            if same == 0:
-                gain += 1  # net becomes uncut
-            if other == 0:
-                gain -= 1  # net becomes cut
-        return gain
 
     def _one_pass(self, side: Dict[str, int]) -> Tuple[bool, Dict[str, int]]:
         """One FM pass: move every cell once, keep the best prefix.

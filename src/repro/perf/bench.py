@@ -68,6 +68,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compile import CompileCache
+from repro.core.context import RunContext
 from repro.core.planner import plan_interconnect
 from repro.errors import ReproError
 from repro.experiments.circuits import (
@@ -107,7 +108,7 @@ def bench_circuit(
     """
     perf = PerfRecorder()
     if cache is None:
-        cache = CompileCache(None, mode="off")
+        cache = CompileCache(mode="off")
     overrides: Dict[str, object] = dict(QUICK_OVERRIDES) if quick else {}
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     start = time.perf_counter()
@@ -116,12 +117,11 @@ def bench_circuit(
             graph = spec.build()
         outcome = plan_interconnect(
             graph,
-            seed=spec.seed,
+            ctx=RunContext(perf=perf, compile_cache=cache),
             max_iterations=1 if quick else 2,
+            seed=spec.seed,
             whitespace=spec.whitespace,
             n_blocks=spec.n_blocks,
-            perf=perf,
-            compile_cache=cache,
             **overrides,
         )
     except ReproError as exc:
@@ -187,11 +187,7 @@ def run_bench(
         specs = [get_circuit(n) for n in names]
     else:
         specs = list(TABLE1_SMOKE if quick else TABLE1_CIRCUITS)
-    cache = (
-        CompileCache(cache_dir, mode="auto")
-        if cache_dir
-        else CompileCache(None, mode="off")
-    )
+    cache = CompileCache(cache_dir) if cache_dir else CompileCache(mode="off")
     entries: List[Dict[str, object]] = []
     for spec in specs:
         entry = bench_circuit(spec, quick=quick, cache=cache)

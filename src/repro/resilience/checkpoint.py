@@ -34,9 +34,9 @@ logged warning and reports a miss, so the stage is recomputed cleanly
 rather than resumed wrong.
 
 The *fingerprint* (:func:`run_fingerprint`) hashes the circuit graph,
-the planner config and ``max_iterations``; resilience settings and the
-trace path are excluded — they shape retry timing, not results a
-checkpoint may cache. Stage keys are ``<scope>/<stage>#<n>`` where
+the planner config and ``max_iterations``; the run's plumbing (retry
+posture, telemetry sinks, compile cache) is not part of the config, so
+checkpoints are interchangeable across it. Stage keys are ``<scope>/<stage>#<n>`` where
 ``n`` counts requests of that scope+stage pair within the run, so the
 Nth ``expand_floorplan`` of a resumed run lines up with the Nth of the
 original.
@@ -70,41 +70,23 @@ OUTCOME_KEY = "outcome"
 _SLUG_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
-#: PlannerConfig fields that never change a stage's result: telemetry
-#: sinks, the resource monitor, retry posture and the compiled-circuit
-#: cache (wall-clock only). Checkpoints are interchangeable across them.
-_UNFINGERPRINTED = (
-    "trace_path",
-    "metrics_path",
-    "progress_path",
-    "monitor",
-    "monitor_interval",
-    "resilience",
-    "compile_cache_dir",
-    "compile_cache",
-)
-
-
 def run_fingerprint(graph, config, max_iterations: int) -> str:
     """Content hash identifying what a run computes.
 
     Two runs with equal fingerprints produce identical results, so
     their checkpoints are interchangeable. Covers the full graph (via
-    :func:`repro.netlist.io.graph_to_dict`), every result-affecting
-    config field, and ``max_iterations``. Observability settings
-    (trace, metrics and progress paths, the resource monitor) and
-    ``resilience`` are excluded: they do not change what a successful
-    stage returns.
+    :func:`repro.netlist.io.graph_to_dict`), the whole planner config
+    and ``max_iterations``. The run's plumbing (telemetry sinks, retry
+    posture, compile cache) lives in a
+    :class:`~repro.core.context.RunContext`, not the config, so it can
+    never reach the hash.
     """
     from repro.netlist.io import graph_to_dict
 
-    cfg = dataclasses.asdict(config)
-    for field in _UNFINGERPRINTED:
-        cfg.pop(field, None)
     doc = {
         "schema": CKPT_SCHEMA,
         "graph": graph_to_dict(graph),
-        "config": cfg,
+        "config": dataclasses.asdict(config),
         "max_iterations": max_iterations,
     }
     blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")

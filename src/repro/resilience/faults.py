@@ -14,7 +14,7 @@ attempt by 50 ms::
         FaultSpec("floorplan", error=FloorplanError("injected")),
         FaultSpec("route", on_call=2, delay=0.05),
     ])
-    plan_interconnect(graph, faults=faults)
+    plan_interconnect(graph, ctx=RunContext(faults=faults))
 
 The stage name ``"*"`` matches *any* stage, counted across the whole
 run — ``FaultSpec("*", on_call=5, error=InterruptedRunError)``

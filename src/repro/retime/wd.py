@@ -57,15 +57,6 @@ class WDMatrices:
         np.fill_diagonal(mask, False)
         return np.nonzero(mask)
 
-    def pairs_exceeding(self, period: float) -> List[Tuple[int, int]]:
-        """List-of-tuples wrapper around :meth:`pairs_exceeding_arrays`.
-
-        Kept for compatibility; O(n^2) materialisation on large
-        circuits, so internal callers use the ndarray path.
-        """
-        rows, cols = self.pairs_exceeding_arrays(period)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def max_vertex_delay(self) -> float:
         return float(np.diag(self.d).max()) if len(self.order) else 0.0
 

@@ -151,35 +151,35 @@ def run_job(spool: Path, job_id: str) -> int:
 
 
 def _plan_job(queue, record, faults) -> int:
-    from repro.core import plan_interconnect
+    from repro.core import RunContext, plan_interconnect
     from repro.experiments.circuits import load_circuit
     from repro.resilience import CheckpointManager
 
     try:
-        graph, plan_kwargs = load_circuit(record.circuit)
+        graph, overrides = load_circuit(record.circuit)
     except KeyError as exc:
         _write_out(queue, record.id, {"error": str(exc.args[0])})
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ERROR
 
     options = record.options or {}
-    overrides: Dict[str, Any] = dict(plan_kwargs)
     iterations = int(options.get("iterations", 2))
     if options.get("quick"):
         overrides["floorplan_iterations"] = 300
         iterations = 1
-    overrides["trace_path"] = str(queue.trace_path(record.id))
-    overrides["metrics_path"] = str(queue.metrics_path(record.id))
-    overrides["progress_path"] = str(queue.events_path(record.id))
-
-    checkpoint = CheckpointManager(queue.checkpoint_dir(record.id), resume=True)
+    ctx = RunContext(
+        faults=faults,
+        checkpoint=CheckpointManager(queue.checkpoint_dir(record.id), resume=True),
+        trace_path=str(queue.trace_path(record.id)),
+        metrics_path=str(queue.metrics_path(record.id)),
+        progress_path=str(queue.events_path(record.id)),
+    )
     t0 = time.perf_counter()
     try:
         outcome = plan_interconnect(
             graph,
+            ctx=ctx,
             max_iterations=iterations,
-            faults=faults,
-            checkpoint=checkpoint,
             verify=bool(options.get("verify")),
             **overrides,
         )

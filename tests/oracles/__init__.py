@@ -10,6 +10,7 @@ code: nothing under ``src/`` imports them.
   constraint objects and a networkx Bellman–Ford;
 * :mod:`tests.oracles.annealer` — the object-based sequence-pair
   annealer (full re-pack per move);
+* :mod:`tests.oracles.fm` — the dict-loop FM gain and pass;
 * :mod:`tests.oracles.lac_cold` — LAC-retiming with one cold weighted
   min-area solve per round.
 """

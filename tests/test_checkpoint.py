@@ -12,6 +12,7 @@ import signal
 
 import pytest
 
+from repro.core import RunContext
 from repro.core.planner import PlannerConfig, plan_interconnect
 from repro.errors import CheckpointError, InterruptedRunError
 from repro.ioutil import atomic_write
@@ -107,29 +108,49 @@ class TestFingerprint:
         g2.name = "other"
         assert base != run_fingerprint(g2, cfg, 2)
 
-    def test_ignores_trace_path_and_resilience(self):
+    def test_digests_unchanged_so_old_checkpoints_resume(self):
+        # Pinned digests from before the run plumbing left PlannerConfig:
+        # a changed digest would quarantine every existing checkpoint.
+        assert run_fingerprint(s27_graph(), PlannerConfig(), 2) == (
+            "6c245356d71d21ae171504de3584a5169252bc0e288e6f50933a09510a39fd4d"
+        )
+        assert run_fingerprint(
+            s27_graph(), PlannerConfig(seed=3, whitespace=0.4), 1
+        ) == "8b26f078a3a58d3e4e4461e29191e98ec03b591f6e7fad20e4abc185524acdda"
+
+    @staticmethod
+    def _bound_fingerprint(root, **ctx_fields):
+        """The fingerprint a real s27 run binds its checkpoint store to."""
+        store = CheckpointManager(root / "ck")
+        _plan_s27(ctx=RunContext(checkpoint=store, **ctx_fields))
+        return store.fingerprint
+
+    def test_ignores_trace_path_and_resilience(self, tmp_path):
         from repro.resilience import ResilienceConfig
 
-        g = s27_graph()
-        assert run_fingerprint(g, PlannerConfig(), 2) == run_fingerprint(
-            g,
-            PlannerConfig(
-                trace_path="/tmp/x.jsonl", resilience=ResilienceConfig()
-            ),
+        plain = self._bound_fingerprint(tmp_path / "plain")
+        assert plain == run_fingerprint(
+            s27_graph(),
+            PlannerConfig(seed=1, whitespace=0.4, floorplan_iterations=300),
             2,
         )
+        assert plain == self._bound_fingerprint(
+            tmp_path / "ctx",
+            trace_path=str(tmp_path / "x.jsonl"),
+            resilience=ResilienceConfig(),
+        )
 
-    def test_ignores_observability_settings(self):
-        g = s27_graph()
-        assert run_fingerprint(g, PlannerConfig(), 2) == run_fingerprint(
-            g,
-            PlannerConfig(
-                metrics_path="m.jsonl",
-                progress_path="-",
-                monitor=False,
-                monitor_interval=0.5,
-            ),
-            2,
+    def test_ignores_observability_settings(self, tmp_path):
+        from repro.compile import CompileCache
+        from repro.perf import PerfRecorder
+
+        plain = self._bound_fingerprint(tmp_path / "plain")
+        assert plain == self._bound_fingerprint(
+            tmp_path / "ctx",
+            metrics_path=str(tmp_path / "m.jsonl"),
+            progress_path=str(tmp_path / "e.jsonl"),
+            perf=PerfRecorder(),
+            compile_cache=CompileCache(mode="off"),
         )
 
 

@@ -523,6 +523,7 @@ class TestInstrumentedPlanner:
 
     @pytest.fixture(scope="class")
     def paths(self, tmp_path_factory):
+        from repro.core import RunContext
         from repro.core.planner import plan_interconnect
         from repro.netlist import s27_graph
 
@@ -532,16 +533,18 @@ class TestInstrumentedPlanner:
             "metrics": base / "s27.metrics.jsonl",
             "events": base / "s27.events.jsonl",
         }
+        ctx = RunContext(
+            trace_path=str(p["trace"]),
+            metrics_path=str(p["metrics"]),
+            progress_path=str(p["events"]),
+        )
         outcome = plan_interconnect(
             s27_graph(),
+            ctx=ctx,
             seed=1,
             whitespace=0.4,
             max_iterations=1,
             floorplan_iterations=60,
-            trace_path=str(p["trace"]),
-            metrics_path=str(p["metrics"]),
-            progress_path=str(p["events"]),
-            monitor_interval=0.01,
         )
         p["outcome"] = outcome
         return p

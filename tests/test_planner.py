@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from repro.compile import CompileCache
 from repro.core import (
     PlannerConfig,
     commit_flip_flop_area,
@@ -17,6 +18,7 @@ from repro.core import (
     plan_interconnect,
 )
 from repro.netlist import random_circuit
+from repro.resilience import ResilienceConfig, StageRunner
 from repro.retime import clock_period
 from tests.test_retiming import assert_legal_retiming
 
@@ -388,6 +390,8 @@ class TestErrorPaths:
             probe.config,
             index=2,
             t_clk=1e-6,
+            runner=StageRunner(ResilienceConfig(degrade_t_clk=False)),
+            cache=CompileCache(),
         )
         assert it.infeasible and not it.degraded
         assert it.lac is None and it.min_area is None
@@ -422,6 +426,8 @@ class TestInfeasibleIteration:
             probe.config,
             index=2,
             t_clk=0.01,  # below any gate delay
+            runner=StageRunner(ResilienceConfig(degrade_t_clk=False)),
+            cache=CompileCache(),
         )
         assert it.infeasible
         assert it.lac is None

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.compile import CompileCache
 from repro.core import PlannerConfig, plan_interconnect
 from repro.core.planner import _run_iteration
 from repro.errors import (
@@ -275,6 +276,7 @@ class TestDegradation:
             index=2,
             t_clk=0.01,
             runner=runner,
+            cache=CompileCache(),
         )
         assert not it.infeasible
         assert it.degraded
@@ -292,6 +294,8 @@ class TestDegradation:
             probe.config,
             index=2,
             t_clk=0.01,
+            runner=StageRunner(ResilienceConfig(degrade_t_clk=False)),
+            cache=CompileCache(),
         )
         assert it.infeasible and not it.degraded and it.lac is None
 
@@ -325,6 +329,7 @@ class TestDegradation:
             index=2,
             t_clk=0.01,
             runner=runner,
+            cache=CompileCache(),
         )
         outcome = PlanningOutcome(
             circuit=g.name,

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.compile import CompileCache
 from repro.core.planner import _run_iteration, plan_interconnect
 from repro.errors import VerificationError
 from repro.netlist import random_circuit
@@ -136,6 +137,7 @@ class TestDegradedOutcome:
             index=9,
             t_clk=0.01,  # infeasible: forces degradation
             runner=StageRunner(default_resilience()),
+            cache=CompileCache(),
         )
         assert it.degraded and not it.infeasible
         assert it.t_clk_requested == pytest.approx(0.01)

@@ -107,7 +107,8 @@ class TestDegenerateGraphs:
         g.add_unit("a", delay=5.0)
         g.add_unit("b", delay=5.0)
         wd = wd_matrices(g)
-        assert wd.pairs_exceeding(1.0) == []
+        rows, cols = wd.pairs_exceeding_arrays(1.0)
+        assert rows.size == 0 and cols.size == 0
 
     def test_single_unit(self):
         g = CircuitGraph()
@@ -201,15 +202,21 @@ class TestScalarisedCsr:
 
 class TestPairsExceedingArrays:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_arrays_match_list_api(self, seed):
+    def test_arrays_match_brute_force(self, seed):
         g = random_circuit("rnd", n_units=30, n_ffs=25, seed=seed)
         wd = wd_matrices(g)
         period = 0.5 * (wd.max_vertex_delay() + float(np.nanmax(
             np.where(np.isfinite(wd.d), wd.d, np.nan))))
         rows, cols = wd.pairs_exceeding_arrays(period)
         assert rows.dtype.kind == "i" and cols.dtype.kind == "i"
-        assert wd.pairs_exceeding(period) == list(zip(rows.tolist(),
-                                                      cols.tolist()))
+        n = len(wd.order)
+        expected = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if i != j and np.isfinite(wd.d[i, j]) and wd.d[i, j] > period
+        ]
+        assert list(zip(rows.tolist(), cols.tolist())) == expected
 
     def test_diagonal_and_infinite_excluded(self):
         g = CircuitGraph()
