@@ -38,7 +38,6 @@ from repro.resilience.degrade import find_relaxed_period
 from repro.resilience.faults import (
     RESULT_FAULT_KINDS,
     RESULT_FAULT_OWNER,
-    SERVE_FAULT_ENV,
     SERVE_FAULT_KINDS,
     WORKER_CRASH_EXIT,
     CheckpointFault,
@@ -71,7 +70,6 @@ __all__ = [
     "ServeFault",
     "RESULT_FAULT_KINDS",
     "RESULT_FAULT_OWNER",
-    "SERVE_FAULT_ENV",
     "SERVE_FAULT_KINDS",
     "WORKER_CRASH_EXIT",
     "RunLedger",

@@ -42,10 +42,10 @@ boundary (``worker_crash`` — ``os._exit``, no cleanup, exactly what a
 SIGKILL or OOM kill looks like to the supervisor) or corrupts a job
 record as it is spooled (``queue_corrupt``), so the requeue +
 checkpoint-resume and quarantine paths are exercised deterministically
-in CI (``repro serve --inject-fault``). ``worker_crash`` crosses the
-process boundary via :data:`SERVE_FAULT_ENV`: the supervisor stamps
-the fault into the chosen worker's environment and the worker arms it
-as a :class:`FaultSpec` with ``exit_code`` set.
+in CI (``repro serve --inject-fault``). ``worker_crash`` reaches the
+worker as an argument: the supervisor passes the fired fault to the
+forked job (:meth:`FaultInjector.worker_fault`), which arms it as a
+:class:`FaultSpec` with ``exit_code`` set.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ CORRUPTION_KINDS = ("truncate", "bitflip", "stale_fingerprint")
 
 #: Legal :class:`ServeFault` kinds.
 SERVE_FAULT_KINDS = ("worker_crash", "queue_corrupt")
-
-#: Environment variable carrying an armed ``worker_crash`` fault into
-#: a service worker process (value: :meth:`ServeFault.to_env`).
-SERVE_FAULT_ENV = "REPRO_SERVE_FAULT"
 
 #: Exit code a ``worker_crash`` fault dies with — the conventional
 #: 128+SIGKILL value, so the supervisor's crash classification treats
@@ -358,14 +354,9 @@ class ServeFault:
             return seen >= self.on_job
         return seen == self.on_job
 
-    # -- the process-boundary wire format ------------------------------
-    def to_env(self) -> str:
-        """Encode for :data:`SERVE_FAULT_ENV` (``kind:stage:on_call``)."""
-        return f"{self.kind}:{self.stage}:{self.on_call}"
-
     @classmethod
-    def from_env(cls, value: str) -> "ServeFault":
-        """Decode a :data:`SERVE_FAULT_ENV` value (partial forms ok)."""
+    def parse(cls, value: str) -> "ServeFault":
+        """Decode ``kind[:stage[:on_call]]``, the ``--inject-fault`` form."""
         parts = value.split(":")
         kind = parts[0]
         stage = parts[1] if len(parts) > 1 and parts[1] else "retime"
@@ -473,20 +464,20 @@ class FaultInjector:
             if fault.fires(fault._seen):
                 _corrupt_file(Path(path), "truncate")
 
-    def worker_env(self) -> Optional[str]:
-        """The :data:`SERVE_FAULT_ENV` value for the next worker spawn.
+    def worker_fault(self) -> Optional[ServeFault]:
+        """The ``worker_crash`` fault the next forked job must arm.
 
         Counts spawn events against every armed ``worker_crash`` fault;
-        returns the encoded fault when one fires for this spawn, else
-        ``None``. Called by the supervisor once per worker launch.
+        returns the first one that fires for this spawn, else ``None``.
+        Called by the supervisor once per worker launch.
         """
-        fired: Optional[str] = None
+        fired: Optional[ServeFault] = None
         for fault in self.serve_faults:
             if fault.kind != "worker_crash":
                 continue
             fault._seen += 1
             if fault.fires(fault._seen) and fired is None:
-                fired = fault.to_env()
+                fired = fault
         return fired
 
     @classmethod

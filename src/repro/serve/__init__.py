@@ -3,7 +3,8 @@
 ``python -m repro serve`` turns the one-shot planning CLI into a
 long-running service: submissions spool into a bounded on-disk queue
 (:mod:`repro.serve.queue`), a supervised process pool runs each job in
-its own worker with its own checkpoint directory
+its own worker, forked from a pre-imported template, with its own
+checkpoint directory and the spool's shared compile cache
 (:mod:`repro.serve.supervisor`, :mod:`repro.serve.worker`), and a
 small stdlib HTTP front (:mod:`repro.serve.server`) exposes health,
 readiness, submission, and per-job telemetry endpoints speaking the
@@ -25,7 +26,7 @@ The design invariants, stated once:
 from repro.serve.client import ServeClient
 from repro.serve.queue import STATE_DIRS, JobQueue
 from repro.serve.server import ServeState, build_http_server, serve_forever, serve_main
-from repro.serve.supervisor import Supervisor
+from repro.serve.supervisor import Supervisor, WorkerTemplate
 from repro.serve.wire import (
     JOB_SCHEMA,
     JOB_STATES,
@@ -44,6 +45,7 @@ __all__ = [
     "ServeClient",
     "ServeState",
     "Supervisor",
+    "WorkerTemplate",
     "build_http_server",
     "normalize_options",
     "serve_forever",

@@ -14,6 +14,7 @@ convenience that recovery rewrites)::
                   <id>.metrics.jsonl         # per-job repro-metrics/1
                   <id>.trace.jsonl           # per-job repro-trace/1
         checkpoints/<id>/                    # per-job repro-ckpt/1 store
+        compile-cache/                       # repro-compile/1 store, shared
 
 Every transition is an ``os.replace`` between sibling directories plus
 an atomic rewrite of the record, so a kill at any instant leaves each
@@ -100,6 +101,10 @@ class JobQueue:
 
     def checkpoint_dir(self, job_id: str) -> Path:
         return self.root / "checkpoints" / job_id
+
+    def compile_cache_dir(self) -> Path:
+        """The compiled-circuit store every job of this spool shares."""
+        return self.root / "compile-cache"
 
     # -- internals -----------------------------------------------------
     def _scan_seq(self) -> int:

@@ -36,6 +36,9 @@ Shutdown contract:
   terminal or queued for the next daemon.
 * **SIGINT × 2** aborts hard: workers are SIGKILLed, their jobs
   requeued (checkpoints make them resumable), exit code 4.
+
+Either way the daemon stops and reaps the worker template on its way
+out, so no process it started outlives it.
 """
 
 from __future__ import annotations
@@ -397,6 +400,10 @@ def serve_forever(
             time.sleep(poll_interval)
         return _drain(state, poll_interval, drain_grace, term_grace)
     finally:
+        if supervisor.idle:
+            # Both drain paths end idle. After a crash of this loop the
+            # template exits by itself with the daemon and its workers.
+            supervisor.template.stop()
         httpd.shutdown()
         httpd.server_close()
         http_thread.join(timeout=5.0)
@@ -449,6 +456,27 @@ def _drain(
     return EXIT_OK
 
 
+def _option_error(args) -> Optional[str]:
+    """Why a ``repro serve`` option is out of range, or ``None``."""
+    for flag, value in (
+        ("--workers", args.workers),
+        ("--queue-limit", args.queue_limit),
+        ("--max-attempts", args.max_attempts),
+    ):
+        if value < 1:
+            return f"{flag} must be at least 1, got {value}"
+    for flag, value in (
+        ("--deadline", args.deadline),
+        ("--heartbeat-timeout", args.heartbeat_timeout),
+        ("--poll-interval", args.poll_interval),
+    ):
+        if value is not None and not value > 0:
+            return f"{flag} must be positive, got {value:g}"
+    if not args.drain_grace >= 0:
+        return f"--drain-grace must not be negative, got {args.drain_grace:g}"
+    return None
+
+
 def serve_main(args) -> int:
     """Entry point behind ``python -m repro serve``."""
     from repro.resilience.faults import FaultInjector, ServeFault
@@ -456,12 +484,16 @@ def serve_main(args) -> int:
     if (args.socket is None) == (args.port is None):
         print("error: serve needs exactly one of --socket or --port", file=sys.stderr)
         return EXIT_ERROR
+    error = _option_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_ERROR
     faults = None
     if args.inject_fault:
         faults = FaultInjector()
         for value in args.inject_fault:
             try:
-                faults.arm(ServeFault.from_env(value))
+                faults.arm(ServeFault.parse(value))
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_ERROR

@@ -1,8 +1,10 @@
-"""Supervised worker pool: spawn, watch, requeue, resume.
+"""Supervised worker pool: fork, watch, requeue, resume.
 
 The :class:`Supervisor` owns every worker process the service runs.
-Its :meth:`~Supervisor.tick` is called from the daemon's main loop
-and does three things, in order:
+Each job attempt is its own process, forked from a
+:class:`WorkerTemplate` that imported the whole job path once, so an
+attempt does not pay a fresh interpreter's start-up and imports. Its :meth:`~Supervisor.tick` is called from the daemon's main
+loop and does three things, in order:
 
 1. **reap** — classify every exited worker from its exit code plus the
    presence of the result file, and move the job accordingly:
@@ -25,7 +27,7 @@ and does three things, in order:
    retries still apply while attempts remain;
 
 3. **claim** — while slots are free (and draining has not stopped
-   claims), pull queued jobs and spawn workers.
+   claims), pull queued jobs and fork workers.
 
 Retry semantics deliberately reuse :class:`~repro.resilience.policy.
 StagePolicy`: ``max_attempts`` bounds claims per job and ``timeout``
@@ -38,20 +40,20 @@ answers, only wall-clock.
 
 A ``worker_crash`` :class:`~repro.resilience.faults.ServeFault` armed
 on the injector fires here at spawn time: the chosen worker gets the
-fault in its environment and hard-exits mid-plan, which is how CI
-proves the requeue-and-resume path with a deterministic kill.
+fault as an argument and hard-exits mid-plan, which is how CI proves
+the requeue-and-resume path with a deterministic kill.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import time
-from pathlib import Path
+from multiprocessing import forkserver, resource_tracker
+from multiprocessing.process import BaseProcess
 from typing import Dict, List, Optional
 
 from repro.cliutil import (
@@ -62,10 +64,10 @@ from repro.cliutil import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
 )
-from repro.resilience.faults import SERVE_FAULT_ENV
 from repro.resilience.policy import StagePolicy
 from repro.serve.queue import JobQueue
 from repro.serve.wire import JobRecord
+from repro.serve.worker import PRELOAD, job_main
 
 log = logging.getLogger(__name__)
 
@@ -73,12 +75,61 @@ log = logging.getLogger(__name__)
 _RESULT_EXITS = (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_INFEASIBLE, EXIT_VERIFY_FAILED)
 
 
+class WorkerTemplate:
+    """The pre-imported process every job attempt forks from.
+
+    A ``multiprocessing`` forkserver preloaded with
+    :data:`~repro.serve.worker.PRELOAD`. The daemon cannot be the
+    template itself: it runs a threaded HTTP server, and forking a
+    threaded process is unsafe. The template starts on the first
+    :meth:`start`, not with the daemon; if it dies, the next
+    :meth:`start` launches a fresh one. There is one forkserver per
+    process, so every template in a process shares it. As with any
+    ``multiprocessing`` start method but ``fork``, a script that starts
+    workers must guard its entry point with ``if __name__ ==
+    "__main__":``, since each forked process re-imports the main script;
+    ``python -m repro serve`` needs no guard.
+    """
+
+    def __init__(self):
+        self._ctx = multiprocessing.get_context("forkserver")
+        self._ctx.set_forkserver_preload(list(PRELOAD))
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The template's pid, or ``None`` before the first start."""
+        return forkserver._forkserver._forkserver_pid
+
+    def start(self, target, args=()) -> BaseProcess:
+        """Fork one process from the template running ``target(*args)``."""
+        before = self.pid
+        proc = self._ctx.Process(target=target, args=args)
+        proc.start()
+        if self.pid != before:
+            log.info("worker template pid %d started", self.pid)
+        return proc
+
+    def stop(self) -> None:
+        """Stop and reap the template and multiprocessing's resource
+        tracker, which started with it.
+
+        Call once no forked attempt runs: both wait for the last one to
+        exit, since every attempt holds their keep-alive pipes.
+        """
+        pid = self.pid
+        if pid is None:
+            return
+        forkserver._forkserver._stop()
+        resource_tracker._resource_tracker._stop()
+        log.info("worker template pid %d stopped", pid)
+
+
 @dataclasses.dataclass
 class WorkerHandle:
     """One live worker process and the job it owns."""
 
     record: JobRecord
-    proc: subprocess.Popen
+    proc: BaseProcess
     started: float
     deadline: Optional[float]
     canceled: bool = False
@@ -102,7 +153,6 @@ class Supervisor:
         backoff: float = 0.25,
         heartbeat_timeout: float = 30.0,
         faults=None,
-        python: Optional[str] = None,
     ):
         self.queue = queue
         self.workers = max(1, workers)
@@ -110,7 +160,7 @@ class Supervisor:
         self.backoff = backoff
         self.heartbeat_timeout = heartbeat_timeout
         self.faults = faults
-        self.python = python or sys.executable
+        self.template = WorkerTemplate()
         self.accepting_claims = True
         self.running: Dict[str, WorkerHandle] = {}
         self.jobs_completed = 0
@@ -137,45 +187,21 @@ class Supervisor:
 
     # -- spawning ------------------------------------------------------
     def _spawn(self, record: JobRecord, now: float) -> None:
-        env = dict(os.environ)
-        # The worker must import repro even when the daemon was started
-        # from a source tree without an installed package.
-        pkg_root = str(Path(__file__).resolve().parents[2])
-        parts = [pkg_root] + [
-            p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p
-        ]
-        env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-        env.pop(SERVE_FAULT_ENV, None)
-        if self.faults is not None:
-            fault_env = self.faults.worker_env()
-            if fault_env:
-                env[SERVE_FAULT_ENV] = fault_env
-                log.warning(
-                    "job %s: injecting %s into worker", record.id, fault_env
-                )
-        log_path = self.queue.root / "events" / f"{record.id}.log"
-        log_file = open(log_path, "a", encoding="utf-8")
+        fault = self.faults.worker_fault() if self.faults is not None else None
+        if fault is not None:
+            log.warning("job %s: injecting %r into worker", record.id, fault)
         try:
-            proc = subprocess.Popen(
-                [
-                    self.python,
-                    "-m",
-                    "repro.serve.worker",
-                    str(self.queue.root),
-                    record.id,
-                ],
-                stdout=log_file,
-                stderr=subprocess.STDOUT,
-                env=env,
-                start_new_session=True,
+            proc = self.template.start(
+                job_main, (str(self.queue.root.resolve()), record.id, fault)
             )
-        except OSError as exc:
-            log.error("job %s: cannot spawn worker: %s", record.id, exc)
+        except (OSError, EOFError) as exc:
+            log.error("job %s: cannot start worker: %s", record.id, exc)
             self._retry_or_fail(record, f"worker spawn failed: {exc}")
             return
-        finally:
-            # The child holds its own duplicate of the fd either way.
-            log_file.close()
+        self._track(record, proc, now)
+
+    def _track(self, record: JobRecord, proc: BaseProcess, now: float) -> None:
+        """Record a started worker on its job and watch it."""
         record.worker = {"pid": proc.pid, "started": now}
         self.queue.update(record)
         deadline = record.deadline
@@ -196,10 +222,11 @@ class Supervisor:
         acted = False
         for job_id in list(self.running):
             handle = self.running[job_id]
-            rc = handle.proc.poll()
+            rc = handle.proc.exitcode
             if rc is None:
                 continue
             del self.running[job_id]
+            handle.proc.close()
             self._classify(handle, rc)
             acted = True
         return acted
@@ -277,7 +304,7 @@ class Supervisor:
     def _enforce(self, now: float) -> bool:
         acted = False
         for handle in list(self.running.values()):
-            if handle.proc.poll() is not None:
+            if handle.proc.exitcode is not None:
                 continue  # reaped next tick
             if (
                 handle.deadline is not None
@@ -306,10 +333,7 @@ class Supervisor:
             handle.proc.pid,
             "deadline" if handle.deadline_exceeded else "stale heartbeat",
         )
-        try:
-            handle.proc.kill()
-        except OSError:
-            pass
+        handle.proc.kill()
 
     # -- external control ----------------------------------------------
     def cancel(self, job_id: str) -> bool:
@@ -318,10 +342,7 @@ class Supervisor:
         if handle is None:
             return False
         handle.canceled = True
-        try:
-            handle.proc.kill()
-        except OSError:
-            pass
+        handle.proc.kill()
         return True
 
     def signal_workers(self, sig: int = signal.SIGTERM) -> List[str]:
@@ -329,8 +350,10 @@ class Supervisor:
         signaled = []
         for handle in self.running.values():
             handle.drained = True
+            if handle.proc.exitcode is not None:
+                continue
             try:
-                handle.proc.send_signal(sig)
+                os.kill(handle.proc.pid, sig)
                 signaled.append(handle.record.id)
             except OSError:
                 pass
@@ -345,21 +368,19 @@ class Supervisor:
         aborted = []
         for job_id in list(self.running):
             handle = self.running.pop(job_id)
-            try:
-                handle.proc.kill()
-                handle.proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
+            handle.proc.kill()
+            handle.proc.join(timeout=5.0)
             self.queue.requeue(
                 handle.record, error="daemon aborted", refund_attempt=True
             )
             aborted.append(job_id)
         return aborted
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, Optional[int]]:
         return {
             "running": len(self.running),
             "completed": self.jobs_completed,
             "failed": self.jobs_failed,
             "crashes_recovered": self.crashes_recovered,
+            "template_pid": self.template.pid,
         }

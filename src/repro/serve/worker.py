@@ -1,19 +1,26 @@
-"""Service worker: one child process, one job attempt.
+"""Service worker: one forked process, one job attempt.
 
-The supervisor launches ``python -m repro.serve.worker <spool> <id>``
-for each claimed job. The worker:
+Each claimed job forks from the worker template
+(:class:`~repro.serve.supervisor.WorkerTemplate`): one single-threaded
+process that imported :data:`PRELOAD`, the whole job path, once. An
+attempt therefore pays only its own planning, never the interpreter
+start-up and imports. The forked child runs :func:`job_main`, which:
 
-1. loads the ``running/<id>.json`` record (and arms any
-   ``worker_crash`` fault shipped in via :data:`SERVE_FAULT_ENV`);
-2. heartbeats by touching ``running/<id>.hb`` from a daemon thread, so
+1. starts its own session and sends stdout/stderr to
+   ``events/<id>.log``;
+2. loads the ``running/<id>.json`` record and arms the ``worker_crash``
+   fault the supervisor passed in, if any;
+3. heartbeats by touching ``running/<id>.hb`` from a daemon thread, so
    the supervisor can tell a hung worker from a slow one;
-3. runs the plan with the job's own checkpoint directory
+4. runs the plan with the job's own checkpoint directory
    (``checkpoints/<id>/``, always ``resume=True`` — the first attempt
    finds it empty, a retry finds the previous attempt's committed
-   stages and resumes bit-identically) and per-job telemetry files
-   under ``events/`` (``repro-trace/1``, ``repro-metrics/1`` and the
-   live ``repro-events/1`` stream the server exposes);
-4. atomically writes its result document to ``running/<id>.out`` and
+   stages and resumes bit-identically), the spool's shared compile
+   cache (``compile-cache/``, so a circuit compiled by any earlier job
+   replays its min-period work) and per-job telemetry files under
+   ``events/`` (``repro-trace/1``, ``repro-metrics/1`` and the live
+   ``repro-events/1`` stream the server exposes);
+5. atomically writes its result document to ``running/<id>.out`` and
    exits with the same per-plan code the one-shot ``plan`` CLI uses.
 
 The worker never touches the record's state — classification of its
@@ -27,7 +34,6 @@ behind, which is all a retry needs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import logging
 import os
@@ -54,23 +60,31 @@ log = logging.getLogger(__name__)
 #: Seconds between heartbeat touches.
 HEARTBEAT_INTERVAL = 0.5
 
-
-def arm_faults_from_env():
-    """The worker-side injector for a shipped ``worker_crash`` fault."""
-    from repro.resilience.faults import SERVE_FAULT_ENV, FaultInjector, ServeFault
-
-    value = os.environ.get(SERVE_FAULT_ENV)
-    if not value:
-        return None
-    fault = ServeFault.from_env(value)
-    if fault.kind != "worker_crash":
-        return None
-    log.warning("armed injected fault: %s", value)
-    return FaultInjector([fault.as_spec()])
+#: Modules the worker template imports once, so that no job imports
+#: anything: the job entry, the planner, the certifier a ``verify`` job
+#: runs, and the modules the flow loads lazily (the HiGHS binding
+#: behind the incremental min-area solve, scipy's spatial and optimize
+#: packages, decimal).
+PRELOAD = (
+    "repro.serve.worker",
+    "repro.core",
+    "repro.experiments.circuits",
+    "repro.resilience",
+    "repro.verify",
+    "scipy.optimize._highspy._core",
+    "scipy.spatial",
+    "scipy.optimize",
+    "decimal",
+)
 
 
 def _heartbeat(path: Path, stop: threading.Event) -> None:
+    template = os.getppid()
     while not stop.wait(HEARTBEAT_INTERVAL):
+        if os.getppid() != template:
+            # The template died under us and nothing will report our
+            # exit: stop now, so the supervisor's retry runs alone.
+            os._exit(EXIT_ERROR)
         try:
             path.touch()
         except OSError:
@@ -120,8 +134,30 @@ def outcome_exit_code(outcome) -> int:
     return EXIT_NOT_CONVERGED
 
 
-def run_job(spool: Path, job_id: str) -> int:
+def job_main(spool: str, job_id: str, fault=None) -> None:
+    """Entry point of a job attempt forked from the worker template.
+
+    ``fault`` is the :class:`~repro.resilience.faults.ServeFault` the
+    supervisor fired for this spawn, or ``None``. Exits with the code
+    :func:`run_job` returns.
+    """
+    # Its own session, as a spawned worker had: a signal meant for the
+    # daemon's process group never reaches a running job.
+    os.setsid()
+    log_fd = os.open(
+        Path(spool) / "events" / f"{job_id}.log",
+        os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+        0o644,
+    )
+    os.dup2(log_fd, sys.stdout.fileno())
+    os.dup2(log_fd, sys.stderr.fileno())
+    os.close(log_fd)
+    sys.exit(run_job(Path(spool), job_id, fault))
+
+
+def run_job(spool: Path, job_id: str, fault=None) -> int:
     """Execute one claimed job; returns the worker's exit code."""
+    from repro.resilience.faults import FaultInjector
     from repro.serve.queue import JobQueue
     from repro.serve.wire import JobRecord
 
@@ -134,7 +170,10 @@ def run_job(spool: Path, job_id: str) -> int:
         return EXIT_ERROR
 
     install_interrupt_handlers()
-    faults = arm_faults_from_env()
+    faults = None
+    if fault is not None:
+        log.warning("armed injected fault: %r", fault)
+        faults = FaultInjector([fault.as_spec()])
     stop = threading.Event()
     hb = threading.Thread(
         target=_heartbeat,
@@ -151,6 +190,7 @@ def run_job(spool: Path, job_id: str) -> int:
 
 
 def _plan_job(queue, record, faults) -> int:
+    from repro.compile import CompileCache
     from repro.core import RunContext, plan_interconnect
     from repro.experiments.circuits import load_circuit
     from repro.resilience import CheckpointManager
@@ -168,6 +208,7 @@ def _plan_job(queue, record, faults) -> int:
         overrides["floorplan_iterations"] = 300
         iterations = 1
     ctx = RunContext(
+        compile_cache=CompileCache(queue.compile_cache_dir()),
         faults=faults,
         checkpoint=CheckpointManager(queue.checkpoint_dir(record.id), resume=True),
         trace_path=str(queue.trace_path(record.id)),
@@ -197,25 +238,3 @@ def _plan_job(queue, record, faults) -> int:
 
 def _write_out(queue, job_id: str, doc: Dict[str, Any]) -> None:
     atomic_write(queue.out_path(job_id), json.dumps(doc, sort_keys=True) + "\n")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.worker",
-        description="planning-service worker (one job attempt per process)",
-    )
-    parser.add_argument("spool", help="service spool directory")
-    parser.add_argument("job_id", help="id of a job in running/")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
-    args = parser.parse_args(argv)
-    if args.verbose:
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.DEBUG if args.verbose > 1 else logging.INFO,
-            format="%(levelname).1s %(name)s: %(message)s",
-        )
-    return run_job(Path(args.spool), args.job_id)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

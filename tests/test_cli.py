@@ -128,3 +128,30 @@ class TestVerifyCLI:
         )
         assert code == 2
         assert "unknown result fault kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--workers", "0"),
+        ("--workers", "-2"),
+        ("--queue-limit", "0"),
+        ("--max-attempts", "0"),
+        ("--deadline", "-5"),
+        ("--deadline", "0"),
+        ("--heartbeat-timeout", "0"),
+        ("--drain-grace", "-1"),
+        ("--poll-interval", "0"),
+    ],
+)
+def test_serve_rejects_out_of_range_options(tmp_path, capsys, monkeypatch, flag, value):
+    def _bind(*_a, **_k):
+        raise AssertionError("socket bound despite a bad option")
+
+    monkeypatch.setattr("repro.serve.server.build_http_server", _bind)
+    sock, spool = tmp_path / "s.sock", tmp_path / "spool"
+    argv = ["serve", "--socket", str(sock), "--spool", str(spool), flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
+    assert not spool.exists()

@@ -16,17 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cliutil import EXIT_BUSY, EXIT_INTERRUPTED, EXIT_OK
+from repro.cliutil import EXIT_BUSY, EXIT_INTERRUPTED, EXIT_NOT_CONVERGED, EXIT_OK
 from repro.errors import QueueFullError, ServeError
-from repro.resilience.faults import (
-    SERVE_FAULT_ENV,
-    WORKER_CRASH_EXIT,
-    FaultInjector,
-    ServeFault,
-)
+from repro.resilience.faults import WORKER_CRASH_EXIT, FaultInjector, ServeFault
 from repro.serve.client import ServeClient
 from repro.serve.queue import JobQueue
-from repro.serve.supervisor import Supervisor
+from repro.serve.supervisor import Supervisor, WorkerTemplate
 from repro.serve.wire import JobRecord, job_seq, new_job_id, normalize_options
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -161,32 +156,19 @@ class TestJobQueue:
         assert q.cancel_queued(rec.id) is None
 
 
-def _fake_worker_cmd(body: str):
-    """A supervisor whose 'workers' run an inline python snippet."""
-    return [sys.executable, "-c", body]
-
-
 class _ScriptedSupervisor(Supervisor):
-    """Supervisor that launches a scripted child instead of a planner."""
+    """Supervisor whose workers run a python snippet instead of a planner.
+
+    The snippet is forked from the worker template like a real job.
+    """
 
     def __init__(self, queue, body, **kw):
         super().__init__(queue, **kw)
         self._body = body
 
     def _spawn(self, record, now):
-        proc = subprocess.Popen(
-            _fake_worker_cmd(self._body % {"spool": str(self.queue.root)})
-        )
-        record.worker = {"pid": proc.pid, "started": now}
-        self.queue.update(record)
-        from repro.serve.supervisor import WorkerHandle
-
-        deadline = record.deadline
-        if deadline is None:
-            deadline = self.policy.timeout
-        self.running[record.id] = WorkerHandle(
-            record=record, proc=proc, started=now, deadline=deadline
-        )
+        body = self._body % {"spool": str(self.queue.root)}
+        self._track(record, self.template.start(exec, (body, {})), now)
 
 
 def _settle(sup, timeout=20.0):
@@ -290,19 +272,20 @@ class TestSupervisor:
         assert final.state == "failed"
         assert "deadline" in final.error
 
-    def test_worker_crash_fault_stamps_env_once(self, tmp_path):
-        faults = FaultInjector(serve_faults=[ServeFault("worker_crash")])
-        assert faults.worker_env() == "worker_crash:retime:1"
-        assert faults.worker_env() is None  # fires once, on_job=1
+    def test_worker_crash_fault_fires_once(self, tmp_path):
+        armed = ServeFault("worker_crash")
+        faults = FaultInjector(serve_faults=[armed])
+        assert faults.worker_fault() is armed
+        assert faults.worker_fault() is None  # fires once, on_job=1
 
     def test_worker_crash_spec_hard_exits(self):
-        fault = ServeFault.from_env("worker_crash:retime:1")
+        fault = ServeFault.parse("worker_crash:retime:1")
         spec = fault.as_spec()
         assert spec.exit_code == WORKER_CRASH_EXIT
         code = (
             "import sys; sys.path.insert(0, %r); "
             "from repro.resilience.faults import FaultInjector, ServeFault; "
-            "inj = FaultInjector([ServeFault.from_env('worker_crash:retime:1').as_spec()]); "
+            "inj = FaultInjector([ServeFault.parse('worker_crash:retime:1').as_spec()]); "
             "inj.on_call('floorplan'); "  # wrong stage: survives
             "inj.on_call('retime'); "  # fires: os._exit(137)
             "print('UNREACHABLE')"
@@ -312,6 +295,81 @@ class TestSupervisor:
         )
         assert proc.returncode == WORKER_CRASH_EXIT
         assert "UNREACHABLE" not in proc.stdout
+
+    def test_attempts_run_in_different_pids(self, tmp_path):
+        q = JobQueue(tmp_path, capacity=4)
+        rec = q.submit("s27", max_attempts=2)
+        body = (
+            "import os, pathlib; "
+            "(pathlib.Path(r'%(spool)s') / f'pid-{os.getpid()}').touch(); "
+            "os._exit(137)"
+        )
+        sup = _ScriptedSupervisor(q, body, workers=1, backoff=0.0)
+        _settle(sup)
+        assert q.get(rec.id).attempts == 2
+        pids = [int(p.name[4:]) for p in tmp_path.glob("pid-*")]
+        assert len(pids) == 2
+        assert not {os.getpid(), sup.template.pid} & set(pids)
+
+    def test_killed_template_restarts_for_next_job(self, tmp_path):
+        q = JobQueue(tmp_path, capacity=4)
+        body = (
+            "import json, pathlib; "
+            "running = pathlib.Path(r'%(spool)s') / 'running'; "
+            "[p.with_suffix('.out').write_text(json.dumps({'t_clk': 1.0})) "
+            "for p in running.glob('*.json')]"
+        )
+        sup = _ScriptedSupervisor(q, body, workers=1)
+        first = q.submit("s27")
+        _settle(sup)
+        template = sup.template.pid
+        os.kill(template, signal.SIGKILL)
+        _wait_zombie(template)
+        second = q.submit("s27")
+        _settle(sup)
+        assert q.get(first.id).state == "done"
+        assert q.get(second.id).state == "done"
+        assert q.get(second.id).attempts == 1
+        assert sup.template.pid != template
+
+
+def _wait_zombie(pid, timeout=10.0):
+    """Wait until ``pid`` (a child of this process) has died."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"pid {pid} did not die")
+
+
+#: Runs one job in a process forked from the template and records the
+#: modules the job imported beyond what the template had preloaded.
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+from repro.serve.worker import job_main
+try:
+    job_main(spool, job_id)
+finally:
+    with open(out, "w") as fh:
+        fh.write("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestWorkerTemplate:
+    def test_preload_covers_a_quick_job(self, tmp_path):
+        q = JobQueue(tmp_path / "spool", capacity=4)
+        rec = q.submit("s27", options={"quick": True})
+        q.claim()
+        out = tmp_path / "imported.txt"
+        env = {"spool": str(q.root), "job_id": rec.id, "out": str(out)}
+        proc = WorkerTemplate().start(exec, (_IMPORT_PROBE, env))
+        proc.join(timeout=120)
+        assert proc.exitcode in (EXIT_OK, EXIT_NOT_CONVERGED)
+        assert "circuit" in json.loads(q.out_path(rec.id).read_text())
+        assert out.read_text().split() == []
 
 
 def _start_daemon(tmp_path, *extra):
@@ -395,6 +453,41 @@ class TestServeEndToEnd:
             rc = _stop_daemon(proc)
         assert rc == 0
         assert list((spool / "running").glob("*")) == []
+
+    def test_sigterm_drain_reaps_the_worker_template(self, tmp_path):
+        proc, client, _spool = _start_daemon(tmp_path, "--workers", "1")
+        try:
+            # The template starts on the first claim, not with the daemon.
+            assert client.health()["workers"]["template_pid"] is None
+            _status, doc = client.submit("s27", options={"quick": True})
+            assert client.wait(doc["id"], timeout=120)["state"] == "done"
+            template = client.health()["workers"]["template_pid"]
+            assert Path(f"/proc/{template}").exists()
+        finally:
+            rc = _stop_daemon(proc)
+        assert rc == 0
+        assert not Path(f"/proc/{template}").exists()
+
+    def test_second_job_hits_the_spool_compile_cache(self, tmp_path):
+        proc, client, spool = _start_daemon(tmp_path, "--workers", "1")
+        try:
+            finals, caches = [], []
+            for _ in range(2):
+                _status, doc = client.submit("s27", options={"quick": True})
+                finals.append(client.wait(doc["id"], timeout=120))
+                status, text = client.request("GET", f"/jobs/{doc['id']}/trace")
+                assert status == 200
+                spans = [json.loads(line) for line in text.splitlines()[1:]]
+                caches.append(
+                    [s["attrs"]["cache"] for s in spans if s["name"] == "compile"]
+                )
+        finally:
+            _stop_daemon(proc)
+        assert caches == [["miss"], ["hit"]]
+        assert list((spool / "compile-cache").glob("*.cc"))
+        first, second = (final["result"] for final in finals)
+        for field in ("t_clk", "n_foa", "n_f"):
+            assert first[field] == second[field], field
 
     def test_unknown_circuit_rejected_with_400(self, tmp_path):
         proc, client, _spool = _start_daemon(tmp_path)
