@@ -1,5 +1,12 @@
 """Command-line interface: ``python -m repro <command>``.
 
+This is the package's only command-line entry point and its only
+argument parser: each command calls the library functions directly
+with the parsed values (the harness modules have no ``main`` of their
+own). Command modules are imported inside each ``_cmd_*`` so a command
+pays only for what it runs — ``serve`` start-up never imports the
+Table-1 or bench harnesses.
+
 Commands:
 
 * ``plan <circuit>``   — run the full interconnect-planning flow on a
@@ -74,21 +81,34 @@ from repro.cliutil import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     install_interrupt_handlers,
+    outcome_exit_code,
 )
+
+
+def _plan_option_error(args):
+    """Why a ``plan`` option is out of range or inconsistent, or ``None``."""
+    if args.iterations < 1:
+        return f"--iterations must be at least 1, got {args.iterations}"
+    if args.stage_timeout is not None and not args.stage_timeout > 0:
+        return f"--stage-timeout must be positive, got {args.stage_timeout:g}"
+    if args.resume and not args.checkpoint_dir:
+        return "--resume requires --checkpoint-dir"
+    return None
 
 
 def _cmd_plan(args) -> int:
     from repro.compile import CompileCache
     from repro.core import RunContext, plan_interconnect
     from repro.errors import InterruptedRunError, ReproError, TelemetryError
-    from repro.experiments.circuits import load_circuit
+    from repro.experiments.circuits import load_circuit, run_settings
     from repro.resilience import CheckpointManager, default_resilience
 
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
+    error = _plan_option_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
     try:
-        graph, overrides = load_circuit(args.circuit)
+        graph, kwargs = load_circuit(args.circuit)
     except KeyError:
         print(
             f"error: unknown circuit {args.circuit!r} "
@@ -102,10 +122,7 @@ def _cmd_plan(args) -> int:
         resilience = resilience.with_timeout(args.stage_timeout)
     if args.no_degrade:
         resilience.degrade_t_clk = False
-    iterations = args.iterations
-    if args.quick:
-        overrides["floorplan_iterations"] = 300
-        iterations = 1
+    iterations, overrides = run_settings(args.quick, args.iterations)
     ctx = RunContext(
         resilience=resilience,
         compile_cache=(
@@ -127,6 +144,7 @@ def _cmd_plan(args) -> int:
             ctx=ctx,
             max_iterations=iterations,
             verify=args.verify,
+            **kwargs,
             **overrides,
         )
     except InterruptedRunError as exc:
@@ -161,80 +179,183 @@ def _cmd_plan(args) -> int:
 
         save_outcome_json(outcome, args.outcome_json)
         print(f"outcome snapshot written to {args.outcome_json}", file=sys.stderr)
-    verification = getattr(outcome, "verification", None)
-    if verification is not None and not verification.ok:
-        print(verification.format(), file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    if outcome.converged:
-        return EXIT_OK
-    if outcome.final.infeasible:
+    code = outcome_exit_code(outcome)
+    if code == EXIT_VERIFY_FAILED:
+        print(outcome.verification.format(), file=sys.stderr)
+    elif code == EXIT_INFEASIBLE:
         print(
             f"{args.circuit}: target period infeasible "
             "(no achievable retiming at T_clk)",
             file=sys.stderr,
         )
-        return EXIT_INFEASIBLE
-    print(
-        f"{args.circuit}: not converged "
-        "(local area violations remain after planning iterations)",
-        file=sys.stderr,
-    )
-    return EXIT_NOT_CONVERGED
+    elif code == EXIT_NOT_CONVERGED:
+        print(
+            f"{args.circuit}: not converged "
+            "(local area violations remain after planning iterations)",
+            file=sys.stderr,
+        )
+    return code
+
+
+def _table1_option_error(args):
+    """Why a ``table1`` option is out of range or inconsistent, or ``None``."""
+    if args.jobs < 1:
+        return "--jobs must be >= 1"
+    if args.resume and not args.checkpoint_dir:
+        return "--resume requires --checkpoint-dir"
+    if args.progress and args.jobs > 1:
+        return (
+            "--progress requires a serial run (--jobs 1); span "
+            "listeners cannot cross worker process boundaries"
+        )
+    return None
 
 
 def _cmd_table1(args) -> int:
-    from repro.experiments.table1 import main as table1_main
+    from repro.compile import CompileCache
+    from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit, run_settings
+    from repro.experiments.table1 import (
+        format_batch,
+        parse_fault_args,
+        run_table1_resilient,
+    )
 
-    argv = list(args.names)
-    if args.quick:
-        argv.append("--quick")
-    if args.verify:
-        argv.append("--verify")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    for fault in args.inject_fault:
-        argv += ["--inject-fault", fault]
-    if args.checkpoint_dir:
-        argv += ["--checkpoint-dir", args.checkpoint_dir]
-    if args.resume:
-        argv.append("--resume")
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
+    error = _table1_option_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        specs = (
+            [get_circuit(name) for name in args.names]
+            if args.names
+            else TABLE1_CIRCUITS
+        )
+        faults_for = parse_fault_args(args.inject_fault)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_ERROR
+    iterations, overrides = run_settings(args.quick)
+    install_interrupt_handlers()
+    progress = None
     if args.progress:
-        argv += ["--progress", args.progress]
-    return table1_main(argv)
+        from repro.obs.progress import open_progress
+
+        progress = open_progress(
+            args.progress, meta={"batch": [spec.name for spec in specs]}
+        )
+    try:
+        batch = run_table1_resilient(
+            specs,
+            max_iterations=iterations,
+            verbose=True,
+            faults_for=faults_for,
+            plan_overrides=overrides,
+            jobs=args.jobs,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            verify=args.verify,
+            trace_dir=args.trace_dir,
+            progress=progress,
+            compile_cache=(
+                CompileCache(mode="off")
+                if args.no_cache
+                else CompileCache(args.cache_dir)
+            ),
+        )
+    finally:
+        if progress is not None:
+            progress.close()
+    print()
+    print(format_batch(batch))
+    if batch.interrupted:
+        hint = (
+            f"; rerun with --checkpoint-dir {args.checkpoint_dir} --resume "
+            "to continue"
+            if args.checkpoint_dir
+            else ""
+        )
+        print(
+            f"interrupted after {len(batch.items)} of {len(specs)} "
+            f"circuits{hint}",
+            file=sys.stderr,
+        )
+        return EXIT_INTERRUPTED
+    if any(
+        not item.ok
+        and item.error
+        and item.error.startswith("VerificationError")
+        for item in batch.items
+    ):
+        return EXIT_VERIFY_FAILED
+    return batch.exit_code
 
 
 def _cmd_bench(args) -> int:
-    from repro.perf.bench import main as bench_main
+    from pathlib import Path
+
+    from repro.errors import ReproError
 
     if args.names and args.names[0] == "history":
-        argv = ["history", "--dir", args.out]
-        if args.threshold is not None:
-            argv += ["--threshold", str(args.threshold)]
-        if args.fail_on_regression:
-            argv.append("--fail-on-regression")
-        return bench_main(argv)
+        from repro.perf.history import history_report, load_history
+
+        try:
+            docs = load_history(Path(args.out))
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        threshold = 0.25 if args.threshold is None else args.threshold
+        report, regressions = history_report(docs, threshold=threshold)
+        _print_report(report, regressions)
+        return 1 if regressions and args.fail_on_regression else EXIT_OK
+
+    from repro.perf.bench import compare_bench, load_bench, run_bench, write_bench
+
     if args.compare:
-        threshold = args.threshold if args.threshold is not None else 0.10
-        return bench_main(
-            ["--compare", *args.compare, "--threshold", str(threshold)]
+        try:
+            old, new = (load_bench(path) for path in args.compare)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
+        threshold = 0.10 if args.threshold is None else args.threshold
+        report, regressions = compare_bench(old, new, threshold=threshold)
+        _print_report(report, regressions)
+        return 1 if regressions else EXIT_OK
+    try:
+        doc = run_bench(
+            names=args.names,
+            quick=args.quick,
+            verbose=True,
+            cache_dir=None if args.no_cache else args.cache_dir,
         )
-    argv = list(args.names)
-    if args.quick:
-        argv.append("--quick")
-    argv += ["--out", args.out]
-    if args.min_stage_coverage is not None:
-        argv += ["--min-stage-coverage", str(args.min_stage_coverage)]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
-    return bench_main(argv)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_ERROR
+    path = write_bench(doc, Path(args.out))
+    totals = doc["totals"]
+    print(
+        f"wrote {path} (mode={doc['mode']}, cache={doc.get('cache', 'off')} "
+        f"hits={totals.get('cache_hits', 0)}, lac={totals['lac_seconds']:.3f}s, "
+        f"wall={totals['wall_seconds']:.3f}s)"
+    )
+    floor = args.min_stage_coverage
+    low = [
+        (e["name"], e["stage_coverage"])
+        for e in doc["circuits"]
+        if floor is not None and e["ok"] and e["stage_coverage"] < floor
+    ]
+    for name, cov in low:
+        print(
+            f"stage coverage for {name} is {cov:.0%}, below the "
+            f"--min-stage-coverage floor of {floor:.0%}"
+        )
+    return 1 if low else EXIT_OK
+
+
+def _print_report(report, regressions) -> None:
+    for line in report:
+        print(line)
+    for line in regressions:
+        print(f"REGRESSION: {line}")
 
 
 def _cmd_verify(args) -> int:
@@ -378,7 +499,7 @@ def _cmd_cache(args) -> int:
     # running the same plans table1 runs, so a later table1/bench run
     # over the same settings hits on every iteration.
     from repro.errors import ReproError
-    from repro.experiments import TABLE1_CIRCUITS, get_circuit
+    from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit, run_settings
     from repro.core import RunContext, plan_interconnect
 
     try:
@@ -390,18 +511,16 @@ def _cmd_cache(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ERROR
+    iterations, overrides = run_settings(args.quick)
     failed = 0
     for spec in specs:
-        overrides = {"floorplan_iterations": 300} if args.quick else {}
         misses0 = cache.stats.misses
         try:
             plan_interconnect(
                 spec.build(),
-                seed=spec.seed,
-                whitespace=spec.whitespace,
-                n_blocks=spec.n_blocks,
                 ctx=RunContext(compile_cache=cache),
-                max_iterations=1 if args.quick else 2,
+                max_iterations=iterations,
+                **spec.plan_kwargs(),
                 **overrides,
             )
         except ReproError as exc:

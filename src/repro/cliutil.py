@@ -1,8 +1,8 @@
 """Shared CLI plumbing: exit codes and interrupt handling.
 
-Both ``python -m repro`` and the standalone harness entry points
-(``python -m repro.experiments.table1``) speak the same exit-code
-contract:
+``python -m repro`` is the only command-line entry point; its commands
+and the service worker (which reports a job's per-plan code) speak the
+same exit-code contract:
 
 * ``0`` — success (``plan``: converged; ``table1``: >= 1 circuit ok);
 * ``1`` — completed but unsatisfied (not converged / every circuit
@@ -23,6 +23,7 @@ contract:
 on the way out — the in-flight trace is flushed and committed
 checkpoints stay durable — and the command exits with
 :data:`EXIT_INTERRUPTED` instead of dying mid-write.
+:func:`outcome_exit_code` maps a finished plan to its code.
 """
 
 from __future__ import annotations
@@ -38,6 +39,18 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERRUPTED = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_BUSY = 6
+
+
+def outcome_exit_code(outcome) -> int:
+    """Map a finished planning outcome to the ``plan`` exit code."""
+    verification = getattr(outcome, "verification", None)
+    if verification is not None and not verification.ok:
+        return EXIT_VERIFY_FAILED
+    if outcome.converged:
+        return EXIT_OK
+    if outcome.final.infeasible:
+        return EXIT_INFEASIBLE
+    return EXIT_NOT_CONVERGED
 
 
 def install_interrupt_handlers() -> None:

@@ -16,7 +16,7 @@ circuit whose violations survive the second planning iteration.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.generate import random_circuit
 from repro.netlist.graph import CircuitGraph
@@ -39,6 +39,14 @@ class CircuitSpec:
         return random_circuit(
             self.name, n_units=self.n_units, n_ffs=self.n_ffs, seed=self.seed
         )
+
+    def plan_kwargs(self) -> Dict[str, object]:
+        """The per-circuit planner keywords this spec fixes."""
+        return {
+            "seed": self.seed,
+            "whitespace": self.whitespace,
+            "n_blocks": self.n_blocks,
+        }
 
 
 #: Paper's Table 1 circuits with synthetic stand-in sizes. Whitespace
@@ -86,9 +94,10 @@ def load_circuit(name: str):
     The one place that knows how to turn *any* plannable circuit name —
     a Table-1 benchmark or the ``s27`` tutorial circuit — into a built
     graph plus the per-circuit planner keywords (``seed``,
-    ``whitespace``, ``n_blocks``). The ``plan`` CLI and the service
-    worker both go through here, so a job submitted to the daemon runs
-    exactly what the one-shot command would.
+    ``whitespace``, ``n_blocks``; :meth:`CircuitSpec.plan_kwargs` for a
+    benchmark). The ``plan`` CLI and the service worker both go through
+    here, so a job submitted to the daemon runs exactly what the
+    one-shot command would.
 
     Raises:
         KeyError: ``name`` is not a known circuit.
@@ -98,8 +107,19 @@ def load_circuit(name: str):
 
         return s27_graph(), {"seed": 1, "whitespace": 0.4}
     spec = get_circuit(name)
-    return spec.build(), {
-        "seed": spec.seed,
-        "whitespace": spec.whitespace,
-        "n_blocks": spec.n_blocks,
-    }
+    return spec.build(), spec.plan_kwargs()
+
+
+def run_settings(
+    quick: bool = False, iterations: int = 2
+) -> Tuple[int, Dict[str, object]]:
+    """``(max_iterations, planner overrides)`` of a run.
+
+    The one definition of ``--quick`` (smoke/CI runs) that ``plan``,
+    ``table1``, ``bench``, ``cache prewarm`` and the service worker
+    share: a single planning iteration with a short floorplan anneal.
+    A full run plans ``iterations`` times with no overrides.
+    """
+    if quick:
+        return 1, {"floorplan_iterations": 300}
+    return iterations, {}

@@ -46,7 +46,7 @@ def prepared_instance(
     """Run the flow for benchmark circuit ``name`` up to retiming."""
     spec = get_circuit(name)
     if config is None:
-        config = PlannerConfig(seed=spec.seed, whitespace=spec.whitespace)
+        config = PlannerConfig(**spec.plan_kwargs())
     graph = spec.build()
     hosts = set(graph.host_units())
     n_blocks = config.n_blocks or default_block_count(graph.num_units - len(hosts))

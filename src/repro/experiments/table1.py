@@ -118,9 +118,7 @@ def run_circuit(
         ctx=ctx,
         max_iterations=max_iterations,
         verify=verify,
-        seed=spec.seed,
-        whitespace=spec.whitespace,
-        n_blocks=spec.n_blocks,
+        **spec.plan_kwargs(),
         **plan_overrides,
     )
     if verify:
@@ -440,22 +438,24 @@ def format_batch(batch: BatchResult) -> str:
     return "\n".join(lines)
 
 
-def _parse_fault_args(fault_args: Sequence[str]):
+def parse_fault_args(fault_args: Sequence[str]):
     """``name:stage`` specs -> per-circuit fault injector factory.
 
     Each spec arms a *permanent* fault (every attempt of that stage
     fails), so the named circuit genuinely fails and exercises batch
     isolation rather than being rescued by a retry.
+
+    Raises:
+        ValueError: A spec is not of the form ``CIRCUIT:STAGE``.
     """
     from repro.errors import PlanningError
     from repro.resilience.faults import FaultSpec
 
     by_circuit: dict = {}
     for arg in fault_args:
-        try:
-            name, stage = arg.split(":", 1)
-        except ValueError:
-            raise SystemExit(
+        name, sep, stage = arg.partition(":")
+        if not sep:
+            raise ValueError(
                 f"--inject-fault expects CIRCUIT:STAGE, got {arg!r}"
             )
         by_circuit.setdefault(name, []).append(
@@ -467,175 +467,3 @@ def _parse_fault_args(fault_args: Sequence[str]):
         return FaultInjector(specs) if specs else None
 
     return faults_for
-
-
-def main(argv=None) -> int:
-    """CLI: ``python -m repro.experiments.table1 [circuit ...]``.
-
-    Circuits are fault-isolated: a failing circuit is reported as
-    FAILED in a partial table, and the exit status is nonzero only
-    when *every* circuit fails. An interrupted batch (SIGINT/SIGTERM)
-    prints the partial table and exits with code 4 ("interrupted,
-    resumable"); with ``--checkpoint-dir`` the completed circuits are
-    on disk and ``--resume`` picks up where the batch stopped.
-    """
-    import argparse
-    import sys
-
-    from repro.cliutil import (
-        EXIT_INTERRUPTED,
-        EXIT_VERIFY_FAILED,
-        install_interrupt_handlers,
-    )
-    from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit
-
-    parser = argparse.ArgumentParser(prog="python -m repro.experiments.table1")
-    parser.add_argument("names", nargs="*", help="subset of circuit names")
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="fast smoke settings (fewer anneal iterations, 1 iteration)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run circuits in N worker processes (default: serial)",
-    )
-    parser.add_argument(
-        "--inject-fault",
-        action="append",
-        default=[],
-        metavar="CIRCUIT:STAGE",
-        help="deterministically fail every attempt of STAGE for CIRCUIT "
-        "(fault-injection harness; repeatable)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="persist per-circuit stage checkpoints under DIR "
-        "(crash-safe; see --resume)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip circuits already completed in --checkpoint-dir and "
-        "resume partially-planned ones at their last finished stage",
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="independently certify each circuit's plan; a failing "
-        "certificate counts as a circuit failure and the batch exits 5",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="compiled-circuit cache directory: reuse compiled artifacts "
-        "(W/D, pruned constraints, min-period witnesses) across runs",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the compiled-circuit cache entirely",
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="write per-circuit trace + metrics JSONL under DIR and merge "
-        "a batch_summary.json after the batch (works with --jobs)",
-    )
-    parser.add_argument(
-        "--progress",
-        default=None,
-        metavar="PATH",
-        help="stream live span events across the batch to PATH "
-        "(repro-events/1 JSONL), or '-' for a human stderr view; "
-        "serial only",
-    )
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.progress and args.jobs > 1:
-        print(
-            "error: --progress requires a serial run (--jobs 1); span "
-            "listeners cannot cross worker process boundaries",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
-        specs = (
-            [get_circuit(name) for name in args.names]
-            if args.names
-            else TABLE1_CIRCUITS
-        )
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    overrides = {"floorplan_iterations": 300} if args.quick else {}
-    install_interrupt_handlers()
-    progress = None
-    if args.progress:
-        from repro.obs.progress import open_progress
-
-        progress = open_progress(
-            args.progress, meta={"batch": [spec.name for spec in specs]}
-        )
-    try:
-        batch = run_table1_resilient(
-            specs,
-            max_iterations=1 if args.quick else 2,
-            verbose=True,
-            faults_for=_parse_fault_args(args.inject_fault),
-            plan_overrides=overrides,
-            jobs=args.jobs,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            verify=args.verify,
-            trace_dir=args.trace_dir,
-            progress=progress,
-            compile_cache=(
-                CompileCache(mode="off")
-                if args.no_cache
-                else CompileCache(args.cache_dir)
-            ),
-        )
-    finally:
-        if progress is not None:
-            progress.close()
-    print()
-    print(format_batch(batch))
-    if batch.interrupted:
-        hint = (
-            f"; rerun with --checkpoint-dir {args.checkpoint_dir} --resume "
-            "to continue"
-            if args.checkpoint_dir
-            else ""
-        )
-        print(
-            f"interrupted after {len(batch.items)} of {len(specs)} "
-            f"circuits{hint}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    if any(
-        not item.ok
-        and item.error
-        and item.error.startswith("VerificationError")
-        for item in batch.items
-    ):
-        return EXIT_VERIFY_FAILED
-    return batch.exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

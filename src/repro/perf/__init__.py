@@ -13,7 +13,8 @@ from repro.perf.recorder import PerfRecorder, StageTiming
 from repro.perf.bench import (
     BENCH_SCHEMA,
     bench_circuit,
-    main,
+    compare_bench,
+    load_bench,
     next_bench_path,
     run_bench,
     write_bench,
@@ -28,7 +29,8 @@ __all__ = [
     "run_bench",
     "write_bench",
     "next_bench_path",
-    "main",
+    "load_bench",
+    "compare_bench",
     "load_history",
     "history_report",
 ]

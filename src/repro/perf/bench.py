@@ -1,5 +1,10 @@
 """The ``repro bench`` runner: planner timings as ``BENCH_<n>.json``.
 
+The library behind ``python -m repro bench`` (the only command-line
+entry point; this module has none of its own): :func:`run_bench` /
+:func:`write_bench` produce a document, :func:`load_bench` reads and
+validates one back, :func:`compare_bench` diffs two.
+
 Each run produces one JSON document (schema ``repro-bench/3``)::
 
     {
@@ -60,7 +65,6 @@ only a crash (non-repro exception) aborts the run.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import time
@@ -76,15 +80,12 @@ from repro.experiments.circuits import (
     TABLE1_SMOKE,
     CircuitSpec,
     get_circuit,
+    run_settings,
 )
 from repro.ioutil import atomic_write
 from repro.perf.recorder import PerfRecorder
 
 BENCH_SCHEMA = "repro-bench/4"
-
-#: Planner overrides for ``--quick`` (CI smoke): a short floorplan
-#: anneal and a single planning iteration.
-QUICK_OVERRIDES = {"floorplan_iterations": 300}
 
 
 def _stage_leaf(name: str) -> str:
@@ -109,7 +110,7 @@ def bench_circuit(
     perf = PerfRecorder()
     if cache is None:
         cache = CompileCache(mode="off")
-    overrides: Dict[str, object] = dict(QUICK_OVERRIDES) if quick else {}
+    iterations, overrides = run_settings(quick)
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     start = time.perf_counter()
     try:
@@ -118,10 +119,8 @@ def bench_circuit(
         outcome = plan_interconnect(
             graph,
             ctx=RunContext(perf=perf, compile_cache=cache),
-            max_iterations=1 if quick else 2,
-            seed=spec.seed,
-            whitespace=spec.whitespace,
-            n_blocks=spec.n_blocks,
+            max_iterations=iterations,
+            **spec.plan_kwargs(),
             **overrides,
         )
     except ReproError as exc:
@@ -244,6 +243,29 @@ def _stage_totals(doc: Dict[str, object]) -> Dict[str, float]:
     return totals
 
 
+def load_bench(path: Path | str) -> Dict[str, object]:
+    """Read one bench document from ``path``.
+
+    Raises :class:`~repro.errors.ReproError` when the file cannot be
+    read, is not valid JSON, or is not a bench document (an object
+    with ``totals`` and ``circuits``) — so a caller can tell "cannot
+    compare" from a regression.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ReproError(f"cannot read {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        raise ReproError(f"{path} is not valid JSON: {exc}")
+    if (
+        not isinstance(doc, dict)
+        or not isinstance(doc.get("totals"), dict)
+        or not isinstance(doc.get("circuits"), list)
+    ):
+        raise ReproError(f"{path} is not a bench document")
+    return doc
+
+
 def compare_bench(
     old: Dict[str, object],
     new: Dict[str, object],
@@ -348,106 +370,3 @@ def write_bench(doc: Dict[str, object], out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = next_bench_path(out_dir)
     return atomic_write(path, json.dumps(doc, indent=2) + "\n")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv and argv[0] == "history":
-        # `repro bench history [...]` — the trend tool over a BENCH
-        # series; everything after the keyword is its own argv.
-        from repro.perf.history import main as history_main
-
-        return history_main(list(argv[1:]))
-    parser = argparse.ArgumentParser(
-        prog="repro bench", description="Time the planning flow per stage."
-    )
-    parser.add_argument(
-        "names", nargs="*", help="circuit names (default: full Table 1 suite)"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke subset with a short floorplan anneal, one iteration",
-    )
-    parser.add_argument(
-        "--out",
-        default="benchmarks/results",
-        help="output directory for BENCH_<n>.json",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="compiled-circuit cache directory (default: cache off — "
-        "cold compile timings)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="force the compiled-circuit cache off (overrides --cache-dir)",
-    )
-    parser.add_argument(
-        "--min-stage-coverage",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail (exit 1) if any circuit's recorded stages account for "
-        "less than this fraction of its wall clock",
-    )
-    parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help="compare two BENCH_<n>.json files (no benching): print "
-        "total/stage/circuit deltas, exit 1 on regression",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="with --compare: allowed total wall-clock regression "
-        "(default 0.10 = 10%%)",
-    )
-    args = parser.parse_args(argv)
-    if args.compare:
-        old_path, new_path = args.compare
-        old = json.loads(Path(old_path).read_text())
-        new = json.loads(Path(new_path).read_text())
-        report, regressions = compare_bench(old, new, threshold=args.threshold)
-        for line in report:
-            print(line)
-        for line in regressions:
-            print(f"REGRESSION: {line}")
-        return 1 if regressions else 0
-    doc = run_bench(
-        names=args.names,
-        quick=args.quick,
-        verbose=True,
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
-    path = write_bench(doc, Path(args.out))
-    totals = doc["totals"]
-    print(
-        f"wrote {path} (mode={doc['mode']}, cache={doc.get('cache', 'off')} "
-        f"hits={totals.get('cache_hits', 0)}, lac={totals['lac_seconds']:.3f}s, "
-        f"wall={totals['wall_seconds']:.3f}s)"
-    )
-    if args.min_stage_coverage is not None:
-        low = [
-            (e["name"], e["stage_coverage"])
-            for e in doc["circuits"]
-            if e["ok"] and e["stage_coverage"] < args.min_stage_coverage
-        ]
-        if low:
-            for name, cov in low:
-                print(
-                    f"stage coverage for {name} is {cov:.0%}, below the "
-                    f"--min-stage-coverage floor of "
-                    f"{args.min_stage_coverage:.0%}"
-                )
-            return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -16,22 +16,21 @@ trajectory:
   threshold, a circuit that was ok and now fails, or a peak-RSS jump
   beyond the threshold is reported.
 
-The exit code is 0 unless ``--fail-on-regression`` is given and a flag
-fired: history is primarily an artifact for reading, and older entries
+``python -m repro bench history`` (the only command-line entry point)
+exits 0 unless ``--fail-on-regression`` is given and a flag fired:
+history is primarily an artifact for reading, and older entries
 legitimately differ (that is the point); CI uses the flag-free run as
 a smoke gate that the series stays loadable.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["load_history", "history_report", "main"]
+__all__ = ["load_history", "history_report"]
 
 
 def _fmt_rss(n: Optional[float]) -> str:
@@ -42,10 +41,11 @@ def load_history(out_dir: Path) -> List[Tuple[int, Dict[str, object]]]:
     """All ``BENCH_<n>.json`` documents in ``out_dir``, sorted by n.
 
     Raises :class:`~repro.errors.ReproError` if the directory has no
-    BENCH files or one of them is not valid JSON — a corrupt series
-    member should be loud, not silently skipped out of a trend.
+    BENCH files or one of them fails :func:`~repro.perf.bench.load_bench`
+    — a corrupt series member should be loud, not silently skipped out
+    of a trend.
     """
-    from repro.perf.bench import _BENCH_RE
+    from repro.perf.bench import _BENCH_RE, load_bench
 
     if not out_dir.is_dir():
         raise ReproError(f"bench history: no such directory: {out_dir}")
@@ -55,12 +55,9 @@ def load_history(out_dir: Path) -> List[Tuple[int, Dict[str, object]]]:
         if not m:
             continue
         try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"bench history: {p} is not valid JSON: {exc}")
-        if "totals" not in doc or "circuits" not in doc:
-            raise ReproError(f"bench history: {p} is not a bench document")
-        docs.append((int(m.group(1)), doc))
+            docs.append((int(m.group(1)), load_bench(p)))
+        except ReproError as exc:
+            raise ReproError(f"bench history: {exc}")
     if not docs:
         raise ReproError(f"bench history: no BENCH_<n>.json files in {out_dir}")
     docs.sort(key=lambda pair: pair[0])
@@ -169,45 +166,3 @@ def history_report(
                     f"({entry.get('error')})"
                 )
     return report, regressions
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench history",
-        description="Print the wall/RSS trajectory across BENCH_<n>.json "
-        "files and flag regressions between comparable runs.",
-    )
-    parser.add_argument(
-        "--dir",
-        default="benchmarks/results",
-        help="directory holding BENCH_<n>.json (default: benchmarks/results)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        metavar="FRACTION",
-        help="flag wall/RSS growth beyond this fraction between comparable "
-        "adjacent runs (default 0.25)",
-    )
-    parser.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit 1 when any regression is flagged (default: report only)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        docs = load_history(Path(args.dir))
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return 2
-    report, regressions = history_report(docs, threshold=args.threshold)
-    for line in report:
-        print(line)
-    for line in regressions:
-        print(f"REGRESSION: {line}")
-    return 1 if (regressions and args.fail_on_regression) else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -45,12 +45,9 @@ from typing import Any, Dict, Optional
 
 from repro.cliutil import (
     EXIT_ERROR,
-    EXIT_INFEASIBLE,
     EXIT_INTERRUPTED,
-    EXIT_NOT_CONVERGED,
-    EXIT_OK,
-    EXIT_VERIFY_FAILED,
     install_interrupt_handlers,
+    outcome_exit_code,
 )
 from repro.errors import InterruptedRunError, ReproError, ServeError
 from repro.ioutil import atomic_write
@@ -122,18 +119,6 @@ def outcome_result(outcome, seconds: float) -> Dict[str, Any]:
     }
 
 
-def outcome_exit_code(outcome) -> int:
-    """Map an outcome to the ``plan`` CLI exit-code contract."""
-    verification = getattr(outcome, "verification", None)
-    if verification is not None and not verification.ok:
-        return EXIT_VERIFY_FAILED
-    if outcome.converged:
-        return EXIT_OK
-    if outcome.final.infeasible:
-        return EXIT_INFEASIBLE
-    return EXIT_NOT_CONVERGED
-
-
 def job_main(spool: str, job_id: str, fault=None) -> None:
     """Entry point of a job attempt forked from the worker template.
 
@@ -192,21 +177,20 @@ def run_job(spool: Path, job_id: str, fault=None) -> int:
 def _plan_job(queue, record, faults) -> int:
     from repro.compile import CompileCache
     from repro.core import RunContext, plan_interconnect
-    from repro.experiments.circuits import load_circuit
+    from repro.experiments.circuits import load_circuit, run_settings
     from repro.resilience import CheckpointManager
 
     try:
-        graph, overrides = load_circuit(record.circuit)
+        graph, kwargs = load_circuit(record.circuit)
     except KeyError as exc:
         _write_out(queue, record.id, {"error": str(exc.args[0])})
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ERROR
 
     options = record.options or {}
-    iterations = int(options.get("iterations", 2))
-    if options.get("quick"):
-        overrides["floorplan_iterations"] = 300
-        iterations = 1
+    iterations, overrides = run_settings(
+        bool(options.get("quick")), int(options.get("iterations", 2))
+    )
     ctx = RunContext(
         compile_cache=CompileCache(queue.compile_cache_dir()),
         faults=faults,
@@ -222,6 +206,7 @@ def _plan_job(queue, record, faults) -> int:
             ctx=ctx,
             max_iterations=iterations,
             verify=bool(options.get("verify")),
+            **kwargs,
             **overrides,
         )
     except InterruptedRunError as exc:

@@ -105,11 +105,13 @@ class TestTable1Resilient:
 
 
 class TestTable1CLI:
-    def test_injected_fault_produces_partial_table(self, capsys):
-        from repro.experiments.table1 import main as table1_main
+    """``python -m repro table1``: the CLI calls the harness directly."""
 
-        code = table1_main(
-            ["s298", "s386", "--quick", "--inject-fault", "s298:route"]
+    def test_injected_fault_produces_partial_table(self, capsys):
+        from repro.__main__ import main
+
+        code = main(
+            ["table1", "s298", "s386", "--quick", "--inject-fault", "s298:route"]
         )
         out = capsys.readouterr().out
         assert code == 0  # one circuit survived
@@ -117,32 +119,52 @@ class TestTable1CLI:
         assert "s386" in out and "partial table" in out
 
     def test_all_circuits_failing_exits_nonzero(self, capsys):
-        from repro.experiments.table1 import main as table1_main
+        from repro.__main__ import main
 
-        code = table1_main(
-            ["s298", "--quick", "--inject-fault", "s298:floorplan"]
+        code = main(
+            ["table1", "s298", "--quick", "--inject-fault", "s298:floorplan"]
         )
         assert code == 1
         assert "s298 FAILED" in capsys.readouterr().out
 
-    def test_bad_fault_spec_rejected(self):
-        from repro.experiments.table1 import main as table1_main
+    def test_bad_fault_spec_rejected(self, capsys):
+        from repro.__main__ import main
 
-        with pytest.raises(SystemExit):
-            table1_main(["s298", "--inject-fault", "garbage"])
+        assert main(["table1", "s298", "--inject-fault", "garbage"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "garbage" in err
 
-    def test_cli_forwards_table1_flags(self, capsys):
+    def test_cli_forwards_table1_flags(self, capsys, monkeypatch, tmp_path):
+        import repro.experiments.table1 as table1
+
+        real = table1.run_table1_resilient
+        seen = {}
+
+        def recording(specs, **kwargs):
+            seen.update(kwargs, names=[spec.name for spec in specs])
+            return real(specs, **kwargs)
+
+        monkeypatch.setattr(table1, "run_table1_resilient", recording)
         from repro.__main__ import main
 
         code = main(
             [
                 "table1",
                 "s298",
-                "s386",
                 "--quick",
                 "--inject-fault",
-                "s298:route",
+                "s298:floorplan",
+                "--checkpoint-dir",
+                str(tmp_path),
+                "--no-cache",
             ]
         )
-        assert code == 0
+        assert code == 1
         assert "s298 FAILED" in capsys.readouterr().out
+        assert seen["names"] == ["s298"]
+        assert seen["jobs"] == 1
+        assert seen["checkpoint_dir"] == str(tmp_path)
+        assert seen["resume"] is False and seen["verify"] is False
+        assert seen["compile_cache"].mode == "off"
+        assert seen["faults_for"]("s298") is not None
+        assert seen["faults_for"]("s386") is None

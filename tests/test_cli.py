@@ -1,5 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -155,3 +161,74 @@ def test_serve_rejects_out_of_range_options(tmp_path, capsys, monkeypatch, flag,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and flag in err
     assert not spool.exists()
+
+
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+
+def _non_bench_json(tmp_path):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"schema": "repro-trace/1"}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["bench", "--compare", str(tmp / "missing.json"),
+                     str(RESULTS_DIR / "BENCH_4.json")],
+        lambda tmp: ["bench", "--compare", _non_bench_json(tmp),
+                     str(RESULTS_DIR / "BENCH_4.json")],
+        lambda tmp: ["plan", "s27", "--iterations", "0"],
+        lambda tmp: ["plan", "s27", "--stage-timeout", "0"],
+        lambda tmp: ["table1", "s298", "--inject-fault", "garbage"],
+        lambda tmp: ["bench", "s9999", "--out", str(tmp)],
+    ],
+    ids=["compare-missing", "compare-non-bench", "iterations-0",
+         "stage-timeout-0", "inject-fault-garbage", "bench-unknown-circuit"],
+)
+def test_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    """Unusable input exits 2 with one ``error:`` line before any work
+    runs — never a traceback, never a code the command's contract reads
+    as a result (1 = regression / not converged / all circuits failed)."""
+
+    def _ran(*_a, **_k):
+        raise AssertionError("work ran despite a bad option")
+
+    monkeypatch.setattr("repro.core.plan_interconnect", _ran)
+    monkeypatch.setattr("repro.experiments.table1.run_table1_resilient", _ran)
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "REGRESSION" not in captured.out
+
+
+_SERVE_IMPORT_PROBE = """
+import sys
+import repro.serve.server as server
+from repro.__main__ import main
+
+def _no_bind(*_a, **_k):
+    raise OSError("import probe: not binding")
+
+server.build_http_server = _no_bind
+code = main(["serve", "--socket", sys.argv[1], "--spool", sys.argv[2]])
+heavy = ("repro.experiments.table1", "repro.perf.bench")
+print(code, *[name for name in heavy if name in sys.modules])
+"""
+
+
+def test_serve_start_up_skips_the_harnesses(tmp_path):
+    """``repro serve`` start-up imports neither the Table-1 nor the bench
+    harness: the command modules load inside their own ``_cmd_*``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_IMPORT_PROBE,
+         str(tmp_path / "s.sock"), str(tmp_path / "spool")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.split() == ["2"], proc.stdout + proc.stderr
+    assert "cannot bind" in proc.stderr

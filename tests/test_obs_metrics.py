@@ -481,9 +481,9 @@ class TestBenchHistory:
         assert regressions == []
 
     def test_checked_in_series_exits_zero(self, capsys):
-        from repro.perf.history import main
+        from repro.__main__ import main
 
-        assert main(["--dir", str(RESULTS_DIR)]) == 0
+        assert main(["bench", "history", "--out", str(RESULTS_DIR)]) == 0
         assert "BENCH_0" in capsys.readouterr().out
 
     def test_wall_regression_flagged_between_comparable_runs(self):
@@ -508,14 +508,15 @@ class TestBenchHistory:
         assert any("now fails" in r for r in regressions)
 
     def test_fail_on_regression_exit_code(self, tmp_path, capsys):
-        from repro.perf.history import main
+        from repro.__main__ import main
 
+        history = ["bench", "history", "--out"]
         for n, doc in ((0, self._doc(1.0)), (1, self._doc(5.0))):
             (tmp_path / f"BENCH_{n}.json").write_text(json.dumps(doc))
-        assert main(["--dir", str(tmp_path)]) == 0
-        assert main(["--dir", str(tmp_path), "--fail-on-regression"]) == 1
-        assert main(["--dir", str(tmp_path / "nope")]) == 2
-        capsys.readouterr()
+        assert main([*history, str(tmp_path)]) == 0
+        assert main([*history, str(tmp_path), "--fail-on-regression"]) == 1
+        assert main([*history, str(tmp_path / "nope")]) == 2
+        assert "no such directory" in capsys.readouterr().err
 
 
 class TestInstrumentedPlanner:

@@ -206,31 +206,34 @@ class TestStageCoverageFlag:
 
     def test_floor_violation_fails(self, tmp_path, monkeypatch, capsys):
         import repro.perf.bench as bench_mod
+        from repro.__main__ import main
 
         monkeypatch.setattr(
             bench_mod, "run_bench", lambda **kw: self._canned(0.5)
         )
-        rc = bench_mod.main(
-            ["--out", str(tmp_path), "--min-stage-coverage", "0.8"]
+        rc = main(
+            ["bench", "--out", str(tmp_path), "--min-stage-coverage", "0.8"]
         )
         assert rc == 1
         assert "below" in capsys.readouterr().out
 
     def test_floor_met_passes(self, tmp_path, monkeypatch):
         import repro.perf.bench as bench_mod
+        from repro.__main__ import main
 
         monkeypatch.setattr(
             bench_mod, "run_bench", lambda **kw: self._canned(0.93)
         )
-        rc = bench_mod.main(
-            ["--out", str(tmp_path), "--min-stage-coverage", "0.8"]
+        rc = main(
+            ["bench", "--out", str(tmp_path), "--min-stage-coverage", "0.8"]
         )
         assert rc == 0
 
     def test_no_floor_ignores_coverage(self, tmp_path, monkeypatch):
         import repro.perf.bench as bench_mod
+        from repro.__main__ import main
 
         monkeypatch.setattr(
             bench_mod, "run_bench", lambda **kw: self._canned(0.01)
         )
-        assert bench_mod.main(["--out", str(tmp_path)]) == 0
+        assert main(["bench", "--out", str(tmp_path)]) == 0

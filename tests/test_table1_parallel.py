@@ -8,8 +8,8 @@ import pytest
 
 from repro.experiments.circuits import TABLE1_CIRCUITS
 from repro.experiments.table1 import (
-    _parse_fault_args,
     format_batch,
+    parse_fault_args,
     run_table1_resilient,
 )
 
@@ -42,7 +42,7 @@ class TestParallelTable1:
         assert format_batch(zeroed(parallel)) == format_batch(zeroed(serial))
 
     def test_fault_isolation_survives_parallelism(self):
-        faults_for = _parse_fault_args([f"{SPECS[0].name}:route"])
+        faults_for = parse_fault_args([f"{SPECS[0].name}:route"])
         batch = run_table1_resilient(
             SPECS,
             max_iterations=1,
