@@ -41,7 +41,7 @@ from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
 from repro.tech.params import DEFAULT_TECH, Technology
 
 #: On-disk artifact schema (also the fingerprint domain separator).
-COMPILE_SCHEMA = "repro-compile/1"
+COMPILE_SCHEMA = "repro-compile/2"
 
 
 def compile_fingerprint(
@@ -141,6 +141,15 @@ class CompiledCircuit:
             components=graph.weakly_connected_components(),
             clock_pair_sets={},
         )
+
+    def is_current(self) -> bool:
+        """False for an artifact pickled under an older schema.
+
+        A checkpoint store restoring a stage result calls this, so a
+        compile stage snapshot written before a layout change (e.g.
+        ``WDMatrices`` gaining fields) is recomputed, not resumed.
+        """
+        return self.schema == COMPILE_SCHEMA
 
     # -- solve-side accessors ------------------------------------------
     def clock_pairs(

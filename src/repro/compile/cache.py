@@ -11,7 +11,7 @@ Each ``.cc`` file follows the checkpoint file convention
 by the payload — here a zlib-compressed pickle of the
 :class:`~repro.compile.artifact.CompiledCircuit`::
 
-    {"schema": "repro-compile/1", "kind": "compiled-circuit",
+    {"schema": "repro-compile/2", "kind": "compiled-circuit",
      "fingerprint": "<key>", "circuit": "s298", "codec": "zlib",
      "sha256": "<payload digest>", "meta": {...}}\\n
     <zlib bytes>

@@ -180,6 +180,12 @@ def _format_feas_tables(doc: TraceDocument) -> List[str]:
             f"T_min={search.attrs.get('t_min', float('nan')):.4f} "
             f"({len(probes)} probes)"
         )
+        a = search.attrs
+        if "feas_rounds" in a:
+            lines.append(
+                f"  FEAS rounds: {a['feas_rounds']} total, "
+                f"{a['unverified_rounds']} unverified, {a['resumes']} resumes"
+            )
         lines.append(
             f"  {'kind':<12}  {'T':>9}  {'verdict':<10}  {'rounds':>6}  "
             f"{'seconds':>8}"

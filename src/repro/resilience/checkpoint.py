@@ -31,7 +31,10 @@ header schema, key, run fingerprint and payload checksum are all
 verified; any mismatch — truncation, a flipped bit, a checkpoint from
 a different graph/config — moves the file into ``quarantine/`` with a
 logged warning and reports a miss, so the stage is recomputed cleanly
-rather than resumed wrong.
+rather than resumed wrong. So does a payload whose ``is_current()``
+method returns ``False``: a
+:class:`~repro.compile.artifact.CompiledCircuit` pickled under an older
+``COMPILE_SCHEMA`` is recompiled, not resumed into a crash.
 
 The *fingerprint* (:func:`run_fingerprint`) hashes the circuit graph,
 the planner config and ``max_iterations``; the run's plumbing (retry
@@ -219,10 +222,10 @@ class CheckpointManager:
     def restore(self, key: str) -> Tuple[bool, Any, Dict[str, Any]]:
         """Load ``key`` if resuming and a valid snapshot exists.
 
-        Returns ``(hit, value, meta)``. Corrupt, truncated, or
-        fingerprint-mismatched files are quarantined (moved into
-        ``quarantine/`` beside the store) and reported as a miss so
-        the caller recomputes.
+        Returns ``(hit, value, meta)``. Corrupt, truncated,
+        fingerprint-mismatched or stale-layout files are quarantined
+        (moved into ``quarantine/`` beside the store) and reported as a
+        miss so the caller recomputes.
         """
         if not self.resume:
             return False, None, {}
@@ -274,6 +277,17 @@ class CheckpointManager:
         except Exception as exc:
             self._quarantine(
                 path, f"unpicklable payload ({type(exc).__name__}: {exc})"
+            )
+            return False, None, {}
+        # A payload may refuse a snapshot of an older layout of its
+        # class (e.g. a compile artifact pickled before a schema bump);
+        # the run fingerprint cannot see that, so ask the value.
+        is_current = getattr(value, "is_current", None)
+        if callable(is_current) and not is_current():
+            self._quarantine(
+                path,
+                f"stale payload layout ({type(value).__name__} schema "
+                f"{getattr(value, 'schema', None)!r})",
             )
             return False, None, {}
         meta = header.get("meta") or {}

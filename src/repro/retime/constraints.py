@@ -21,8 +21,9 @@ when a vertex ``x`` on a minimum-weight ``u -> v`` path (witnessed by
 ``(u, x)`` or ``(x, v)``: the witness constraint plus the chain of edge
 constraints along the minimum-weight path already implies the dropped
 one. Because the graph has no zero-weight cycles, the "implied-by"
-relation is acyclic, so pruning with witnesses is sound (see
-DESIGN.md).
+relation is acyclic, so pruning with witnesses is sound. Only the graph
+neighbours of the pair's endpoints need testing as witnesses (the
+neighbour-witness lemma, proved in ``docs/algorithms.md`` §3).
 """
 
 from __future__ import annotations
@@ -115,76 +116,85 @@ def clock_constraints(
     return clock_constraints_from_pairs(wd, rows, cols)
 
 
+#: Witness candidates (pair x neighbour edge) gathered per step of
+#: :func:`_prune_keep_mask`: bounds its temporary arrays to a few MiB
+#: however the endpoint degrees are distributed.
+_PRUNE_CHUNK = 1 << 17
+
+
 def _prune_keep_mask(
     wd: WDMatrices, period: float, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
     """Keep-mask over clocking pairs ``(src[k], dst[k])``.
 
-    Implements the :func:`prune_redundant` predicate by visiting
-    candidate witness vertices ``x`` one at a time, most-connected
-    first, and discarding the pairs each visit proves redundant. The
-    surviving ("alive") set shrinks geometrically — on Table-1 circuits
-    well over 99% of pairs are redundant — so total work is a few
-    linear sweeps over the original pairs instead of the full
-    ``pairs x n`` broadcast. The predicate tests each pair against the
-    *full* exceeding set, so the result is independent of the visiting
-    order and identical to the one-shot broadcast.
-    """
-    exceeding = np.isfinite(wd.d) & (wd.d > period)
-    np.fill_diagonal(exceeding, False)
-    # Register counts are small integers; fold inf ("no path") into a
-    # sentinel so the on-path test runs in int32. sentinel + anything
-    # can never equal a finite W(i, j) < sentinel, so unreachable
-    # midpoints drop out of the comparison exactly as inf did.
-    finite = np.isfinite(wd.w)
-    w32 = np.full(wd.w.shape, np.int32(1) << 30, dtype=np.int32)
-    w32[finite] = wd.w[finite].astype(np.int32)
-    wt = np.ascontiguousarray(w32.T)
-    et = np.ascontiguousarray(exceeding.T)
+    Implements the :func:`prune_redundant` predicate, testing only the
+    graph neighbours of each pair's endpoints as witnesses (the
+    neighbour-witness lemma): ``(i, j)`` is redundant iff
 
-    keep = np.ones(len(src), dtype=bool)
+    * some edge ``p -> j`` with ``p != i`` has
+      ``W(i,p) + w(p,j) == W(i,j)`` and ``D(i,p) > T``, or
+    * some edge ``i -> s`` with ``s != j`` has
+      ``w(i,s) + W(s,j) == W(i,j)`` and ``D(s,j) > T``.
+
+    If any vertex ``x`` on a minimum-weight ``i -> j`` path witnesses
+    ``D(i,x) > T``, then ``j``'s predecessor ``p`` on that path extends
+    the same path prefix, so ``D(i,p) >= D(i,x) > T`` and ``p``
+    witnesses too (symmetrically for ``i``'s successor); conversely a
+    neighbour passing the test lies on a minimum-weight path. Work per
+    pair is the degree of its endpoints instead of ``n``. Edges come
+    from ``wd.edge_*`` (minimum weight per pair, no self-loops); pairs
+    are expanded about ``_PRUNE_CHUNK`` candidates at a time.
+    """
+    n = wd.w.shape[0]
+    w_flat = wd.w.ravel()
+    d_flat = wd.d.ravel()
     ia = np.asarray(src, dtype=np.int64)
     ja = np.asarray(dst, dtype=np.int64)
-    pos = np.arange(len(src), dtype=np.int64)
-    wij = w32[ia, ja]
-    # A vertex can only witness if some exceeding pair starts or ends
-    # at it; visit high-degree vertices first so the alive set
-    # collapses early, and stop once the remaining degrees hit zero.
-    degree = exceeding.sum(axis=0) + exceeding.sum(axis=1)
-    for x in np.argsort(-degree, kind="stable"):
-        if degree[x] == 0 or ia.size == 0:
-            break
-        # Cheap byte-sized test first: does x carry a clocking pair
-        # (i, x) or (x, j) at all? In the low-degree tail of the
-        # visiting order few alive pairs do, and the integer on-path
-        # gather is then worth restricting to those candidates; when
-        # witnesses are dense the indirection costs more than it saves,
-        # so test everything directly.
-        wit = et[x][ia] | exceeding[x][ja]
-        n_wit = np.count_nonzero(wit)
-        if n_wit == 0:
-            continue
-        # witness must lie on a min-weight i -> j path; the endpoints
-        # themselves never count as witnesses.
-        if n_wit * 4 < ia.size:
-            cand = np.nonzero(wit)[0]
-            ic = ia[cand]
-            jc = ja[cand]
-            hit = (wt[x][ic] + w32[x][jc] == wij[cand]) & (ic != x) & (jc != x)
-            red = cand[hit]
-        else:
-            red_mask = (
-                wit & (wt[x][ia] + w32[x][ja] == wij) & (ia != x) & (ja != x)
+    # Per side: edges grouped (CSR) by the endpoint they share with the
+    # pair, their far endpoints and weights, and whether the far
+    # endpoint starts the witness pair.
+    sides = []
+    work = np.zeros(ia.size, dtype=np.int64)
+    for near, far, pair_end, far_first in (
+        (wd.edge_dst, wd.edge_src, ja, False),  # p -> j: witness (i, p)
+        (wd.edge_src, wd.edge_dst, ia, True),  # i -> s: witness (s, j)
+    ):
+        order = np.argsort(near, kind="stable")
+        degree = np.bincount(near, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        sides.append((indptr, far[order], wd.edge_w[order], far_first))
+        work += degree[pair_end]
+
+    keep = np.ones(ia.size, dtype=bool)
+    if ia.size == 0:
+        return keep
+    cum = np.cumsum(work)
+    cuts = np.searchsorted(cum, np.arange(_PRUNE_CHUNK, cum[-1], _PRUNE_CHUNK))
+    bounds = np.unique(np.concatenate([[0], cuts, [ia.size]]))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        i = ia[lo:hi]
+        j = ja[lo:hi]
+        wij = w_flat[i * n + j]
+        for indptr, far, w_edge, far_first in sides:
+            near, other = (i, j) if far_first else (j, i)
+            starts = indptr[near]
+            counts = indptr[near + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            owner = np.repeat(np.arange(i.size, dtype=np.int64), counts)
+            shift = np.cumsum(counts) - counts
+            pos = np.repeat(starts - shift, counts) + np.arange(total)
+            x = far[pos]
+            y = other[owner]
+            flat = x * n + y if far_first else y * n + x
+            hit = (
+                (x != y)
+                & (w_flat[flat] + w_edge[pos] == wij[owner])
+                & (d_flat[flat] > period)
             )
-            red = np.nonzero(red_mask)[0]
-        if red.size:
-            keep[pos[red]] = False
-            alive = np.ones(ia.size, dtype=bool)
-            alive[red] = False
-            ia = ia[alive]
-            ja = ja[alive]
-            pos = pos[alive]
-            wij = wij[alive]
+            keep[lo + owner[hit]] = False
     return keep
 
 

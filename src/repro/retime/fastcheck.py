@@ -43,13 +43,6 @@ from repro.netlist.graph import CircuitGraph
 from repro.retime.constraints import _prune_keep_mask
 from repro.retime.wd import WDMatrices
 
-#: Relaxation rounds granted to the raw (unpruned) arc arrays before
-#: :meth:`FeasibilityChecker.refine` switches to the pruned set — well
-#: above what a good warm start needs, well below the ``n``-round tail
-#: an infeasible probe would drag the full arrays through.
-_REFINE_WARM_ROUNDS = 24
-
-
 @dataclasses.dataclass
 class FeasibilityChecker:
     """Reusable per-graph state for fast period-feasibility probes.
@@ -113,26 +106,21 @@ class FeasibilityChecker:
 
     # ------------------------------------------------------------------
     def _probe_arrays(
-        self, period: float, prune: bool = True
+        self, period: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Constraint arrays for one period.
+        """Constraint arrays for one period, cached per period.
 
-        With ``prune=True`` (the cold-solve path), clocking pairs
-        implied by a witness pair plus edge chains
+        Clocking pairs implied by a witness pair plus edge chains
         (:func:`repro.retime.constraints._prune_keep_mask`) are dropped
         before the solve: the pruned system has the same solution set,
         so verdicts *and* Bellman–Ford distances are unchanged while
         the arc count falls by ~99% on the larger Table-1 circuits.
-        Pruned arrays are small and cached per period; unpruned arrays
-        are rebuilt on demand (they can run to megabytes per period).
         """
         cached = self.arc_cache.get(period)
         if cached is not None:
             return cached
-        mask = np.isfinite(self.wd.d) & (self.wd.d > period)
-        np.fill_diagonal(mask, False)
-        rows, cols = np.nonzero(mask)
-        if prune and rows.size:
+        rows, cols = self.wd.pairs_exceeding_arrays(period)
+        if rows.size:
             kept = _prune_keep_mask(self.wd, period, rows, cols)
             rows = rows[kept]
             cols = cols[kept]
@@ -140,8 +128,7 @@ class FeasibilityChecker:
         u = np.concatenate([self.static_u, rows])
         v = np.concatenate([self.static_v, cols])
         b = np.concatenate([self.static_b, bounds])
-        if prune:
-            self.arc_cache[period] = (u, v, b)
+        self.arc_cache[period] = (u, v, b)
         return u, v, b
 
     def check(self, period: float) -> Optional[np.ndarray]:
@@ -207,57 +194,16 @@ class FeasibilityChecker:
         earlier in practice: every bound is ``>= -1``, so feasible
         labels never drop more than ``ptp(start) + n`` below start.
 
-        Cost strategy: a good warm start converges within a few rounds,
-        where the witness prune would cost more than the whole
-        relaxation — so the first rounds run over the raw arc arrays.
-        Infeasible (or badly warmed) probes keep large frontiers alive
-        for up to ``n`` rounds, and there the per-round arc traffic
-        dominates: past a small round cap the relaxation restarts its
-        frontier on the pruned arc set and continues from the labels
-        reached so far. Both arc sets describe the same solution set
-        and relaxation is monotone, so the verdict and the final labels
-        are independent of where the switch happens.
+        The relaxation runs over the pruned arc set
+        (:meth:`_probe_arrays`), which describes the same solution set
+        as the full one.
         """
         if self.max_delay > period:
             return None
         r = np.array(start, dtype=np.int64)
         base = r.copy()
         worst = int(np.ptp(r)) + self.n + 1 if self.n else 0
-        pruned = period in self.arc_cache
-        arcs = self._probe_arrays(period, prune=pruned)
-        budget = _REFINE_WARM_ROUNDS if not pruned else self.n + 2
-        rounds = 0
-        while True:
-            status = self._relax(arcs, r, base, worst, budget)
-            if status == "converged":
-                return r
-            if status == "infeasible":
-                return None
-            rounds += budget
-            if pruned and rounds >= self.n + 2:
-                # Still changing after n + 2 full rounds on one arc
-                # set: negative cycle.
-                return None
-            arcs = self._probe_arrays(period, prune=True)
-            pruned = True
-            rounds = 0
-            budget = self.n + 2
-
-    def _relax(
-        self,
-        arcs: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        r: np.ndarray,
-        base: np.ndarray,
-        worst: int,
-        budget: int,
-    ) -> str:
-        """Run up to ``budget`` relaxation rounds in place on ``r``.
-
-        Returns ``"converged"`` (no arc can relax further),
-        ``"infeasible"`` (labels fell past the sound ``worst`` cutoff),
-        or ``"budget"`` (rounds exhausted, ``r`` holds progress so far).
-        """
-        u, v, b = arcs
+        u, v, b = self._probe_arrays(period)
         order = np.argsort(v, kind="stable")
         u = u[order]
         v = v[order]
@@ -265,27 +211,28 @@ class FeasibilityChecker:
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(v, minlength=self.n), out=indptr[1:])
         frontier = np.ones(self.n, dtype=bool)
-        for _ in range(budget):
+        for _ in range(self.n + 2):
             src = np.nonzero(frontier)[0]
             starts = indptr[src]
             counts = indptr[src + 1] - starts
             total = int(counts.sum())
             if total == 0:
-                return "converged"
+                return r
             shift = np.cumsum(counts) - counts
             eidx = np.repeat(starts - shift, counts) + np.arange(total)
             au = u[eidx]
             cand = r[v[eidx]] + b[eidx]
             viol = cand < r[au]
             if not viol.any():
-                return "converged"
+                return r
             au = au[viol]
             np.minimum.at(r, au, cand[viol])
             frontier[:] = False
             frontier[au] = True
             if int((base - r).max()) > worst:
-                return "infeasible"
-        return "budget"
+                return None
+        # Still changing after n + 2 full rounds: negative cycle.
+        return None
 
     def labels(self, period: float) -> Optional[Dict[str, int]]:
         """Like :meth:`check` but mapped back to unit names.

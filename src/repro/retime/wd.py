@@ -49,6 +49,12 @@ class WDMatrices:
     index: Dict[str, int]
     w: np.ndarray
     d: np.ndarray
+    #: The graph's connections as index arrays, one per ``(u, v)`` pair
+    #: at its minimum weight, self-loops dropped. Constraint pruning
+    #: tests witnesses along these edges only.
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_w: np.ndarray
 
     def pairs_exceeding_arrays(self, period: float) -> Tuple[np.ndarray, np.ndarray]:
         """Index pairs ``(i, j)``, ``i != j``, with ``D > period``, as a
@@ -61,42 +67,63 @@ class WDMatrices:
         return float(np.diag(self.d).max()) if len(self.order) else 0.0
 
 
-def _scalarised_csr(graph: CircuitGraph, order: List[str]) -> Tuple[csr_matrix, float]:
-    """Build the scalarised cost matrix and return it with the base B.
+def _min_weight_edges(
+    graph: CircuitGraph, order: List[str]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, w)`` int64 arrays: one entry per connected ``(u, v)``
+    pair of ``order`` indices, at the minimum weight over its parallel
+    connections, sorted by ``(src, dst)``. Self-loops are kept.
 
-    Parallel connections collapse to the minimum cost per ``(u, v)``
-    pair via a NumPy duplicate-pair reduction (lexsort by flattened
-    pair key, then ``minimum.reduceat`` over each run) instead of a
-    per-edge Python dict.
+    The duplicate-pair reduction is a NumPy lexsort by flattened pair
+    key, then ``minimum.reduceat`` over each run, instead of a per-edge
+    Python dict.
     """
     index = {v: i for i, v in enumerate(order)}
-    base = graph.total_delay() + 1.0
     n = len(order)
     edges = [(index[u], index[v], w) for (u, v, _key), w in graph.connections()]
     if not edges:
-        return csr_matrix((n, n), dtype=np.float64), base
-    arr = np.asarray(edges, dtype=np.float64)
-    src = arr[:, 0].astype(np.int64)
-    dst = arr[:, 1].astype(np.int64)
-    delays = np.fromiter((graph.delay(v) for v in order), dtype=np.float64, count=n)
-    cost = arr[:, 2] * base - delays[src]
-    key = src * np.int64(n) + dst
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none
+    arr = np.asarray(edges, dtype=np.int64)
+    key = arr[:, 0] * np.int64(n) + arr[:, 1]
     rank = np.argsort(key, kind="stable")
     key_sorted = key[rank]
     first = np.empty(key_sorted.size, dtype=bool)
     first[0] = True
     np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    data = np.minimum.reduceat(cost[rank], starts)
+    weights = np.minimum.reduceat(arr[rank, 2], starts)
     keys = key_sorted[starts]
-    return csr_matrix((data, (keys // n, keys % n)), shape=(n, n)), base
+    return keys // n, keys % n, weights
+
+
+def _scalarised_csr(
+    graph: CircuitGraph,
+    order: List[str],
+    edges: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[csr_matrix, float]:
+    """Build the scalarised cost matrix and return it with the base B.
+
+    ``edges`` is :func:`_min_weight_edges` of the graph: parallel
+    connections share their source's delay, so the minimum cost per
+    ``(u, v)`` pair is the cost of the minimum weight.
+    """
+    base = graph.total_delay() + 1.0
+    n = len(order)
+    src, dst, weights = edges
+    if not src.size:
+        return csr_matrix((n, n), dtype=np.float64), base
+    delays = np.fromiter((graph.delay(v) for v in order), dtype=np.float64, count=n)
+    data = weights.astype(np.float64) * base - delays[src]
+    return csr_matrix((data, (src, dst)), shape=(n, n)), base
 
 
 def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     """Compute W/D with the scalarised Johnson algorithm."""
     order = list(graph.units())
     n = len(order)
-    matrix, base = _scalarised_csr(graph, order)
+    src, dst, weights = _min_weight_edges(graph, order)
+    matrix, base = _scalarised_csr(graph, order, (src, dst, weights))
     try:
         dist = johnson(matrix, directed=True)
     except NegativeCycleError as exc:
@@ -118,7 +145,16 @@ def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     # Johnson reports dist(v, v) = 0: the empty path. Decoded that gives
     # W = 0 and D = d(v), which is exactly the convention we document.
     index = {v: i for i, v in enumerate(order)}
-    return WDMatrices(order=order, index=index, w=w, d=d)
+    loop = src == dst
+    return WDMatrices(
+        order=order,
+        index=index,
+        w=w,
+        d=d,
+        edge_src=src[~loop],
+        edge_dst=dst[~loop],
+        edge_w=weights[~loop],
+    )
 
 
 #: Default merge tolerance for :func:`candidate_periods`: D values are

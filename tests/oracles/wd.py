@@ -75,4 +75,16 @@ def wd_matrices_reference(graph: CircuitGraph) -> WDMatrices:
             if math.isfinite(dist[vi][0]):
                 w[src_i, vi] = dist[vi][0]
                 d[src_i, vi] = graph.delay(order[vi]) - dist[vi][1]
-    return WDMatrices(order=order, index=index, w=w, d=d)
+    edges = np.array(
+        sorted((ui, vi, wt) for ui, vi, wt, _du in arcs if ui != vi),
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    return WDMatrices(
+        order=order,
+        index=index,
+        w=w,
+        d=d,
+        edge_src=edges[:, 0],
+        edge_dst=edges[:, 1],
+        edge_w=edges[:, 2],
+    )

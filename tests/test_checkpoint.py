@@ -6,6 +6,7 @@ resume-equivalence property on two circuits, and the batch/CLI resume
 surfaces.
 """
 
+import hashlib
 import json
 import pickle
 import signal
@@ -348,6 +349,47 @@ class TestResumeEquivalence:
         assert _signature(resumed) == _signature(baseline)
         quarantine = tmp_path / "s27" / "quarantine"
         assert quarantine.is_dir() and any(quarantine.iterdir())
+
+    def test_pre_schema_compile_checkpoint_is_recompiled(self, tmp_path):
+        """A compile snapshot pickled before ``repro-compile/2`` (its
+        ``WDMatrices`` lacks the edge arrays) must be recomputed on
+        resume, not restored into an AttributeError in the next prune.
+        """
+        kwargs = dict(
+            seed=1, whitespace=0.4, max_iterations=2, floorplan_iterations=300
+        )
+        baseline = plan_interconnect(s27_graph(), **kwargs)
+        stages = [r.stage for r in baseline.ledger.records]
+        kill_at = stages.index("compile") + 1  # killed right after compile
+        faults = FaultInjector(
+            [FaultSpec("*", on_call=kill_at + 1, error=InterruptedRunError)]
+        )
+        with pytest.raises(InterruptedRunError):
+            plan_interconnect(
+                s27_graph(),
+                faults=faults,
+                checkpoint=CheckpointManager(tmp_path),
+                **kwargs,
+            )
+        (path,) = (tmp_path / "s27").glob("*compile*.ckpt")
+        data = path.read_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        artifact = pickle.loads(data[newline + 1 :])
+        artifact.schema = "repro-compile/1"
+        for field in ("edge_src", "edge_dst", "edge_w"):
+            del artifact.wd.__dict__[field]
+        payload = pickle.dumps(artifact)
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+        resumed = plan_interconnect(
+            s27_graph(),
+            checkpoint=CheckpointManager(tmp_path, resume=True),
+            **kwargs,
+        )
+        assert _signature(resumed) == _signature(baseline)
+        assert (tmp_path / "s27" / "quarantine" / path.name).exists()
 
     def test_completed_run_resumes_via_outcome(self, tmp_path):
         kwargs = dict(

@@ -221,6 +221,39 @@ class TestCorruption:
         assert not imposter.exists()
 
 
+class TestSchemaUpgrade:
+    def test_v1_file_is_recompiled(self, graph, tmp_path, monkeypatch):
+        """An artifact written by the previous schema (``repro-compile/1``,
+        whose ``WDMatrices`` had no edge arrays) is recompiled, never
+        unpickled into a solve that would crash on the missing fields."""
+        import repro.compile.artifact as artifact_mod
+        import repro.compile.cache as cache_mod
+
+        assert COMPILE_SCHEMA == "repro-compile/2"
+        fingerprint = compile_fingerprint(graph)
+        with monkeypatch.context() as m:
+            m.setattr(artifact_mod, "COMPILE_SCHEMA", "repro-compile/1")
+            assert compile_fingerprint(graph) != fingerprint
+        stale = CompiledCircuit.compile(graph)
+        for field in ("edge_src", "edge_dst", "edge_w"):
+            del stale.wd.__dict__[field]
+        stale.schema = "repro-compile/1"
+        period = clock_period(graph, stale.wd) - 1e-6
+        with pytest.raises(AttributeError):
+            stale.clock_pairs(period)
+        # Worst case: a /1 payload sitting under the /2 file name.
+        with monkeypatch.context() as m:
+            m.setattr(cache_mod, "COMPILE_SCHEMA", "repro-compile/1")
+            path = CompileCache(tmp_path, mode="auto").put(stale)
+        cache = CompileCache(tmp_path, mode="auto")
+        artifact, hit = cache.get_or_compile(graph)
+        assert not hit
+        assert (tmp_path / "quarantine" / path.name).exists()
+        assert artifact.schema == COMPILE_SCHEMA
+        rows, _cols = artifact.clock_pairs(period)
+        assert rows.size > 0
+
+
 class TestPlannerEquivalence:
     """plan_interconnect results are bit-identical with the cache off,
     on a cold miss, and on a warm hit."""

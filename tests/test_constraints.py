@@ -1,5 +1,7 @@
 """Unit tests for constraint generation and pruning."""
 
+import functools
+
 import pytest
 
 from repro.errors import InfeasiblePeriodError
@@ -18,6 +20,14 @@ def _pair_list(wd, period):
     """``wd.pairs_exceeding_arrays`` as the (i, j) list the list APIs take."""
     rows, cols = wd.pairs_exceeding_arrays(period)
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+@functools.lru_cache(maxsize=None)
+def _s298():
+    """s298 taken through the physical flow (first planning iteration)."""
+    from repro.experiments.fixtures import prepared_instance
+
+    return prepared_instance("s298")
 
 
 def diamond():
@@ -159,10 +169,103 @@ class TestPruneVectorisedAgainstReference:
             wd, period, pairs
         )
 
+    @staticmethod
+    def _awkward_circuit(seed):
+        """A random circuit plus parallel connections, positive
+        self-loops and zero-delay units spliced into connections."""
+        import random
+
+        g = random_circuit("pw", n_units=30, n_ffs=16, seed=seed)
+        rng = random.Random(seed)
+        conns = [(u, v, w) for (u, v, _k), w in g.connections()]
+        for u, v, w in rng.sample(conns, 8):
+            g.add_connection(u, v, weight=w + rng.choice([0, 1, 2]))
+        for u in rng.sample(list(g.units()), 4):
+            g.add_connection(u, u, weight=rng.choice([1, 2]))
+        for k, (u, v, w) in enumerate(rng.sample(conns, 6)):
+            z = g.add_unit(f"z{k}", delay=0.0)
+            g.add_connection(u, z, weight=0)
+            g.add_connection(z, v, weight=w)
+        g.validate()
+        return g
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_awkward_graphs_at_exact_d_values(self, seed):
+        # Periods equal to D values make pairs with D == T tie on the
+        # ``D > T`` test; the neighbour test must break every tie the
+        # way the all-vertex reference does.
+        from repro.retime import candidate_periods, prune_redundant
+
+        wd = wd_matrices(self._awkward_circuit(seed))
+        assert wd.edge_src.size and not (wd.edge_src == wd.edge_dst).any()
+        exact = [
+            t for t in candidate_periods(wd, tol=0.0)
+            if t >= wd.max_vertex_delay()
+        ]
+        for t in exact[:: max(1, len(exact) // 8)]:
+            pairs = _pair_list(wd, t)
+            assert prune_redundant(wd, t, pairs) == self._prune_reference(
+                wd, t, pairs
+            ), t
+
+    def test_parallel_connections_use_min_weight(self):
+        # a -> b carries weights 2 and 0. (a, c) is witnessed only by
+        # (b, c) through the out-edge a -> b, and only at its lighter
+        # weight: D(a, b) = 3 does not exceed the period.
+        from repro.retime import prune_redundant
+
+        g = CircuitGraph()
+        for name, delay in (("a", 1.0), ("b", 2.0), ("c", 2.0)):
+            g.add_unit(name, delay=delay)
+        g.add_connection("a", "b", weight=2)
+        g.add_connection("a", "b", weight=0)
+        g.add_connection("b", "c", weight=0)
+        wd = wd_matrices(g)
+        pairs = _pair_list(wd, 3.5)
+        assert pairs == [(0, 2), (1, 2)]
+        kept = prune_redundant(wd, 3.5, pairs)
+        assert kept == self._prune_reference(wd, 3.5, pairs)
+        assert kept == [(1, 2)]
+
+    def test_endpoints_never_witness(self):
+        # Below the largest unit delay, D(v, v) = delay(v) exceeds the
+        # period; a pair's own endpoint must still not witness it.
+        from repro.retime import prune_redundant
+
+        wd = wd_matrices(random_circuit("pv", n_units=30, n_ffs=16, seed=9))
+        period = 0.5 * wd.max_vertex_delay()
+        pairs = _pair_list(wd, period)
+        assert prune_redundant(wd, period, pairs) == self._prune_reference(
+            wd, period, pairs
+        )
+
+    def test_chunking_does_not_change_result(self, monkeypatch):
+        import repro.retime.constraints as constraints_mod
+        from repro.retime import clock_period
+
+        g = random_circuit("pv", n_units=30, n_ffs=16, seed=8)
+        wd = wd_matrices(g)
+        period = 0.5 * clock_period(g, wd) + 0.5 * wd.max_vertex_delay()
+        pairs = _pair_list(wd, period)
+        whole = constraints_mod.prune_redundant(wd, period, pairs)
+        monkeypatch.setattr(constraints_mod, "_PRUNE_CHUNK", 7)
+        assert len(pairs) > 7
+        assert constraints_mod.prune_redundant(wd, period, pairs) == whole
+
+    @pytest.mark.parametrize("which", ["t_min", "t_clk"])
+    def test_expanded_table1_graph(self, which):
+        from repro.retime import prune_redundant
+
+        inst = _s298()
+        period = getattr(inst, which)
+        pairs = _pair_list(inst.wd, period)
+        kept = prune_redundant(inst.wd, period, pairs)
+        assert 0 < len(kept) < len(pairs)
+        assert kept == self._prune_reference(inst.wd, period, pairs)
+
     def test_input_order_invariance(self):
         # The keep/drop predicate is per-pair, so permuting the input
-        # pairs must permute the kept-set and nothing else (the
-        # alive-shrinking sweep visits witnesses in degree order, which
+        # pairs must permute the kept-set and nothing else (chunking
         # must not leak into the result).
         import random
 

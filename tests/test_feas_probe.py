@@ -212,3 +212,54 @@ class TestMinPeriodProbers:
         # the compiled route takes the same fallback
         compiled = CompiledCircuit.compile(g)
         assert min_period_retiming(g, compiled=compiled)[0] == oracle
+
+
+class TestBudgetResume:
+    """A budget too small to verify feasible probes only costs resumes:
+    the certify step catches every miss, so ``T_min`` never moves."""
+
+    @staticmethod
+    def _search(graph, wd):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        t_min, _ = min_period_retiming(graph, wd, tracer=tracer)
+        (search,) = [s for s in tracer.spans if s.name == "min_period/search"]
+        probes = [
+            s for s in tracer.spans
+            if s.name == "feas/probe" and s.parent_id == search.span_id
+        ]
+        return t_min, search.attrs, probes
+
+    def test_budget_one_keeps_t_min(self, monkeypatch):
+        from repro.experiments.fixtures import prepared_instance
+
+        instances = [
+            (inst.expanded.graph, inst.wd, inst.t_min)
+            for inst in map(prepared_instance, ("s298", "s386"))
+        ]
+        for seed in range(3):
+            g = random_circuit("br", n_units=40, n_ffs=20, seed=seed)
+            wd = wd_matrices(g)
+            instances.append((g, wd, min_period_retiming(g, wd)[0]))
+        monkeypatch.setattr(minperiod, "_INITIAL_BUDGET", 1)
+        resumes = 0
+        for g, wd, t_min in instances:
+            got, attrs, _probes = self._search(g, wd)
+            assert got == t_min
+            resumes += attrs["resumes"]
+        assert resumes > 0
+
+    def test_search_span_totals_match_probe_spans(self):
+        g = random_circuit("br", n_units=40, n_ffs=20, seed=0)
+        _, attrs, probes = self._search(g, wd_matrices(g))
+        unverified = [p for p in probes if p.attrs["verdict"] == "unverified"]
+        assert unverified
+        assert attrs["feas_rounds"] == sum(p.attrs["rounds"] for p in probes)
+        assert attrs["unverified_rounds"] == sum(
+            p.attrs["rounds"] for p in unverified
+        )
+        assert attrs["unverified_rounds"] <= minperiod._INITIAL_BUDGET * len(
+            unverified
+        )
+        assert attrs["resumes"] == 0

@@ -358,6 +358,8 @@ class TestPlannerTrace:
         (search,) = doc.by_name("min_period/search")
         assert search.attrs["t_min"] > 0
         assert search.attrs["n_candidates"] > 0
+        assert search.attrs["resumes"] >= 0
+        assert 0 <= search.attrs["unverified_rounds"] <= search.attrs["feas_rounds"]
         probes = doc.by_name("feas/probe")
         assert probes
         for p in probes:
@@ -386,6 +388,7 @@ class TestPlannerTrace:
         assert "plan s27" in text
         assert "LAC convergence" in text
         assert "min-period search" in text
+        assert "FEAS rounds:" in text
         assert "floorplan anneal" in text
         assert "stage" in text and "seconds" in text
 

@@ -68,6 +68,8 @@ class TestAgainstReference:
         fast = wd_matrices(g)
         ref = wd_matrices_reference(g)
         assert fast.order == ref.order
+        for field in ("edge_src", "edge_dst", "edge_w"):
+            assert np.array_equal(getattr(fast, field), getattr(ref, field))
         both = np.isfinite(fast.w) & np.isfinite(ref.w)
         assert (np.isfinite(fast.w) == np.isfinite(ref.w)).all()
         assert np.array_equal(fast.w[both], ref.w[both])
@@ -136,7 +138,11 @@ class TestCandidatePeriods:
         n = len(values)
         d = np.full((n, n), np.inf)
         d[0, :] = np.array(values, dtype=np.float64)
-        return WDMatrices(order=[], index={}, w=np.zeros((n, n)), d=d)
+        none = np.empty(0, dtype=np.int64)
+        return WDMatrices(
+            order=[], index={}, w=np.zeros((n, n)), d=d,
+            edge_src=none, edge_dst=none, edge_w=none,
+        )
 
     def test_zero_tolerance_matches_exact_set(self):
         for seed in range(4):
@@ -165,7 +171,11 @@ class TestCandidatePeriods:
         from repro.retime import WDMatrices
 
         d = np.full((2, 2), np.inf)
-        wd = WDMatrices(order=[], index={}, w=np.zeros((2, 2)), d=d)
+        none = np.empty(0, dtype=np.int64)
+        wd = WDMatrices(
+            order=[], index={}, w=np.zeros((2, 2)), d=d,
+            edge_src=none, edge_dst=none, edge_w=none,
+        )
         assert candidate_periods(wd) == []
 
 
@@ -176,17 +186,17 @@ class TestScalarisedCsr:
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 11])
     def test_matches_reference_on_random_circuits(self, seed):
-        from repro.retime.wd import _scalarised_csr
+        from repro.retime.wd import _scalarised_csr, _min_weight_edges
 
         g = random_circuit("rnd", n_units=40, n_ffs=30, seed=seed)
         order = list(g.units())
-        fast, base_fast = _scalarised_csr(g, order)
+        fast, base_fast = _scalarised_csr(g, order, _min_weight_edges(g, order))
         ref, base_ref = scalarised_csr_reference(g, order)
         assert base_fast == base_ref
         assert (fast != ref).nnz == 0  # identical sparsity AND values
 
     def test_parallel_edges_reduce_to_min(self):
-        from repro.retime.wd import _scalarised_csr
+        from repro.retime.wd import _scalarised_csr, _min_weight_edges
 
         g = CircuitGraph()
         g.add_unit("a", delay=1.0)
@@ -195,9 +205,24 @@ class TestScalarisedCsr:
         g.add_connection("a", "b", weight=1)
         g.add_connection("a", "b", weight=2)
         order = list(g.units())
-        matrix, base = _scalarised_csr(g, order)
+        matrix, base = _scalarised_csr(g, order, _min_weight_edges(g, order))
         i = {u: k for k, u in enumerate(order)}
         assert matrix[i["a"], i["b"]] == 1 * base - 1.0
+
+    def test_wd_edges_are_min_weight_without_self_loops(self):
+        g = CircuitGraph()
+        g.add_unit("a", delay=1.0)
+        g.add_unit("b", delay=2.0)
+        g.add_connection("a", "b", weight=4)
+        g.add_connection("a", "b", weight=1)
+        g.add_connection("b", "b", weight=2)
+        g.add_connection("b", "a", weight=3)
+        wd = wd_matrices(g)
+        a, b = wd.index["a"], wd.index["b"]
+        edges = list(
+            zip(wd.edge_src.tolist(), wd.edge_dst.tolist(), wd.edge_w.tolist())
+        )
+        assert edges == sorted([(a, b, 1), (b, a, 3)])
 
 
 class TestPairsExceedingArrays:
