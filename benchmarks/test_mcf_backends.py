@@ -1,9 +1,9 @@
 """Bench: min-cost-flow solvers for the retiming dual.
 
-The min-area baseline solves the retiming LP with networkx's network
-simplex (:func:`repro.retime.min_area_retiming`); the in-house
+The min-area baseline solves the retiming LP with HiGHS
+(:func:`repro.retime.min_area_retiming`); the in-house
 successive-shortest-path solver (:func:`repro.retime.mcf.solve_retiming_dual`)
-solves the same dual. Both must reach the same optimum flip-flop count
+solves its min-cost-flow dual. Both must reach the same optimum flip-flop count
 (cross-checked here on a real benchmark instance); the bench reports
 their run times.
 """
@@ -29,13 +29,13 @@ def _native_total_ffs(instance) -> int:
     return graph.retimed(labels).total_flip_flops()
 
 
-def _networkx_total_ffs(instance) -> int:
+def _highs_total_ffs(instance) -> int:
     return min_area_retiming(
         instance.expanded.graph, instance.t_clk, system=instance.system
     ).total_ffs
 
 
-SOLVERS = {"networkx": _networkx_total_ffs, "native": _native_total_ffs}
+SOLVERS = {"highs": _highs_total_ffs, "native": _native_total_ffs}
 
 
 @pytest.mark.parametrize("backend", list(SOLVERS))
@@ -51,4 +51,4 @@ def backend_results():
     yield results
     if len(results) == 2:
         print(f"\nbackend optima: {results}")
-        assert results["networkx"] == results["native"]
+        assert results["highs"] == results["native"]

@@ -79,6 +79,7 @@ def lac_retiming(
     system=None,
     tracer=None,
     compiled=None,
+    solver: Optional[IncrementalMinArea] = None,
 ) -> LACResult:
     """Run the paper's LAC-retiming heuristic.
 
@@ -100,10 +101,16 @@ def lac_retiming(
         tracer: Optional :class:`repro.obs.Tracer`; each weighted
             min-area round becomes a ``lac/round`` span carrying the
             round's ``N_FOA``/``N_F``, weighted-FF objective, per-tile
-            violations and weight spread.
+            violations and weight spread, plus ``replayed=True`` when
+            the solver replayed its previous solve.
         compiled: Optional :class:`repro.compile.CompiledCircuit` of
             this graph; supplies precomputed pruned clocking pairs and
             the incremental solver's gather arrays.
+        solver: Optional :class:`IncrementalMinArea` over ``system``
+            (``system``, ``wd`` and ``prune`` are then unused). The
+            planner passes the one its min-area baseline solved with
+            uniform weights, so round 1 replays that solve and round 2
+            warm-starts from its basis.
 
     Raises:
         InfeasiblePeriodError: ``period`` is unachievable (from the
@@ -117,22 +124,22 @@ def lac_retiming(
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if system is None:
-        if wd is None and compiled is None:
-            wd = wd_matrices(graph)
-        # Clocking constraints are generated once — the heuristic's key
-        # run-time property (Section 4.2).
-        system = build_constraint_system(
-            graph, wd, period, prune=prune, compiled=compiled
-        )
-
     # The weighted min-area rounds share one warm-started solver: the
     # flow network is built and Bellman–Ford run once, here (an
     # infeasible system surfaces immediately as InfeasiblePeriodError),
     # and each round only updates demands and re-solves from the
     # previous optimum. Rounds are scored from labels; the retimed
     # graph is materialised only once, for the winner.
-    solver = IncrementalMinArea(graph, system, compiled=compiled)
+    if solver is None:
+        if system is None:
+            if wd is None and compiled is None:
+                wd = wd_matrices(graph)
+            # Clocking constraints are generated once — the heuristic's
+            # key run-time property (Section 4.2).
+            system = build_constraint_system(
+                graph, wd, period, prune=prune, compiled=compiled
+            )
+        solver = IncrementalMinArea(graph, system, compiled=compiled)
     accountant = AreaAccountant(graph, unit_region)
 
     regions = set(unit_region.values())
@@ -151,7 +158,10 @@ def lac_retiming(
         }
         round_start = time.perf_counter()
         with tracer.span("lac/round", round=_round + 1) as span:
+            replays = solver.stats.replays
             candidate = solver.solve(unit_weights)
+            if solver.stats.replays > replays:
+                span.set(replayed=True)
             report = accountant.report(candidate, grid, tech)
             if tracer.enabled:
                 # Weighted-FF objective of the round: what the weighted

@@ -59,6 +59,7 @@ from repro.resilience.ledger import RunLedger
 from repro.resilience.runner import StageRunner, perturbed_seed
 from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import ExpandedCircuit, expand_interconnects
+from repro.retime.incremental import IncrementalMinArea
 from repro.retime.minarea import RetimingResult, min_area_retiming
 from repro.retime.minperiod import min_period_retiming
 from repro.route.router import GlobalRouter, nets_from_graph
@@ -482,18 +483,33 @@ def _run_iteration_stages(
             )
             sp.set(n_constraints=len(system.constraints))
         constraints_seconds = time.perf_counter() - start
+        # ... and one solver: LAC starts from uniform weights, so its
+        # first weighted min-area solve *is* the min-area baseline. The
+        # baseline solves with exactly those weights and LAC's round 1
+        # replays the solve (an infeasible period surfaces here, from
+        # the solver's Bellman-Ford).
+        solver = IncrementalMinArea(expanded.graph, system, compiled=compiled)
         min_area_timed: Optional[TimedRetiming] = None
         if config.run_baseline:
             start = time.perf_counter()
             with tracer.span("retime/min_area", period=period) as sp:
+                iterations = solver.stats.simplex_iterations
                 base = min_area_retiming(
-                    expanded.graph, period, wd=wd, system=system
+                    expanded.graph,
+                    period,
+                    weights=dict.fromkeys(expanded.unit_region, 1.0),
+                    solver=solver,
                 )
             elapsed = time.perf_counter() - start
             base_report = area_report(
                 base.graph, expanded.unit_region, grid, config.tech
             )
-            sp.set(n_foa=base_report.n_foa, n_f=base_report.n_f)
+            sp.set(
+                n_foa=base_report.n_foa,
+                n_f=base_report.n_f,
+                engine=solver.stats.engine,
+                simplex_iterations=solver.stats.simplex_iterations - iterations,
+            )
             min_area_timed = TimedRetiming(base, base_report, elapsed)
 
         start = time.perf_counter()
@@ -511,6 +527,7 @@ def _run_iteration_stages(
                 system=system,
                 tracer=tracer,
                 compiled=compiled,
+                solver=solver,
             )
             sp.set(
                 n_wr=lac_result.n_wr,

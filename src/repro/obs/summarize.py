@@ -9,11 +9,13 @@
 2. **Stage table** — the same name/seconds/calls table the bench
    harness embeds in ``BENCH_<n>.json``, derived from the same spans
    (one source of truth: :meth:`repro.perf.PerfRecorder.ingest_spans`);
-3. **Convergence tables** — per LAC retiming: round-by-round
-   ``N_FOA``/``N_F``/objective and tile-weight spread; per min-period
+3. **Convergence tables** — per LAC retiming: the min-area baseline's
+   solve (engine, simplex iterations), then round-by-round
+   ``N_FOA``/``N_F``/objective and tile-weight spread, marking rounds
+   the solver replayed; per min-period
    search: every FEAS probe with candidate period, verdict and rounds;
 4. **One-liners** — floorplan annealing acceptance, FM cut
-   trajectories, routing congestion.
+   trajectories, routing congestion and cost refreshes.
 """
 
 from __future__ import annotations
@@ -142,10 +144,23 @@ def _format_lac_tables(doc: TraceDocument) -> List[str]:
             continue
         scope = _scope_of(doc, lac)
         title = "LAC convergence" + (f" ({scope})" if scope else "")
+        replayed = sum(1 for r in rounds if r.attrs.get("replayed"))
         lines.append(
-            f"{title}: {len(rounds)} weighted min-area rounds, "
-            f"best N_FOA={lac.attrs.get('n_foa', '?')}"
+            f"{title}: {len(rounds)} weighted min-area rounds "
+            f"({replayed} replayed), best N_FOA={lac.attrs.get('n_foa', '?')}"
         )
+        for base in doc.by_name("retime/min_area"):
+            # The baseline shares LAC's parent and target period.
+            if (base.parent_id, base.attrs.get("period")) == (
+                lac.parent_id,
+                lac.attrs.get("period"),
+            ):
+                a = base.attrs
+                lines.append(
+                    f"  min-area baseline: N_FOA={a.get('n_foa', '?')} "
+                    f"N_F={a.get('n_f', '?')}, engine={a.get('engine', '?')}, "
+                    f"{a.get('simplex_iterations', '?')} simplex iterations"
+                )
         lines.append(
             f"  {'round':>5}  {'N_FOA':>5}  {'N_F':>5}  {'objective':>10}  "
             f"{'viol.tiles':>10}  {'w_max':>8}  {'seconds':>8}"
@@ -157,6 +172,7 @@ def _format_lac_tables(doc: TraceDocument) -> List[str]:
                 f"{a.get('n_f', '?'):>5}  {a.get('objective', 0.0):>10.1f}  "
                 f"{len(a.get('violations', {})):>10}  "
                 f"{a.get('weight_max', 1.0):>8.3f}  {r.elapsed:>7.3f}s"
+                + ("  replayed" if a.get("replayed") else "")
             )
     return lines
 
@@ -225,7 +241,8 @@ def _format_one_liners(doc: TraceDocument) -> List[str]:
             f"routing: {a.get('nets', '?')} nets, "
             f"wirelength {a.get('wirelength_tiles', '?')} tiles, "
             f"overflow {a.get('overflowed_cells', 0):.0f} cells "
-            f"(max usage {a.get('max_usage', 0):.0f})"
+            f"(max usage {a.get('max_usage', 0):.0f}), "
+            f"{a.get('cost_refreshes', '?')} cost refreshes"
         )
     for sp in doc.spans:
         n_rep = sp.attrs.get("n_repeaters")

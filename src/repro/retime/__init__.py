@@ -10,7 +10,6 @@ from repro.retime.constraints import (
     prune_redundant,
 )
 from repro.retime.feas_probe import FeasProbe, FeasUndecidedError
-from repro.retime.flow import optimal_labels
 from repro.retime.incremental import IncrementalMinArea, IncrementalStats
 from repro.retime.minarea import (
     RetimingResult,
@@ -19,7 +18,6 @@ from repro.retime.minarea import (
     retiming_objective,
 )
 from repro.retime.minperiod import clock_period, min_period_retiming
-from repro.retime.sharing import min_area_retiming_shared, shared_register_count
 from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
 
 __all__ = [
@@ -35,14 +33,11 @@ __all__ = [
     "build_constraint_system",
     "FeasProbe",
     "FeasUndecidedError",
-    "optimal_labels",
     "IncrementalMinArea",
     "IncrementalStats",
     "RetimingResult",
     "retiming_objective",
     "min_area_retiming",
-    "min_area_retiming_shared",
-    "shared_register_count",
     "normalise_labels",
     "clock_period",
     "min_period_retiming",

@@ -1,11 +1,12 @@
 """Warm-started incremental weighted min-area retiming.
 
+This is the one min-area solver: :func:`repro.retime.minarea.min_area_retiming`
+solves through it (building one when the caller passes none), and
 LAC-retiming (:mod:`repro.core.lac`) solves up to ``max_rounds``
 weighted min-area retimings over *one* constraint system — only the
 objective (per-unit area weights, hence node demands) changes between
-rounds. The one-shot path (:func:`repro.retime.minarea.min_area_retiming`)
-pays the full cost every round: arc construction from the constraints,
-a solver model build, and a cold solve.
+rounds. The planner hands one instance to both, so the min-area
+baseline and LAC's uniform-weight first round are one solve.
 
 :class:`IncrementalMinArea` amortises everything that doesn't change:
 
@@ -32,12 +33,17 @@ a solver model build, and a cold solve.
     when :func:`_load_highs` finds no bindings (or HiGHS rejects the
     model).
 
+* a solve whose objective vector equals the previous one returns the
+  previous labels without touching the engine (a *replay*): with
+  uniform weights, LAC's first round is exactly the min-area baseline.
+
 Each solve is an exact LP optimum either way — warm-starting changes
 where the search *starts*, not what it converges to — so the objective
-value matches a cold :func:`min_area_retiming` solve exactly (the test
-suite asserts this across synthetic circuits and all LAC rounds).
-Individual labels may differ between engines when the optimum is
-degenerate; only the objective value is canonical.
+value matches a cold network-simplex solve exactly (the test suite
+asserts this against ``tests/oracles/flow.py`` across synthetic
+circuits and all LAC rounds). Individual labels may differ between
+engines when the optimum is degenerate; only the objective value is
+canonical.
 """
 
 from __future__ import annotations
@@ -157,6 +163,7 @@ class IncrementalStats:
 
     engine: str = ""
     solves: int = 0
+    replays: int = 0
     augmentations: int = 0
     simplex_iterations: int = 0
     bellman_ford_runs: int = 0
@@ -256,6 +263,8 @@ class IncrementalMinArea:
         self.engine = "highs" if self._highs is not None else "ssp"
         self.stats = IncrementalStats(engine=self.engine)
         self.stats.bellman_ford_runs += 1
+        self._last_coeff: Optional[np.ndarray] = None
+        self._last_labels: Dict[str, int] = {}
         self.stats.build_seconds = time.perf_counter() - start
 
     # ------------------------------------------------------------------
@@ -289,15 +298,21 @@ class IncrementalMinArea:
 
         Only the objective changes between calls; the model (HiGHS) or
         network + potentials (SSP) are reused — see the module
-        docstring for why each warm start is sound.
+        docstring for why each warm start is sound. An objective equal
+        to the previous call's is a replay: the previous labels come
+        back (as a fresh dict) and ``stats.replays`` counts it instead
+        of ``stats.solves``.
 
         Raises:
             UnboundedObjectiveError: The demands cannot be routed
-                (objective unbounded on the feasible region) — same
-                contract as :func:`optimal_labels`.
+                (objective unbounded on the feasible region).
         """
         start = time.perf_counter()
         coeff = self.objective_coefficients(weights)
+        if self._last_coeff is not None and np.array_equal(coeff, self._last_coeff):
+            self.stats.replays += 1
+            self.stats.solve_seconds += time.perf_counter() - start
+            return dict(self._last_labels)
         if self._highs is not None:
             before = self._highs.simplex_iterations
             r = self._highs.solve(coeff)
@@ -315,6 +330,8 @@ class IncrementalMinArea:
                 for i, u in enumerate(self._order)
             }
         labels = normalise_labels(self.graph, labels, self._components)
+        self._last_coeff = coeff
+        self._last_labels = dict(labels)
         self.stats.solves += 1
         self.stats.solve_seconds += time.perf_counter() - start
         return labels

@@ -1,7 +1,9 @@
 """Minimum-cost flow via successive shortest paths (from scratch).
 
-The retiming LP dual (:mod:`repro.retime.flow`) needs a min-cost-flow
-solver; this module provides one that does not depend on networkx,
+The retiming LP ``min c^T r`` s.t. ``r(u) - r(v) <= b`` is the dual of
+a min-cost flow: node ``v`` has demand ``c_v`` and each constraint is
+an uncapacitated arc ``u -> v`` of cost ``b``; optimal labels are the
+negated node potentials. This module solves that flow without HiGHS,
 implementing the *successive shortest augmenting path* algorithm with
 Johnson potentials:
 
@@ -373,9 +375,9 @@ def solve_retiming_dual(
 ) -> Dict[Node, int]:
     """Solve the retiming LP with the in-house solver.
 
-    Same contract as :func:`repro.retime.flow.optimal_labels` (see
-    there for the duality derivation): node demand ``c_v``, one arc per
-    constraint with cost = bound, optimal labels = ``-potential``.
+    The duality of the module docstring: node demand ``c_v``, one arc
+    per ``(u, v)`` pair with cost = the tightest bound, optimal labels
+    = ``-potential``.
     """
     mcf = MinCostFlow()
     for node, coeff in objective.items():

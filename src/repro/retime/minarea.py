@@ -13,22 +13,25 @@ the variable part of the objective becomes
 and ``fo(v) = A(v) * |FO(v)|``. Uniform weights recover the classic
 problem.
 
-Both are solved exactly through the min-cost-flow dual
-(:mod:`repro.retime.flow`). Real-valued weights are scaled to integers
-per *unit* before forming the objective so that the coefficients still
-sum to zero exactly.
+Both are solved exactly by the one min-area solver,
+:class:`repro.retime.incremental.IncrementalMinArea` (HiGHS dual
+simplex on the LP). Real-valued weights are scaled to integers per
+*unit* before forming the objective so that the coefficients still sum
+to zero exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from repro.errors import InfeasibleConstraintsError, InfeasiblePeriodError
 from repro.netlist.graph import CircuitGraph
 from repro.retime.constraints import ConstraintSystem, build_constraint_system
-from repro.retime.flow import optimal_labels
 from repro.retime.wd import WDMatrices, wd_matrices
+
+if TYPE_CHECKING:
+    from repro.retime.incremental import IncrementalMinArea
 
 #: Integer scaling factor for real-valued area weights.
 WEIGHT_SCALE = 10_000
@@ -113,6 +116,7 @@ def min_area_retiming(
     wd: Optional[WDMatrices] = None,
     system: Optional[ConstraintSystem] = None,
     prune: bool = False,
+    solver: Optional["IncrementalMinArea"] = None,
 ) -> RetimingResult:
     """Exact (weighted) minimum-area retiming for a target clock period.
 
@@ -126,21 +130,29 @@ def min_area_retiming(
             paper's LAC loop exploits this to generate clocking
             constraints only once.
         prune: Apply redundancy pruning when generating constraints.
+        solver: An :class:`~repro.retime.incremental.IncrementalMinArea`
+            over this graph's constraint system for ``period``; built
+            here if omitted. The planner passes the one LAC-retiming
+            re-solves, so the baseline and LAC's first round share a
+            solve.
 
     Raises:
         InfeasiblePeriodError: No retiming meets the period.
     """
-    if system is None:
-        if wd is None:
-            wd = wd_matrices(graph)
-        system = build_constraint_system(graph, wd, period, prune=prune)
-    objective = retiming_objective(graph, weights)
+    # Imported here: the incremental solver imports this module's
+    # weight scale and label normalisation.
+    from repro.retime.incremental import IncrementalMinArea
+
+    if solver is None:
+        if system is None:
+            if wd is None:
+                wd = wd_matrices(graph)
+            system = build_constraint_system(graph, wd, period, prune=prune)
+        solver = IncrementalMinArea(graph, system)
     try:
-        labels = optimal_labels(system.constraints, objective)
+        labels = solver.solve(weights)
     except InfeasibleConstraintsError as exc:
         raise InfeasiblePeriodError(period, str(exc)) from exc
-    labels = {v: labels.get(v, 0) for v in graph.units()}
-    labels = normalise_labels(graph, labels)
     retimed = graph.retimed(labels)
     return RetimingResult(
         labels=labels,

@@ -129,9 +129,11 @@ class GlobalRouter:
     tie-breaks — and therefore routes — are identical to the historical
     tuple-keyed Dijkstra), the lattice adjacency is prebuilt once, and
     per-cell arc costs live in a flat list that commits and history
-    bumps update in place. The ``usage``/``history`` dicts remain the
-    public source of truth; public entry points re-sync the cost array
-    from them so callers may mutate the dicts directly.
+    bumps update in place, re-pricing only the cells they change. The
+    ``usage``/``history`` dicts remain the public source of truth;
+    public entry points re-sync the cost array from them once on entry,
+    so callers may mutate the dicts directly between calls.
+    ``cost_refreshes`` counts the cells re-priced so far.
     """
 
     def __init__(self, grid: TileGrid, history_weight: float = 0.5):
@@ -163,6 +165,7 @@ class GlobalRouter:
             for cap in self._cap
         ]
         self._cost: List[float] = list(self._base)
+        self.cost_refreshes = 0
 
     # ------------------------------------------------------------------
     def track_capacity(self, cell: Cell) -> int:
@@ -178,6 +181,7 @@ class GlobalRouter:
     def _refresh_cell(self, cell: Cell) -> None:
         """Re-derive one cell's arc cost after a usage/history change."""
         self._cost[cell[0] * self._n_rows + cell[1]] = self._cell_cost(cell)
+        self.cost_refreshes += 1
 
     def _sync_costs(self) -> None:
         """Rebuild the flat cost array from the public dicts."""
@@ -268,6 +272,7 @@ class GlobalRouter:
     def _commit(self, routed: RoutedNet, sign: int) -> None:
         for cell in routed.cells:
             self.usage[cell] = self.usage.get(cell, 0) + sign
+            self._refresh_cell(cell)
 
     def overflowed_cells(self) -> List[Cell]:
         return [
@@ -285,10 +290,14 @@ class GlobalRouter:
         """
         if tracer is None:
             tracer = NOOP_TRACER
+        refreshes = self.cost_refreshes
         with tracer.span("route/global", nets=len(nets)) as span:
+            # From here on every change to usage/history re-prices the
+            # cells it touches, so the costs stay in sync net to net.
+            self._sync_costs()
             routed: Dict[str, RoutedNet] = {}
             for net in nets:
-                result = self._embed_net(net)
+                result = self._embed_net(net, synced=True)
                 self._commit(result, +1)
                 routed[net.name] = result
 
@@ -298,6 +307,7 @@ class GlobalRouter:
                     break
                 for cell in hot:
                     self.history[cell] = self.history.get(cell, 0.0) + 1.0
+                    self._refresh_cell(cell)
                 victims = [
                     name for name, r in routed.items() if r.cells & hot
                 ]
@@ -315,7 +325,7 @@ class GlobalRouter:
                 )
                 for name in victims:
                     self._commit(routed[name], -1)
-                    result = self._embed_net(routed[name].net)
+                    result = self._embed_net(routed[name].net, synced=True)
                     self._commit(result, +1)
                     routed[name] = result
                 tracer.metrics.counter("route_ripup_total").inc(len(victims))
@@ -324,6 +334,7 @@ class GlobalRouter:
                 wirelength_tiles=sum(
                     r.wirelength_tiles for r in routed.values()
                 ),
+                cost_refreshes=self.cost_refreshes - refreshes,
                 **summary,
             )
             tracer.metrics.counter("route_nets_total").inc(len(nets))

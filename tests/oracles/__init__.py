@@ -11,6 +11,10 @@ code: nothing under ``src/`` imports them.
 * :mod:`tests.oracles.annealer` — the object-based sequence-pair
   annealer (full re-pack per move);
 * :mod:`tests.oracles.fm` — the dict-loop FM gain and pass;
+* :mod:`tests.oracles.flow` — min-area retiming through the
+  min-cost-flow dual and networkx network simplex;
 * :mod:`tests.oracles.lac_cold` — LAC-retiming with one cold weighted
-  min-area solve per round.
+  min-area solve per round;
+* :mod:`tests.oracles.router` — the global router re-pricing every cell
+  before every net.
 """

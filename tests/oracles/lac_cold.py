@@ -4,7 +4,7 @@
 :class:`~repro.retime.incremental.IncrementalMinArea` across rounds and
 scores rounds from labels. This oracle runs the paper's loop
 (Section 4.2) literally: every round is a full
-:func:`~repro.retime.minarea.min_area_retiming` (network simplex) on the
+:func:`tests.oracles.flow.min_area_labels` (network simplex) on the
 shared constraint system, scored on the materialised retimed graph.
 """
 
@@ -17,10 +17,11 @@ from repro.core.metrics import AreaReport, area_report
 from repro.netlist.graph import CircuitGraph
 from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import IO_REGION
-from repro.retime.minarea import RetimingResult, min_area_retiming
+from repro.retime.minarea import RetimingResult
 from repro.retime.wd import wd_matrices
 from repro.tech.params import Technology
 from repro.tiles.grid import TileGrid
+from tests.oracles.flow import min_area_labels
 
 
 def lac_retiming_cold(
@@ -42,7 +43,9 @@ def lac_retiming_cold(
     stale = 0
     for _round in range(max_rounds):
         weights = {u: tile_weight.get(t, 1.0) for u, t in unit_region.items()}
-        result = min_area_retiming(graph, period, weights=weights, system=system)
+        labels = min_area_labels(graph, system, weights)
+        retimed = graph.retimed(labels)
+        result = RetimingResult(labels, retimed, period, retimed.total_flip_flops())
         report = area_report(result.graph, unit_region, grid, tech)
         key = (report.n_foa, report.n_f)
         history.append(key)

@@ -67,13 +67,3 @@ def test_min_area_retiming_preserves_behavior(
     period = clock_period(graph)
     result = min_area_retiming(graph, period)
     _check_equivalence(netlist, result.labels, seed)
-
-
-def test_shared_retiming_preserves_behavior():
-    from repro.retime import min_area_retiming_shared
-
-    netlist = random_bench_netlist("rbs", 30, 4, 8, 4, 9)
-    graph = bench_to_graph(netlist)
-    period = clock_period(graph)
-    result = min_area_retiming_shared(graph, period)
-    _check_equivalence(netlist, result.labels, seed=9)

@@ -1,10 +1,14 @@
 """Tests for difference-constraint solvers (feasibility + LP optimum).
 
-``optimal_labels`` is cross-checked against brute-force enumeration of
-small integer label spaces, which validates the min-cost-flow duality
-and the potential-recovery step end to end. ``feasible_labels`` is the
-Bellman–Ford oracle from ``tests/oracles/feasibility.py``; the
-feasibility tests pin it before other tests trust it.
+``optimal_labels`` (the network-simplex oracle in
+``tests/oracles/flow.py``) is cross-checked against brute-force
+enumeration of small integer label spaces, which validates the
+min-cost-flow duality and the potential-recovery step end to end. The
+shipped solver, HiGHS through :func:`min_area_retiming`, is then
+checked against that oracle: two independent solvers, one objective
+value. ``feasible_labels`` is the Bellman–Ford oracle from
+``tests/oracles/feasibility.py``; the feasibility tests pin it before
+other tests trust it.
 """
 
 import itertools
@@ -13,8 +17,18 @@ import random
 import pytest
 
 from repro.errors import InfeasibleConstraintsError, RetimingError
-from repro.retime import Constraint, optimal_labels
+from repro.netlist import random_circuit
+from repro.retime import (
+    Constraint,
+    build_constraint_system,
+    clock_period,
+    min_area_retiming,
+    min_period_retiming,
+    retiming_objective,
+    wd_matrices,
+)
 from tests.oracles.feasibility import feasible_labels
+from tests.oracles.flow import min_area_labels, optimal_labels
 
 
 def check(constraints, labels):
@@ -102,3 +116,27 @@ class TestOptimality:
         assert all(isinstance(x, int) for x in labels.values())
         # Minimising -a + b pushes a up / b down until a - b = 2.
         assert labels["a"] - labels["b"] == 2
+
+
+class TestHighsAgainstOracle:
+    """The shipped min-area solve reaches the oracle's objective value."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_uniform_and_weighted_objectives_match(self, seed):
+        g = random_circuit(f"flow{seed}", n_units=30, n_ffs=12, seed=seed)
+        wd = wd_matrices(g)
+        t_init = clock_period(g, wd)
+        t_min, _ = min_period_retiming(g, wd)
+        period = t_min + 0.5 * (t_init - t_min)
+        system = build_constraint_system(g, wd, period)
+        rng = random.Random(seed)
+        for weights in (None, {u: rng.uniform(0.1, 10.0) for u in g.units()}):
+            objective = retiming_objective(g, weights)
+            shipped = min_area_retiming(g, period, weights=weights, system=system)
+            oracle = min_area_labels(g, system, weights)
+            value = lambda labels: sum(objective[v] * labels[v] for v in g.units())
+            assert value(shipped.labels) == value(oracle)
+            assert all(
+                shipped.labels[c.u] - shipped.labels[c.v] <= c.bound
+                for c in system.constraints
+            )

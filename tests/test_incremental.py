@@ -1,11 +1,12 @@
 """Property tests for the warm-started incremental min-area solver.
 
 The contract under test: every ``IncrementalMinArea.solve`` call is an
-exact optimum of the same LP a cold :func:`min_area_retiming` solves —
-warm-starting (HiGHS basis reuse, SSP potential carry-over) changes
-where the search starts, never what it converges to. Labels may differ
-between engines on degenerate optima, so equality is asserted on the
-weighted objective value, which the LP guarantees.
+exact optimum of the same LP the network-simplex oracle
+(``tests/oracles/flow.py``) solves cold — warm-starting (HiGHS basis
+reuse, SSP potential carry-over) changes where the search starts, never
+what it converges to. Labels may differ between solvers on degenerate
+optima, so equality is asserted on the weighted objective value, which
+the LP guarantees. A repeated objective is replayed, not re-solved.
 
 The solver picks HiGHS when scipy's bindings load and SSP otherwise;
 the SSP cases hide the bindings by monkeypatching ``_load_highs``.
@@ -24,6 +25,7 @@ from repro.retime.incremental import IncrementalMinArea, _load_highs
 from repro.retime.minarea import min_area_retiming
 from repro.retime.minperiod import clock_period, min_period_retiming
 from repro.retime.wd import wd_matrices
+from tests.oracles.flow import min_area_labels
 from tests.oracles.lac_cold import lac_retiming_cold
 
 ENGINES = ["ssp"] + (["highs"] if _load_highs() is not None else [])
@@ -63,27 +65,25 @@ class TestObjectiveEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_matches_cold_solver_across_rounds(self, engine, seed, monkeypatch):
-        graph, wd, period, system = prepared(seed)
+        graph, _wd, _period, system = prepared(seed)
         force_engine(monkeypatch, engine)
         inc = IncrementalMinArea(graph, system)
         assert inc.stats.engine == engine
         for weights in weight_rounds(graph, seed, rounds=4):
             warm = inc.solve(weights)
-            cold = min_area_retiming(
-                graph, period, weights=weights, wd=wd, system=system
-            )
+            cold = min_area_labels(graph, system, weights)
             assert inc.objective_value(warm, weights) == inc.objective_value(
-                cold.labels, weights
+                cold, weights
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_unweighted_matches_cold_solver(self, engine, monkeypatch):
-        graph, wd, period, system = prepared(seed=7)
+        graph, _wd, _period, system = prepared(seed=7)
         force_engine(monkeypatch, engine)
         inc = IncrementalMinArea(graph, system)
         warm = inc.solve()
-        cold = min_area_retiming(graph, period, wd=wd, system=system)
-        assert inc.objective_value(warm) == inc.objective_value(cold.labels)
+        cold = min_area_labels(graph, system)
+        assert inc.objective_value(warm) == inc.objective_value(cold)
 
 
 class TestWarmStart:
@@ -106,6 +106,41 @@ class TestWarmStart:
         assert d["solves"] == 1
         assert d["engine"] in ("highs", "ssp")
         assert d["build_seconds"] >= 0.0
+
+
+class TestReplay:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_repeated_objective_is_replayed(self, engine, monkeypatch):
+        graph, _wd, _period, system = prepared(seed=5)
+        force_engine(monkeypatch, engine)
+        inc = IncrementalMinArea(graph, system)
+        uniform = {u: 1.0 for u in graph.units()}
+        first = inc.solve(uniform)
+        iterations = inc.stats.simplex_iterations
+        augmentations = inc.stats.augmentations
+        again = inc.solve(dict(uniform))
+        assert again == first and again is not first
+        assert (inc.stats.solves, inc.stats.replays) == (1, 1)
+        assert inc.stats.simplex_iterations == iterations
+        assert inc.stats.augmentations == augmentations
+
+    def test_replay_compares_scaled_coefficients(self):
+        """Unit weights scale to 10^4 per unit; ``weights=None`` to 1.
+        The objectives differ, so the second call solves again."""
+        graph, _wd, _period, system = prepared(seed=5)
+        inc = IncrementalMinArea(graph, system)
+        inc.solve({u: 1.0 for u in graph.units()})
+        inc.solve()
+        inc.solve({u: 1.0 for u in graph.units()})
+        assert (inc.stats.solves, inc.stats.replays) == (3, 0)
+
+    def test_min_area_retiming_shares_the_solver(self):
+        graph, _wd, period, system = prepared(seed=5)
+        inc = IncrementalMinArea(graph, system)
+        weights = {u: 2.0 for u in graph.units()}
+        base = min_area_retiming(graph, period, weights=weights, solver=inc)
+        assert inc.solve(weights) == base.labels
+        assert (inc.stats.solves, inc.stats.replays) == (1, 1)
 
 
 class TestEngineSelection:

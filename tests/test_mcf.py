@@ -1,8 +1,8 @@
 """Tests for the in-house min-cost-flow solver and its retiming dual.
 
 Cross-checked three ways: against hand-computed flows, against the
-networkx-based path (:func:`optimal_labels`), and against brute-force
-LP enumeration.
+networkx oracle (:func:`tests.oracles.flow.optimal_labels`) and the
+shipped HiGHS min-area solve, and against brute-force LP enumeration.
 """
 
 import itertools
@@ -18,11 +18,11 @@ from repro.retime import (
     clock_period,
     min_area_retiming,
     normalise_labels,
-    optimal_labels,
     retiming_objective,
     wd_matrices,
 )
 from repro.retime.mcf import MinCostFlow, solve_retiming_dual
+from tests.oracles.flow import optimal_labels
 
 
 class TestMinCostFlow:
@@ -153,7 +153,7 @@ class TestRetimingDual:
 
 class TestBackendParameter:
     """The native SSP dual solver against the shipped min-area baseline
-    (network simplex) on an unpruned constraint system."""
+    (HiGHS) on an unpruned constraint system."""
 
     def test_min_area_native_backend(self):
         g = random_circuit("bk", n_units=25, n_ffs=12, seed=5)

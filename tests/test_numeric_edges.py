@@ -13,7 +13,6 @@ from repro.netlist import CircuitGraph, bench_to_graph, random_bench_netlist
 from repro.netlist.retime_bench import register_count, retime_bench
 from repro.retime import wd_matrices
 from repro.retime.fastcheck import FeasibilityChecker
-from repro.retime.sharing import shared_register_count
 from tests.oracles.wd import wd_matrices_reference
 
 
@@ -95,9 +94,9 @@ class TestFastCheckerDedup:
 class TestSharedCountersAgree:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_graph_formula_matches_materialised_netlist(self, seed):
-        """`shared_register_count` (graph max-per-driver formula) must
-        equal the DFF count of the materialised netlist, which shares
-        per-driver chains by construction."""
+        """The graph's max-per-driver register count must equal the
+        DFF count of the materialised netlist, which shares per-driver
+        chains by construction."""
         netlist = random_bench_netlist(f"sc{seed}", 20, 3, 5, 3, seed)
         graph = bench_to_graph(netlist)
         rebuilt = retime_bench(netlist, {})  # identity retiming

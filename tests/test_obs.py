@@ -354,6 +354,20 @@ class TestPlannerTrace:
         assert all(r.parent_id == lac.span_id for r in rounds)
         assert lac.attrs["n_wr"] == len(rounds)
 
+    def test_min_area_baseline_is_lacs_first_round(self, doc):
+        (base,) = doc.by_name("retime/min_area")
+        assert base.attrs["engine"] in ("highs", "ssp")
+        assert base.attrs["simplex_iterations"] >= 0
+        first, *rest = sorted(
+            doc.by_name("lac/round"), key=lambda r: r.attrs["round"]
+        )
+        assert first.attrs["replayed"] is True
+        assert not any(r.attrs.get("replayed") for r in rest)
+        assert (first.attrs["n_foa"], first.attrs["n_f"]) == (
+            base.attrs["n_foa"],
+            base.attrs["n_f"],
+        )
+
     def test_feas_probe_spans(self, doc):
         (search,) = doc.by_name("min_period/search")
         assert search.attrs["t_min"] > 0
@@ -375,6 +389,7 @@ class TestPlannerTrace:
         (route,) = doc.by_name("route/global")
         assert route.attrs["nets"] >= 0
         assert route.attrs["wirelength_tiles"] >= 0
+        assert route.attrs["cost_refreshes"] >= route.attrs["used_cells"]
 
     def test_iteration_span_wraps_stages(self, doc):
         (it,) = doc.by_name("iteration")
@@ -390,6 +405,9 @@ class TestPlannerTrace:
         assert "min-period search" in text
         assert "FEAS rounds:" in text
         assert "floorplan anneal" in text
+        assert "1 replayed" in text
+        assert "simplex iterations" in text
+        assert "cost refreshes" in text
         assert "stage" in text and "seconds" in text
 
     def test_stage_table_matches_perf_recorder(self, doc):
