@@ -2,7 +2,7 @@
 
 The min-area baseline solves the retiming LP with HiGHS
 (:func:`repro.retime.min_area_retiming`); the in-house
-successive-shortest-path solver (:func:`repro.retime.mcf.solve_retiming_dual`)
+successive-shortest-path solver (:func:`tests.oracles.mcf.solve_retiming_dual`)
 solves its min-cost-flow dual. Both must reach the same optimum flip-flop count
 (cross-checked here on a real benchmark instance); the bench reports
 their run times.
@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.fixtures import prepared_instance
 from repro.retime import min_area_retiming, normalise_labels, retiming_objective
-from repro.retime.mcf import solve_retiming_dual
+from tests.oracles.mcf import solve_retiming_dual
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,9 @@ candidate periods, FEAS arrays, pruned constraint pairs) is pure in the
 expanded graph + tech + a few config switches. This package packages
 that front half as a :class:`CompiledCircuit` artifact, names it by a
 content fingerprint, and caches it on disk (:class:`CompileCache`) so
-repeated and parametric runs skip straight to the solve.
+repeated and parametric runs skip straight to the solve. Only the
+artifact's replay record goes to disk; the dense search inputs are
+rebuilt from the graph on the rare paths that need them.
 """
 
 from repro.compile.artifact import (

@@ -3,12 +3,21 @@ that depends only on the (expanded) circuit graph, tech parameters and
 the compilation-relevant planner switches.
 
 Compilation is the expensive, *pure* front half of a planning
-iteration: vertex order, W/D matrices (scalarised Johnson), merged and
-exact candidate-period sets, the FEAS probe arrays, the min-area
-objective gather arrays, and — filled in lazily as the solve runs —
-per-period pruned clocking-pair sets and the minimum-period witness.
-The solve half (binary search, LP/SSP min-area, LAC rounds) consumes
-the artifact and never recomputes any of it.
+iteration. An artifact has two halves:
+
+* the **replay record**, which is what gets pickled: vertex order, the
+  min-area objective gather arrays, ``T_init``, the largest unit delay,
+  the candidate-period count and — filled in lazily as the solve runs —
+  per-period clocking pairs stored with their bounds ``W(u, v) - 1``
+  and the minimum-period witness. A warm re-plan replays the solve
+  from this record alone;
+* the **search inputs**, memory-only: dense W/D matrices (scalarised
+  Johnson), merged and exact candidate-period sets and the FEAS probe.
+  A fresh compile computes them; an artifact loaded from disk (or
+  restored from a checkpoint) rebuilds them from the expanded graph
+  only when a solve needs something the record lacks (a min-period
+  search with no witness, clocking pairs for a new ``(period, prune)``
+  key, or the planner's degrade path).
 
 Artifacts are content-addressed: :func:`compile_fingerprint` hashes the
 circuit JSON (:func:`repro.netlist.io.graph_to_dict`), the
@@ -17,9 +26,11 @@ compilation-relevant config switch (``prune``). The planner compiles the *expand
 each iteration, whose content already reflects every upstream stage
 (partition seed, floorplan, routes, repeaters), so equal fingerprints
 really do mean equal solve inputs — and therefore bit-identical
-results. The run's plumbing (the cache itself, telemetry sinks,
-resilience posture) lives in a
-:class:`~repro.core.context.RunContext` and never reaches the hash.
+results. A rebuild checks the graph it is handed against the
+fingerprint, so search inputs can never come from another circuit. The
+run's plumbing (the cache itself, telemetry sinks, resilience posture)
+lives in a :class:`~repro.core.context.RunContext` and never reaches
+the hash.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import numpy as np
 from repro.errors import InfeasiblePeriodError, RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.netlist.io import graph_to_dict
+from repro.obs import NOOP_TRACER
 from repro.retime.constraints import prune_redundant_arrays
 from repro.retime.feas_probe import FeasProbe
 from repro.retime.minperiod import clock_period
@@ -41,7 +53,36 @@ from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
 from repro.tech.params import DEFAULT_TECH, Technology
 
 #: On-disk artifact schema (also the fingerprint domain separator).
-COMPILE_SCHEMA = "repro-compile/2"
+COMPILE_SCHEMA = "repro-compile/3"
+
+#: Clocking pairs of one ``(period, prune)`` key: ``(rows, cols,
+#: bounds)`` int64 arrays, ``bounds = W[rows, cols] - 1``.
+ClockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: The memory-only fields: never pickled, rebuilt from the graph.
+_SEARCH_FIELDS = ("wd", "candidates", "exact_candidates", "feas")
+
+
+def _search_field():
+    return dataclasses.field(default=None, compare=False, repr=False)
+
+
+def _search_inputs(graph: CircuitGraph) -> dict:
+    """The memory-only fields of a compile of ``graph``, by name."""
+    wd = wd_matrices(graph)
+    try:
+        feas: Optional[FeasProbe] = FeasProbe.build(graph)
+    except RetimingError:
+        # Rare (e.g. a zero-delay host with a zero-weight self-loop
+        # survives W/D but not the FEAS arc build); the solve falls
+        # back to the dense checker exactly as it would uncached.
+        feas = None
+    return {
+        "wd": wd,
+        "candidates": candidate_periods(wd),
+        "exact_candidates": candidate_periods(wd, tol=0.0),
+        "feas": feas,
+    }
 
 
 def compile_fingerprint(
@@ -68,7 +109,8 @@ def compile_fingerprint(
 
 @dataclasses.dataclass
 class CompiledCircuit:
-    """One circuit, compiled: solve-ready arrays plus solve by-products.
+    """One circuit, compiled: a persisted replay record plus memory-only
+    search inputs (see the module docstring).
 
     ``clock_pair_sets`` and the ``t_min`` witness start empty and are
     filled in by the first solve (marking the artifact ``dirty`` so the
@@ -79,23 +121,32 @@ class CompiledCircuit:
     schema: str
     fingerprint: str
     circuit: str
+    tech: Technology
+    prune: bool
     n: int
     order: List[str]
-    index: Dict[str, int]
-    wd: WDMatrices
     t_init: float
     max_delay: float
-    candidates: List[float]
-    exact_candidates: List[float]
-    feas: Optional[FeasProbe]
+    n_candidates: int
     conn_u: np.ndarray
     conn_v: np.ndarray
     components: List[frozenset]
-    clock_pair_sets: Dict[Tuple[float, bool], Tuple[np.ndarray, np.ndarray]]
+    clock_pair_sets: Dict[Tuple[float, bool], ClockPairs]
     t_min: Optional[float] = None
     t_min_labels: Optional[Dict[str, int]] = None
+    #: Search inputs: set by :meth:`compile` and
+    #: :meth:`rebuild_search_inputs`, ``None`` on a loaded artifact.
+    wd: Optional[WDMatrices] = _search_field()
+    candidates: Optional[List[float]] = _search_field()
+    exact_candidates: Optional[List[float]] = _search_field()
+    feas: Optional[FeasProbe] = _search_field()
+    #: Vertex -> position in ``order`` (derived, not pickled).
+    index: Dict[str, int] = dataclasses.field(init=False, compare=False, repr=False)
     #: True when the artifact holds solve by-products not yet persisted.
     dirty: bool = dataclasses.field(default=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.index = {v: i for i, v in enumerate(self.order)}
 
     @classmethod
     def compile(
@@ -109,56 +160,107 @@ class CompiledCircuit:
         if fingerprint is None:
             fingerprint = compile_fingerprint(graph, tech, prune=prune)
         order = list(graph.units())
-        wd = wd_matrices(graph)
-        try:
-            feas: Optional[FeasProbe] = FeasProbe.build(graph)
-        except RetimingError:
-            # Rare (e.g. a zero-delay host with a zero-weight self-loop
-            # survives W/D but not the FEAS arc build); the solve falls
-            # back to the dense checker exactly as it would uncached.
-            feas = None
-        conn = [(wd.index[u], wd.index[v]) for (u, v, _key), _w in graph.connections()]
+        index = {v: i for i, v in enumerate(order)}
+        conn = [(index[u], index[v]) for (u, v, _key), _w in graph.connections()]
         conn_arr = (
             np.asarray(conn, dtype=np.int64).reshape(len(conn), 2)
             if conn
             else np.empty((0, 2), dtype=np.int64)
         )
+        search = _search_inputs(graph)
+        wd = search["wd"]
         return cls(
             schema=COMPILE_SCHEMA,
             fingerprint=fingerprint,
             circuit=graph.name,
+            tech=tech,
+            prune=bool(prune),
             n=len(order),
             order=order,
-            index=dict(wd.index),
-            wd=wd,
             t_init=clock_period(graph, wd),
             max_delay=wd.max_vertex_delay(),
-            candidates=candidate_periods(wd),
-            exact_candidates=candidate_periods(wd, tol=0.0),
-            feas=feas,
+            n_candidates=len(search["candidates"]),
             conn_u=np.ascontiguousarray(conn_arr[:, 0]),
             conn_v=np.ascontiguousarray(conn_arr[:, 1]),
             components=graph.weakly_connected_components(),
             clock_pair_sets={},
+            **search,
         )
+
+    def __getstate__(self) -> dict:
+        # Pickle the replay record only: the search inputs are >97% of
+        # a compile's bytes and a replayed solve never reads them.
+        state = dict(self.__dict__)
+        for name in (*_SEARCH_FIELDS, "index"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__.update(dict.fromkeys(_SEARCH_FIELDS))
+        self.__post_init__()
 
     def is_current(self) -> bool:
         """False for an artifact pickled under an older schema.
 
         A checkpoint store restoring a stage result calls this, so a
         compile stage snapshot written before a layout change (e.g.
-        ``WDMatrices`` gaining fields) is recomputed, not resumed.
+        the replay record losing the W/D matrices) is recomputed, not
+        resumed.
         """
         return self.schema == COMPILE_SCHEMA
 
+    # -- search inputs -------------------------------------------------
+    def rebuild_search_inputs(
+        self, graph: Optional[CircuitGraph], reason: str, tracer=None
+    ) -> None:
+        """Make ``wd``, ``candidates``, ``exact_candidates`` and ``feas``
+        available, recomputing them from ``graph`` if this artifact was
+        loaded without them (a no-op otherwise).
+
+        ``reason`` (``"min_period"``, ``"clock_pairs"`` or
+        ``"degrade"``) names the solve path that needed them; it rides
+        on the ``compile/rebuild`` span ``tracer`` records.
+
+        Raises:
+            ValueError: ``graph`` is missing, or is not the graph this
+                artifact compiles (its fingerprint differs).
+        """
+        if self.wd is not None:
+            return
+        if graph is None:
+            raise ValueError(
+                f"artifact {self.fingerprint[:16]} ({self.circuit}) was loaded "
+                f"without its search inputs; {reason} needs the graph to rebuild them"
+            )
+        if tracer is None:
+            tracer = NOOP_TRACER
+        with tracer.span("compile/rebuild", reason=reason, circuit=self.circuit):
+            if compile_fingerprint(graph, self.tech, self.prune) != self.fingerprint:
+                raise ValueError(
+                    f"graph {graph.name!r} does not match compiled artifact "
+                    f"{self.fingerprint[:16]} ({self.circuit}); refusing to "
+                    "rebuild its search inputs"
+                )
+            self.__dict__.update(_search_inputs(graph))
+
     # -- solve-side accessors ------------------------------------------
     def clock_pairs(
-        self, period: float, prune: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(pruned) clocking index pairs for ``period``, memoised.
+        self,
+        period: float,
+        prune: bool = True,
+        *,
+        graph: Optional[CircuitGraph] = None,
+        tracer=None,
+    ) -> ClockPairs:
+        """(pruned) clocking pairs for ``period`` with their bounds,
+        memoised per ``(period, prune)``.
 
-        Raises :class:`InfeasiblePeriodError` when a single unit's
-        delay exceeds the period, mirroring
+        A stored key is answered from the replay record; a new one
+        needs the W/D matrices and so may rebuild the search inputs
+        from ``graph`` (required then). Raises
+        :class:`InfeasiblePeriodError` when a single unit's delay
+        exceeds the period, mirroring
         :func:`repro.retime.constraints.clock_constraints` so the
         planner's degrade path behaves identically with or without an
         artifact.
@@ -172,13 +274,17 @@ class CompiledCircuit:
         cached = self.clock_pair_sets.get(key)
         if cached is not None:
             return cached
-        rows, cols = self.wd.pairs_exceeding_arrays(period)
+        self.rebuild_search_inputs(graph, "clock_pairs", tracer=tracer)
+        wd = self.wd
+        rows, cols = wd.pairs_exceeding_arrays(period)
         if prune:
-            rows, cols = prune_redundant_arrays(self.wd, period, rows, cols)
-        pair = (np.ascontiguousarray(rows), np.ascontiguousarray(cols))
-        self.clock_pair_sets[key] = pair
+            rows, cols = prune_redundant_arrays(wd, period, rows, cols)
+        rows = np.ascontiguousarray(rows)
+        cols = np.ascontiguousarray(cols)
+        pairs = (rows, cols, wd.w[rows, cols].astype(np.int64) - 1)
+        self.clock_pair_sets[key] = pairs
         self.dirty = True
-        return pair
+        return pairs
 
     def feas_probe(self) -> Optional[FeasProbe]:
         """The FEAS engine with per-run scratch state reset."""

@@ -9,12 +9,28 @@ Store layout (flat, one file per fingerprint)::
 Each ``.cc`` file follows the checkpoint file convention
 (:mod:`repro.resilience.checkpoint`): a one-line JSON header followed
 by the payload — here a zlib-compressed pickle of the
-:class:`~repro.compile.artifact.CompiledCircuit`::
+:class:`~repro.compile.artifact.CompiledCircuit`'s replay record::
 
-    {"schema": "repro-compile/2", "kind": "compiled-circuit",
+    {"schema": "repro-compile/3", "kind": "compiled-circuit",
      "fingerprint": "<key>", "circuit": "s298", "codec": "zlib",
      "sha256": "<payload digest>", "meta": {...}}\\n
     <zlib bytes>
+
+What the payload holds: the vertex order, the min-area objective
+gather arrays and weakly connected components, ``T_init``, the largest
+unit delay, the candidate-period count, every ``(period, prune)`` key's
+clocking pairs with their bounds ``W(u, v) - 1``, and the min-period
+witness (``T_min`` plus its pre-normalise labels). That is all a warm
+re-plan reads, so a hit deserialises a few tens of KiB. What it does
+not hold: the dense n×n W/D matrices, the candidate-period lists and
+the FEAS probe arrays (the search inputs, >97% of a compile's bytes).
+A loaded artifact rebuilds them from the expanded graph — after
+checking the graph's fingerprint — only when the solve needs them: a
+min-period search with no stored witness, clocking pairs for a
+``(period, prune)`` key not stored yet (the planner's ``unpruned``
+fallback, a new ``T_clk``), or the planner's degrade path. Each rebuild
+records a ``compile/rebuild`` span with its ``reason``. A fresh compile
+and the in-process LRU keep the search inputs they computed.
 
 Writes are atomic (:func:`repro.ioutil.atomic_write`); on load the
 schema, fingerprint, checksum and the artifact's own embedded
@@ -77,6 +93,9 @@ class CacheStats:
     disk_hits: int = 0
     writes: int = 0
     skipped_writes: int = 0
+    #: Payload bytes (compressed) read by disk hits and written by puts.
+    bytes_read: int = 0
+    bytes_written: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -193,7 +212,7 @@ class CompileCache:
                 "n": artifact.n,
                 "t_init": artifact.t_init,
                 "t_min": artifact.t_min,
-                "n_candidates": len(artifact.candidates),
+                "n_candidates": artifact.n_candidates,
                 "periods": sorted({p for (p, _pr) in artifact.clock_pair_sets}),
             },
         }
@@ -210,6 +229,7 @@ class CompileCache:
         atomic_write(path, data)
         artifact.dirty = False
         self.stats.writes += 1
+        self.stats.bytes_written += len(payload)
         log.debug(
             "compile cache: wrote %s (%s, %d bytes)",
             path.name,
@@ -288,6 +308,7 @@ class CompileCache:
         ):
             self._quarantine(path, "payload does not match its fingerprint")
             return None
+        self.stats.bytes_read += len(payload)
         return artifact
 
     def _quarantine(self, path: Path, reason: str) -> None:

@@ -137,7 +137,7 @@ def lac_retiming(
             # Clocking constraints are generated once — the heuristic's
             # key run-time property (Section 4.2).
             system = build_constraint_system(
-                graph, wd, period, prune=prune, compiled=compiled
+                graph, wd, period, prune=prune, compiled=compiled, tracer=tracer
             )
         solver = IncrementalMinArea(graph, system, compiled=compiled)
     accountant = AreaAccountant(graph, unit_region)

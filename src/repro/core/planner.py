@@ -440,6 +440,7 @@ def _run_iteration_stages(
     def _compile(_a):
         # The whole pure front half of the solve — W/D, candidate
         # periods, FEAS arrays — keyed by the expanded graph's content.
+        io0 = cache.stats.bytes_read + cache.stats.bytes_written
         artifact, hit = cache.get_or_compile(
             expanded.graph,
             tech=config.tech,
@@ -448,22 +449,21 @@ def _run_iteration_stages(
         tracer.current.set(
             cache="hit" if hit else "miss",
             fingerprint=artifact.fingerprint[:16],
-            n_candidates=len(artifact.candidates),
+            n_candidates=artifact.n_candidates,
+            payload_bytes=cache.stats.bytes_read + cache.stats.bytes_written - io0,
         )
         tracer.metrics.counter(
             "compile_cache_total", result="hit" if hit else "miss"
         ).inc()
-        tracer.metrics.gauge("compile_candidates").set(len(artifact.candidates))
+        tracer.metrics.gauge("compile_candidates").set(artifact.n_candidates)
         return artifact
 
     compiled = runner.run("compile", _compile)
-    wd = compiled.wd
     t_init = compiled.t_init
     t_min, _ = runner.run(
         "min_period",
         lambda _a: min_period_retiming(
             expanded.graph,
-            wd,
             tracer=tracer,
             compiled=compiled,
         ),
@@ -479,7 +479,12 @@ def _run_iteration_stages(
         start = time.perf_counter()
         with tracer.span("retime/constraints", period=period, prune=prune) as sp:
             system = build_constraint_system(
-                expanded.graph, wd, period, prune=prune, compiled=compiled
+                expanded.graph,
+                None,
+                period,
+                prune=prune,
+                compiled=compiled,
+                tracer=tracer,
             )
             sp.set(n_constraints=len(system.constraints))
         constraints_seconds = time.perf_counter() - start
@@ -523,10 +528,7 @@ def _run_iteration_stages(
                 alpha=config.alpha,
                 n_max=config.n_max,
                 max_rounds=config.max_rounds,
-                wd=wd,
-                system=system,
                 tracer=tracer,
-                compiled=compiled,
                 solver=solver,
             )
             sp.set(
@@ -544,7 +546,10 @@ def _run_iteration_stages(
         except InfeasiblePeriodError:
             if not runner.config.degrade_t_clk:
                 return _RetimeOutcome(None, None, 0.0, t_clk, infeasible=True)
-            relaxed = find_relaxed_period(expanded.graph, t_clk, t_init, wd=wd)
+            compiled.rebuild_search_inputs(expanded.graph, "degrade", tracer=tracer)
+            relaxed = find_relaxed_period(
+                expanded.graph, t_clk, t_init, wd=compiled.wd
+            )
             if relaxed is None:
                 log.warning(
                     "retime: T_clk=%.3f infeasible, no relaxed period below "

@@ -14,13 +14,15 @@
    ``N_FOA``/``N_F``/objective and tile-weight spread, marking rounds
    the solver replayed; per min-period
    search: every FEAS probe with candidate period, verdict and rounds;
-4. **One-liners** — floorplan annealing acceptance, FM cut
-   trajectories, routing congestion and cost refreshes.
+4. **One-liners** — compile-cache lookups (hits, payload bytes, and
+   search-input rebuilds by reason), floorplan annealing acceptance,
+   FM cut trajectories, routing congestion and cost refreshes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.export import SpanRecord, TraceDocument
@@ -217,8 +219,25 @@ def _format_feas_tables(doc: TraceDocument) -> List[str]:
     return lines
 
 
+def _format_compile(doc: TraceDocument) -> List[str]:
+    lookups = [s for s in doc.by_name("compile") if "cache" in s.attrs]
+    rebuilds = doc.by_name("compile/rebuild")
+    if not lookups and not rebuilds:
+        return []
+    hits = sum(1 for s in lookups if s.attrs["cache"] == "hit")
+    payload = sum(s.attrs.get("payload_bytes", 0) for s in lookups)
+    reasons = Counter(s.attrs.get("reason", "?") for s in rebuilds)
+    detail = ", ".join(f"{r} ×{n}" for r, n in sorted(reasons.items()))
+    return [
+        f"compile cache: {len(lookups)} lookups ({hits} hit), "
+        f"{payload / 1024:.1f} KiB payload read/written; "
+        f"{len(rebuilds)} search-input rebuilds"
+        + (f" ({detail})" if detail else "")
+    ]
+
+
 def _format_one_liners(doc: TraceDocument) -> List[str]:
-    lines: List[str] = []
+    lines: List[str] = _format_compile(doc)
     for sa in doc.by_name("floorplan/anneal"):
         a = sa.attrs
         lines.append(

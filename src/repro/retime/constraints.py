@@ -87,7 +87,14 @@ def clock_constraints_from_pairs(
 ) -> List[Constraint]:
     """Materialise Eqn. (2) constraints from index-pair arrays."""
     bounds = wd.w[rows, cols].astype(np.int64) - 1
-    names = wd.order
+    return clock_constraints_from_bounds(wd.order, rows, cols, bounds)
+
+
+def clock_constraints_from_bounds(
+    names: List[str], rows: np.ndarray, cols: np.ndarray, bounds: np.ndarray
+) -> List[Constraint]:
+    """Eqn. (2) constraints from index pairs and their stored bounds
+    ``W(u, v) - 1``: no W matrix needed."""
     return [
         Constraint(names[i], names[j], int(b), "clock")
         for i, j, b in zip(rows.tolist(), cols.tolist(), bounds.tolist())
@@ -233,23 +240,30 @@ def prune_redundant(
 
 def build_constraint_system(
     graph: CircuitGraph,
-    wd: WDMatrices,
+    wd: Optional[WDMatrices],
     period: Optional[float],
     prune: bool = False,
     compiled=None,
+    tracer=None,
 ) -> ConstraintSystem:
     """Assemble edge + host (+ clocking, if a period is given) constraints.
 
     When a :class:`repro.compile.CompiledCircuit` for the same graph is
-    supplied, the clocking pairs come from its per-period pruned-pair
-    cache (computed once per period, persisted in the artifact) instead
-    of being re-derived from the dense D matrix.
+    supplied, ``wd`` is unused: the clocking pairs and their bounds
+    come from the artifact's per-period pair cache (computed once per
+    period, persisted in the artifact) instead of being re-derived
+    from the dense W/D matrices. ``tracer`` records the artifact's
+    ``compile/rebuild`` span if a new period needs its search inputs.
     """
     constraints = edge_constraints(graph) + host_constraints(graph)
     if period is not None:
         if compiled is not None:
-            rows, cols = compiled.clock_pairs(period, prune=prune)
-            constraints += clock_constraints_from_pairs(compiled.wd, rows, cols)
+            rows, cols, bounds = compiled.clock_pairs(
+                period, prune=prune, graph=graph, tracer=tracer
+            )
+            constraints += clock_constraints_from_bounds(
+                compiled.order, rows, cols, bounds
+            )
         else:
             constraints += clock_constraints(graph, wd, period, prune=prune)
     return ConstraintSystem(constraints=constraints, period=period)

@@ -324,44 +324,47 @@ def min_period_retiming(
     its candidate period, verdict, and FEAS round count.
 
     ``compiled`` (a :class:`repro.compile.CompiledCircuit` of this
-    graph) supplies the W/D matrices, candidate sets and FEAS arrays
-    precomputed; if it already carries a min-period witness from a
-    previous identical run, the search is skipped outright and the
-    witness replayed (the outcome is bit-identical — the witness *is*
-    the previous search's pre-normalise result).
+    graph): if it already carries a min-period witness from a previous
+    identical run, the search is skipped outright and the witness
+    replayed (the outcome is bit-identical — the witness *is* the
+    previous search's pre-normalise result). Otherwise it supplies the
+    W/D matrices, candidate sets and FEAS arrays, rebuilding them from
+    ``graph`` first if it was loaded from disk without them.
     """
     if tracer is None:
         tracer = NOOP_TRACER
-    if compiled is not None:
-        wd = compiled.wd
-        candidates = compiled.candidates
-    else:
-        if wd is None:
-            wd = wd_matrices(graph)
-        candidates = candidate_periods(wd)
-    if not candidates:
-        raise RetimingError("graph has no paths; period undefined")
-
-    replay = (
+    if (
         compiled is not None
         and compiled.t_min is not None
         and compiled.t_min_labels is not None
-    )
-    with tracer.span("min_period/search") as search:
-        if replay:
+    ):
+        n_candidates = compiled.n_candidates
+        with tracer.span("min_period/search") as search:
             period = compiled.t_min
             labels: Dict[str, int] = dict(compiled.t_min_labels)
             search.set(
                 engine="cache",
                 cache_hit=True,
-                n_candidates=len(candidates),
+                n_candidates=n_candidates,
                 t_min=period,
             )
+    else:
+        if compiled is not None:
+            compiled.rebuild_search_inputs(graph, "min_period", tracer=tracer)
+            wd = compiled.wd
+            candidates = compiled.candidates
         else:
+            if wd is None:
+                wd = wd_matrices(graph)
+            candidates = candidate_periods(wd)
+        if not candidates:
+            raise RetimingError("graph has no paths; period undefined")
+        n_candidates = len(candidates)
+        with tracer.span("min_period/search") as search:
             engine: Optional[FeasProbe] = None
             if compiled is not None:
-                # compile() already ran FeasProbe.build; None means the
-                # graph was rejected.
+                # The search inputs hold FeasProbe.build's result; None
+                # means the graph was rejected.
                 engine = compiled.feas_probe()
             else:
                 try:
@@ -394,14 +397,14 @@ def min_period_retiming(
                 compiled.note_min_period(period, labels)
             search.set(
                 engine="feas" if engine is not None else "bellman-ford",
-                n_candidates=len(candidates),
+                n_candidates=n_candidates,
                 t_min=period,
             )
     log.debug(
         "min-period search on %s: T_min=%.4f over %d candidates",
         graph.name,
         period,
-        len(candidates),
+        n_candidates,
     )
 
     labels = normalise_labels(graph, {v: labels.get(v, 0) for v in graph.units()})

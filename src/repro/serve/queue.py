@@ -14,7 +14,7 @@ convenience that recovery rewrites)::
                   <id>.metrics.jsonl         # per-job repro-metrics/1
                   <id>.trace.jsonl           # per-job repro-trace/1
         checkpoints/<id>/                    # per-job repro-ckpt/1 store
-        compile-cache/                       # repro-compile/2 store, shared
+        compile-cache/                       # repro-compile/3 store, shared
 
 Every transition is an ``os.replace`` between sibling directories plus
 an atomic rewrite of the record, so a kill at any instant leaves each

@@ -351,9 +351,10 @@ class TestResumeEquivalence:
         assert quarantine.is_dir() and any(quarantine.iterdir())
 
     def test_pre_schema_compile_checkpoint_is_recompiled(self, tmp_path):
-        """A compile snapshot pickled before ``repro-compile/2`` (its
-        ``WDMatrices`` lacks the edge arrays) must be recomputed on
-        resume, not restored into an AttributeError in the next prune.
+        """A compile snapshot pickled under ``repro-compile/2`` (no
+        ``tech``/``prune`` fields; that layout kept the W/D matrices in
+        the record) must be recomputed on resume, not restored into an
+        AttributeError in the next search.
         """
         kwargs = dict(
             seed=1, whitespace=0.4, max_iterations=2, floorplan_iterations=300
@@ -376,9 +377,9 @@ class TestResumeEquivalence:
         newline = data.index(b"\n")
         header = json.loads(data[:newline])
         artifact = pickle.loads(data[newline + 1 :])
-        artifact.schema = "repro-compile/1"
-        for field in ("edge_src", "edge_dst", "edge_w"):
-            del artifact.wd.__dict__[field]
+        artifact.schema = "repro-compile/2"
+        for field in ("tech", "prune"):
+            del artifact.__dict__[field]
         payload = pickle.dumps(artifact)
         header["sha256"] = hashlib.sha256(payload).hexdigest()
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)

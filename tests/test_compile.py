@@ -27,6 +27,42 @@ from repro.retime import (
 from repro.tech.params import DEFAULT_TECH
 
 
+def _replay_fields(artifact):
+    """The persisted record as comparable plain values."""
+    return {
+        "order": artifact.order,
+        "index": artifact.index,
+        "scalars": (
+            artifact.schema,
+            artifact.circuit,
+            artifact.tech,
+            artifact.prune,
+            artifact.n,
+            artifact.t_init,
+            artifact.max_delay,
+            artifact.n_candidates,
+            artifact.t_min,
+        ),
+        "conn": (artifact.conn_u.tolist(), artifact.conn_v.tolist()),
+        "components": artifact.components,
+        "pairs": {
+            key: tuple(a.tolist() for a in arrays)
+            for key, arrays in artifact.clock_pair_sets.items()
+        },
+        "witness": artifact.t_min_labels,
+    }
+
+
+def _feas_arrays(feas):
+    if feas is None:
+        return None
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in vars(feas).items()
+        if k != "last_rounds"
+    }
+
+
 @pytest.fixture()
 def graph():
     return random_circuit("cc", n_units=30, n_ffs=18, seed=9)
@@ -77,14 +113,16 @@ class TestArtifact:
         art = CompiledCircuit.compile(graph)
         wd = art.wd
         period = 0.6 * art.t_init + 0.4 * art.max_delay
-        rows, cols = art.clock_pairs(period, prune=True)
+        rows, cols, bounds = art.clock_pairs(period, prune=True)
         all_r, all_c = wd.pairs_exceeding_arrays(period)
         expected = prune_redundant(
             wd, period, list(zip(all_r.tolist(), all_c.tolist()))
         )
         assert list(zip(rows.tolist(), cols.tolist())) == expected
-        rows_u, cols_u = art.clock_pairs(period, prune=False)
+        assert bounds.tolist() == [int(wd.w[i, j]) - 1 for i, j in expected]
+        rows_u, cols_u, bounds_u = art.clock_pairs(period, prune=False)
         assert np.array_equal(rows_u, all_r) and np.array_equal(cols_u, all_c)
+        assert np.array_equal(bounds_u, wd.w[all_r, all_c].astype(np.int64) - 1)
 
     def test_clock_pairs_memoise_and_mark_dirty(self, graph):
         art = CompiledCircuit.compile(graph)
@@ -129,11 +167,19 @@ class TestCacheModes:
         assert hit
         assert reader.stats.disk_hits == 1
         assert restored.fingerprint == original.fingerprint
+        # The replay record round-trips field for field (the dataclass
+        # equality skips the memory-only search inputs) ...
+        assert _replay_fields(restored) == _replay_fields(original)
+        # ... and the search inputs, rebuilt from the graph, are equal.
+        assert restored.wd is None
+        restored.rebuild_search_inputs(graph, "min_period")
         assert restored.candidates == original.candidates
-        assert np.array_equal(
-            restored.wd.w[np.isfinite(restored.wd.w)],
-            original.wd.w[np.isfinite(original.wd.w)],
-        )
+        assert restored.exact_candidates == original.exact_candidates
+        for field in ("w", "d", "edge_src", "edge_dst", "edge_w"):
+            assert np.array_equal(
+                getattr(restored.wd, field), getattr(original.wd, field)
+            )
+        assert _feas_arrays(restored.feas) == _feas_arrays(original.feas)
 
     def test_memory_lru_serves_before_disk(self, graph, tmp_path):
         cache = CompileCache(tmp_path, mode="auto")
@@ -223,34 +269,37 @@ class TestCorruption:
 
 class TestSchemaUpgrade:
     def test_v1_file_is_recompiled(self, graph, tmp_path, monkeypatch):
-        """An artifact written by the previous schema (``repro-compile/1``,
-        whose ``WDMatrices`` had no edge arrays) is recompiled, never
-        unpickled into a solve that would crash on the missing fields."""
+        """An artifact written by the previous schema (``repro-compile/2``,
+        whose record kept W/D and stored clocking pairs without bounds)
+        is recompiled, never unpickled into a solve that would crash on
+        the missing fields."""
         import repro.compile.artifact as artifact_mod
         import repro.compile.cache as cache_mod
 
-        assert COMPILE_SCHEMA == "repro-compile/2"
+        assert COMPILE_SCHEMA == "repro-compile/3"
         fingerprint = compile_fingerprint(graph)
         with monkeypatch.context() as m:
-            m.setattr(artifact_mod, "COMPILE_SCHEMA", "repro-compile/1")
+            m.setattr(artifact_mod, "COMPILE_SCHEMA", "repro-compile/2")
             assert compile_fingerprint(graph) != fingerprint
         stale = CompiledCircuit.compile(graph)
-        for field in ("edge_src", "edge_dst", "edge_w"):
-            del stale.wd.__dict__[field]
-        stale.schema = "repro-compile/1"
         period = clock_period(graph, stale.wd) - 1e-6
-        with pytest.raises(AttributeError):
-            stale.clock_pairs(period)
-        # Worst case: a /1 payload sitting under the /2 file name.
+        rows, cols, _bounds = stale.clock_pairs(period)
+        stale.clock_pair_sets[(period, True)] = (rows, cols)
+        for field in ("tech", "prune"):
+            del stale.__dict__[field]
+        stale.schema = "repro-compile/2"
+        with pytest.raises(ValueError, match="unpack"):
+            _rows, _cols, _bounds = stale.clock_pairs(period)
+        # Worst case: a /2 payload sitting under the /3 file name.
         with monkeypatch.context() as m:
-            m.setattr(cache_mod, "COMPILE_SCHEMA", "repro-compile/1")
+            m.setattr(cache_mod, "COMPILE_SCHEMA", "repro-compile/2")
             path = CompileCache(tmp_path, mode="auto").put(stale)
         cache = CompileCache(tmp_path, mode="auto")
         artifact, hit = cache.get_or_compile(graph)
         assert not hit
         assert (tmp_path / "quarantine" / path.name).exists()
         assert artifact.schema == COMPILE_SCHEMA
-        rows, _cols = artifact.clock_pairs(period)
+        rows, _cols, _bounds = artifact.clock_pairs(period)
         assert rows.size > 0
 
 

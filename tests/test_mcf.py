@@ -21,8 +21,8 @@ from repro.retime import (
     retiming_objective,
     wd_matrices,
 )
-from repro.retime.mcf import MinCostFlow, solve_retiming_dual
 from tests.oracles.flow import optimal_labels
+from tests.oracles.mcf import MinCostFlow, solve_retiming_dual
 
 
 class TestMinCostFlow:
