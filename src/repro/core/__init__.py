@@ -8,8 +8,6 @@ from repro.core.placement import (
     commit_flip_flop_area,
     place_flip_flops,
 )
-from repro.core.flowreport import flow_report_markdown, write_flow_report
-from repro.core.timing import TimingReport, timing_report
 from repro.core.planner import (
     PlannerConfig,
     PlanningIteration,
@@ -35,8 +33,4 @@ __all__ = [
     "TimedRetiming",
     "plan_interconnect",
     "validate_planner_config",
-    "TimingReport",
-    "timing_report",
-    "flow_report_markdown",
-    "write_flow_report",
 ]

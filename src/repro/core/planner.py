@@ -22,10 +22,10 @@ Every stage executes through the :mod:`repro.resilience` layer: a
 :class:`~repro.resilience.runner.StageRunner` applies per-stage
 policies (bounded retries with seed perturbation for the stochastic
 stages, optional wall-clock deadlines, fallback chains such as the
-``tree`` repeater backend falling back to ``path``), and an infeasible
-``T_clk`` degrades gracefully — the period is relaxed toward
-``T_init`` and the iteration is marked ``degraded`` instead of being
-abandoned. The full attempt history lands in the outcome's
+``retime`` stage falling back to the unpruned constraint system), and
+an infeasible ``T_clk`` degrades gracefully — the period is relaxed
+toward ``T_init`` and the iteration is marked ``degraded`` instead of
+being abandoned. The full attempt history lands in the outcome's
 :class:`~repro.resilience.ledger.RunLedger`.
 
 With a :class:`~repro.resilience.checkpoint.CheckpointManager`
@@ -68,11 +68,6 @@ from repro.tiles.grid import SOFT, TileGrid, build_tile_grid
 
 log = logging.getLogger(__name__)
 
-#: Legal backend names, checked up-front by config validation.
-FLOORPLAN_BACKENDS = ("sequence_pair", "slicing")
-REPEATER_BACKENDS = ("path", "tree")
-
-
 @dataclasses.dataclass
 class PlannerConfig:
     """Knobs for the planning flow; defaults follow the paper.
@@ -98,8 +93,6 @@ class PlannerConfig:
     hard_blocks: Tuple[int, ...] = ()
     expansion_factor: float = 1.4
     run_baseline: bool = True
-    floorplan_backend: str = "sequence_pair"
-    repeater_backend: str = "path"  # "path" (per-connection DP) | "tree"
     tech: Technology = DEFAULT_TECH
 
 
@@ -107,8 +100,8 @@ def validate_planner_config(config: PlannerConfig) -> None:
     """Reject bad configs up front, naming the offending field.
 
     Raises:
-        PlanningError: A field is out of range or names an unknown
-            backend — better than failing deep inside a stage.
+        PlanningError: A field is out of range — better than failing
+            deep inside a stage.
     """
     if config.whitespace < 0:
         raise PlanningError(
@@ -132,18 +125,6 @@ def validate_planner_config(config: PlannerConfig) -> None:
         raise PlanningError(
             "PlannerConfig.target_fraction must be in [0, 1], got "
             f"{config.target_fraction}"
-        )
-    if config.floorplan_backend not in FLOORPLAN_BACKENDS:
-        raise PlanningError(
-            "PlannerConfig.floorplan_backend: unknown floorplan backend "
-            f"{config.floorplan_backend!r} (expected one of "
-            f"{', '.join(FLOORPLAN_BACKENDS)})"
-        )
-    if config.repeater_backend not in REPEATER_BACKENDS:
-        raise PlanningError(
-            "PlannerConfig.repeater_backend: unknown repeater backend "
-            f"{config.repeater_backend!r} (expected one of "
-            f"{', '.join(REPEATER_BACKENDS)})"
         )
     if config.n_max < 1:
         raise PlanningError(
@@ -376,48 +357,22 @@ def _run_iteration_stages(
     else:  # stage value from a pre-audit checkpoint
         routed, route_usage, route_congestion = route_value, None, None
 
-    def _annotate_repeaters(buffered):
+    def _repeater(_a):
+        buffered = buffer_routed_nets(routed, grid, config.tech)
         n_repeaters = sum(c.n_repeaters for c in buffered.values())
         tracer.current.set(
             n_connections=len(buffered), n_repeaters=n_repeaters
         )
-        # Both backends reserve repeater area from the grid in place,
-        # and downstream area reports read that reservation. The grid
-        # rides along in the stage value so a checkpoint of this stage
-        # captures the mutation — a resumed run that restores the
+        # Repeater insertion reserves repeater area from the grid in
+        # place, and downstream area reports read that reservation. The
+        # grid rides along in the stage value so a checkpoint of this
+        # stage captures the mutation — a resumed run that restores the
         # repeater stage restores the post-reservation grid with it.
         # The post-reservation snapshot is the area the verification
         # layer audits the live grid against.
         return buffered, grid, grid.snapshot_usage(), n_repeaters
 
-    if config.repeater_backend == "tree":
-        from repro.repeater.vanginneken import buffer_routed_nets_tree
-
-        repeater_value = runner.run(
-            "repeater",
-            lambda _a: _annotate_repeaters(
-                buffer_routed_nets_tree(routed, grid, config.tech)
-            ),
-            fallbacks=[
-                (
-                    "path",
-                    lambda _a: _annotate_repeaters(
-                        buffer_routed_nets(routed, grid, config.tech)
-                    ),
-                )
-            ],
-        )
-    elif config.repeater_backend == "path":
-        repeater_value = runner.run(
-            "repeater",
-            lambda _a: _annotate_repeaters(
-                buffer_routed_nets(routed, grid, config.tech)
-            ),
-        )
-    else:
-        raise PlanningError(
-            f"unknown repeater backend {config.repeater_backend!r}"
-        )
+    repeater_value = runner.run("repeater", _repeater)
     if len(repeater_value) == 4:
         buffered, grid, repeater_used, n_repeaters = repeater_value
     else:  # stage value from a pre-audit checkpoint
@@ -809,7 +764,6 @@ def _plan_stages(
             hard_blocks=config.hard_blocks,
             whitespace=config.whitespace,
             iterations=config.floorplan_iterations,
-            backend=config.floorplan_backend,
             replicas=config.anneal_replicas,
             anneal_jobs=config.anneal_jobs,
             tracer=tracer,

@@ -10,7 +10,6 @@ from repro.floorplan.plan import (
     net_pairs_from_graph,
 )
 from repro.floorplan.sequence_pair import ArrayPacker, overlaps, pack, pack_arrays
-from repro.floorplan.slicing import SlicingFloorplanner
 
 __all__ = [
     "Block",
@@ -21,7 +20,6 @@ __all__ = [
     "overlaps",
     "SequencePairAnnealer",
     "anneal_multistart",
-    "SlicingFloorplanner",
     "Floorplan",
     "blocks_from_partition",
     "net_pairs_from_graph",

@@ -123,17 +123,11 @@ def build_floorplan(
     hard_blocks: Iterable[int] = (),
     whitespace: float = 0.25,
     iterations: int = 2500,
-    backend: str = "sequence_pair",
     replicas: int = 1,
     anneal_jobs: int = 1,
     tracer=None,
 ) -> Floorplan:
     """Partition-aware floorplanning: size blocks, anneal, package.
-
-    ``backend`` selects the floorplanner: ``"sequence_pair"`` (default;
-    supports incremental expansion via the stored sequence pair) or
-    ``"slicing"`` (normalised Polish expressions; expansion falls back
-    to a re-anneal because slicing floorplans carry no sequence pair).
 
     ``replicas > 1`` anneals that many parallel-tempered multi-start
     replicas (deterministic seed fan-out; ``anneal_jobs`` worker
@@ -145,33 +139,6 @@ def build_floorplan(
     )
     if not blocks:
         raise FloorplanError("no blocks to floorplan")
-    if backend == "slicing":
-        from repro.floorplan.slicing import SlicingFloorplanner
-
-        placements, w, h = SlicingFloorplanner(blocks, seed=seed).run(
-            iterations=iterations
-        )
-        placed = {p.name: p for p in placements}
-        final_blocks = {
-            b.name: (
-                b
-                if b.hard
-                else b.with_aspect(
-                    max(0.2, min(5.0, placed[b.name].width / placed[b.name].height))
-                )
-            )
-            for b in blocks
-        }
-        return Floorplan(
-            blocks=final_blocks,
-            placements=placed,
-            chip_width=w,
-            chip_height=h,
-            block_of_unit=dict(block_of_unit),
-            sequence_pair=None,
-        )
-    if backend != "sequence_pair":
-        raise FloorplanError(f"unknown floorplan backend {backend!r}")
     net_pairs = net_pairs_from_graph(graph, block_of_unit)
     (gp, gm), best_blocks, _best_cost = anneal_multistart(
         blocks,

@@ -11,7 +11,6 @@ from repro.netlist.bench import (
 from repro.netlist.generate import random_circuit
 from repro.netlist.io import graph_from_dict, graph_to_dict, load_graph, save_graph
 from repro.netlist.generate import random_bench_netlist
-from repro.netlist.pipeline import pipeline_circuit
 from repro.netlist.graph import (
     HOST_SNK,
     HOST_SRC,
@@ -45,7 +44,6 @@ __all__ = [
     "write_bench_text",
     "save_bench",
     "random_circuit",
-    "pipeline_circuit",
     "random_bench_netlist",
     "graph_to_dict",
     "graph_from_dict",

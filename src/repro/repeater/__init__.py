@@ -6,24 +6,10 @@ from repro.repeater.insertion import (
     buffer_routed_nets,
     insert_repeaters,
 )
-from repro.repeater.vanginneken import (
-    BufferType,
-    TreeBuffering,
-    buffer_all_trees,
-    buffer_routed_nets_tree,
-    buffer_tree,
-    default_library,
-)
 
 __all__ = [
     "Segment",
     "BufferedConnection",
     "insert_repeaters",
     "buffer_routed_nets",
-    "TreeBuffering",
-    "BufferType",
-    "default_library",
-    "buffer_tree",
-    "buffer_all_trees",
-    "buffer_routed_nets_tree",
 ]

@@ -89,7 +89,13 @@ def run_fingerprint(graph, config, max_iterations: int) -> str:
     doc = {
         "schema": CKPT_SCHEMA,
         "graph": graph_to_dict(graph),
-        "config": dataclasses.asdict(config),
+        # The retired backend knobs stay hashed at their only values, so
+        # default-run digests are unchanged and tree/slicing ones go stale.
+        "config": {
+            **dataclasses.asdict(config),
+            "floorplan_backend": "sequence_pair",
+            "repeater_backend": "path",
+        },
         "max_iterations": max_iterations,
     }
     blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")

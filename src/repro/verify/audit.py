@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 from repro.errors import VerificationError
 from repro.resilience.checkpoint import CKPT_SCHEMA, KIND_OUTCOME
 from repro.verify.certificate import VerificationReport
-from repro.verify.outcome_io import load_outcome_json
+from repro.verify.outcome_io import load_outcome_json, refuse_retired_backend
 from repro.verify.plan import verify_outcome
 
 
@@ -67,12 +67,14 @@ def load_outcome_checkpoint(path):
             f"{path}: payload checksum mismatch (truncated or corrupted)"
         )
     try:
-        return pickle.loads(payload)
+        outcome = pickle.loads(payload)
     except Exception as exc:
         raise VerificationError(
             f"{path}: unpicklable outcome payload "
             f"({type(exc).__name__}: {exc})"
         ) from exc
+    refuse_retired_backend(vars(outcome.config), path)
+    return outcome
 
 
 def discover_outcomes(target) -> List[Tuple[str, Path]]:

@@ -35,10 +35,7 @@ def outcome_to_dict(outcome) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "schema": OUTCOME_SCHEMA,
         "circuit": outcome.circuit,
-        "config": {
-            "repeater_backend": config.repeater_backend,
-            "tech": dataclasses.asdict(config.tech),
-        },
+        "config": {"tech": dataclasses.asdict(config.tech)},
         "iterations": [_iteration_to_dict(it) for it in outcome.iterations],
     }
     return doc
@@ -139,16 +136,34 @@ def load_outcome_json(path):
     return outcome_from_dict(doc, source=str(path))
 
 
+def refuse_retired_backend(config: Dict[str, Any], source) -> None:
+    """Refuse an outcome planned with a retired repeater backend.
+
+    Outcomes written before the knob was removed record
+    ``repeater_backend``. Only its per-connection ``"path"`` value
+    matches the repeater count check, so any other value can be
+    neither certified nor failed.
+
+    Raises:
+        VerificationError: ``config`` names a backend other than path.
+    """
+    backend = config.get("repeater_backend", "path")
+    if backend != "path":
+        raise VerificationError(
+            f"{source}: config.repeater_backend={backend!r} is no longer "
+            "supported (only 'path' plans can be verified)"
+        )
+
+
 def outcome_from_dict(doc: Dict[str, Any], source: str = "<dict>"):
     from repro.core.planner import PlannerConfig, PlanningOutcome
     from repro.tech.params import Technology
 
     try:
         cfg = doc.get("config") or {}
+        refuse_retired_backend(cfg, source)
         tech = Technology(**cfg["tech"]) if "tech" in cfg else Technology()
-        config = PlannerConfig(
-            repeater_backend=cfg.get("repeater_backend", "path"), tech=tech
-        )
+        config = PlannerConfig(tech=tech)
         iterations = [
             _iteration_from_dict(it_doc) for it_doc in doc["iterations"]
         ]

@@ -119,6 +119,18 @@ class TestVerifyCLI:
         assert main(["verify", str(path)]) == 0
         assert "all pass" in capsys.readouterr().out
 
+    def test_tree_outcome_json_exits_2(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "outcome.json"
+        main(["plan", "s27", "--quick", "--outcome-json", str(path)])
+        doc = json.loads(path.read_text())
+        doc["config"]["repeater_backend"] = "tree"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 2
+        assert "repeater_backend" in capsys.readouterr().err
+
     def test_missing_target_exits_2(self, tmp_path, capsys):
         assert main(["verify", str(tmp_path / "nope")]) == 2
         assert "no such file" in capsys.readouterr().err

@@ -30,7 +30,7 @@ class TestSignature:
 
     def test_config_holds_only_the_flows_knobs(self):
         names = {f.name for f in dataclasses.fields(PlannerConfig)}
-        assert len(names) == 19
+        assert len(names) == 17
         assert not names & {f.name for f in dataclasses.fields(RunContext)}
         assert len(dataclasses.fields(RunContext)) <= 11
 

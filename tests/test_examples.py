@@ -52,17 +52,6 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "legend" in out
 
-    def test_pipeline_planning(self, capsys):
-        run_example("pipeline_planning.py", ["3", "2"])
-        out = capsys.readouterr().out
-        assert "T_init/T_min" in out
-
-    def test_full_report(self, capsys, tmp_path):
-        out_file = tmp_path / "r.md"
-        run_example("full_report.py", ["s298", str(out_file)])
-        assert out_file.exists()
-        assert "# Interconnect planning report" in out_file.read_text()
-
     def test_iscas_flow_list(self, capsys):
         run_example("iscas_flow.py", ["--list"])
         out = capsys.readouterr().out

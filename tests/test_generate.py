@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.netlist import HOST_SNK, HOST_SRC, pipeline_circuit, random_circuit
+from repro.netlist import HOST_SNK, HOST_SRC, random_circuit
 
 
 class TestRandomCircuit:

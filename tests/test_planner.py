@@ -150,48 +150,6 @@ class TestValidation:
         assert not all(c.ok for c in certs)
 
 
-class TestFlowReport:
-    def test_markdown_report(self, outcome, tmp_path):
-        from repro.core import flow_report_markdown, write_flow_report
-
-        text = flow_report_markdown(outcome)
-        assert f"`{outcome.circuit}`" in text
-        assert "## Iteration 1" in text
-        assert "| min-area |" in text
-        assert "| LAC |" in text
-        assert "Timing (final LAC-retimed circuit)" in text
-
-        path = tmp_path / "report.md"
-        write_flow_report(outcome, str(path))
-        assert path.read_text() == text
-
-
-class TestFloorplanBackends:
-    def test_slicing_backend_plans_end_to_end(self):
-        g = random_circuit("slc", n_units=60, n_ffs=16, seed=13)
-        out = plan_interconnect(
-            g,
-            seed=13,
-            max_iterations=1,
-            floorplan_iterations=500,
-            floorplan_backend="slicing",
-        )
-        it = out.first
-        assert it.lac is not None
-        assert it.lac.report.n_foa <= it.min_area.report.n_foa
-        assert it.floorplan.sequence_pair is None
-
-    def test_unknown_backend_rejected(self):
-        """Config validation now rejects it up front, naming the field."""
-        from repro.errors import PlanningError
-
-        g = random_circuit("slc2", n_units=30, n_ffs=10, seed=13)
-        with pytest.raises(PlanningError, match="floorplan_backend"):
-            plan_interconnect(
-                g, seed=13, max_iterations=1, floorplan_backend="magic"
-            )
-
-
 class TestHardBlocks:
     def test_flow_with_hard_blocks(self):
         """Hard blocks only offer pre-located sites (paper ref [1]):
@@ -227,33 +185,6 @@ class TestHardBlocks:
         assert it.lac.report.n_foa <= it.min_area.report.n_foa
 
 
-class TestRepeaterBackends:
-    def test_tree_backend_plans_end_to_end(self):
-        g = random_circuit("tb", n_units=60, n_ffs=16, seed=29)
-        out = plan_interconnect(
-            g,
-            seed=29,
-            max_iterations=1,
-            floorplan_iterations=500,
-            repeater_backend="tree",
-        )
-        it = out.first
-        assert it.lac is not None
-        assert_legal_retiming(
-            it.expanded.graph, it.lac.retiming.labels, period=it.t_clk
-        )
-        assert it.lac.report.n_foa <= it.min_area.report.n_foa
-
-    def test_unknown_repeater_backend_rejected(self):
-        from repro.errors import PlanningError
-
-        g = random_circuit("tb2", n_units=30, n_ffs=10, seed=29)
-        with pytest.raises(PlanningError, match="repeater backend"):
-            plan_interconnect(
-                g, seed=29, max_iterations=1, repeater_backend="laser"
-            )
-
-
 class TestConfigValidation:
     """plan_interconnect rejects bad configs up front, naming the field."""
 
@@ -269,8 +200,6 @@ class TestConfigValidation:
             ("expansion_factor", 0.5),
             ("target_fraction", -0.01),
             ("target_fraction", 1.5),
-            ("floorplan_backend", "magic"),
-            ("repeater_backend", "laser"),
             ("n_max", 0),
             ("max_rounds", 0),
         ],

@@ -340,10 +340,6 @@ class TestDegradation:
         assert outcome.degraded
         text = outcome.report()
         assert "degraded" in text
-        from repro.core import flow_report_markdown
-
-        md = flow_report_markdown(outcome)
-        assert "Degraded" in md and "Resilience ledger" in md
 
 
 class TestPlannerResilience:
@@ -384,22 +380,29 @@ class TestPlannerResilience:
         assert info.value.stage == "route"
         assert len(info.value.attempts) == 2  # default route policy retries
 
-    def test_tree_repeater_falls_back_to_path(self):
+    def test_pruned_retime_falls_back_to_unpruned(self):
         g = random_circuit("fb", n_units=50, n_ffs=14, seed=29)
+
+        def plan(**ctx):
+            return plan_interconnect(
+                g,
+                seed=29,
+                max_iterations=1,
+                floorplan_iterations=400,
+                verify=True,
+                **ctx,
+            )
+
         faults = FaultInjector(
-            [FaultSpec("repeater", error=PlanningError, on_call=1)]
+            [FaultSpec("retime", error=PlanningError, on_call=1)]
         )
-        outcome = plan_interconnect(
-            g,
-            seed=29,
-            max_iterations=1,
-            floorplan_iterations=400,
-            repeater_backend="tree",
-            faults=faults,
-        )
-        (rec,) = outcome.ledger.for_stage("repeater")
-        assert rec.fallback == "path"
-        assert outcome.first.lac is not None
+        outcome = plan(faults=faults)
+        (rec,) = outcome.ledger.for_stage("retime")
+        assert rec.fallback == "unpruned"
+        assert outcome.verification.ok, outcome.verification.format()
+        # Pruned and unpruned systems may pick different degenerate
+        # optima, so only the period is compared, not the labels.
+        assert outcome.first.t_clk == plan().first.t_clk
 
     def test_custom_resilience_config_via_override(self):
         g = random_circuit("cfgres", n_units=40, n_ffs=12, seed=5)

@@ -1,6 +1,6 @@
 """Tests for circuit statistics."""
 
-from repro.netlist import circuit_stats, pipeline_circuit, random_circuit, s27_graph
+from repro.netlist import circuit_stats, random_circuit, s27_graph
 
 
 class TestCircuitStats:
@@ -20,7 +20,7 @@ class TestCircuitStats:
         assert total_regs == stats.n_flip_flops
 
     def test_format_mentions_key_numbers(self):
-        stats = circuit_stats(pipeline_circuit("pp", 3, 2, seed=1))
+        stats = circuit_stats(random_circuit("pp", n_units=20, n_ffs=6, seed=1))
         text = stats.format()
         assert "pp" in text
         assert "flip-flops" in text

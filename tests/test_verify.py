@@ -111,6 +111,14 @@ class TestResultFaults:
         for kind in RESULT_FAULT_KINDS:
             assert ResultFault(kind).owner in CHECKERS
 
+    def test_tampered_repeater_count_fails_repeater_checker(self, outcome):
+        lying = dataclasses.replace(
+            outcome.first, n_repeaters=outcome.first.n_repeaters + 3
+        )
+        certs = verify_iteration(lying, outcome.config.tech)
+        failed = {c.checker for c in certs if not c.ok}
+        assert failed == {"repeater"}
+
     def test_failure_report_names_witnesses(self, outcome):
         corrupted = copy.deepcopy(outcome)
         ResultFault("retime_label").apply(corrupted)
@@ -146,11 +154,7 @@ class TestDegradedOutcome:
     def test_degraded_certifies_against_achieved_period(
         self, degraded_iteration, outcome
     ):
-        certs = verify_iteration(
-            degraded_iteration,
-            outcome.config.tech,
-            repeater_backend=outcome.config.repeater_backend,
-        )
+        certs = verify_iteration(degraded_iteration, outcome.config.tech)
         assert all(c.ok for c in certs)
 
     def test_degraded_mismatch_fails_period_checker(
@@ -195,6 +199,31 @@ class TestOutcomeJson:
         path.write_text(json.dumps(doc))
         report = verify_outcome(load_outcome_json(path))
         assert "retiming" in report.failed_checkers()
+
+    def test_config_records_only_tech(self, outcome, tmp_path):
+        path = tmp_path / "outcome.json"
+        save_outcome_json(outcome, path)
+        assert list(json.loads(path.read_text())["config"]) == ["tech"]
+
+    @staticmethod
+    def _saved_with_backend(outcome, path, backend):
+        """An outcome file as written before the backend knob was retired."""
+        save_outcome_json(outcome, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["repeater_backend"] = backend
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_retired_path_repeater_backend_accepted(self, outcome, tmp_path):
+        path = self._saved_with_backend(outcome, tmp_path / "o.json", "path")
+        assert verify_outcome(load_outcome_json(path)).ok
+
+    def test_retired_tree_repeater_backend_refused(self, outcome, tmp_path):
+        # A tree-buffered plan cannot be held to the per-connection
+        # repeater count, so it is neither certified nor failed.
+        path = self._saved_with_backend(outcome, tmp_path / "o.json", "tree")
+        with pytest.raises(VerificationError, match="repeater_backend"):
+            load_outcome_json(path)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -242,6 +271,22 @@ class TestCheckpointAudit:
         bad.write_bytes(src.read_bytes()[:-7])
         with pytest.raises(VerificationError, match="checksum"):
             load_outcome(bad)
+
+    def test_retired_tree_repeater_backend_refused(self, ckpt_dir, tmp_path):
+        import hashlib
+        import pickle
+
+        data = next(ckpt_dir.rglob("outcome.ckpt")).read_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        old = pickle.loads(data[newline + 1 :])
+        old.config.repeater_backend = "tree"  # as pickled by older runs
+        payload = pickle.dumps(old)
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        path = tmp_path / "outcome.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(VerificationError, match="repeater_backend"):
+            load_outcome(path)
 
     def test_wrong_kind_rejected(self, ckpt_dir):
         other = next(
