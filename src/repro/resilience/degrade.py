@@ -30,7 +30,9 @@ def find_relaxed_period(
     """Smallest achievable period in ``(t_clk, t_init]``, or ``None``.
 
     Candidates are the distinct finite ``D`` values plus ``t_init``
-    itself; feasibility probes use the vectorised Bellman–Ford checker.
+    itself; each probe is the dense checker's
+    :meth:`~repro.retime.fastcheck.FeasibilityChecker.labels`, i.e. the
+    retiming engine's one Bellman–Ford kernel from all-zero labels.
     Returns ``None`` when no candidate in range is feasible (only
     possible when ``t_init`` is not actually the circuit's current
     period).

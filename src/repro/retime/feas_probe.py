@@ -1,11 +1,11 @@
 """Sparse, vectorised FEAS period-feasibility engine.
 
 Minimum-period retiming probes dozens of candidate periods. The
-Bellman–Ford checker (:mod:`repro.retime.fastcheck`) answers each probe
-on the *clocking-pair* graph — up to O(V^2) arcs masked out of the W/D
-matrices and a fresh CSR matrix per probe. This module answers the same
-question on the *circuit* graph itself, following Leiserson & Saxe's
-FEAS algorithm: per probe, repeat rounds of
+retiming engine's one Bellman–Ford (:func:`repro.retime.fastcheck.relax`)
+answers each probe on the *clocking-pair* graph — up to O(V^2) arcs
+masked out of the W/D matrices per probe period. This module answers
+the same question on the *circuit* graph itself, following Leiserson &
+Saxe's FEAS algorithm: per probe, repeat rounds of
 
 1. compute arrival times ``Delta(v)`` — the longest register-free path
    delay into ``v`` — by a topological (Kahn) pass over the edges whose

@@ -12,27 +12,19 @@ baseline and LAC's uniform-weight first round are one solve.
 
 * constraints are collapsed to one arc per ``(u, v)`` pair once, at
   construction — no per-round arc construction;
-* Bellman–Ford over those arcs runs once, at construction — which is
-  also where an infeasible system (negative-cost constraint cycle)
-  surfaces, as :class:`InfeasiblePeriodError`;
-* re-solves are warm-started from the previous optimum, on HiGHS when
-  scipy ships the bindings and on SSP otherwise:
-
-  - ``"highs"`` — the retiming LP ``min c^T r`` s.t.
-    ``r_u - r_v <= b`` is loaded once into a persistent HiGHS model
-    (the compiled solver bundled with scipy); each round only the
-    objective column costs change, so dual simplex restarts from the
-    previous round's optimal basis. The constraint matrix is totally
-    unimodular, so every vertex solution is integral.
-  - ``"ssp"`` — the in-house successive-shortest-path solver
-    (:class:`repro.retime.mcf._Network`) on the LP's flow dual; node
-    potentials carry over between solves (at an optimum every forward
-    arc keeps residual capacity, so the final potentials price all
-    arcs non-negatively and remain valid Dijkstra potentials after a
-    flow reset — no fresh Bellman–Ford). Pure Python; the only path
-    when :func:`_load_highs` finds no bindings (or HiGHS rejects the
-    model).
-
+* feasibility is checked once, at construction, by the retiming
+  engine's one Bellman–Ford (:func:`repro.retime.fastcheck.relax`); an
+  infeasible system (negative-cost constraint cycle) surfaces there,
+  as :class:`InfeasiblePeriodError`;
+* the retiming LP ``min c^T r`` s.t. ``r_u - r_v <= b`` is loaded once
+  into a persistent HiGHS model (the compiled solver bundled with
+  scipy); each round only the objective column costs change, so dual
+  simplex restarts from the previous round's optimal basis (engine
+  ``"highs"``). The constraint matrix is totally unimodular, so every
+  vertex solution is integral. When :func:`_load_highs` finds no
+  bindings (they live in a private scipy module) or HiGHS rejects the
+  model, each round is a cold :func:`scipy.optimize.linprog` solve of
+  the same LP instead (engine ``"linprog"``, public API);
 * a solve whose objective vector equals the previous one returns the
   previous labels without touching the engine (a *replay*): with
   uniform weights, LAC's first round is exactly the min-area baseline.
@@ -53,6 +45,7 @@ import time
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.errors import (
     InfeasibleConstraintsError,
@@ -61,7 +54,7 @@ from repro.errors import (
 )
 from repro.netlist.graph import CircuitGraph
 from repro.retime.constraints import ConstraintSystem
-from repro.retime.mcf import _Network
+from repro.retime.fastcheck import group_arcs, relax
 from repro.retime.minarea import WEIGHT_SCALE, normalise_labels
 
 
@@ -70,7 +63,7 @@ def _load_highs():
 
     The bindings live in a private scipy module
     (``scipy.optimize._highspy``); gate on import so environments with
-    an older/newer scipy fall back to the pure-Python engine instead
+    an older/newer scipy fall back to cold ``linprog`` solves instead
     of crashing.
     """
     try:
@@ -80,6 +73,25 @@ def _load_highs():
     if not hasattr(_core, "_Highs"):  # pragma: no cover
         return None
     return _core
+
+
+def _lp_rows(tails: np.ndarray, heads: np.ndarray, bounds: np.ndarray):
+    """Row-wise ``(start, index, value, upper)`` of ``r_t - r_h <= b``.
+
+    Vacuous self-loops (``r_u - r_u <= b`` with ``b >= 0``) would put a
+    duplicate column index in a row, which HiGHS rejects; negative ones
+    never get here (the construction-time feasibility check).
+    """
+    keep = tails != heads
+    m = int(keep.sum())
+    start = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
+    index = np.empty(2 * m, dtype=np.int32)
+    index[0::2] = tails[keep]
+    index[1::2] = heads[keep]
+    value = np.empty(2 * m)
+    value[0::2] = 1.0
+    value[1::2] = -1.0
+    return start, index, value, bounds[keep].astype(np.float64)
 
 
 class _HighsEngine:
@@ -97,14 +109,8 @@ class _HighsEngine:
             raise RuntimeError("scipy HiGHS bindings unavailable")
         self._core = core
         self.n = n
-        # Vacuous self-loops (r_u - r_u <= b with b >= 0) would put a
-        # duplicate column index in a row, which passModel rejects;
-        # negative ones are caught earlier by Bellman-Ford.
-        keep = tails != heads
-        t = np.asarray(tails[keep], dtype=np.int32)
-        h = np.asarray(heads[keep], dtype=np.int32)
-        b = np.asarray(bounds[keep], dtype=np.float64)
-        m = len(t)
+        start, index, value, upper = _lp_rows(tails, heads, bounds)
+        m = len(upper)
         inf = core.kHighsInf
         lp = core.HighsLp()
         lp.num_col_ = n
@@ -113,16 +119,10 @@ class _HighsEngine:
         lp.col_lower_ = np.full(n, -inf)
         lp.col_upper_ = np.full(n, inf)
         lp.row_lower_ = np.full(m, -inf)
-        lp.row_upper_ = b
+        lp.row_upper_ = upper
         matrix = lp.a_matrix_
         matrix.format_ = core.MatrixFormat.kRowwise
-        matrix.start_ = np.arange(0, 2 * m + 1, 2, dtype=np.int32)
-        index = np.empty(2 * m, dtype=np.int32)
-        index[0::2] = t
-        index[1::2] = h
-        value = np.empty(2 * m)
-        value[0::2] = 1.0
-        value[1::2] = -1.0
+        matrix.start_ = start
         matrix.index_ = index
         matrix.value_ = value
         lp.a_matrix_ = matrix
@@ -157,6 +157,46 @@ class _HighsEngine:
         return int(self._solver.getInfo().simplex_iteration_count)
 
 
+class _LinprogEngine:
+    """A cold :func:`scipy.optimize.linprog` solve of the same LP per call."""
+
+    def __init__(
+        self,
+        n: int,
+        tails: np.ndarray,
+        heads: np.ndarray,
+        bounds: np.ndarray,
+    ):
+        start, index, value, upper = _lp_rows(tails, heads, bounds)
+        self._a = csr_matrix((value, index, start), shape=(len(upper), n))
+        self._upper = upper
+        self.simplex_iterations = 0
+
+    def solve(self, coeff: np.ndarray) -> np.ndarray:
+        """Optimal integral labels for objective vector ``coeff``."""
+        # Imported here, as in _load_highs: scipy.optimize loads only
+        # once a min-area solver is built, not when repro is imported.
+        from scipy.optimize import linprog
+
+        res = linprog(
+            coeff.astype(np.float64),
+            A_ub=self._a,
+            b_ub=self._upper,
+            bounds=(None, None),
+            method="highs-ds",
+        )
+        self.simplex_iterations += int(res.nit)
+        if res.status == 3:
+            raise UnboundedObjectiveError(
+                "retiming objective unbounded on the feasible region"
+            )
+        if res.status != 0:
+            raise InfeasibleConstraintsError(
+                f"linprog terminated with status {res.status}: {res.message}"
+            )
+        return np.rint(res.x).astype(np.int64)
+
+
 @dataclasses.dataclass
 class IncrementalStats:
     """Counters for one :class:`IncrementalMinArea` instance."""
@@ -164,7 +204,6 @@ class IncrementalStats:
     engine: str = ""
     solves: int = 0
     replays: int = 0
-    augmentations: int = 0
     simplex_iterations: int = 0
     bellman_ford_runs: int = 0
     build_seconds: float = 0.0
@@ -185,7 +224,7 @@ class IncrementalMinArea:
             clocking) for the target period.
 
     The solving engine (``stats.engine``) is ``"highs"`` when scipy's
-    bindings load and accept the model, else ``"ssp"``.
+    bindings load and accept the model, else ``"linprog"``.
 
     Raises:
         InfeasiblePeriodError: The system has no solution (negative
@@ -213,18 +252,18 @@ class IncrementalMinArea:
             self._order = list(graph.units())
             index = {u: i for i, u in enumerate(self._order)}
         self._index = index
+        n = len(self._order)
 
-        # one arc per (u, v) pair, collapsed to the tightest bound —
-        # exactly what solve_retiming_dual builds per call.
-        best: Dict[tuple, float] = {}
+        # one arc per (u, v) pair, collapsed to the tightest bound.
+        best: Dict[tuple, int] = {}
         for c in system.constraints:
             key = (c.u, c.v)
             if key not in best or c.bound < best[key]:
                 best[key] = c.bound
-        tails = [index[u] for (u, _v) in best]
-        heads = [index[v] for (_u, v) in best]
-        costs = [float(b) for b in best.values()]
-        self._net = _Network(len(self._order), tails, heads, costs)
+        m = len(best)
+        tails = np.fromiter((index[u] for (u, _v) in best), np.int64, count=m)
+        heads = np.fromiter((index[v] for (_u, v) in best), np.int64, count=m)
+        bounds = np.fromiter(best.values(), np.int64, count=m)
 
         # objective machinery: each connection (u, v) adds the scaled
         # fanin weight A(u) to c_v and subtracts it from c_u.
@@ -242,25 +281,19 @@ class IncrementalMinArea:
             self._conn_v = np.asarray(conn_v, dtype=np.int64)
             self._components = graph.weakly_connected_components()
 
-        # Bellman-Ford runs once whichever engine solves: it is the
-        # feasibility check (negative constraint cycle) and it seeds
-        # the SSP potentials.
-        try:
-            self._potential = self._net.bellman_ford()
-        except InfeasibleConstraintsError as exc:
-            raise InfeasiblePeriodError(system.period, str(exc)) from exc
-
-        self._highs: Optional[_HighsEngine] = None
-        try:
-            self._highs = _HighsEngine(
-                len(self._order),
-                self._net._bf_tails,
-                self._net._bf_heads,
-                self._net._bf_costs,
+        # Feasibility runs once whichever engine solves.
+        arcs = group_arcs(n, tails, heads, bounds)
+        if relax(arcs, np.zeros(n, dtype=np.int64)) is None:
+            raise InfeasiblePeriodError(
+                system.period, "negative-cost constraint cycle"
             )
-        except RuntimeError:
-            pass  # no bindings, or HiGHS rejected the model: SSP
-        self.engine = "highs" if self._highs is not None else "ssp"
+
+        try:
+            self._engine = _HighsEngine(n, tails, heads, bounds)
+            self.engine = "highs"
+        except RuntimeError:  # no bindings, or HiGHS rejected the model
+            self._engine = _LinprogEngine(n, tails, heads, bounds)
+            self.engine = "linprog"
         self.stats = IncrementalStats(engine=self.engine)
         self.stats.bellman_ford_runs += 1
         self._last_coeff: Optional[np.ndarray] = None
@@ -296,12 +329,11 @@ class IncrementalMinArea:
     ) -> Dict[str, int]:
         """Optimal normalised labels for the given area weights.
 
-        Only the objective changes between calls; the model (HiGHS) or
-        network + potentials (SSP) are reused — see the module
-        docstring for why each warm start is sound. An objective equal
-        to the previous call's is a replay: the previous labels come
-        back (as a fresh dict) and ``stats.replays`` counts it instead
-        of ``stats.solves``.
+        Only the objective changes between calls; the HiGHS model is
+        reused — see the module docstring for why its warm start is
+        sound. An objective equal to the previous call's is a replay:
+        the previous labels come back (as a fresh dict) and
+        ``stats.replays`` counts it instead of ``stats.solves``.
 
         Raises:
             UnboundedObjectiveError: The demands cannot be routed
@@ -313,22 +345,10 @@ class IncrementalMinArea:
             self.stats.replays += 1
             self.stats.solve_seconds += time.perf_counter() - start
             return dict(self._last_labels)
-        if self._highs is not None:
-            before = self._highs.simplex_iterations
-            r = self._highs.solve(coeff)
-            self.stats.simplex_iterations += (
-                self._highs.simplex_iterations - before
-            )
-            labels = {u: int(r[i]) for i, u in enumerate(self._order)}
-        else:
-            excess = (-coeff.astype(np.float64)).tolist()
-            self._net.reset()
-            _cost, n_aug = self._net.run_ssp(excess, self._potential)
-            self.stats.augmentations += n_aug
-            labels = {
-                u: -int(round(self._potential[i]))
-                for i, u in enumerate(self._order)
-            }
+        before = self._engine.simplex_iterations
+        r = self._engine.solve(coeff)
+        self.stats.simplex_iterations += self._engine.simplex_iterations - before
+        labels = {u: int(r[i]) for i, u in enumerate(self._order)}
         labels = normalise_labels(self.graph, labels, self._components)
         self._last_coeff = coeff
         self._last_labels = dict(labels)

@@ -32,9 +32,11 @@ every verdict of those searches, and a budget that is too small costs
 at most a certification plus a resume (``resumes`` on the search span),
 never a wrong ``T_min``.
 
-The dense Bellman–Ford checker (:mod:`repro.retime.fastcheck`)
-certifies the boundary candidate, and runs the whole search when
-:meth:`FeasProbe.build` rejects the graph.
+The dense checker (:class:`repro.retime.fastcheck.FeasibilityChecker`,
+on the retiming engine's one Bellman–Ford kernel
+:func:`~repro.retime.fastcheck.relax`) certifies the boundary
+candidate, and runs the whole search when :meth:`FeasProbe.build`
+rejects the graph.
 
 The search runs over *merged* candidates (:func:`candidate_periods`
 collapses float-noise runs of ``D`` values), so every search finishes
@@ -201,7 +203,8 @@ def _feas_search(
 def _bellman_ford_search(
     graph: CircuitGraph, wd: WDMatrices, candidates, tracer=NOOP_TRACER
 ) -> _SearchResult:
-    """Binary search with the dense Bellman–Ford checker.
+    """Binary search with the dense checker, each probe the relaxation
+    kernel from all-zero labels (:meth:`FeasibilityChecker.labels`).
 
     The fallback for graphs :meth:`FeasProbe.build` rejects.
     """

@@ -7,7 +7,8 @@ harness enforces:
 * ``retiming`` — legality of the retiming labels and consistency of
   the stored retimed graph with them (fresh pass, cycle conservation,
   register total);
-* ``period``   — period ordering, ``T_init`` re-derivation, and
+* ``period``   — period ordering (``T_min`` bounded below by the
+  largest unit delay), ``T_init`` re-derivation, and
   ``Δ(v) <= T_clk`` on the stored retimed graph, via the independent
   arrival computation in :mod:`repro.verify.timing`. Degraded
   iterations certify against the *achieved* ``t_clk``, never the
@@ -87,7 +88,8 @@ def iteration_certificates(iteration, tech) -> List[Certificate]:
 # period
 # ----------------------------------------------------------------------
 def check_periods(iteration) -> Certificate:
-    """Ordering ``T_min <= T_clk <= T_init`` and ``T_init`` re-derived."""
+    """Ordering ``max unit delay <= T_min <= T_clk <= T_init`` and
+    ``T_init`` re-derived."""
     subject = f"iteration {iteration.index}"
     witnesses: List[str] = []
     t_min, t_clk, t_init = iteration.t_min, iteration.t_clk, iteration.t_init
@@ -97,6 +99,12 @@ def check_periods(iteration) -> Certificate:
             f"T_init={t_init:.6g}"
         )
     expanded = iteration.expanded.graph
+    floor = max((expanded.delay(u) for u in expanded.units()), default=0.0)
+    if t_min + _TOL < floor:
+        witnesses.append(
+            f"T_min={t_min:.6g} below the largest unit delay {floor:.6g} "
+            f"(no retiming gets below it)"
+        )
     arrival = combinational_arrivals(expanded)
     if len(arrival) != expanded.num_units:
         witnesses.append("expanded graph has a combinational cycle")

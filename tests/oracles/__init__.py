@@ -13,8 +13,9 @@ code: nothing under ``src/`` imports them.
 * :mod:`tests.oracles.fm` — the dict-loop FM gain and pass;
 * :mod:`tests.oracles.flow` — min-area retiming through the
   min-cost-flow dual and networkx network simplex;
-* :mod:`tests.oracles.mcf` — the named-node successive-shortest-path
-  solver and the retiming dual on it;
+* :mod:`tests.oracles.mcf` — the successive-shortest-path min-cost
+  flow (the flat network and its named-node wrapper) and the retiming
+  dual on it;
 * :mod:`tests.oracles.lac_cold` — LAC-retiming with one cold weighted
   min-area solve per round;
 * :mod:`tests.oracles.router` — the global router re-pricing every cell

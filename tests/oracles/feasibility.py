@@ -1,9 +1,9 @@
 """Reference period feasibility through explicit constraint objects.
 
 The shipped min-period search decides feasibility on array engines
-(:class:`repro.retime.feas_probe.FeasProbe`, and
-:class:`repro.retime.fastcheck.FeasibilityChecker` for certification
-and fallback). This oracle builds the Leiserson–Saxe difference
+(:class:`repro.retime.feas_probe.FeasProbe`, and the relaxation kernel
+behind :class:`repro.retime.fastcheck.FeasibilityChecker` for
+certification and fallback). This oracle builds the Leiserson–Saxe difference
 constraints as :class:`~repro.retime.constraints.Constraint` objects,
 unpruned, and solves them with networkx's Bellman–Ford from a virtual
 source: the textbook construction, sharing no arrays with the engines.

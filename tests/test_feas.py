@@ -1,19 +1,33 @@
 """Tests for arrival times, the FEAS engine and the dense checker.
 
 The period checkers are cross-checked against the constraint-object
-oracle in ``tests/oracles/feasibility.py``. Arrival times come from
+oracle in ``tests/oracles/feasibility.py``: the dense checker's
+relaxation kernel label for label, FEAS by verdict. Arrival times come from
 :func:`repro.verify.timing.unit_arrivals`, the one shipped Δ
 recurrence.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.netlist import CircuitGraph, random_circuit
-from repro.retime import FeasProbe, clock_period, min_period_retiming, wd_matrices
+from repro.retime import (
+    FeasProbe,
+    build_constraint_system,
+    candidate_periods,
+    clock_period,
+    min_period_retiming,
+    wd_matrices,
+)
 from repro.retime.fastcheck import FeasibilityChecker
 from repro.verify.timing import unit_arrivals as arrival_times
-from tests.oracles.feasibility import is_feasible_period
+from tests.oracles.feasibility import (
+    constraint_digraph,
+    feasible_labels,
+    is_feasible_period,
+)
+from tests.test_feas_probe import self_loop_graph
 from tests.test_wd import correlator
 
 
@@ -76,7 +90,42 @@ class TestFeas:
             assert labels[host] == 0
 
 
+def oracle_labels(graph, wd, period):
+    """The greatest solution <= 0 of the unpruned system, or ``None``."""
+    if wd.max_vertex_delay() > period:
+        return None
+    system = build_constraint_system(graph, wd, period, prune=False)
+    labels = feasible_labels(system.constraints)
+    if labels is None:
+        return None
+    return {v: labels.get(v, 0) for v in graph.units()}
+
+
+def below_start_labels(graph, wd, period, start):
+    """The greatest solution <= ``start`` (indexed like ``wd.order``) of
+    the unpruned system, by networkx Bellman–Ford from a virtual source
+    whose arc to ``v`` weighs ``start[v]``; ``None`` if infeasible."""
+    if wd.max_vertex_delay() > period:
+        return None
+    system = build_constraint_system(graph, wd, period, prune=False)
+    g = constraint_digraph(system.constraints)
+    source = object()
+    g.add_weighted_edges_from(
+        (source, v, int(start[i])) for v, i in wd.index.items()
+    )
+    try:
+        dist = nx.single_source_bellman_ford_path_length(g, source)
+    except nx.NetworkXUnbounded:
+        return None
+    return np.array([dist[v] for v in wd.order], dtype=np.int64)
+
+
 class TestFastChecker:
+    """The checker runs the one relaxation kernel from all-zero labels,
+    so its labels are the unique greatest solution <= 0: equal, label
+    for label, to the networkx Bellman–Ford oracle on the unpruned
+    constraint system."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_reference(self, seed):
         g = random_circuit("fc", n_units=35, n_ffs=25, seed=seed)
@@ -86,22 +135,27 @@ class TestFastChecker:
         for frac in [1.0, 0.85, 0.7, 0.55, 0.4]:
             period = frac * t_init
             fast = checker.labels(period)
-            ref = is_feasible_period(g, period, wd)
-            assert (fast is None) == (ref is None), f"period {period}"
+            assert fast == oracle_labels(g, wd, period), f"period {period}"
             if fast is not None:
-                # fast labels must be a genuine solution
-                retimed = g.retimed(
-                    _normalised(g, fast)
-                )
+                retimed = g.retimed(_normalised(g, fast))
                 assert clock_period(retimed) <= period + 1e-9
+
+    def test_self_loop_graph_matches_reference(self):
+        g = self_loop_graph()
+        wd = wd_matrices(g)
+        checker = FeasibilityChecker.build(g, wd)
+        verdicts = []
+        for period in candidate_periods(wd, tol=0.0) + [0.5, 1.5]:
+            fast = checker.labels(period)
+            assert fast == oracle_labels(g, wd, period), f"period {period}"
+            verdicts.append(fast is not None)
+        assert any(verdicts) and not all(verdicts)
 
     def test_min_period_matches_reference_search(self):
         g = random_circuit("fc", n_units=30, n_ffs=20, seed=9)
         wd = wd_matrices(g)
         t_min, _result = min_period_retiming(g, wd)
         # reference: linear scan over candidates with the oracle
-        from repro.retime import candidate_periods
-
         feasible = [
             t
             for t in candidate_periods(wd, tol=0.0)
@@ -111,7 +165,8 @@ class TestFastChecker:
 
 
 class TestRefine:
-    """Warm-started exact probes agree with the from-scratch checker."""
+    """Warm-started probes: the verdict never depends on the start, and
+    the labels are the greatest solution below it."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_check(self, seed):
@@ -125,10 +180,10 @@ class TestRefine:
             cold = checker.check(period)
             warm = checker.refine(period, start)
             assert (cold is None) == (warm is None), f"period {period}"
+            oracle = below_start_labels(g, wd, period, start)
+            assert (warm is None) == (oracle is None), f"period {period}"
             if warm is not None:
-                as_dict = dict(zip(wd.order, (int(x) for x in warm)))
-                retimed = g.retimed(_normalised(g, as_dict))
-                assert clock_period(retimed) <= period + 1e-9
+                assert np.array_equal(warm, oracle), f"period {period}"
                 start = warm  # witness warms the next, tighter probe
 
     def test_arbitrary_start_is_still_exact(self):
@@ -140,9 +195,9 @@ class TestRefine:
         for frac in [1.0, 0.7, 0.45]:
             period = frac * t_init
             start = rng.integers(-3, 4, size=checker.n).astype(np.int64)
-            cold = checker.check(period)
             warm = checker.refine(period, start)
-            assert (cold is None) == (warm is None), f"period {period}"
+            ref = is_feasible_period(g, period, wd)
+            assert (warm is None) == (ref is None), f"period {period}"
             if warm is not None:
                 as_dict = dict(zip(wd.order, (int(x) for x in warm)))
                 retimed = g.retimed(_normalised(g, as_dict))

@@ -3,13 +3,13 @@
 The contract under test: every ``IncrementalMinArea.solve`` call is an
 exact optimum of the same LP the network-simplex oracle
 (``tests/oracles/flow.py``) solves cold — warm-starting (HiGHS basis
-reuse, SSP potential carry-over) changes where the search starts, never
-what it converges to. Labels may differ between solvers on degenerate
+reuse) changes where the search starts, never what it converges to. Labels may differ between solvers on degenerate
 optima, so equality is asserted on the weighted objective value, which
 the LP guarantees. A repeated objective is replayed, not re-solved.
 
-The solver picks HiGHS when scipy's bindings load and SSP otherwise;
-the SSP cases hide the bindings by monkeypatching ``_load_highs``.
+The solver picks HiGHS when scipy's bindings load and cold ``linprog``
+solves otherwise; the linprog cases hide the bindings by monkeypatching
+``_load_highs``.
 """
 
 import random
@@ -28,12 +28,12 @@ from repro.retime.wd import wd_matrices
 from tests.oracles.flow import min_area_labels
 from tests.oracles.lac_cold import lac_retiming_cold
 
-ENGINES = ["ssp"] + (["highs"] if _load_highs() is not None else [])
+ENGINES = ["linprog"] + (["highs"] if _load_highs() is not None else [])
 
 
 def force_engine(monkeypatch, engine: str) -> None:
-    """Make the next solver pick ``engine`` (SSP: hide the bindings)."""
-    if engine == "ssp":
+    """Make the next solver pick ``engine`` (linprog: hide the bindings)."""
+    if engine == "linprog":
         monkeypatch.setattr(incremental, "_load_highs", lambda: None)
 
 
@@ -104,7 +104,7 @@ class TestWarmStart:
         inc.solve()
         d = inc.stats.to_dict()
         assert d["solves"] == 1
-        assert d["engine"] in ("highs", "ssp")
+        assert d["engine"] in ("highs", "linprog")
         assert d["build_seconds"] >= 0.0
 
 
@@ -116,13 +116,12 @@ class TestReplay:
         inc = IncrementalMinArea(graph, system)
         uniform = {u: 1.0 for u in graph.units()}
         first = inc.solve(uniform)
+        assert (inc.stats.solves, inc.stats.replays) == (1, 0)
         iterations = inc.stats.simplex_iterations
-        augmentations = inc.stats.augmentations
         again = inc.solve(dict(uniform))
         assert again == first and again is not first
         assert (inc.stats.solves, inc.stats.replays) == (1, 1)
         assert inc.stats.simplex_iterations == iterations
-        assert inc.stats.augmentations == augmentations
 
     def test_replay_compares_scaled_coefficients(self):
         """Unit weights scale to 10^4 per unit; ``weights=None`` to 1.
@@ -147,38 +146,41 @@ class TestEngineSelection:
     def test_auto_picks_available_engine(self):
         graph, _wd, _period, system = prepared(seed=5)
         inc = IncrementalMinArea(graph, system)
-        expected = "highs" if _load_highs() is not None else "ssp"
+        expected = "highs" if _load_highs() is not None else "linprog"
         assert inc.engine == expected
 
-    def test_ssp_when_highs_bindings_missing(self, monkeypatch):
+    def test_linprog_when_highs_bindings_missing(self, monkeypatch):
         graph, _wd, _period, system = prepared(seed=5)
         monkeypatch.setattr(incremental, "_load_highs", lambda: None)
         inc = IncrementalMinArea(graph, system)
-        assert inc.stats.engine == "ssp"
-        assert inc.stats.to_dict()["engine"] == "ssp"
+        assert inc.stats.engine == "linprog"
+        assert inc.stats.to_dict()["engine"] == "linprog"
 
     @pytest.mark.skipif(_load_highs() is None, reason="no scipy HiGHS bindings")
-    def test_lac_ssp_matches_highs(self, monkeypatch):
+    def test_lac_linprog_matches_highs(self, monkeypatch):
         from tests.test_lac import TECH, ring_scenario
 
         g, unit_region, grid = ring_scenario()
         kwargs = dict(tech=TECH, alpha=0.5, n_max=3, max_rounds=8)
         highs = lac_retiming(g, unit_region, grid, period=10.0, **kwargs)
         monkeypatch.setattr(incremental, "_load_highs", lambda: None)
-        ssp = lac_retiming(g, unit_region, grid, period=10.0, **kwargs)
+        cold = lac_retiming(g, unit_region, grid, period=10.0, **kwargs)
         assert highs.solver_stats["engine"] == "highs"
-        assert ssp.solver_stats["engine"] == "ssp"
-        assert (ssp.report.n_foa, ssp.report.n_f) == (
+        assert cold.solver_stats["engine"] == "linprog"
+        assert (cold.report.n_foa, cold.report.n_f) == (
             highs.report.n_foa,
             highs.report.n_f,
         )
 
-    def test_infeasible_period_raises_at_construction(self):
+    def test_infeasible_period_raises_at_construction(self, monkeypatch):
         graph, wd, _period, _system = prepared(seed=3)
         t_min, _ = min_period_retiming(graph, wd)
         tight = build_constraint_system(graph, wd, 0.5 * t_min)
-        with pytest.raises(InfeasiblePeriodError):
-            IncrementalMinArea(graph, tight)
+        for engine in ENGINES:
+            with monkeypatch.context() as patch:
+                force_engine(patch, engine)
+                with pytest.raises(InfeasiblePeriodError):
+                    IncrementalMinArea(graph, tight)
 
 
 class TestLacEquivalence:

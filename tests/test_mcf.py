@@ -1,4 +1,5 @@
-"""Tests for the in-house min-cost-flow solver and its retiming dual.
+"""Tests for the successive-shortest-path oracle and its retiming dual
+(``tests/oracles/mcf.py``).
 
 Cross-checked three ways: against hand-computed flows, against the
 networkx oracle (:func:`tests.oracles.flow.optimal_labels`) and the

@@ -349,14 +349,14 @@ class TestPlannerTrace:
             assert r.attrs["n_f"] >= 0
             assert r.attrs["objective"] >= 0.0
             assert isinstance(r.attrs["violations"], dict)
-            assert r.attrs["engine"] in ("highs", "ssp", "cold")
+            assert r.attrs["engine"] in ("highs", "linprog", "cold")
         lac = doc.by_name("retime/lac")[0]
         assert all(r.parent_id == lac.span_id for r in rounds)
         assert lac.attrs["n_wr"] == len(rounds)
 
     def test_min_area_baseline_is_lacs_first_round(self, doc):
         (base,) = doc.by_name("retime/min_area")
-        assert base.attrs["engine"] in ("highs", "ssp")
+        assert base.attrs["engine"] in ("highs", "linprog")
         assert base.attrs["simplex_iterations"] >= 0
         first, *rest = sorted(
             doc.by_name("lac/round"), key=lambda r: r.attrs["round"]

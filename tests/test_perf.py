@@ -159,7 +159,7 @@ class TestBenchRunner:
         assert entry["ok"] is True
         assert entry["n_wr"] >= 1
         assert len(entry["lac_round_seconds"]) == entry["n_wr"]
-        assert entry["solver"]["engine"] in ("highs", "ssp")
+        assert entry["solver"]["engine"] in ("highs", "linprog")
         assert entry["solver"]["bellman_ford_runs"] == 1
         stage_names = {s["name"] for s in entry["stages"]}
         assert "retime/lac" in stage_names

@@ -129,6 +129,23 @@ class TestResultFaults:
         assert "FAILED" in report.summary()
 
 
+class TestPeriodFloor:
+    def test_t_min_below_largest_unit_delay_fails_period_checker(
+        self, outcome
+    ):
+        # No retiming gets below the slowest single unit, so a T_min
+        # under it is a false claim even with the ordering intact.
+        first = outcome.first
+        expanded = first.expanded.graph
+        floor = max(expanded.delay(u) for u in expanded.units())
+        assert first.t_min >= floor
+        lying = dataclasses.replace(first, t_min=0.5 * floor)
+        certs = verify_iteration(lying, outcome.config.tech)
+        failed = [c for c in certs if not c.ok]
+        assert {c.checker for c in failed} == {"period"}
+        assert "largest unit delay" in " ".join(failed[0].witnesses)
+
+
 class TestDegradedOutcome:
     @pytest.fixture(scope="class")
     def degraded_iteration(self, graph, outcome):
