@@ -5,14 +5,13 @@ computes; :class:`RunContext` says how the run is carried out. None of
 it changes a result, so the run fingerprint hashes the config alone.
 
 :meth:`RunContext.session` owns the setup and teardown around a plan.
-It checks every sink path before the first stage, builds a real tracer
-only when something is instrumented, installs the metrics registry,
-attaches the resource monitor ahead of the progress listener (so
-progress events of closing spans carry resource stamps) and binds the
-checkpoint store to the run fingerprint. On exit, on failure too, it
-stops the monitor, closes or detaches progress and writes the trace,
-metrics and ``.prom`` files; a setup step that raises unwinds the
-steps before it.
+It checks every sink path before the first stage, gives every plan a
+real tracer (the ledger, perf table and metrics are views of the spans
+this run closed), attaches the metrics registry, then the resource
+monitor, then progress (so progress events carry derived metrics and
+resource stamps) and binds the checkpoint store to the run
+fingerprint. On exit, on failure too, it undoes each step and writes
+the trace, metrics and ``.prom`` files.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Any, Iterator, Optional
 
 from repro.compile import CompileCache
 from repro.errors import TelemetryError
-from repro.obs import NOOP_TRACER, Tracer
+from repro.obs import Tracer
 from repro.obs.export import write_trace
 from repro.obs.metrics import MetricsRegistry, write_metrics, write_prometheus
 from repro.obs.monitor import ResourceSampler
@@ -49,8 +48,8 @@ class RunContext:
     ``RunContext`` table in ``docs/api.md``.
     """
 
-    tracer: Optional[Tracer] = None  # built by session() when instrumented
-    metrics: Optional[MetricsRegistry] = None  # installed as tracer.metrics
+    tracer: Optional[Tracer] = None  # None -> session() builds one per plan
+    metrics: Optional[MetricsRegistry] = None  # a listener on the run's tracer
     perf: Optional[Any] = None  # PerfRecorder fed the finished run's spans
     progress: Optional[Any] = None  # caller-owned event sink, only detached
     checkpoint: Optional[CheckpointManager] = None  # bound to the fingerprint
@@ -72,17 +71,18 @@ class RunContext:
 
     @property
     def instrumented(self) -> bool:
-        """True when any sink needs a real tracer (they all read spans)."""
-        return bool(self.trace_path or self.metrics_path or self.progress_path) or any(
-            sink is not None for sink in (self.perf, self.metrics, self.progress)
-        )
+        """True when a sink reads the spans: the run is then monitored."""
+        paths = self.trace_path or self.metrics_path or self.progress_path
+        sinks = (self.perf, self.metrics, self.progress)
+        tracing = getattr(self.tracer, "enabled", False)
+        return bool(paths) or tracing or any(s is not None for s in sinks)
 
     @contextlib.contextmanager
     def session(self, graph, config, max_iterations: int) -> Iterator["RunContext"]:
         """Set up the run's plumbing; yields the resolved context.
 
-        In the yielded copy ``tracer``, ``compile_cache`` and
-        ``resilience`` are never ``None``. Raises
+        In the yielded copy ``tracer`` (always a real one),
+        ``compile_cache`` and ``resilience`` are never ``None``. Raises
         :class:`~repro.errors.TelemetryError` before any work when a
         sink path cannot be written.
         """
@@ -91,43 +91,44 @@ class RunContext:
                 _prepare_sink(path)
         meta = {"circuit": graph.name, "seed": config.seed}
         tracer = self.tracer
-        if tracer is None:
+        if tracer is None or not tracer.enabled:
             # wall_start anchors the monotonic span clock to the epoch
             # so traces can be correlated across runs and with logs.
-            tracer = (
-                Tracer(meta={**meta, "wall_start": round(time.time(), 6)})
-                if self.instrumented
-                else NOOP_TRACER
-            )
+            tracer = Tracer(meta={**meta, "wall_start": round(time.time(), 6)})
+        # A caller's tracer may hold earlier runs; the views are this run's.
+        first_span = len(tracer.spans)
         metrics = self.metrics
         if metrics is None and self.metrics_path:
             metrics = MetricsRegistry(meta=meta)
-        if metrics is not None and tracer.enabled:
-            tracer.metrics = metrics
         progress = self.progress
         with contextlib.ExitStack() as stack:
-            # Teardown runs in reverse: progress, monitor, then files.
+            # Teardown runs in reverse: progress, monitor, registry, files.
             if metrics is not None and self.metrics_path:
                 prom = Path(self.metrics_path).with_suffix(".prom")
                 stack.push(_sink_writer(write_prometheus, metrics, prom))
                 stack.push(_sink_writer(write_metrics, metrics, self.metrics_path))
             if self.trace_path:
                 stack.push(_sink_writer(write_trace, tracer, self.trace_path))
-            if tracer.enabled:
+            if metrics is not None:
+                tracer.add_listener(metrics)
+                stack.callback(tracer.remove_listener, metrics)
+            if self.instrumented:
                 sampler = ResourceSampler(interval=MONITOR_INTERVAL, metrics=metrics)
                 tracer.add_listener(sampler)
                 stack.callback(tracer.remove_listener, sampler)
                 stack.enter_context(sampler)
             if progress is None and self.progress_path:
-                progress = open_progress(self.progress_path, metrics=metrics)
+                progress = open_progress(self.progress_path)
                 # A stream this run opened gets its terminal run_end line.
-                stack.callback(lambda: progress.close(spans=len(tracer.spans)))
+                stack.callback(
+                    lambda: progress.close(spans=len(tracer.spans) - first_span)
+                )
             elif progress is not None:
                 # A caller-owned stream (table1 sharing one across
                 # circuits) is only detached; its owner closes it.
                 stack.callback(progress.detach)
-            if progress is not None and tracer.enabled:
-                progress.attach(tracer)
+            if progress is not None:
+                progress.attach(tracer, metrics=metrics)
             if self.checkpoint is not None:
                 self.checkpoint.bind(
                     graph.name, run_fingerprint(graph, config, max_iterations)
@@ -143,7 +144,7 @@ class RunContext:
                 resilience=self.resilience or default_resilience(),
             )
             if self.perf is not None:
-                self.perf.ingest_spans(tracer.spans)
+                self.perf.ingest_spans(tracer.spans[first_span:])
 
 
 def _prepare_sink(path: str) -> None:

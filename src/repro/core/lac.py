@@ -182,8 +182,6 @@ def lac_retiming(
                 )
         round_seconds.append(time.perf_counter() - round_start)
         n_wr += 1
-        tracer.metrics.counter("lac_rounds_total").inc()
-        tracer.metrics.gauge("lac_n_foa").set(report.n_foa)
         history.append((report.n_foa, report.n_f))
         log.debug(
             "LAC round %d: N_FOA=%d N_F=%d (%d violating tiles)",

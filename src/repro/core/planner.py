@@ -25,8 +25,9 @@ stages, optional wall-clock deadlines, fallback chains such as the
 ``retime`` stage falling back to the unpruned constraint system), and
 an infeasible ``T_clk`` degrades gracefully — the period is relaxed
 toward ``T_init`` and the iteration is marked ``degraded`` instead of
-being abandoned. The full attempt history lands in the outcome's
-:class:`~repro.resilience.ledger.RunLedger`.
+being abandoned. The full attempt history lands on the stage spans;
+the outcome's :class:`~repro.resilience.ledger.RunLedger` is a view of
+them.
 
 With a :class:`~repro.resilience.checkpoint.CheckpointManager`
 attached, every successful stage result is additionally persisted at
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.compile import CompileCache
@@ -407,10 +407,6 @@ def _run_iteration_stages(
             n_candidates=artifact.n_candidates,
             payload_bytes=cache.stats.bytes_read + cache.stats.bytes_written - io0,
         )
-        tracer.metrics.counter(
-            "compile_cache_total", result="hit" if hit else "miss"
-        ).inc()
-        tracer.metrics.gauge("compile_candidates").set(artifact.n_candidates)
         return artifact
 
     compiled = runner.run("compile", _compile)
@@ -430,8 +426,8 @@ def _run_iteration_stages(
     def _retime_at(period: float, prune: bool):
         # One constraint system serves both retimings: they target the
         # same period, and constraint generation dominates run time
-        # (the property the paper leans on in Section 4.2).
-        start = time.perf_counter()
+        # (the property the paper leans on in Section 4.2). The stage
+        # timings of the outcome are the spans' own.
         with tracer.span("retime/constraints", period=period, prune=prune) as sp:
             system = build_constraint_system(
                 expanded.graph,
@@ -442,7 +438,7 @@ def _run_iteration_stages(
                 tracer=tracer,
             )
             sp.set(n_constraints=len(system.constraints))
-        constraints_seconds = time.perf_counter() - start
+        constraints_seconds = sp.elapsed
         # ... and one solver: LAC starts from uniform weights, so its
         # first weighted min-area solve *is* the min-area baseline. The
         # baseline solves with exactly those weights and LAC's round 1
@@ -451,7 +447,6 @@ def _run_iteration_stages(
         solver = IncrementalMinArea(expanded.graph, system, compiled=compiled)
         min_area_timed: Optional[TimedRetiming] = None
         if config.run_baseline:
-            start = time.perf_counter()
             with tracer.span("retime/min_area", period=period) as sp:
                 iterations = solver.stats.simplex_iterations
                 base = min_area_retiming(
@@ -460,7 +455,6 @@ def _run_iteration_stages(
                     weights=dict.fromkeys(expanded.unit_region, 1.0),
                     solver=solver,
                 )
-            elapsed = time.perf_counter() - start
             base_report = area_report(
                 base.graph, expanded.unit_region, grid, config.tech
             )
@@ -470,9 +464,8 @@ def _run_iteration_stages(
                 engine=solver.stats.engine,
                 simplex_iterations=solver.stats.simplex_iterations - iterations,
             )
-            min_area_timed = TimedRetiming(base, base_report, elapsed)
+            min_area_timed = TimedRetiming(base, base_report, sp.elapsed)
 
-        start = time.perf_counter()
         with tracer.span("retime/lac", period=period) as sp:
             lac_result = lac_retiming(
                 expanded.graph,
@@ -491,8 +484,7 @@ def _run_iteration_stages(
                 n_foa=lac_result.report.n_foa,
                 n_f=lac_result.report.n_f,
             )
-        lac_seconds = time.perf_counter() - start
-        return min_area_timed, lac_result, lac_seconds, constraints_seconds
+        return min_area_timed, lac_result, sp.elapsed, constraints_seconds
 
     def _retime(_attempt: int, prune: bool) -> _RetimeOutcome:
         try:
@@ -650,10 +642,8 @@ def plan_interconnect(
 
     with ctx.session(graph, config, max_iterations) as run:
         tracer, checkpoint = run.tracer, run.checkpoint
-        ledger = RunLedger()
         runner = StageRunner(
             run.resilience,
-            ledger,
             faults=run.faults,
             tracer=tracer,
             checkpoint=checkpoint,
@@ -685,7 +675,6 @@ def plan_interconnect(
                     max_iterations,
                     runner,
                     n_blocks,
-                    ledger,
                     run.compile_cache,
                 )
                 if checkpoint is not None:
@@ -743,7 +732,6 @@ def _plan_stages(
     max_iterations: int,
     runner: StageRunner,
     n_blocks: int,
-    ledger: RunLedger,
     cache: CompileCache,
 ) -> PlanningOutcome:
     """The planning flow proper, run inside the root ``plan`` span."""
@@ -817,5 +805,8 @@ def _plan_stages(
         iterations.append(current)
 
     return PlanningOutcome(
-        circuit=graph.name, config=config, iterations=iterations, ledger=ledger
+        circuit=graph.name,
+        config=config,
+        iterations=iterations,
+        ledger=runner.ledger,
     )

@@ -284,13 +284,12 @@ class SequencePairAnnealer:
                     best_cost=best[0],
                 )
         span.set(
+            accepted=accepted,
             acceptance_rate=accepted / max(iterations, 1),
             initial_cost=initial_cost,
             best_cost=best[0],
             t_final=temp,
         )
-        tracer.metrics.counter("anneal_moves_total").inc(iterations)
-        tracer.metrics.counter("anneal_accepts_total").inc(accepted)
         self.best_cost = best[0]
         _best_cost, placements, w, h = best
         log.debug(

@@ -3,15 +3,16 @@
 ``repro.obs`` is the tracing layer the rest of the library reports
 into: a hierarchical span tracer (:class:`Tracer`) with nested spans,
 attributes, timestamped events and counters; a zero-overhead no-op
-tracer (:data:`NOOP_TRACER`) that untraced runs pay ~nothing for; a
+tracer (:data:`NOOP_TRACER`), the default of direct library calls; a
 JSONL exporter/reader for the ``repro-trace/1`` schema; and a renderer
 (:func:`~repro.obs.summarize.summarize`) that turns a trace into a
 span tree with self/total times plus the per-round convergence tables
 (LAC reweighting, FEAS probes, floorplan annealing, FM passes).
 
-Alongside the tracer live three sibling layers: a metrics registry of
-counters/gauges/histograms (:mod:`repro.obs.metrics`, exported as
-``repro-metrics/1`` JSONL and Prometheus text), a background resource
+Alongside the tracer, whose span tree is a run's one telemetry record,
+live three sibling layers: a metrics registry that derives its
+counters/gauges/histograms from closing spans (:mod:`repro.obs.metrics`,
+exported as ``repro-metrics/1`` JSONL and Prometheus text), a resource
 monitor that attributes peak RSS / CPU to spans
 (:mod:`repro.obs.monitor`), and live progress streaming
 (:mod:`repro.obs.progress`, the ``repro-events/1`` feed behind
@@ -47,11 +48,9 @@ from repro.obs.export import (
 from repro.obs.flamegraph import folded_stacks, write_flamegraph
 from repro.obs.metrics import (
     METRICS_SCHEMA,
-    NOOP_METRICS,
     MetricsDocument,
     MetricsError,
     MetricsRegistry,
-    NoopMetrics,
     metrics_lines,
     prometheus_lines,
     read_metrics,
@@ -87,8 +86,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsDocument",
     "MetricsError",
-    "NoopMetrics",
-    "NOOP_METRICS",
     "metrics_lines",
     "write_metrics",
     "read_metrics",

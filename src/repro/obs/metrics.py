@@ -8,12 +8,10 @@ instrument carries a label set (``counter("feas_probes_total",
 verdict="feasible")``), so one metric name fans out into per-dimension
 series exactly like Prometheus labels do.
 
-The registry hangs off the tracer (``tracer.metrics``) so every call
-site that already receives a tracer can meter itself without a new
-parameter; untraced, unmetered runs see :data:`NOOP_METRICS`, whose
-instruments are one shared inert object — the hot-path cost of leaving
-``tracer.metrics.counter("x").inc()`` in solver code is a dict lookup
-and two no-op calls.
+The planner's metrics are a view of its span tree: a registry attached
+to a tracer derives them from each closing span through one table,
+:data:`SPAN_METRICS`. The only other writer is the resource monitor's
+``process_*`` gauges.
 
 Two export formats, one registry:
 
@@ -34,8 +32,9 @@ Two export formats, one registry:
   Histogram buckets are cumulative counts per upper bound, the last
   bound serialised as the string ``"+Inf"`` (JSON has no infinity).
 
-* Prometheus text exposition format (:func:`prometheus_lines`), ready
-  for a pushgateway or the future serve mode's ``/metrics`` endpoint.
+* Prometheus text exposition format (:func:`prometheus_lines`, the
+  ``.prom`` sibling of a ``--metrics`` file), ready for a pushgateway
+  or textfile collector.
 """
 
 from __future__ import annotations
@@ -169,6 +168,90 @@ class Histogram:
 Instrument = Union[Counter, Gauge, Histogram]
 
 
+# ----------------------------------------------------------------------
+# Planner metrics as a view of the span tree
+
+#: :data:`SPAN_METRICS` key of the rows every stage span feeds.
+STAGE = "<stage>"
+#: Label source naming the closing span itself (the stage name).
+SPAN_NAME = "<name>"
+
+
+@dataclasses.dataclass(frozen=True)
+class SpanMetric:
+    """One planner metric derived from a closing span.
+
+    With ``event`` set the row yields one sample per event of that
+    name, read from the event's attributes; otherwise one per span.
+    ``value`` is a source attribute or a constant; a label source is an
+    attribute, :data:`SPAN_NAME` or an ``"=constant"``. A row whose
+    ``when`` attribute is falsy or whose sources are missing yields
+    nothing (a resumed ``compile`` stage has no ``cache`` attribute).
+    """
+
+    kind: str
+    metric: str
+    value: Union[str, int] = 1
+    labels: Dict[str, str] = dataclasses.field(default_factory=dict)
+    event: Optional[str] = None
+    when: Optional[str] = None
+
+
+_STAGE = {"stage": SPAN_NAME}
+_VERDICT = {"verdict": "verdict"}
+
+#: Every planner metric by source span name; ``docs/api.md`` mirrors it.
+SPAN_METRICS: Dict[str, Tuple[SpanMetric, ...]] = {
+    "partition/fm": (
+        SpanMetric("counter", "fm_passes_total", "passes"),
+        SpanMetric("gauge", "fm_final_cut", "final_cut"),
+    ),
+    "floorplan/anneal": (
+        SpanMetric("counter", "anneal_moves_total", "iterations"),
+        SpanMetric("counter", "anneal_accepts_total", "accepted"),
+    ),
+    "route/global": (
+        SpanMetric("counter", "route_ripup_total", "ripped_nets", event="rrr_pass"),
+        SpanMetric("counter", "route_nets_total", "nets"),
+        SpanMetric("gauge", "route_overflowed_cells", "overflowed_cells"),
+    ),
+    "compile": (
+        SpanMetric("counter", "compile_cache_total", labels={"result": "cache"}),
+        SpanMetric("gauge", "compile_candidates", "n_candidates"),
+    ),
+    "feas/probe": (
+        SpanMetric("counter", "feas_probes_total", 1, {"kind": "=probe", **_VERDICT}),
+    ),
+    "feas/certify": (
+        SpanMetric("counter", "feas_probes_total", 1, {"kind": "=certify", **_VERDICT}),
+    ),
+    "lac/round": (
+        SpanMetric("counter", "lac_rounds_total"),
+        SpanMetric("gauge", "lac_n_foa", "n_foa"),
+    ),
+    STAGE: (
+        SpanMetric(
+            "counter",
+            "stage_attempts_total",
+            labels={**_STAGE, "status": "status"},
+            event="attempt",
+        ),
+        SpanMetric("histogram", "stage_seconds", "seconds", _STAGE, "attempt"),
+        SpanMetric("counter", "stage_fallbacks_total", labels=_STAGE, when="fallback"),
+    ),
+}
+
+
+def _resolve(source: Union[str, int], span_name: str, attrs: Dict[str, Any]):
+    if not isinstance(source, str):
+        return source
+    if source == SPAN_NAME:
+        return span_name
+    if source.startswith("="):
+        return source[1:]
+    return attrs.get(source)
+
+
 class MetricsRegistry:
     """Get-or-create store of instruments, keyed by (name, labels).
 
@@ -176,6 +259,10 @@ class MetricsRegistry:
     across identical runs (deterministic given a deterministic
     workload). ``meta`` lands in the JSONL header, mirroring the
     tracer's header meta.
+
+    Attached to a tracer (``tracer.add_listener(registry)``) it derives
+    the :data:`SPAN_METRICS` rows of every span that closes, before any
+    listener attached after it sees the close.
     """
 
     enabled = True
@@ -224,6 +311,36 @@ class MetricsRegistry:
         """Attach HELP text, emitted in the Prometheus exposition."""
         self._help[name] = help_text
 
+    # -- tracer listener ----------------------------------------------
+    def on_open(self, span) -> None:
+        pass
+
+    def on_close(self, span) -> None:
+        """Derive the closing span's rows of :data:`SPAN_METRICS`."""
+        rows = SPAN_METRICS.get(span.name, ())
+        if span.attrs.get("kind") == "stage":
+            rows += SPAN_METRICS[STAGE]
+        for row in rows:
+            if row.event is None:
+                self._derive(row, span.name, span.attrs)
+            for name, _t, attrs in span.events:
+                if name == row.event:
+                    self._derive(row, span.name, attrs)
+
+    def _derive(self, row: SpanMetric, span_name: str, attrs) -> None:
+        if row.when is not None and not attrs.get(row.when):
+            return
+        labels = {k: _resolve(v, span_name, attrs) for k, v in row.labels.items()}
+        value = _resolve(row.value, span_name, attrs)
+        if value is None or None in labels.values():
+            return
+        if row.kind == "counter":
+            self.counter(row.metric, **labels).inc(value)
+        elif row.kind == "gauge":
+            self.gauge(row.metric, **labels).set(value)
+        else:
+            self.histogram(row.metric, **labels).observe(value)
+
     # ------------------------------------------------------------------
     @property
     def instruments(self) -> List[Instrument]:
@@ -245,69 +362,6 @@ class MetricsRegistry:
             else:
                 out[key] = inst.value
         return out
-
-
-# ----------------------------------------------------------------------
-class _NoopInstrument:
-    """Shared inert instrument; every method is a no-op."""
-
-    __slots__ = ()
-    name = ""
-    labels: LabelItems = ()
-    value = 0
-    max_value = 0
-    sum = 0.0
-    count = 0
-
-    def inc(self, n: float = 1) -> None:
-        pass
-
-    def dec(self, n: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NOOP_INSTRUMENT = _NoopInstrument()
-
-
-class NoopMetrics:
-    """The default registry: records nothing, allocates nothing.
-
-    Every accessor returns one shared inert instrument, so metered
-    code paths run at full speed when metrics are off — the exact
-    mirror of :class:`~repro.obs.tracer.NoopTracer`.
-    """
-
-    enabled = False
-    meta: Dict[str, Any] = {}
-    instruments: List[Instrument] = []
-
-    def counter(self, name: str, **labels: Any) -> _NoopInstrument:
-        return _NOOP_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> _NoopInstrument:
-        return _NOOP_INSTRUMENT
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = (), **labels: Any
-    ) -> _NoopInstrument:
-        return _NOOP_INSTRUMENT
-
-    def describe(self, name: str, help_text: str) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, float]:
-        return {}
-
-
-#: Process-wide no-op registry; the default everywhere metrics are
-#: optional (``NoopTracer.metrics`` is this object).
-NOOP_METRICS = NoopMetrics()
 
 
 # ----------------------------------------------------------------------

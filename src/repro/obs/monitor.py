@@ -129,7 +129,7 @@ class ResourceSampler:
 
     Use as a tracer listener plus (optionally) a background thread::
 
-        sampler = ResourceSampler(interval=0.05, metrics=tracer.metrics)
+        sampler = ResourceSampler(interval=0.05, metrics=registry)
         tracer.add_listener(sampler)
         with sampler:                  # starts/stops the thread
             ... traced work ...

@@ -3,8 +3,7 @@
 ``plan --progress PATH`` attaches a :class:`ProgressStream` to the
 run's tracer and writes one JSON object per line *as spans open and
 close* — unlike the trace file, which only exists after the run ends.
-The stream is the consumable feed a serve mode will push to clients;
-until then it is a ``tail -f``-able window into a long run.
+It is a ``tail -f``-able window into a long run.
 
 Line shapes (every line is one JSON object, flushed immediately):
 
@@ -20,9 +19,9 @@ Line shapes (every line is one JSON object, flushed immediately):
 indented open/close line per span to stderr so stdout report output
 stays clean.
 
-Both attach through :meth:`Tracer.add_listener`; attach the resource
-monitor *first* so closes observed here already carry its
-``peak_rss_bytes`` stamps.
+Both attach through :meth:`Tracer.add_listener`; attach the metrics
+registry and the resource monitor *first* so closes observed here
+already carry the derived metrics and ``peak_rss_bytes`` stamps.
 """
 
 from __future__ import annotations
@@ -61,21 +60,21 @@ class ProgressStream:
             closed by :meth:`close`.
         meta: Header metadata; when attached via :meth:`attach` the
             tracer's own ``meta`` is merged in (tracer wins).
-        metrics: Optional registry; a snapshot event is emitted each
-            time a stage span closes.
         close_out: Close ``out`` in :meth:`close`.
+
+    While attached with a ``metrics`` registry, a snapshot event is
+    emitted each time a stage span closes.
     """
 
     def __init__(
         self,
         out: IO[str],
         meta: Optional[Dict[str, Any]] = None,
-        metrics=None,
         close_out: bool = False,
     ):
         self._out = out
         self._meta = dict(meta or {})
-        self._metrics = metrics
+        self._metrics = None  # the attached run's registry
         self._close_out = close_out
         self._tracer = None
         self._header_written = False
@@ -83,18 +82,19 @@ class ProgressStream:
         self.events_emitted = 0
 
     # ------------------------------------------------------------------
-    def attach(self, tracer) -> "ProgressStream":
-        """Register on ``tracer`` and adopt its meta/metrics."""
+    def attach(self, tracer, metrics=None) -> "ProgressStream":
+        """Register on ``tracer``, adopting its meta and, until
+        :meth:`detach`, the run's ``metrics`` registry."""
         self._tracer = tracer
         merged = dict(self._meta)
         merged.update(tracer.meta)
         self._meta = merged
-        if self._metrics is None and getattr(tracer.metrics, "enabled", False):
-            self._metrics = tracer.metrics
+        self._metrics = metrics
         tracer.add_listener(self)
         return self
 
     def detach(self) -> None:
+        self._metrics = None
         if self._tracer is not None:
             self._tracer.remove_listener(self)
             self._tracer = None
@@ -181,7 +181,7 @@ class HumanProgress:
         self.events_emitted = 0
         self._tracer = None
 
-    def attach(self, tracer) -> "HumanProgress":
+    def attach(self, tracer, metrics=None) -> "HumanProgress":
         self._tracer = tracer
         tracer.add_listener(self)
         return self
@@ -230,9 +230,7 @@ class HumanProgress:
 
 
 def open_progress(
-    spec: str,
-    meta: Optional[Dict[str, Any]] = None,
-    metrics=None,
+    spec: str, meta: Optional[Dict[str, Any]] = None
 ) -> Union[ProgressStream, HumanProgress]:
     """Build the right progress sink for a ``--progress`` argument.
 
@@ -245,7 +243,7 @@ def open_progress(
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     fh = open(path, "w", encoding="utf-8")
-    return ProgressStream(fh, meta=meta, metrics=metrics, close_out=True)
+    return ProgressStream(fh, meta=meta, close_out=True)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Render a trace as a human-readable report.
 
-``python -m repro trace summarize out.jsonl`` prints four sections:
+``python -m repro trace summarize out.jsonl`` prints five sections:
 
 1. **Span tree** — spans aggregated by name at each nesting level,
    with call counts, total time, and *self* time (total minus the time
@@ -9,12 +9,14 @@
 2. **Stage table** — the same name/seconds/calls table the bench
    harness embeds in ``BENCH_<n>.json``, derived from the same spans
    (one source of truth: :meth:`repro.perf.PerfRecorder.ingest_spans`);
-3. **Convergence tables** — per LAC retiming: the min-area baseline's
+3. **Resilience ledger** — ``outcome.report()``'s ``resilience:``
+   block, rebuilt by :meth:`repro.resilience.RunLedger.from_spans`;
+4. **Convergence tables** — per LAC retiming: the min-area baseline's
    solve (engine, simplex iterations), then round-by-round
    ``N_FOA``/``N_F``/objective and tile-weight spread, marking rounds
    the solver replayed; per min-period
    search: every FEAS probe with candidate period, verdict and rounds;
-4. **One-liners** — compile-cache lookups (hits, payload bytes, and
+5. **One-liners** — compile-cache lookups (hits, payload bytes, and
    search-input rebuilds by reason), floorplan annealing acceptance,
    FM cut trajectories, routing congestion and cost refreshes.
 """
@@ -122,6 +124,13 @@ def _format_stage_table(doc: TraceDocument) -> List[str]:
         total += f"  {'':>5}  {_fmt_rss(perf.peak_rss_bytes):>9}"
     lines.append(total)
     return lines
+
+
+def _format_ledger(doc: TraceDocument) -> List[str]:
+    from repro.resilience.ledger import RunLedger
+
+    ledger = RunLedger.from_spans(doc.spans)
+    return ledger.format().splitlines() if ledger.records else []
 
 
 def _scope_of(doc: TraceDocument, span: SpanRecord) -> str:
@@ -291,6 +300,7 @@ def summarize(doc: TraceDocument) -> str:
     lines.append("")
     lines.extend(_format_stage_table(doc))
     for section in (
+        _format_ledger(doc),
         _format_lac_tables(doc),
         _format_feas_tables(doc),
         _format_one_liners(doc),

@@ -12,12 +12,15 @@ does).
 The clock is injectable (``Tracer(clock=...)``) so tests can produce
 bit-identical traces; the default is :func:`time.perf_counter`.
 
-Untraced runs use :data:`NOOP_TRACER`: its ``span()`` hands back one
-shared, immutable no-op span (no allocation per call beyond the
-keyword dict the call site builds), so leaving instrumentation in hot
-code costs a dict build and a method call — nothing else. Call sites
-that would compute *expensive* attributes should guard on
-``tracer.enabled``.
+Every plan records into a real tracer; its span tree is the run's one
+telemetry record, of which the run ledger, the perf stage table and
+the metrics are views. Direct library calls default to
+:data:`NOOP_TRACER`: its
+``span()`` hands back one shared, immutable no-op span (no allocation
+per call beyond the keyword dict the call site builds), so leaving
+instrumentation in hot code costs a dict build and a method call —
+nothing else. Call sites that would compute *expensive* attributes
+should guard on ``tracer.enabled``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import contextvars
 import itertools
 import time
 from typing import Any, Dict, List, Optional, Tuple
-
-from .metrics import NOOP_METRICS
 
 __all__ = ["Span", "Tracer", "NoopTracer", "NOOP_TRACER"]
 
@@ -106,14 +107,10 @@ class Tracer:
             deterministic clock makes traces reproducible in tests.
         meta: Free-form metadata written into the trace header.
 
-    A tracer also carries the run's :attr:`metrics` registry (the
-    shared :data:`~repro.obs.metrics.NOOP_METRICS` unless the planner
-    installs a real one), so every call site that already receives a
-    ``tracer=`` can meter via ``tracer.metrics.counter(...)`` without
-    signature changes. Listeners registered with :meth:`add_listener`
-    observe every span open/close — that is how the resource monitor
-    and the progress stream see spans from other threads, where the
-    nesting ContextVar is invisible.
+    Listeners registered with :meth:`add_listener` observe every span
+    open/close — that is how the metrics registry, the resource
+    monitor and the progress stream see spans from other threads,
+    where the nesting ContextVar is invisible.
     """
 
     enabled = True
@@ -122,7 +119,6 @@ class Tracer:
         self._clock = clock
         self.meta: Dict[str, Any] = dict(meta or {})
         self.spans: List[Span] = []  # finish order: children before parents
-        self.metrics = NOOP_METRICS
         self._ids = itertools.count(1)
         self._listeners: List[Any] = []
         self._current: contextvars.ContextVar[Optional[Span]] = (
@@ -157,7 +153,7 @@ class Tracer:
         may mutate ``span.attrs`` (the monitor stamps resource usage);
         exceptions propagate — observability bugs should be loud in
         tests, and listeners are only attached on explicitly
-        instrumented runs.
+        instrumented or metered runs.
         """
         if listener not in self._listeners:
             self._listeners.append(listener)
@@ -242,7 +238,6 @@ class NoopTracer:
     enabled = False
     meta: Dict[str, Any] = {}
     spans: List[Span] = []
-    metrics = NOOP_METRICS
 
     def now(self) -> float:
         return 0.0

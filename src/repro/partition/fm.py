@@ -129,8 +129,6 @@ class FMBipartitioner:
                 if not improved:
                     break
             span.set(final_cut=best_cut, passes=n_passes)
-            tracer.metrics.counter("fm_passes_total").inc(n_passes)
-            tracer.metrics.gauge("fm_final_cut").set(best_cut)
         log.debug(
             "FM: %d cells, cut %d -> %d in %d pass(es)",
             len(self.cells),

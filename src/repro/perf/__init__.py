@@ -2,11 +2,12 @@
 
 :class:`PerfRecorder` accumulates named stage timings — either via the
 ``stage()`` context manager around ad-hoc code, or by ingesting a
-finished :class:`~repro.core.planner.PlanningOutcome` (whose
-:class:`~repro.resilience.ledger.RunLedger` already carries wall time
-per planning stage). ``python -m repro bench`` runs the planner over
-the Table 1 circuits with a recorder attached and writes the result as
-``BENCH_<n>.json`` — see :mod:`repro.perf.bench` for the schema.
+run's stage spans (:meth:`PerfRecorder.ingest_spans`; a
+``RunContext(perf=recorder)`` gets the spans its plan closed, and
+``trace summarize`` builds the same table from a trace file).
+``python -m repro bench`` runs the planner over the Table 1 circuits
+with a recorder attached and writes the result as ``BENCH_<n>.json`` —
+see :mod:`repro.perf.bench` for the schema.
 """
 
 from repro.perf.recorder import PerfRecorder, StageTiming

@@ -9,8 +9,9 @@ every stage survivable:
   (bounded retries, wall-clock deadlines, retryable exception sets);
 * :mod:`repro.resilience.runner` — the stage runner that executes a
   callable under a policy with retry, fallback chains, and timeouts;
-* :mod:`repro.resilience.ledger` — the structured run ledger recording
-  every attempt, error, timing, and fallback taken;
+* :mod:`repro.resilience.ledger` — the structured run ledger, a view
+  of the stage spans' ``attempt`` and ``note`` events: every attempt,
+  error, timing, and fallback taken;
 * :mod:`repro.resilience.degrade` — graceful ``T_clk`` degradation
   (binary search for the closest achievable period);
 * :mod:`repro.resilience.faults` — a deterministic fault-injection

@@ -1,17 +1,18 @@
 """The run ledger: a structured record of how a planning run executed.
 
-Every stage execution appends one :class:`StageRecord` holding the
-full attempt history (:class:`StageAttempt` per try: variant, status,
-wall-clock seconds, error text). Free-form degradation notes — e.g.
-"T_clk infeasible, relaxed to 3.62" — are kept alongside. The ledger
-is attached to :class:`~repro.core.planner.PlanningOutcome` and
-rendered by ``outcome.report()``.
+A view of the span tree: the stage runner writes each try as an
+``attempt`` event on its stage span and each degradation note (e.g.
+"T_clk infeasible, relaxed to 3.62") as a ``note`` event, and
+:meth:`RunLedger.from_spans` reads them back, from live spans or a
+trace file, into one :class:`StageRecord` per stage execution. The
+ledger is attached to :class:`~repro.core.planner.PlanningOutcome` and
+rendered by ``outcome.report()`` and ``trace summarize``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 #: Attempt / record statuses.
 OK = "ok"
@@ -75,6 +76,19 @@ class StageRecord:
         return line
 
 
+#: ``attempt`` event attributes, in :class:`StageAttempt` field order.
+_ATTEMPT_KEYS = ("index", "variant", "status", "seconds", "error")
+
+
+def stage_attempts(span) -> List[StageAttempt]:
+    """The tries recorded as ``attempt`` events on one stage span."""
+    return [
+        StageAttempt(span.name, *map(attrs.get, _ATTEMPT_KEYS))
+        for name, _t, attrs in span.events
+        if name == "attempt"
+    ]
+
+
 @dataclasses.dataclass
 class RunLedger:
     """Structured per-stage history of one planning run."""
@@ -82,11 +96,29 @@ class RunLedger:
     records: List[StageRecord] = dataclasses.field(default_factory=list)
     notes: List[str] = dataclasses.field(default_factory=list)
 
-    def add(self, record: StageRecord) -> None:
-        self.records.append(record)
-
-    def note(self, message: str) -> None:
-        self.notes.append(message)
+    @classmethod
+    def from_spans(cls, spans: Iterable) -> "RunLedger":
+        """Stage spans become records in finish order; ``note`` events
+        on any span become notes in time order."""
+        records: List[StageRecord] = []
+        notes = []
+        for span in spans:
+            attrs = span.attrs
+            if attrs.get("kind") == "stage":
+                records.append(
+                    StageRecord(
+                        stage=span.name,
+                        attempts=stage_attempts(span),
+                        status=attrs.get("status", FAILED),
+                        scope=attrs.get("scope") or "",
+                        fallback=attrs.get("fallback"),
+                    )
+                )
+            notes.extend(
+                (t, ev["message"]) for name, t, ev in span.events if name == "note"
+            )
+        notes.sort(key=lambda note: note[0])
+        return cls(records, [message for _t, message in notes])
 
     def for_stage(self, stage: str) -> List[StageRecord]:
         return [r for r in self.records if r.stage == stage]

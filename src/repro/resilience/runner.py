@@ -11,9 +11,10 @@ failing, an ordered chain of *fallback* variants) under the stage's
 * failures in ``policy.retry_on`` consume attempts, then fallbacks;
   any other exception propagates immediately so genuine bugs are
   never masked;
-* every try is recorded in the :class:`~repro.resilience.ledger.RunLedger`,
-  and exhaustion raises :class:`~repro.errors.StageFailedError`
-  carrying the full attempt history.
+* every try is recorded once, as an ``attempt`` event on the stage
+  span (the ledger and the stage metrics are views of them), and
+  exhaustion raises :class:`~repro.errors.StageFailedError` carrying
+  the full attempt history.
 
 Callables receive the 1-based attempt index so seeded stages can
 perturb their seed on retries (``perturbed_seed`` gives the planner's
@@ -23,9 +24,9 @@ With a bound :class:`~repro.resilience.checkpoint.CheckpointManager`
 attached, the runner is also the checkpoint boundary: a stage's result
 is committed to the store only from the success path (a failed retry
 attempt or a blown deadline never commits), and on a resume run a
-valid snapshot short-circuits the stage entirely — the ledger records
-a single ``resumed`` attempt and the stage span carries a
-``resumed_from`` event naming the checkpoint key.
+valid snapshot short-circuits the stage entirely — the stage span
+carries a single ``resumed`` attempt and a ``resumed_from`` event
+naming the checkpoint key.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import StageFailedError, StageTimeoutError
-from repro.obs import NOOP_TRACER
+from repro.obs import Tracer
 from repro.resilience.faults import FaultInjector
 from repro.resilience.ledger import (
     ERROR,
@@ -46,8 +47,7 @@ from repro.resilience.ledger import (
     OK,
     TIMEOUT,
     RunLedger,
-    StageAttempt,
-    StageRecord,
+    stage_attempts,
 )
 from repro.resilience.policy import ResilienceConfig
 
@@ -66,26 +66,40 @@ def perturbed_seed(seed: int, attempt: int) -> int:
 
 
 class StageRunner:
-    """Executes stages under policies, recording into a ledger."""
+    """Executes stages under policies as ``kind="stage"`` spans.
+
+    A runner built without a (real) tracer records into its own.
+    """
 
     def __init__(
         self,
         config: Optional[ResilienceConfig] = None,
-        ledger: Optional[RunLedger] = None,
         faults: Optional[FaultInjector] = None,
         tracer=None,
         checkpoint=None,
     ):
         self.config = config or ResilienceConfig()
-        self.ledger = ledger if ledger is not None else RunLedger()
         self.faults = faults
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.tracer = tracer if tracer is not None and tracer.enabled else Tracer()
+        # A reused tracer holds earlier runs' spans; the ledger is ours.
+        self._first_span = len(self.tracer.spans)
         self.checkpoint = checkpoint  # bound CheckpointManager or None
         self.scope = ""  # e.g. "iteration 2"; used by ledger and spans
 
+    @property
+    def ledger(self) -> RunLedger:
+        """The ledger of every stage this runner has finished."""
+        return RunLedger.from_spans(self.tracer.spans[self._first_span :])
+
     def note(self, message: str) -> None:
+        """Record a ``note`` event on the open span (or a ``note`` span)."""
         prefix = f"{self.scope} · " if self.scope else ""
-        self.ledger.note(prefix + message)
+        span = self.tracer.current
+        if span.span_id:
+            span.event("note", message=prefix + message)
+        else:
+            with self.tracer.span("note") as span:
+                span.event("note", message=prefix + message)
 
     def run(
         self,
@@ -111,121 +125,52 @@ class StageRunner:
                 return self._restored(stage, ckpt_key, value, meta)
         policy = self.config.policy_for(stage)
         variants = [("primary", primary)] + list(fallbacks)
-        attempts = []
+        tries = 0
         last_exc: Optional[BaseException] = None
         with self.tracer.span(stage, kind="stage", scope=self.scope) as span:
             for v_index, (name, fn) in enumerate(variants):
                 n_tries = policy.max_attempts if v_index == 0 else 1
                 for attempt in range(1, n_tries + 1):
+                    tries += 1
                     start = time.perf_counter()
                     try:
                         result = self._call(stage, fn, attempt, policy.timeout)
-                    except StageTimeoutError as exc:
-                        attempts.append(
-                            StageAttempt(
-                                stage,
-                                attempt,
-                                name,
-                                TIMEOUT,
-                                time.perf_counter() - start,
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                        span.event(
-                            "attempt", variant=name, index=attempt, status=TIMEOUT
-                        )
-                        log.warning(
-                            "stage %s: %s#%d timed out after %.1fs",
-                            stage,
-                            name,
-                            attempt,
-                            policy.timeout or 0.0,
-                        )
-                        last_exc = exc
-                    except policy.retry_on as exc:
-                        attempts.append(
-                            StageAttempt(
-                                stage,
-                                attempt,
-                                name,
-                                ERROR,
-                                time.perf_counter() - start,
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                        span.event(
-                            "attempt",
-                            variant=name,
-                            index=attempt,
-                            status=ERROR,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                        log.warning(
-                            "stage %s: %s#%d failed (%s: %s), retrying",
-                            stage,
-                            name,
-                            attempt,
-                            type(exc).__name__,
-                            exc,
-                        )
-                        last_exc = exc
                     except BaseException as exc:
-                        # Not retryable: record, close the ledger entry,
-                        # and let it propagate untouched.
-                        attempts.append(
-                            StageAttempt(
-                                stage,
-                                attempt,
-                                name,
-                                ERROR,
-                                time.perf_counter() - start,
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                        self._record(stage, attempts, FAILED)
-                        span.set(status=FAILED, attempts=len(attempts))
-                        raise
-                    else:
-                        attempts.append(
-                            StageAttempt(
-                                stage,
-                                attempt,
-                                name,
-                                OK,
-                                time.perf_counter() - start,
-                            )
-                        )
-                        self._record(
+                        timed_out = isinstance(exc, StageTimeoutError)
+                        status = TIMEOUT if timed_out else ERROR
+                        _attempt(span, name, attempt, status, start, exc)
+                        if not (timed_out or isinstance(exc, policy.retry_on)):
+                            # Not retryable: close the stage span as
+                            # failed and let it propagate untouched.
+                            span.set(status=FAILED, attempts=tries)
+                            raise
+                        log.warning(
+                            "stage %s: %s#%d %s, retrying",
                             stage,
-                            attempts,
-                            OK,
-                            fallback=name if v_index > 0 else None,
+                            name,
+                            attempt,
+                            f"timed out after {policy.timeout:.1f}s"
+                            if timed_out
+                            else f"failed ({type(exc).__name__}: {exc})",
                         )
-                        span.set(status=OK, attempts=len(attempts))
-                        if v_index > 0:
-                            span.set(fallback=name)
-                            log.info(
-                                "stage %s: recovered via fallback %r",
-                                stage,
-                                name,
-                            )
-                        log.debug(
-                            "stage %s: ok in %.3fs (%d attempt(s))",
-                            stage,
-                            attempts[-1].seconds,
-                            len(attempts),
+                        last_exc = exc
+                        continue
+                    seconds = _attempt(span, name, attempt, OK, start)
+                    span.set(status=OK, attempts=tries)
+                    if v_index > 0:
+                        span.set(fallback=name)
+                        log.info("stage %s: recovered via fallback %r", stage, name)
+                    log.debug(
+                        "stage %s: ok in %.3fs (%d attempt(s))", stage, seconds, tries
+                    )
+                    if self.checkpoint is not None and ckpt_key is not None:
+                        self.checkpoint.commit(
+                            ckpt_key, result, fallback=name if v_index > 0 else None
                         )
-                        if self.checkpoint is not None and ckpt_key is not None:
-                            self.checkpoint.commit(
-                                ckpt_key,
-                                result,
-                                fallback=name if v_index > 0 else None,
-                            )
-                        return result
-            self._record(stage, attempts, FAILED)
-            span.set(status=FAILED, attempts=len(attempts))
-            log.error("stage %s: exhausted after %d attempts", stage, len(attempts))
-        raise StageFailedError(stage, attempts) from last_exc
+                    return result
+            span.set(status=FAILED, attempts=tries)
+            log.error("stage %s: exhausted after %d attempts", stage, tries)
+        raise StageFailedError(stage, stage_attempts(span)) from last_exc
 
     def _restored(self, stage: str, key: str, value: T, meta) -> T:
         """Account for a stage satisfied from the checkpoint store."""
@@ -235,12 +180,7 @@ class StageRunner:
             if fallback:
                 span.set(fallback=fallback)
             span.event("resumed_from", checkpoint=key)
-        self._record(
-            stage,
-            [StageAttempt(stage, 1, "resumed", OK, 0.0)],
-            OK,
-            fallback=fallback,
-        )
+            span.event("attempt", variant="resumed", index=1, status=OK, seconds=0.0)
         log.info("stage %s: restored from checkpoint %s", stage, key)
         return value
 
@@ -273,30 +213,19 @@ class StageRunner:
             # Never block on an overrunning worker; it is abandoned.
             executor.shutdown(wait=False)
 
-    def _record(
-        self,
-        stage: str,
-        attempts,
-        status: str,
-        fallback: Optional[str] = None,
-    ) -> None:
-        # Every stage completion meters here — the one choke point that
-        # sees all attempts, including timeouts, retries and restores.
-        # On uninstrumented runs tracer.metrics is the shared no-op.
-        metrics = self.tracer.metrics
-        for a in attempts:
-            metrics.counter(
-                "stage_attempts_total", stage=stage, status=a.status
-            ).inc()
-            metrics.histogram("stage_seconds", stage=stage).observe(a.seconds)
-        if fallback:
-            metrics.counter("stage_fallbacks_total", stage=stage).inc()
-        self.ledger.add(
-            StageRecord(
-                stage=stage,
-                attempts=list(attempts),
-                status=status,
-                scope=self.scope,
-                fallback=fallback,
-            )
-        )
+
+def _attempt(
+    span,
+    variant: str,
+    index: int,
+    status: str,
+    start: float,
+    exc: Optional[BaseException] = None,
+) -> float:
+    """Record one try as an ``attempt`` event; returns its seconds."""
+    seconds = time.perf_counter() - start
+    attrs = dict(variant=variant, index=index, status=status, seconds=seconds)
+    if exc is not None:
+        attrs["error"] = f"{type(exc).__name__}: {exc}"
+    span.event("attempt", **attrs)
+    return seconds

@@ -142,9 +142,6 @@ def _feas_search(
             raw = None if refined is None else refined[perm]
             verdict = "infeasible" if raw is None else "feasible"
             span.set(verdict=verdict)
-            tracer.metrics.counter(
-                "feas_probes_total", kind="certify", verdict=verdict
-            ).inc()
         return raw
 
     # Clamp the window: below the max vertex delay nothing is feasible;
@@ -169,9 +166,6 @@ def _feas_search(
                 )
                 verdict = "feasible" if verified else "unverified"
                 span.set(verdict=verdict, rounds=engine.last_rounds)
-                tracer.metrics.counter(
-                    "feas_probes_total", kind="probe", verdict=verdict
-                ).inc()
             feas_rounds += engine.last_rounds
             if verified:
                 best_idx, best_raw = mid, raw
@@ -215,9 +209,6 @@ def _bellman_ford_search(
             labels = checker.labels(t)
             verdict = "infeasible" if labels is None else "feasible"
             span.set(verdict=verdict)
-            tracer.metrics.counter(
-                "feas_probes_total", kind="probe", verdict=verdict
-            ).inc()
         return labels
 
     lo, hi = 0, len(candidates) - 1

@@ -328,7 +328,6 @@ class GlobalRouter:
                     result = self._embed_net(routed[name].net, synced=True)
                     self._commit(result, +1)
                     routed[name] = result
-                tracer.metrics.counter("route_ripup_total").inc(len(victims))
             summary = self.congestion_summary()
             span.set(
                 wirelength_tiles=sum(
@@ -336,10 +335,6 @@ class GlobalRouter:
                 ),
                 cost_refreshes=self.cost_refreshes - refreshes,
                 **summary,
-            )
-            tracer.metrics.counter("route_nets_total").inc(len(nets))
-            tracer.metrics.gauge("route_overflowed_cells").set(
-                summary["overflowed_cells"]
             )
         return routed
 

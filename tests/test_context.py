@@ -10,7 +10,7 @@ import pytest
 from repro.core import PlannerConfig, RunContext, plan_interconnect
 from repro.errors import CheckpointError, ReproError, TelemetryError
 from repro.netlist import s27_graph
-from repro.obs import NOOP_TRACER, Tracer
+from repro.obs import NOOP_TRACER, MetricsRegistry, Tracer
 from repro.perf import PerfRecorder
 from repro.resilience import CheckpointManager
 
@@ -52,12 +52,49 @@ class TestOverrides:
 
 
 class TestSession:
-    def test_uninstrumented_run_uses_noop_tracer(self):
-        ctx = RunContext()
-        assert not ctx.instrumented
-        with ctx.session(s27_graph(), PlannerConfig(), 1) as run:
-            assert run.tracer is NOOP_TRACER
-            assert run.compile_cache is not None
+    def test_uninstrumented_run_records_into_a_quiet_tracer(self):
+        """Every plan gets a real tracer (its ledger reads the spans);
+        without sinks nothing listens to it and no monitor runs."""
+        before = _monitor_threads()
+        for ctx in (RunContext(), RunContext(tracer=NOOP_TRACER)):
+            assert not ctx.instrumented
+            with ctx.session(s27_graph(), PlannerConfig(), 1) as run:
+                assert isinstance(run.tracer, Tracer)
+                assert run.tracer._listeners == []
+                assert _monitor_threads() <= before
+                assert run.compile_cache is not None
+
+    def test_registry_does_not_leak_into_later_plans(self):
+        """A registry given to one plan stops counting when it ends,
+        even when the next plan reuses the same tracer."""
+        tracer, first = Tracer(), MetricsRegistry()
+        plan_interconnect(s27_graph(), tracer=tracer, metrics=first, **QUICK)
+        rounds = first.counter("lac_rounds_total").value
+        assert rounds >= 1
+        plan_interconnect(s27_graph(), tracer=tracer, **QUICK)
+        assert first.counter("lac_rounds_total").value == rounds
+        assert tracer._listeners == []
+
+    def test_views_see_only_their_own_runs_spans(self):
+        """Two plans on one tracer: each run's perf table, ledger and
+        metrics hold its own stages once, not the earlier run's too."""
+        tracer = Tracer()
+        views = []
+        for _ in range(2):
+            perf, metrics = PerfRecorder(), MetricsRegistry()
+            outcome = plan_interconnect(
+                s27_graph(), tracer=tracer, perf=perf, metrics=metrics, **QUICK
+            )
+            views.append((perf, metrics, outcome.ledger))
+        for perf, metrics, ledger in views:
+            calls = {t.name: t.calls for t in perf.stages}
+            assert calls["partition"] == 1
+            assert [r.stage for r in ledger.for_stage("partition")] == ["partition"]
+            attempts = metrics.counter(
+                "stage_attempts_total", stage="partition", status="ok"
+            )
+            assert attempts.value == 1
+        assert len(views[0][2].records) == len(views[1][2].records)
 
     def test_bad_progress_parent_leaks_no_monitor_thread(self, tmp_path):
         """A sink path whose parent is a regular file fails before the

@@ -101,6 +101,8 @@ class TestNoopTracer:
         assert s1 is NOOP_TRACER.current
 
     def test_noop_span_accepts_all_calls(self):
+        NOOP_TRACER.add_listener(object())  # accepted, ignored
+        NOOP_TRACER.remove_listener(object())
         with NOOP_TRACER.span("a", k=1) as span:
             span.set(x=1)
             span.set_attr("y", 2)

@@ -7,10 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    NOOP_METRICS,
     MetricsError,
     MetricsRegistry,
-    NoopTracer,
     ProgressStream,
     ResourceSampler,
     Tracer,
@@ -200,37 +198,6 @@ class TestPrometheus:
         assert 't_count{stage="lac"} 1' in text
 
 
-class TestNoopSymmetry:
-    def test_noop_metrics_is_shared_and_inert(self):
-        c1 = NOOP_METRICS.counter("a", x=1)
-        c2 = NOOP_METRICS.gauge("b")
-        c3 = NOOP_METRICS.histogram("c")
-        assert c1 is c2 is c3
-        c1.inc()
-        c1.set(5)
-        c1.observe(1.0)
-        assert NOOP_METRICS.instruments == []
-        assert NOOP_METRICS.snapshot() == {}
-        assert NOOP_METRICS.enabled is False
-
-    def test_noop_tracer_carries_noop_metrics(self):
-        tracer = NoopTracer()
-        assert tracer.metrics is NOOP_METRICS
-        tracer.add_listener(object())  # accepted, ignored
-        tracer.remove_listener(object())
-        with tracer.span("hot") as s:
-            tracer.metrics.counter("x").inc()
-            s.set(y=1)
-        assert tracer.spans == []
-
-    def test_enabled_tracer_defaults_to_noop_metrics(self):
-        tracer = Tracer(clock=FakeClock())
-        assert tracer.metrics is NOOP_METRICS
-        with tracer.span("s"):
-            tracer.metrics.counter("x").inc()
-        assert NOOP_METRICS.instruments == []
-
-
 class TestResourceSampler:
     def test_span_attribution_on_synthetic_tree(self):
         clock = FakeClock()
@@ -341,9 +308,8 @@ class TestProgressStream:
     def _stream_run(self):
         tracer = Tracer(clock=FakeClock(), meta={"circuit": "toy"})
         reg = MetricsRegistry()
-        tracer.metrics = reg
         out = io.StringIO()
-        stream = ProgressStream(out, meta={"who": "test"}).attach(tracer)
+        stream = ProgressStream(out, meta={"who": "test"}).attach(tracer, metrics=reg)
         with tracer.span("plan"):
             with tracer.span("stage", kind="stage"):
                 reg.counter("work").inc()

@@ -21,7 +21,6 @@ from repro.resilience import (
     FaultInjector,
     FaultSpec,
     ResilienceConfig,
-    RunLedger,
     StagePolicy,
     StageRunner,
     default_resilience,
@@ -66,7 +65,6 @@ class TestStageRunner:
             ResilienceConfig(
                 policies={k: v for k, v in policies.items()}
             ),
-            RunLedger(),
         )
 
     def test_success_first_try(self):
@@ -221,10 +219,8 @@ class TestFaultInjector:
 
 class TestLedger:
     def test_summary_and_format(self):
-        ledger = RunLedger()
         runner = StageRunner(
             ResilienceConfig(policies={"s": StagePolicy(max_attempts=2)}),
-            ledger,
         )
 
         def flaky(attempt):
@@ -234,7 +230,8 @@ class TestLedger:
 
         runner.run("s", flaky)
         runner.run("t", lambda a: a)
-        ledger.note("something degraded")
+        runner.note("something degraded")
+        ledger = runner.ledger
         assert ledger.n_retries == 1 and ledger.n_failures == 0
         text = ledger.format()
         assert "2 stage runs" in text
@@ -246,9 +243,9 @@ class TestLedger:
     def test_to_dict_round_trips_json(self):
         import json
 
-        ledger = RunLedger()
-        StageRunner(ResilienceConfig(), ledger).run("s", lambda a: a)
-        dumped = json.loads(json.dumps(ledger.to_dict()))
+        runner = StageRunner(ResilienceConfig())
+        runner.run("s", lambda a: a)
+        dumped = json.loads(json.dumps(runner.ledger.to_dict()))
         assert dumped["records"][0]["stage"] == "s"
         assert dumped["records"][0]["attempts"][0]["status"] == "ok"
 

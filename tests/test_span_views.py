@@ -1,0 +1,222 @@
+"""The run ledger and the planner metrics are views of the span tree.
+
+A plan records each stage try once, as an ``attempt`` event on its
+stage span; the ledger (live or rebuilt from a trace file) and every
+planner metric are read back from the spans.
+"""
+
+import io
+
+import pytest
+
+from repro.core import plan_interconnect
+from repro.errors import PlanningError, RoutingError
+from repro.experiments.circuits import load_circuit, run_settings
+from repro.netlist import s27_graph
+from repro.obs import MetricsRegistry, ProgressStream, Tracer, read_trace
+from repro.obs.metrics import SPAN_METRICS, STAGE
+from repro.obs.progress import read_events
+from repro.resilience import (
+    FaultInjector,
+    FaultSpec,
+    ResilienceConfig,
+    RunLedger,
+    StageRunner,
+)
+
+QUICK = dict(seed=1, whitespace=0.4, max_iterations=1, floorplan_iterations=60)
+
+
+def _records(ledger: RunLedger):
+    return [
+        (
+            r.stage,
+            r.scope,
+            r.status,
+            r.fallback,
+            [(a.variant, a.attempt, a.status, a.error) for a in r.attempts],
+        )
+        for r in ledger.records
+    ]
+
+
+class TestLedgerFromTrace:
+    def test_trace_file_rebuilds_the_outcome_ledger(self, tmp_path):
+        """A retried route and a retime fallback survive the round trip
+        through ``repro-trace/1``, attempt by attempt."""
+        faults = FaultInjector(
+            [
+                FaultSpec("route", error=RoutingError("injected"), on_call=1),
+                FaultSpec("retime", error=PlanningError("injected"), on_call=1),
+            ]
+        )
+        path = tmp_path / "t.jsonl"
+        outcome = plan_interconnect(
+            s27_graph(), faults=faults, trace_path=str(path), **QUICK
+        )
+        assert outcome.ledger.n_retries == 2
+        assert outcome.ledger.n_fallbacks == 1
+        rebuilt = RunLedger.from_spans(read_trace(path).spans)
+        assert _records(rebuilt) == _records(outcome.ledger)
+        assert rebuilt.notes == outcome.ledger.notes
+        assert rebuilt.format() == outcome.ledger.format()
+
+    def test_notes_are_events_in_time_order(self, tmp_path):
+        from repro.obs import write_trace
+
+        tracer = Tracer()
+        runner = StageRunner(ResilienceConfig(), tracer=tracer)
+        runner.note("before any stage")
+
+        def stage(_a):
+            runner.note("inside the stage")
+            return 1
+
+        runner.scope = "iteration 1"
+        runner.run("s", stage)
+        notes = ["before any stage", "iteration 1 · inside the stage"]
+        assert runner.ledger.notes == notes
+        write_trace(tracer, tmp_path / "t.jsonl")
+        rebuilt = RunLedger.from_spans(read_trace(tmp_path / "t.jsonl").spans)
+        assert rebuilt.notes == notes
+        assert _records(rebuilt) == _records(runner.ledger)
+
+    def test_summarize_prints_the_ledger(self, tmp_path):
+        from repro.obs.summarize import summarize
+
+        faults = FaultInjector.fail_once("route")
+        path = tmp_path / "t.jsonl"
+        outcome = plan_interconnect(
+            s27_graph(), faults=faults, trace_path=str(path), **QUICK
+        )
+        text = summarize(read_trace(path))
+        assert outcome.ledger.format() in text
+        assert "resilience: " in text and "route: ok" in text
+
+
+def _feas(kind, verdict):
+    return (("kind", kind), ("verdict", verdict))
+
+
+#: Every planner metric of a traced ``plan s298 --quick`` (counter and
+#: gauge values, histogram counts), captured before the metrics were
+#: derived from spans: the derivation must reproduce them exactly.
+S298_QUICK_SAMPLES = sorted([
+    ("counter", "anneal_accepts_total", (), 133),
+    ("counter", "anneal_moves_total", (), 300),
+    ("counter", "compile_cache_total", (("result", "miss"),), 1),
+    ("counter", "feas_probes_total", _feas("certify", "infeasible"), 1),
+    ("counter", "feas_probes_total", _feas("probe", "feasible"), 8),
+    ("counter", "feas_probes_total", _feas("probe", "unverified"), 5),
+    ("counter", "fm_passes_total", (), 18),
+    ("counter", "lac_rounds_total", (), 1),
+    ("counter", "route_nets_total", (), 22),
+    ("counter", "route_ripup_total", (), 12),
+    ("gauge", "compile_candidates", (), 5948),
+    ("gauge", "fm_final_cut", (), 3),
+    ("gauge", "lac_n_foa", (), 0),
+    ("gauge", "route_overflowed_cells", (), 0),
+] + [
+    ("counter", "stage_attempts_total", (("stage", s), ("status", "ok")), 1)
+    for s in ("compile", "expand", "floorplan", "min_period", "partition",
+              "repeater", "retime", "route", "tiles")
+] + [
+    ("histogram", "stage_seconds", (("stage", s),), 1)
+    for s in ("compile", "expand", "floorplan", "min_period", "partition",
+              "repeater", "retime", "route", "tiles")
+])
+
+#: The same run's progress stream, one letter per event: span_open,
+#: span_close, metrics, run_end.
+S298_QUICK_EVENTS = (
+    "ooococococcmooccmoocmooccmocmocmocmooococococococococococococococo"
+    "cocccmoococoocccmcce"
+)
+
+
+@pytest.fixture(scope="module")
+def s298_quick():
+    graph, kwargs = load_circuit("s298")
+    iterations, overrides = run_settings(quick=True)
+    metrics, tracer, out = MetricsRegistry(), Tracer(), io.StringIO()
+    progress = ProgressStream(out)
+    plan_interconnect(
+        graph,
+        max_iterations=iterations,
+        tracer=tracer,
+        metrics=metrics,
+        progress=progress,
+        **kwargs,
+        **overrides,
+    )
+    progress.close(spans=len(tracer.spans))
+    return metrics, tracer, out.getvalue()
+
+
+class TestDerivedMetrics:
+    def test_samples_match_the_call_site_counts(self, s298_quick):
+        metrics, _, _ = s298_quick
+        got = sorted(
+            (
+                inst.kind,
+                inst.name,
+                inst.labels,
+                inst.count if inst.kind == "histogram" else inst.value,
+            )
+            for inst in metrics.instruments
+            if not inst.name.startswith(("process_", "monitor_"))
+        )
+        assert got == S298_QUICK_SAMPLES
+
+    def test_progress_event_sequence_unchanged(self, s298_quick, tmp_path):
+        _, _, text = s298_quick
+        path = tmp_path / "e.jsonl"
+        path.write_text(text)
+        letters = {"span_open": "o", "span_close": "c", "metrics": "m", "run_end": "e"}
+        assert "".join(letters[e["type"]] for e in read_events(path)) == (
+            S298_QUICK_EVENTS
+        )
+
+    def test_counts_equal_the_spans_they_view(self, s298_quick):
+        metrics, tracer, _ = s298_quick
+        rounds = [s for s in tracer.spans if s.name == "lac/round"]
+        assert metrics.counter("lac_rounds_total").value == len(rounds)
+        attempts = sum(
+            1 for s in tracer.spans for name, _t, _a in s.events if name == "attempt"
+        )
+        total = sum(
+            i.value for i in metrics.instruments if i.name == "stage_attempts_total"
+        )
+        assert total == attempts
+
+    def test_every_row_names_a_span_the_planner_opens(self, s298_quick):
+        _, tracer, _ = s298_quick
+        names = {s.name for s in tracer.spans}
+        assert set(SPAN_METRICS) - names == {STAGE}
+
+
+class TestRegistryListener:
+    def test_resumed_stage_counts_no_compile_lookup(self):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        tracer.add_listener(metrics)
+        with tracer.span("compile", kind="stage") as span:
+            span.set(status="ok", resumed=True, fallback="alt")
+            span.event("attempt", variant="resumed", index=1, status="ok", seconds=0.0)
+        snapshot = metrics.snapshot()
+        assert snapshot == {
+            "stage_attempts_total{stage=compile,status=ok}": 1,
+            "stage_seconds{stage=compile}_count": 1,
+            "stage_seconds{stage=compile}_sum": 0.0,
+            "stage_fallbacks_total{stage=compile}": 1,
+        }
+
+    def test_detached_registry_stops_counting(self):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        tracer.add_listener(metrics)
+        with tracer.span("lac/round", n_foa=2):
+            pass
+        tracer.remove_listener(metrics)
+        with tracer.span("lac/round", n_foa=1):
+            pass
+        assert metrics.counter("lac_rounds_total").value == 1
+        assert metrics.gauge("lac_n_foa").value == 2
