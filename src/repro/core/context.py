@@ -108,7 +108,8 @@ class RunContext:
                 stack.push(_sink_writer(write_prometheus, metrics, prom))
                 stack.push(_sink_writer(write_metrics, metrics, self.metrics_path))
             if self.trace_path:
-                stack.push(_sink_writer(write_trace, tracer, self.trace_path))
+                own = lambda t, path: write_trace(t, path, t.spans[first_span:])
+                stack.push(_sink_writer(own, tracer, self.trace_path))
             if metrics is not None:
                 tracer.add_listener(metrics)
                 stack.callback(tracer.remove_listener, metrics)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 from repro.ioutil import atomic_write
@@ -115,28 +115,31 @@ def _span_payload(span) -> Dict[str, Any]:
     return payload
 
 
-def trace_lines(tracer) -> Iterator[str]:
-    """Serialise a tracer's finished spans as ``repro-trace/1`` lines."""
+def trace_lines(tracer, spans: Optional[Sequence] = None) -> Iterator[str]:
+    """Serialise ``spans`` (default: the tracer's) as ``repro-trace/1`` lines."""
+    spans = tracer.spans if spans is None else spans
     header = {
         "schema": TRACE_SCHEMA,
         "meta": tracer.meta,
-        "spans": len(tracer.spans),
+        "spans": len(spans),
     }
     yield json.dumps(header, sort_keys=True, default=_json_default)
-    for span in tracer.spans:
+    for span in spans:
         yield json.dumps(
             _span_payload(span), sort_keys=True, default=_json_default
         )
 
 
-def write_trace(tracer, path: Union[str, Path]) -> Path:
-    """Write the tracer's spans to ``path``; returns the path.
+def write_trace(
+    tracer, path: Union[str, Path], spans: Optional[Sequence] = None
+) -> Path:
+    """Write the tracer's spans (or ``spans``) to ``path``; returns the path.
 
     The write is atomic (tmp + fsync + replace): a kill mid-export —
     exactly when post-mortem traces matter most — never leaves a
     truncated JSONL behind.
     """
-    return atomic_write(path, "\n".join(trace_lines(tracer)) + "\n")
+    return atomic_write(path, "\n".join(trace_lines(tracer, spans)) + "\n")
 
 
 # ----------------------------------------------------------------------

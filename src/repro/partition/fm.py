@@ -2,19 +2,25 @@
 
 The paper's experimental flow "first partitions those circuits into
 soft blocks". We implement the classic FM heuristic: iterative
-single-cell moves with gain buckets, an area-balance constraint, and
-multi-pass refinement, operating on the connection structure of a
+single-cell moves in max-gain order under an area-balance constraint,
+with multi-pass refinement, operating on the connection structure of a
 :class:`CircuitGraph` (host vertices and parallel-edge multiplicity are
 handled by the caller, :mod:`repro.partition.multiway`).
+
+The pass is a plain-integer kernel: per-cell net lists and per-net
+cell lists (built once per instance), per-net side counts and a gain
+list, and a max-gain heap with lazily skipped stale entries. The
+graphs are small (hundreds of cells), so Python ints beat array calls;
+``tests/oracles/fm.py`` is the dict-based reference it agrees with
+move for move.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.obs import NOOP_TRACER
 
@@ -54,51 +60,16 @@ class FMBipartitioner:
         self.max_side_area = max(
             self.balance * self.total_area, self.total_area / 2.0 + max_cell
         )
-        self._build_incidence()
-
-    def _build_incidence(self) -> None:
-        """Flatten the cell/net incidence into CSR-style arrays.
-
-        One "pin" per (net, member cell) pair, restricted to this
-        instance's cells. ``_one_pass`` works entirely on these arrays;
-        the dict-based gain and pass in ``tests/oracles/fm.py`` are the
-        auditable reference the property tests compare against.
-        """
+        # Cell/net incidence by position, restricted to this
+        # instance's cells (one pin per (net, member cell) pair).
         pos = {c: k for k, c in enumerate(self.cells)}
-        self._cell_pos = pos
-        pin_cell: List[int] = []
-        pin_net: List[int] = []
-        for i, net in enumerate(self.nets):
-            for c in net:
-                k = pos.get(c)
-                if k is not None:
-                    pin_cell.append(k)
-                    pin_net.append(i)
-        self._pin_cell = np.array(pin_cell, dtype=np.int64)
-        self._pin_net = np.array(pin_net, dtype=np.int64)
-        self._areas_arr = np.array(
-            [self.areas[c] for c in self.cells], dtype=np.float64
-        )
-        # Per-cell and per-net views of the pin list (CSR index maps),
-        # so one move can gather every pin of every net it touches.
-        n = len(self.cells)
-        by_cell = np.argsort(self._pin_cell, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self._pin_cell, minlength=n), out=indptr[1:]
-        )
-        self._cell_pins = [
-            by_cell[indptr[k] : indptr[k + 1]] for k in range(n)
+        self._net_cells = [
+            [pos[c] for c in net if c in pos] for net in self.nets
         ]
-        by_net = np.argsort(self._pin_net, kind="stable")
-        net_ptr = np.zeros(len(self.nets) + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self._pin_net, minlength=len(self.nets)),
-            out=net_ptr[1:],
-        )
-        self._net_pins = [
-            by_net[net_ptr[m] : net_ptr[m + 1]] for m in range(len(self.nets))
-        ]
+        self._cell_nets: List[List[int]] = [[] for _ in self.cells]
+        for m, members in enumerate(self._net_cells):
+            for k in members:
+                self._cell_nets[k].append(m)
 
     # ------------------------------------------------------------------
     def run(self, passes: int = 8, tracer=None) -> Dict[str, int]:
@@ -119,8 +90,7 @@ class FMBipartitioner:
             span.set(initial_cut=initial_cut)
             n_passes = 0
             for _ in range(passes):
-                improved, side = self._one_pass(side)
-                cut = self.cut_size(side)
+                improved, side, cut = self._one_pass(side)
                 n_passes += 1
                 span.event("pass", index=n_passes, cut=cut)
                 if cut < best_cut:
@@ -161,93 +131,119 @@ class FMBipartitioner:
                 side[c] = 1
         return side
 
-    def _one_pass(self, side: Dict[str, int]) -> Tuple[bool, Dict[str, int]]:
-        """One FM pass: move every cell once, keep the best prefix.
+    def _one_pass(
+        self, side: Dict[str, int]
+    ) -> Tuple[bool, Dict[str, int], int]:
+        """One FM pass: make every move of :meth:`_moves`, keep the best prefix.
 
-        Array implementation of the classic pass. Per-net side counts
-        and a per-cell gain table are kept incrementally: a move
-        adjusts the counts of the nets it touches and re-derives the
-        gain contribution of exactly the pins on those nets. The move
-        selected each step is the first unlocked, balance-respecting
-        cell (in ``self.cells`` order) of maximum gain — ``argmax``
-        over a masked gain array, which matches the historical
-        first-strict-maximum linear scan move for move.
+        Returns ``(improved, side, cut)``: whether the kept prefix
+        lowers the cut, the resulting assignment and its cut size (the
+        pass's start cut less the kept prefix's gain).
         """
-        out = dict(side)
-        n = len(self.cells)
-        if n == 0:
-            return False, out
-        # Accumulate side areas in cells order with scalar float adds,
-        # exactly like the historical pass (bit-equal balance checks).
-        area = [0.0, 0.0]
-        for c in self.cells:
-            area[out[c]] += self.areas[c]
-        side_arr = np.fromiter(
-            (out[c] for c in self.cells), dtype=np.int64, count=n
-        )
-        pin_cell = self._pin_cell
-        pin_net = self._pin_net
-        n_nets = len(self.nets)
-        cnt = np.zeros((2, n_nets), dtype=np.int64)
-        pin_side = side_arr[pin_cell]
-        cnt[0] = np.bincount(pin_net[pin_side == 0], minlength=n_nets)
-        cnt[1] = np.bincount(pin_net[pin_side == 1], minlength=n_nets)
-        # gain contribution of one pin: +1 when the cell is alone on
-        # its side of the net (moving uncuts), -1 when the far side is
-        # empty (moving cuts).
-        gain = np.zeros(n, dtype=np.int64)
-        if pin_cell.size:
-            contrib = (cnt[pin_side, pin_net] == 1).astype(np.int64) - (
-                cnt[1 - pin_side, pin_net] == 0
-            ).astype(np.int64)
-            np.add.at(gain, pin_cell, contrib)
-
-        locked = np.zeros(n, dtype=bool)
-        neg = np.iinfo(np.int64).min
-        history: List[Tuple[str, int]] = []
+        cut, moves = self._moves(side)
         cum_gain = 0
         best_prefix = 0
         best_gain = 0
-        for _ in range(n):
-            target_area = np.where(side_arr == 0, area[1], area[0])
-            eligible = ~locked & (
-                target_area + self._areas_arr <= self.max_side_area
-            )
-            if not eligible.any():
-                break
-            k = int(np.argmax(np.where(eligible, gain, neg)))
-            g = int(gain[k])
-            locked[k] = True
-            name = self.cells[k]
-            s = int(side_arr[k])
-            area[s] -= self.areas[name]
-            area[1 - s] += self.areas[name]
-            my_nets = pin_net[self._cell_pins[k]]
-            if my_nets.size:
-                aff = np.concatenate([self._net_pins[m] for m in my_nets])
-                ac = pin_cell[aff]
-                an = pin_net[aff]
-                asides = side_arr[ac]
-                old = (cnt[asides, an] == 1).astype(np.int64) - (
-                    cnt[1 - asides, an] == 0
-                ).astype(np.int64)
-                cnt[s, my_nets] -= 1
-                cnt[1 - s, my_nets] += 1
-                side_arr[k] = 1 - s
-                asides = side_arr[ac]
-                new = (cnt[asides, an] == 1).astype(np.int64) - (
-                    cnt[1 - asides, an] == 0
-                ).astype(np.int64)
-                np.add.at(gain, ac, new - old)
-            else:
-                side_arr[k] = 1 - s
+        for i, (_name, g) in enumerate(moves, start=1):
             cum_gain += g
-            history.append((name, g))
             if cum_gain > best_gain:
                 best_gain = cum_gain
-                best_prefix = len(history)
-
+                best_prefix = i
         # Keep the best prefix of moves (each cell moves at most once).
-        for name, _g in history[:best_prefix]:
+        out = dict(side)
+        for name, _g in moves[:best_prefix]:
             out[name] = 1 - out[name]
-        return best_gain > 0, out
+        return best_gain > 0, out, cut - best_gain
+
+    def _moves(
+        self, side: Mapping[str, int]
+    ) -> Tuple[int, List[Tuple[str, int]]]:
+        """Move every cell once from ``side``; returns the start cut and
+        the ``(cell, gain)`` moves in order.
+
+        Each step moves the first unlocked cell, in ``self.cells``
+        order, of maximum gain whose move respects the balance bound:
+        the smallest ``(-gain, index)`` entry of a heap. Entries of
+        locked cells or of outdated gains are skipped as they surface;
+        current entries whose move would break the balance bound are
+        set aside and pushed back after the move. A move updates the
+        side counts of its nets and, by the classic FM rules, the gains
+        of the unlocked cells on them, pushing one fresh entry per
+        changed cell.
+        """
+        cells = self.cells
+        n = len(cells)
+        areas = [self.areas[c] for c in cells]
+        sides = [side[c] for c in cells]
+        # Accumulate side areas in cells order with scalar float adds
+        # (bit-equal balance checks with the reference pass).
+        area = [0.0, 0.0]
+        for k in range(n):
+            area[sides[k]] += areas[k]
+        net_cells = self._net_cells
+        cell_nets = self._cell_nets
+        cnt = [[0] * len(net_cells), [0] * len(net_cells)]
+        for m, members in enumerate(net_cells):
+            for k in members:
+                cnt[sides[k]][m] += 1
+        cut = sum(1 for c0, c1 in zip(*cnt) if c0 and c1)
+        # A cell's gain, per net: +1 when it is alone on its side
+        # (moving uncuts the net), -1 when the far side is empty
+        # (moving cuts it).
+        gain = [0] * n
+        for k in range(n):
+            own, far = cnt[sides[k]], cnt[1 - sides[k]]
+            gain[k] = sum((own[m] == 1) - (far[m] == 0) for m in cell_nets[k])
+        heap = [(-gain[k], k) for k in range(n)]
+        heapq.heapify(heap)
+        locked = [False] * n
+        limit = self.max_side_area
+        moves: List[Tuple[str, int]] = []
+        while True:
+            k = -1
+            aside = []
+            while heap:
+                entry = heapq.heappop(heap)
+                c = entry[1]
+                if locked[c] or -entry[0] != gain[c]:
+                    continue  # stale
+                if area[1 - sides[c]] + areas[c] <= limit:
+                    k = c
+                    break
+                aside.append(entry)
+            for entry in aside:
+                heapq.heappush(heap, entry)
+            if k < 0:
+                break
+            locked[k] = True
+            moves.append((cells[k], gain[k]))
+            s = sides[k]
+            t = 1 - s
+            area[s] -= areas[k]
+            area[t] += areas[k]
+            cnt_s, cnt_t = cnt[s], cnt[t]
+            changed = set()
+            for m in cell_nets[k]:
+                before_t = cnt_t[m]
+                after_s = cnt_s[m] - 1
+                cnt_s[m] = after_s
+                cnt_t[m] = before_t + 1
+                if before_t > 1 and after_s > 1:
+                    continue  # no gain on this net changes
+                # The classic FM rules: the net turning cut (or leaving
+                # the from-side) raises (lowers) every gain; the to-side's
+                # lone cell stops uncutting it, the from-side's starts to.
+                up = (before_t == 0) - (after_s == 0)
+                for c in net_cells[m]:
+                    if not locked[c]:
+                        if sides[c] == t:
+                            d = up - (before_t == 1)
+                        else:
+                            d = up + (after_s == 1)
+                        if d:
+                            gain[c] += d
+                            changed.add(c)
+            sides[k] = t
+            for c in changed:
+                heapq.heappush(heap, (-gain[c], c))
+        return cut, moves

@@ -43,9 +43,10 @@ class Partition:
 
 
 def _nets_from_graph(graph: CircuitGraph, units: Set[str]) -> List[Set[str]]:
-    """Model each multi-fanout unit's output as one net."""
+    """Model each multi-fanout unit's output as one net, in unit-name
+    order so the nets do not depend on the string hash seed."""
     nets: List[Set[str]] = []
-    for u in units:
+    for u in sorted(units):
         sinks = {v for v in graph.fanout(u) if v in units}
         if sinks:
             nets.append({u} | sinks)

@@ -1,8 +1,8 @@
 """Property tests: array kernels must match their reference paths.
 
-The annealer, the FM pass and the sequence-pair packer each ship an
-array-backed fast path; the tests compare it with an object-based
-reference (the annealer's and the FM pass's live in ``tests/oracles/``)
+The annealer and the sequence-pair packer each ship an array-backed
+fast path, the FM pass an integer one; the tests compare each with an
+object-based reference (the annealer's and the FM pass's live in ``tests/oracles/``)
 and assert bit-identical agreement — not approximate agreement — because
 benchmark reproducibility (BENCH_N result files) depends on the fast
 paths producing the exact same trajectories.
@@ -15,9 +15,11 @@ import pytest
 from repro.floorplan.annealer import SequencePairAnnealer, anneal_multistart
 from repro.floorplan.blocks import Block
 from repro.floorplan.sequence_pair import overlaps, pack, pack_arrays
+from repro.experiments.circuits import get_circuit
 from repro.partition.fm import FMBipartitioner
+from repro.partition.multiway import _nets_from_graph
 from tests.oracles.annealer import ObjectAnnealer
-from tests.oracles.fm import reference_fm_pass
+from tests.oracles.fm import reference_fm_pass, reference_moves
 
 
 def random_blocks(n_blocks: int, seed: int):
@@ -96,7 +98,7 @@ class TestPackArrays:
             pack_arrays(["B0"], ["B0", "B1"], by_name)
 
 
-def random_fm_instance(seed: int) -> FMBipartitioner:
+def random_fm_instance(seed: int, balance: float = 0.6) -> FMBipartitioner:
     r = random.Random(seed)
     n = r.randint(4, 40)
     cells = [f"c{k}" for k in range(n)]
@@ -105,21 +107,73 @@ def random_fm_instance(seed: int) -> FMBipartitioner:
     for _ in range(r.randint(2, 3 * n)):
         size = r.randint(2, min(5, n))
         nets.append(set(r.sample(cells, size)))
-    return FMBipartitioner(cells, areas, nets, rng=random.Random(seed + 1))
+    return FMBipartitioner(
+        cells, areas, nets, balance=balance, rng=random.Random(seed + 1)
+    )
+
+
+def tight_fm_instance(seed: int) -> FMBipartitioner:
+    """A perfect-balance instance whose cell areas span 1 to 6 units,
+    so the heaviest cells often cannot move when they gain the most."""
+    r = random.Random(seed)
+    n = r.randint(12, 40)
+    cells = [f"c{k}" for k in range(n)]
+    areas = {c: float(r.choice([1, 1, 2, 3, 6])) for c in cells}
+    nets = [set(r.sample(cells, r.randint(2, 4))) for _ in range(2 * n)]
+    return FMBipartitioner(
+        cells, areas, nets, balance=0.5, rng=random.Random(seed + 1)
+    )
+
+
+def first_bisection(name: str) -> FMBipartitioner:
+    """The first FM instance ``partition_graph`` builds for a Table-1
+    circuit with the planner's seed."""
+    spec = get_circuit(name)
+    graph = spec.build()
+    hosts = set(graph.host_units())
+    units = [u for u in graph.units() if u not in hosts]
+    areas = {u: max(graph.area(u), 1e-9) for u in units}
+    nets = _nets_from_graph(graph, set(units))
+    return FMBipartitioner(
+        sorted(units), areas, nets, balance=0.65, rng=random.Random(spec.seed)
+    )
+
+
+def assert_passes_match(fm: FMBipartitioner, passes: int = 3) -> None:
+    """``passes`` chained passes from the initial partition: the same
+    moves in the same order, the same kept prefix and a cut that
+    equals a recount."""
+    side = fm._initial_partition()
+    for _ in range(passes):
+        cut, moves = fm._moves(side)
+        assert cut == fm.cut_size(side)
+        assert moves == reference_moves(fm, side)
+        ref_improved, ref_side = reference_fm_pass(fm, side)
+        improved, side, cut = fm._one_pass(side)
+        assert improved == ref_improved
+        assert side == ref_side
+        assert cut == fm.cut_size(side)
 
 
 class TestFMArrayPassAgrees:
     @pytest.mark.parametrize("seed", range(10))
     def test_one_pass_matches_reference(self, seed):
-        fm = random_fm_instance(seed)
+        assert_passes_match(random_fm_instance(seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tight_balance_matches_reference(self, seed):
+        fm = tight_fm_instance(seed)
         side = fm._initial_partition()
-        for _ in range(3):
-            ref_improved, ref_side = reference_fm_pass(fm, side)
-            arr_improved, arr_side = fm._one_pass(side)
-            assert arr_improved == ref_improved
-            assert arr_side == ref_side
-            assert fm.cut_size(arr_side) == fm.cut_size(ref_side)
-            side = arr_side
+        blocked = []
+        reference_moves(fm, side, blocked)
+        # The balance bound overrules the best gain at least once, so
+        # the kernel's set-aside path runs.
+        assert blocked
+        assert_passes_match(fm)
+
+    @pytest.mark.parametrize("name", ["s298", "s1269"])
+    def test_first_bisection_matches_reference(self, name):
+        assert_passes_match(first_bisection(name))
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_full_run_cut_matches_reference_driver(self, seed):

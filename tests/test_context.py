@@ -10,7 +10,8 @@ import pytest
 from repro.core import PlannerConfig, RunContext, plan_interconnect
 from repro.errors import CheckpointError, ReproError, TelemetryError
 from repro.netlist import s27_graph
-from repro.obs import NOOP_TRACER, MetricsRegistry, Tracer
+from repro.obs import NOOP_TRACER, MetricsRegistry, Tracer, read_trace
+from repro.obs.summarize import summarize
 from repro.perf import PerfRecorder
 from repro.resilience import CheckpointManager
 
@@ -95,6 +96,24 @@ class TestSession:
             )
             assert attempts.value == 1
         assert len(views[0][2].records) == len(views[1][2].records)
+
+    def test_trace_file_holds_only_its_runs_spans(self, tmp_path):
+        """Two plans on one tracer, only the second writing a trace:
+        the file holds that run's spans alone, so ``trace summarize``
+        counts the outcome's stage runs, not both runs'."""
+        tracer = Tracer()
+        plan_interconnect(s27_graph(), tracer=tracer, **QUICK)
+        path = tmp_path / "t.jsonl"
+        outcome = plan_interconnect(
+            s27_graph(), tracer=tracer, trace_path=str(path), **QUICK
+        )
+        doc = read_trace(path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["spans"] == len(doc.spans) < len(tracer.spans)
+        assert [s.name for s in doc.roots()] == ["plan"]
+        runs = len(outcome.ledger.records)
+        assert runs == 9
+        assert f"resilience: {runs} stage runs," in summarize(doc)
 
     def test_bad_progress_parent_leaks_no_monitor_thread(self, tmp_path):
         """A sink path whose parent is a regular file fails before the

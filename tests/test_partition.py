@@ -1,10 +1,17 @@
 """Tests for FM bipartitioning and multiway partitioning."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import NetlistError
+from repro.experiments.circuits import TABLE1_CIRCUITS
 from repro.netlist import random_circuit
 from repro.partition import (
     FMBipartitioner,
@@ -96,3 +103,51 @@ class TestMultiway:
         assert default_block_count(10) == 4
         assert 4 <= default_block_count(400) <= 24
         assert default_block_count(100000) == 24
+
+
+def table1_partition(spec):
+    """``spec``'s partition as the planner makes it (block count, seed)."""
+    graph = spec.build()
+    n_units = graph.num_units - len(graph.host_units())
+    n_blocks = spec.n_blocks or default_block_count(n_units)
+    return partition_graph(graph, n_blocks, seed=spec.seed)
+
+
+#: sha256 prefix of every Table-1 circuit's sorted assignment, pinned
+#: when FM still ran as a numpy pass; a kernel change must keep it.
+TABLE1_PARTITION_DIGEST = "7a6ea3f75187d278"
+
+_PARTITION_PROBE = """
+import json
+from repro.experiments.circuits import get_circuit
+from repro.partition import partition_graph
+graph = get_circuit("s298").build()
+print(json.dumps(sorted(partition_graph(graph, 6, seed=298).assignment.items())))
+"""
+
+
+class TestGoldenPartitions:
+    def test_table1_partitions_unchanged(self):
+        assignments = {
+            spec.name: sorted(table1_partition(spec).assignment.items())
+            for spec in TABLE1_CIRCUITS
+        }
+        digest = hashlib.sha256(json.dumps(assignments).encode()).hexdigest()
+        assert digest[:16] == TABLE1_PARTITION_DIGEST
+
+    def test_independent_of_hash_seed(self):
+        """Net order and pin layout come from sorted names, so two
+        interpreters with different string hashing agree."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", _PARTITION_PROBE],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert runs[0] and runs[0] == runs[1]
