@@ -6,14 +6,14 @@ Store layout (flat, one file per fingerprint)::
         <sha256-fingerprint>.cc    # one compiled artifact
         quarantine/                # corrupt/mismatched files, kept
 
-Each ``.cc`` file follows the checkpoint file convention
-(:mod:`repro.resilience.checkpoint`): a one-line JSON header followed
-by the payload — here a zlib-compressed pickle of the
-:class:`~repro.compile.artifact.CompiledCircuit`'s replay record::
+Each ``.cc`` file is a sealed file (:func:`repro.ioutil.write_sealed`,
+the envelope checkpoints use too) whose payload is a zlib-compressed
+pickle of the :class:`~repro.compile.artifact.CompiledCircuit`'s replay
+record::
 
-    {"schema": "repro-compile/3", "kind": "compiled-circuit",
-     "fingerprint": "<key>", "circuit": "s298", "codec": "zlib",
-     "sha256": "<payload digest>", "meta": {...}}\\n
+    {"circuit": "s298", "codec": "zlib", "fingerprint": "<key>",
+     "kind": "compiled-circuit", "meta": {...},
+     "schema": "repro-compile/3", "sha256": "<payload digest>"}\\n
     <zlib bytes>
 
 What the payload holds: the vertex order, the min-area objective
@@ -32,10 +32,11 @@ fallback, a new ``T_clk``), or the planner's degrade path. Each rebuild
 records a ``compile/rebuild`` span with its ``reason``. A fresh compile
 and the in-process LRU keep the search inputs they computed.
 
-Writes are atomic (:func:`repro.ioutil.atomic_write`); on load the
-schema, fingerprint, checksum and the artifact's own embedded
-fingerprint are all verified, and any mismatch quarantines the file
-and reports a miss so the caller recompiles cleanly.
+Writes are atomic; on load :func:`repro.ioutil.read_sealed` verifies
+the schema, fingerprint and checksum and this store the artifact's own
+embedded fingerprint, and any mismatch quarantines the file
+(:func:`repro.ioutil.quarantine`) and reports a miss so the caller
+recompiles cleanly.
 
 The store is safe under concurrent writers without any locking:
 staging files are ``O_EXCL``-claimed per writer, the final rename is
@@ -58,8 +59,6 @@ passes) never deserialise twice.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import logging
 import pickle
 import zlib
@@ -68,7 +67,14 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.compile.artifact import COMPILE_SCHEMA, CompiledCircuit, compile_fingerprint
-from repro.ioutil import atomic_write
+from repro.errors import SealedFileError
+from repro.ioutil import (
+    quarantine,
+    read_header,
+    read_sealed,
+    sweep_staging,
+    write_sealed,
+)
 from repro.tech.params import DEFAULT_TECH, Technology
 
 log = logging.getLogger(__name__)
@@ -207,7 +213,6 @@ class CompileCache:
             "fingerprint": artifact.fingerprint,
             "circuit": artifact.circuit,
             "codec": "zlib",
-            "sha256": hashlib.sha256(payload).hexdigest(),
             "meta": {
                 "n": artifact.n,
                 "t_init": artifact.t_init,
@@ -221,40 +226,20 @@ class CompileCache:
         # file already holds this exact payload, skip the rewrite: less
         # churn, and no window where a reader sees the file mid-replace
         # on filesystems with weaker rename semantics.
-        if self._holds_payload(path, artifact.fingerprint, header["sha256"]):
-            artifact.dirty = False
+        wrote = write_sealed(path, header, payload, skip_identical=True)
+        artifact.dirty = False
+        if not wrote:
             self.stats.skipped_writes += 1
             return path
-        data = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
-        atomic_write(path, data)
-        artifact.dirty = False
         self.stats.writes += 1
         self.stats.bytes_written += len(payload)
         log.debug(
             "compile cache: wrote %s (%s, %d bytes)",
             path.name,
             artifact.circuit,
-            len(data),
+            len(payload),
         )
         return path
-
-    @staticmethod
-    def _holds_payload(path: Path, fingerprint: str, sha256: str) -> bool:
-        """Whether ``path`` already stores exactly this payload.
-
-        Header-only check (cheap); any unreadable/mismatched file just
-        reports ``False`` and the caller rewrites it atomically.
-        """
-        try:
-            with open(path, "rb") as f:
-                header = json.loads(f.readline().decode("utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return False
-        return (
-            isinstance(header, dict)
-            and header.get("fingerprint") == fingerprint
-            and header.get("sha256") == sha256
-        )
 
     def save(self, artifact: CompiledCircuit) -> Optional[Path]:
         """Persist ``artifact`` iff the solve enriched it since the last write."""
@@ -265,66 +250,31 @@ class CompileCache:
     # -- load / quarantine ---------------------------------------------
     def _load(self, path: Path, fingerprint: str) -> Optional[CompiledCircuit]:
         try:
-            data = path.read_bytes()
-        except OSError as exc:
-            self._quarantine(path, f"unreadable ({exc})")
-            return None
-        newline = data.find(b"\n")
-        if newline < 0:
-            self._quarantine(path, "truncated (no header line)")
-            return None
-        try:
-            header = json.loads(data[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._quarantine(path, "corrupt header (not valid JSON)")
-            return None
-        if not isinstance(header, dict) or header.get("schema") != COMPILE_SCHEMA:
-            self._quarantine(
-                path,
-                f"wrong schema {header.get('schema')!r}"
-                if isinstance(header, dict)
-                else "malformed header",
+            artifact, size = self._decode(path, fingerprint)
+        except SealedFileError as exc:
+            log.warning(
+                "compile cache: %s quarantined: %s — recompiling", path, exc.reason
             )
+            quarantine(path, path.parent / "quarantine")
             return None
-        if header.get("fingerprint") != fingerprint:
-            self._quarantine(
-                path, f"fingerprint mismatch (file says {header.get('fingerprint')!r})"
-            )
-            return None
-        payload = data[newline + 1 :]
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            self._quarantine(path, "checksum mismatch (truncated or corrupted payload)")
-            return None
+        self.stats.bytes_read += size
+        return artifact
+
+    @staticmethod
+    def _decode(path: Path, fingerprint: str) -> Tuple[CompiledCircuit, int]:
+        _header, payload = read_sealed(path, COMPILE_SCHEMA, fingerprint=fingerprint)
         try:
             artifact = pickle.loads(zlib.decompress(payload))
         except Exception as exc:
-            self._quarantine(
+            raise SealedFileError(
                 path, f"undecodable payload ({type(exc).__name__}: {exc})"
-            )
-            return None
+            ) from exc
         if (
             not isinstance(artifact, CompiledCircuit)
             or artifact.fingerprint != fingerprint
         ):
-            self._quarantine(path, "payload does not match its fingerprint")
-            return None
-        self.stats.bytes_read += len(payload)
-        return artifact
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        log.warning(
-            "compile cache: %s quarantined: %s — recompiling", path, reason
-        )
-        qdir = path.parent / "quarantine"
-        try:
-            qdir.mkdir(exist_ok=True)
-            path.replace(qdir / path.name)
-        except OSError as exc:
-            log.warning("could not quarantine %s (%s); deleting", path, exc)
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+            raise SealedFileError(path, "payload does not match its fingerprint")
+        return artifact, len(payload)
 
     # -- maintenance ---------------------------------------------------
     def _remember(self, artifact: CompiledCircuit) -> None:
@@ -338,14 +288,9 @@ class CompileCache:
         out: List[Dict[str, Any]] = []
         for path in self._iter_files():
             try:
-                with open(path, "rb") as f:
-                    line = f.readline()
-                header = json.loads(line.decode("utf-8"))
-            except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-                out.append({"path": str(path), "error": "unreadable header"})
-                continue
-            if not isinstance(header, dict):
-                out.append({"path": str(path), "error": "malformed header"})
+                header = read_header(path)
+            except SealedFileError as exc:
+                out.append({"path": str(path), "error": exc.reason})
                 continue
             entry = {
                 "path": str(path),
@@ -359,8 +304,13 @@ class CompileCache:
         return out
 
     def clear(self) -> int:
-        """Drop every artifact (memory + disk). Returns files removed."""
+        """Drop every artifact (memory + disk). Returns artifacts removed.
+
+        Also sweeps the staging files of writers killed mid-``put``.
+        """
         self._memory.clear()
+        if self.root is not None:
+            sweep_staging(self.root)
         removed = 0
         for path in self._iter_files():
             try:

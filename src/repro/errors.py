@@ -45,6 +45,20 @@ class CheckpointError(ReproError):
     """A checkpoint store could not be created, written, or bound."""
 
 
+class SealedFileError(ReproError):
+    """A sealed file (see :func:`repro.ioutil.read_sealed`) was rejected.
+
+    ``reason`` says why in the words the stores log ("truncated (no
+    header line)", "checksum mismatch ...", ...). ``field`` names the
+    header field of a ``<field> mismatch`` and is ``None`` otherwise.
+    """
+
+    def __init__(self, path, reason: str, field=None):
+        self.reason = reason
+        self.field = field
+        super().__init__(f"{path}: {reason}")
+
+
 class TelemetryError(ReproError):
     """A telemetry sink (trace, metrics or progress file) cannot be written.
 
@@ -60,7 +74,8 @@ class VerificationError(ReproError):
     Raised when a :class:`repro.verify.certificate.VerificationReport`
     rejects a plan in a context that demanded a certified one (e.g.
     ``table1 --verify``), or when an artifact offered for audit is
-    corrupt. The CLI maps it to exit code 5.
+    corrupt. ``table1`` maps a failed certification to exit code 5;
+    ``repro verify`` reports an artifact it cannot load with exit 2.
     """
 
 

@@ -13,7 +13,6 @@ from repro.experiments.table1 import (
     average_decrease,
     format_rows,
     run_circuit,
-    run_table1,
 )
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "get_circuit",
     "Table1Row",
     "run_circuit",
-    "run_table1",
     "average_decrease",
     "format_rows",
     "ascii_table",

@@ -1,9 +1,11 @@
 """Prepared mid-flow instances for ablation benchmarks.
 
 Ablations (alpha sweep, N_max sweep, pruning comparison) vary one knob
-of LAC-retiming with the physical context frozen. This module runs the
-flow once — partition, floorplan, tiles, routing, repeaters, expansion,
-W/D, ``T_clk`` and the constraint system — and hands the pieces out.
+of LAC-retiming with the physical context frozen. This module plans one
+iteration with :func:`~repro.core.planner.plan_interconnect` and hands
+out its floorplan, tile grid, expanded circuit and ``T_init``/``T_min``/
+``T_clk``; only the W/D matrices and the constraint system, which a
+planning outcome does not keep, are rebuilt here.
 """
 
 from __future__ import annotations
@@ -11,17 +13,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.core.planner import PlannerConfig
+from repro.core.planner import PlannerConfig, plan_interconnect
 from repro.experiments.circuits import get_circuit
-from repro.floorplan.plan import Floorplan, build_floorplan
-from repro.partition.multiway import default_block_count, partition_graph
-from repro.repeater.insertion import buffer_routed_nets
+from repro.floorplan.plan import Floorplan
 from repro.retime.constraints import ConstraintSystem, build_constraint_system
-from repro.retime.expand import ExpandedCircuit, expand_interconnects
-from repro.retime.minperiod import clock_period, min_period_retiming
+from repro.retime.expand import ExpandedCircuit
 from repro.retime.wd import WDMatrices, wd_matrices
-from repro.route.router import GlobalRouter, nets_from_graph
-from repro.tiles.grid import TileGrid, build_tile_grid
+from repro.tiles.grid import TileGrid
 
 
 @dataclasses.dataclass
@@ -43,47 +41,23 @@ class PreparedInstance:
 def prepared_instance(
     name: str, config: Optional[PlannerConfig] = None
 ) -> PreparedInstance:
-    """Run the flow for benchmark circuit ``name`` up to retiming."""
+    """The first planning iteration of benchmark circuit ``name``."""
     spec = get_circuit(name)
     if config is None:
         config = PlannerConfig(**spec.plan_kwargs())
-    graph = spec.build()
-    hosts = set(graph.host_units())
-    n_blocks = config.n_blocks or default_block_count(graph.num_units - len(hosts))
-    partition = partition_graph(graph, n_blocks, seed=config.seed)
-    plan = build_floorplan(
-        graph,
-        partition,
-        seed=config.seed,
-        whitespace=config.whitespace,
-        iterations=config.floorplan_iterations,
-    )
-    grid = build_tile_grid(plan, config.tech)
-    nets = nets_from_graph(graph, grid, plan, jitter_seed=config.seed)
-    routed = GlobalRouter(grid).route(nets, rrr_passes=config.rrr_passes)
-    buffered = buffer_routed_nets(routed, grid, config.tech)
-    expanded = expand_interconnects(
-        graph,
-        buffered,
-        grid,
-        plan,
-        jitter_seed=config.seed,
-        max_units_per_connection=config.max_units_per_connection,
-    )
-    wd = wd_matrices(expanded.graph)
-    t_init = clock_period(expanded.graph, wd)
-    t_min, _ = min_period_retiming(expanded.graph, wd)
-    t_clk = t_min + config.target_fraction * (t_init - t_min)
-    system = build_constraint_system(expanded.graph, wd, t_clk, prune=config.prune)
+    first = plan_interconnect(spec.build(), config, max_iterations=1).first
+    wd = wd_matrices(first.expanded.graph)
     return PreparedInstance(
         name=name,
         config=config,
-        floorplan=plan,
-        grid=grid,
-        expanded=expanded,
+        floorplan=first.floorplan,
+        grid=first.grid,
+        expanded=first.expanded,
         wd=wd,
-        t_init=t_init,
-        t_min=t_min,
-        t_clk=t_clk,
-        system=system,
+        t_init=first.t_init,
+        t_min=first.t_min,
+        t_clk=first.t_clk,
+        system=build_constraint_system(
+            first.expanded.graph, wd, first.t_clk, prune=config.prune
+        ),
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import time
 
@@ -128,25 +128,6 @@ def run_circuit(
                 f"plan verification failed: {report.summary()}"
             )
     return Table1Row.from_outcome(outcome)
-
-
-def run_table1(
-    circuits: Optional[Sequence[CircuitSpec]] = None,
-    max_iterations: int = 2,
-    verbose: bool = False,
-) -> List[Table1Row]:
-    """Run the whole suite; returns one row per circuit.
-
-    A failing circuit raises; :func:`run_table1_resilient` is the
-    fault-isolated variant used by the CLI.
-    """
-    rows = []
-    for spec in circuits if circuits is not None else TABLE1_CIRCUITS:
-        row = run_circuit(spec, max_iterations=max_iterations)
-        rows.append(row)
-        if verbose:
-            print(format_rows([row], header=len(rows) == 1))
-    return rows
 
 
 def _worker_init() -> None:

@@ -17,22 +17,23 @@ Store layout (one subdirectory per circuit under the root)::
         outcome.ckpt                   # the finished PlanningOutcome
         quarantine/                    # corrupt/mismatched files, kept
 
-Each ``.ckpt`` file is schema ``repro-ckpt/1``: a one-line JSON header
-followed by a pickle payload::
+Each ``.ckpt`` file is a sealed file (:func:`repro.ioutil.write_sealed`)
+of schema ``repro-ckpt/1`` whose payload is a pickle::
 
-    {"schema": "repro-ckpt/1", "kind": "stage", "key": "iteration 1/retime#1",
-     "fingerprint": "<sha256 of graph+config>", "sha256": "<payload digest>",
-     "meta": {...}}\\n
+    {"circuit": "s298", "fingerprint": "<sha256 of graph+config>",
+     "key": "iteration 1/retime#1", "kind": "stage", "meta": {...},
+     "schema": "repro-ckpt/1", "sha256": "<payload digest>"}\\n
     <pickle bytes>
 
-Files are written atomically (:func:`repro.ioutil.atomic_write`), so a
-kill mid-commit leaves the previous snapshot intact. On restore the
-header schema, key, run fingerprint and payload checksum are all
-verified; any mismatch — truncation, a flipped bit, a checkpoint from
-a different graph/config — moves the file into ``quarantine/`` with a
-logged warning and reports a miss, so the stage is recomputed cleanly
-rather than resumed wrong. So does a payload whose ``is_current()``
-method returns ``False``: a
+Files are written atomically, so a kill mid-commit leaves the previous
+snapshot intact. On restore :func:`repro.ioutil.read_sealed` verifies
+the schema, the key and the payload checksum, and this store checks
+the run fingerprint; any mismatch — truncation, a flipped bit, a
+checkpoint from a different graph/config — moves the file into
+``quarantine/`` (:func:`repro.ioutil.quarantine`) with a logged
+warning and reports a miss, so the stage is recomputed cleanly rather
+than resumed wrong. So does a payload whose ``is_current()`` method
+returns ``False``: a
 :class:`~repro.compile.artifact.CompiledCircuit` pickled under an older
 ``COMPILE_SCHEMA`` is recompiled, not resumed into a crash.
 
@@ -56,8 +57,8 @@ import re
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.errors import CheckpointError
-from repro.ioutil import atomic_write
+from repro.errors import CheckpointError, SealedFileError
+from repro.ioutil import quarantine, read_sealed, sweep_staging, write_sealed
 
 log = logging.getLogger(__name__)
 
@@ -155,8 +156,7 @@ class CheckpointManager:
             ) from exc
         # A kill mid-commit can leave tmp files; they are never read,
         # but clearing them keeps the store tidy.
-        for tmp in self.dir.glob(".*.tmp.*"):
-            tmp.unlink(missing_ok=True)
+        sweep_staging(self.dir)
         if not self.resume:
             # A fresh run supersedes whatever a previous run left here.
             for stale in self.dir.glob("*.ckpt"):
@@ -214,12 +214,10 @@ class CheckpointManager:
             "key": key,
             "circuit": self.circuit,
             "fingerprint": self.fingerprint,
-            "sha256": hashlib.sha256(payload).hexdigest(),
             "meta": {k: v for k, v in meta.items() if v is not None},
         }
-        data = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
-        atomic_write(path, data)
-        log.debug("checkpoint committed: %s (%d bytes)", key, len(data))
+        write_sealed(path, header, payload)
+        log.debug("checkpoint committed: %s (%d bytes)", key, len(payload))
         if self.faults is not None:
             self.faults.on_checkpoint_commit(key, path)
         return path
@@ -239,84 +237,48 @@ class CheckpointManager:
         if not path.exists():
             return False, None, {}
         try:
-            data = path.read_bytes()
-        except OSError as exc:
-            self._quarantine(path, f"unreadable ({exc})")
-            return False, None, {}
-        newline = data.find(b"\n")
-        if newline < 0:
-            self._quarantine(path, "truncated (no header line)")
-            return False, None, {}
-        try:
-            header = json.loads(data[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._quarantine(path, "corrupt header (not valid JSON)")
-            return False, None, {}
-        if not isinstance(header, dict) or header.get("schema") != CKPT_SCHEMA:
-            self._quarantine(
+            header, value = self._load(path, key)
+        except SealedFileError as exc:
+            log.warning(
+                "checkpoint %s quarantined: %s — recomputing the stage",
                 path,
-                f"wrong schema {header.get('schema')!r}"
-                if isinstance(header, dict)
-                else "malformed header",
+                exc.reason,
             )
+            quarantine(path, path.parent / "quarantine")
             return False, None, {}
-        if header.get("key") != key:
-            self._quarantine(
-                path, f"key mismatch (file says {header.get('key')!r})"
+        log.info("checkpoint restored: %s", key)
+        return True, value, header.get("meta") or {}
+
+    def _load(self, path: Path, key: str) -> Tuple[Dict[str, Any], Any]:
+        try:
+            header, payload = read_sealed(
+                path, CKPT_SCHEMA, key=key, fingerprint=self.fingerprint
             )
-            return False, None, {}
-        if header.get("fingerprint") != self.fingerprint:
-            self._quarantine(
+        except SealedFileError as exc:
+            if exc.field != "fingerprint":
+                raise
+            raise SealedFileError(
                 path,
                 "stale fingerprint (checkpoint was written by a run with a "
                 "different graph/config)",
-            )
-            return False, None, {}
-        payload = data[newline + 1 :]
-        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-            self._quarantine(
-                path, "checksum mismatch (truncated or corrupted payload)"
-            )
-            return False, None, {}
+            ) from None
         try:
             value = pickle.loads(payload)
         except Exception as exc:
-            self._quarantine(
+            raise SealedFileError(
                 path, f"unpicklable payload ({type(exc).__name__}: {exc})"
-            )
-            return False, None, {}
+            ) from exc
         # A payload may refuse a snapshot of an older layout of its
         # class (e.g. a compile artifact pickled before a schema bump);
         # the run fingerprint cannot see that, so ask the value.
         is_current = getattr(value, "is_current", None)
         if callable(is_current) and not is_current():
-            self._quarantine(
+            raise SealedFileError(
                 path,
                 f"stale payload layout ({type(value).__name__} schema "
                 f"{getattr(value, 'schema', None)!r})",
             )
-            return False, None, {}
-        meta = header.get("meta") or {}
-        log.info("checkpoint restored: %s", key)
-        return True, value, meta
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        qdir = path.parent / "quarantine"
-        target = qdir / path.name
-        log.warning(
-            "checkpoint %s quarantined: %s — recomputing the stage", path, reason
-        )
-        try:
-            qdir.mkdir(exist_ok=True)
-            path.replace(target)
-        except OSError as exc:
-            # Quarantine is best-effort: if the move fails, delete so
-            # the bad file can never be restored from.
-            log.warning("could not quarantine %s (%s); deleting", path, exc)
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        return header, value
 
     # -- whole-run outcome ---------------------------------------------
     def commit_outcome(self, outcome: Any) -> Optional[Path]:

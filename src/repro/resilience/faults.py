@@ -52,13 +52,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import PlanningError
+from repro.ioutil import read_sealed, write_sealed
+from repro.resilience.checkpoint import CKPT_SCHEMA
 
 #: Stage name matching every stage (global call counting).
 ANY_STAGE = "*"
@@ -387,13 +388,9 @@ def _corrupt_file(path: Path, kind: str) -> None:
         return
     # stale_fingerprint: keep the payload (and its valid checksum) but
     # claim it came from a different graph/config.
-    newline = data.find(b"\n")
-    header = json.loads(data[:newline].decode("utf-8"))
+    header, payload = read_sealed(path, CKPT_SCHEMA)
     header["fingerprint"] = hashlib.sha256(b"stale").hexdigest()
-    path.write_bytes(
-        json.dumps(header, sort_keys=True).encode("utf-8")
-        + data[newline:]
-    )
+    write_sealed(path, header, payload)
 
 
 class FaultInjector:

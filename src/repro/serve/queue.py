@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import QueueFullError, ServeError
-from repro.ioutil import atomic_write
+from repro.ioutil import atomic_write, quarantine
 from repro.serve.wire import JobRecord, new_job_id, normalize_options
 
 log = logging.getLogger(__name__)
@@ -119,28 +119,14 @@ class JobQueue:
     def _read(self, path: Path) -> Optional[JobRecord]:
         """Load one record; quarantine and report None when corrupt."""
         try:
-            text = path.read_text(encoding="utf-8")
+            return JobRecord.from_json(path.read_text(encoding="utf-8"))
         except OSError as exc:
-            self._quarantine(path, f"unreadable ({exc})")
-            return None
-        try:
-            return JobRecord.from_json(text)
+            reason = f"unreadable ({exc})"
         except ServeError as exc:
-            self._quarantine(path, str(exc))
-            return None
-
-    def _quarantine(self, path: Path, reason: str) -> None:
+            reason = str(exc)
         log.warning("job record %s quarantined: %s", path, reason)
-        qdir = self.root / "quarantine"
-        try:
-            qdir.mkdir(exist_ok=True)
-            path.replace(qdir / path.name)
-        except OSError as exc:
-            log.warning("could not quarantine %s (%s); deleting", path, exc)
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+        quarantine(path, self.root / "quarantine")
+        return None
 
     def _write(self, state_dir: str, record: JobRecord) -> Path:
         path = self.path_for(state_dir, record.id)

@@ -9,22 +9,24 @@
 * a ``repro-verify-outcome/1`` JSON snapshot written by
   ``plan --outcome-json`` (:mod:`repro.verify.outcome_io`).
 
-Checkpoint headers are validated structurally (schema, kind, payload
-checksum) before unpickling; the run *fingerprint* is deliberately not
-required — an audit has no graph/config pair to re-fingerprint against,
-and its whole point is to re-derive the claims instead of trusting
-provenance.
+Checkpoint files are read with :func:`repro.ioutil.read_sealed`, the
+reader the checkpoint store itself uses, which checks the schema, the
+``kind`` and the payload checksum before anything is unpickled; the run
+*fingerprint* is deliberately not required — an audit has no
+graph/config pair to re-fingerprint against, and its whole point is to
+re-derive the claims instead of trusting provenance. Where the store
+quarantines a rejected file, the audit raises
+:class:`~repro.errors.VerificationError` and leaves the file alone.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import pickle
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.errors import VerificationError
+from repro.errors import SealedFileError, VerificationError
+from repro.ioutil import read_sealed
 from repro.resilience.checkpoint import CKPT_SCHEMA, KIND_OUTCOME
 from repro.verify.certificate import VerificationReport
 from repro.verify.outcome_io import load_outcome_json, refuse_retired_backend
@@ -41,31 +43,14 @@ def load_outcome_checkpoint(path):
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise VerificationError(f"cannot read checkpoint {path}: {exc}") from exc
-    newline = data.find(b"\n")
-    if newline < 0:
-        raise VerificationError(f"{path}: truncated checkpoint (no header line)")
-    try:
-        header = json.loads(data[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise VerificationError(f"{path}: corrupt checkpoint header ({exc})")
-    if not isinstance(header, dict) or header.get("schema") != CKPT_SCHEMA:
-        raise VerificationError(
-            f"{path}: not a {CKPT_SCHEMA} file "
-            f"(schema={header.get('schema') if isinstance(header, dict) else None!r})"
+        _header, payload = read_sealed(path, CKPT_SCHEMA, kind=KIND_OUTCOME)
+    except SealedFileError as exc:
+        hint = (
+            "; not an outcome snapshot (point the audit at outcome.ckpt)"
+            if exc.field == "kind"
+            else ""
         )
-    if header.get("kind") != KIND_OUTCOME:
-        raise VerificationError(
-            f"{path}: checkpoint kind {header.get('kind')!r} is not an "
-            "outcome snapshot (point the audit at outcome.ckpt)"
-        )
-    payload = data[newline + 1 :]
-    if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-        raise VerificationError(
-            f"{path}: payload checksum mismatch (truncated or corrupted)"
-        )
+        raise VerificationError(f"{exc}{hint}") from exc
     try:
         outcome = pickle.loads(payload)
     except Exception as exc:

@@ -19,5 +19,7 @@ code: nothing under ``src/`` imports them.
 * :mod:`tests.oracles.lac_cold` — LAC-retiming with one cold weighted
   min-area solve per round;
 * :mod:`tests.oracles.router` — the global router re-pricing every cell
-  before every net.
+  before every net;
+* :mod:`tests.oracles.prepared` — the mid-flow ablation instance with
+  the planner's stages wired by hand.
 """

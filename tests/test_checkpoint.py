@@ -9,6 +9,7 @@ surfaces.
 import hashlib
 import json
 import pickle
+import re
 import signal
 
 import pytest
@@ -209,6 +210,13 @@ class TestCheckpointManager:
         hit, _, _ = self._bound(tmp_path, resume=True).restore("a#1")
         assert not hit
 
+    #: The cause each corruption kind must be logged with.
+    REASONS = {
+        "truncate": "checksum mismatch|truncated \\(no header line\\)",
+        "bitflip": "checksum mismatch",
+        "stale_fingerprint": "stale fingerprint",
+    }
+
     @pytest.mark.parametrize(
         "kind", ["truncate", "bitflip", "stale_fingerprint"]
     )
@@ -224,6 +232,7 @@ class TestCheckpointManager:
         assert not path.exists()
         assert (path.parent / "quarantine" / path.name).exists()
         assert "quarantined" in caplog.text
+        assert re.search(self.REASONS[kind], caplog.text)  # names the cause
 
     def test_stale_fingerprint_message_names_cause(self, tmp_path, caplog):
         mgr = self._bound(tmp_path)

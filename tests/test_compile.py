@@ -230,6 +230,16 @@ class TestCacheModes:
         _, hit = cache.get_or_compile(graph)
         assert not hit
 
+    def test_clear_sweeps_staging_files(self, graph, tmp_path):
+        """A writer killed mid-put leaves a staging file; clear removes it."""
+        cache = CompileCache(tmp_path, mode="auto")
+        cache.get_or_compile(graph)
+        staging = tmp_path / ".abc.cc.tmp.4242.0"
+        staging.write_bytes(b"partial")
+        assert cache.clear() == 1
+        assert not staging.exists()
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCorruption:
     def _prewarm(self, graph, tmp_path):

@@ -309,7 +309,9 @@ class TestCheckpointAudit:
         other = next(
             p for p in ckpt_dir.rglob("*.ckpt") if p.name != "outcome.ckpt"
         )
-        with pytest.raises(VerificationError, match="kind"):
+        with pytest.raises(
+            VerificationError, match="kind.*point the audit at outcome.ckpt"
+        ):
             load_outcome(other)
 
     def test_missing_target_rejected(self, tmp_path):
