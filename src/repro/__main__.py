@@ -85,19 +85,37 @@ from repro.cliutil import (
 )
 
 
+def _resume_error(args):
+    """``--resume`` without a store to resume from, or ``None``."""
+    if args.resume and not args.checkpoint_dir:
+        return "--resume requires --checkpoint-dir"
+    return None
+
+
+def _resume_hint(args) -> str:
+    """How to continue an interrupted run, when it has checkpoints."""
+    if not args.checkpoint_dir:
+        return ""
+    return f"; rerun with --checkpoint-dir {args.checkpoint_dir} --resume to continue"
+
+
+def _compile_cache(args):
+    """The compile cache of ``plan``/``table1``: off, on disk or in memory."""
+    from repro.compile import CompileCache
+
+    return CompileCache(mode="off") if args.no_cache else CompileCache(args.cache_dir)
+
+
 def _plan_option_error(args):
     """Why a ``plan`` option is out of range or inconsistent, or ``None``."""
     if args.iterations < 1:
         return f"--iterations must be at least 1, got {args.iterations}"
     if args.stage_timeout is not None and not args.stage_timeout > 0:
         return f"--stage-timeout must be positive, got {args.stage_timeout:g}"
-    if args.resume and not args.checkpoint_dir:
-        return "--resume requires --checkpoint-dir"
-    return None
+    return _resume_error(args)
 
 
 def _cmd_plan(args) -> int:
-    from repro.compile import CompileCache
     from repro.core import RunContext, plan_interconnect
     from repro.errors import InterruptedRunError, ReproError, TelemetryError
     from repro.experiments.circuits import load_circuit, run_settings
@@ -125,9 +143,7 @@ def _cmd_plan(args) -> int:
     iterations, overrides = run_settings(args.quick, args.iterations)
     ctx = RunContext(
         resilience=resilience,
-        compile_cache=(
-            CompileCache(mode="off") if args.no_cache else CompileCache(args.cache_dir)
-        ),
+        compile_cache=_compile_cache(args),
         checkpoint=(
             CheckpointManager(args.checkpoint_dir, resume=args.resume)
             if args.checkpoint_dir
@@ -150,14 +166,8 @@ def _cmd_plan(args) -> int:
     except InterruptedRunError as exc:
         if args.trace:
             print(f"trace written to {args.trace}", file=sys.stderr)
-        hint = (
-            f"; rerun with --checkpoint-dir {args.checkpoint_dir} --resume "
-            "to continue"
-            if args.checkpoint_dir
-            else ""
-        )
         print(
-            f"planning {args.circuit} interrupted ({exc}){hint}",
+            f"planning {args.circuit} interrupted ({exc}){_resume_hint(args)}",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -201,18 +211,15 @@ def _table1_option_error(args):
     """Why a ``table1`` option is out of range or inconsistent, or ``None``."""
     if args.jobs < 1:
         return "--jobs must be >= 1"
-    if args.resume and not args.checkpoint_dir:
-        return "--resume requires --checkpoint-dir"
     if args.progress and args.jobs > 1:
         return (
             "--progress requires a serial run (--jobs 1); span "
             "listeners cannot cross worker process boundaries"
         )
-    return None
+    return _resume_error(args)
 
 
 def _cmd_table1(args) -> int:
-    from repro.compile import CompileCache
     from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit, run_settings
     from repro.experiments.table1 import (
         format_batch,
@@ -256,11 +263,7 @@ def _cmd_table1(args) -> int:
             verify=args.verify,
             trace_dir=args.trace_dir,
             progress=progress,
-            compile_cache=(
-                CompileCache(mode="off")
-                if args.no_cache
-                else CompileCache(args.cache_dir)
-            ),
+            compile_cache=_compile_cache(args),
         )
     finally:
         if progress is not None:
@@ -268,15 +271,9 @@ def _cmd_table1(args) -> int:
     print()
     print(format_batch(batch))
     if batch.interrupted:
-        hint = (
-            f"; rerun with --checkpoint-dir {args.checkpoint_dir} --resume "
-            "to continue"
-            if args.checkpoint_dir
-            else ""
-        )
         print(
             f"interrupted after {len(batch.items)} of {len(specs)} "
-            f"circuits{hint}",
+            f"circuits{_resume_hint(args)}",
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
@@ -498,9 +495,11 @@ def _cmd_cache(args) -> int:
     # prewarm: compile (and solve-enrich) the suite into the cache by
     # running the same plans table1 runs, so a later table1/bench run
     # over the same settings hits on every iteration.
-    from repro.errors import ReproError
-    from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit, run_settings
+    import functools
+
     from repro.core import RunContext, plan_interconnect
+    from repro.experiments.circuits import TABLE1_CIRCUITS, get_circuit, run_settings
+    from repro.resilience import run_batch
 
     try:
         specs = (
@@ -512,31 +511,36 @@ def _cmd_cache(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ERROR
     iterations, overrides = run_settings(args.quick)
-    failed = 0
-    for spec in specs:
+
+    def _prewarm(spec) -> int:
         misses0 = cache.stats.misses
-        try:
-            plan_interconnect(
-                spec.build(),
-                ctx=RunContext(compile_cache=cache),
-                max_iterations=iterations,
-                **spec.plan_kwargs(),
-                **overrides,
-            )
-        except ReproError as exc:
-            failed += 1
-            print(f"{spec.name:>8}: FAILED ({type(exc).__name__}: {exc})")
-            continue
-        compiled = cache.stats.misses - misses0
-        print(
-            f"{spec.name:>8}: "
-            + (f"compiled {compiled} artifact(s)" if compiled else "already warm")
+        plan_interconnect(
+            spec.build(),
+            ctx=RunContext(compile_cache=cache),
+            max_iterations=iterations,
+            **spec.plan_kwargs(),
+            **overrides,
         )
+        return cache.stats.misses - misses0
+
+    def _report(item) -> None:
+        if not item.ok:
+            status = f"FAILED ({item.error})"
+        elif item.result:
+            status = f"compiled {item.result} artifact(s)"
+        else:
+            status = "already warm"
+        print(f"{item.name:>8}: {status}")
+
+    batch = run_batch(
+        [(spec.name, functools.partial(_prewarm, spec)) for spec in specs],
+        on_item=_report,
+    )
     print(
         f"cache at {args.cache_dir}: {len(cache.entries())} artifact(s), "
         f"{cache.stats.misses} compiled this run"
     )
-    return EXIT_OK if failed == 0 else 1
+    return EXIT_OK if batch.n_failed == 0 else 1
 
 
 def _cmd_serve(args) -> int:

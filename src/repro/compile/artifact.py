@@ -107,6 +107,11 @@ def compile_fingerprint(
     return hashlib.sha256(blob).hexdigest()
 
 
+def _canonical_components(components) -> List[Tuple[str, ...]]:
+    """Components in an order fixed by their unit names alone."""
+    return sorted(tuple(sorted(c)) for c in components)
+
+
 @dataclasses.dataclass
 class CompiledCircuit:
     """One circuit, compiled: a persisted replay record plus memory-only
@@ -130,7 +135,9 @@ class CompiledCircuit:
     n_candidates: int
     conn_u: np.ndarray
     conn_v: np.ndarray
-    components: List[frozenset]
+    #: Weakly connected components as sorted tuples in a sorted list,
+    #: so the pickle does not depend on the per-process string hash.
+    components: List[Tuple[str, ...]]
     clock_pair_sets: Dict[Tuple[float, bool], ClockPairs]
     t_min: Optional[float] = None
     t_min_labels: Optional[Dict[str, int]] = None
@@ -182,7 +189,7 @@ class CompiledCircuit:
             n_candidates=len(search["candidates"]),
             conn_u=np.ascontiguousarray(conn_arr[:, 0]),
             conn_v=np.ascontiguousarray(conn_arr[:, 1]),
-            components=graph.weakly_connected_components(),
+            components=_canonical_components(graph.weakly_connected_components()),
             clock_pair_sets={},
             **search,
         )
@@ -193,6 +200,8 @@ class CompiledCircuit:
         state = dict(self.__dict__)
         for name in (*_SEARCH_FIELDS, "index"):
             state.pop(name, None)
+        # Artifacts loaded from older files hold frozensets.
+        state["components"] = _canonical_components(self.components)
         return state
 
     def __setstate__(self, state: dict) -> None:

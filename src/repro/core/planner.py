@@ -86,8 +86,6 @@ class PlannerConfig:
     max_rounds: int = 30
     prune: bool = True
     floorplan_iterations: int = 2000
-    anneal_replicas: int = 1  # parallel-tempered multi-start replicas
-    anneal_jobs: int = 1  # worker processes for replicas > 1
     rrr_passes: int = 2
     max_units_per_connection: Optional[int] = 4
     hard_blocks: Tuple[int, ...] = ()
@@ -111,15 +109,6 @@ def validate_planner_config(config: PlannerConfig) -> None:
         raise PlanningError(
             "PlannerConfig.expansion_factor must be > 1.0, got "
             f"{config.expansion_factor}"
-        )
-    if config.anneal_replicas < 1:
-        raise PlanningError(
-            "PlannerConfig.anneal_replicas must be >= 1, got "
-            f"{config.anneal_replicas}"
-        )
-    if config.anneal_jobs < 1:
-        raise PlanningError(
-            f"PlannerConfig.anneal_jobs must be >= 1, got {config.anneal_jobs}"
         )
     if not 0.0 <= config.target_fraction <= 1.0:
         raise PlanningError(
@@ -752,8 +741,6 @@ def _plan_stages(
             hard_blocks=config.hard_blocks,
             whitespace=config.whitespace,
             iterations=config.floorplan_iterations,
-            replicas=config.anneal_replicas,
-            anneal_jobs=config.anneal_jobs,
             tracer=tracer,
         ),
     )

@@ -20,19 +20,17 @@ iterations for all but the hardest circuit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
-
-import time
-
-from repro.ioutil import atomic_write
+from typing import Callable, List, Mapping, Optional, Sequence
 
 from repro.compile import CompileCache
 from repro.core.context import RunContext
 from repro.core.planner import PlanningOutcome, plan_interconnect
-from repro.errors import InterruptedRunError, ReproError, VerificationError
+from repro.errors import ReproError, VerificationError
 from repro.experiments.circuits import TABLE1_CIRCUITS, CircuitSpec
+from repro.ioutil import atomic_write
 from repro.resilience.batch import BatchItem, BatchResult, run_batch
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector
@@ -112,7 +110,14 @@ def run_circuit(
     (:mod:`repro.verify`); a failing certificate raises
     :class:`~repro.errors.VerificationError`, which batch isolation
     records like any other per-circuit failure.
+
+    scipy's HiGHS bindings are imported before planning starts, so in
+    a fresh worker process that cold import does not land inside the
+    circuit's ``lac_seconds``.
     """
+    from repro.retime.incremental import _load_highs
+
+    _load_highs()
     outcome = plan_interconnect(
         spec.build(),
         ctx=ctx,
@@ -128,50 +133,6 @@ def run_circuit(
                 f"plan verification failed: {report.summary()}"
             )
     return Table1Row.from_outcome(outcome)
-
-
-def _worker_init() -> None:
-    """Warm each worker process before any circuit is timed.
-
-    The incremental solver lazily imports scipy's HiGHS bindings; in a
-    fresh worker that cold import would otherwise land inside the
-    first circuit's ``lac_seconds``.
-    """
-    from repro.retime.incremental import _load_highs
-
-    _load_highs()
-
-
-def _run_circuit_item(payload) -> BatchItem:
-    """Worker for parallel Table-1 runs: one circuit -> one item.
-
-    Module-level so it pickles into worker processes. ``ReproError``
-    is caught *inside* the worker and flattened to the item's error
-    string — the same format :func:`run_batch` produces — both to keep
-    fault isolation identical to the serial path and because repro
-    exceptions with structured constructors (e.g.
-    ``InfeasiblePeriodError(period, detail)``) do not round-trip
-    through pickle as raised exceptions.
-    """
-    spec, max_iterations, ctx, overrides, verify = payload
-    start = time.perf_counter()
-    try:
-        row = run_circuit(
-            spec, max_iterations=max_iterations, ctx=ctx, verify=verify, **overrides
-        )
-    except ReproError as exc:
-        return BatchItem(
-            name=spec.name,
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            seconds=time.perf_counter() - start,
-        )
-    return BatchItem(
-        name=spec.name,
-        ok=True,
-        result=row,
-        seconds=time.perf_counter() - start,
-    )
 
 
 def write_batch_summary(batch: BatchResult, trace_dir: str) -> Path:
@@ -245,11 +206,11 @@ def run_table1_resilient(
     per-circuit fault injector (used by CI to exercise recovery and
     isolation paths).
 
-    ``jobs > 1`` runs circuits in that many worker processes. Items
-    are collected in submission order, so the table (and every field
-    except the wall-clock ``seconds``/``ma_seconds``/``lac_seconds``)
-    is identical to a serial run; per-circuit fault isolation carries
-    over because workers flatten ``ReproError`` themselves.
+    ``jobs > 1`` runs circuits in that many worker processes
+    (:func:`~repro.resilience.batch.run_batch`). Items are collected in
+    submission order, so the table (and every field except the
+    wall-clock ``seconds``/``ma_seconds``/``lac_seconds``) is identical
+    to a serial run, with the same per-circuit fault isolation.
 
     ``checkpoint_dir``/``resume`` give the batch durable progress:
     each circuit checkpoints under its own subdirectory (safe with
@@ -279,13 +240,9 @@ def run_table1_resilient(
     if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
 
-    def _progress(item):
-        if not verbose:
-            return
-        if item.ok:
-            print(format_rows([item.result], header=False))
-        else:
-            print(f"{item.name:>8} FAILED ({item.error})")
+    def _progress(item: BatchItem) -> None:
+        if verbose:
+            print(_format_item(item))
 
     if verbose and specs:
         print(format_rows([], header=True))
@@ -309,46 +266,21 @@ def run_table1_resilient(
             ctx.metrics_path = str(Path(trace_dir) / f"{spec.name}.metrics.jsonl")
         return ctx
 
-    if jobs > 1 and len(specs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        payloads = [
-            (spec, max_iterations, _context(spec), overrides, verify)
-            for spec in specs
-        ]
-        batch = BatchResult()
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(specs)), initializer=_worker_init
+    work = [
+        (
+            spec.name,
+            functools.partial(
+                run_circuit,
+                spec,
+                max_iterations=max_iterations,
+                ctx=_context(spec),
+                verify=verify,
+                **overrides,
+            ),
         )
-        futures = [pool.submit(_run_circuit_item, p) for p in payloads]
-        try:
-            # Submission order, not completion order: the table reads
-            # identically however the workers interleave.
-            for future in futures:
-                item = future.result()
-                batch.items.append(item)
-                _progress(item)
-        except InterruptedRunError:
-            # Stop handing out work; circuits already in flight finish
-            # in their workers (their checkpoints stay usable) and the
-            # partial batch is returned as interrupted/resumable.
-            batch.interrupted = True
-            pool.shutdown(wait=False, cancel_futures=True)
-            return batch
-        pool.shutdown(wait=True)
-        if trace_dir is not None:
-            write_batch_summary(batch, trace_dir)
-        return batch
-
-    def _thunk(spec: CircuitSpec):
-        ctx = _context(spec)
-        return lambda: run_circuit(
-            spec, max_iterations=max_iterations, ctx=ctx, verify=verify, **overrides
-        )
-
-    batch = run_batch(
-        [(spec.name, _thunk(spec)) for spec in specs], on_item=_progress
-    )
+        for spec in specs
+    ]
+    batch = run_batch(work, jobs=jobs, on_item=_progress)
     if trace_dir is not None and not batch.interrupted:
         write_batch_summary(batch, trace_dir)
     return batch
@@ -388,29 +320,31 @@ def format_rows(rows: Sequence[Table1Row], header: bool = True) -> str:
             f"{foa:>9} {r.lac_n_f:>4} {r.lac_n_fn:>4} {r.n_wr:>4} "
             f"{r.lac_seconds:>6.2f} | {dec:>6}"
         )
-    if header and len(rows) > 1:
-        avg = average_decrease(rows)
-        if avg is not None:
-            lines.append(f"{'Average':>8} {'':6} {'':7} | {'':28} | {'':32} | {100 * avg:>5.0f}%")
+    if header:
+        lines += _average_lines(rows)
     return "\n".join(lines)
+
+
+def _average_lines(rows: Sequence[Table1Row]) -> List[str]:
+    """The ``Average`` line under a table of several rows, if defined."""
+    avg = average_decrease(rows) if len(rows) > 1 else None
+    if avg is None:
+        return []
+    return [f"{'Average':>8} {'':6} {'':7} | {'':28} | {'':32} | {100 * avg:>5.0f}%"]
+
+
+def _format_item(item: BatchItem) -> str:
+    """One batch item as a table row or a ``FAILED`` line."""
+    if item.ok:
+        return format_rows([item.result], header=False)
+    return f"{item.name:>8} FAILED ({item.error})"
 
 
 def format_batch(batch: BatchResult) -> str:
     """Render a (possibly partial) table: ok rows plus FAILED lines."""
     lines = [format_rows([], header=True)]
-    for item in batch.items:
-        if item.ok:
-            lines.append(format_rows([item.result], header=False))
-        else:
-            lines.append(f"{item.name:>8} FAILED ({item.error})")
-    rows = [item.result for item in batch.items if item.ok]
-    if len(rows) > 1:
-        avg = average_decrease(rows)
-        if avg is not None:
-            lines.append(
-                f"{'Average':>8} {'':6} {'':7} | {'':28} | {'':32} | "
-                f"{100 * avg:>5.0f}%"
-            )
+    lines += [_format_item(item) for item in batch.items]
+    lines += _average_lines(batch.results)
     if batch.n_failed:
         lines.append(
             f"{batch.n_failed} of {len(batch.items)} circuits FAILED "

@@ -1,6 +1,6 @@
 """Sequence-pair floorplanning of circuit blocks."""
 
-from repro.floorplan.annealer import SequencePairAnnealer, anneal_multistart
+from repro.floorplan.annealer import SequencePairAnnealer
 from repro.floorplan.blocks import Block, Placement
 from repro.floorplan.plan import (
     Floorplan,
@@ -19,7 +19,6 @@ __all__ = [
     "ArrayPacker",
     "overlaps",
     "SequencePairAnnealer",
-    "anneal_multistart",
     "Floorplan",
     "blocks_from_partition",
     "net_pairs_from_graph",

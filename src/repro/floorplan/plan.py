@@ -14,7 +14,7 @@ import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FloorplanError
-from repro.floorplan.annealer import SequencePairAnnealer, anneal_multistart
+from repro.floorplan.annealer import SequencePairAnnealer
 from repro.floorplan.blocks import Block, Placement
 from repro.floorplan.sequence_pair import pack
 from repro.netlist.graph import CircuitGraph
@@ -123,35 +123,35 @@ def build_floorplan(
     hard_blocks: Iterable[int] = (),
     whitespace: float = 0.25,
     iterations: int = 2500,
-    replicas: int = 1,
-    anneal_jobs: int = 1,
     tracer=None,
 ) -> Floorplan:
-    """Partition-aware floorplanning: size blocks, anneal, package.
-
-    ``replicas > 1`` anneals that many parallel-tempered multi-start
-    replicas (deterministic seed fan-out; ``anneal_jobs`` worker
-    processes) and keeps the best floorplan. The default ``replicas=1``
-    reproduces the single-start result exactly.
-    """
+    """Partition-aware floorplanning: size blocks, anneal, package."""
     blocks, block_of_unit = blocks_from_partition(
         graph, partition, hard_blocks=hard_blocks, whitespace=whitespace
     )
     if not blocks:
         raise FloorplanError("no blocks to floorplan")
-    net_pairs = net_pairs_from_graph(graph, block_of_unit)
-    (gp, gm), best_blocks, _best_cost = anneal_multistart(
-        blocks,
-        net_pairs,
-        seed=seed,
-        iterations=iterations,
-        replicas=replicas,
-        jobs=anneal_jobs,
-        tracer=tracer,
+    return _annealed_floorplan(
+        graph, blocks, block_of_unit, seed, iterations, tracer
     )
-    placements, w, h = pack(gp, gm, best_blocks)
+
+
+def _annealed_floorplan(
+    graph: CircuitGraph,
+    blocks: Sequence[Block],
+    block_of_unit: Mapping[str, str],
+    seed: int,
+    iterations: int,
+    tracer,
+) -> Floorplan:
+    """Anneal a sequence pair for ``blocks`` and package the best one."""
+    net_pairs = net_pairs_from_graph(graph, block_of_unit)
+    annealer = SequencePairAnnealer(blocks, net_pairs, seed=seed)
+    annealer.run(iterations=iterations, tracer=tracer)
+    gp, gm = annealer.best_sequences
+    placements, w, h = pack(gp, gm, annealer.best_blocks)
     return Floorplan(
-        blocks=dict(best_blocks),
+        blocks=dict(annealer.best_blocks),
         placements={p.name: p for p in placements},
         chip_width=w,
         chip_height=h,
@@ -201,16 +201,11 @@ def expand_floorplan(
             block_of_unit=dict(plan.block_of_unit),
             sequence_pair=(list(gp), list(gm)),
         )
-    net_pairs = net_pairs_from_graph(graph, plan.block_of_unit)
-    annealer = SequencePairAnnealer(list(new_blocks.values()), net_pairs, seed=seed)
-    annealer.run(iterations=iterations, tracer=tracer)
-    gp, gm = annealer.best_sequences
-    placements, w, h = pack(gp, gm, annealer.best_blocks)
-    return Floorplan(
-        blocks=dict(annealer.best_blocks),
-        placements={p.name: p for p in placements},
-        chip_width=w,
-        chip_height=h,
-        block_of_unit=dict(plan.block_of_unit),
-        sequence_pair=(gp, gm),
+    return _annealed_floorplan(
+        graph,
+        list(new_blocks.values()),
+        plan.block_of_unit,
+        seed,
+        iterations,
+        tracer,
     )

@@ -58,13 +58,15 @@ side for comparison. Documents written before the cold LAC path was
 removed may carry ``"mode": "cold"`` and an ``"engine"`` field; they
 stay loadable, and ``bench history`` only compares runs of equal mode.
 
-A circuit that fails with a :class:`~repro.errors.ReproError` is
-recorded as ``{"ok": false, "error": ...}`` and benching continues;
-only a crash (non-repro exception) aborts the run.
+Circuits run through :func:`~repro.resilience.batch.run_batch`: one
+that fails with a :class:`~repro.errors.ReproError` is recorded as
+``{"ok": false, "error": ...}`` and benching continues; only a crash
+(non-repro exception) aborts the run.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
@@ -74,7 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.compile import CompileCache
 from repro.core.context import RunContext
 from repro.core.planner import plan_interconnect
-from repro.errors import ReproError
+from repro.errors import InterruptedRunError, ReproError
 from repro.experiments.circuits import (
     TABLE1_CIRCUITS,
     TABLE1_SMOKE,
@@ -84,6 +86,7 @@ from repro.experiments.circuits import (
 )
 from repro.ioutil import atomic_write
 from repro.perf.recorder import PerfRecorder
+from repro.resilience.batch import BatchItem, run_batch
 
 BENCH_SCHEMA = "repro-bench/4"
 
@@ -106,6 +109,8 @@ def bench_circuit(
 
     ``cache`` is the compiled-circuit cache shared across the bench
     run; without one the cache is off, so every run compiles fresh.
+    A failed plan raises its :class:`~repro.errors.ReproError`;
+    :func:`run_bench` records it as a failed entry.
     """
     perf = PerfRecorder()
     if cache is None:
@@ -113,23 +118,15 @@ def bench_circuit(
     iterations, overrides = run_settings(quick)
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     start = time.perf_counter()
-    try:
-        with perf.stage("build"):
-            graph = spec.build()
-        outcome = plan_interconnect(
-            graph,
-            ctx=RunContext(perf=perf, compile_cache=cache),
-            max_iterations=iterations,
-            **spec.plan_kwargs(),
-            **overrides,
-        )
-    except ReproError as exc:
-        return {
-            "name": spec.name,
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "wall_seconds": round(time.perf_counter() - start, 6),
-        }
+    with perf.stage("build"):
+        graph = spec.build()
+    outcome = plan_interconnect(
+        graph,
+        ctx=RunContext(perf=perf, compile_cache=cache),
+        max_iterations=iterations,
+        **spec.plan_kwargs(),
+        **overrides,
+    )
     wall = time.perf_counter() - start
     first = outcome.iterations[0]
     lac = first.lac
@@ -187,19 +184,38 @@ def run_bench(
     else:
         specs = list(TABLE1_SMOKE if quick else TABLE1_CIRCUITS)
     cache = CompileCache(cache_dir) if cache_dir else CompileCache(mode="off")
-    entries: List[Dict[str, object]] = []
-    for spec in specs:
-        entry = bench_circuit(spec, quick=quick, cache=cache)
-        entries.append(entry)
-        if verbose:
-            if entry["ok"]:
-                print(
-                    f"{spec.name:>8}: lac={entry['lac_seconds']:.3f}s "
-                    f"n_wr={entry['n_wr']} wall={entry['wall_seconds']:.3f}s "
-                    f"coverage={entry['stage_coverage']:.0%}"
-                )
-            else:
-                print(f"{spec.name:>8}: FAILED ({entry['error']})")
+
+    def _report(item: BatchItem) -> None:
+        if item.ok:
+            entry = item.result
+            print(
+                f"{item.name:>8}: lac={entry['lac_seconds']:.3f}s "
+                f"n_wr={entry['n_wr']} wall={entry['wall_seconds']:.3f}s "
+                f"coverage={entry['stage_coverage']:.0%}"
+            )
+        else:
+            print(f"{item.name:>8}: FAILED ({item.error})")
+
+    batch = run_batch(
+        [
+            (spec.name, functools.partial(bench_circuit, spec, quick=quick, cache=cache))
+            for spec in specs
+        ],
+        on_item=_report if verbose else None,
+    )
+    if batch.interrupted:
+        raise InterruptedRunError()
+    entries: List[Dict[str, object]] = [
+        item.result
+        if item.ok
+        else {
+            "name": item.name,
+            "ok": False,
+            "error": item.error,
+            "wall_seconds": round(item.seconds, 6),
+        }
+        for item in batch.items
+    ]
     ok = [e for e in entries if e["ok"]]
     totals = {
         "wall_seconds": round(sum(e["wall_seconds"] for e in entries), 6),

@@ -1,10 +1,17 @@
 """Fault-isolated batch execution.
 
-``run_batch`` runs a sequence of named work items, catching
-:class:`~repro.errors.ReproError` (by default) per item so one bad
-circuit cannot kill a whole Table-1 regeneration. The result records
-per-item status, error text, and timing; ``exit_code`` is nonzero only
-when *every* item failed — a partial table is a success.
+``run_batch`` is the one per-circuit loop of the package: the Table-1
+harness, ``repro bench`` and ``repro cache prewarm`` all hand it named
+work items. Each item catches :class:`~repro.errors.ReproError` where
+it runs, so one bad circuit cannot kill a whole Table-1 regeneration.
+The result records per-item status, error text, and timing;
+``exit_code`` is nonzero only when *every* item failed — a partial
+table is a success.
+
+``jobs > 1`` runs the items in a process pool; this module is the only
+place the package fans plans out to processes. Items are collected in
+submission order, so a batch reads identically however the workers
+interleave.
 
 A SIGINT/SIGTERM delivered through the CLI's handlers arrives as
 :class:`~repro.errors.InterruptedRunError`; the batch stops, keeps the
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import InterruptedRunError, ReproError
 
@@ -77,44 +84,72 @@ class BatchResult:
         return "; ".join(parts)
 
 
+def _run_item(name: str, fn: Callable[[], Any]) -> BatchItem:
+    """Run one item where it is scheduled, flattening ``ReproError``.
+
+    Module-level so it pickles into worker processes. The error is
+    flattened to ``"Type: message"`` here, not in the parent, because
+    repro exceptions with structured constructors (e.g.
+    ``InfeasiblePeriodError(period, detail)``) do not round-trip
+    through pickle as raised exceptions.
+    """
+    start = time.perf_counter()
+    try:
+        result = fn()
+    except ReproError as exc:
+        return BatchItem(
+            name=name,
+            ok=False,
+            error=f"{type(exc).__name__}: {exc}",
+            seconds=time.perf_counter() - start,
+        )
+    return BatchItem(
+        name=name, ok=True, result=result, seconds=time.perf_counter() - start
+    )
+
+
 def run_batch(
     work: Sequence[Tuple[str, Callable[[], Any]]],
-    catch: Tuple[Type[BaseException], ...] = (ReproError,),
+    *,
+    jobs: int = 1,
     on_item: Optional[Callable[[BatchItem], None]] = None,
 ) -> BatchResult:
-    """Run ``(name, thunk)`` items, isolating ``catch`` failures.
+    """Run ``(name, fn)`` items, isolating ``ReproError`` failures.
 
-    Exceptions outside ``catch`` (genuine bugs, a plain
-    ``KeyboardInterrupt``) propagate immediately; an
-    :class:`~repro.errors.InterruptedRunError` stops the batch but
-    returns the partial result with ``interrupted`` set — the item in
-    flight is not recorded (its checkpoints, if any, make it
-    resumable). ``on_item`` is called after each item — batch drivers
-    use it for progress output.
+    ``jobs > 1`` (with more than one item) runs the items in a pool of
+    ``min(jobs, len(work))`` worker processes, so each ``fn`` must
+    pickle (a ``functools.partial`` of a module-level function);
+    otherwise they run in-process. Either way the items come back in
+    submission order. Exceptions outside ``ReproError`` (genuine bugs,
+    a plain ``KeyboardInterrupt``) propagate; an
+    :class:`~repro.errors.InterruptedRunError` stops the batch, cancels
+    the work not yet started and returns the partial result with
+    ``interrupted`` set — an item in flight is not recorded (its
+    checkpoints, if any, make it resumable). ``on_item`` is called
+    after each item — batch drivers use it for progress output.
     """
+    work = list(work)
     batch = BatchResult()
-    for name, thunk in work:
-        start = time.perf_counter()
-        try:
-            result = thunk()
-        except InterruptedRunError:
-            batch.interrupted = True
-            return batch
-        except catch as exc:
-            item = BatchItem(
-                name=name,
-                ok=False,
-                error=f"{type(exc).__name__}: {exc}",
-                seconds=time.perf_counter() - start,
-            )
-        else:
-            item = BatchItem(
-                name=name,
-                ok=True,
-                result=result,
-                seconds=time.perf_counter() - start,
-            )
-        batch.items.append(item)
-        if on_item is not None:
-            on_item(item)
+    pool = None
+    if jobs > 1 and len(work) > 1:
+        # Imported here: a serial batch never pays for multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(work)))
+        futures = [pool.submit(_run_item, name, fn) for name, fn in work]
+        items = (future.result() for future in futures)
+    else:
+        items = (_run_item(name, fn) for name, fn in work)
+    try:
+        for item in items:
+            batch.items.append(item)
+            if on_item is not None:
+                on_item(item)
+    except InterruptedRunError:
+        batch.interrupted = True
+    finally:
+        if pool is not None:
+            # Interrupted: do not wait; items in flight finish in their
+            # workers, so their checkpoints stay usable.
+            pool.shutdown(wait=not batch.interrupted, cancel_futures=True)
     return batch

@@ -90,12 +90,15 @@ def run_fingerprint(graph, config, max_iterations: int) -> str:
     doc = {
         "schema": CKPT_SCHEMA,
         "graph": graph_to_dict(graph),
-        # The retired backend knobs stay hashed at their only values, so
-        # default-run digests are unchanged and tree/slicing ones go stale.
+        # The retired knobs stay hashed at their only values, so
+        # default-run digests are unchanged and tree/slicing or
+        # multi-start ones go stale.
         "config": {
             **dataclasses.asdict(config),
             "floorplan_backend": "sequence_pair",
             "repeater_backend": "path",
+            "anneal_replicas": 1,
+            "anneal_jobs": 1,
         },
         "max_iterations": max_iterations,
     }

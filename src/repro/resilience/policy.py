@@ -98,8 +98,3 @@ def default_resilience() -> ResilienceConfig:
             "route": StagePolicy(max_attempts=2),
         }
     )
-
-
-def strict_resilience() -> ResilienceConfig:
-    """No retries, no degradation — the pre-resilience behaviour."""
-    return ResilienceConfig(degrade_t_clk=False)

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.floorplan.annealer import SequencePairAnnealer, anneal_multistart
+from repro.floorplan.annealer import SequencePairAnnealer
 from repro.floorplan.blocks import Block
 from repro.floorplan.sequence_pair import overlaps, pack, pack_arrays
 from repro.experiments.circuits import get_circuit
@@ -192,36 +192,3 @@ class TestFMArrayPassAgrees:
                 break
         assert side_a == best
         assert fm_a.cut_size(side_a) == best_cut
-
-
-class TestMultistart:
-    def test_single_replica_is_plain_annealer(self):
-        blocks, pairs = random_blocks(8, 11)
-        seqs, blks, cost = anneal_multistart(
-            blocks, pairs, seed=3, iterations=250, replicas=1
-        )
-        annealer = SequencePairAnnealer(blocks, pairs, seed=3)
-        annealer.run(iterations=250)
-        assert seqs == annealer.best_sequences
-        assert blks == annealer.best_blocks
-        assert cost == annealer.best_cost
-
-    def test_jobs_do_not_change_result(self):
-        blocks, pairs = random_blocks(8, 12)
-        serial = anneal_multistart(
-            blocks, pairs, seed=5, iterations=200, replicas=3, jobs=1
-        )
-        parallel = anneal_multistart(
-            blocks, pairs, seed=5, iterations=200, replicas=3, jobs=2
-        )
-        assert serial == parallel
-
-    def test_more_replicas_never_worse(self):
-        blocks, pairs = random_blocks(10, 13)
-        _s1, _b1, single = anneal_multistart(
-            blocks, pairs, seed=1, iterations=250, replicas=1
-        )
-        _s4, _b4, multi = anneal_multistart(
-            blocks, pairs, seed=1, iterations=250, replicas=4
-        )
-        assert multi <= single

@@ -1,9 +1,35 @@
 """Tests for the fault-isolated batch runner and the Table-1 wiring."""
 
+import functools
+import time
+
 import pytest
 
-from repro.errors import PlanningError, RoutingError
+from repro.errors import (
+    InfeasiblePeriodError,
+    InterruptedRunError,
+    PlanningError,
+    RoutingError,
+)
 from repro.resilience.batch import BatchItem, BatchResult, run_batch
+
+
+# Module-level item functions: ``jobs > 1`` pickles them into workers.
+def _after(delay, value):
+    time.sleep(delay)
+    return value
+
+
+def _infeasible(period):
+    raise InfeasiblePeriodError(period, "negative-cost constraint cycle")
+
+
+def _bug():
+    raise TypeError("genuine bug")
+
+
+def _interrupt():
+    raise InterruptedRunError(signum=2)
 
 
 class TestRunBatch:
@@ -54,6 +80,62 @@ class TestRunBatch:
         assert batch.items[0].seconds >= 0
         assert batch.items[0].status == "ok"
         assert BatchItem("x", ok=False).status == "FAILED"
+
+
+class TestRunBatchJobs:
+    """``jobs > 1`` runs items in worker processes with the same contract."""
+
+    # The slow first item finishes last, so completion order differs
+    # from submission order.
+    WORK = [
+        ("slow", functools.partial(_after, 0.5, "a")),
+        ("fast", functools.partial(_after, 0.0, "b")),
+        ("bad", functools.partial(_infeasible, 2.5)),
+        ("last", functools.partial(_after, 0.0, "c")),
+    ]
+
+    @staticmethod
+    def _fields(batch):
+        return [(i.name, i.ok, i.result, i.error) for i in batch.items]
+
+    def test_items_in_submission_order(self):
+        batch = run_batch(self.WORK, jobs=2)
+        assert [i.name for i in batch.items] == ["slow", "fast", "bad", "last"]
+        assert batch.results == ["a", "b", "c"]
+        assert not batch.interrupted
+
+    def test_structured_repro_error_becomes_failed_item(self):
+        batch = run_batch(self.WORK, jobs=2)
+        bad = batch.items[2]
+        assert not bad.ok
+        # Flattened in the worker: this error does not survive pickling
+        # as a raised exception with its message intact.
+        assert bad.error == "InfeasiblePeriodError: negative-cost constraint cycle"
+        assert batch.exit_code == 0
+
+    def test_serial_run_gives_the_same_items(self):
+        assert self._fields(run_batch(self.WORK, jobs=2)) == self._fields(
+            run_batch(self.WORK, jobs=1)
+        )
+
+    def test_non_repro_error_propagates_from_a_worker(self):
+        with pytest.raises(TypeError, match="genuine bug"):
+            run_batch([("a", functools.partial(_after, 0.0, 1)), ("b", _bug)], jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_keeps_finished_items(self, jobs):
+        seen = []
+        batch = run_batch(
+            [
+                ("a", functools.partial(_after, 0.0, 1)),
+                ("b", _interrupt),
+                ("c", functools.partial(_after, 0.0, 3)),
+            ],
+            jobs=jobs,
+            on_item=lambda item: seen.append(item.name),
+        )
+        assert batch.interrupted
+        assert [i.name for i in batch.items] == seen == ["a"]
 
 
 class TestTable1Resilient:

@@ -75,6 +75,28 @@ class TestCLI:
             main([])
 
 
+class TestCachePrewarm:
+    """``repro cache prewarm`` plans each circuit once into the store."""
+
+    def test_prewarm_then_already_warm(self, capsys, tmp_path):
+        cache_dir = str(tmp_path / "cc")
+        args = ["cache", "prewarm", "s298", "--quick", "--cache-dir", cache_dir]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert "s298: compiled" in first and "artifact(s)" in first
+        assert main(args) == 0
+        assert "s298: already warm" in capsys.readouterr().out
+        assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
+        assert "s298" in capsys.readouterr().out
+
+    def test_unknown_circuit_exits_2(self, capsys, tmp_path):
+        code = main(
+            ["cache", "prewarm", "s9999", "--cache-dir", str(tmp_path / "cc")]
+        )
+        assert code == 2
+        assert "s9999" in capsys.readouterr().err
+
+
 class TestVerifyCLI:
     """End-to-end coverage of ``plan --verify`` / ``verify <target>``."""
 

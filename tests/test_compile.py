@@ -5,6 +5,10 @@ bit-identical planner results cached vs uncached."""
 
 import copy
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +358,25 @@ class TestPlannerEquivalence:
         # A mode string is not a cache: the cache rides in the RunContext.
         with pytest.raises(TypeError, match="compile_cache"):
             plan_interconnect(s27_graph(), max_iterations=1, compile_cache="off")
+
+
+class TestDeterministicBytes:
+    def test_artifact_bytes_independent_of_hash_seed(self, tmp_path):
+        """Two interpreters with different string hashing write
+        byte-identical artifacts, so a writer holding an identical
+        file can skip the write whichever process made it."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        stores = []
+        for seed in ("0", "1"):
+            store = tmp_path / f"cc{seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "plan", "s27", "--quick",
+                 "--cache-dir", str(store)],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            stores.append({p.name: p.read_bytes() for p in store.glob("*.cc")})
+        assert stores[0] and stores[0] == stores[1]

@@ -31,7 +31,7 @@ class TestSignature:
 
     def test_config_holds_only_the_flows_knobs(self):
         names = {f.name for f in dataclasses.fields(PlannerConfig)}
-        assert len(names) == 17
+        assert len(names) == 15
         assert not names & {f.name for f in dataclasses.fields(RunContext)}
         assert len(dataclasses.fields(RunContext)) <= 11
 
