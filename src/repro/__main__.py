@@ -14,7 +14,8 @@ Commands:
 * ``table1 [names..]`` — regenerate the paper's Table 1 (all circuits
   or a subset; ``--jobs N`` runs circuits in parallel);
 * ``bench [names..]``  — time the planning flow per stage and write
-  ``BENCH_<n>.json`` (see :mod:`repro.perf.bench`);
+  ``BENCH_<n>.json`` (see :mod:`repro.perf.bench`); ``--repeat N``
+  records medians and IQRs over N runs, which ``--compare`` judges;
 * ``verify [target]``  — without a target: retime s27 at minimum
   period and verify behavioural equivalence by gate-level simulation;
   with a target (a checkpoint directory, an ``outcome.ckpt`` file, or
@@ -323,8 +324,9 @@ def _cmd_bench(args) -> int:
             quick=args.quick,
             verbose=True,
             cache_dir=None if args.no_cache else args.cache_dir,
+            repeat=args.repeat,
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ERROR
     path = write_bench(doc, Path(args.out))
@@ -332,7 +334,8 @@ def _cmd_bench(args) -> int:
     print(
         f"wrote {path} (mode={doc['mode']}, cache={doc.get('cache', 'off')} "
         f"hits={totals.get('cache_hits', 0)}, lac={totals['lac_seconds']:.3f}s, "
-        f"wall={totals['wall_seconds']:.3f}s)"
+        f"wall={totals['wall_seconds']:.3f}s, median of {doc.get('repeat', 1)} "
+        f"runs, IQR {totals.get('wall_iqr', 0.0):.3f}s)"
     )
     floor = args.min_stage_coverage
     low = [
@@ -866,15 +869,20 @@ def main(argv=None) -> int:
         "of each circuit's wall clock",
     )
     p_bench.add_argument(
+        "--repeat", type=int, default=1, metavar="N",
+        help="run the circuit set N times and record the median and IQR "
+        "of the total and of each stage (default 1)",
+    )
+    p_bench.add_argument(
         "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
         help="compare two BENCH_<n>.json files instead of benching; "
         "exits nonzero on timing or result regressions",
     )
     p_bench.add_argument(
         "--threshold", type=float, default=None, metavar="FRAC",
-        help="with --compare: allowed total wall-clock regression "
-        "(default 0.10); with history: flagged growth fraction "
-        "(default 0.25)",
+        help="with --compare: allowed total median wall-clock regression, "
+        "flagged only if also beyond the old side's IQR (default 0.10); "
+        "with history: flagged growth fraction (default 0.25)",
     )
     p_bench.add_argument(
         "--fail-on-regression",

@@ -15,7 +15,8 @@
    solve (engine, simplex iterations), then round-by-round
    ``N_FOA``/``N_F``/objective and tile-weight spread, marking rounds
    the solver replayed; per min-period
-   search: every FEAS probe with candidate period, verdict and rounds;
+   search: every probe with candidate period, verdict, rounds and,
+   for an infeasible dense probe, the length of its negative cycle;
 5. **One-liners** — compile-cache lookups (hits, payload bytes, and
    search-input rebuilds by reason), floorplan annealing acceptance,
    FM cut trajectories, routing congestion and cost refreshes.
@@ -215,15 +216,17 @@ def _format_feas_tables(doc: TraceDocument) -> List[str]:
             )
         lines.append(
             f"  {'kind':<12}  {'T':>9}  {'verdict':<10}  {'rounds':>6}  "
-            f"{'seconds':>8}"
+            f"{'cycle':>5}  {'seconds':>8}"
         )
         for p in probes:
             a = p.attrs
             kind = p.name.split("/", 1)[1]
             rounds = a.get("rounds", "-")
+            cycle = a.get("cycle_len", "-")
             lines.append(
                 f"  {kind:<12}  {a.get('t', float('nan')):>9.4f}  "
-                f"{a.get('verdict', '?'):<10}  {rounds!s:>6}  {p.elapsed:>7.3f}s"
+                f"{a.get('verdict', '?'):<10}  {rounds!s:>6}  {cycle!s:>5}  "
+                f"{p.elapsed:>7.3f}s"
             )
     return lines
 

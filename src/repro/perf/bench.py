@@ -52,6 +52,18 @@ monitorless runs (or older schemas) simply omit them, and ``--compare``
 ignores absent fields. ``repro bench history`` reads a directory of
 BENCH files into a per-stage wall/RSS trend report.
 
+Schema ``/5`` additions over ``/4``: repeats. ``--repeat N`` runs the
+whole circuit set ``N`` times (default 1) and the document carries
+``"repeat"``. Each ok circuit entry is its first run's, with
+``wall_samples`` (one wall per run) and ``wall_seconds`` set to their
+median; the totals carry ``wall_samples`` (one suite total per run),
+``wall_seconds`` as their median and ``wall_iqr`` as their
+interquartile range; ``"stage_stats"`` maps each stage to the
+``median`` and ``iqr`` of its per-run seconds summed over circuits. A
+circuit whose ``t_clk``/``n_foa``/``n_f`` differ between runs is
+recorded as failed. With one run every IQR is 0, and the document reads
+like a ``/4`` one.
+
 Files are numbered ``BENCH_0.json``, ``BENCH_1.json``, ... — the next
 free integer in the output directory — so successive runs sit side by
 side for comparison. Documents written before the cold LAC path was
@@ -69,6 +81,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import statistics
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -88,7 +101,7 @@ from repro.ioutil import atomic_write
 from repro.perf.recorder import PerfRecorder
 from repro.resilience.batch import BatchItem, run_batch
 
-BENCH_SCHEMA = "repro-bench/4"
+BENCH_SCHEMA = "repro-bench/5"
 
 
 def _stage_leaf(name: str) -> str:
@@ -166,59 +179,85 @@ def bench_circuit(
     }
 
 
+#: The planner results a bench entry must reproduce run after run.
+_RESULT_KEYS = ("t_clk", "n_foa", "n_f")
+
+
+def _median_iqr(samples: Sequence[float]) -> Tuple[float, float]:
+    """Median and interquartile range (0 for fewer than two samples)."""
+    if len(samples) < 2:
+        return float(samples[0]), 0.0
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, q3 - q1
+
+
+def _merge_repeats(runs: List[List[Dict[str, object]]]) -> List[Dict[str, object]]:
+    """One entry per circuit from its entries of every run (see the
+    schema ``/5`` notes)."""
+    merged = []
+    for entries in zip(*runs):
+        failed = [e for e in entries if not e["ok"]]
+        walls = [e["wall_seconds"] for e in entries]
+        drift = [
+            k for k in _RESULT_KEYS
+            if len({json.dumps(e.get(k)) for e in entries}) > 1
+        ]
+        if failed:
+            merged.append(failed[0])
+        elif drift:
+            merged.append({
+                "name": entries[0]["name"],
+                "ok": False,
+                "error": f"results differ between repeats: {', '.join(drift)}",
+                "wall_seconds": walls[0],
+            })
+        else:
+            merged.append({
+                **entries[0],
+                "wall_samples": walls,
+                "wall_seconds": round(_median_iqr(walls)[0], 6),
+            })
+    return merged
+
+
 def run_bench(
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
     verbose: bool = False,
     cache_dir: Optional[str] = None,
+    repeat: int = 1,
 ) -> Dict[str, object]:
-    """Bench a set of circuits and return the full document.
+    """Bench a set of circuits ``repeat`` times and return the document.
 
     With ``cache_dir`` the compiled-circuit cache is on (mode
     ``"auto"``): a first run populates it, a second run over the same
-    circuits is the cache-warm timing. Without it the cache is off and
-    every circuit compiles from scratch — the cold timing.
+    circuits is the cache-warm timing, and so are repeats after the
+    first. Without it the cache is off and every circuit compiles from
+    scratch — the cold timing.
     """
+    if repeat < 1:
+        raise ValueError(f"repeat must be at least 1, got {repeat}")
     if names:
         specs = [get_circuit(n) for n in names]
     else:
         specs = list(TABLE1_SMOKE if quick else TABLE1_CIRCUITS)
     cache = CompileCache(cache_dir) if cache_dir else CompileCache(mode="off")
-
-    def _report(item: BatchItem) -> None:
-        if item.ok:
-            entry = item.result
-            print(
-                f"{item.name:>8}: lac={entry['lac_seconds']:.3f}s "
-                f"n_wr={entry['n_wr']} wall={entry['wall_seconds']:.3f}s "
-                f"coverage={entry['stage_coverage']:.0%}"
-            )
-        else:
-            print(f"{item.name:>8}: FAILED ({item.error})")
-
-    batch = run_batch(
-        [
-            (spec.name, functools.partial(bench_circuit, spec, quick=quick, cache=cache))
-            for spec in specs
-        ],
-        on_item=_report if verbose else None,
-    )
-    if batch.interrupted:
-        raise InterruptedRunError()
-    entries: List[Dict[str, object]] = [
-        item.result
-        if item.ok
-        else {
-            "name": item.name,
-            "ok": False,
-            "error": item.error,
-            "wall_seconds": round(item.seconds, 6),
-        }
-        for item in batch.items
-    ]
+    runs = [_bench_once(specs, quick, verbose, cache) for _ in range(repeat)]
+    entries = _merge_repeats(runs)
     ok = [e for e in entries if e["ok"]]
+    run_walls = [
+        round(sum(e["wall_seconds"] for e in run), 6) for run in runs
+    ]
+    wall, wall_iqr = _median_iqr(run_walls)
+    stage_runs = [_stage_totals({"circuits": run}) for run in runs]
+    stage_stats = {}
+    for name in sorted({n for run in stage_runs for n in run}):
+        median, iqr = _median_iqr([run.get(name, 0.0) for run in stage_runs])
+        stage_stats[name] = {"median": round(median, 6), "iqr": round(iqr, 6)}
     totals = {
-        "wall_seconds": round(sum(e["wall_seconds"] for e in entries), 6),
+        "wall_seconds": round(wall, 6),
+        "wall_iqr": round(wall_iqr, 6),
+        "wall_samples": run_walls,
         "lac_seconds": round(sum(e["lac_seconds"] for e in ok), 6),
         "ma_seconds": round(
             sum(e["ma_seconds"] for e in ok if e["ma_seconds"] is not None), 6
@@ -242,9 +281,61 @@ def run_bench(
         "mode": "warm",
         "quick": quick,
         "cache": "auto" if cache_dir else "off",
+        "repeat": repeat,
         "circuits": entries,
         "totals": totals,
+        "stage_stats": stage_stats,
     }
+
+
+def _bench_once(
+    specs: Sequence[CircuitSpec],
+    quick: bool,
+    verbose: bool,
+    cache: CompileCache,
+) -> List[Dict[str, object]]:
+    """One run over ``specs``: an entry per circuit, failed ones as
+    ``{"ok": false, "error": ...}``."""
+
+    def _report(item: BatchItem) -> None:
+        if item.ok:
+            entry = item.result
+            print(
+                f"{item.name:>8}: lac={entry['lac_seconds']:.3f}s "
+                f"n_wr={entry['n_wr']} wall={entry['wall_seconds']:.3f}s "
+                f"coverage={entry['stage_coverage']:.0%}"
+            )
+        else:
+            print(f"{item.name:>8}: FAILED ({item.error})")
+
+    batch = run_batch(
+        [
+            (spec.name, functools.partial(bench_circuit, spec, quick=quick, cache=cache))
+            for spec in specs
+        ],
+        on_item=_report if verbose else None,
+    )
+    if batch.interrupted:
+        raise InterruptedRunError()
+    return [
+        item.result
+        if item.ok
+        else {
+            "name": item.name,
+            "ok": False,
+            "error": item.error,
+            "wall_seconds": round(item.seconds, 6),
+        }
+        for item in batch.items
+    ]
+
+
+def _stage_medians(doc: Dict[str, object]) -> Dict[str, float]:
+    """Per-stage seconds of a document: the medians over its repeats
+    (schema ``/5``), else the sums over its ok circuits."""
+    if "stage_stats" in doc:
+        return {k: float(v["median"]) for k, v in doc["stage_stats"].items()}
+    return _stage_totals(doc)
 
 
 def _stage_totals(doc: Dict[str, object]) -> Dict[str, float]:
@@ -289,10 +380,14 @@ def compare_bench(
 ) -> Tuple[List[str], List[str]]:
     """Compare two bench documents; returns ``(report, regressions)``.
 
-    The report lists total and per-stage wall-clock deltas plus
+    The report lists total and per-stage wall-clock deltas (medians
+    over repeats, with the IQR where a side has repeats) plus
     per-circuit walls. Regressions (non-empty -> the CLI exits 1) are:
 
-    * total wall clock slower than ``old * (1 + threshold)``;
+    * a total median wall clock slower than the old one by more than
+      both ``threshold`` (a fraction of the old median) and the old
+      side's IQR: a slowdown inside the old run-to-run spread is noise.
+      A one-run document has IQR 0, so only the threshold applies;
     * any planner *result* drift — ``t_clk``/``n_foa``/``n_f`` of a
       circuit present in both runs differing, or a circuit that was ok
       before now failing. Timing noise is expected; result drift never
@@ -310,7 +405,13 @@ def compare_bench(
 
     old_wall = float(old["totals"]["wall_seconds"])
     new_wall = float(new["totals"]["wall_seconds"])
-    report.append(f"total wall: {fmt_delta(old_wall, new_wall)}")
+    old_iqr = float(old["totals"].get("wall_iqr", 0.0))
+    new_iqr = float(new["totals"].get("wall_iqr", 0.0))
+    report.append(
+        f"total wall: {fmt_delta(old_wall, new_wall)}"
+        f" (median of {old.get('repeat', 1)} vs {new.get('repeat', 1)} runs;"
+        f" old IQR {old_iqr:.3f}s, new IQR {new_iqr:.3f}s)"
+    )
     # Cache counters exist from schema /3 on; older documents simply
     # don't report them.
     if "cache_hits" in old["totals"] or "cache_hits" in new["totals"]:
@@ -321,18 +422,25 @@ def compare_bench(
             f"new {new.get('cache', 'n/a')} "
             f"(hits={new['totals'].get('cache_hits', 'n/a')})"
         )
-    if old_wall > 0 and new_wall > old_wall * (1.0 + threshold):
+    slower = new_wall - old_wall
+    if old_wall > 0 and slower > old_wall * threshold and slower > old_iqr:
         regressions.append(
-            f"total wall regressed beyond {threshold:.0%}: "
-            f"{old_wall:.3f}s -> {new_wall:.3f}s"
+            f"total wall regressed beyond {threshold:.0%} and the old IQR "
+            f"({old_iqr:.3f}s): {old_wall:.3f}s -> {new_wall:.3f}s"
         )
 
-    old_stages = _stage_totals(old)
-    new_stages = _stage_totals(new)
+    old_stages = _stage_medians(old)
+    new_stages = _stage_medians(new)
+    old_spread = old.get("stage_stats", {})
     for name in sorted(set(old_stages) | set(new_stages)):
         report.append(
             f"stage {name:>24}: "
             f"{fmt_delta(old_stages.get(name, 0.0), new_stages.get(name, 0.0))}"
+            + (
+                f" (old IQR {old_spread[name]['iqr']:.3f}s)"
+                if name in old_spread
+                else ""
+            )
         )
 
     old_by_name = {e["name"]: e for e in old["circuits"]}
@@ -351,7 +459,7 @@ def compare_bench(
             f"{entry['name']:>8}: wall "
             f"{fmt_delta(prev['wall_seconds'], entry['wall_seconds'])}"
         )
-        for key in ("t_clk", "n_foa", "n_f"):
+        for key in _RESULT_KEYS:
             if prev.get(key) != entry.get(key):
                 regressions.append(
                     f"{entry['name']}: {key} drifted "

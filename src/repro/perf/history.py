@@ -2,8 +2,8 @@
 
 Every PR that touches performance leaves a ``BENCH_<n>.json`` behind
 in ``benchmarks/results/``; this tool reads the whole numbered series
-(any mix of schemas ``repro-bench/1`` .. ``/4``) and renders the
-trajectory:
+(any mix of schemas ``repro-bench/1`` .. ``/5``; a ``/5`` document's
+wall clocks are medians over its repeats) and renders the trajectory:
 
 * a run-by-run summary — wall clock, LAC seconds, cache hit counts,
   peak RSS where recorded — so the suite's speedup history (126s cold
@@ -78,13 +78,13 @@ def _stage_trend(
     docs: Sequence[Tuple[int, Dict[str, object]]]
 ) -> List[str]:
     """Per-stage wall seconds across the series, one row per stage."""
-    from repro.perf.bench import _stage_leaf, _stage_totals
+    from repro.perf.bench import _stage_leaf, _stage_medians
 
     per_run: List[Dict[str, float]] = []
     names: List[str] = []
     for _, doc in docs:
         leaves: Dict[str, float] = {}
-        for name, seconds in _stage_totals(doc).items():
+        for name, seconds in _stage_medians(doc).items():
             leaf = _stage_leaf(name)
             if "/" in leaf:  # nested retime/... views, not wall time
                 continue

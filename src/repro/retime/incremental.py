@@ -283,7 +283,7 @@ class IncrementalMinArea:
 
         # Feasibility runs once whichever engine solves.
         arcs = group_arcs(n, tails, heads, bounds)
-        if relax(arcs, np.zeros(n, dtype=np.int64)) is None:
+        if relax(arcs, np.zeros(n, dtype=np.int64)).labels is None:
             raise InfeasiblePeriodError(
                 system.period, "negative-cost constraint cycle"
             )

@@ -13,15 +13,17 @@ default, on the sparse vectorised FEAS engine
 * a feasible witness at one period is a legal warm start for every
   probe at a smaller period, so feasible probes converge in a handful
   of FEAS rounds;
-* infeasible probes are the expensive case for FEAS (the sound
+* infeasible probes are the expensive case for FEAS (its sound
   certificate needs up to ``|V|`` rounds), so the binary search runs
   *budgeted* probes — "not verified within the budget" is treated as
   tentatively infeasible — and afterwards certifies the single
   boundary candidate below the best verified period with one sound
-  probe. Feasibility is monotone in the period, so that one
-  certificate pins down the exact minimum; if it instead uncovers a
-  feasible period the search resumes below it with a larger budget
-  (each resume strictly lowers the best index, so this terminates).
+  probe on the dense checker, whose negative-cycle exit refutes it in
+  a few rounds (eight on every Table-1 certificate). Feasibility is
+  monotone in the period, so that one certificate pins down the exact
+  minimum; if it instead uncovers a feasible period the search resumes
+  below it with a larger budget (each resume strictly lowers the best
+  index, so this terminates).
 
 The budget is small on purpose. An unverified probe always spends its
 whole budget, while a verified one (warm-started from the witness of a
@@ -36,7 +38,10 @@ The dense checker (:class:`repro.retime.fastcheck.FeasibilityChecker`,
 on the retiming engine's one Bellman–Ford kernel
 :func:`~repro.retime.fastcheck.relax`) certifies the boundary
 candidate, and runs the whole search when :meth:`FeasProbe.build`
-rejects the graph.
+rejects the graph. Its infeasible verdicts come with a negative cycle
+of the period's constraint system; the ``feas/certify``,
+``feas/refine`` and fallback ``feas/probe`` spans record the kernel's
+``rounds`` and, when infeasible, the cycle's length (``cycle_len``).
 
 The search runs over *merged* candidates (:func:`candidate_periods`
 collapses float-noise runs of ``D`` values), so every search finishes
@@ -88,6 +93,18 @@ def clock_period(graph: CircuitGraph, wd: Optional[WDMatrices] = None) -> float:
     return float(wd.d[zero_weight].max())
 
 
+def _record_verdict(span, checker: FeasibilityChecker, feasible: bool) -> None:
+    """Set a dense probe span's ``verdict`` and ``rounds``, and the
+    length of the refuting negative cycle (``cycle_len``) when there is
+    one."""
+    span.set(
+        verdict="feasible" if feasible else "infeasible",
+        rounds=checker.last_rounds,
+    )
+    if checker.last_cycle is not None:
+        span.set(cycle_len=len(checker.last_cycle))
+
+
 #: Result of one candidate search: the best (merged) candidate, its
 #: witness labels, the largest candidate certified infeasible (``None``
 #: if the search never moved above the first candidate), and the dense
@@ -117,8 +134,8 @@ def _feas_search(
     certifying a near-feasible period can take several thousand rounds
     where one warm-started exact relaxation
     (:meth:`FeasibilityChecker.refine`, seeded with the witness of the
-    best verified period) converges in a handful of rounds over the
-    pruned constraint arcs.
+    best verified period) finds a negative cycle of the pruned
+    constraint arcs in a few rounds.
     """
     checker: Optional[FeasibilityChecker] = None
     perm: Optional[np.ndarray] = None  # engine position -> wd position
@@ -140,8 +157,7 @@ def _feas_search(
                 warm[perm] = start
             refined = checker.refine(candidates[idx], warm)
             raw = None if refined is None else refined[perm]
-            verdict = "infeasible" if raw is None else "feasible"
-            span.set(verdict=verdict)
+            _record_verdict(span, checker, raw is not None)
         return raw
 
     # Clamp the window: below the max vertex delay nothing is feasible;
@@ -207,8 +223,7 @@ def _bellman_ford_search(
     def probe(t: float) -> Optional[Dict[str, int]]:
         with tracer.span("feas/probe", t=t, method="bellman-ford") as span:
             labels = checker.labels(t)
-            verdict = "infeasible" if labels is None else "feasible"
-            span.set(verdict=verdict)
+            _record_verdict(span, checker, labels is not None)
         return labels
 
     lo, hi = 0, len(candidates) - 1
@@ -267,7 +282,7 @@ def _refine_exact(
     def refine_probe(t: float, warm: np.ndarray) -> Optional[np.ndarray]:
         with tracer.span("feas/refine", t=t) as span:
             raw = checker.refine(t, warm)
-            span.set(verdict="infeasible" if raw is None else "feasible")
+            _record_verdict(span, checker, raw is not None)
         return raw
 
     best: Optional[Tuple[float, np.ndarray]] = None

@@ -217,9 +217,11 @@ def _non_bench_json(tmp_path):
         lambda tmp: ["plan", "s27", "--stage-timeout", "0"],
         lambda tmp: ["table1", "s298", "--inject-fault", "garbage"],
         lambda tmp: ["bench", "s9999", "--out", str(tmp)],
+        lambda tmp: ["bench", "s298", "--repeat", "0", "--out", str(tmp)],
     ],
     ids=["compare-missing", "compare-non-bench", "iterations-0",
-         "stage-timeout-0", "inject-fault-garbage", "bench-unknown-circuit"],
+         "stage-timeout-0", "inject-fault-garbage", "bench-unknown-circuit",
+         "bench-repeat-0"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
     """Unusable input exits 2 with one ``error:`` line before any work

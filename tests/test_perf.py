@@ -237,3 +237,132 @@ class TestStageCoverageFlag:
             bench_mod, "run_bench", lambda **kw: self._canned(0.01)
         )
         assert main(["bench", "--out", str(tmp_path)]) == 0
+
+
+def _bench_doc(walls, t_clk=10.0, stage_seconds=None):
+    """A synthetic bench document over ``walls`` (one suite total per
+    run); more than one run makes it a repeated ``/5`` document."""
+    from repro.perf.bench import _median_iqr
+
+    median, iqr = _median_iqr(walls)
+    doc = {
+        "schema": BENCH_SCHEMA,
+        "mode": "warm",
+        "quick": True,
+        "circuits": [
+            {"name": "s298", "ok": True, "t_clk": t_clk, "n_foa": 3,
+             "n_f": 40, "wall_seconds": median, "stages": []},
+        ],
+        "totals": {"wall_seconds": median},
+    }
+    if len(walls) > 1:
+        doc["repeat"] = len(walls)
+        doc["totals"].update(wall_iqr=iqr, wall_samples=list(walls))
+        doc["stage_stats"] = {
+            name: {"median": s, "iqr": 0.0}
+            for name, s in (stage_seconds or {}).items()
+        }
+    return doc
+
+
+class TestCompareNoise:
+    """``compare_bench`` judges medians and flags a slowdown only when
+    it is beyond both the threshold and the old side's IQR."""
+
+    OLD = [8.0, 9.0, 10.0, 11.0, 12.0]  # median 10.0, IQR 2.0
+
+    def test_slower_median_inside_old_iqr_passes(self):
+        from repro.perf import compare_bench
+
+        new = [w * 1.12 for w in self.OLD]  # +1.2 s: beyond 10%, inside IQR
+        report, regressions = compare_bench(_bench_doc(self.OLD), _bench_doc(new))
+        assert regressions == []
+        assert "median of 5 vs 5 runs" in report[0]
+
+    def test_slower_median_beyond_both_fails(self):
+        from repro.perf import compare_bench
+
+        new = [w * 1.25 for w in self.OLD]  # +2.5 s: beyond 10% and IQR
+        _, regressions = compare_bench(_bench_doc(self.OLD), _bench_doc(new))
+        assert len(regressions) == 1 and "IQR" in regressions[0]
+        tight = [9.9, 10.0, 10.0, 10.0, 10.1]  # IQR 0: the threshold decides
+        new = [w * 1.12 for w in tight]
+        _, regressions = compare_bench(_bench_doc(tight), _bench_doc(new))
+        assert len(regressions) == 1
+
+    def test_one_run_documents_keep_the_plain_threshold(self):
+        from repro.perf import compare_bench
+
+        _, regressions = compare_bench(_bench_doc([10.0]), _bench_doc([11.2]))
+        assert len(regressions) == 1
+        _, regressions = compare_bench(_bench_doc([10.0]), _bench_doc([10.5]))
+        assert regressions == []
+
+    def test_result_drift_is_exact_under_noise(self):
+        from repro.perf import compare_bench
+
+        old = _bench_doc([8.0, 10.0, 12.0])
+        new = _bench_doc([8.0, 10.0, 12.0], t_clk=10.5)
+        _, regressions = compare_bench(old, new)
+        assert regressions == ["s298: t_clk drifted 10.0 -> 10.5"]
+
+    def test_stage_lines_use_medians(self):
+        from repro.perf import compare_bench
+
+        old = _bench_doc([9.0, 10.0, 11.0], stage_seconds={"route": 2.0})
+        new = _bench_doc([9.0, 10.0, 11.0], stage_seconds={"route": 1.0})
+        report, _ = compare_bench(old, new)
+        (line,) = [l for l in report if "route" in l]
+        assert "2.000s -> 1.000s (-50.0%)" in line
+
+    def test_history_reads_repeated_documents(self, tmp_path):
+        from repro.perf import history_report, load_history
+
+        write_bench(_bench_doc([1.0], stage_seconds={}), tmp_path)
+        write_bench(_bench_doc([9.0, 10.0, 11.0], stage_seconds={"route": 2.0}), tmp_path)
+        docs = load_history(tmp_path)
+        report, _ = history_report(docs)
+        assert any("repro-bench/5" in line for line in report)
+        assert any(line.startswith("route") for line in report)
+
+
+class TestBenchRepeat:
+    """``run_bench(repeat=N)`` with the per-circuit bench canned."""
+
+    @staticmethod
+    def _canned(monkeypatch, walls, t_clks):
+        import repro.perf.bench as bench_mod
+
+        calls = iter(zip(walls, t_clks))
+
+        def bench_circuit(spec, quick=False, cache=None):
+            wall, t_clk = next(calls)
+            return {
+                "name": spec.name, "ok": True, "t_clk": t_clk, "n_foa": 1,
+                "n_f": 2, "n_wr": 1, "lac_seconds": 0.1, "ma_seconds": None,
+                "wall_seconds": wall,
+                "stages": [{"name": "route", "seconds": wall / 2, "calls": 1}],
+            }
+
+        monkeypatch.setattr(bench_mod, "bench_circuit", bench_circuit)
+
+    def test_medians_and_iqr(self, monkeypatch):
+        self._canned(monkeypatch, [1.0, 3.0, 2.0, 5.0], [7.0] * 4)
+        doc = run_bench(names=["s298"], quick=True, repeat=4)
+        assert doc["schema"] == "repro-bench/5" and doc["repeat"] == 4
+        (entry,) = doc["circuits"]
+        assert entry["wall_samples"] == [1.0, 3.0, 2.0, 5.0]
+        assert entry["wall_seconds"] == 2.5
+        totals = doc["totals"]
+        assert totals["wall_seconds"] == 2.5
+        assert totals["wall_iqr"] == 1.75  # quartiles 1.75 and 3.5
+        assert doc["stage_stats"]["route"] == {"median": 1.25, "iqr": 0.875}
+
+    def test_results_that_differ_between_repeats_fail_the_entry(self, monkeypatch):
+        self._canned(monkeypatch, [1.0, 1.0], [7.0, 7.5])
+        (entry,) = run_bench(names=["s298"], quick=True, repeat=2)["circuits"]
+        assert entry["ok"] is False and "t_clk" in entry["error"]
+
+    def test_repeat_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            run_bench(names=["s298"], repeat=0)
