@@ -36,21 +36,23 @@ Commands:
   (Unix domain) or ``--port`` (TCP) — see :mod:`repro.serve`;
 * ``submit`` / ``jobs`` — client side of ``serve``: spool a job
   (``--wait`` blocks and exits with the job's own per-plan code) and
-  list/inspect/cancel jobs or fetch their telemetry streams;
+  list/inspect/cancel jobs or fetch their trace stream and metrics;
 * ``circuits``         — list the benchmark suite;
-* ``trace``            — work with observability JSONL artifacts:
-  ``trace summarize`` renders the span tree, stage table (with peak
-  RSS / CPU columns when the run was monitored) and convergence
-  tables, ``trace validate`` checks any of the three schemas
-  (``repro-trace/1``, ``repro-metrics/1``, ``repro-events/1`` —
-  auto-detected from the header), ``trace flamegraph`` writes folded
-  stacks for flamegraph.pl / speedscope.
+* ``trace``            — work with trace files (``repro-trace/2``, the
+  stream ``plan --trace`` writes as the run goes; ``repro-trace/1``
+  reads too): ``trace summarize`` renders the span tree, stage table
+  (with peak RSS / CPU columns when the run was monitored),
+  convergence tables and the spans a killed run left unfinished,
+  ``trace validate`` checks a file against its schema, ``trace
+  metrics`` prints the run's metrics, replayed from its spans, as
+  Prometheus text, and ``trace flamegraph`` writes folded stacks for
+  flamegraph.pl / speedscope.
 
 ``bench history`` reads the whole ``BENCH_<n>.json`` series and prints
 the wall-clock / peak-RSS trajectory, flagging regressions between
-comparable runs; ``plan --metrics/--progress`` and ``table1
---trace-dir/--progress`` emit the metrics and live-event artifacts
-(see :mod:`repro.obs`).
+comparable runs; ``plan --trace`` and ``table1 --trace-dir`` write one
+trace file per run and ``--progress`` shows spans on stderr as they
+open and close (see :mod:`repro.obs`).
 
 ``-v`` / ``-vv`` (before the command) turn on INFO / DEBUG logging on
 stderr; the library itself never configures logging handlers.
@@ -151,8 +153,7 @@ def _cmd_plan(args) -> int:
             else None
         ),
         trace_path=args.trace,
-        metrics_path=args.metrics,
-        progress_path=args.progress,
+        progress=_progress_view(args),
     )
     install_interrupt_handlers()
     try:
@@ -179,11 +180,6 @@ def _cmd_plan(args) -> int:
         return EXIT_ERROR
     if args.trace:
         print(f"trace written to {args.trace}", file=sys.stderr)
-    if args.metrics:
-        print(
-            f"metrics written to {args.metrics} (+ Prometheus sibling)",
-            file=sys.stderr,
-        )
     print(outcome.report())
     if args.outcome_json:
         from repro.verify import save_outcome_json
@@ -206,6 +202,13 @@ def _cmd_plan(args) -> int:
             file=sys.stderr,
         )
     return code
+
+
+def _progress_view(args):
+    """The ``--progress`` stderr view, or ``None``."""
+    from repro.obs import HumanProgress
+
+    return HumanProgress() if args.progress else None
 
 
 def _table1_option_error(args):
@@ -244,31 +247,20 @@ def _cmd_table1(args) -> int:
         return EXIT_ERROR
     iterations, overrides = run_settings(args.quick)
     install_interrupt_handlers()
-    progress = None
-    if args.progress:
-        from repro.obs.progress import open_progress
-
-        progress = open_progress(
-            args.progress, meta={"batch": [spec.name for spec in specs]}
-        )
-    try:
-        batch = run_table1_resilient(
-            specs,
-            max_iterations=iterations,
-            verbose=True,
-            faults_for=faults_for,
-            plan_overrides=overrides,
-            jobs=args.jobs,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            verify=args.verify,
-            trace_dir=args.trace_dir,
-            progress=progress,
-            compile_cache=_compile_cache(args),
-        )
-    finally:
-        if progress is not None:
-            progress.close()
+    batch = run_table1_resilient(
+        specs,
+        max_iterations=iterations,
+        verbose=True,
+        faults_for=faults_for,
+        plan_overrides=overrides,
+        jobs=args.jobs,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+        verify=args.verify,
+        trace_dir=args.trace_dir,
+        progress=_progress_view(args),
+        compile_cache=_compile_cache(args),
+    )
     print()
     print(format_batch(batch))
     if batch.interrupted:
@@ -411,42 +403,11 @@ def _verify_s27() -> int:
     return 0 if cert.ok else 1
 
 
-def _peek_schema(path: str) -> str:
-    """First line's ``schema`` field, or '' when unreadable."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return str(json.loads(fh.readline()).get("schema", ""))
-    except (OSError, ValueError):
-        return ""
-
-
 def _cmd_trace(args) -> int:
     from repro.errors import ReproError
     from repro.obs import read_trace
 
     try:
-        if args.trace_command == "validate":
-            # Dispatch on the header's schema so one command validates
-            # any observability artifact (trace, metrics, events).
-            schema = _peek_schema(args.file)
-            if schema == "repro-metrics/1":
-                from repro.obs import validate_metrics
-
-                count = validate_metrics(args.file)
-                print(f"{args.file}: valid {schema}, {count} samples")
-            elif schema == "repro-events/1":
-                from repro.obs import validate_events
-
-                count = validate_events(args.file)
-                print(f"{args.file}: valid {schema}, {count} events")
-            else:
-                from repro.obs import validate_trace
-
-                count = validate_trace(args.file)
-                print(f"{args.file}: valid repro-trace/1, {count} spans")
-            return EXIT_OK
         if args.trace_command == "flamegraph":
             from repro.obs import write_flamegraph
 
@@ -454,9 +415,18 @@ def _cmd_trace(args) -> int:
             count = write_flamegraph(args.file, out)
             print(f"{out}: {count} folded stacks")
             return EXIT_OK
-        from repro.obs.summarize import summarize
+        doc = read_trace(args.file)
+        if args.trace_command == "validate":
+            unfinished = f", {len(doc.unfinished)} unfinished" if doc.unfinished else ""
+            print(f"{args.file}: valid {doc.schema}, {len(doc.spans)} spans{unfinished}")
+        elif args.trace_command == "metrics":
+            from repro.obs import prometheus_lines, replay_metrics
 
-        print(summarize(read_trace(args.file)))
+            print("\n".join(prometheus_lines(replay_metrics(doc))))
+        else:
+            from repro.obs.summarize import summarize
+
+            print(summarize(doc))
         return EXIT_OK
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -707,21 +677,13 @@ def main(argv=None) -> int:
         "--trace",
         default=None,
         metavar="FILE",
-        help="write a repro-trace/1 JSONL of the run (see `trace summarize`)",
-    )
-    p_plan.add_argument(
-        "--metrics",
-        default=None,
-        metavar="FILE",
-        help="write counters/gauges/histograms as repro-metrics/1 JSONL "
-        "(plus a Prometheus text sibling FILE with .prom suffix)",
+        help="stream the run's spans to FILE as repro-trace/2 JSONL while "
+        "it runs (see `trace summarize` and `trace metrics`)",
     )
     p_plan.add_argument(
         "--progress",
-        default=None,
-        metavar="PATH",
-        help="stream live span events (repro-events/1 JSONL) to PATH as "
-        "the run executes, or '-' for a human view on stderr",
+        action="store_true",
+        help="show spans on stderr as they open and close",
     )
     p_plan.add_argument(
         "--quick",
@@ -835,15 +797,13 @@ def main(argv=None) -> int:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="write per-circuit trace + metrics JSONL under DIR and merge "
-        "a batch_summary.json after the batch",
+        help="write each circuit's repro-trace/2 stream under DIR and "
+        "merge a batch_summary.json after the batch",
     )
     p_table.add_argument(
         "--progress",
-        default=None,
-        metavar="PATH",
-        help="stream live span events for the whole batch to PATH, or '-' "
-        "for a human stderr view (serial runs only)",
+        action="store_true",
+        help="show spans on stderr as they open and close (serial runs only)",
     )
     p_table.set_defaults(func=_cmd_table1)
 
@@ -1103,12 +1063,13 @@ def main(argv=None) -> int:
     p_jobs.add_argument(
         "--events",
         action="store_true",
-        help="print the job's live repro-events/1 stream",
+        help="print the job's repro-trace/2 stream as written so far",
     )
     p_jobs.add_argument(
         "--metrics",
         action="store_true",
-        help="print the job's repro-metrics/1 lines",
+        help="print the job's metrics as Prometheus text, replayed from "
+        "its trace",
     )
     p_jobs.add_argument(
         "--cancel", action="store_true", help="cancel the job"
@@ -1120,19 +1081,24 @@ def main(argv=None) -> int:
 
     p_trace = sub.add_parser(
         "trace",
-        help="inspect observability JSONL (trace / metrics / events files)",
+        help="inspect a trace file (repro-trace/2, or /1)",
     )
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     for name, doc in (
-        ("summarize", "render span tree, stage table and convergence tables"),
         (
-            "validate",
-            "check a trace, metrics, or events file against its schema "
-            "(auto-detected from the header line)",
+            "summarize",
+            "render span tree, stage table, convergence tables and any "
+            "unfinished spans",
+        ),
+        ("validate", "check a trace file against its schema"),
+        (
+            "metrics",
+            "print the run's metrics, replayed from its spans, as "
+            "Prometheus text",
         ),
     ):
         p = trace_sub.add_parser(name, help=doc)
-        p.add_argument("file", help="JSONL artifact file")
+        p.add_argument("file", help="trace file (JSONL)")
         p.set_defaults(func=_cmd_trace)
     p_flame = trace_sub.add_parser(
         "flamegraph",

@@ -5,13 +5,13 @@ computes; :class:`RunContext` says how the run is carried out. None of
 it changes a result, so the run fingerprint hashes the config alone.
 
 :meth:`RunContext.session` owns the setup and teardown around a plan.
-It checks every sink path before the first stage, gives every plan a
+It checks the trace path before the first stage, gives every plan a
 real tracer (the ledger, perf table and metrics are views of the spans
 this run closed), attaches the metrics registry, then the resource
-monitor, then progress (so progress events carry derived metrics and
-resource stamps) and binds the checkpoint store to the run
-fingerprint. On exit, on failure too, it undoes each step and writes
-the trace, metrics and ``.prom`` files.
+monitor, then progress, then the trace stream (so its close lines
+carry the monitor's resource stamps) and binds the checkpoint store to
+the run fingerprint. On exit, on failure too, it undoes each step; the
+trace gets its ``run_end`` footer.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from typing import Any, Iterator, Optional
 from repro.compile import CompileCache
 from repro.errors import TelemetryError
 from repro.obs import Tracer
-from repro.obs.export import write_trace
-from repro.obs.metrics import MetricsRegistry, write_metrics, write_prometheus
+from repro.obs.export import TraceStream
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import ResourceSampler
-from repro.obs.progress import open_progress
 from repro.resilience.checkpoint import CheckpointManager, run_fingerprint
 from repro.resilience.faults import FaultInjector
 from repro.resilience.policy import ResilienceConfig, default_resilience
@@ -44,21 +43,18 @@ MONITOR_INTERVAL = 0.05
 class RunContext:
     """Everything about a run that is not the flow's own configuration.
 
-    A live sink object wins over a path for the same sink; see the
-    ``RunContext`` table in ``docs/api.md``.
+    See the ``RunContext`` table in ``docs/api.md``.
     """
 
     tracer: Optional[Tracer] = None  # None -> session() builds one per plan
     metrics: Optional[MetricsRegistry] = None  # a listener on the run's tracer
     perf: Optional[Any] = None  # PerfRecorder fed the finished run's spans
-    progress: Optional[Any] = None  # caller-owned event sink, only detached
+    progress: Optional[Any] = None  # caller-owned span listener, only detached
     checkpoint: Optional[CheckpointManager] = None  # bound to the fingerprint
     compile_cache: Optional[CompileCache] = None  # None -> process-local LRU
     faults: Optional[FaultInjector] = None
     resilience: Optional[ResilienceConfig] = None  # None -> default posture
-    trace_path: Optional[str] = None  # repro-trace/1 JSONL
-    metrics_path: Optional[str] = None  # repro-metrics/1 JSONL + .prom sibling
-    progress_path: Optional[str] = None  # repro-events/1 stream ("-" = TTY)
+    trace_path: Optional[str] = None  # repro-trace/2, streamed as spans close
 
     def __post_init__(self) -> None:
         if self.compile_cache is not None and not isinstance(
@@ -72,10 +68,9 @@ class RunContext:
     @property
     def instrumented(self) -> bool:
         """True when a sink reads the spans: the run is then monitored."""
-        paths = self.trace_path or self.metrics_path or self.progress_path
         sinks = (self.perf, self.metrics, self.progress)
         tracing = getattr(self.tracer, "enabled", False)
-        return bool(paths) or tracing or any(s is not None for s in sinks)
+        return bool(self.trace_path) or tracing or any(s is not None for s in sinks)
 
     @contextlib.contextmanager
     def session(self, graph, config, max_iterations: int) -> Iterator["RunContext"]:
@@ -83,53 +78,50 @@ class RunContext:
 
         In the yielded copy ``tracer`` (always a real one),
         ``compile_cache`` and ``resilience`` are never ``None``. Raises
-        :class:`~repro.errors.TelemetryError` before any work when a
-        sink path cannot be written.
+        :class:`~repro.errors.TelemetryError` before any work when the
+        trace path cannot be written.
         """
-        for path in (self.trace_path, self.metrics_path, self.progress_path):
-            if path and path != "-":
-                _prepare_sink(path)
-        meta = {"circuit": graph.name, "seed": config.seed}
+        if self.trace_path:
+            _prepare_sink(self.trace_path)
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             # wall_start anchors the monotonic span clock to the epoch
             # so traces can be correlated across runs and with logs.
-            tracer = Tracer(meta={**meta, "wall_start": round(time.time(), 6)})
+            tracer = Tracer(
+                meta={
+                    "circuit": graph.name,
+                    "seed": config.seed,
+                    "wall_start": round(time.time(), 6),
+                }
+            )
         # A caller's tracer may hold earlier runs; the views are this run's.
         first_span = len(tracer.spans)
-        metrics = self.metrics
-        if metrics is None and self.metrics_path:
-            metrics = MetricsRegistry(meta=meta)
-        progress = self.progress
         with contextlib.ExitStack() as stack:
-            # Teardown runs in reverse: progress, monitor, registry, files.
-            if metrics is not None and self.metrics_path:
-                prom = Path(self.metrics_path).with_suffix(".prom")
-                stack.push(_sink_writer(write_prometheus, metrics, prom))
-                stack.push(_sink_writer(write_metrics, metrics, self.metrics_path))
-            if self.trace_path:
-                own = lambda t, path: write_trace(t, path, t.spans[first_span:])
-                stack.push(_sink_writer(own, tracer, self.trace_path))
-            if metrics is not None:
-                tracer.add_listener(metrics)
-                stack.callback(tracer.remove_listener, metrics)
+            # Teardown runs in reverse: trace, progress, monitor, registry.
+            if self.metrics is not None:
+                tracer.add_listener(self.metrics)
+                stack.callback(tracer.remove_listener, self.metrics)
             if self.instrumented:
-                sampler = ResourceSampler(interval=MONITOR_INTERVAL, metrics=metrics)
+                sampler = ResourceSampler(
+                    interval=MONITOR_INTERVAL, metrics=self.metrics
+                )
                 tracer.add_listener(sampler)
                 stack.callback(tracer.remove_listener, sampler)
                 stack.enter_context(sampler)
-            if progress is None and self.progress_path:
-                progress = open_progress(self.progress_path)
-                # A stream this run opened gets its terminal run_end line.
-                stack.callback(
-                    lambda: progress.close(spans=len(tracer.spans) - first_span)
-                )
-            elif progress is not None:
-                # A caller-owned stream (table1 sharing one across
-                # circuits) is only detached; its owner closes it.
-                stack.callback(progress.detach)
-            if progress is not None:
-                progress.attach(tracer, metrics=metrics)
+            if self.progress is not None:
+                # A caller-owned view (table1 sharing one across
+                # circuits) is only detached.
+                tracer.add_listener(self.progress)
+                stack.callback(tracer.remove_listener, self.progress)
+            if self.trace_path:
+                try:
+                    stream = TraceStream(self.trace_path, tracer.meta)
+                except OSError as exc:
+                    raise TelemetryError(
+                        f"cannot write {self.trace_path}: {exc.strerror}"
+                    ) from exc
+                tracer.add_listener(stream)
+                stack.push(_trace_closer(tracer, stream))
             if self.checkpoint is not None:
                 self.checkpoint.bind(
                     graph.name, run_fingerprint(graph, config, max_iterations)
@@ -139,8 +131,6 @@ class RunContext:
             yield dataclasses.replace(
                 self,
                 tracer=tracer,
-                metrics=metrics,
-                progress=progress,
                 compile_cache=self.compile_cache or CompileCache(),
                 resilience=self.resilience or default_resilience(),
             )
@@ -165,8 +155,8 @@ def _prepare_sink(path: str) -> None:
         raise TelemetryError(f"cannot write {path}: it is a directory")
 
 
-def _sink_writer(write, source, path):
-    """An exit callback that writes one sink file.
+def _trace_closer(tracer, stream: TraceStream):
+    """An exit callback that detaches the trace stream and ends it.
 
     A failed write after a clean run raises :class:`TelemetryError`.
     When the run is already failing, the write error is only logged so
@@ -174,12 +164,13 @@ def _sink_writer(write, source, path):
     """
 
     def _exit(exc_type, exc, tb) -> bool:
+        tracer.remove_listener(stream)
         try:
-            write(source, path)
+            stream.close()
         except OSError as err:
             if exc_type is None:
-                raise TelemetryError(f"cannot write {path}: {err}") from err
-            log.warning("cannot write %s: %s", path, err)
+                raise TelemetryError(f"cannot write {stream.path}: {err}") from err
+            log.warning("cannot write %s: %s", stream.path, err)
         return False
 
     return _exit

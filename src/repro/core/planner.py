@@ -444,16 +444,18 @@ def _run_iteration_stages(
                     weights=dict.fromkeys(expanded.unit_region, 1.0),
                     solver=solver,
                 )
-            base_report = area_report(
-                base.graph, expanded.unit_region, grid, config.tech
-            )
-            sp.set(
-                n_foa=base_report.n_foa,
-                n_f=base_report.n_f,
-                engine=solver.stats.engine,
-                simplex_iterations=solver.stats.simplex_iterations - iterations,
-            )
-            min_area_timed = TimedRetiming(base, base_report, sp.elapsed)
+                solve_seconds = sp.elapsed
+                # Inside the span, so the streamed close line carries it.
+                base_report = area_report(
+                    base.graph, expanded.unit_region, grid, config.tech
+                )
+                sp.set(
+                    n_foa=base_report.n_foa,
+                    n_f=base_report.n_f,
+                    engine=solver.stats.engine,
+                    simplex_iterations=solver.stats.simplex_iterations - iterations,
+                )
+            min_area_timed = TimedRetiming(base, base_report, solve_seconds)
 
         with tracer.span("retime/lac", period=period) as sp:
             lac_result = lac_retiming(

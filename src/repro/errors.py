@@ -60,11 +60,12 @@ class SealedFileError(ReproError):
 
 
 class TelemetryError(ReproError):
-    """A telemetry sink (trace, metrics or progress file) cannot be written.
+    """The trace file cannot be written.
 
-    Raised before the first stage when a sink path is unusable (its
+    Raised before the first stage when the path is unusable (its
     parent is a regular file, or the path is a directory), so the CLI
-    reports one line and exits 2 instead of planning for nothing.
+    reports one line and exits 2 instead of planning for nothing; and
+    when the run ends cleanly but a write to the stream failed.
     """
 
 

@@ -138,12 +138,12 @@ def run_circuit(
 def write_batch_summary(batch: BatchResult, trace_dir: str) -> Path:
     """Merge per-circuit artifacts into ``<trace_dir>/batch_summary.json``.
 
-    One entry per batch item: outcome, wall seconds, the artifact
-    filenames, and — read back from each circuit's trace — the root
+    One entry per batch item: outcome, wall seconds, the trace
+    filename, and — read back from each circuit's trace — the root
     span's wall time plus its monitor-stamped ``peak_rss_bytes``.
-    Missing or unreadable traces (a circuit that failed before its
-    tracer flushed) degrade to ``null`` fields, never an exception:
-    the summary describes whatever the batch left behind.
+    Missing or unreadable traces, and traces whose root never closed,
+    degrade to ``null`` fields, never an exception: the summary
+    describes whatever the batch left behind.
     """
     from repro.obs.export import read_trace
 
@@ -156,7 +156,6 @@ def write_batch_summary(batch: BatchResult, trace_dir: str) -> Path:
             "seconds": round(item.seconds, 6),
             "error": item.error,
             "trace": f"{item.name}.trace.jsonl",
-            "metrics": f"{item.name}.metrics.jsonl",
             "wall_seconds": None,
             "peak_rss_bytes": None,
         }
@@ -224,19 +223,18 @@ def run_table1_resilient(
     is shared across the batch (``jobs > 1`` workers too, in ``"auto"``
     mode). ``None`` gives each circuit a memory-only cache.
 
-    ``trace_dir`` instruments every circuit: each writes its own
-    ``<name>.trace.jsonl`` + ``<name>.metrics.jsonl`` under the
-    directory (works with ``jobs > 1`` — workers never share files),
-    and after a non-interrupted batch the parent merges them into
-    ``batch_summary.json``. ``progress`` is a caller-owned live event
-    sink shared serially across circuits; the caller closes it after
-    the batch (incompatible with ``jobs > 1`` — listeners cannot cross
-    process boundaries).
+    ``trace_dir`` instruments every circuit: each streams its own
+    ``<name>.trace.jsonl`` under the directory (works with ``jobs >
+    1`` — workers never share files), and after a non-interrupted
+    batch the parent merges them into ``batch_summary.json``.
+    ``progress`` is a caller-owned span listener shared serially
+    across circuits (incompatible with ``jobs > 1`` — listeners cannot
+    cross process boundaries).
     """
     specs = list(circuits if circuits is not None else TABLE1_CIRCUITS)
     overrides = dict(plan_overrides or {})
     if progress is not None and jobs > 1:
-        raise ValueError("progress streaming requires a serial run (jobs=1)")
+        raise ValueError("a progress view requires a serial run (jobs=1)")
     if trace_dir is not None:
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
 
@@ -263,7 +261,6 @@ def run_table1_resilient(
             ctx.checkpoint = CheckpointManager(checkpoint_dir, resume=resume)
         if trace_dir is not None:
             ctx.trace_path = str(Path(trace_dir) / f"{spec.name}.trace.jsonl")
-            ctx.metrics_path = str(Path(trace_dir) / f"{spec.name}.metrics.jsonl")
         return ctx
 
     work = [

@@ -13,43 +13,17 @@ to a tracer derives them from each closing span through one table,
 :data:`SPAN_METRICS`. The only other writer is the resource monitor's
 ``process_*`` gauges.
 
-Two export formats, one registry:
-
-* ``repro-metrics/1`` JSONL (:func:`write_metrics` /
-  :func:`read_metrics` / :func:`validate_metrics`), mirroring the
-  trace layer's ``repro-trace/1`` contract — line 1 is the header,
-  then one line per metric sample::
-
-      {"schema": "repro-metrics/1", "meta": {...}, "samples": 3}
-      {"type": "metric", "kind": "counter", "name": "lac_rounds_total",
-       "labels": {}, "value": 7}
-      {"type": "metric", "kind": "gauge", "name": "process_rss_bytes",
-       "labels": {}, "value": 104857600}
-      {"type": "metric", "kind": "histogram", "name": "stage_seconds",
-       "labels": {"stage": "retime"}, "count": 2, "sum": 3.1,
-       "buckets": [[0.1, 0], [1.0, 1], ["+Inf", 2]]}
-
-  Histogram buckets are cumulative counts per upper bound, the last
-  bound serialised as the string ``"+Inf"`` (JSON has no infinity).
-
-* Prometheus text exposition format (:func:`prometheus_lines`, the
-  ``.prom`` sibling of a ``--metrics`` file), ready for a pushgateway
-  or textfile collector.
+A trace is enough to rebuild them: :func:`replay_metrics` feeds a
+trace document's closed spans through a fresh registry, and
+:func:`prometheus_lines` renders any registry in the Prometheus text
+exposition format (``python -m repro trace metrics FILE``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
 import re
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-from repro.errors import ReproError
-from repro.ioutil import atomic_write
-
-METRICS_SCHEMA = "repro-metrics/1"
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Default histogram bucket upper bounds (seconds-flavoured; callers
 #: with other units pass their own).
@@ -60,13 +34,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-_REQUIRED_SAMPLE_KEYS = ("type", "kind", "name")
-
 LabelItems = Tuple[Tuple[str, str], ...]
-
-
-class MetricsError(ReproError):
-    """A metrics file failed to parse or validate."""
 
 
 def _check_name(name: str) -> str:
@@ -257,8 +225,7 @@ class MetricsRegistry:
 
     The registry preserves first-seen order, so exports are stable
     across identical runs (deterministic given a deterministic
-    workload). ``meta`` lands in the JSONL header, mirroring the
-    tracer's header meta.
+    workload).
 
     Attached to a tracer (``tracer.add_listener(registry)``) it derives
     the :data:`SPAN_METRICS` rows of every span that closes, before any
@@ -267,8 +234,7 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, meta: Optional[Dict[str, Any]] = None):
-        self.meta: Dict[str, Any] = dict(meta or {})
+    def __init__(self):
         self._metrics: Dict[Tuple[str, str, LabelItems], Instrument] = {}
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
@@ -346,246 +312,19 @@ class MetricsRegistry:
     def instruments(self) -> List[Instrument]:
         return list(self._metrics.values())
 
-    def snapshot(self) -> Dict[str, float]:
-        """Flat ``name{labels} -> value`` map for live progress events.
 
-        Histograms contribute their count and sum (the useful live
-        quantities); per-bucket detail stays in the full export.
-        """
-        out: Dict[str, float] = {}
-        for inst in self._metrics.values():
-            label = ",".join(f"{k}={v}" for k, v in inst.labels)
-            key = f"{inst.name}{{{label}}}" if label else inst.name
-            if isinstance(inst, Histogram):
-                out[key + "_count"] = inst.count
-                out[key + "_sum"] = round(inst.sum, 9)
-            else:
-                out[key] = inst.value
-        return out
+def replay_metrics(doc) -> MetricsRegistry:
+    """The planner metrics of a trace document, rebuilt from its spans.
 
-
-# ----------------------------------------------------------------------
-# JSONL export / import (repro-metrics/1)
-
-def _round(value: float) -> Union[int, float]:
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return round(value, 9)
-
-
-def _sample_payload(inst: Instrument) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "type": "metric",
-        "kind": inst.kind,
-        "name": inst.name,
-        "labels": dict(inst.labels),
-    }
-    if isinstance(inst, Histogram):
-        payload["count"] = inst.count
-        payload["sum"] = _round(inst.sum)
-        payload["buckets"] = [
-            [le, n] for le, n in inst.cumulative()
-        ]
-    else:
-        payload["value"] = _round(inst.value)
-        if isinstance(inst, Gauge):
-            payload["max"] = _round(inst.max_value)
-    return payload
-
-
-def metrics_lines(registry: MetricsRegistry) -> Iterator[str]:
-    """Serialise a registry as ``repro-metrics/1`` JSONL lines."""
-    instruments = registry.instruments
-    header = {
-        "schema": METRICS_SCHEMA,
-        "meta": registry.meta,
-        "samples": len(instruments),
-    }
-    yield json.dumps(header, sort_keys=True)
-    for inst in instruments:
-        yield json.dumps(_sample_payload(inst), sort_keys=True)
-
-
-def write_metrics(registry: MetricsRegistry, path: Union[str, Path]) -> Path:
-    """Write the registry to ``path`` atomically; returns the path."""
-    return atomic_write(path, "\n".join(metrics_lines(registry)) + "\n")
-
-
-@dataclasses.dataclass
-class MetricSample:
-    """One metric as read back from a ``repro-metrics/1`` file."""
-
-    kind: str
-    name: str
-    labels: Dict[str, str]
-    value: Optional[float] = None
-    count: Optional[int] = None
-    sum: Optional[float] = None
-    buckets: List[Tuple[Union[float, str], int]] = dataclasses.field(
-        default_factory=list
-    )
-
-    @property
-    def key(self) -> str:
-        label = ",".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
-        return f"{self.name}{{{label}}}" if label else self.name
-
-
-@dataclasses.dataclass
-class MetricsDocument:
-    """A fully parsed metrics file: header meta plus all samples."""
-
-    meta: Dict[str, Any]
-    samples: List[MetricSample]
-
-    def get(self, name: str, **labels: Any) -> Optional[MetricSample]:
-        want = {k: str(v) for k, v in labels.items()}
-        for s in self.samples:
-            if s.name == name and s.labels == want:
-                return s
-        return None
-
-    def by_name(self, name: str) -> List[MetricSample]:
-        return [s for s in self.samples if s.name == name]
-
-    def to_registry(self) -> MetricsRegistry:
-        """Rebuild a registry producing the same serialisation.
-
-        The round-trip contract the validator leans on: ``read ->
-        to_registry -> metrics_lines`` is byte-identical to the
-        original file for files this library wrote.
-        """
-        registry = MetricsRegistry(meta=dict(self.meta))
-        for s in self.samples:
-            if s.kind == "counter":
-                registry.counter(s.name, **s.labels).inc(s.value or 0)
-            elif s.kind == "gauge":
-                registry.gauge(s.name, **s.labels).set(s.value or 0)
-            else:
-                bounds = [le for le, _ in s.buckets if not isinstance(le, str)]
-                hist = registry.histogram(s.name, buckets=bounds, **s.labels)
-                prev = 0
-                for i, (_le, cum) in enumerate(s.buckets):
-                    hist.bucket_counts[i] = cum - prev
-                    prev = cum
-                hist.count = s.count or 0
-                hist.sum = s.sum or 0.0
-        return registry
-
-
-def _parse_sample_line(lineno: int, record: Dict[str, Any]) -> MetricSample:
-    for key in _REQUIRED_SAMPLE_KEYS:
-        if key not in record:
-            raise MetricsError(f"line {lineno}: sample missing {key!r}")
-    if record["type"] != "metric":
-        raise MetricsError(
-            f"line {lineno}: unknown record type {record['type']!r}"
-        )
-    kind = record["kind"]
-    name = str(record["name"])
-    labels = record.get("labels", {})
-    if not isinstance(labels, dict):
-        raise MetricsError(f"line {lineno}: labels must be an object")
-    if kind in ("counter", "gauge"):
-        if "value" not in record:
-            raise MetricsError(f"line {lineno}: {kind} {name!r} missing value")
-        return MetricSample(
-            kind=kind, name=name, labels=labels, value=float(record["value"])
-        )
-    if kind != "histogram":
-        raise MetricsError(f"line {lineno}: unknown metric kind {kind!r}")
-    buckets: List[Tuple[Union[float, str], int]] = []
-    prev_cum = 0
-    prev_le = -math.inf
-    for le, cum in record.get("buckets", []):
-        if le != "+Inf":
-            le = float(le)
-            if le <= prev_le:
-                raise MetricsError(
-                    f"line {lineno}: histogram {name!r} bucket bounds "
-                    "not increasing"
-                )
-            prev_le = le
-        cum = int(cum)
-        if cum < prev_cum:
-            raise MetricsError(
-                f"line {lineno}: histogram {name!r} cumulative counts decrease"
-            )
-        prev_cum = cum
-        buckets.append((le, cum))
-    count = int(record.get("count", 0))
-    if buckets and buckets[-1][0] == "+Inf" and buckets[-1][1] != count:
-        raise MetricsError(
-            f"line {lineno}: histogram {name!r} +Inf bucket {buckets[-1][1]} "
-            f"!= count {count}"
-        )
-    return MetricSample(
-        kind=kind,
-        name=name,
-        labels=labels,
-        count=count,
-        sum=float(record.get("sum", 0.0)),
-        buckets=buckets,
-    )
-
-
-def read_metrics(path: Union[str, Path]) -> MetricsDocument:
-    """Parse and validate a ``repro-metrics/1`` file.
-
-    Raises:
-        MetricsError: Unreadable header, wrong schema, malformed
-            sample, non-monotone histogram buckets, or a declared
-            sample count that does not match the file.
+    Feeds ``doc.spans`` (closed spans, in close order) through a fresh
+    registry's :meth:`~MetricsRegistry.on_close`, which is what a live
+    registry saw during the run; the resource monitor's ``process_*``
+    gauges are not in a trace and do not come back.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise MetricsError(f"cannot read metrics {path}: {exc}") from exc
-    if not lines:
-        raise MetricsError(f"{path}: empty metrics file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise MetricsError(f"{path}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema") != METRICS_SCHEMA:
-        raise MetricsError(
-            f"{path}: expected schema {METRICS_SCHEMA!r}, "
-            f"got {header.get('schema') if isinstance(header, dict) else header!r}"
-        )
-    samples: List[MetricSample] = []
-    seen: set = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MetricsError(
-                f"{path}: line {lineno} is not valid JSON: {exc}"
-            ) from exc
-        sample = _parse_sample_line(lineno, record)
-        key = (sample.kind, sample.name, tuple(sorted(sample.labels.items())))
-        if key in seen:
-            raise MetricsError(
-                f"{path}: line {lineno}: duplicate sample {sample.key!r}"
-            )
-        seen.add(key)
-        samples.append(sample)
-    declared = header.get("samples")
-    if declared is not None and declared != len(samples):
-        raise MetricsError(
-            f"{path}: header declares {declared} samples, file has "
-            f"{len(samples)}"
-        )
-    return MetricsDocument(meta=header.get("meta", {}), samples=samples)
-
-
-def validate_metrics(path: Union[str, Path]) -> int:
-    """Validate a metrics file; returns the sample count (raises on error)."""
-    return len(read_metrics(path).samples)
+    registry = MetricsRegistry()
+    for span in doc.spans:
+        registry.on_close(span)
+    return registry
 
 
 # ----------------------------------------------------------------------
@@ -603,6 +342,14 @@ def _label_str(labels: LabelItems, extra: Optional[Tuple[str, str]] = None) -> s
         return ""
     body = ",".join(f'{k}="{_escape_label(v)}"' for k, v in items)
     return "{" + body + "}"
+
+
+def _round(value: float) -> Union[int, float]:
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return round(value, 9)
 
 
 def _fmt_value(value: float) -> str:
@@ -641,8 +388,3 @@ def prometheus_lines(registry: MetricsRegistry) -> List[str]:
                 f"{_fmt_value(inst.value)}"
             )
     return lines
-
-
-def write_prometheus(registry: MetricsRegistry, path: Union[str, Path]) -> Path:
-    """Write the Prometheus exposition to ``path``; returns the path."""
-    return atomic_write(path, "\n".join(prometheus_lines(registry)) + "\n")

@@ -1,6 +1,7 @@
 """Render a trace as a human-readable report.
 
-``python -m repro trace summarize out.jsonl`` prints five sections:
+``python -m repro trace summarize out.jsonl`` prints five sections,
+after a list of the spans a killed run left unfinished, if any:
 
 1. **Span tree** — spans aggregated by name at each nesting level,
    with call counts, total time, and *self* time (total minus the time
@@ -50,7 +51,8 @@ def rollup(doc: TraceDocument) -> List[RollupRow]:
     Spans sharing a name under the same (aggregated) parent group are
     merged: ``calls`` counts them, ``total`` sums their wall time, and
     ``self_time`` is ``total`` minus the wall time of their children —
-    the time the spans spent in their own code.
+    the time the spans spent in their own code. Closed spans whose
+    parent never closed (a killed run) sit at the top level.
     """
     children: Dict[Optional[int], List[SpanRecord]] = {}
     for span in doc.spans:
@@ -75,14 +77,17 @@ def rollup(doc: TraceDocument) -> List[RollupRow]:
             )
             walk([s.span_id for s in spans], depth + 1)
 
-    walk([None], 0)
+    walk([None] + [s.span_id for s in doc.unfinished], 0)
     return rows
 
 
 def _format_tree(rows: Sequence[RollupRow]) -> List[str]:
     name_width = max(
-        (2 * r.depth + len(r.name) + (len(f" ×{r.calls}") if r.calls > 1 else 0))
-        for r in rows
+        (
+            2 * r.depth + len(r.name) + (len(f" ×{r.calls}") if r.calls > 1 else 0)
+            for r in rows
+        ),
+        default=len("span"),
     )
     name_width = max(name_width, len("span"))
     lines = [f"{'span':<{name_width}}  {'total':>9}  {'self':>9}"]
@@ -136,7 +141,7 @@ def _format_ledger(doc: TraceDocument) -> List[str]:
 
 def _scope_of(doc: TraceDocument, span: SpanRecord) -> str:
     """Closest enclosing iteration label, for table headings."""
-    by_id = {s.span_id: s for s in doc.spans}
+    by_id = {s.span_id: s for s in doc.spans + doc.unfinished}
     cur = span
     while cur.parent_id is not None:
         cur = by_id[cur.parent_id]
@@ -285,9 +290,27 @@ def _format_one_liners(doc: TraceDocument) -> List[str]:
     return lines
 
 
+def _format_unfinished(doc: TraceDocument) -> List[str]:
+    """The spans that opened but never closed, nested, with open times."""
+    if not doc.unfinished:
+        return []
+    t0 = min(s.start for s in doc.spans + doc.unfinished)
+    depth: Dict[int, int] = {}
+    lines = [f"unfinished: {len(doc.unfinished)} spans opened but never closed"]
+    for span in doc.unfinished:
+        depth[span.span_id] = depth.get(span.parent_id, -1) + 1
+        scope = span.attrs.get("scope")
+        label = f"{span.name} ({scope})" if scope else span.name
+        lines.append(
+            f"  {'  ' * depth[span.span_id]}{label}  opened at "
+            f"{span.start - t0:.3f}s"
+        )
+    return lines
+
+
 def summarize(doc: TraceDocument) -> str:
     """Render the full report for a parsed trace."""
-    lines: List[str] = []
+    lines: List[str] = _format_unfinished(doc)
     for root in doc.roots():
         if root.name == "plan":
             a = root.attrs

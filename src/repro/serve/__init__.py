@@ -7,8 +7,8 @@ its own worker, forked from a pre-imported template, with its own
 checkpoint directory and the spool's shared compile cache
 (:mod:`repro.serve.supervisor`, :mod:`repro.serve.worker`), and a
 small stdlib HTTP front (:mod:`repro.serve.server`) exposes health,
-readiness, submission, and per-job telemetry endpoints speaking the
-existing ``repro-events/1`` / ``repro-metrics/1`` wire formats.
+readiness, submission, and per-job telemetry endpoints, each a view
+of the job's one ``repro-trace/2`` stream.
 
 The design invariants, stated once:
 

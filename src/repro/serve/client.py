@@ -135,7 +135,7 @@ class ServeClient:
         return self.request("POST", f"/jobs/{job_id}/cancel")
 
     def events(self, job_id: str) -> str:
-        """The job's ``repro-events/1`` stream (empty when absent)."""
+        """The job's ``repro-trace/2`` stream so far (empty when absent)."""
         status, text = self.request("GET", f"/jobs/{job_id}/events")
         if status == 404:
             return ""
@@ -144,7 +144,7 @@ class ServeClient:
         return text if isinstance(text, str) else json.dumps(text)
 
     def metrics(self, job_id: str) -> str:
-        """The job's ``repro-metrics/1`` lines (empty when absent)."""
+        """The job's metrics as Prometheus text (empty when absent)."""
         status, text = self.request("GET", f"/jobs/{job_id}/metrics")
         if status == 404:
             return ""

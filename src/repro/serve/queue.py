@@ -10,9 +10,7 @@ convenience that recovery rewrites)::
         done/     ...
         failed/   ...                        # includes canceled jobs
         quarantine/                          # corrupt records, kept
-        events/   <id>.events.jsonl          # per-job repro-events/1
-                  <id>.metrics.jsonl         # per-job repro-metrics/1
-                  <id>.trace.jsonl           # per-job repro-trace/1
+        events/   <id>.trace.jsonl           # per-job repro-trace/2 stream
         checkpoints/<id>/                    # per-job repro-ckpt/1 store
         compile-cache/                       # repro-compile/3 store, shared
 
@@ -90,13 +88,8 @@ class JobQueue:
         """Where the worker leaves its result document."""
         return self.root / "running" / f"{job_id}.out"
 
-    def events_path(self, job_id: str) -> Path:
-        return self.root / "events" / f"{job_id}.events.jsonl"
-
-    def metrics_path(self, job_id: str) -> Path:
-        return self.root / "events" / f"{job_id}.metrics.jsonl"
-
     def trace_path(self, job_id: str) -> Path:
+        """The job's one telemetry file, its ``repro-trace/2`` stream."""
         return self.root / "events" / f"{job_id}.trace.jsonl"
 
     def checkpoint_dir(self, job_id: str) -> Path:

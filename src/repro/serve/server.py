@@ -19,11 +19,15 @@ to stop:
   ``GET /jobs``                   list every job in the spool
   ``GET /jobs/<id>``              one job's full ``repro-job/1`` record
   ``POST /jobs/<id>/cancel``      cancel queued or running
-  ``GET /jobs/<id>/events``       the job's live ``repro-events/1``
-                                  stream (``?follow=1`` tails it)
-  ``GET /jobs/<id>/metrics``      the job's ``repro-metrics/1`` lines
-  ``GET /jobs/<id>/trace``        the job's ``repro-trace/1`` file
+  ``GET /jobs/<id>/events``       the job's ``repro-trace/2`` stream
+                                  as written (``?follow=1`` tails it)
+  ``GET /jobs/<id>/trace``        its closed spans as ``repro-trace/1``
+  ``GET /jobs/<id>/metrics``      its metrics as Prometheus text,
+                                  replayed from the stream
   ==============================  ======================================
+
+All three read the job's one telemetry file,
+:meth:`~repro.serve.queue.JobQueue.trace_path`.
 
 Shutdown contract:
 
@@ -58,6 +62,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.cliutil import EXIT_ERROR, EXIT_INTERRUPTED, EXIT_OK
 from repro.errors import QueueFullError, ServeError
+from repro.obs import prometheus_lines, read_trace, replay_metrics, trace_lines
 from repro.serve.queue import JobQueue
 from repro.serve.supervisor import Supervisor
 
@@ -232,7 +237,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "metrics",
                 "trace",
             ):
-                self._stream_artifact(parts[1], parts[2], url.query)
+                self._telemetry(parts[1], parts[2], url.query)
             else:
                 self._send_json(404, {"error": f"no route {url.path}"})
         except BrokenPipeError:
@@ -244,26 +249,38 @@ class _Handler(BaseHTTPRequestHandler):
             except Exception:
                 pass
 
-    def _stream_artifact(self, job_id: str, kind: str, query: str) -> None:
-        queue = self.state.queue
-        path = {
-            "events": queue.events_path(job_id),
-            "metrics": queue.metrics_path(job_id),
-            "trace": queue.trace_path(job_id),
-        }[kind]
+    def _telemetry(self, job_id: str, kind: str, query: str) -> None:
+        """One view of the job's trace stream: raw, as a trace, as metrics."""
+        path = self.state.queue.trace_path(job_id)
         follow = parse_qs(query).get("follow", ["0"])[0] not in ("0", "", "false")
-        if not path.exists() and not follow:
+        if kind == "events" and follow:
+            self.send_response(200)
+            self.send_header("Content-Type", "application/jsonl")
+            self.end_headers()
+            self._follow(job_id, path)
+            return
+        if not path.exists():
             self._send_json(404, {"error": f"no {kind} for job {job_id}"})
             return
+        if kind == "events":
+            body, content_type = path.read_bytes(), "application/jsonl"
+        else:
+            doc = read_trace(path)
+            if kind == "trace":
+                lines, content_type = trace_lines(doc), "application/jsonl"
+            else:
+                lines = prometheus_lines(replay_metrics(doc))
+                content_type = "text/plain; version=0.0.4"
+            body = "".join(line + "\n" for line in lines).encode("utf-8")
         self.send_response(200)
-        self.send_header("Content-Type", "application/jsonl")
+        self.send_header("Content-Type", content_type)
         self.end_headers()
-        if not follow:
-            with open(path, "rb") as fh:
-                self.wfile.write(fh.read())
-            return
-        # Tail the file until the job is terminal and fully flushed.
+        self.wfile.write(body)
+
+    def _follow(self, job_id: str, path: Path) -> None:
+        """Tail the stream until the job is terminal and fully sent."""
         offset = 0
+        last_read = False
         deadline = time.time() + _FOLLOW_MAX
         while time.time() < deadline:
             if path.exists():
@@ -275,9 +292,14 @@ class _Handler(BaseHTTPRequestHandler):
                     self.wfile.flush()
                     offset += len(chunk)
                     continue
+            if last_read:
+                break
             record = self.state.queue.get(job_id)
             if record is None or record.terminal:
-                break
+                # The worker may have written more between the empty
+                # read above and the state change: read once more.
+                last_read = True
+                continue
             time.sleep(0.1)
 
     # -- POST ----------------------------------------------------------

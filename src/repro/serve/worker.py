@@ -17,9 +17,10 @@ start-up and imports. The forked child runs :func:`job_main`, which:
    finds it empty, a retry finds the previous attempt's committed
    stages and resumes bit-identically), the spool's shared compile
    cache (``compile-cache/``, so a circuit compiled by any earlier job
-   replays its min-period work) and per-job telemetry files under
-   ``events/`` (``repro-trace/1``, ``repro-metrics/1`` and the live
-   ``repro-events/1`` stream the server exposes);
+   replays its min-period work) and the job's one telemetry file,
+   ``events/<id>.trace.jsonl``, a ``repro-trace/2`` stream the server
+   exposes raw and renders as a trace and as metrics (a retry
+   truncates it);
 5. atomically writes its result document to ``running/<id>.out`` and
    exits with the same per-plan code the one-shot ``plan`` CLI uses.
 
@@ -196,8 +197,6 @@ def _plan_job(queue, record, faults) -> int:
         faults=faults,
         checkpoint=CheckpointManager(queue.checkpoint_dir(record.id), resume=True),
         trace_path=str(queue.trace_path(record.id)),
-        metrics_path=str(queue.metrics_path(record.id)),
-        progress_path=str(queue.events_path(record.id)),
     )
     t0 = time.perf_counter()
     try:

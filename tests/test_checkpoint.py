@@ -143,14 +143,17 @@ class TestFingerprint:
         )
 
     def test_ignores_observability_settings(self, tmp_path):
+        import io
+
         from repro.compile import CompileCache
+        from repro.obs import HumanProgress, MetricsRegistry
         from repro.perf import PerfRecorder
 
         plain = self._bound_fingerprint(tmp_path / "plain")
         assert plain == self._bound_fingerprint(
             tmp_path / "ctx",
-            metrics_path=str(tmp_path / "m.jsonl"),
-            progress_path=str(tmp_path / "e.jsonl"),
+            metrics=MetricsRegistry(),
+            progress=HumanProgress(out=io.StringIO()),
             perf=PerfRecorder(),
             compile_cache=CompileCache(mode="off"),
         )
@@ -618,17 +621,11 @@ class TestCLI:
 
         monkeypatch.setattr("repro.core.plan_interconnect", _killed)
         first = ["plan", "s27", "--quick", "--checkpoint-dir", ckdir]
-        metrics = ["--metrics", str(tmp_path / "first.jsonl")]
-        assert main(first + metrics) == EXIT_INTERRUPTED
+        sink = ["--trace", str(tmp_path / "first.trace.jsonl")]
+        assert main(first + sink) == EXIT_INTERRUPTED
         monkeypatch.setattr("repro.core.plan_interconnect", real_plan)
         trace = tmp_path / "resume.trace.jsonl"
-        resumed = first + [
-            "--resume",
-            "--metrics",
-            str(tmp_path / "second.jsonl"),
-            "--trace",
-            str(trace),
-        ]
+        resumed = first + ["--resume", "--trace", str(trace)]
         assert main(resumed) in (0, 1)
         capsys.readouterr()
         records = [json.loads(line) for line in trace.read_text().splitlines()]

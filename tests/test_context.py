@@ -33,7 +33,7 @@ class TestSignature:
         names = {f.name for f in dataclasses.fields(PlannerConfig)}
         assert len(names) == 15
         assert not names & {f.name for f in dataclasses.fields(RunContext)}
-        assert len(dataclasses.fields(RunContext)) <= 11
+        assert len(dataclasses.fields(RunContext)) <= 9
 
 
 class TestOverrides:
@@ -108,43 +108,43 @@ class TestSession:
             s27_graph(), tracer=tracer, trace_path=str(path), **QUICK
         )
         doc = read_trace(path)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["spans"] == len(doc.spans) < len(tracer.spans)
+        footer = json.loads(path.read_text().splitlines()[-1])
+        assert footer["spans"] == len(doc.spans) < len(tracer.spans)
         assert [s.name for s in doc.roots()] == ["plan"]
         runs = len(outcome.ledger.records)
         assert runs == 9
         assert f"resilience: {runs} stage runs," in summarize(doc)
 
-    def test_bad_progress_parent_leaks_no_monitor_thread(self, tmp_path):
-        """A sink path whose parent is a regular file fails before the
+    def test_bad_trace_parent_leaks_no_monitor_thread(self, tmp_path):
+        """A trace path whose parent is a regular file fails before the
         monitor starts, naming the path."""
         blocker = tmp_path / "file"
         blocker.write_text("")
         before = _monitor_threads()
-        bad = str(blocker / "e.jsonl")
-        with pytest.raises(TelemetryError, match="e.jsonl") as info:
-            plan_interconnect(s27_graph(), progress_path=bad, **QUICK)
+        bad = str(blocker / "t.jsonl")
+        with pytest.raises(TelemetryError, match="t.jsonl") as info:
+            plan_interconnect(s27_graph(), trace_path=bad, **QUICK)
         assert isinstance(info.value, ReproError)
         assert _monitor_threads() <= before
 
     def test_failed_checkpoint_bind_unwinds_setup(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        events = tmp_path / "e.jsonl"
+        trace = tmp_path / "t.jsonl"
         tracer = Tracer()
         before = _monitor_threads()
         ctx = RunContext(
             tracer=tracer,
-            progress_path=str(events),
+            trace_path=str(trace),
             checkpoint=CheckpointManager(blocker / "ck"),
         )
         with pytest.raises(CheckpointError):
             plan_interconnect(s27_graph(), ctx=ctx, **QUICK)
         assert _monitor_threads() <= before
         assert tracer._listeners == []
-        # The progress file was closed with its terminal line.
-        last = json.loads(events.read_text().splitlines()[-1])
-        assert last["type"] == "run_end"
+        # The trace was closed with its footer.
+        last = json.loads(trace.read_text().splitlines()[-1])
+        assert last == {"type": "run_end", "spans": 0}
 
     def test_sinks_written_when_the_plan_fails(self, tmp_path, monkeypatch):
         import repro.core.planner as planner
@@ -155,14 +155,14 @@ class TestSession:
 
         monkeypatch.setattr(planner, "_plan_stages", _boom)
         before = _monitor_threads()
-        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.jsonl"
+        trace = tmp_path / "t.jsonl"
         with pytest.raises(PlanningError):
-            plan_interconnect(
-                s27_graph(), trace_path=str(trace), metrics_path=str(metrics), **QUICK
-            )
+            plan_interconnect(s27_graph(), trace_path=str(trace), **QUICK)
         assert _monitor_threads() <= before
-        assert trace.is_file() and metrics.is_file()
-        assert metrics.with_suffix(".prom").is_file()
+        doc = read_trace(trace)
+        assert doc.unfinished == []
+        assert [s.name for s in doc.roots()] == ["plan"]
+        assert "PlanningError" in doc.roots()[0].attrs["error"]
 
     def test_failed_write_keeps_the_runs_own_error(self, tmp_path, monkeypatch):
         """An interrupt stays an interrupt (resumable, exit 4) when the
@@ -172,21 +172,22 @@ class TestSession:
 
         trace = tmp_path / "t.jsonl"
 
+        def _full(*_a, **_k):
+            raise OSError(28, "No space left on device")
+
         def _interrupted(*_a, **_k):
-            trace.mkdir()  # the trace path becomes unwritable mid-run
             raise InterruptedRunError(message="synthetic drain")
 
+        monkeypatch.setattr("repro.obs.export.os.fsync", _full)
         monkeypatch.setattr(planner, "_plan_stages", _interrupted)
         with pytest.raises(InterruptedRunError, match="synthetic drain"):
             plan_interconnect(s27_graph(), trace_path=str(trace), **QUICK)
 
     def test_failed_write_after_a_clean_run_raises(self, tmp_path, monkeypatch):
-        import repro.core.context as context
-
         def _full(*_a, **_k):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(context, "write_trace", _full)
+        monkeypatch.setattr("repro.obs.export.os.fsync", _full)
         trace = tmp_path / "t.jsonl"
         with pytest.raises(TelemetryError, match="t.jsonl"):
             plan_interconnect(s27_graph(), trace_path=str(trace), **QUICK)
@@ -198,7 +199,7 @@ class TestSession:
 
 
 class TestCLIBadTelemetryPath:
-    @pytest.mark.parametrize("flag", ["--trace", "--metrics", "--progress"])
+    @pytest.mark.parametrize("flag", ["--trace"])
     def test_unwritable_parent_exits_2_before_planning(
         self, flag, tmp_path, capsys, monkeypatch
     ):

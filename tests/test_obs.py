@@ -7,8 +7,10 @@ import pytest
 from repro.obs import (
     NOOP_TRACER,
     NoopTracer,
+    STREAM_SCHEMA,
     TRACE_SCHEMA,
     TraceError,
+    TraceStream,
     Tracer,
     read_trace,
     trace_lines,
@@ -278,6 +280,147 @@ class TestValidation:
             read_trace(path)
 
 
+def _stream(tracer, path):
+    """Attach a ``repro-trace/2`` stream at ``path`` to ``tracer``."""
+    stream = TraceStream(path, tracer.meta)
+    tracer.add_listener(stream)
+    return stream
+
+
+class TestStream:
+    """``repro-trace/2``: the trace written as spans open and close."""
+
+    def _streamed(self, path):
+        tracer = Tracer(clock=FakeClock(), meta={"circuit": "toy"})
+        stream = _stream(tracer, path)
+        with tracer.span("plan", circuit="toy"):
+            with tracer.span("stage", kind="stage", scope="") as s:
+                s.event("attempt", index=1)
+                s.count("tries")
+            with tracer.span("stage", kind="stage", scope="iteration 1"):
+                with tracer.span("leaf"):
+                    pass
+        stream.close()
+        return tracer
+
+    def test_every_line_prefix_reads_back(self, tmp_path):
+        full = tmp_path / "full.jsonl"
+        self._streamed(full)
+        complete = read_trace(full)
+        lines = full.read_text().splitlines(keepends=True)
+        assert json.loads(lines[0])["schema"] == STREAM_SCHEMA
+        for n in range(1, len(lines) + 1):
+            records = [json.loads(line) for line in lines[1:n]]
+            closed = [r["id"] for r in records if r["type"] == "span"]
+            opened = [r["id"] for r in records if r["type"] == "open"]
+            # A kill lands between lines or in the middle of one.
+            torn = lines[n][: len(lines[n]) // 2] if n < len(lines) else ""
+            for tail in ("", torn):
+                cut = tmp_path / "cut.jsonl"
+                cut.write_text("".join(lines[:n]) + tail)
+                doc = read_trace(cut)
+                assert doc.spans == complete.spans[: len(closed)]
+                assert [s.span_id for s in doc.spans] == closed
+                assert [s.span_id for s in doc.unfinished] == [
+                    i for i in opened if i not in closed
+                ]
+                assert all(s.end is None for s in doc.unfinished)
+
+    def test_stream_equals_the_tracer_and_trace_v1(self, tmp_path):
+        from repro.core import plan_interconnect
+        from repro.netlist import s27_graph
+
+        tracer = Tracer(clock=FakeClock(step=2 ** -8))  # exact in 9 decimals
+        streamed = tmp_path / "t2.jsonl"
+        plan_interconnect(
+            s27_graph(),
+            tracer=tracer,
+            trace_path=str(streamed),
+            seed=1,
+            whitespace=0.4,
+            max_iterations=1,
+            floorplan_iterations=60,
+        )
+        v2 = read_trace(streamed)
+        v1 = read_trace(write_trace(tracer, tmp_path / "t1.jsonl"))
+        assert v2.schema == STREAM_SCHEMA and v1.schema == TRACE_SCHEMA
+        assert v2.unfinished == []
+        assert v2.spans == v1.spans
+        assert [
+            (s.span_id, s.parent_id, s.name, s.start, s.end, s.attrs, s.events,
+             s.counters)
+            for s in v2.spans
+        ] == [
+            (s.span_id, s.parent_id, s.name, s.start, s.end, s.attrs, s.events,
+             s.counters)
+            for s in tracer.spans
+        ]
+        assert summarize(v2) == summarize(v1)
+
+    def test_concurrent_closes_write_whole_lines(self, tmp_path):
+        import sys
+        import threading
+
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer()
+        stream = _stream(tracer, path)
+
+        def work():
+            for i in range(200):
+                with tracer.span("s", i=i, pad="x" * 300):
+                    pass
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stream.close()
+        doc = read_trace(path)  # the footer's count checks every close
+        assert len(doc.spans) == 1600 and doc.unfinished == []
+
+    def test_closes_after_the_footer_are_dropped(self, tmp_path):
+        """A span an abandoned timeout thread closes after the run ended
+        stays unfinished in the file, which reads back whole."""
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(clock=FakeClock())
+        stream = _stream(tracer, path)
+        with tracer.span("plan"):
+            pass
+        abandoned = tracer.span("stage")
+        abandoned.__enter__()
+        stream.close()
+        abandoned.__exit__(None, None, None)
+        stream.close()  # idempotent
+        doc = read_trace(path)
+        assert [s.name for s in doc.spans] == ["plan"]
+        assert [s.name for s in doc.unfinished] == ["stage"]
+        assert json.loads(path.read_text().splitlines()[-1]) == {
+            "type": "run_end", "spans": 1,
+        }
+
+    def test_failed_write_stops_the_stream_and_close_raises(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(clock=FakeClock())
+        stream = _stream(tracer, path)
+
+        def _full(_line):
+            raise OSError(28, "No space left on device")
+
+        stream._fh.write = _full
+        with tracer.span("plan"):  # the run itself goes on
+            pass
+        with pytest.raises(OSError, match="No space"):
+            stream.close()
+        assert read_trace(path).spans == []
+
+
 class TestRollup:
     def test_self_time_arithmetic(self, tmp_path):
         clock = FakeClock(step=0.0)  # manual control below
@@ -436,12 +579,34 @@ class TestCLI:
 
         assert main(["trace", "validate", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "valid repro-trace/1" in out
+        assert "valid repro-trace/2" in out
 
         assert main(["trace", "summarize", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "plan s27" in out
         assert "LAC convergence" in out
+
+    def test_killed_run_lists_unfinished_spans(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        trace = tmp_path / "out.jsonl"
+        assert main(["plan", "s27", "--quick", "--trace", str(trace)]) == 0
+        lines = trace.read_text().splitlines(keepends=True)
+        # Cut the stream where the iteration's first stage has closed.
+        cut = next(
+            i for i, line in enumerate(lines)
+            if '"type": "span"' in line and '"scope": "iteration 1"' in line
+        )
+        trace.write_text("".join(lines[: cut + 1]))
+        capsys.readouterr()
+        assert main(["trace", "validate", str(trace)]) == 0
+        assert "2 unfinished" in capsys.readouterr().out
+        assert main(["trace", "summarize", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "unfinished: 2 spans opened but never closed" in out
+        assert "  plan  opened at" in out and "    iteration  opened at" in out
+        assert main(["trace", "metrics", str(trace)]) == 0
+        assert "# TYPE stage_attempts_total counter" in capsys.readouterr().out
 
     def test_trace_validate_rejects_garbage(self, tmp_path, capsys):
         from repro.__main__ import main

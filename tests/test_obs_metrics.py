@@ -7,24 +7,19 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
-    MetricsError,
     MetricsRegistry,
-    ProgressStream,
     ResourceSampler,
+    TraceError,
+    TraceStream,
     Tracer,
     folded_stacks,
-    metrics_lines,
     prometheus_lines,
-    read_events,
-    read_metrics,
     read_trace,
-    validate_events,
-    validate_metrics,
+    replay_metrics,
+    validate_trace,
     write_flamegraph,
-    write_metrics,
     write_trace,
 )
-from repro.errors import ReproError
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
@@ -105,82 +100,59 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             reg.counter("ok", **{"bad-label": 1})
 
-    def test_snapshot_flattens_with_labels(self):
-        reg = MetricsRegistry()
-        reg.counter("c", stage="lac").inc(2)
-        reg.gauge("g").set(7)
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
-        snap = reg.snapshot()
-        assert snap["c{stage=lac}"] == 2
-        assert snap["g"] == 7
-        assert snap["h_count"] == 1
-        assert snap["h_sum"] == 0.5
+
+def _streamed_run(path, metrics=None):
+    """A synthetic traced run feeding several SPAN_METRICS rows, streamed
+    to ``path`` as ``repro-trace/2`` (left open: no footer)."""
+    tracer = Tracer(clock=FakeClock(), meta={"circuit": "toy"})
+    if metrics is not None:
+        tracer.add_listener(metrics)
+    stream = TraceStream(path, tracer.meta)
+    tracer.add_listener(stream)
+    with tracer.span("plan"):
+        for verdict in ("feasible", "infeasible", "feasible"):
+            with tracer.span("feas/probe", verdict=verdict):
+                pass
+        for n_foa in (3, 1):
+            with tracer.span("lac/round", n_foa=n_foa):
+                pass
+        with tracer.span("retime", kind="stage", status="ok") as stage:
+            stage.event("attempt", status="failed", seconds=0.05)
+            stage.event("attempt", status="ok", seconds=0.5)
+    return tracer, stream
 
 
 class TestMetricsRoundTrip:
-    def _registry(self):
-        reg = MetricsRegistry(meta={"circuit": "toy"})
-        reg.counter("rounds_total").inc(7)
-        reg.gauge("rss", proc="self").set(123.5)
-        h = reg.histogram("stage_seconds", buckets=(0.1, 1.0), stage="lac")
-        h.observe(0.05)
-        h.observe(0.5)
-        h.observe(9.0)
-        return reg
+    """The metrics round trip through a trace: replayed == live."""
 
     def test_round_trip_is_byte_identical(self, tmp_path):
-        reg = self._registry()
-        path = write_metrics(reg, tmp_path / "m.jsonl")
-        doc = read_metrics(path)
-        assert doc.meta == {"circuit": "toy"}
-        again = "\n".join(metrics_lines(doc.to_registry())) + "\n"
-        assert again == path.read_text()
+        live = MetricsRegistry()
+        _tracer, stream = _streamed_run(tmp_path / "t.jsonl", metrics=live)
+        stream.close()
+        replayed = replay_metrics(read_trace(tmp_path / "t.jsonl"))
+        assert prometheus_lines(replayed) == prometheus_lines(live)
+        assert len(live.instruments) == 7
 
     def test_document_lookup(self, tmp_path):
-        path = write_metrics(self._registry(), tmp_path / "m.jsonl")
-        doc = read_metrics(path)
-        assert doc.get("rounds_total").value == 7
-        assert doc.get("rss", proc="self").value == 123.5
-        hist = doc.get("stage_seconds", stage="lac")
-        assert hist.count == 3
-        assert hist.buckets[-1] == ("+Inf", 3)
+        _streamed_run(tmp_path / "t.jsonl")  # a run still in flight
+        reg = replay_metrics(read_trace(tmp_path / "t.jsonl"))
+        assert reg.counter("lac_rounds_total").value == 2
+        assert reg.gauge("lac_n_foa").value == 1
+        feasible = reg.counter("feas_probes_total", kind="probe", verdict="feasible")
+        assert feasible.value == 2
+        hist = reg.histogram("stage_seconds", stage="retime")
+        assert hist.count == 2
+        assert hist.cumulative()[-1] == ("+Inf", 2)
 
-    def test_validate_counts_samples(self, tmp_path):
-        path = write_metrics(self._registry(), tmp_path / "m.jsonl")
-        assert validate_metrics(path) == 3
+    def test_wrong_schema_rejected(self, tmp_path, capsys):
+        from repro.__main__ import main
 
-    def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"schema": "other/1", "samples": 0}\n')
-        with pytest.raises(MetricsError, match="repro-metrics/1"):
-            read_metrics(path)
-
-    def test_duplicate_sample_rejected(self, tmp_path):
-        line = json.dumps(
-            {"type": "metric", "kind": "counter", "name": "c",
-             "labels": {}, "value": 1}
-        )
-        path = tmp_path / "dup.jsonl"
-        path.write_text(
-            '{"schema": "repro-metrics/1", "samples": 2}\n'
-            + line + "\n" + line + "\n"
-        )
-        with pytest.raises(MetricsError, match="duplicate"):
-            read_metrics(path)
-
-    def test_non_monotone_buckets_rejected(self, tmp_path):
-        record = {
-            "type": "metric", "kind": "histogram", "name": "h",
-            "labels": {}, "count": 2, "sum": 1.0,
-            "buckets": [[1.0, 2], [0.5, 2], ["+Inf", 2]],
-        }
-        path = tmp_path / "hb.jsonl"
-        path.write_text(
-            '{"schema": "repro-metrics/1", "samples": 1}\n'
-            + json.dumps(record) + "\n"
-        )
-        with pytest.raises(MetricsError, match="not increasing"):
-            read_metrics(path)
+        path.write_text('{"schema": "repro-metrics/1", "samples": 0}\n')
+        with pytest.raises(TraceError, match="repro-trace/2"):
+            read_trace(path)
+        assert main(["trace", "metrics", str(path)]) == 2
+        assert "repro-metrics/1" in capsys.readouterr().err
 
 
 class TestPrometheus:
@@ -305,86 +277,90 @@ class TestResourceSampler:
 
 
 class TestProgressStream:
-    def _stream_run(self):
+    """The trace stream is the run's live progress record."""
+
+    def _stream_run(self, path):
         tracer = Tracer(clock=FakeClock(), meta={"circuit": "toy"})
-        reg = MetricsRegistry()
-        out = io.StringIO()
-        stream = ProgressStream(out, meta={"who": "test"}).attach(tracer, metrics=reg)
+        stream = TraceStream(path, tracer.meta)
+        tracer.add_listener(stream)
         with tracer.span("plan"):
             with tracer.span("stage", kind="stage"):
-                reg.counter("work").inc()
-        stream.close(spans=len(tracer.spans))
-        return out.getvalue()
+                pass
+        stream.close()
+        return path
 
     def test_event_stream_shape(self, tmp_path):
-        text = self._stream_run()
+        text = self._stream_run(tmp_path / "t.jsonl").read_text()
         lines = [json.loads(l) for l in text.splitlines()]
         header = lines[0]
-        assert header["schema"] == "repro-events/1"
-        assert header["meta"]["circuit"] == "toy"  # tracer meta merged in
-        assert header["meta"]["who"] == "test"
-        types = [l["type"] for l in lines[1:]]
-        # open plan, open stage, close stage, metrics snapshot, close
-        # plan, run_end
-        assert types == [
-            "span_open", "span_open", "span_close", "metrics",
-            "span_close", "run_end",
-        ]
-        metrics_event = lines[4]
-        assert metrics_event["samples"]["work"] == 1
+        assert header == {"schema": "repro-trace/2", "meta": {"circuit": "toy"}}
+        types = [l.get("type") for l in lines[1:]]
+        assert types == ["open", "open", "span", "span", "run_end"]
+        assert lines[2]["attrs"] == {"kind": "stage"}
         assert lines[-1]["spans"] == 2
 
     def test_file_round_trip_validates(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        path.write_text(self._stream_run())
-        events = read_events(path)
-        assert validate_events(path) == len(events) == 6
+        path = self._stream_run(tmp_path / "t.jsonl")
+        doc = read_trace(path)
+        assert validate_trace(path) == len(doc.spans) == 2
+        assert doc.unfinished == []
+        assert doc.meta == {"circuit": "toy"}
 
     def test_run_end_spans_field_is_optional(self, tmp_path):
-        out = io.StringIO()
-        stream = ProgressStream(out)
+        """A run still in flight has no footer yet: its file reads back
+        line by line as it is written, open spans listed."""
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(clock=FakeClock())
+        stream = TraceStream(path, {})
+        tracer.add_listener(stream)
+        with tracer.span("plan"):
+            with tracer.span("stage"):
+                pass
+            doc = read_trace(path)
+            assert [s.name for s in doc.spans] == ["stage"]
+            assert [s.name for s in doc.unfinished] == ["plan"]
         stream.close()
-        path = tmp_path / "e.jsonl"
-        path.write_text(out.getvalue())
-        (end,) = read_events(path)
-        assert end["type"] == "run_end"
-        assert "spans" not in end
+        assert read_trace(path).unfinished == []
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            "\n".join(['{"schema": "repro-trace/2", "meta": {}}'] + lines) + "\n"
+        )
+        return path
 
     def test_rejects_close_of_unopened_span(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"schema": "repro-events/1", "meta": {}}\n'
-            '{"type": "span_close", "t": 1.0, "span_id": 9, "name": "x",'
-            ' "elapsed": 1.0, "attrs": {}}\n'
+        path = self._write(
+            tmp_path,
+            ['{"type": "span", "id": 9, "parent": null, "name": "x",'
+             ' "start": 1.0, "end": 2.0}'],
         )
-        with pytest.raises(ReproError, match="never opened"):
-            read_events(path)
+        with pytest.raises(TraceError, match="not open"):
+            read_trace(path)
 
     def test_rejects_events_after_run_end(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"schema": "repro-events/1", "meta": {}}\n'
-            '{"type": "run_end", "t": 1.0}\n'
-            '{"type": "run_end", "t": 2.0}\n'
+        path = self._write(
+            tmp_path,
+            ['{"type": "run_end", "spans": 0}',
+             '{"type": "open", "id": 1, "parent": null, "name": "x",'
+             ' "start": 1.0}'],
         )
-        with pytest.raises(ReproError, match="after run_end"):
-            read_events(path)
+        with pytest.raises(TraceError, match="after run_end"):
+            read_trace(path)
 
     def test_human_renderer_depth_limits(self):
         from repro.obs import HumanProgress
 
         tracer = Tracer(clock=FakeClock())
         out = io.StringIO()
-        human = HumanProgress(out=out, max_depth=1).attach(tracer)
+        tracer.add_listener(HumanProgress(out=out, max_depth=1))
         with tracer.span("plan"):
             with tracer.span("stage"):
                 with tracer.span("deep"):
                     pass
-        human.close(spans=len(tracer.spans))
         text = out.getvalue()
-        assert "> plan" in text and "> stage" in text
+        assert "> plan" in text and "> stage" in text and "< plan" in text
         assert "deep" not in text
-        assert "run complete: 3 spans" in text
 
 
 class TestFlamegraph:
@@ -494,16 +470,13 @@ class TestInstrumentedPlanner:
         from repro.core.planner import plan_interconnect
         from repro.netlist import s27_graph
 
+        from repro.obs import HumanProgress
+
         base = tmp_path_factory.mktemp("obs")
-        p = {
-            "trace": base / "s27.trace.jsonl",
-            "metrics": base / "s27.metrics.jsonl",
-            "events": base / "s27.events.jsonl",
-        }
+        p = {"trace": base / "s27.trace.jsonl", "progress": io.StringIO()}
         ctx = RunContext(
             trace_path=str(p["trace"]),
-            metrics_path=str(p["metrics"]),
-            progress_path=str(p["events"]),
+            progress=HumanProgress(out=p["progress"]),
         )
         outcome = plan_interconnect(
             s27_graph(),
@@ -516,25 +489,19 @@ class TestInstrumentedPlanner:
         p["outcome"] = outcome
         return p
 
-    def test_all_three_artifacts_validate(self, paths):
-        from repro.obs import validate_trace
-
-        assert validate_trace(paths["trace"]) > 0
-        assert validate_metrics(paths["metrics"]) > 0
-        assert validate_events(paths["events"]) > 0
-
-    def test_prometheus_sibling_written(self, paths):
-        prom = paths["metrics"].with_suffix(".prom")
-        text = prom.read_text()
-        assert "# TYPE" in text
-        assert "process_rss_bytes" in text
+    def test_one_trace_and_its_views(self, paths):
+        doc = read_trace(paths["trace"])
+        assert doc.schema == "repro-trace/2" and doc.unfinished == []
+        assert validate_trace(paths["trace"]) == len(doc.spans) > 0
+        assert "# TYPE" in "\n".join(prometheus_lines(replay_metrics(doc)))
+        assert "< plan" in paths["progress"].getvalue()
+        assert not list(paths["trace"].parent.glob("s27.[!t]*"))
 
     def test_solver_metrics_recorded(self, paths):
-        doc = read_metrics(paths["metrics"])
-        assert doc.get("lac_rounds_total").value >= 1
-        assert doc.by_name("feas_probes_total")
-        assert doc.by_name("stage_seconds")
-        assert doc.by_name("anneal_moves_total")
+        reg = replay_metrics(read_trace(paths["trace"]))
+        names = {inst.name for inst in reg.instruments}
+        assert reg.counter("lac_rounds_total").value >= 1
+        assert {"feas_probes_total", "stage_seconds", "anneal_moves_total"} <= names
 
     def test_monitor_stamps_root_and_wall_start(self, paths):
         tdoc = read_trace(paths["trace"])
@@ -582,7 +549,10 @@ class TestTable1Telemetry:
             trace_dir=str(trace_dir),
         )
         assert batch.items[0].ok
-        assert validate_metrics(trace_dir / "s298.metrics.jsonl") > 0
+        assert validate_trace(trace_dir / "s298.trace.jsonl") > 0
+        assert sorted(p.name for p in trace_dir.iterdir()) == [
+            "batch_summary.json", "s298.trace.jsonl",
+        ]
         summary = json.loads((trace_dir / "batch_summary.json").read_text())
         assert summary["schema"] == "repro-batch-summary/1"
         assert summary["n_ok"] == 1
@@ -602,23 +572,23 @@ class TestCLIObs:
     def test_trace_validate_dispatches_on_schema(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        mpath = tmp_path / "m.jsonl"
-        write_metrics(reg, mpath)
-        assert main(["trace", "validate", str(mpath)]) == 0
-        assert "valid repro-metrics/1" in capsys.readouterr().out
-
         tracer = Tracer(clock=FakeClock())
-        out = io.StringIO()
-        stream = ProgressStream(out).attach(tracer)
+        stream = TraceStream(tmp_path / "t2.jsonl", {})
+        tracer.add_listener(stream)
         with tracer.span("a"):
             pass
-        stream.close(spans=1)
+        stream.close()
+        assert main(["trace", "validate", str(tmp_path / "t2.jsonl")]) == 0
+        assert "valid repro-trace/2, 1 spans" in capsys.readouterr().out
+
+        write_trace(tracer, tmp_path / "t1.jsonl")
+        assert main(["trace", "validate", str(tmp_path / "t1.jsonl")]) == 0
+        assert "valid repro-trace/1, 1 spans" in capsys.readouterr().out
+
         epath = tmp_path / "e.jsonl"
-        epath.write_text(out.getvalue())
-        assert main(["trace", "validate", str(epath)]) == 0
-        assert "valid repro-events/1" in capsys.readouterr().out
+        epath.write_text('{"schema": "repro-events/1", "meta": {}}\n')
+        assert main(["trace", "validate", str(epath)]) == 2
+        assert "repro-events/1" in capsys.readouterr().err
 
     def test_trace_flamegraph_command(self, tmp_path, capsys):
         from repro.__main__ import main

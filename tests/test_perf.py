@@ -168,10 +168,15 @@ class TestBenchRunner:
         assert "retime/constraints" in stage_names
 
     def test_stage_coverage_recorded(self, doc):
-        entry = doc["circuits"][0]
-        assert 0.0 < entry["stage_coverage"] <= 1.5
-        # recorded stages should dominate the wall clock
-        assert entry["stage_coverage"] >= 0.8
+        # Recorded stages should dominate the wall clock. An unrecorded
+        # stage lowers the coverage of every run, a host stall inside
+        # the timed region that of one: judge the best of up to three.
+        coverages = [doc["circuits"][0]["stage_coverage"]]
+        while max(coverages) < 0.8 and len(coverages) < 3:
+            rerun = run_bench(names=["s298"], quick=True)
+            coverages.append(rerun["circuits"][0]["stage_coverage"])
+        assert all(0.0 < c <= 1.5 for c in coverages), coverages
+        assert max(coverages) >= 0.8, coverages
 
     def test_entries_are_json_serialisable(self, doc):
         json.dumps(doc)

@@ -6,6 +6,7 @@ boots the real daemon over a Unix socket in a subprocess and drives it
 with the real client — the same path CI's serve-smoke job exercises.
 """
 
+import io
 import json
 import os
 import signal
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,6 +156,63 @@ class TestJobQueue:
         assert q.cancel_queued(rec.id).state == "canceled"
         assert q.get(rec.id).state == "canceled"
         assert q.cancel_queued(rec.id) is None
+
+
+def _handler(queue, path):
+    """An HTTP request handler for ``GET path``, minus the socket."""
+    from repro.serve.server import _Handler
+
+    handler = _Handler.__new__(_Handler)
+    handler.server = SimpleNamespace(state=SimpleNamespace(queue=queue))
+    handler.path = path
+    handler.wfile = io.BytesIO()
+    handler.codes = []
+    handler.send_response = lambda code, *_a: handler.codes.append(code)
+    handler.send_header = lambda *_a: None
+    handler.end_headers = lambda: None
+    handler.do_GET()
+    return handler
+
+
+class TestTelemetryEndpoints:
+    def test_follow_sends_lines_written_before_the_job_ended(self, tmp_path):
+        """The worker writes its footer and the job turns terminal, both
+        between the follower's empty read and its state check: the
+        footer is still sent."""
+        queue = JobQueue(tmp_path / "spool")
+        path = queue.trace_path("j1")
+        path.write_text('{"schema": "repro-trace/2", "meta": {}}\n')
+        footer = '{"type": "run_end", "spans": 0}\n'
+
+        def _get(_job_id):
+            if not path.read_text().endswith(footer):
+                with open(path, "a") as fh:
+                    fh.write(footer)
+            return SimpleNamespace(terminal=True)
+
+        queue.get = _get
+        handler = _handler(queue, "/jobs/j1/events?follow=1")
+        assert handler.codes == [200]
+        assert handler.wfile.getvalue().decode() == path.read_text()
+
+    def test_trace_and_metrics_render_from_a_running_jobs_stream(self, tmp_path):
+        from repro.obs import TraceStream, Tracer
+
+        queue = JobQueue(tmp_path / "spool")
+        tracer = Tracer()
+        tracer.add_listener(TraceStream(queue.trace_path("j1"), {"job": "j1"}))
+        with tracer.span("plan"):
+            with tracer.span("lac/round", n_foa=2):
+                pass
+            trace = _handler(queue, "/jobs/j1/trace").wfile.getvalue()
+            metrics = _handler(queue, "/jobs/j1/metrics").wfile.getvalue()
+        lines = trace.decode().splitlines()
+        assert json.loads(lines[0]) == {
+            "schema": "repro-trace/1", "meta": {"job": "j1"}, "spans": 1,
+        }
+        assert [json.loads(line)["attrs"] for line in lines[1:]] == [{"n_foa": 2}]
+        assert "lac_rounds_total 1" in metrics.decode().splitlines()
+        assert _handler(queue, "/jobs/j2/trace").codes == [404]
 
 
 class _ScriptedSupervisor(Supervisor):
@@ -439,14 +498,12 @@ class TestServeEndToEnd:
             assert final["exit_code"] == EXIT_OK
             result = final["result"]
             assert result["circuit"] == "s27" and result["converged"]
-            # Telemetry endpoints serve the real wire formats.
-            events = client.events(doc["id"])
-            header = json.loads(events.splitlines()[0])
-            assert header["schema"] == "repro-events/1"
+            # Telemetry endpoints serve views of the job's one stream.
+            events = client.events(doc["id"]).splitlines()
+            assert json.loads(events[0])["schema"] == "repro-trace/2"
+            assert json.loads(events[-1])["type"] == "run_end"
             metrics = client.metrics(doc["id"])
-            assert json.loads(metrics.splitlines()[0])["schema"] == (
-                "repro-metrics/1"
-            )
+            assert "# TYPE stage_attempts_total counter" in metrics
             # Job listing includes the finished job.
             assert any(j["id"] == doc["id"] for j in client.jobs())
         finally:

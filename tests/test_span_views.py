@@ -5,7 +5,7 @@ stage span; the ledger (live or rebuilt from a trace file) and every
 planner metric are read back from the spans.
 """
 
-import io
+import json
 
 import pytest
 
@@ -13,9 +13,14 @@ from repro.core import plan_interconnect
 from repro.errors import PlanningError, RoutingError
 from repro.experiments.circuits import load_circuit, run_settings
 from repro.netlist import s27_graph
-from repro.obs import MetricsRegistry, ProgressStream, Tracer, read_trace
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    prometheus_lines,
+    read_trace,
+    replay_metrics,
+)
 from repro.obs.metrics import SPAN_METRICS, STAGE
-from repro.obs.progress import read_events
 from repro.resilience import (
     FaultInjector,
     FaultSpec,
@@ -126,8 +131,10 @@ S298_QUICK_SAMPLES = sorted([
               "repeater", "retime", "route", "tiles")
 ])
 
-#: The same run's progress stream, one letter per event: span_open,
-#: span_close, metrics, run_end.
+#: The same run's span open/close sequence, as its former
+#: ``repro-events/1`` stream recorded it, one letter per event:
+#: span_open, span_close, metrics (a snapshot after each stage close,
+#: which the trace stream does not repeat), run_end.
 S298_QUICK_EVENTS = (
     "ooococococcmooccmoocmooccmocmocmocmooococococococococococococococo"
     "cocccmoococoocccmcce"
@@ -135,22 +142,21 @@ S298_QUICK_EVENTS = (
 
 
 @pytest.fixture(scope="module")
-def s298_quick():
+def s298_quick(tmp_path_factory):
     graph, kwargs = load_circuit("s298")
     iterations, overrides = run_settings(quick=True)
-    metrics, tracer, out = MetricsRegistry(), Tracer(), io.StringIO()
-    progress = ProgressStream(out)
+    metrics, tracer = MetricsRegistry(), Tracer()
+    path = tmp_path_factory.mktemp("s298") / "s298.trace.jsonl"
     plan_interconnect(
         graph,
         max_iterations=iterations,
         tracer=tracer,
         metrics=metrics,
-        progress=progress,
+        trace_path=str(path),
         **kwargs,
         **overrides,
     )
-    progress.close(spans=len(tracer.spans))
-    return metrics, tracer, out.getvalue()
+    return metrics, tracer, path
 
 
 class TestDerivedMetrics:
@@ -168,14 +174,34 @@ class TestDerivedMetrics:
         )
         assert got == S298_QUICK_SAMPLES
 
-    def test_progress_event_sequence_unchanged(self, s298_quick, tmp_path):
-        _, _, text = s298_quick
-        path = tmp_path / "e.jsonl"
-        path.write_text(text)
-        letters = {"span_open": "o", "span_close": "c", "metrics": "m", "run_end": "e"}
-        assert "".join(letters[e["type"]] for e in read_events(path)) == (
-            S298_QUICK_EVENTS
+    def test_progress_event_sequence_unchanged(self, s298_quick):
+        _, _, path = s298_quick
+        letters = {"open": "o", "span": "c", "run_end": "e"}
+        lines = path.read_text().splitlines()[1:]
+        assert "".join(letters[json.loads(line)["type"]] for line in lines) == (
+            S298_QUICK_EVENTS.replace("m", "")
         )
+
+    def test_replayed_metrics_equal_the_live_registry(self, s298_quick):
+        """The trace alone rebuilds every span-derived metric: the
+        Prometheus text of the replay equals the live registry's for
+        every :data:`SPAN_METRICS` instrument."""
+        metrics, _, path = s298_quick
+        derived = {row.metric for rows in SPAN_METRICS.values() for row in rows}
+
+        def span_metric_text(registry):
+            view = MetricsRegistry()
+            view._metrics = {
+                key: inst
+                for key, inst in registry._metrics.items()
+                if inst.name in derived
+            }
+            return prometheus_lines(view)
+
+        replayed = replay_metrics(read_trace(path))
+        assert {inst.name for inst in replayed.instruments} <= derived
+        assert span_metric_text(replayed) == span_metric_text(metrics)
+        assert len(span_metric_text(metrics)) > 100
 
     def test_counts_equal_the_spans_they_view(self, s298_quick):
         metrics, tracer, _ = s298_quick
@@ -202,13 +228,20 @@ class TestRegistryListener:
         with tracer.span("compile", kind="stage") as span:
             span.set(status="ok", resumed=True, fallback="alt")
             span.event("attempt", variant="resumed", index=1, status="ok", seconds=0.0)
-        snapshot = metrics.snapshot()
-        assert snapshot == {
-            "stage_attempts_total{stage=compile,status=ok}": 1,
-            "stage_seconds{stage=compile}_count": 1,
-            "stage_seconds{stage=compile}_sum": 0.0,
-            "stage_fallbacks_total{stage=compile}": 1,
-        }
+        assert prometheus_lines(metrics) == [
+            "# TYPE stage_attempts_total counter",
+            'stage_attempts_total{stage="compile",status="ok"} 1',
+            "# TYPE stage_seconds histogram",
+            *(
+                f'stage_seconds_bucket{{stage="compile",le="{le}"}} 1'
+                for le in ("0.001", "0.005", "0.01", "0.05", "0.1", "0.5",
+                           "1", "5", "10", "50", "+Inf")
+            ),
+            'stage_seconds_sum{stage="compile"} 0',
+            'stage_seconds_count{stage="compile"} 1',
+            "# TYPE stage_fallbacks_total counter",
+            'stage_fallbacks_total{stage="compile"} 1',
+        ]
 
     def test_detached_registry_stops_counting(self):
         tracer, metrics = Tracer(), MetricsRegistry()
