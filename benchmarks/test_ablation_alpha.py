@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import lac_retiming
 from repro.experiments.fixtures import prepared_instance
+from repro.retime import IncrementalMinArea
 
 ALPHAS = [0.0, 0.1, 0.2, 0.4, 0.8, 1.0]
 
@@ -28,7 +29,7 @@ def run_alpha(instance, alpha):
         instance.grid,
         instance.t_clk,
         alpha=alpha,
-        system=instance.system,
+        solver=IncrementalMinArea(instance.expanded.graph, instance.system),
     )
 
 

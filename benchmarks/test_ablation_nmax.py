@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import lac_retiming
 from repro.experiments.fixtures import prepared_instance
+from repro.retime import IncrementalMinArea
 
 N_MAXES = [1, 2, 5, 10]
 
@@ -48,7 +49,7 @@ def test_nmax_sweep(benchmark, instance, n_max, nmax_results):
             instance.t_clk,
             n_max=n_max,
             max_rounds=60,
-            system=instance.system,
+            solver=IncrementalMinArea(instance.expanded.graph, instance.system),
         ),
         rounds=1,
         iterations=1,

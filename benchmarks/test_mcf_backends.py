@@ -11,7 +11,12 @@ their run times.
 import pytest
 
 from repro.experiments.fixtures import prepared_instance
-from repro.retime import min_area_retiming, normalise_labels, retiming_objective
+from repro.retime import (
+    IncrementalMinArea,
+    min_area_retiming,
+    normalise_labels,
+    retiming_objective,
+)
 from tests.oracles.mcf import solve_retiming_dual
 
 
@@ -30,9 +35,9 @@ def _native_total_ffs(instance) -> int:
 
 
 def _highs_total_ffs(instance) -> int:
-    return min_area_retiming(
-        instance.expanded.graph, instance.t_clk, system=instance.system
-    ).total_ffs
+    graph = instance.expanded.graph
+    solver = IncrementalMinArea(graph, instance.system)
+    return min_area_retiming(graph, instance.t_clk, solver=solver).total_ffs
 
 
 SOLVERS = {"highs": _highs_total_ffs, "native": _native_total_ffs}

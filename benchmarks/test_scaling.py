@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import lac_retiming
 from repro.experiments.fixtures import prepared_instance
-from repro.retime import min_area_retiming
+from repro.retime import IncrementalMinArea, min_area_retiming
 
 CIRCUITS = ["s298", "s641", "s1196"]
 
@@ -42,7 +42,9 @@ def test_lac_same_order_as_min_area(benchmark, name, scaling_results):
     graph = instance.expanded.graph
 
     t0 = time.perf_counter()
-    min_area_retiming(graph, instance.t_clk, system=instance.system)
+    min_area_retiming(
+        graph, instance.t_clk, solver=IncrementalMinArea(graph, instance.system)
+    )
     t_ma = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -52,7 +54,7 @@ def test_lac_same_order_as_min_area(benchmark, name, scaling_results):
             instance.expanded.unit_region,
             instance.grid,
             instance.t_clk,
-            system=instance.system,
+            solver=IncrementalMinArea(graph, instance.system),
         ),
         rounds=1,
         iterations=1,

@@ -14,6 +14,7 @@ import sys
 
 from repro.core import lac_retiming
 from repro.experiments.fixtures import prepared_instance
+from repro.retime import IncrementalMinArea
 
 
 def main(argv) -> int:
@@ -32,7 +33,7 @@ def main(argv) -> int:
             instance.grid,
             instance.t_clk,
             alpha=alpha,
-            system=instance.system,
+            solver=IncrementalMinArea(instance.expanded.graph, instance.system),
         )
         history = " ".join(str(foa) for foa, _nf in result.history)
         print(

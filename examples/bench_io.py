@@ -12,8 +12,9 @@ Usage::
 
 import sys
 
+from repro.compile import CompiledCircuit
 from repro.netlist import S27_BENCH, bench_to_graph, load_bench, parse_bench_text
-from repro.retime import clock_period, min_area_retiming, min_period_retiming
+from repro.retime import min_area_retiming, min_period_retiming
 
 
 def main(argv) -> int:
@@ -28,12 +29,15 @@ def main(argv) -> int:
     print(f"edges   : {graph.num_connections}")
     print(f"FFs     : {graph.total_flip_flops()}")
 
-    t_init = clock_period(graph)
-    t_min, _ = min_period_retiming(graph)
+    # One compile (W/D, candidate periods, FEAS arrays) serves both
+    # retimings; each would compile its own without it.
+    compiled = CompiledCircuit.compile(graph)
+    t_init = compiled.t_init
+    t_min, _ = min_period_retiming(graph, compiled=compiled)
     print(f"\nT_init  : {t_init:.2f} ns  (as written)")
     print(f"T_min   : {t_min:.2f} ns  (best achievable by retiming)")
 
-    result = min_area_retiming(graph, period=t_init)
+    result = min_area_retiming(graph, period=t_init, compiled=compiled)
     print(
         f"\nmin-area retiming at T={t_init:.2f}: "
         f"{graph.total_flip_flops()} -> {result.total_ffs} flip-flops, "

@@ -12,6 +12,7 @@ Usage::
     python examples/lac_vs_minarea.py
 """
 
+from repro.compile import CompiledCircuit
 from repro.core import area_report, lac_retiming
 from repro.netlist import CircuitGraph
 from repro.retime import min_area_retiming
@@ -51,10 +52,12 @@ def main() -> None:
     g, unit_region, grid = build_ring()
     period = 10.0
 
-    base = min_area_retiming(g, period)
+    # Both retimings read one compiled artifact of the ring.
+    compiled = CompiledCircuit.compile(g)
+    base = min_area_retiming(g, period, compiled=compiled)
     show("min-area", area_report(base.graph, unit_region, grid, TECH))
 
-    lac = lac_retiming(g, unit_region, grid, period, tech=TECH)
+    lac = lac_retiming(g, unit_region, grid, period, tech=TECH, compiled=compiled)
     show("LAC     ", lac.report)
     print(f"\nLAC used {lac.n_wr} weighted min-area solves; final tile "
           f"weights: { {t: round(w, 3) for t, w in sorted(lac.tile_weights.items())} }")

@@ -64,18 +64,22 @@ interrupted by SIGINT/SIGTERM — durable progress (checkpoints, trace)
 is flushed and the run is resumable with ``--resume`` when a
 ``--checkpoint-dir`` was given — ``5`` verification failed (a
 ``--verify`` run or a ``verify <target>`` audit hit a failing
-certificate), and ``6`` busy (``submit`` shed by a full or draining
-service; nothing was spooled). See :mod:`repro.cliutil` and the
-"Service" section of ``docs/api.md`` for the full contract.
+certificate), ``6`` busy (``submit`` shed by a full or draining
+service; nothing was spooled), and ``141`` when stdout's reader exits
+first (``trace summarize T | head``: no traceback). See
+:mod:`repro.cliutil` and the "Service" section of ``docs/api.md`` for
+the full contract.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from repro.cliutil import (
+    EXIT_BROKEN_PIPE,
     EXIT_BUSY,
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -85,6 +89,7 @@ from repro.cliutil import (
     EXIT_VERIFY_FAILED,
     install_interrupt_handlers,
     outcome_exit_code,
+    stdout_reader_gone,
 )
 
 
@@ -1121,7 +1126,17 @@ def main(argv=None) -> int:
             level=logging.DEBUG if args.verbose > 1 else logging.INFO,
             format="%(levelname).1s %(name)s: %(message)s",
         )
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not stdout_reader_gone():
+            raise  # another pipe broke, e.g. a service socket
+        # Send what is still buffered, and the interpreter's last flush,
+        # to /dev/null instead of raising again on the way out.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -42,14 +42,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InfeasiblePeriodError, RetimingError
+from repro.errors import InfeasiblePeriodError
 from repro.netlist.graph import CircuitGraph
 from repro.netlist.io import graph_to_dict
 from repro.obs import NOOP_TRACER
 from repro.retime.constraints import prune_redundant_arrays
 from repro.retime.feas_probe import FeasProbe
-from repro.retime.minperiod import clock_period
-from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
+from repro.retime.wd import WDMatrices, candidate_periods, clock_period, wd_matrices
 from repro.tech.params import DEFAULT_TECH, Technology
 
 #: On-disk artifact schema (also the fingerprint domain separator).
@@ -68,21 +67,29 @@ def _search_field():
 
 
 def _search_inputs(graph: CircuitGraph) -> dict:
-    """The memory-only fields of a compile of ``graph``, by name."""
+    """The memory-only fields of a compile of ``graph``, by name.
+
+    Raises :class:`~repro.errors.RetimingError` on a zero-weight cycle
+    (a combinational loop), including a zero-weight self-loop, which
+    the W/D matrices survive but the FEAS arrays do not.
+    """
     wd = wd_matrices(graph)
-    try:
-        feas: Optional[FeasProbe] = FeasProbe.build(graph)
-    except RetimingError:
-        # Rare (e.g. a zero-delay host with a zero-weight self-loop
-        # survives W/D but not the FEAS arc build); the solve falls
-        # back to the dense checker exactly as it would uncached.
-        feas = None
     return {
         "wd": wd,
         "candidates": candidate_periods(wd),
         "exact_candidates": candidate_periods(wd, tol=0.0),
-        "feas": feas,
+        "feas": FeasProbe.build(graph),
     }
+
+
+def _connection_arrays(
+    graph: CircuitGraph, index: Dict[str, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(conn_u, conn_v)``: both ends of every connection of ``graph``
+    as positions in ``index``, in connection order."""
+    conn = [(index[u], index[v]) for (u, v, _key), _w in graph.connections()]
+    arr = np.asarray(conn, dtype=np.int64).reshape(len(conn), 2)
+    return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
 
 def compile_fingerprint(
@@ -167,12 +174,8 @@ class CompiledCircuit:
         if fingerprint is None:
             fingerprint = compile_fingerprint(graph, tech, prune=prune)
         order = list(graph.units())
-        index = {v: i for i, v in enumerate(order)}
-        conn = [(index[u], index[v]) for (u, v, _key), _w in graph.connections()]
-        conn_arr = (
-            np.asarray(conn, dtype=np.int64).reshape(len(conn), 2)
-            if conn
-            else np.empty((0, 2), dtype=np.int64)
+        conn_u, conn_v = _connection_arrays(
+            graph, {v: i for i, v in enumerate(order)}
         )
         search = _search_inputs(graph)
         wd = search["wd"]
@@ -187,12 +190,47 @@ class CompiledCircuit:
             t_init=clock_period(graph, wd),
             max_delay=wd.max_vertex_delay(),
             n_candidates=len(search["candidates"]),
-            conn_u=np.ascontiguousarray(conn_arr[:, 0]),
-            conn_v=np.ascontiguousarray(conn_arr[:, 1]),
+            conn_u=conn_u,
+            conn_v=conn_v,
             components=_canonical_components(graph.weakly_connected_components()),
             clock_pair_sets={},
             **search,
         )
+
+    @classmethod
+    def for_graph(
+        cls, graph: CircuitGraph, compiled: Optional["CompiledCircuit"] = None
+    ) -> "CompiledCircuit":
+        """The artifact a retiming entry point reads: ``compiled``, once
+        :meth:`check_graph` accepts ``graph``, or a fresh compile of
+        ``graph``."""
+        if compiled is None:
+            return cls.compile(graph)
+        compiled.check_graph(graph)
+        return compiled
+
+    def check_graph(self, graph: CircuitGraph) -> None:
+        """Refuse a graph this artifact was not compiled from.
+
+        Compares the vertex order and the connection arrays, so the
+        artifact of another circuit is refused even when it has as many
+        units under the same names.
+
+        Raises:
+            ValueError: ``graph`` has other units or connections.
+        """
+        same = list(graph.units()) == self.order
+        if same:
+            conn_u, conn_v = _connection_arrays(graph, self.index)
+            same = np.array_equal(conn_u, self.conn_u) and np.array_equal(
+                conn_v, self.conn_v
+            )
+        if not same:
+            raise ValueError(
+                f"graph {graph.name!r} does not match compiled artifact "
+                f"{self.fingerprint[:16]} ({self.circuit}): its units or "
+                "connections differ"
+            )
 
     def __getstate__(self) -> dict:
         # Pickle the replay record only: the search inputs are >97% of
@@ -269,10 +307,8 @@ class CompiledCircuit:
         needs the W/D matrices and so may rebuild the search inputs
         from ``graph`` (required then). Raises
         :class:`InfeasiblePeriodError` when a single unit's delay
-        exceeds the period, mirroring
-        :func:`repro.retime.constraints.clock_constraints` so the
-        planner's degrade path behaves identically with or without an
-        artifact.
+        exceeds the period (no retiming can fix that), which sends the
+        planner down its degrade path.
         """
         if self.max_delay > period:
             raise InfeasiblePeriodError(
@@ -295,10 +331,9 @@ class CompiledCircuit:
         self.dirty = True
         return pairs
 
-    def feas_probe(self) -> Optional[FeasProbe]:
+    def feas_probe(self) -> FeasProbe:
         """The FEAS engine with per-run scratch state reset."""
-        if self.feas is not None:
-            self.feas.last_rounds = 0
+        self.feas.last_rounds = 0
         return self.feas
 
     def note_min_period(self, t_min: float, labels: Dict[str, int]) -> None:

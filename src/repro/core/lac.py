@@ -37,7 +37,6 @@ from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import IO_REGION
 from repro.retime.incremental import IncrementalMinArea
 from repro.retime.minarea import RetimingResult
-from repro.retime.wd import WDMatrices, wd_matrices
 from repro.tech.params import DEFAULT_TECH, Technology
 from repro.tiles.grid import TileGrid
 
@@ -75,8 +74,6 @@ def lac_retiming(
     n_max: int = 5,
     max_rounds: int = 30,
     prune: bool = True,
-    wd: Optional[WDMatrices] = None,
-    system=None,
     tracer=None,
     compiled=None,
     solver: Optional[IncrementalMinArea] = None,
@@ -94,23 +91,19 @@ def lac_retiming(
         n_max: Stop after this many consecutive non-improving rounds.
         max_rounds: Hard cap on weighted min-area solves.
         prune: Apply clocking-constraint redundancy pruning.
-        wd: Optional precomputed W/D matrices.
-        system: Optional precomputed constraint system for ``period``
-            (the planner shares one system between the min-area
-            baseline and LAC, since both retime at the same target).
         tracer: Optional :class:`repro.obs.Tracer`; each weighted
             min-area round becomes a ``lac/round`` span carrying the
             round's ``N_FOA``/``N_F``, weighted-FF objective, per-tile
             violations and weight spread, plus ``replayed=True`` when
             the solver replayed its previous solve.
-        compiled: Optional :class:`repro.compile.CompiledCircuit` of
-            this graph; supplies precomputed pruned clocking pairs and
-            the incremental solver's gather arrays.
-        solver: Optional :class:`IncrementalMinArea` over ``system``
-            (``system``, ``wd`` and ``prune`` are then unused). The
-            planner passes the one its min-area baseline solved with
-            uniform weights, so round 1 replays that solve and round 2
-            warm-starts from its basis.
+        compiled: The :class:`repro.compile.CompiledCircuit` of this
+            graph (compiled here if omitted); supplies the clocking
+            pairs and the incremental solver's gather arrays.
+        solver: Optional :class:`IncrementalMinArea` over this graph's
+            constraint system for ``period`` (``prune`` and
+            ``compiled`` are then unused). The planner passes the one
+            its min-area baseline solved with uniform weights, so round
+            1 replays that solve and round 2 warm-starts from its basis.
 
     Raises:
         InfeasiblePeriodError: ``period`` is unachievable (from the
@@ -131,15 +124,12 @@ def lac_retiming(
     # previous optimum. Rounds are scored from labels; the retimed
     # graph is materialised only once, for the winner.
     if solver is None:
-        if system is None:
-            if wd is None and compiled is None:
-                wd = wd_matrices(graph)
-            # Clocking constraints are generated once — the heuristic's
-            # key run-time property (Section 4.2).
-            system = build_constraint_system(
-                graph, wd, period, prune=prune, compiled=compiled, tracer=tracer
-            )
-        solver = IncrementalMinArea(graph, system, compiled=compiled)
+        # Clocking constraints are generated once — the heuristic's
+        # key run-time property (Section 4.2).
+        system = build_constraint_system(
+            graph, period, prune=prune, compiled=compiled, tracer=tracer
+        )
+        solver = IncrementalMinArea(graph, system)
     accountant = AreaAccountant(graph, unit_region)
 
     regions = set(unit_region.values())

@@ -420,7 +420,6 @@ def _run_iteration_stages(
         with tracer.span("retime/constraints", period=period, prune=prune) as sp:
             system = build_constraint_system(
                 expanded.graph,
-                None,
                 period,
                 prune=prune,
                 compiled=compiled,
@@ -433,7 +432,7 @@ def _run_iteration_stages(
         # baseline solves with exactly those weights and LAC's round 1
         # replays the solve (an infeasible period surfaces here, from
         # the solver's Bellman-Ford).
-        solver = IncrementalMinArea(expanded.graph, system, compiled=compiled)
+        solver = IncrementalMinArea(expanded.graph, system)
         min_area_timed: Optional[TimedRetiming] = None
         if config.run_baseline:
             with tracer.span("retime/min_area", period=period) as sp:
@@ -486,7 +485,7 @@ def _run_iteration_stages(
                 return _RetimeOutcome(None, None, 0.0, t_clk, infeasible=True)
             compiled.rebuild_search_inputs(expanded.graph, "degrade", tracer=tracer)
             relaxed = find_relaxed_period(
-                expanded.graph, t_clk, t_init, wd=compiled.wd
+                expanded.graph, t_clk, t_init, compiled=compiled
             )
             if relaxed is None:
                 log.warning(

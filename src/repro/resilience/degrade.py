@@ -15,44 +15,45 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.compile.artifact import CompiledCircuit
 from repro.netlist.graph import CircuitGraph
 from repro.retime.fastcheck import FeasibilityChecker
-from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
+from repro.retime.minperiod import bisect_feasible
 
 
 def find_relaxed_period(
     graph: CircuitGraph,
     t_clk: float,
     t_init: float,
-    wd: Optional[WDMatrices] = None,
+    compiled: Optional[CompiledCircuit] = None,
     slack: float = 1e-9,
 ) -> Optional[float]:
     """Smallest achievable period in ``(t_clk, t_init]``, or ``None``.
 
-    Candidates are the distinct finite ``D`` values plus ``t_init``
-    itself; each probe is the dense checker's
-    :meth:`~repro.retime.fastcheck.FeasibilityChecker.labels`, i.e. the
+    Candidates are the distinct finite ``D`` values of ``compiled`` (a
+    :class:`~repro.compile.CompiledCircuit` of ``graph``, compiled here
+    if omitted; its search inputs are rebuilt if it was loaded without
+    them) plus ``t_init`` itself. The search is the min-period
+    bisection (:func:`~repro.retime.minperiod.bisect_feasible`); each
+    probe is the dense checker's
+    :meth:`~repro.retime.fastcheck.FeasibilityChecker.check`, i.e. the
     retiming engine's one Bellman–Ford kernel from all-zero labels.
     Returns ``None`` when no candidate in range is feasible (only
     possible when ``t_init`` is not actually the circuit's current
     period).
     """
-    if wd is None:
-        wd = wd_matrices(graph)
+    compiled = CompiledCircuit.for_graph(graph, compiled)
+    compiled.rebuild_search_inputs(graph, "degrade")
     candidates = [
-        p for p in candidate_periods(wd) if t_clk + slack < p <= t_init + slack
+        p for p in compiled.candidates if t_clk + slack < p <= t_init + slack
     ]
     if not candidates or candidates[-1] < t_init - slack:
         candidates.append(t_init)
 
-    checker = FeasibilityChecker.build(graph, wd)
-    if checker.labels(candidates[-1]) is None:
+    checker = FeasibilityChecker.build(graph, compiled.wd)
+    if checker.check(candidates[-1]) is None:
         return None
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if checker.labels(candidates[mid]) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
+    first, _labels = bisect_feasible(
+        0, len(candidates) - 1, lambda i, _warm: checker.check(candidates[i])
+    )
+    return float(candidates[first])

@@ -4,12 +4,11 @@ from repro.retime.constraints import (
     Constraint,
     ConstraintSystem,
     build_constraint_system,
-    clock_constraints,
     edge_constraints,
     host_constraints,
-    prune_redundant,
+    prune_redundant_arrays,
 )
-from repro.retime.feas_probe import FeasProbe, FeasUndecidedError
+from repro.retime.feas_probe import FeasProbe
 from repro.retime.incremental import IncrementalMinArea, IncrementalStats
 from repro.retime.minarea import (
     RetimingResult,
@@ -17,8 +16,8 @@ from repro.retime.minarea import (
     normalise_labels,
     retiming_objective,
 )
-from repro.retime.minperiod import clock_period, min_period_retiming
-from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
+from repro.retime.minperiod import min_period_retiming
+from repro.retime.wd import WDMatrices, candidate_periods, clock_period, wd_matrices
 
 __all__ = [
     "WDMatrices",
@@ -28,11 +27,9 @@ __all__ = [
     "ConstraintSystem",
     "edge_constraints",
     "host_constraints",
-    "clock_constraints",
-    "prune_redundant",
+    "prune_redundant_arrays",
     "build_constraint_system",
     "FeasProbe",
-    "FeasUndecidedError",
     "IncrementalMinArea",
     "IncrementalStats",
     "RetimingResult",

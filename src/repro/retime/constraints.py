@@ -14,28 +14,35 @@ A retiming problem is a set of difference constraints
 
 The paper notes (Section 5) that constraint generation dominates
 min-area retiming run time, and that the Maheshwari–Sapatnekar
-reduction would cut it further; :func:`prune_redundant` implements a
-reduction in that spirit. A clocking constraint ``(u, v)`` is dropped
-when a vertex ``x`` on a minimum-weight ``u -> v`` path (witnessed by
-``W(u,x) + W(x,v) == W(u,v)``) carries a kept clocking constraint
-``(u, x)`` or ``(x, v)``: the witness constraint plus the chain of edge
-constraints along the minimum-weight path already implies the dropped
-one. Because the graph has no zero-weight cycles, the "implied-by"
+reduction would cut it further; :func:`prune_redundant_arrays`
+implements a reduction in that spirit. A clocking constraint ``(u, v)``
+is dropped when a vertex ``x`` on a minimum-weight ``u -> v`` path
+(witnessed by ``W(u,x) + W(x,v) == W(u,v)``) carries a kept clocking
+constraint ``(u, x)`` or ``(x, v)``: the witness constraint plus the
+chain of edge constraints along the minimum-weight path already implies
+the dropped one. Because the graph has no zero-weight cycles, the "implied-by"
 relation is acyclic, so pruning with witnesses is sound. Only the graph
 neighbours of the pair's endpoints need testing as witnesses (the
 neighbour-witness lemma, proved in ``docs/algorithms.md`` §3).
+
+:func:`build_constraint_system` reads the clocking pairs and their
+bounds from a :class:`repro.compile.CompiledCircuit`, which generates
+them once per ``(period, prune)`` and keeps them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InfeasiblePeriodError, RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.retime.wd import WDMatrices
+
+if TYPE_CHECKING:
+    from repro.compile.artifact import CompiledCircuit
+
 
 @dataclasses.dataclass(frozen=True)
 class Constraint:
@@ -49,10 +56,13 @@ class Constraint:
 
 @dataclasses.dataclass
 class ConstraintSystem:
-    """All difference constraints of one retiming problem."""
+    """All difference constraints of one retiming problem, with the
+    compiled artifact of the graph they were generated for (whose
+    vertex order and connection arrays the min-area solver reads)."""
 
     constraints: List[Constraint]
-    period: Optional[float] = None
+    period: Optional[float]
+    compiled: "CompiledCircuit" = dataclasses.field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -82,47 +92,6 @@ def host_constraints(graph: CircuitGraph) -> List[Constraint]:
     return out
 
 
-def clock_constraints_from_pairs(
-    wd: WDMatrices, rows: np.ndarray, cols: np.ndarray
-) -> List[Constraint]:
-    """Materialise Eqn. (2) constraints from index-pair arrays."""
-    bounds = wd.w[rows, cols].astype(np.int64) - 1
-    return clock_constraints_from_bounds(wd.order, rows, cols, bounds)
-
-
-def clock_constraints_from_bounds(
-    names: List[str], rows: np.ndarray, cols: np.ndarray, bounds: np.ndarray
-) -> List[Constraint]:
-    """Eqn. (2) constraints from index pairs and their stored bounds
-    ``W(u, v) - 1``: no W matrix needed."""
-    return [
-        Constraint(names[i], names[j], int(b), "clock")
-        for i, j, b in zip(rows.tolist(), cols.tolist(), bounds.tolist())
-    ]
-
-
-def clock_constraints(
-    graph: CircuitGraph,
-    wd: WDMatrices,
-    period: float,
-    prune: bool = False,
-) -> List[Constraint]:
-    """Eqn. (2) for a target clock period.
-
-    Raises :class:`InfeasiblePeriodError` immediately if some single
-    unit's delay already exceeds the period (no retiming can fix that).
-    """
-    max_d = wd.max_vertex_delay()
-    if max_d > period:
-        raise InfeasiblePeriodError(
-            period, f"a single unit has delay {max_d} > period {period}"
-        )
-    rows, cols = wd.pairs_exceeding_arrays(period)
-    if prune:
-        rows, cols = prune_redundant_arrays(wd, period, rows, cols)
-    return clock_constraints_from_pairs(wd, rows, cols)
-
-
 #: Witness candidates (pair x neighbour edge) gathered per step of
 #: :func:`_prune_keep_mask`: bounds its temporary arrays to a few MiB
 #: however the endpoint degrees are distributed.
@@ -134,7 +103,7 @@ def _prune_keep_mask(
 ) -> np.ndarray:
     """Keep-mask over clocking pairs ``(src[k], dst[k])``.
 
-    Implements the :func:`prune_redundant` predicate, testing only the
+    Implements the :func:`prune_redundant_arrays` predicate, testing only the
     graph neighbours of each pair's endpoints as witnesses (the
     neighbour-witness lemma): ``(i, j)`` is redundant iff
 
@@ -208,18 +177,9 @@ def _prune_keep_mask(
 def prune_redundant_arrays(
     wd: WDMatrices, period: float, src: np.ndarray, dst: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Array-native :func:`prune_redundant`: filter ``(src, dst)`` pair
-    arrays to the non-redundant subset, preserving order."""
-    if src.size == 0:
-        return src, dst
-    keep = _prune_keep_mask(wd, period, src, dst)
-    return src[keep], dst[keep]
-
-
-def prune_redundant(
-    wd: WDMatrices, period: float, pairs: List[Tuple[int, int]]
-) -> List[Tuple[int, int]]:
-    """Drop clocking constraints implied by others plus edge chains.
+    """Drop clocking constraints implied by others plus edge chains:
+    filter the ``(src, dst)`` pair arrays to the non-redundant subset,
+    preserving order.
 
     For pair ``(u, v)``: any ``x`` distinct from both endpoints with
     ``W(u,x) + W(x,v) == W(u,v)`` lies on a minimum-weight path, so the
@@ -227,43 +187,45 @@ def prune_redundant(
     bounds ``W(u,x)`` / ``W(x,v)``. If additionally ``D(u,x) > T`` (or
     ``D(x,v) > T``) the clocking constraint through ``x`` composes with
     the chain to a bound ``<= W(u,v) - 1``, making ``(u, v)`` redundant.
-
-    Thin list wrapper over :func:`prune_redundant_arrays`.
     """
-    if not pairs:
-        return pairs
-    src = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-    dst = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+    if src.size == 0:
+        return src, dst
     keep = _prune_keep_mask(wd, period, src, dst)
-    return [p for p, k in zip(pairs, keep.tolist()) if k]
+    return src[keep], dst[keep]
 
 
 def build_constraint_system(
     graph: CircuitGraph,
-    wd: Optional[WDMatrices],
     period: Optional[float],
     prune: bool = False,
-    compiled=None,
+    compiled: Optional["CompiledCircuit"] = None,
     tracer=None,
 ) -> ConstraintSystem:
     """Assemble edge + host (+ clocking, if a period is given) constraints.
 
-    When a :class:`repro.compile.CompiledCircuit` for the same graph is
-    supplied, ``wd`` is unused: the clocking pairs and their bounds
-    come from the artifact's per-period pair cache (computed once per
-    period, persisted in the artifact) instead of being re-derived
-    from the dense W/D matrices. ``tracer`` records the artifact's
-    ``compile/rebuild`` span if a new period needs its search inputs.
+    The clocking pairs and their bounds come from ``compiled`` (a
+    :class:`repro.compile.CompiledCircuit` of ``graph``, compiled here
+    if omitted), whose per-``(period, prune)`` pair cache generates
+    them once and keeps them in the artifact. ``tracer`` records the
+    artifact's ``compile/rebuild`` span if a new period needs its
+    search inputs.
+
+    Raises:
+        InfeasiblePeriodError: A single unit's delay exceeds ``period``.
+        ValueError: ``compiled`` is the artifact of another graph.
     """
+    # repro.compile imports this module, so the artifact class loads late.
+    from repro.compile.artifact import CompiledCircuit
+
+    compiled = CompiledCircuit.for_graph(graph, compiled)
     constraints = edge_constraints(graph) + host_constraints(graph)
     if period is not None:
-        if compiled is not None:
-            rows, cols, bounds = compiled.clock_pairs(
-                period, prune=prune, graph=graph, tracer=tracer
-            )
-            constraints += clock_constraints_from_bounds(
-                compiled.order, rows, cols, bounds
-            )
-        else:
-            constraints += clock_constraints(graph, wd, period, prune=prune)
-    return ConstraintSystem(constraints=constraints, period=period)
+        rows, cols, bounds = compiled.clock_pairs(
+            period, prune=prune, graph=graph, tracer=tracer
+        )
+        names = compiled.order
+        constraints += [
+            Constraint(names[i], names[j], b, "clock")
+            for i, j, b in zip(rows.tolist(), cols.tolist(), bounds.tolist())
+        ]
+    return ConstraintSystem(constraints, period, compiled)

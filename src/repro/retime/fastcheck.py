@@ -335,14 +335,3 @@ class FeasibilityChecker:
             c = out.cycle
             self.last_cycle = np.stack([arcs.u[c], arcs.v[c], arcs.b[c]], axis=1)
         return out.labels
-
-    def labels(self, period: float) -> Optional[Dict[str, int]]:
-        """Like :meth:`check` but mapped back to unit names.
-
-        Labels are raw Bellman–Ford potentials; callers normalise hosts
-        to 0 with :func:`repro.retime.minarea.normalise_labels`.
-        """
-        dist = self.check(period)
-        if dist is None:
-            return None
-        return {v: int(dist[i]) for v, i in self.wd.index.items()}

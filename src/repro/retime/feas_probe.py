@@ -58,7 +58,7 @@ probes cheap as well.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -66,12 +66,6 @@ from repro.errors import RetimingError
 from repro.netlist.graph import CircuitGraph
 
 _EPS = 1e-9
-
-
-class FeasUndecidedError(RetimingError):
-    """The safety-valve round cap fired before FEAS converged or the
-    infeasibility certificate triggered (pathological instances only);
-    callers should fall back to the Bellman–Ford checker."""
 
 
 @dataclasses.dataclass
@@ -84,7 +78,6 @@ class FeasProbe:
     tied host vertices.
     """
 
-    order: List[str]
     index: Dict[str, int]
     n: int
     eu: np.ndarray
@@ -145,7 +138,6 @@ class FeasProbe:
             sorted(index[h] for h in graph.host_units()), dtype=np.int64
         )
         probe = cls(
-            order=order,
             index=index,
             n=n,
             eu=eu,
@@ -285,44 +277,23 @@ class FeasProbe:
         return None
 
     # ------------------------------------------------------------------
-    def probe(
-        self, period: float, start: Optional[np.ndarray] = None
-    ) -> Optional[np.ndarray]:
-        """Labels achieving ``period``, or ``None`` (sound, exact).
-
-        ``start`` warm-starts the iteration and must be a *legal*
-        retiming (non-negative retimed weights, hosts tied), e.g. the
-        witness of a feasible probe at a larger period. The returned
-        array is freshly allocated and safe to reuse as the next warm
-        start. Raises :class:`FeasUndecidedError` if the safety-valve
-        round cap fires (never observed in practice; callers fall back
-        to :class:`~repro.retime.fastcheck.FeasibilityChecker`).
-        """
-        if self.max_delay > period:
-            self.last_rounds = 0
-            return None
-        r = self._start_labels(start)
-        # The certificate needs at most |V| increments of one vertex;
-        # 8 * (n + 1) rounds is a generous allowance for how they may
-        # interleave before a pathological instance is declared stuck.
-        verdict = self._iterate(period, r, 8 * (self.n + 1))
-        if verdict is None:
-            raise FeasUndecidedError(
-                f"FEAS undecided after {8 * (self.n + 1)} rounds at "
-                f"period {period}"
-            )
-        return r if verdict else None
-
     def probe_budget(
         self, period: float, start: Optional[np.ndarray], rounds: int
     ) -> Tuple[bool, Optional[np.ndarray]]:
         """Best-effort probe under a round budget.
 
-        Returns ``(True, labels)`` when the period verified within the
-        budget, else ``(False, None)`` — which means *not verified*,
-        not necessarily infeasible. The caller owns re-checking any
-        boundary it derives from unverified probes with :meth:`probe`
-        (see the min-period search).
+        ``start`` warm-starts the iteration and must be a *legal*
+        retiming (non-negative retimed weights, hosts tied), e.g. the
+        witness of a feasible probe at a larger period; ``None`` starts
+        from all-zero labels. Returns ``(True, labels)`` when the period
+        verified within ``rounds`` FEAS rounds (``labels`` is freshly
+        allocated and safe to reuse as the next warm start), else
+        ``(False, None)`` — which means *not verified*, not necessarily
+        infeasible: the caller owns re-checking any boundary it derives
+        from unverified probes (the min-period search certifies it on
+        the Bellman–Ford checker). The infeasibility certificate needs
+        at most ``|V|`` increments of one vertex, so a budget of
+        ``8 * (n + 1)`` rounds decides every instance seen in practice.
         """
         if self.max_delay > period:
             self.last_rounds = 0
@@ -331,17 +302,3 @@ class FeasProbe:
         if self._iterate(period, r, rounds):
             return True, r
         return False, None
-
-    def label_dict(self, r: np.ndarray) -> Dict[str, int]:
-        """Map a label array back to unit names, hosts pinned to 0."""
-        shift = int(r[self.host_idx[0]]) if self.host_idx.size else 0
-        return {v: int(r[i]) - shift for v, i in self.index.items()}
-
-    def labels(
-        self, period: float, start: Optional[np.ndarray] = None
-    ) -> Optional[Dict[str, int]]:
-        """Like :meth:`probe`, mapped back to unit names (hosts at 0)."""
-        r = self.probe(period, start=start)
-        if r is None:
-            return None
-        return self.label_dict(r)

@@ -218,10 +218,13 @@ class IncrementalMinArea:
 
     Args:
         graph: The circuit the constraint system was generated for
-            (not modified; only its structure and connections are
-            read, once, at construction).
+            (not modified; only its hosts are read, when labels are
+            normalised).
         system: The difference-constraint system (edge + host +
-            clocking) for the target period.
+            clocking) for the target period, from
+            :func:`~repro.retime.constraints.build_constraint_system`;
+            its compiled artifact supplies the vertex order, the
+            objective gather arrays and the component list.
 
     The solving engine (``stats.engine``) is ``"highs"`` when scipy's
     bindings load and accept the model, else ``"linprog"``.
@@ -230,28 +233,17 @@ class IncrementalMinArea:
         InfeasiblePeriodError: The system has no solution (negative
             constraint cycle) — raised at construction, since no
             reweighting can fix it.
+        ValueError: ``system`` was generated for another graph.
     """
 
-    def __init__(
-        self,
-        graph: CircuitGraph,
-        system: ConstraintSystem,
-        compiled=None,
-    ):
+    def __init__(self, graph: CircuitGraph, system: ConstraintSystem):
         start = time.perf_counter()
+        compiled = system.compiled
+        compiled.check_graph(graph)
         self.graph = graph
         self.system = system
-        # A CompiledCircuit of the same graph already holds the vertex
-        # order, the objective gather arrays and the component list —
-        # reuse them instead of re-walking the graph.
-        reuse = compiled is not None and getattr(compiled, "n", -1) == graph.num_units
-        if reuse:
-            self._order: List[str] = list(compiled.order)
-            index = compiled.index
-        else:
-            self._order = list(graph.units())
-            index = {u: i for i, u in enumerate(self._order)}
-        self._index = index
+        self._order: List[str] = compiled.order
+        index = compiled.index
         n = len(self._order)
 
         # one arc per (u, v) pair, collapsed to the tightest bound.
@@ -267,19 +259,9 @@ class IncrementalMinArea:
 
         # objective machinery: each connection (u, v) adds the scaled
         # fanin weight A(u) to c_v and subtracts it from c_u.
-        if reuse:
-            self._conn_u = compiled.conn_u
-            self._conn_v = compiled.conn_v
-            self._components = compiled.components
-        else:
-            conn_u = []
-            conn_v = []
-            for (u, v, _key), _w in graph.connections():
-                conn_u.append(index[u])
-                conn_v.append(index[v])
-            self._conn_u = np.asarray(conn_u, dtype=np.int64)
-            self._conn_v = np.asarray(conn_v, dtype=np.int64)
-            self._components = graph.weakly_connected_components()
+        self._conn_u = compiled.conn_u
+        self._conn_v = compiled.conn_v
+        self._components = compiled.components
 
         # Feasibility runs once whichever engine solves.
         arcs = group_arcs(n, tails, heads, bounds)

@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from repro.errors import InfeasibleConstraintsError, InfeasiblePeriodError
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import ConstraintSystem, build_constraint_system
-from repro.retime.wd import WDMatrices, wd_matrices
+from repro.retime.constraints import build_constraint_system
 
 if TYPE_CHECKING:
     from repro.retime.incremental import IncrementalMinArea
@@ -113,9 +112,8 @@ def min_area_retiming(
     graph: CircuitGraph,
     period: float,
     weights: Optional[Mapping[str, float]] = None,
-    wd: Optional[WDMatrices] = None,
-    system: Optional[ConstraintSystem] = None,
     prune: bool = False,
+    compiled=None,
     solver: Optional["IncrementalMinArea"] = None,
 ) -> RetimingResult:
     """Exact (weighted) minimum-area retiming for a target clock period.
@@ -125,16 +123,15 @@ def min_area_retiming(
         period: Target clock period ``T_clk``.
         weights: Optional per-unit area weights ``A(v)``; uniform if
             omitted.
-        wd: Precomputed W/D matrices (computed here if omitted).
-        system: Precomputed constraint system for this ``period``; the
-            paper's LAC loop exploits this to generate clocking
-            constraints only once.
         prune: Apply redundancy pruning when generating constraints.
+        compiled: The :class:`repro.compile.CompiledCircuit` of
+            ``graph`` the constraints are read from (compiled here if
+            omitted).
         solver: An :class:`~repro.retime.incremental.IncrementalMinArea`
-            over this graph's constraint system for ``period``; built
-            here if omitted. The planner passes the one LAC-retiming
-            re-solves, so the baseline and LAC's first round share a
-            solve.
+            over this graph's constraint system for ``period``
+            (``prune`` and ``compiled`` are then unused); built here if
+            omitted. The planner passes the one LAC-retiming re-solves,
+            so the baseline and LAC's first round share a solve.
 
     Raises:
         InfeasiblePeriodError: No retiming meets the period.
@@ -144,10 +141,7 @@ def min_area_retiming(
     from repro.retime.incremental import IncrementalMinArea
 
     if solver is None:
-        if system is None:
-            if wd is None:
-                wd = wd_matrices(graph)
-            system = build_constraint_system(graph, wd, period, prune=prune)
+        system = build_constraint_system(graph, period, prune=prune, compiled=compiled)
         solver = IncrementalMinArea(graph, system)
     try:
         labels = solver.solve(weights)

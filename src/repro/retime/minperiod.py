@@ -3,8 +3,8 @@
 A classic Leiserson–Saxe result: the minimum achievable clock period is
 always one of the finitely many distinct ``D(u, v)`` values, and a
 period ``T`` is achievable iff the edge + clocking difference
-constraints for ``T`` are satisfiable. Feasibility probes run, by
-default, on the sparse vectorised FEAS engine
+constraints for ``T`` are satisfiable. Feasibility probes run on the
+sparse vectorised FEAS engine
 (:mod:`repro.retime.feas_probe`); the search exploits three facts:
 
 * candidates below the maximum single-vertex delay are infeasible and
@@ -37,19 +37,29 @@ never a wrong ``T_min``.
 The dense checker (:class:`repro.retime.fastcheck.FeasibilityChecker`,
 on the retiming engine's one Bellman–Ford kernel
 :func:`~repro.retime.fastcheck.relax`) certifies the boundary
-candidate, and runs the whole search when :meth:`FeasProbe.build`
-rejects the graph. Its infeasible verdicts come with a negative cycle
-of the period's constraint system; the ``feas/certify``,
-``feas/refine`` and fallback ``feas/probe`` spans record the kernel's
-``rounds`` and, when infeasible, the cycle's length (``cycle_len``).
+candidate. Its infeasible verdicts come with a negative cycle of the
+period's constraint system; the ``feas/certify`` and ``feas/refine``
+spans record the kernel's ``rounds`` and, when infeasible, the cycle's
+length (``cycle_len``).
+
+Everything the search reads — vertex order, W/D matrices, candidate
+sets, FEAS arrays — comes from one
+:class:`~repro.compile.CompiledCircuit`, and all three orders are
+``list(graph.units())``, so labels pass between the FEAS engine, the
+dense checker and the artifact as one int64 array. A graph with a
+zero-weight cycle (a combinational loop) has no FEAS arrays; compiling
+it raises :class:`~repro.errors.RetimingError`, as
+:meth:`CircuitGraph.validate` does.
 
 The search runs over *merged* candidates (:func:`candidate_periods`
 collapses float-noise runs of ``D`` values), so every search finishes
 with an exact-tie refinement: a warm-started bisection over the few
 exact ``D`` values inside the winning run, decided by the exact
 checker (:meth:`FeasibilityChecker.refine`). ``T_min`` is therefore
-the minimum over the *exact* candidate set and does not depend on
-which checker decided the search.
+the minimum over the *exact* candidate set, not the merged one. The
+FEAS phase, the refinement and the degrade path's
+:func:`~repro.resilience.degrade.find_relaxed_period` share one
+bisection, :func:`bisect_feasible`.
 
 The paper uses min-period retiming to establish ``T_min``, then sets
 ``T_clk`` 20% of the way from ``T_min`` up to ``T_init``.
@@ -59,17 +69,15 @@ from __future__ import annotations
 
 import bisect
 import logging
-from typing import Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InfeasiblePeriodError, RetimingError
+from repro.errors import RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.obs import NOOP_TRACER
 from repro.retime.fastcheck import FeasibilityChecker
-from repro.retime.feas_probe import FeasProbe
 from repro.retime.minarea import RetimingResult, normalise_labels
-from repro.retime.wd import WDMatrices, candidate_periods, wd_matrices
 
 log = logging.getLogger(__name__)
 
@@ -79,18 +87,32 @@ log = logging.getLogger(__name__)
 _INITIAL_BUDGET = 8
 
 
-def clock_period(graph: CircuitGraph, wd: Optional[WDMatrices] = None) -> float:
-    """Current clock period: the longest register-free path delay.
+def bisect_feasible(
+    lo: int,
+    hi: int,
+    probe: Callable[[int, Optional[np.ndarray]], Optional[np.ndarray]],
+    witness: Optional[np.ndarray] = None,
+) -> Tuple[int, Optional[np.ndarray]]:
+    """The first index in ``[lo, hi)`` that ``probe`` accepts.
 
-    Computed as the maximum ``D(u, v)`` over pairs with
-    ``W(u, v) == 0`` (plus single-vertex delays on the diagonal).
+    ``probe(i, witness)`` returns a witness (accepted) or ``None``
+    (rejected); acceptance must be monotone in ``i``. Every probe gets
+    the witness of the last accepted one as its warm start (the given
+    ``witness`` until one is accepted). Returns ``(i, witness)``, with
+    ``i == hi`` and the given ``witness`` when none was accepted.
+
+    The one bisection of the period searches: the FEAS phase and the
+    exact-tie refinement here, and
+    :func:`repro.resilience.degrade.find_relaxed_period`.
     """
-    if wd is None:
-        wd = wd_matrices(graph)
-    zero_weight = np.isfinite(wd.w) & (wd.w == 0)
-    if not zero_weight.any():
-        return wd.max_vertex_delay()
-    return float(wd.d[zero_weight].max())
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = probe(mid, witness)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, witness = mid, found
+    return hi, witness
 
 
 def _record_verdict(span, checker: FeasibilityChecker, feasible: bool) -> None:
@@ -105,23 +127,15 @@ def _record_verdict(span, checker: FeasibilityChecker, feasible: bool) -> None:
         span.set(cycle_len=len(checker.last_cycle))
 
 
-#: Result of one candidate search: the best (merged) candidate, its
-#: witness labels, the largest candidate certified infeasible (``None``
-#: if the search never moved above the first candidate), and the dense
-#: checker if the search happened to build one.
-_SearchResult = Tuple[
-    float, Dict[str, int], Optional[float], Optional[FeasibilityChecker]
-]
-
-
 def _feas_search(
-    engine: FeasProbe,
-    graph: CircuitGraph,
-    wd: WDMatrices,
-    candidates,
-    tracer=NOOP_TRACER,
-) -> _SearchResult:
+    graph: CircuitGraph, compiled, tracer=NOOP_TRACER
+) -> Tuple[float, np.ndarray, Optional[float], Optional[FeasibilityChecker]]:
     """Clamped, warm-started, budgeted binary search (see module doc).
+
+    Returns the best (merged) candidate, its witness labels with the
+    hosts at 0, the largest candidate certified infeasible (``None`` if
+    the search never moved above the first candidate), and the dense
+    checker if a certification built one.
 
     Records on the enclosing ``min_period/search`` span the FEAS rounds
     of all budgeted probes (``feas_rounds``), the share spent by
@@ -137,26 +151,31 @@ def _feas_search(
     best verified period) finds a negative cycle of the pruned
     constraint arcs in a few rounds.
     """
+    engine = compiled.feas_probe()
+    candidates = compiled.candidates
     checker: Optional[FeasibilityChecker] = None
-    perm: Optional[np.ndarray] = None  # engine position -> wd position
+    budget = _INITIAL_BUDGET
+    feas_rounds = unverified_rounds = resumes = 0
 
-    def sound_probe(
-        idx: int, start: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        nonlocal checker, perm
+    def budgeted_probe(idx: int, start: np.ndarray) -> Optional[np.ndarray]:
+        nonlocal feas_rounds, unverified_rounds
+        with tracer.span("feas/probe", t=candidates[idx], budget=budget) as span:
+            verified, raw = engine.probe_budget(candidates[idx], start, budget)
+            verdict = "feasible" if verified else "unverified"
+            span.set(verdict=verdict, rounds=engine.last_rounds)
+        feas_rounds += engine.last_rounds
+        if not verified:
+            unverified_rounds += engine.last_rounds
+        return raw
+
+    def sound_probe(idx: int, start: np.ndarray) -> Optional[np.ndarray]:
+        nonlocal checker
         with tracer.span(
             "feas/certify", t=candidates[idx], method="bellman-ford"
         ) as span:
             if checker is None:
-                checker = FeasibilityChecker.build(graph, wd)
-                perm = np.array(
-                    [wd.index[v] for v in engine.order], dtype=np.int64
-                )
-            warm = np.zeros(engine.n, dtype=np.int64)
-            if start is not None:
-                warm[perm] = start
-            refined = checker.refine(candidates[idx], warm)
-            raw = None if refined is None else refined[perm]
+                checker = FeasibilityChecker.build(graph, compiled.wd)
+            raw = checker.refine(candidates[idx], start)
             _record_verdict(span, checker, raw is not None)
         return raw
 
@@ -164,31 +183,13 @@ def _feas_search(
     # at the first candidate >= the current clock period the identity
     # retiming (all-zero labels) is a free witness.
     floor = bisect.bisect_left(candidates, engine.max_delay)
-    hi = bisect.bisect_left(candidates, clock_period(graph, wd))
+    hi = bisect.bisect_left(candidates, compiled.t_init)
     best_idx = min(hi, len(candidates) - 1)
     best_raw = np.zeros(engine.n, dtype=np.int64)
-
-    budget = _INITIAL_BUDGET
-    feas_rounds = unverified_rounds = resumes = 0
     while True:
-        lo, cur_hi = floor, best_idx
-        while lo < cur_hi:
-            mid = (lo + cur_hi) // 2
-            with tracer.span(
-                "feas/probe", t=candidates[mid], budget=budget
-            ) as span:
-                verified, raw = engine.probe_budget(
-                    candidates[mid], best_raw, budget
-                )
-                verdict = "feasible" if verified else "unverified"
-                span.set(verdict=verdict, rounds=engine.last_rounds)
-            feas_rounds += engine.last_rounds
-            if verified:
-                best_idx, best_raw = mid, raw
-                cur_hi = mid
-            else:
-                unverified_rounds += engine.last_rounds
-                lo = mid + 1
+        best_idx, best_raw = bisect_feasible(
+            floor, best_idx, budgeted_probe, best_raw
+        )
         if best_idx == floor:
             # Candidates below the floor are < max vertex delay:
             # infeasible with certainty, nothing left to certify.
@@ -206,54 +207,21 @@ def _feas_search(
         unverified_rounds=unverified_rounds,
         resumes=resumes,
     )
+    if engine.host_idx.size:
+        best_raw = best_raw - best_raw[engine.host_idx[0]]
     lower = candidates[best_idx - 1] if best_idx > 0 else None
-    return candidates[best_idx], engine.label_dict(best_raw), lower, checker
-
-
-def _bellman_ford_search(
-    graph: CircuitGraph, wd: WDMatrices, candidates, tracer=NOOP_TRACER
-) -> _SearchResult:
-    """Binary search with the dense checker, each probe the relaxation
-    kernel from all-zero labels (:meth:`FeasibilityChecker.labels`).
-
-    The fallback for graphs :meth:`FeasProbe.build` rejects.
-    """
-    checker = FeasibilityChecker.build(graph, wd)
-
-    def probe(t: float) -> Optional[Dict[str, int]]:
-        with tracer.span("feas/probe", t=t, method="bellman-ford") as span:
-            labels = checker.labels(t)
-            _record_verdict(span, checker, labels is not None)
-        return labels
-
-    lo, hi = 0, len(candidates) - 1
-    if (labels := probe(candidates[hi])) is None:
-        raise InfeasiblePeriodError(
-            candidates[hi], "even the largest candidate period is infeasible"
-        )
-    best = (candidates[hi], labels)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        labels = probe(candidates[mid])
-        if labels is not None:
-            best = (candidates[mid], labels)
-            hi = mid
-        else:
-            lo = mid + 1
-    lower = candidates[lo - 1] if lo > 0 else None
-    return best[0], best[1], lower, checker
+    return candidates[best_idx], best_raw, lower, checker
 
 
 def _refine_exact(
     graph: CircuitGraph,
-    wd: WDMatrices,
+    compiled,
     period: float,
-    labels: Dict[str, int],
+    labels: np.ndarray,
     lower: Optional[float],
     checker: Optional[FeasibilityChecker],
     tracer=NOOP_TRACER,
-    exact: Optional[list] = None,
-) -> Tuple[float, Dict[str, int]]:
+) -> Tuple[float, np.ndarray]:
     """Tighten a merged-candidate winner to the exact minimum.
 
     :func:`candidate_periods` merges runs of near-equal ``D`` values to
@@ -265,67 +233,48 @@ def _refine_exact(
     (:meth:`FeasibilityChecker.refine`): a bisection over the handful
     of exact values between ``lower`` and ``period``.
     """
-    if exact is None:
-        exact = candidate_periods(wd, tol=0.0)
+    exact = compiled.exact_candidates
     lo = bisect.bisect_right(exact, lower) if lower is not None else 0
     hi = bisect.bisect_left(exact, period)
-    max_delay = wd.max_vertex_delay()
+    max_delay = compiled.wd.max_vertex_delay()
     domain = [t for t in exact[lo:hi] if t >= max_delay]
     if not domain:
         return period, labels
     domain.append(period)
     if checker is None:
-        checker = FeasibilityChecker.build(graph, wd)
-    start = np.array(
-        [labels.get(v, 0) for v in wd.order], dtype=np.int64
-    )
+        checker = FeasibilityChecker.build(graph, compiled.wd)
+
     def refine_probe(t: float, warm: np.ndarray) -> Optional[np.ndarray]:
         with tracer.span("feas/refine", t=t) as span:
             raw = checker.refine(t, warm)
             _record_verdict(span, checker, raw is not None)
         return raw
 
-    best: Optional[Tuple[float, np.ndarray]] = None
-    lo_i, hi_i = 0, len(domain)
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i) // 2
-        raw = refine_probe(domain[mid], start)
+    idx, raw = bisect_feasible(
+        0, len(domain), lambda i, warm: refine_probe(domain[i], warm), labels
+    )
+    if idx < len(domain):
+        return domain[idx], raw
+    # Even the searched winner fails the exact check — possible only at
+    # a knife edge where the FEAS epsilon absorbed a real sub-tolerance
+    # violation. Walk up to the first exact winner.
+    for t in exact[bisect.bisect_right(exact, period):]:
+        raw = refine_probe(t, labels)
         if raw is not None:
-            best = (domain[mid], raw)
-            start = raw
-            hi_i = mid
-        else:
-            lo_i = mid + 1
-    if best is None:
-        # Even the searched winner fails the exact check — possible
-        # only at a knife edge where the FEAS epsilon absorbed a real
-        # sub-tolerance violation. Walk up to the first exact winner.
-        for t in exact[bisect.bisect_right(exact, period):]:
-            raw = refine_probe(t, start)
-            if raw is not None:
-                best = (t, raw)
-                break
-        if best is None:  # pragma: no cover - T_init is always feasible
-            raise RetimingError("no feasible candidate period")
-    t, raw = best
-    return t, {v: int(raw[i]) for v, i in wd.index.items()}
+            return t, raw
+    raise RetimingError("no feasible candidate period")  # pragma: no cover
 
 
 def min_period_retiming(
     graph: CircuitGraph,
-    wd: Optional[WDMatrices] = None,
     tracer=None,
     compiled=None,
 ) -> Tuple[float, RetimingResult]:
     """Find the minimum feasible period and a retiming achieving it.
 
     Returns ``(T_min, result)``; binary-searches the sorted distinct
-    ``D`` values. Probes run on the sparse FEAS engine; when
-    :meth:`FeasProbe.build` rejects the graph (e.g. a zero-delay unit
-    with a zero-weight self-loop) the whole search runs on the dense
-    Bellman–Ford checker instead. Both decide feasibility exactly, so
-    ``T_min`` does not depend on which one ran (the witness retiming
-    may differ).
+    ``D`` values with FEAS probes, certifies the boundary and breaks
+    exact ties on the Bellman–Ford checker (see the module docstring).
 
     ``tracer`` (a :class:`repro.obs.Tracer`) wraps the whole search in
     a ``min_period/search`` span; every budgeted probe, boundary
@@ -333,87 +282,57 @@ def min_period_retiming(
     its candidate period, verdict, and FEAS round count.
 
     ``compiled`` (a :class:`repro.compile.CompiledCircuit` of this
-    graph): if it already carries a min-period witness from a previous
-    identical run, the search is skipped outright and the witness
-    replayed (the outcome is bit-identical — the witness *is* the
-    previous search's pre-normalise result). Otherwise it supplies the
-    W/D matrices, candidate sets and FEAS arrays, rebuilding them from
-    ``graph`` first if it was loaded from disk without them.
+    graph; compiled here if omitted) supplies the W/D matrices,
+    candidate sets and FEAS arrays, rebuilding them from ``graph``
+    first if it was loaded from disk without them. If it already
+    carries a min-period witness from a previous identical run, the
+    search is skipped outright and the witness replayed (the outcome is
+    bit-identical — the witness *is* the previous search's
+    pre-normalise result).
+
+    Raises:
+        RetimingError: ``graph`` has a zero-weight cycle (a
+            combinational loop, which :meth:`CircuitGraph.validate`
+            rejects too), or no paths.
+        ValueError: ``compiled`` is the artifact of another graph.
     """
+    # repro.compile imports this package, so the artifact class loads late.
+    from repro.compile.artifact import CompiledCircuit
+
     if tracer is None:
         tracer = NOOP_TRACER
-    if (
-        compiled is not None
-        and compiled.t_min is not None
-        and compiled.t_min_labels is not None
-    ):
-        n_candidates = compiled.n_candidates
+    compiled = CompiledCircuit.for_graph(graph, compiled)
+    if compiled.t_min is not None and compiled.t_min_labels is not None:
         with tracer.span("min_period/search") as search:
             period = compiled.t_min
-            labels: Dict[str, int] = dict(compiled.t_min_labels)
+            labels = dict(compiled.t_min_labels)
             search.set(
                 engine="cache",
                 cache_hit=True,
-                n_candidates=n_candidates,
+                n_candidates=compiled.n_candidates,
                 t_min=period,
             )
     else:
-        if compiled is not None:
-            compiled.rebuild_search_inputs(graph, "min_period", tracer=tracer)
-            wd = compiled.wd
-            candidates = compiled.candidates
-        else:
-            if wd is None:
-                wd = wd_matrices(graph)
-            candidates = candidate_periods(wd)
-        if not candidates:
+        compiled.rebuild_search_inputs(graph, "min_period", tracer=tracer)
+        if not compiled.candidates:
             raise RetimingError("graph has no paths; period undefined")
-        n_candidates = len(candidates)
         with tracer.span("min_period/search") as search:
-            engine: Optional[FeasProbe] = None
-            if compiled is not None:
-                # The search inputs hold FeasProbe.build's result; None
-                # means the graph was rejected.
-                engine = compiled.feas_probe()
-            else:
-                try:
-                    engine = FeasProbe.build(graph)
-                except RetimingError:
-                    pass
-            if engine is None:
-                log.debug(
-                    "FEAS engine unavailable for %s; using Bellman-Ford",
-                    graph.name,
-                )
-                period, labels, lower, checker = _bellman_ford_search(
-                    graph, wd, candidates, tracer=tracer
-                )
-            else:
-                period, labels, lower, checker = _feas_search(
-                    engine, graph, wd, candidates, tracer=tracer
-                )
-            period, labels = _refine_exact(
-                graph,
-                wd,
-                period,
-                labels,
-                lower,
-                checker,
-                tracer=tracer,
-                exact=compiled.exact_candidates if compiled is not None else None,
+            period, raw, lower, checker = _feas_search(graph, compiled, tracer)
+            period, raw = _refine_exact(
+                graph, compiled, period, raw, lower, checker, tracer=tracer
             )
-            if compiled is not None:
-                compiled.note_min_period(period, labels)
+            labels = dict(zip(compiled.order, raw.tolist()))
+            compiled.note_min_period(period, labels)
             search.set(
-                engine="feas" if engine is not None else "bellman-ford",
-                n_candidates=n_candidates,
+                engine="feas",
+                n_candidates=compiled.n_candidates,
                 t_min=period,
             )
     log.debug(
         "min-period search on %s: T_min=%.4f over %d candidates",
         graph.name,
         period,
-        n_candidates,
+        compiled.n_candidates,
     )
 
     labels = normalise_labels(graph, {v: labels.get(v, 0) for v in graph.units()})

@@ -23,7 +23,7 @@ negative cycle and the matrices are undefined.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -65,6 +65,20 @@ class WDMatrices:
 
     def max_vertex_delay(self) -> float:
         return float(np.diag(self.d).max()) if len(self.order) else 0.0
+
+
+def clock_period(graph: CircuitGraph, wd: Optional[WDMatrices] = None) -> float:
+    """Current clock period: the longest register-free path delay.
+
+    Computed as the maximum ``D(u, v)`` over pairs with
+    ``W(u, v) == 0`` (plus single-vertex delays on the diagonal).
+    """
+    if wd is None:
+        wd = wd_matrices(graph)
+    zero_weight = np.isfinite(wd.w) & (wd.w == 0)
+    if not zero_weight.any():
+        return wd.max_vertex_delay()
+    return float(wd.d[zero_weight].max())
 
 
 def _min_weight_edges(

@@ -3,25 +3,39 @@
 The shipped min-period search decides feasibility on array engines
 (:class:`repro.retime.feas_probe.FeasProbe`, and the relaxation kernel
 behind :class:`repro.retime.fastcheck.FeasibilityChecker` for
-certification and fallback). This oracle builds the Leiserson–Saxe difference
-constraints as :class:`~repro.retime.constraints.Constraint` objects,
-unpruned, and solves them with networkx's Bellman–Ford from a virtual
-source: the textbook construction, sharing no arrays with the engines.
+certification and tie-breaking). This oracle builds the Leiserson–Saxe
+difference constraints as :class:`~repro.retime.constraints.Constraint`
+objects straight from the W/D matrices, unpruned, and solves them with
+networkx's Bellman–Ford from a virtual source: the textbook
+construction, sharing no arrays with the engines.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
 import networkx as nx
 
-from repro.errors import InfeasiblePeriodError
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import Constraint, build_constraint_system
+from repro.retime.constraints import Constraint, edge_constraints, host_constraints
 from repro.retime.minarea import normalise_labels
 from repro.retime.wd import WDMatrices, wd_matrices
 
 _SOURCE = object()  # virtual Bellman–Ford source, never collides with names
+
+
+def period_constraints(
+    graph: CircuitGraph, wd: WDMatrices, period: float
+) -> List[Constraint]:
+    """Eqns. (1) and (2) plus the host ties for ``period``, unpruned:
+    a clocking constraint ``r(u) - r(v) <= W(u, v) - 1`` for every pair
+    ``u != v`` with ``D(u, v) > period``."""
+    rows, cols = wd.pairs_exceeding_arrays(period)
+    clock = [
+        Constraint(wd.order[i], wd.order[j], int(wd.w[i, j]) - 1, "clock")
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ]
+    return edge_constraints(graph) + host_constraints(graph) + clock
 
 
 def constraint_digraph(constraints: Iterable[Constraint]) -> nx.DiGraph:
@@ -68,11 +82,7 @@ def is_feasible_period(
         wd = wd_matrices(graph)
     if wd.max_vertex_delay() > period:
         return None
-    try:
-        system = build_constraint_system(graph, wd, period, prune=False)
-    except InfeasiblePeriodError:
-        return None
-    labels = feasible_labels(system.constraints)
+    labels = feasible_labels(period_constraints(graph, wd, period))
     if labels is None:
         return None
     labels = {v: labels.get(v, 0) for v in graph.units()}

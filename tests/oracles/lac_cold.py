@@ -18,7 +18,6 @@ from repro.netlist.graph import CircuitGraph
 from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import IO_REGION
 from repro.retime.minarea import RetimingResult
-from repro.retime.wd import wd_matrices
 from repro.tech.params import Technology
 from repro.tiles.grid import TileGrid
 from tests.oracles.flow import min_area_labels
@@ -36,7 +35,7 @@ def lac_retiming_cold(
     prune: bool = True,
 ) -> Tuple[RetimingResult, AreaReport, List[Tuple[int, int]]]:
     """Best ``(retiming, report)`` by ``(N_FOA, N_F)``, plus the history."""
-    system = build_constraint_system(graph, wd_matrices(graph), period, prune=prune)
+    system = build_constraint_system(graph, period, prune=prune)
     tile_weight: Dict[str, float] = {t: 1.0 for t in set(unit_region.values())}
     best: Optional[Tuple[Tuple[int, int], RetimingResult, AreaReport]] = None
     history: List[Tuple[int, int]] = []

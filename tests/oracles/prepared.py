@@ -20,8 +20,8 @@ from repro.partition.multiway import default_block_count, partition_graph
 from repro.repeater.insertion import buffer_routed_nets
 from repro.retime.constraints import build_constraint_system
 from repro.retime.expand import expand_interconnects
-from repro.retime.minperiod import clock_period, min_period_retiming
-from repro.retime.wd import wd_matrices
+from repro.retime.minperiod import min_period_retiming
+from repro.retime.wd import clock_period, wd_matrices
 from repro.route.router import GlobalRouter, nets_from_graph
 from repro.tiles.grid import build_tile_grid
 
@@ -58,9 +58,9 @@ def hand_wired_instance(
     )
     wd = wd_matrices(expanded.graph)
     t_init = clock_period(expanded.graph, wd)
-    t_min, _ = min_period_retiming(expanded.graph, wd)
+    t_min, _ = min_period_retiming(expanded.graph)
     t_clk = t_min + config.target_fraction * (t_init - t_min)
-    system = build_constraint_system(expanded.graph, wd, t_clk, prune=config.prune)
+    system = build_constraint_system(expanded.graph, t_clk, prune=config.prune)
     return PreparedInstance(
         name=name,
         config=config,

@@ -268,3 +268,62 @@ def test_serve_start_up_skips_the_harnesses(tmp_path):
     )
     assert proc.stdout.split() == ["2"], proc.stdout + proc.stderr
     assert "cannot bind" in proc.stderr
+
+
+class TestBrokenPipe:
+    """A reader that exits before the output is written (``trace
+    summarize T | head``) ends the command quietly with status 141; a
+    broken pipe that is not stdout's still raises."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    @pytest.fixture(scope="class")
+    def trace_file(self, tmp_path_factory):
+        import contextlib
+        import io
+
+        path = tmp_path_factory.mktemp("cli-pipe") / "t.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["plan", "s27", "--quick", "--trace", str(path)]) in (0, 1)
+        return path
+
+    def _run_into_closed_pipe(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has already exited
+        try:
+            return subprocess.run(
+                [sys.executable, *args],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(self.SRC)),
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("command", ["summarize", "metrics", "validate"])
+    def test_trace_into_exited_reader(self, trace_file, command):
+        proc = self._run_into_closed_pipe(
+            ["-m", "repro", "trace", command, str(trace_file)]
+        )
+        assert proc.stderr == ""
+        assert proc.returncode == 141
+
+    def test_other_broken_pipe_still_raises(self):
+        # stdout is a live pipe; the command's own pipe breaks.
+        probe = (
+            "import sys; import repro.__main__ as m\n"
+            "def cmd(_args): raise BrokenPipeError(32, 'socket closed')\n"
+            "m._cmd_circuits = cmd\n"
+            "sys.exit(m.main(['circuits']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(self.SRC)),
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "BrokenPipeError: [Errno 32] socket closed" in proc.stderr

@@ -25,7 +25,7 @@ from repro.retime import (
     candidate_periods,
     clock_period,
     min_period_retiming,
-    prune_redundant,
+    prune_redundant_arrays,
     wd_matrices,
 )
 from repro.tech.params import DEFAULT_TECH
@@ -58,8 +58,6 @@ def _replay_fields(artifact):
 
 
 def _feas_arrays(feas):
-    if feas is None:
-        return None
     return {
         k: v.tolist() if isinstance(v, np.ndarray) else v
         for k, v in vars(feas).items()
@@ -119,9 +117,8 @@ class TestArtifact:
         period = 0.6 * art.t_init + 0.4 * art.max_delay
         rows, cols, bounds = art.clock_pairs(period, prune=True)
         all_r, all_c = wd.pairs_exceeding_arrays(period)
-        expected = prune_redundant(
-            wd, period, list(zip(all_r.tolist(), all_c.tolist()))
-        )
+        kept_r, kept_c = prune_redundant_arrays(wd, period, all_r, all_c)
+        expected = list(zip(kept_r.tolist(), kept_c.tolist()))
         assert list(zip(rows.tolist(), cols.tolist())) == expected
         assert bounds.tolist() == [int(wd.w[i, j]) - 1 for i, j in expected]
         rows_u, cols_u, bounds_u = art.clock_pairs(period, prune=False)

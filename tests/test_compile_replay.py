@@ -116,8 +116,8 @@ class TestRebuildMatchesFreshCompile:
         loaded.rebuild_search_inputs(graph, "degrade", tracer=tracer)
         t_clk = 0.5 * loaded.t_min
         assert find_relaxed_period(
-            graph, t_clk, loaded.t_init, wd=loaded.wd
-        ) == find_relaxed_period(graph, t_clk, fresh.t_init, wd=fresh.wd)
+            graph, t_clk, loaded.t_init, compiled=loaded
+        ) == find_relaxed_period(graph, t_clk, fresh.t_init, compiled=fresh)
         assert _rebuild_reasons(tracer) == ["degrade"]
 
     def test_planner_degrade_path(self, tmp_path):

@@ -8,18 +8,33 @@ from repro.errors import InfeasiblePeriodError
 from repro.netlist import CircuitGraph, random_circuit
 from repro.retime import (
     build_constraint_system,
-    clock_constraints,
     edge_constraints,
     host_constraints,
     min_area_retiming,
+    prune_redundant_arrays,
     wd_matrices,
 )
 
 
 def _pair_list(wd, period):
-    """``wd.pairs_exceeding_arrays`` as the (i, j) list the list APIs take."""
+    """``wd.pairs_exceeding_arrays`` as an (i, j) list."""
     rows, cols = wd.pairs_exceeding_arrays(period)
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def prune_pairs(wd, period, pairs):
+    """:func:`prune_redundant_arrays` over an (i, j) list, as a list."""
+    import numpy as np
+
+    src = np.array([p[0] for p in pairs], dtype=np.int64)
+    dst = np.array([p[1] for p in pairs], dtype=np.int64)
+    kept_src, kept_dst = prune_redundant_arrays(wd, period, src, dst)
+    return list(zip(kept_src.tolist(), kept_dst.tolist()))
+
+
+def clock_constraints(g, period):
+    """The clocking constraints of ``g``'s unpruned system at ``period``."""
+    return build_constraint_system(g, period).by_kind("clock")
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,9 +86,8 @@ class TestHostConstraints:
 class TestClockConstraints:
     def test_pairs_exceeding_period(self):
         g = diamond()
-        wd = wd_matrices(g)
         # T = 6: path a->c->d has delay 7 (> 6, W=0) -> constraint.
-        cons = clock_constraints(g, wd, 6.0)
+        cons = clock_constraints(g, 6.0)
         pairs = {(c.u, c.v) for c in cons}
         assert ("a", "d") in pairs
         for c in cons:
@@ -81,23 +95,19 @@ class TestClockConstraints:
 
     def test_single_unit_delay_gate(self):
         g = diamond()
-        wd = wd_matrices(g)
         with pytest.raises(InfeasiblePeriodError):
-            clock_constraints(g, wd, 4.0)  # unit c alone has delay 5
+            clock_constraints(g, 4.0)  # unit c alone has delay 5
 
     def test_large_period_no_constraints(self):
-        g = diamond()
-        wd = wd_matrices(g)
-        assert clock_constraints(g, wd, 100.0) == []
+        assert clock_constraints(diamond(), 100.0) == []
 
 
 class TestSystem:
     def test_by_kind_partition(self):
         g = random_circuit("cs", n_units=30, n_ffs=12, seed=2)
-        wd = wd_matrices(g)
         from repro.retime import clock_period
 
-        system = build_constraint_system(g, wd, clock_period(g))
+        system = build_constraint_system(g, clock_period(g))
         total = (
             len(system.by_kind("edge"))
             + len(system.by_kind("host"))
@@ -106,15 +116,11 @@ class TestSystem:
         assert total == len(system)
 
     def test_period_recorded(self):
-        g = diamond()
-        wd = wd_matrices(g)
-        system = build_constraint_system(g, wd, 9.0)
+        system = build_constraint_system(diamond(), 9.0)
         assert system.period == 9.0
 
     def test_none_period_skips_clock(self):
-        g = diamond()
-        wd = wd_matrices(g)
-        system = build_constraint_system(g, wd, None)
+        system = build_constraint_system(diamond(), None)
         assert system.by_kind("clock") == []
 
 
@@ -127,11 +133,10 @@ class TestPruningSoundnessSweep:
         wd = wd_matrices(g)
         period = 0.7 * clock_period(g, wd) + 0.3 * wd.max_vertex_delay()
         try:
-            pruned = build_constraint_system(g, wd, period, prune=True)
-            labels = min_area_retiming(g, period, system=pruned).labels
+            labels = min_area_retiming(g, period, prune=True).labels
         except InfeasiblePeriodError:
             return  # nothing to check for this seed
-        full = build_constraint_system(g, wd, period, prune=False)
+        full = build_constraint_system(g, period, prune=False)
         for c in full.constraints:
             assert labels.get(c.u, 0) - labels.get(c.v, 0) <= c.bound
 
@@ -159,13 +164,13 @@ class TestPruneVectorisedAgainstReference:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_kept_set_identical(self, seed):
-        from repro.retime import clock_period, prune_redundant
+        from repro.retime import clock_period
 
         g = random_circuit("pv", n_units=30, n_ffs=16, seed=seed)
         wd = wd_matrices(g)
         period = 0.6 * clock_period(g, wd) + 0.4 * wd.max_vertex_delay()
         pairs = _pair_list(wd, period)
-        assert prune_redundant(wd, period, pairs) == self._prune_reference(
+        assert prune_pairs(wd, period, pairs) == self._prune_reference(
             wd, period, pairs
         )
 
@@ -194,7 +199,7 @@ class TestPruneVectorisedAgainstReference:
         # Periods equal to D values make pairs with D == T tie on the
         # ``D > T`` test; the neighbour test must break every tie the
         # way the all-vertex reference does.
-        from repro.retime import candidate_periods, prune_redundant
+        from repro.retime import candidate_periods
 
         wd = wd_matrices(self._awkward_circuit(seed))
         assert wd.edge_src.size and not (wd.edge_src == wd.edge_dst).any()
@@ -204,7 +209,7 @@ class TestPruneVectorisedAgainstReference:
         ]
         for t in exact[:: max(1, len(exact) // 8)]:
             pairs = _pair_list(wd, t)
-            assert prune_redundant(wd, t, pairs) == self._prune_reference(
+            assert prune_pairs(wd, t, pairs) == self._prune_reference(
                 wd, t, pairs
             ), t
 
@@ -212,8 +217,6 @@ class TestPruneVectorisedAgainstReference:
         # a -> b carries weights 2 and 0. (a, c) is witnessed only by
         # (b, c) through the out-edge a -> b, and only at its lighter
         # weight: D(a, b) = 3 does not exceed the period.
-        from repro.retime import prune_redundant
-
         g = CircuitGraph()
         for name, delay in (("a", 1.0), ("b", 2.0), ("c", 2.0)):
             g.add_unit(name, delay=delay)
@@ -223,19 +226,17 @@ class TestPruneVectorisedAgainstReference:
         wd = wd_matrices(g)
         pairs = _pair_list(wd, 3.5)
         assert pairs == [(0, 2), (1, 2)]
-        kept = prune_redundant(wd, 3.5, pairs)
+        kept = prune_pairs(wd, 3.5, pairs)
         assert kept == self._prune_reference(wd, 3.5, pairs)
         assert kept == [(1, 2)]
 
     def test_endpoints_never_witness(self):
         # Below the largest unit delay, D(v, v) = delay(v) exceeds the
         # period; a pair's own endpoint must still not witness it.
-        from repro.retime import prune_redundant
-
         wd = wd_matrices(random_circuit("pv", n_units=30, n_ffs=16, seed=9))
         period = 0.5 * wd.max_vertex_delay()
         pairs = _pair_list(wd, period)
-        assert prune_redundant(wd, period, pairs) == self._prune_reference(
+        assert prune_pairs(wd, period, pairs) == self._prune_reference(
             wd, period, pairs
         )
 
@@ -247,19 +248,17 @@ class TestPruneVectorisedAgainstReference:
         wd = wd_matrices(g)
         period = 0.5 * clock_period(g, wd) + 0.5 * wd.max_vertex_delay()
         pairs = _pair_list(wd, period)
-        whole = constraints_mod.prune_redundant(wd, period, pairs)
+        whole = prune_pairs(wd, period, pairs)
         monkeypatch.setattr(constraints_mod, "_PRUNE_CHUNK", 7)
         assert len(pairs) > 7
-        assert constraints_mod.prune_redundant(wd, period, pairs) == whole
+        assert prune_pairs(wd, period, pairs) == whole
 
     @pytest.mark.parametrize("which", ["t_min", "t_clk"])
     def test_expanded_table1_graph(self, which):
-        from repro.retime import prune_redundant
-
         inst = _s298()
         period = getattr(inst, which)
         pairs = _pair_list(inst.wd, period)
-        kept = prune_redundant(inst.wd, period, pairs)
+        kept = prune_pairs(inst.wd, period, pairs)
         assert 0 < len(kept) < len(pairs)
         assert kept == self._prune_reference(inst.wd, period, pairs)
 
@@ -269,57 +268,39 @@ class TestPruneVectorisedAgainstReference:
         # must not leak into the result).
         import random
 
-        import repro.retime.constraints as constraints_mod
         from repro.retime import clock_period
 
         g = random_circuit("pv", n_units=30, n_ffs=16, seed=6)
         wd = wd_matrices(g)
         period = 0.5 * clock_period(g, wd) + 0.5 * wd.max_vertex_delay()
         pairs = _pair_list(wd, period)
-        whole = set(constraints_mod.prune_redundant(wd, period, pairs))
+        whole = set(prune_pairs(wd, period, pairs))
         shuffled = list(pairs)
         random.Random(0).shuffle(shuffled)
-        assert set(constraints_mod.prune_redundant(wd, period, shuffled)) == whole
+        assert set(prune_pairs(wd, period, shuffled)) == whole
 
     def test_empty_pairs_passthrough(self):
-        from repro.retime import prune_redundant
-
         g = random_circuit("pv", n_units=10, n_ffs=6, seed=7)
         wd = wd_matrices(g)
-        assert prune_redundant(wd, 1e9, []) == []
+        assert prune_pairs(wd, 1e9, []) == []
 
 
 class TestArrayPaths:
-    """The ndarray-native constraint paths against their list APIs."""
+    """:func:`prune_redundant_arrays` on the ndarray pairs it is fed."""
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_prune_redundant_arrays_matches_list_api(self, seed):
-        import numpy as np
-
-        from repro.retime import clock_period, prune_redundant
-        from repro.retime.constraints import prune_redundant_arrays
+        # The kept pairs are the reference kept-set, in input order.
+        from repro.retime import clock_period
 
         g = random_circuit("pv", n_units=30, n_ffs=16, seed=seed)
         wd = wd_matrices(g)
         period = 0.6 * clock_period(g, wd) + 0.4 * wd.max_vertex_delay()
         rows, cols = wd.pairs_exceeding_arrays(period)
         kept_r, kept_c = prune_redundant_arrays(wd, period, rows, cols)
-        assert list(zip(kept_r.tolist(), kept_c.tolist())) == prune_redundant(
-            wd, period, _pair_list(wd, period)
+        kept = list(zip(kept_r.tolist(), kept_c.tolist()))
+        pairs = _pair_list(wd, period)
+        assert kept == TestPruneVectorisedAgainstReference._prune_reference(
+            wd, period, pairs
         )
-
-    @pytest.mark.parametrize("seed", [1, 3])
-    def test_clock_constraints_from_pairs_matches(self, seed):
-        from repro.retime import clock_period
-        from repro.retime.constraints import (
-            clock_constraints,
-            clock_constraints_from_pairs,
-        )
-
-        g = random_circuit("pv", n_units=30, n_ffs=16, seed=seed)
-        wd = wd_matrices(g)
-        period = 0.6 * clock_period(g, wd) + 0.4 * wd.max_vertex_delay()
-        rows, cols = wd.pairs_exceeding_arrays(period)
-        assert clock_constraints_from_pairs(wd, rows, cols) == clock_constraints(
-            g, wd, period
-        )
+        assert kept == [p for p in pairs if p in set(kept)]

@@ -14,7 +14,6 @@ import pytest
 from repro.netlist import CircuitGraph, random_circuit
 from repro.retime import (
     FeasProbe,
-    build_constraint_system,
     candidate_periods,
     clock_period,
     min_period_retiming,
@@ -26,8 +25,9 @@ from tests.oracles.feasibility import (
     constraint_digraph,
     feasible_labels,
     is_feasible_period,
+    period_constraints,
 )
-from tests.test_feas_probe import self_loop_graph
+from tests.test_feas_probe import feas_labels, self_loop_graph
 from tests.test_wd import correlator
 
 
@@ -62,12 +62,12 @@ class TestFeas:
 
     def test_correlator_feasible_at_13(self):
         g = correlator()
-        labels = FeasProbe.build(g).labels(13.0)
+        labels = feas_labels(FeasProbe.build(g), 13.0)
         assert labels is not None
         assert clock_period(g.retimed(labels)) <= 13.0
 
     def test_correlator_infeasible_at_12(self):
-        assert FeasProbe.build(correlator()).labels(12.0) is None
+        assert feas_labels(FeasProbe.build(correlator()), 12.0) is None
 
     def test_feasible_implies_reference_feasible(self):
         """FEAS feasible => constraint-object oracle feasible (soundness)."""
@@ -77,14 +77,14 @@ class TestFeas:
             engine = FeasProbe.build(g)
             t_init = clock_period(g, wd)
             for period in [t_init, 0.8 * t_init, 0.6 * t_init]:
-                labels = engine.labels(period)
+                labels = feas_labels(engine, period)
                 if labels is not None:
                     assert clock_period(g.retimed(labels)) <= period + 1e-9
                     assert is_feasible_period(g, period, wd) is not None
 
     def test_hosts_pinned_at_zero(self):
         g = random_circuit("f", n_units=25, n_ffs=15, seed=4)
-        labels = FeasProbe.build(g).labels(clock_period(g))
+        labels = feas_labels(FeasProbe.build(g), clock_period(g))
         assert labels is not None
         for host in g.host_units():
             assert labels[host] == 0
@@ -94,8 +94,7 @@ def oracle_labels(graph, wd, period):
     """The greatest solution <= 0 of the unpruned system, or ``None``."""
     if wd.max_vertex_delay() > period:
         return None
-    system = build_constraint_system(graph, wd, period, prune=False)
-    labels = feasible_labels(system.constraints)
+    labels = feasible_labels(period_constraints(graph, wd, period))
     if labels is None:
         return None
     return {v: labels.get(v, 0) for v in graph.units()}
@@ -107,8 +106,7 @@ def below_start_labels(graph, wd, period, start):
     whose arc to ``v`` weighs ``start[v]``; ``None`` if infeasible."""
     if wd.max_vertex_delay() > period:
         return None
-    system = build_constraint_system(graph, wd, period, prune=False)
-    g = constraint_digraph(system.constraints)
+    g = constraint_digraph(period_constraints(graph, wd, period))
     source = object()
     g.add_weighted_edges_from(
         (source, v, int(start[i])) for v, i in wd.index.items()
@@ -118,6 +116,14 @@ def below_start_labels(graph, wd, period, start):
     except nx.NetworkXUnbounded:
         return None
     return np.array([dist[v] for v in wd.order], dtype=np.int64)
+
+
+def checker_labels(checker, period):
+    """The dense checker's cold labels by unit name, or ``None``."""
+    dist = checker.check(period)
+    if dist is None:
+        return None
+    return {v: int(dist[i]) for v, i in checker.wd.index.items()}
 
 
 class TestFastChecker:
@@ -134,7 +140,7 @@ class TestFastChecker:
         t_init = clock_period(g, wd)
         for frac in [1.0, 0.85, 0.7, 0.55, 0.4]:
             period = frac * t_init
-            fast = checker.labels(period)
+            fast = checker_labels(checker, period)
             assert fast == oracle_labels(g, wd, period), f"period {period}"
             if fast is not None:
                 retimed = g.retimed(_normalised(g, fast))
@@ -146,7 +152,7 @@ class TestFastChecker:
         checker = FeasibilityChecker.build(g, wd)
         verdicts = []
         for period in candidate_periods(wd, tol=0.0) + [0.5, 1.5]:
-            fast = checker.labels(period)
+            fast = checker_labels(checker, period)
             assert fast == oracle_labels(g, wd, period), f"period {period}"
             verdicts.append(fast is not None)
         assert any(verdicts) and not all(verdicts)
@@ -154,7 +160,7 @@ class TestFastChecker:
     def test_min_period_matches_reference_search(self):
         g = random_circuit("fc", n_units=30, n_ffs=20, seed=9)
         wd = wd_matrices(g)
-        t_min, _result = min_period_retiming(g, wd)
+        t_min, _result = min_period_retiming(g)
         # reference: linear scan over candidates with the oracle
         feasible = [
             t

@@ -6,15 +6,15 @@ them and must therefore decide *exactly* the split-host feasibility
 question — the same one the Bellman–Ford checker and the
 constraint-object oracle (``tests/oracles/feasibility.py``) answer.
 These tests pin that equivalence, the warm-start contract, and T_min
-invariance between the FEAS search and the Bellman–Ford fallback that
-runs when :meth:`FeasProbe.build` rejects a graph.
+invariance between the FEAS search and a bisection on the dense
+Bellman–Ford checker.
 """
 
 import numpy as np
 import pytest
 
 from repro.compile import CompiledCircuit
-from repro.errors import RetimingError
+from repro.errors import NetlistError, RetimingError
 from repro.netlist import CircuitGraph, random_circuit, s27_graph
 from repro.retime import (
     FeasProbe,
@@ -24,32 +24,43 @@ from repro.retime import (
     minperiod,
     wd_matrices,
 )
+from repro.retime.fastcheck import FeasibilityChecker
 from tests.oracles.feasibility import is_feasible_period
 from tests.test_wd import correlator
 
 
-class _RejectingFeasProbe:
-    """Stands in for :class:`FeasProbe` to force the Bellman–Ford search."""
+def feas_labels(engine, period, start=None):
+    """A FEAS probe given the ``8 * (n + 1)`` round allowance that
+    decides every instance here: labels by unit name with the hosts at
+    0, or ``None`` when the infeasibility certificate fired (running
+    out of rounds instead fails the test)."""
+    allowance = 8 * (engine.n + 1)
+    verified, raw = engine.probe_budget(period, start, allowance)
+    if not verified:
+        assert engine.last_rounds < allowance, f"undecided at {period}"
+        return None
+    shift = int(raw[engine.host_idx[0]]) if engine.host_idx.size else 0
+    return {v: int(raw[i]) - shift for v, i in engine.index.items()}
 
-    @staticmethod
-    def build(graph):
-        raise RetimingError("FEAS engine rejected the graph")
 
-
-def t_min_per_prober(graph, monkeypatch):
-    """``{prober: (T_min, result)}`` for the FEAS search and the fallback."""
-    out = {"feas": min_period_retiming(graph)}
-    with monkeypatch.context() as m:
-        m.setattr(minperiod, "FeasProbe", _RejectingFeasProbe)
-        out["bellman-ford"] = min_period_retiming(graph)
-    return out
+def t_min_per_prober(graph):
+    """``{prober: T_min}`` for the FEAS search and a bisection over the
+    exact candidates on the dense Bellman–Ford checker."""
+    wd = wd_matrices(graph)
+    checker = FeasibilityChecker.build(graph, wd)
+    exact = candidate_periods(wd, tol=0.0)
+    first, _labels = minperiod.bisect_feasible(
+        0, len(exact), lambda i, _warm: checker.check(exact[i])
+    )
+    return {"feas": min_period_retiming(graph)[0], "bellman-ford": exact[first]}
 
 
 def self_loop_graph():
     """A zero-delay unit with a zero-weight self-loop on a 1-FF ring.
 
     W/D are defined (the loop adds no delay), but FEAS arrival times
-    are not, so :meth:`FeasProbe.build` rejects it.
+    are not, so :meth:`FeasProbe.build` rejects it — as
+    :meth:`CircuitGraph.validate` rejects the combinational loop.
     """
     g = CircuitGraph("selfloop")
     g.add_unit("z", delay=0.0)
@@ -74,7 +85,7 @@ class TestAgreement:
         for frac in (0.3, 0.55, 0.7, 0.85, 0.95, 1.0, 1.15):
             period = frac * t_init
             ref = is_feasible_period(g, period, wd)
-            got = engine.labels(period)
+            got = feas_labels(engine, period)
             assert (got is None) == (ref is None), f"period {period}"
             if got is not None:
                 # the witness must be a genuine solution...
@@ -91,14 +102,14 @@ class TestAgreement:
         engine = FeasProbe.build(g)
         for period in candidate_periods(wd):
             ref = is_feasible_period(g, period, wd)
-            got = engine.labels(period)
+            got = feas_labels(engine, period)
             assert (got is None) == (ref is None), f"period {period}"
 
     def test_correlator_without_hosts(self):
         g = correlator()
         engine = FeasProbe.build(g)
-        assert engine.labels(13.0) is not None
-        assert engine.labels(12.0) is None
+        assert feas_labels(engine, 13.0) is not None
+        assert feas_labels(engine, 12.0) is None
 
     def test_zero_weight_cycle_rejected_at_build(self):
         g = CircuitGraph()
@@ -115,18 +126,18 @@ class TestWarmStart:
         g = random_circuit("fw", n_units=30, n_ffs=20, seed=7)
         wd = wd_matrices(g)
         engine = FeasProbe.build(g)
+        allowance = 8 * (engine.n + 1)
         t_init = clock_period(g, wd)
-        warm = engine.probe(t_init)
-        assert warm is not None
+        verified, warm = engine.probe_budget(t_init, None, allowance)
+        assert verified
         for frac in (0.9, 0.75, 0.6, 0.45):
             period = frac * t_init
-            cold = engine.probe(period)
-            hot = engine.probe(period, start=warm)
+            cold = feas_labels(engine, period)
+            hot = feas_labels(engine, period, start=warm)
             assert (cold is None) == (hot is None), f"period {period}"
             if hot is not None:
-                assert clock_period(g.retimed(engine.label_dict(hot))) \
-                    <= period + 1e-9
-                warm = hot
+                assert clock_period(g.retimed(hot)) <= period + 1e-9
+                warm = engine.probe_budget(period, warm, allowance)[1]
 
     def test_illegal_start_rejected(self):
         g = random_circuit("fw", n_units=20, n_ffs=12, seed=1)
@@ -134,13 +145,13 @@ class TestWarmStart:
         bad = np.zeros(engine.n, dtype=np.int64)
         bad[engine.eu[0]] = 5  # pushes that vertex's out-edges negative
         with pytest.raises(ValueError, match="legal"):
-            engine.probe(clock_period(g), start=bad)
+            feas_labels(engine, clock_period(g), start=bad)
 
     def test_wrong_shape_rejected(self):
         g = random_circuit("fw", n_units=20, n_ffs=12, seed=2)
         engine = FeasProbe.build(g)
         with pytest.raises(ValueError, match="shape"):
-            engine.probe(clock_period(g), start=np.zeros(3, dtype=np.int64))
+            feas_labels(engine, clock_period(g), start=np.zeros(3, dtype=np.int64))
 
     def test_untied_hosts_rejected(self):
         g = random_circuit("fw", n_units=20, n_ffs=12, seed=3)
@@ -148,7 +159,7 @@ class TestWarmStart:
         bad = np.zeros(engine.n, dtype=np.int64)
         bad[engine.host_idx[0]] = 1
         with pytest.raises(ValueError, match="hosts"):
-            engine.probe(clock_period(g), start=bad)
+            feas_labels(engine, clock_period(g), start=bad)
 
     def test_budgeted_probe_reports_unverified(self):
         g = random_circuit("fb", n_units=30, n_ffs=20, seed=5)
@@ -163,13 +174,12 @@ class TestWarmStart:
 
 class TestMinPeriodProbers:
     @pytest.mark.parametrize("seed", range(4))
-    def test_t_min_independent_of_prober(self, seed, monkeypatch):
+    def test_t_min_independent_of_prober(self, seed):
         g = random_circuit("fm", n_units=30, n_ffs=20, seed=seed)
-        results = {}
-        for prober, (t_min, result) in t_min_per_prober(g, monkeypatch).items():
-            results[prober] = t_min
-            assert clock_period(result.graph) <= t_min + 1e-9
+        results = t_min_per_prober(g)
         assert len(set(results.values())) == 1, results
+        _t_min, result = min_period_retiming(g)
+        assert clock_period(result.graph) <= results["feas"] + 1e-9
 
     def test_t_min_equals_linear_scan(self):
         # T_min is the minimum over the *exact* candidate set (tol=0),
@@ -178,7 +188,7 @@ class TestMinPeriodProbers:
         # constraint-object oracle.
         g = random_circuit("fm", n_units=25, n_ffs=15, seed=11)
         wd = wd_matrices(g)
-        t_min, _ = min_period_retiming(g, wd)
+        t_min, _ = min_period_retiming(g)
         feasible = [
             t
             for t in candidate_periods(wd, tol=0.0)
@@ -186,32 +196,20 @@ class TestMinPeriodProbers:
         ]
         assert t_min == min(feasible)
 
-    def test_s27_t_min_independent_of_prober(self, monkeypatch):
-        periods = {
-            p: t_min for p, (t_min, _r) in t_min_per_prober(
-                s27_graph(), monkeypatch
-            ).items()
-        }
+    def test_s27_t_min_independent_of_prober(self):
+        periods = t_min_per_prober(s27_graph())
         assert len(set(periods.values())) == 1, periods
 
-    def test_rejected_graph_falls_back_to_bellman_ford(self):
+    def test_combinational_loop_rejected_everywhere(self):
+        # A zero-weight self-loop is a combinational loop: the graph
+        # check, the compile and the search all refuse it.
         g = self_loop_graph()
+        with pytest.raises(NetlistError, match="combinational"):
+            g.validate()
         with pytest.raises(RetimingError, match="self-loop"):
-            FeasProbe.build(g)
-        assert CompiledCircuit.compile(g).feas is None
-        wd = wd_matrices(g)
-        oracle = min(
-            t
-            for t in candidate_periods(wd, tol=0.0)
-            if is_feasible_period(g, t, wd) is not None
-        )
-        assert oracle == 3.0
-        t_min, result = min_period_retiming(g)
-        assert t_min == oracle
-        assert clock_period(result.graph) <= t_min + 1e-9
-        # the compiled route takes the same fallback
-        compiled = CompiledCircuit.compile(g)
-        assert min_period_retiming(g, compiled=compiled)[0] == oracle
+            CompiledCircuit.compile(g)
+        with pytest.raises(RetimingError, match="self-loop"):
+            min_period_retiming(g)
 
 
 class TestBudgetResume:
@@ -219,11 +217,11 @@ class TestBudgetResume:
     the certify step catches every miss, so ``T_min`` never moves."""
 
     @staticmethod
-    def _search(graph, wd):
+    def _search(graph):
         from repro.obs import Tracer
 
         tracer = Tracer()
-        t_min, _ = min_period_retiming(graph, wd, tracer=tracer)
+        t_min, _ = min_period_retiming(graph, tracer=tracer)
         (search,) = [s for s in tracer.spans if s.name == "min_period/search"]
         probes = [
             s for s in tracer.spans
@@ -235,24 +233,23 @@ class TestBudgetResume:
         from repro.experiments.fixtures import prepared_instance
 
         instances = [
-            (inst.expanded.graph, inst.wd, inst.t_min)
+            (inst.expanded.graph, inst.t_min)
             for inst in map(prepared_instance, ("s298", "s386"))
         ]
         for seed in range(3):
             g = random_circuit("br", n_units=40, n_ffs=20, seed=seed)
-            wd = wd_matrices(g)
-            instances.append((g, wd, min_period_retiming(g, wd)[0]))
+            instances.append((g, min_period_retiming(g)[0]))
         monkeypatch.setattr(minperiod, "_INITIAL_BUDGET", 1)
         resumes = 0
-        for g, wd, t_min in instances:
-            got, attrs, _probes = self._search(g, wd)
+        for g, t_min in instances:
+            got, attrs, _probes = self._search(g)
             assert got == t_min
             resumes += attrs["resumes"]
         assert resumes > 0
 
     def test_search_span_totals_match_probe_spans(self):
         g = random_circuit("br", n_units=40, n_ffs=20, seed=0)
-        _, attrs, probes = self._search(g, wd_matrices(g))
+        _, attrs, probes = self._search(g)
         unverified = [p for p in probes if p.attrs["verdict"] == "unverified"]
         assert unverified
         assert attrs["feas_rounds"] == sum(p.attrs["rounds"] for p in probes)

@@ -20,6 +20,7 @@ from repro.errors import InfeasibleConstraintsError, RetimingError
 from repro.netlist import random_circuit
 from repro.retime import (
     Constraint,
+    IncrementalMinArea,
     build_constraint_system,
     clock_period,
     min_area_retiming,
@@ -126,13 +127,15 @@ class TestHighsAgainstOracle:
         g = random_circuit(f"flow{seed}", n_units=30, n_ffs=12, seed=seed)
         wd = wd_matrices(g)
         t_init = clock_period(g, wd)
-        t_min, _ = min_period_retiming(g, wd)
+        t_min, _ = min_period_retiming(g)
         period = t_min + 0.5 * (t_init - t_min)
-        system = build_constraint_system(g, wd, period)
+        system = build_constraint_system(g, period)
         rng = random.Random(seed)
         for weights in (None, {u: rng.uniform(0.1, 10.0) for u in g.units()}):
             objective = retiming_objective(g, weights)
-            shipped = min_area_retiming(g, period, weights=weights, system=system)
+            shipped = min_area_retiming(
+                g, period, weights=weights, solver=IncrementalMinArea(g, system)
+            )
             oracle = min_area_labels(g, system, weights)
             value = lambda labels: sum(objective[v] * labels[v] for v in g.units())
             assert value(shipped.labels) == value(oracle)

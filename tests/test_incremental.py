@@ -23,8 +23,8 @@ from repro.retime.constraints import build_constraint_system
 from repro.retime import incremental
 from repro.retime.incremental import IncrementalMinArea, _load_highs
 from repro.retime.minarea import min_area_retiming
-from repro.retime.minperiod import clock_period, min_period_retiming
-from repro.retime.wd import wd_matrices
+from repro.retime.minperiod import min_period_retiming
+from repro.retime.wd import clock_period, wd_matrices
 from tests.oracles.flow import min_area_labels
 from tests.oracles.lac_cold import lac_retiming_cold
 
@@ -44,9 +44,9 @@ def prepared(seed: int, n_units: int = 40):
     )
     wd = wd_matrices(graph)
     t_init = clock_period(graph, wd)
-    t_min, _ = min_period_retiming(graph, wd)
+    t_min, _ = min_period_retiming(graph)
     period = t_min + 0.5 * (t_init - t_min)
-    system = build_constraint_system(graph, wd, period)
+    system = build_constraint_system(graph, period)
     return graph, wd, period, system
 
 
@@ -174,8 +174,8 @@ class TestEngineSelection:
 
     def test_infeasible_period_raises_at_construction(self, monkeypatch):
         graph, wd, _period, _system = prepared(seed=3)
-        t_min, _ = min_period_retiming(graph, wd)
-        tight = build_constraint_system(graph, wd, 0.5 * t_min)
+        t_min, _ = min_period_retiming(graph)
+        tight = build_constraint_system(graph, 0.5 * t_min)
         for engine in ENGINES:
             with monkeypatch.context() as patch:
                 force_engine(patch, engine)
@@ -207,3 +207,40 @@ class TestLacEquivalence:
         assert warm.solver_stats["engine"] == engine
         # One timing per weighted solve.
         assert len(warm.round_seconds) == warm.n_wr
+
+
+class TestForeignArtifact:
+    """The solver reads vertex order, gather arrays and components from
+    the constraint system's artifact, so an artifact of another circuit
+    must be refused, not used: two seeds of one generator give graphs
+    of the same size under the same unit names."""
+
+    def test_artifact_of_another_circuit_is_refused(self):
+        from repro.compile import CompiledCircuit
+        from repro.resilience import find_relaxed_period
+
+        mine = random_circuit("a", n_units=30, n_ffs=20, seed=1)
+        other = random_circuit("a", n_units=30, n_ffs=20, seed=2)
+        assert list(mine.units()) == list(other.units())
+        compiled = CompiledCircuit.compile(mine)
+        period = compiled.t_init
+        system = build_constraint_system(mine, period, compiled=compiled)
+        calls = {
+            "build_constraint_system": lambda: build_constraint_system(
+                other, period, compiled=compiled
+            ),
+            "IncrementalMinArea": lambda: IncrementalMinArea(other, system),
+            "min_area_retiming": lambda: min_area_retiming(
+                other, period, compiled=compiled
+            ),
+            "min_period_retiming": lambda: min_period_retiming(
+                other, compiled=compiled
+            ),
+            "find_relaxed_period": lambda: find_relaxed_period(
+                other, 0.5 * period, period, compiled=compiled
+            ),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="does not match"):
+                call()
+            assert compiled.t_min is None, name

@@ -15,6 +15,7 @@ from repro.errors import InfeasibleConstraintsError, UnboundedObjectiveError
 from repro.netlist import random_circuit
 from repro.retime import (
     Constraint,
+    IncrementalMinArea,
     build_constraint_system,
     clock_period,
     min_area_retiming,
@@ -119,7 +120,7 @@ class TestRetimingDual:
             g = random_circuit("mcf", n_units=25, n_ffs=15, seed=seed)
             wd = wd_matrices(g)
             period = clock_period(g, wd)
-            system = build_constraint_system(g, wd, period)
+            system = build_constraint_system(g, period)
             objective = {}
             from repro.retime import retiming_objective
 
@@ -140,7 +141,7 @@ class TestRetimingDual:
         g = random_circuit("mcfb", n_units=30, n_ffs=20, seed=7)
         wd = wd_matrices(g)
         period = clock_period(g, wd)
-        system = build_constraint_system(g, wd, period)
+        system = build_constraint_system(g, period)
         from repro.retime import retiming_objective
 
         labels = solve_retiming_dual(system.constraints, retiming_objective(g))
@@ -148,7 +149,9 @@ class TestRetimingDual:
 
         labels = normalise_labels(g, {v: labels.get(v, 0) for v in g.units()})
         ours = g.retimed(labels).total_flip_flops()
-        reference = min_area_retiming(g, period, wd=wd, system=system).total_ffs
+        reference = min_area_retiming(
+            g, period, solver=IncrementalMinArea(g, system)
+        ).total_ffs
         assert ours == reference
 
 
@@ -159,10 +162,10 @@ class TestBackendParameter:
     def test_min_area_native_backend(self):
         g = random_circuit("bk", n_units=25, n_ffs=12, seed=5)
         period = clock_period(g)
-        system = build_constraint_system(g, wd_matrices(g), period, prune=False)
+        system = build_constraint_system(g, period, prune=False)
         labels = solve_retiming_dual(system.constraints, retiming_objective(g))
         native = g.retimed(
             normalise_labels(g, {v: labels.get(v, 0) for v in g.units()})
         )
-        baseline = min_area_retiming(g, period, system=system)
+        baseline = min_area_retiming(g, period, solver=IncrementalMinArea(g, system))
         assert native.total_flip_flops() == baseline.total_ffs

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netlist import CircuitGraph
 from repro.retime import (
+    IncrementalMinArea,
     build_constraint_system,
     clock_period,
     min_area_retiming,
@@ -107,7 +108,7 @@ def test_min_period_result_is_feasible_and_tight(g):
 def test_checkers_agree(g, frac):
     wd = wd_matrices(g)
     period = frac * max(clock_period(g, wd), 1e-6)
-    fast = FeasibilityChecker.build(g, wd).labels(period)
+    fast = FeasibilityChecker.build(g, wd).check(period)
     slow = is_feasible_period(g, period, wd)
     assert (fast is None) == (slow is None)
 
@@ -116,9 +117,9 @@ def test_checkers_agree(g, frac):
 @given(circuits())
 def test_solver_labels_satisfy_their_constraints(g):
     t_init = clock_period(g)
-    wd = wd_matrices(g)
-    system = build_constraint_system(g, wd, t_init, prune=False)
-    labels = min_area_retiming(g, period=t_init, wd=wd, system=system).labels
+    system = build_constraint_system(g, t_init, prune=False)
+    solver = IncrementalMinArea(g, system)
+    labels = min_area_retiming(g, period=t_init, solver=solver).labels
     for c in system.constraints:
         assert labels.get(c.u, 0) - labels.get(c.v, 0) <= c.bound
 

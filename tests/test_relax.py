@@ -19,7 +19,7 @@ from repro.obs import Tracer
 from repro.retime import fastcheck
 from repro.retime.fastcheck import FeasibilityChecker, group_arcs, relax
 from repro.retime.minperiod import min_period_retiming
-from repro.retime.wd import candidate_periods
+from repro.retime.wd import candidate_periods, wd_matrices
 
 FEAS_VERDICTS = Path(__file__).parent / "data" / "feas_verdicts.json"
 
@@ -184,7 +184,7 @@ class TestMinPeriodGate:
         inst = prepared_instance("s386")
         graph, wd = inst.expanded.graph, inst.wd
         tracer = Tracer()
-        t_min, result = min_period_retiming(graph, wd, tracer=tracer)
+        t_min, result = min_period_retiming(graph, tracer=tracer)
         certs = [
             s for s in tracer.spans
             if s.name == "feas/certify" and s.attrs["verdict"] == "infeasible"
@@ -206,16 +206,17 @@ class TestMinPeriodGate:
         assert len(cycle) >= 2 and int(cycle[:, 2].sum()) < 0
         assert np.array_equal(cycle[:, 1], np.roll(cycle[:, 0], 1))
 
-    def test_fallback_probe_spans_say_why(self):
-        """On the dense fallback search, a probe refuted by relaxation
-        carries its cycle; an immediate reject (a unit slower than the
-        period) runs no round and has none."""
+    def test_dense_verdicts_say_why(self):
+        """A dense probe refuted by relaxation carries its cycle; an
+        immediate reject (a unit slower than the period) runs no round
+        and has none. The ``feas/certify`` and ``feas/refine`` spans
+        copy these fields."""
         from tests.test_feas_probe import self_loop_graph
 
-        tracer = Tracer()
-        min_period_retiming(self_loop_graph(), tracer=tracer)
-        probes = {s.attrs["t"]: s.attrs for s in tracer.spans if s.name == "feas/probe"}
-        assert probes[3.0]["verdict"] == "feasible" and "cycle_len" not in probes[3.0]
-        assert probes[1.0]["rounds"] == 0 and "cycle_len" not in probes[1.0]
-        assert probes[2.0]["verdict"] == "infeasible"
-        assert probes[2.0]["rounds"] >= 1 and probes[2.0]["cycle_len"] == 2
+        graph = self_loop_graph()
+        checker = FeasibilityChecker.build(graph, wd_matrices(graph))
+        assert checker.check(3.0) is not None and checker.last_cycle is None
+        assert checker.check(2.0) is None
+        assert checker.last_rounds >= 1 and len(checker.last_cycle) == 2
+        assert checker.check(1.0) is None
+        assert checker.last_rounds == 0 and checker.last_cycle is None

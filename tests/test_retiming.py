@@ -5,6 +5,7 @@ import pytest
 from repro.errors import InfeasiblePeriodError
 from repro.netlist import CircuitGraph, random_circuit, s27_graph
 from repro.retime import (
+    IncrementalMinArea,
     build_constraint_system,
     clock_period,
     min_area_retiming,
@@ -77,8 +78,7 @@ class TestMinArea:
 
         # Enumerate labels; feasibility via the (separately validated)
         # constraint system, which is much cheaper than re-running W/D.
-        wd = wd_matrices(g)
-        system = build_constraint_system(g, wd, 13.0)
+        system = build_constraint_system(g, 13.0)
         units = list(g.units())
         best = None
         for combo in itertools.product(range(-2, 3), repeat=len(units)):
@@ -96,7 +96,7 @@ class TestMinArea:
         labels = is_feasible_period(g, 13.0, wd)
         assert labels is not None
         feasible_ffs = g.retimed(labels).total_flip_flops()
-        optimal = min_area_retiming(g, period=13.0, wd=wd)
+        optimal = min_area_retiming(g, period=13.0)
         assert optimal.total_ffs <= feasible_ffs
 
     def test_infeasible_period_raises(self):
@@ -120,9 +120,8 @@ class TestMinArea:
 
     def test_reuses_precomputed_constraints(self):
         g = correlator()
-        wd = wd_matrices(g)
-        system = build_constraint_system(g, wd, 13.0)
-        r1 = min_area_retiming(g, period=13.0, system=system)
+        system = build_constraint_system(g, 13.0)
+        r1 = min_area_retiming(g, period=13.0, solver=IncrementalMinArea(g, system))
         r2 = min_area_retiming(g, period=13.0)
         assert r1.total_ffs == r2.total_ffs
 
