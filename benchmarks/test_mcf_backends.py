@@ -11,12 +11,8 @@ their run times.
 import pytest
 
 from repro.experiments.fixtures import prepared_instance
-from repro.retime import (
-    IncrementalMinArea,
-    min_area_retiming,
-    normalise_labels,
-    retiming_objective,
-)
+from repro.retime import IncrementalMinArea, min_area_retiming, normalise_labels
+from tests.oracles.constraints import named_constraints, retiming_objective
 from tests.oracles.mcf import solve_retiming_dual
 
 
@@ -28,7 +24,7 @@ def instance():
 def _native_total_ffs(instance) -> int:
     graph = instance.expanded.graph
     labels = solve_retiming_dual(
-        instance.system.constraints, retiming_objective(graph)
+        named_constraints(instance.system), retiming_objective(graph)
     )
     labels = normalise_labels(graph, {v: labels.get(v, 0) for v in graph.units()})
     return graph.retimed(labels).total_flip_flops()

@@ -25,7 +25,7 @@ Commands:
   outcome in memory first — the CI smoke test that the audit rejects
   what it must;
 * ``cache``            — manage the compiled-circuit cache
-  (``repro-compile/3`` artifacts used by ``plan``/``table1``/``bench``
+  (``repro-compile/4`` artifacts used by ``plan``/``table1``/``bench``
   via ``--cache-dir``): ``cache info`` lists artifacts, ``cache
   clear`` empties the store, ``cache prewarm`` populates it by
   planning the Table-1 suite once;
@@ -737,7 +737,7 @@ def main(argv=None) -> int:
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="reuse compiled-circuit artifacts (repro-compile/3) from DIR; "
+        help="reuse compiled-circuit artifacts (repro-compile/4) from DIR; "
         "results are bit-identical with and without the cache",
     )
     p_plan.add_argument(
@@ -894,7 +894,7 @@ def main(argv=None) -> int:
     p_cache = sub.add_parser(
         "cache",
         help="inspect, clear, or prewarm the compiled-circuit cache "
-        "(repro-compile/3 artifacts)",
+        "(repro-compile/4 artifacts)",
     )
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cache_info = cache_sub.add_parser(

@@ -6,7 +6,9 @@ Compilation is the expensive, *pure* front half of a planning
 iteration. An artifact has two halves:
 
 * the **replay record**, which is what gets pickled: vertex order, the
-  min-area objective gather arrays, ``T_init``, the largest unit delay,
+  connection arrays (both ends and the weight of every connection, the
+  min-area objective's gather arrays and the constraint table's edge
+  rows), the unit delays, ``T_init``, the largest unit delay,
   the candidate-period count and — filled in lazily as the solve runs —
   per-period clocking pairs stored with their bounds ``W(u, v) - 1``
   and the minimum-period witness. A warm re-plan replays the solve
@@ -26,8 +28,10 @@ compilation-relevant config switch (``prune``). The planner compiles the *expand
 each iteration, whose content already reflects every upstream stage
 (partition seed, floorplan, routes, repeaters), so equal fingerprints
 really do mean equal solve inputs — and therefore bit-identical
-results. A rebuild checks the graph it is handed against the
-fingerprint, so search inputs can never come from another circuit. The
+results. Every retiming entry point checks the graph it is handed
+against the record (:meth:`CompiledCircuit.check_graph`: vertex order,
+connections, weights and delays), and a rebuild checks it against the
+fingerprint, so nothing is ever read for another circuit. The
 run's plumbing (the cache itself, telemetry sinks, resilience posture)
 lives in a :class:`~repro.core.context.RunContext` and never reaches
 the hash.
@@ -46,17 +50,20 @@ from repro.errors import InfeasiblePeriodError
 from repro.netlist.graph import CircuitGraph
 from repro.netlist.io import graph_to_dict
 from repro.obs import NOOP_TRACER
-from repro.retime.constraints import prune_redundant_arrays
+from repro.retime.constraints import ClockPairs, clock_rows
 from repro.retime.feas_probe import FeasProbe
-from repro.retime.wd import WDMatrices, candidate_periods, clock_period, wd_matrices
+from repro.retime.wd import (
+    WDMatrices,
+    candidate_periods,
+    clock_period,
+    connection_arrays,
+    unit_delays,
+    wd_matrices,
+)
 from repro.tech.params import DEFAULT_TECH, Technology
 
 #: On-disk artifact schema (also the fingerprint domain separator).
-COMPILE_SCHEMA = "repro-compile/3"
-
-#: Clocking pairs of one ``(period, prune)`` key: ``(rows, cols,
-#: bounds)`` int64 arrays, ``bounds = W[rows, cols] - 1``.
-ClockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
+COMPILE_SCHEMA = "repro-compile/4"
 
 #: The memory-only fields: never pickled, rebuilt from the graph.
 _SEARCH_FIELDS = ("wd", "candidates", "exact_candidates", "feas")
@@ -80,16 +87,6 @@ def _search_inputs(graph: CircuitGraph) -> dict:
         "exact_candidates": candidate_periods(wd, tol=0.0),
         "feas": FeasProbe.build(graph),
     }
-
-
-def _connection_arrays(
-    graph: CircuitGraph, index: Dict[str, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(conn_u, conn_v)``: both ends of every connection of ``graph``
-    as positions in ``index``, in connection order."""
-    conn = [(index[u], index[v]) for (u, v, _key), _w in graph.connections()]
-    arr = np.asarray(conn, dtype=np.int64).reshape(len(conn), 2)
-    return np.ascontiguousarray(arr[:, 0]), np.ascontiguousarray(arr[:, 1])
 
 
 def compile_fingerprint(
@@ -142,6 +139,8 @@ class CompiledCircuit:
     n_candidates: int
     conn_u: np.ndarray
     conn_v: np.ndarray
+    conn_w: np.ndarray
+    delays: np.ndarray
     #: Weakly connected components as sorted tuples in a sorted list,
     #: so the pickle does not depend on the per-process string hash.
     components: List[Tuple[str, ...]]
@@ -174,7 +173,7 @@ class CompiledCircuit:
         if fingerprint is None:
             fingerprint = compile_fingerprint(graph, tech, prune=prune)
         order = list(graph.units())
-        conn_u, conn_v = _connection_arrays(
+        conn_u, conn_v, conn_w = connection_arrays(
             graph, {v: i for i, v in enumerate(order)}
         )
         search = _search_inputs(graph)
@@ -192,6 +191,8 @@ class CompiledCircuit:
             n_candidates=len(search["candidates"]),
             conn_u=conn_u,
             conn_v=conn_v,
+            conn_w=conn_w,
+            delays=unit_delays(graph, order),
             components=_canonical_components(graph.weakly_connected_components()),
             clock_pair_sets={},
             **search,
@@ -212,24 +213,26 @@ class CompiledCircuit:
     def check_graph(self, graph: CircuitGraph) -> None:
         """Refuse a graph this artifact was not compiled from.
 
-        Compares the vertex order and the connection arrays, so the
-        artifact of another circuit is refused even when it has as many
-        units under the same names.
+        Compares the vertex order, the connection ends and weights and
+        the unit delays: another circuit with as many units under the
+        same names, or a copy with one weight or delay changed, would
+        read wrong W/D, candidates and clocking rows.
 
         Raises:
-            ValueError: ``graph`` has other units or connections.
+            ValueError: ``graph`` has other units, connections, weights
+                or delays.
         """
         same = list(graph.units()) == self.order
         if same:
-            conn_u, conn_v = _connection_arrays(graph, self.index)
-            same = np.array_equal(conn_u, self.conn_u) and np.array_equal(
-                conn_v, self.conn_v
-            )
+            theirs = connection_arrays(graph, self.index)
+            theirs += (unit_delays(graph, self.order),)
+            mine = (self.conn_u, self.conn_v, self.conn_w, self.delays)
+            same = all(np.array_equal(a, b) for a, b in zip(theirs, mine))
         if not same:
             raise ValueError(
                 f"graph {graph.name!r} does not match compiled artifact "
-                f"{self.fingerprint[:16]} ({self.circuit}): its units or "
-                "connections differ"
+                f"{self.fingerprint[:16]} ({self.circuit}): its units, "
+                "connections, weights or delays differ"
             )
 
     def __getstate__(self) -> dict:
@@ -300,8 +303,9 @@ class CompiledCircuit:
         graph: Optional[CircuitGraph] = None,
         tracer=None,
     ) -> ClockPairs:
-        """(pruned) clocking pairs for ``period`` with their bounds,
-        memoised per ``(period, prune)``.
+        """(pruned) clocking rows for ``period``
+        (:func:`~repro.retime.constraints.clock_rows`), memoised per
+        ``(period, prune)``.
 
         A stored key is answered from the replay record; a new one
         needs the W/D matrices and so may rebuild the search inputs
@@ -320,13 +324,7 @@ class CompiledCircuit:
         if cached is not None:
             return cached
         self.rebuild_search_inputs(graph, "clock_pairs", tracer=tracer)
-        wd = self.wd
-        rows, cols = wd.pairs_exceeding_arrays(period)
-        if prune:
-            rows, cols = prune_redundant_arrays(wd, period, rows, cols)
-        rows = np.ascontiguousarray(rows)
-        cols = np.ascontiguousarray(cols)
-        pairs = (rows, cols, wd.w[rows, cols].astype(np.int64) - 1)
+        pairs = clock_rows(self.wd, period, prune)
         self.clock_pair_sets[key] = pairs
         self.dirty = True
         return pairs

@@ -13,7 +13,7 @@ record::
 
     {"circuit": "s298", "codec": "zlib", "fingerprint": "<key>",
      "kind": "compiled-circuit", "meta": {...},
-     "schema": "repro-compile/3", "sha256": "<payload digest>"}\\n
+     "schema": "repro-compile/4", "sha256": "<payload digest>"}\\n
     <zlib bytes>
 
 What the payload holds: the vertex order, the min-area objective

@@ -16,7 +16,7 @@ writer renames last wins whole; every intermediate observation of the
 destination is a complete document.
 
 This module also owns the *sealed-file* format of checkpoints
-(``repro-ckpt/1``) and compiled circuits (``repro-compile/3``): a
+(``repro-ckpt/1``) and compiled circuits (``repro-compile/4``): a
 ``sort_keys`` JSON header line carrying the payload's ``sha256``, then
 the payload. Callers keep their policy — which header fields identify
 a file, how the payload decodes, and whether a rejected file is moved

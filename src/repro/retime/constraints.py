@@ -1,95 +1,142 @@
-"""Difference-constraint generation for retiming.
+"""The retiming constraint table.
 
-A retiming problem is a set of difference constraints
-``r(u) - r(v) <= bound`` over the retiming labels:
+A retiming problem is one table of difference constraints
+``r(u) - r(v) <= bound`` over the retiming labels: a structured int64
+array with fields ``u``, ``v`` and ``bound`` (:data:`ROW`), its vertex
+indices positions in the compiled artifact's ``order``. Its rows are:
 
-* **edge constraints** (Eqn. (1) of the paper): retimed weights stay
-  non-negative, i.e. ``r(u) - r(v) <= w(e)`` for every connection;
-* **clocking constraints** (Eqn. (2)): every path with delay greater
-  than the clock period must hold at least one flip-flop, i.e.
-  ``r(u) - r(v) <= W(u, v) - 1`` whenever ``D(u, v) > T_clk``;
-* **host constraints**: host vertices are pinned to each other
+* **edge rows** (Eqn. (1) of the paper): retimed weights stay
+  non-negative, i.e. ``r(u) - r(v) <= w(e)``, one row per connected
+  ``(u, v)`` pair at the tightest weight of its parallel connections;
+* **host rows**: host vertices are pinned to each other
   (``r = const`` on each host) so that I/O latency is preserved; the
-  solution is normalised to ``r(host) = 0`` afterwards.
+  solution is normalised to ``r(host) = 0`` afterwards;
+* **clocking rows** (Eqn. (2)): every path with delay greater than the
+  clock period must hold at least one flip-flop, i.e.
+  ``r(u) - r(v) <= W(u, v) - 1`` whenever ``D(u, v) > T_clk``.
+
+:func:`build_constraint_system` is the one builder of the table. Its
+helpers, :func:`static_rows`, :func:`clock_rows` and
+:func:`tightest_rows`, also build the min-area LP's rows
+(:mod:`repro.retime.incremental`) and the feasibility checker's arcs
+(:mod:`repro.retime.fastcheck`).
 
 The paper notes (Section 5) that constraint generation dominates
 min-area retiming run time, and that the Maheshwari–Sapatnekar
-reduction would cut it further; :func:`prune_redundant_arrays`
-implements a reduction in that spirit. A clocking constraint ``(u, v)``
-is dropped when a vertex ``x`` on a minimum-weight ``u -> v`` path
-(witnessed by ``W(u,x) + W(x,v) == W(u,v)``) carries a kept clocking
-constraint ``(u, x)`` or ``(x, v)``: the witness constraint plus the
-chain of edge constraints along the minimum-weight path already implies
-the dropped one. Because the graph has no zero-weight cycles, the "implied-by"
-relation is acyclic, so pruning with witnesses is sound. Only the graph
-neighbours of the pair's endpoints need testing as witnesses (the
+reduction would cut it further; :func:`clock_rows` with ``prune``
+implements a reduction in that spirit. A clocking row ``(u, v)`` is
+dropped when a vertex ``x`` on a minimum-weight ``u -> v`` path
+(witnessed by ``W(u,x) + W(x,v) == W(u,v)``) carries a clocking row
+``(u, x)`` or ``(x, v)``: the witness row plus the chain of edge rows
+along the minimum-weight path already implies the dropped one. Because
+the graph has no zero-weight cycles, the "implied-by" relation is
+acyclic, so pruning with witnesses is sound. Only the graph neighbours
+of the pair's endpoints need testing as witnesses (the
 neighbour-witness lemma, proved in ``docs/algorithms.md`` §3).
-
-:func:`build_constraint_system` reads the clocking pairs and their
-bounds from a :class:`repro.compile.CompiledCircuit`, which generates
-them once per ``(period, prune)`` and keeps them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.wd import WDMatrices
+from repro.retime.wd import WDMatrices, connection_arrays, pair_minima
 
 if TYPE_CHECKING:
     from repro.compile.artifact import CompiledCircuit
 
+#: One row of the constraint table: ``r(u) - r(v) <= bound``.
+ROW = np.dtype([("u", np.int64), ("v", np.int64), ("bound", np.int64)])
 
-@dataclasses.dataclass(frozen=True)
-class Constraint:
-    """One difference constraint ``r(u) - r(v) <= bound``."""
-
-    u: str
-    v: str
-    bound: int
-    kind: str  # "edge", "clock", or "host"
+#: Clocking rows of one period as ``(u, v, bound)`` int64 arrays, the
+#: form the compiled artifact stores per ``(period, prune)`` key.
+ClockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclasses.dataclass
+def row_table(u: np.ndarray, v: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The :data:`ROW` table of three equal-length integer arrays."""
+    rows = np.empty(len(u), dtype=ROW)
+    rows["u"] = u
+    rows["v"] = v
+    rows["bound"] = bound
+    return rows
+
+
+@dataclasses.dataclass(eq=False)
 class ConstraintSystem:
-    """All difference constraints of one retiming problem, with the
-    compiled artifact of the graph they were generated for (whose
-    vertex order and connection arrays the min-area solver reads)."""
+    """The constraint table of one retiming problem, with the compiled
+    artifact of the graph it was generated for (whose vertex order and
+    connection arrays the min-area solver reads).
 
-    constraints: List[Constraint]
-    period: Optional[float]
-    compiled: "CompiledCircuit" = dataclasses.field(compare=False, repr=False)
+    ``constraints`` holds the edge and host rows first (``n_static`` of
+    them, :func:`static_rows`) and the clocking rows after.
+    """
+
+    constraints: np.ndarray
+    period: float
+    n_static: int
+    compiled: "CompiledCircuit" = dataclasses.field(repr=False)
 
     def __len__(self) -> int:
         return len(self.constraints)
 
-    def by_kind(self, kind: str) -> List[Constraint]:
-        return [c for c in self.constraints if c.kind == kind]
+
+def tightest_rows(u: np.ndarray, v: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """One :data:`ROW` per ``(u, v)`` pair at its smallest bound, the
+    pairs in order of first occurrence: the collapse a dict keyed by
+    pair gives (:func:`~repro.retime.wd.pair_minima`, reordered)."""
+    first, best = pair_minima(u, v, bound)
+    order = np.argsort(first)
+    first = first[order]
+    return row_table(u[first], v[first], best[order])
 
 
-def edge_constraints(graph: CircuitGraph) -> List[Constraint]:
-    """Eqn. (1): one constraint per connection, collapsed to the
-    tightest bound for parallel connections."""
-    best: Dict[Tuple[str, str], int] = {}
-    for (u, v, _key), w in graph.connections():
-        pair = (u, v)
-        if pair not in best or w < best[pair]:
-            best[pair] = w
-    return [Constraint(u, v, w, "edge") for (u, v), w in best.items()]
+def static_rows(
+    graph: CircuitGraph, compiled: Optional["CompiledCircuit"] = None
+) -> np.ndarray:
+    """The edge rows, then the host rows, as a :data:`ROW` table.
+
+    Edge rows come from ``compiled``'s connection arrays
+    (``conn_u``/``conn_v``/``conn_w``) through :func:`tightest_rows`.
+    Without an artifact they are read from ``graph`` itself, indexed
+    like ``graph.units()``: the dense feasibility checker serves graphs
+    that do not compile (a zero-weight self-loop) in its tests. Host
+    rows tie consecutive hosts both ways at bound 0.
+    """
+    if compiled is None:
+        index = {v: i for i, v in enumerate(graph.units())}
+        conn = connection_arrays(graph, index)
+    else:
+        index = compiled.index
+        conn = (compiled.conn_u, compiled.conn_v, compiled.conn_w)
+    edges = tightest_rows(*conn)
+    hosts = np.array([index[h] for h in graph.host_units()], dtype=np.int64)
+    a, b = hosts[:-1], hosts[1:]
+    host = row_table(
+        np.stack([a, b], axis=1).ravel(),
+        np.stack([b, a], axis=1).ravel(),
+        np.zeros(2 * a.size, dtype=np.int64),
+    )
+    return np.concatenate([edges, host])
 
 
-def host_constraints(graph: CircuitGraph) -> List[Constraint]:
-    """Pin all host vertices to a common label (normalised to 0 later)."""
-    hosts = graph.host_units()
-    out: List[Constraint] = []
-    for a, b in zip(hosts, hosts[1:]):
-        out.append(Constraint(a, b, 0, "host"))
-        out.append(Constraint(b, a, 0, "host"))
-    return out
+def clock_rows(wd: WDMatrices, period: float, prune: bool) -> ClockPairs:
+    """The clocking rows for ``period``: every pair ``i != j`` with
+    ``D(i, j) > period`` in row-major order, with bound ``W(i, j) - 1``;
+    with ``prune``, minus the pairs a witness implies
+    (:func:`_prune_keep_mask`), order kept."""
+    rows, cols = wd.pairs_exceeding_arrays(period)
+    if prune and rows.size:
+        keep = _prune_keep_mask(wd, period, rows, cols)
+        rows = rows[keep]
+        cols = cols[keep]
+    # np.nonzero hands back column views of one (k, 2) array.
+    rows = np.ascontiguousarray(rows)
+    cols = np.ascontiguousarray(cols)
+    return rows, cols, wd.w[rows, cols].astype(np.int64) - 1
 
 
 #: Witness candidates (pair x neighbour edge) gathered per step of
@@ -103,8 +150,8 @@ def _prune_keep_mask(
 ) -> np.ndarray:
     """Keep-mask over clocking pairs ``(src[k], dst[k])``.
 
-    Implements the :func:`prune_redundant_arrays` predicate, testing only the
-    graph neighbours of each pair's endpoints as witnesses (the
+    Implements the witness rule of the module docstring, testing only
+    the graph neighbours of each pair's endpoints as witnesses (the
     neighbour-witness lemma): ``(i, j)`` is redundant iff
 
     * some edge ``p -> j`` with ``p != i`` has
@@ -174,41 +221,23 @@ def _prune_keep_mask(
     return keep
 
 
-def prune_redundant_arrays(
-    wd: WDMatrices, period: float, src: np.ndarray, dst: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop clocking constraints implied by others plus edge chains:
-    filter the ``(src, dst)`` pair arrays to the non-redundant subset,
-    preserving order.
-
-    For pair ``(u, v)``: any ``x`` distinct from both endpoints with
-    ``W(u,x) + W(x,v) == W(u,v)`` lies on a minimum-weight path, so the
-    chain of edge constraints along that path realises the exact
-    bounds ``W(u,x)`` / ``W(x,v)``. If additionally ``D(u,x) > T`` (or
-    ``D(x,v) > T``) the clocking constraint through ``x`` composes with
-    the chain to a bound ``<= W(u,v) - 1``, making ``(u, v)`` redundant.
-    """
-    if src.size == 0:
-        return src, dst
-    keep = _prune_keep_mask(wd, period, src, dst)
-    return src[keep], dst[keep]
-
-
 def build_constraint_system(
     graph: CircuitGraph,
-    period: Optional[float],
+    period: float,
     prune: bool = False,
     compiled: Optional["CompiledCircuit"] = None,
     tracer=None,
 ) -> ConstraintSystem:
-    """Assemble edge + host (+ clocking, if a period is given) constraints.
+    """The constraint table for ``period``: :func:`static_rows`, then
+    the clocking rows.
 
-    The clocking pairs and their bounds come from ``compiled`` (a
+    The clocking rows come from ``compiled`` (a
     :class:`repro.compile.CompiledCircuit` of ``graph``, compiled here
-    if omitted), whose per-``(period, prune)`` pair cache generates
-    them once and keeps them in the artifact. ``tracer`` records the
-    artifact's ``compile/rebuild`` span if a new period needs its
-    search inputs.
+    if omitted), whose per-``(period, prune)`` cache
+    (:meth:`~repro.compile.CompiledCircuit.clock_pairs`) generates them
+    once with :func:`clock_rows` and keeps them in the artifact.
+    ``tracer`` records the artifact's ``compile/rebuild`` span if a new
+    period needs its search inputs.
 
     Raises:
         InfeasiblePeriodError: A single unit's delay exceeds ``period``.
@@ -218,14 +247,10 @@ def build_constraint_system(
     from repro.compile.artifact import CompiledCircuit
 
     compiled = CompiledCircuit.for_graph(graph, compiled)
-    constraints = edge_constraints(graph) + host_constraints(graph)
-    if period is not None:
-        rows, cols, bounds = compiled.clock_pairs(
-            period, prune=prune, graph=graph, tracer=tracer
-        )
-        names = compiled.order
-        constraints += [
-            Constraint(names[i], names[j], b, "clock")
-            for i, j, b in zip(rows.tolist(), cols.tolist(), bounds.tolist())
-        ]
-    return ConstraintSystem(constraints, period, compiled)
+    static = static_rows(graph, compiled)
+    clock = row_table(
+        *compiled.clock_pairs(period, prune=prune, graph=graph, tracer=tracer)
+    )
+    return ConstraintSystem(
+        np.concatenate([static, clock]), float(period), len(static), compiled
+    )

@@ -16,20 +16,21 @@ infeasible probe therefore stops a few rounds after the cycle forms,
 instead of relaxing until its labels have dropped by about ``|V|``
 bounds, and hands back the cycle as its certificate (:class:`Relaxed`).
 
-Minimum-period retiming probes many candidate periods; building a
-:class:`~repro.retime.constraints.Constraint` object per clocking pair
-(up to O(V^2) of them) per probe dominates runtime. The checker keeps
-everything in numpy arrays:
+Minimum-period retiming probes many candidate periods, so the checker
+keeps everything in numpy arrays and builds its rows with the helpers
+of :mod:`repro.retime.constraints`, the same ones the min-area
+solver's constraint table comes from:
 
-* the static arrays (edge constraints, host-equality constraints) are
-  extracted once per graph;
-* per probe, the clocking pairs ``D > T`` are masked directly out of
-  the W/D matrices, then reduced with the witness prune
-  (:func:`repro.retime.constraints._prune_keep_mask`): a pruned pair
-  is implied by a kept pair plus edge-constraint chains, so dropping
-  it changes neither the solution set nor the relaxed labels, while
-  cutting the arc count by ~99% on the larger circuits; the pruned
-  arcs are grouped for the kernel and cached per period across probes.
+* the static rows (edge rows, host-equality rows) are
+  :func:`~repro.retime.constraints.static_rows`, built once per graph;
+* per probe, the clocking rows are
+  :func:`~repro.retime.constraints.clock_rows` with the witness prune:
+  a pruned pair is implied by a kept pair plus edge-row chains, so
+  dropping it changes neither the solution set nor the relaxed labels,
+  while cutting the arc count by ~99% on the larger circuits; the
+  arcs are grouped for the kernel and cached per probed period in the
+  checker (never in the compiled artifact, whose pickled record would
+  grow by every probe).
 
 The result is exact for the split-host semantics — identical to the
 constraint-object reference in ``tests/oracles/feasibility.py``, which
@@ -45,13 +46,16 @@ raw graph without touching any of these arrays.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import _prune_keep_mask
+from repro.retime.constraints import clock_rows, static_rows
 from repro.retime.wd import WDMatrices
+
+if TYPE_CHECKING:
+    from repro.compile.artifact import CompiledCircuit
 
 
 class Arcs(NamedTuple):
@@ -244,33 +248,22 @@ class FeasibilityChecker:
     last_cycle: Optional[np.ndarray] = None
 
     @classmethod
-    def build(cls, graph: CircuitGraph, wd: WDMatrices) -> "FeasibilityChecker":
-        index = wd.index
-        best: Dict[Tuple[int, int], int] = {}
-        for (u, v, _k), w in graph.connections():
-            pair = (index[u], index[v])
-            if pair not in best or w < best[pair]:
-                best[pair] = w
-        hosts = [index[h] for h in graph.host_units()]
-        extra: List[Tuple[int, int, int]] = []
-        for a, b in zip(hosts, hosts[1:]):
-            extra.append((a, b, 0))
-            extra.append((b, a, 0))
-        u_arr = np.array(
-            [p[0] for p in best] + [e[0] for e in extra], dtype=np.int64
-        )
-        v_arr = np.array(
-            [p[1] for p in best] + [e[1] for e in extra], dtype=np.int64
-        )
-        b_arr = np.array(
-            list(best.values()) + [e[2] for e in extra], dtype=np.int64
-        )
+    def build(
+        cls,
+        graph: CircuitGraph,
+        wd: WDMatrices,
+        compiled: Optional["CompiledCircuit"] = None,
+    ) -> "FeasibilityChecker":
+        """The checker of ``graph`` probing with ``wd``, its static rows
+        :func:`~repro.retime.constraints.static_rows` of ``compiled``
+        (the artifact ``wd`` belongs to) or, without one, of ``graph``."""
+        rows = static_rows(graph, compiled)
         return cls(
             wd=wd,
-            static_u=u_arr,
-            static_v=v_arr,
-            static_b=b_arr,
-            n=len(index),
+            static_u=rows["u"],
+            static_v=rows["v"],
+            static_b=rows["bound"],
+            n=len(wd.order),
             max_delay=wd.max_vertex_delay(),
         )
 
@@ -278,21 +271,16 @@ class FeasibilityChecker:
     def _probe_arcs(self, period: float) -> Arcs:
         """The grouped constraint arcs for one period, cached per period.
 
-        Clocking pairs implied by a witness pair plus edge chains
-        (:func:`repro.retime.constraints._prune_keep_mask`) are dropped
-        before the solve: the pruned system has the same solution set,
-        so verdicts *and* relaxed labels are unchanged while the arc
-        count falls by ~99% on the larger Table-1 circuits.
+        The clocking rows are pruned
+        (:func:`~repro.retime.constraints.clock_rows`) before the solve:
+        the pruned system has the same solution set, so verdicts *and*
+        relaxed labels are unchanged while the arc count falls by ~99%
+        on the larger Table-1 circuits.
         """
         cached = self.arc_cache.get(period)
         if cached is not None:
             return cached
-        rows, cols = self.wd.pairs_exceeding_arrays(period)
-        if rows.size:
-            kept = _prune_keep_mask(self.wd, period, rows, cols)
-            rows = rows[kept]
-            cols = cols[kept]
-        bounds = self.wd.w[rows, cols].astype(np.int64) - 1
+        rows, cols, bounds = clock_rows(self.wd, period, prune=True)
         arcs = group_arcs(
             self.n,
             np.concatenate([self.static_u, rows]),

@@ -64,6 +64,7 @@ import numpy as np
 
 from repro.errors import RetimingError
 from repro.netlist.graph import CircuitGraph
+from repro.retime.wd import _min_weight_edges, unit_delays
 
 _EPS = 1e-9
 
@@ -103,37 +104,17 @@ class FeasProbe:
         n = len(order)
         index = {v: i for i, v in enumerate(order)}
 
-        best: Dict[Tuple[int, int], int] = {}
-        for (u, v, _k), w in graph.connections():
-            if u == v:
-                if w == 0:
-                    raise RetimingError(
-                        "zero-weight self-loop; period feasibility undefined"
-                    )
-                # A self-loop's retimed weight equals its weight: never
-                # zero, so it cannot appear on a register-free path.
-                continue
-            pair = (index[u], index[v])
-            if pair not in best or w < best[pair]:
-                best[pair] = w
-
-        if best:
-            flat = np.array(
-                [(u, v, w) for (u, v), w in best.items()], dtype=np.int64
-            )
-            sort = np.lexsort((flat[:, 1], flat[:, 0]))
-            eu = np.ascontiguousarray(flat[sort, 0])
-            ev = np.ascontiguousarray(flat[sort, 1])
-            ew = np.ascontiguousarray(flat[sort, 2])
-        else:
-            eu = np.empty(0, dtype=np.int64)
-            ev = np.empty(0, dtype=np.int64)
-            ew = np.empty(0, dtype=np.int64)
+        eu, ev, ew = _min_weight_edges(graph, order)
+        loop = eu == ev
+        if (ew[loop] == 0).any():
+            raise RetimingError("zero-weight self-loop; period feasibility undefined")
+        # A self-loop's retimed weight equals its weight: never zero, so
+        # it cannot appear on a register-free path.
+        eu, ev, ew = eu[~loop], ev[~loop], ew[~loop]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        if eu.size:
-            np.cumsum(np.bincount(eu, minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(eu, minlength=n), out=indptr[1:])
 
-        delays = np.array([graph.delay(v) for v in order], dtype=np.float64)
+        delays = unit_delays(graph, order)
         host_idx = np.array(
             sorted(index[h] for h in graph.host_units()), dtype=np.int64
         )

@@ -10,8 +10,10 @@ baseline and LAC's uniform-weight first round are one solve.
 
 :class:`IncrementalMinArea` amortises everything that doesn't change:
 
-* constraints are collapsed to one arc per ``(u, v)`` pair once, at
-  construction — no per-round arc construction;
+* the system's constraint table is collapsed to one arc per
+  ``(u, v)`` pair once, at construction, with
+  :func:`~repro.retime.constraints.tightest_rows` — no per-round arc
+  construction, and the LP rows keep the table's order;
 * feasibility is checked once, at construction, by the retiming
   engine's one Bellman–Ford (:func:`repro.retime.fastcheck.relax`); an
   infeasible system (negative-cost constraint cycle) surfaces there,
@@ -53,7 +55,7 @@ from repro.errors import (
     UnboundedObjectiveError,
 )
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import ConstraintSystem
+from repro.retime.constraints import ConstraintSystem, tightest_rows
 from repro.retime.fastcheck import group_arcs, relax
 from repro.retime.minarea import WEIGHT_SCALE, normalise_labels
 
@@ -243,19 +245,12 @@ class IncrementalMinArea:
         self.graph = graph
         self.system = system
         self._order: List[str] = compiled.order
-        index = compiled.index
         n = len(self._order)
 
         # one arc per (u, v) pair, collapsed to the tightest bound.
-        best: Dict[tuple, int] = {}
-        for c in system.constraints:
-            key = (c.u, c.v)
-            if key not in best or c.bound < best[key]:
-                best[key] = c.bound
-        m = len(best)
-        tails = np.fromiter((index[u] for (u, _v) in best), np.int64, count=m)
-        heads = np.fromiter((index[v] for (_u, v) in best), np.int64, count=m)
-        bounds = np.fromiter(best.values(), np.int64, count=m)
+        table = system.constraints
+        arcs = tightest_rows(table["u"], table["v"], table["bound"])
+        tails, heads, bounds = arcs["u"], arcs["v"], arcs["bound"]
 
         # objective machinery: each connection (u, v) adds the scaled
         # fanin weight A(u) to c_v and subtracts it from c_u.
@@ -286,7 +281,13 @@ class IncrementalMinArea:
     def objective_coefficients(
         self, weights: Optional[Mapping[str, float]] = None
     ) -> np.ndarray:
-        """Integer demand vector, identical to ``retiming_objective``."""
+        """Integer demand vector ``c``, indexed like the artifact's
+        ``order``: the objective ``sum_v c_v * r(v)`` of the (weighted)
+        min-area LP. Each unit's weight is scaled to an integer
+        (:data:`~repro.retime.minarea.WEIGHT_SCALE`, at least 1;
+        uniform 1 when ``weights`` is omitted), and each connection
+        ``(u, v)`` adds ``u``'s scaled weight to ``c_v`` and subtracts
+        it from ``c_u``, so the coefficients sum to zero exactly."""
         n = len(self._order)
         if weights is None:
             scaled = np.ones(n, dtype=np.int64)
@@ -337,18 +338,3 @@ class IncrementalMinArea:
         self.stats.solves += 1
         self.stats.solve_seconds += time.perf_counter() - start
         return labels
-
-    # ------------------------------------------------------------------
-    def objective_value(
-        self,
-        labels: Mapping[str, int],
-        weights: Optional[Mapping[str, float]] = None,
-    ) -> int:
-        """``sum_v c_v * r(v)`` for the scaled integer objective."""
-        coeff = self.objective_coefficients(weights)
-        r = np.fromiter(
-            (labels.get(u, 0) for u in self._order),
-            dtype=np.int64,
-            count=len(self._order),
-        )
-        return int(coeff @ r)

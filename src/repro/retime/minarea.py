@@ -15,9 +15,12 @@ problem.
 
 Both are solved exactly by the one min-area solver,
 :class:`repro.retime.incremental.IncrementalMinArea` (HiGHS dual
-simplex on the LP). Real-valued weights are scaled to integers per
-*unit* before forming the objective so that the coefficients still sum
-to zero exactly.
+simplex on the LP over the constraint table of
+:func:`~repro.retime.constraints.build_constraint_system`). Its
+:meth:`~repro.retime.incremental.IncrementalMinArea.objective_coefficients`
+scales real-valued weights to integers per *unit* (:data:`WEIGHT_SCALE`)
+before forming the objective, so the coefficients still sum to zero
+exactly.
 """
 
 from __future__ import annotations
@@ -49,30 +52,6 @@ class RetimingResult:
     def moved_units(self) -> int:
         """Number of units with a non-zero retiming label."""
         return sum(1 for r in self.labels.values() if r != 0)
-
-
-def retiming_objective(
-    graph: CircuitGraph, weights: Optional[Mapping[str, float]] = None
-) -> Dict[str, int]:
-    """Integer objective coefficients ``c_v`` for (weighted) min-area.
-
-    With ``weights`` omitted, every unit has weight 1 (classic
-    min-area). The coefficients are built per connection from the
-    scaled integer weight of the *fanin* unit, so they sum to zero
-    exactly even after scaling.
-    """
-    if weights is None:
-        scaled = {v: 1 for v in graph.units()}
-    else:
-        scaled = {
-            v: max(1, int(round(weights.get(v, 1.0) * WEIGHT_SCALE)))
-            for v in graph.units()
-        }
-    coeff: Dict[str, int] = {v: 0 for v in graph.units()}
-    for (u, v, _key), _w in graph.connections():
-        coeff[v] += scaled[u]  # fi(v) gains A(u)
-        coeff[u] -= scaled[u]  # fo(u) gains A(u)
-    return coeff
 
 
 def normalise_labels(

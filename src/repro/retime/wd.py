@@ -81,34 +81,54 @@ def clock_period(graph: CircuitGraph, wd: Optional[WDMatrices] = None) -> float:
     return float(wd.d[zero_weight].max())
 
 
+def connection_arrays(
+    graph: CircuitGraph, index: Dict[str, int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, w)`` int64 arrays: both ends of every connection of
+    ``graph`` as positions in ``index``, and its weight, in connection
+    order (parallel connections and self-loops included)."""
+    conn = [(index[u], index[v], w) for (u, v, _key), w in graph.connections()]
+    arr = np.asarray(conn, dtype=np.int64).reshape(len(conn), 3).T.copy()
+    return arr[0], arr[1], arr[2]
+
+
+def pair_minima(
+    u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For each distinct ``(u[k], v[k])`` pair, in ``(u, v)`` order: the
+    position of its first occurrence and its smallest ``w``.
+
+    A stable sort by flattened pair key (which keeps each pair's first
+    occurrence first), then ``minimum.reduceat`` over each run, instead
+    of a per-row Python dict. ``u`` and ``v`` are non-negative int64.
+    """
+    if not u.size:
+        return np.empty(0, dtype=np.int64), w[:0]
+    key = u * (int(v.max()) + 1) + v
+    rank = np.argsort(key, kind="stable")
+    key_sorted = key[rank]
+    head = np.empty(key.size, dtype=bool)
+    head[0] = True
+    np.not_equal(key_sorted[1:], key_sorted[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return rank[starts], np.minimum.reduceat(w[rank], starts)
+
+
 def _min_weight_edges(
     graph: CircuitGraph, order: List[str]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(src, dst, w)`` int64 arrays: one entry per connected ``(u, v)``
     pair of ``order`` indices, at the minimum weight over its parallel
-    connections, sorted by ``(src, dst)``. Self-loops are kept.
+    connections (:func:`pair_minima`), sorted by ``(src, dst)``.
+    Self-loops are kept."""
+    u, v, w = connection_arrays(graph, {x: i for i, x in enumerate(order)})
+    first, weights = pair_minima(u, v, w)
+    return u[first], v[first], weights
 
-    The duplicate-pair reduction is a NumPy lexsort by flattened pair
-    key, then ``minimum.reduceat`` over each run, instead of a per-edge
-    Python dict.
-    """
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    edges = [(index[u], index[v], w) for (u, v, _key), w in graph.connections()]
-    if not edges:
-        none = np.empty(0, dtype=np.int64)
-        return none, none, none
-    arr = np.asarray(edges, dtype=np.int64)
-    key = arr[:, 0] * np.int64(n) + arr[:, 1]
-    rank = np.argsort(key, kind="stable")
-    key_sorted = key[rank]
-    first = np.empty(key_sorted.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    weights = np.minimum.reduceat(arr[rank, 2], starts)
-    keys = key_sorted[starts]
-    return keys // n, keys % n, weights
+
+def unit_delays(graph: CircuitGraph, order: List[str]) -> np.ndarray:
+    """Every unit's delay, in ``order``."""
+    return np.fromiter((graph.delay(v) for v in order), np.float64, len(order))
 
 
 def _scalarised_csr(
@@ -127,8 +147,7 @@ def _scalarised_csr(
     src, dst, weights = edges
     if not src.size:
         return csr_matrix((n, n), dtype=np.float64), base
-    delays = np.fromiter((graph.delay(v) for v in order), dtype=np.float64, count=n)
-    data = weights.astype(np.float64) * base - delays[src]
+    data = weights.astype(np.float64) * base - unit_delays(graph, order)[src]
     return csr_matrix((data, (src, dst)), shape=(n, n)), base
 
 
@@ -150,7 +169,7 @@ def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     d = np.full((n, n), np.inf)
     with np.errstate(invalid="ignore"):
         w_vals = np.ceil(dist / base - _DECODE_EPS)
-    delays = np.array([graph.delay(v) for v in order])
+    delays = unit_delays(graph, order)
     w[reachable] = w_vals[reachable]
     with np.errstate(invalid="ignore"):
         slack = w_vals * base - dist

@@ -12,7 +12,7 @@ convenience that recovery rewrites)::
         quarantine/                          # corrupt records, kept
         events/   <id>.trace.jsonl           # per-job repro-trace/2 stream
         checkpoints/<id>/                    # per-job repro-ckpt/1 store
-        compile-cache/                       # repro-compile/3 store, shared
+        compile-cache/                       # repro-compile/4 store, shared
 
 Every transition is an ``os.replace`` between sibling directories plus
 an atomic rewrite of the record, so a kill at any instant leaves each

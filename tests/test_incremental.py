@@ -25,6 +25,7 @@ from repro.retime.incremental import IncrementalMinArea, _load_highs
 from repro.retime.minarea import min_area_retiming
 from repro.retime.minperiod import min_period_retiming
 from repro.retime.wd import clock_period, wd_matrices
+from tests.oracles.constraints import objective_value
 from tests.oracles.flow import min_area_labels
 from tests.oracles.lac_cold import lac_retiming_cold
 
@@ -72,8 +73,8 @@ class TestObjectiveEquivalence:
         for weights in weight_rounds(graph, seed, rounds=4):
             warm = inc.solve(weights)
             cold = min_area_labels(graph, system, weights)
-            assert inc.objective_value(warm, weights) == inc.objective_value(
-                cold, weights
+            assert objective_value(graph, warm, weights) == objective_value(
+                graph, cold, weights
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -83,7 +84,7 @@ class TestObjectiveEquivalence:
         inc = IncrementalMinArea(graph, system)
         warm = inc.solve()
         cold = min_area_labels(graph, system)
-        assert inc.objective_value(warm) == inc.objective_value(cold)
+        assert objective_value(graph, warm) == objective_value(graph, cold)
 
 
 class TestWarmStart:
@@ -215,17 +216,12 @@ class TestForeignArtifact:
     must be refused, not used: two seeds of one generator give graphs
     of the same size under the same unit names."""
 
-    def test_artifact_of_another_circuit_is_refused(self):
-        from repro.compile import CompiledCircuit
+    @staticmethod
+    def _readers(other, compiled, system, period):
+        """The five retime entry points, each handed ``other``."""
         from repro.resilience import find_relaxed_period
 
-        mine = random_circuit("a", n_units=30, n_ffs=20, seed=1)
-        other = random_circuit("a", n_units=30, n_ffs=20, seed=2)
-        assert list(mine.units()) == list(other.units())
-        compiled = CompiledCircuit.compile(mine)
-        period = compiled.t_init
-        system = build_constraint_system(mine, period, compiled=compiled)
-        calls = {
+        return {
             "build_constraint_system": lambda: build_constraint_system(
                 other, period, compiled=compiled
             ),
@@ -240,7 +236,38 @@ class TestForeignArtifact:
                 other, 0.5 * period, period, compiled=compiled
             ),
         }
-        for name, call in calls.items():
+
+    def _assert_refused(self, mine, other):
+        from repro.compile import CompiledCircuit
+
+        compiled = CompiledCircuit.compile(mine)
+        period = compiled.t_init
+        system = build_constraint_system(mine, period, compiled=compiled)
+        for name, call in self._readers(other, compiled, system, period).items():
             with pytest.raises(ValueError, match="does not match"):
                 call()
             assert compiled.t_min is None, name
+
+    def test_artifact_of_another_circuit_is_refused(self):
+        mine = random_circuit("a", n_units=30, n_ffs=20, seed=1)
+        other = random_circuit("a", n_units=30, n_ffs=20, seed=2)
+        assert list(mine.units()) == list(other.units())
+        self._assert_refused(mine, other)
+
+    @pytest.mark.parametrize("field", ["weight", "delay"])
+    def test_artifact_of_a_perturbed_copy_is_refused(self, field):
+        """A copy with one connection weight or one unit delay changed
+        has the same units and connections, but other W/D, candidates
+        and clocking rows: its artifact must be refused too."""
+        import copy
+
+        mine = random_circuit("a", n_units=30, n_ffs=20, seed=1)
+        other = copy.deepcopy(mine)
+        if field == "weight":
+            (u, v, key), w = next(iter(other.connections()))
+            other._g.edges[u, v, key]["weight"] = w + 1
+        else:
+            unit = next(iter(other.logic_units()))
+            other._g.nodes[unit]["delay"] += 0.5
+        other.validate()
+        self._assert_refused(mine, other)

@@ -14,14 +14,17 @@ import pytest
 from repro.errors import InfeasibleConstraintsError, UnboundedObjectiveError
 from repro.netlist import random_circuit
 from repro.retime import (
-    Constraint,
     IncrementalMinArea,
     build_constraint_system,
     clock_period,
     min_area_retiming,
     normalise_labels,
-    retiming_objective,
     wd_matrices,
+)
+from tests.oracles.constraints import (
+    Constraint,
+    named_constraints,
+    retiming_objective,
 )
 from tests.oracles.flow import optimal_labels
 from tests.oracles.mcf import MinCostFlow, solve_retiming_dual
@@ -120,20 +123,17 @@ class TestRetimingDual:
             g = random_circuit("mcf", n_units=25, n_ffs=15, seed=seed)
             wd = wd_matrices(g)
             period = clock_period(g, wd)
-            system = build_constraint_system(g, period)
-            objective = {}
-            from repro.retime import retiming_objective
-
+            constraints = named_constraints(build_constraint_system(g, period))
             objective = retiming_objective(g)
-            ours = solve_retiming_dual(system.constraints, objective)
-            theirs = optimal_labels(system.constraints, objective)
+            ours = solve_retiming_dual(constraints, objective)
+            theirs = optimal_labels(constraints, objective)
             value = lambda lab: sum(
                 objective.get(v, 0) * lab.get(v, 0) for v in g.units()
             )
             assert value(ours) == value(theirs)
             assert all(
                 ours.get(c.u, 0) - ours.get(c.v, 0) <= c.bound
-                for c in system.constraints
+                for c in constraints
             )
 
     def test_min_area_backend_equivalence(self):
@@ -142,11 +142,9 @@ class TestRetimingDual:
         wd = wd_matrices(g)
         period = clock_period(g, wd)
         system = build_constraint_system(g, period)
-        from repro.retime import retiming_objective
-
-        labels = solve_retiming_dual(system.constraints, retiming_objective(g))
-        from repro.retime import normalise_labels
-
+        labels = solve_retiming_dual(
+            named_constraints(system), retiming_objective(g)
+        )
         labels = normalise_labels(g, {v: labels.get(v, 0) for v in g.units()})
         ours = g.retimed(labels).total_flip_flops()
         reference = min_area_retiming(
@@ -163,7 +161,9 @@ class TestBackendParameter:
         g = random_circuit("bk", n_units=25, n_ffs=12, seed=5)
         period = clock_period(g)
         system = build_constraint_system(g, period, prune=False)
-        labels = solve_retiming_dual(system.constraints, retiming_objective(g))
+        labels = solve_retiming_dual(
+            named_constraints(system), retiming_objective(g)
+        )
         native = g.retimed(
             normalise_labels(g, {v: labels.get(v, 0) for v in g.units()})
         )

@@ -7,6 +7,7 @@ replaced. Every field an ablation reads must agree.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments.fixtures import prepared_instance
@@ -40,4 +41,5 @@ def test_physical_context_matches(pair):
 def test_constraints_match(pair):
     got, want = pair
     assert got.system.period == want.system.period
-    assert got.system.constraints == want.system.constraints
+    assert np.array_equal(got.system.constraints, want.system.constraints)
+    assert got.system.n_static == want.system.n_static

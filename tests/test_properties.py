@@ -29,6 +29,7 @@ from repro.retime import (
 )
 from repro.retime.fastcheck import FeasibilityChecker
 from repro.verify.retiming import cycle_conservation_witnesses
+from tests.oracles.constraints import named_constraints
 from tests.oracles.feasibility import is_feasible_period
 from tests.oracles.wd import wd_matrices_reference
 
@@ -120,7 +121,7 @@ def test_solver_labels_satisfy_their_constraints(g):
     system = build_constraint_system(g, t_init, prune=False)
     solver = IncrementalMinArea(g, system)
     labels = min_area_retiming(g, period=t_init, solver=solver).labels
-    for c in system.constraints:
+    for c in named_constraints(system):
         assert labels.get(c.u, 0) - labels.get(c.v, 0) <= c.bound
 
 

@@ -10,7 +10,6 @@ from repro.retime import (
     clock_period,
     min_area_retiming,
     min_period_retiming,
-    retiming_objective,
     wd_matrices,
 )
 from repro.verify.retiming import (
@@ -18,6 +17,7 @@ from repro.verify.retiming import (
     cycle_conservation_witnesses,
 )
 from repro.verify.timing import critical_period, late_units
+from tests.oracles.constraints import named_constraints, retiming_objective
 from tests.oracles.feasibility import is_feasible_period
 from tests.test_wd import correlator
 
@@ -78,12 +78,12 @@ class TestMinArea:
 
         # Enumerate labels; feasibility via the (separately validated)
         # constraint system, which is much cheaper than re-running W/D.
-        system = build_constraint_system(g, 13.0)
+        constraints = named_constraints(build_constraint_system(g, 13.0))
         units = list(g.units())
         best = None
         for combo in itertools.product(range(-2, 3), repeat=len(units)):
             labels = dict(zip(units, combo))
-            if any(labels[c.u] - labels[c.v] > c.bound for c in system.constraints):
+            if any(labels[c.u] - labels[c.v] > c.bound for c in constraints):
                 continue
             ffs = g.retimed(labels).total_flip_flops()
             best = ffs if best is None else min(best, ffs)
@@ -154,8 +154,10 @@ class TestWeightedMinArea:
     def test_objective_coefficients_sum_to_zero(self):
         g = random_circuit("rnd", n_units=25, n_ffs=10, seed=3)
         weights = {v: 1.0 + (hash(v) % 7) / 3.0 for v in g.units()}
-        coeffs = retiming_objective(g, weights)
-        assert sum(coeffs.values()) == 0
+        solver = IncrementalMinArea(g, build_constraint_system(g, clock_period(g)))
+        coeffs = solver.objective_coefficients(weights)
+        assert coeffs.sum() == 0
+        assert dict(zip(g.units(), coeffs.tolist())) == retiming_objective(g, weights)
 
 
 class TestVerification:

@@ -205,7 +205,7 @@ def test_compile_cache_header_format_is_pinned(tmp_path):
         "sha256",
     ]
     header = read_header(path)
-    assert header["schema"] == "repro-compile/3"
+    assert header["schema"] == "repro-compile/4"
     assert list(header["meta"]) == ["n", "n_candidates", "periods", "t_init", "t_min"]
 
 
