@@ -6,11 +6,11 @@ Compilation is the expensive, *pure* front half of a planning
 iteration. An artifact has two halves:
 
 * the **replay record**, which is what gets pickled: vertex order, the
-  connection arrays (both ends and the weight of every connection, the
-  min-area objective's gather arrays and the constraint table's edge
-  rows), the unit delays, ``T_init``, the largest unit delay,
-  the candidate-period count and — filled in lazily as the solve runs —
-  per-period clocking pairs stored with their bounds ``W(u, v) - 1``
+  connection arrays (both ends and the weight of every connection) and
+  unit delays that :meth:`CompiledCircuit.check_graph` compares and the
+  min-area objective gathers from, ``T_init``, the largest unit
+  delay, the candidate-period count and — filled in lazily as the
+  solve runs — per-period clocking-row tables (bounds ``W(u, v) - 1``)
   and the minimum-period witness. A warm re-plan replays the solve
   from this record alone;
 * the **search inputs**, memory-only: dense W/D matrices (scalarised
@@ -50,7 +50,7 @@ from repro.errors import InfeasiblePeriodError
 from repro.netlist.graph import CircuitGraph
 from repro.netlist.io import graph_to_dict
 from repro.obs import NOOP_TRACER
-from repro.retime.constraints import ClockPairs, clock_rows
+from repro.retime.constraints import clock_rows
 from repro.retime.feas_probe import FeasProbe
 from repro.retime.wd import (
     WDMatrices,
@@ -144,7 +144,9 @@ class CompiledCircuit:
     #: Weakly connected components as sorted tuples in a sorted list,
     #: so the pickle does not depend on the per-process string hash.
     components: List[Tuple[str, ...]]
-    clock_pair_sets: Dict[Tuple[float, bool], ClockPairs]
+    #: Clocking-row tables (:func:`~repro.retime.constraints.clock_rows`)
+    #: per ``(period, prune)``.
+    clock_pair_sets: Dict[Tuple[float, bool], np.ndarray]
     t_min: Optional[float] = None
     t_min_labels: Optional[Dict[str, int]] = None
     #: Search inputs: set by :meth:`compile` and
@@ -302,8 +304,8 @@ class CompiledCircuit:
         *,
         graph: Optional[CircuitGraph] = None,
         tracer=None,
-    ) -> ClockPairs:
-        """(pruned) clocking rows for ``period``
+    ) -> np.ndarray:
+        """The (pruned) clocking-row table for ``period``
         (:func:`~repro.retime.constraints.clock_rows`), memoised per
         ``(period, prune)``.
 

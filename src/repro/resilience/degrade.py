@@ -50,7 +50,7 @@ def find_relaxed_period(
     if not candidates or candidates[-1] < t_init - slack:
         candidates.append(t_init)
 
-    checker = FeasibilityChecker.build(graph, compiled.wd, compiled)
+    checker = FeasibilityChecker.build(graph, compiled.wd)
     if checker.check(candidates[-1]) is None:
         return None
     first, _labels = bisect_feasible(

@@ -38,7 +38,7 @@ neighbour-witness lemma, proved in ``docs/algorithms.md`` §3).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -50,10 +50,6 @@ if TYPE_CHECKING:
 
 #: One row of the constraint table: ``r(u) - r(v) <= bound``.
 ROW = np.dtype([("u", np.int64), ("v", np.int64), ("bound", np.int64)])
-
-#: Clocking rows of one period as ``(u, v, bound)`` int64 arrays, the
-#: form the compiled artifact stores per ``(period, prune)`` key.
-ClockPairs = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def row_table(u: np.ndarray, v: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -94,25 +90,17 @@ def tightest_rows(u: np.ndarray, v: np.ndarray, bound: np.ndarray) -> np.ndarray
     return row_table(u[first], v[first], best[order])
 
 
-def static_rows(
-    graph: CircuitGraph, compiled: Optional["CompiledCircuit"] = None
-) -> np.ndarray:
-    """The edge rows, then the host rows, as a :data:`ROW` table.
+def static_rows(graph: CircuitGraph) -> np.ndarray:
+    """The edge rows, then the host rows, of ``graph`` as a :data:`ROW`
+    table indexed like ``graph.units()`` (the vertex order of its W/D
+    matrices and of its compiled artifact).
 
-    Edge rows come from ``compiled``'s connection arrays
-    (``conn_u``/``conn_v``/``conn_w``) through :func:`tightest_rows`.
-    Without an artifact they are read from ``graph`` itself, indexed
-    like ``graph.units()``: the dense feasibility checker serves graphs
-    that do not compile (a zero-weight self-loop) in its tests. Host
-    rows tie consecutive hosts both ways at bound 0.
+    Edge rows are the graph's connections collapsed per pair by
+    :func:`tightest_rows`; host rows tie consecutive hosts both ways at
+    bound 0.
     """
-    if compiled is None:
-        index = {v: i for i, v in enumerate(graph.units())}
-        conn = connection_arrays(graph, index)
-    else:
-        index = compiled.index
-        conn = (compiled.conn_u, compiled.conn_v, compiled.conn_w)
-    edges = tightest_rows(*conn)
+    index = {v: i for i, v in enumerate(graph.units())}
+    edges = tightest_rows(*connection_arrays(graph, index))
     hosts = np.array([index[h] for h in graph.host_units()], dtype=np.int64)
     a, b = hosts[:-1], hosts[1:]
     host = row_table(
@@ -123,20 +111,17 @@ def static_rows(
     return np.concatenate([edges, host])
 
 
-def clock_rows(wd: WDMatrices, period: float, prune: bool) -> ClockPairs:
-    """The clocking rows for ``period``: every pair ``i != j`` with
-    ``D(i, j) > period`` in row-major order, with bound ``W(i, j) - 1``;
-    with ``prune``, minus the pairs a witness implies
-    (:func:`_prune_keep_mask`), order kept."""
+def clock_rows(wd: WDMatrices, period: float, prune: bool) -> np.ndarray:
+    """The clocking rows for ``period`` as a :data:`ROW` table: every
+    pair ``i != j`` with ``D(i, j) > period`` in row-major order, with
+    bound ``W(i, j) - 1``; with ``prune``, minus the pairs a witness
+    implies (:func:`_prune_keep_mask`), order kept."""
     rows, cols = wd.pairs_exceeding_arrays(period)
     if prune and rows.size:
         keep = _prune_keep_mask(wd, period, rows, cols)
         rows = rows[keep]
         cols = cols[keep]
-    # np.nonzero hands back column views of one (k, 2) array.
-    rows = np.ascontiguousarray(rows)
-    cols = np.ascontiguousarray(cols)
-    return rows, cols, wd.w[rows, cols].astype(np.int64) - 1
+    return row_table(rows, cols, wd.w[rows, cols].astype(np.int64) - 1)
 
 
 #: Witness candidates (pair x neighbour edge) gathered per step of
@@ -247,10 +232,8 @@ def build_constraint_system(
     from repro.compile.artifact import CompiledCircuit
 
     compiled = CompiledCircuit.for_graph(graph, compiled)
-    static = static_rows(graph, compiled)
-    clock = row_table(
-        *compiled.clock_pairs(period, prune=prune, graph=graph, tracer=tracer)
-    )
+    static = static_rows(graph)
+    clock = compiled.clock_pairs(period, prune=prune, graph=graph, tracer=tracer)
     return ConstraintSystem(
         np.concatenate([static, clock]), float(period), len(static), compiled
     )

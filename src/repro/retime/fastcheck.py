@@ -46,16 +46,13 @@ raw graph without touching any of these arrays.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.netlist.graph import CircuitGraph
 from repro.retime.constraints import clock_rows, static_rows
 from repro.retime.wd import WDMatrices
-
-if TYPE_CHECKING:
-    from repro.compile.artifact import CompiledCircuit
 
 
 class Arcs(NamedTuple):
@@ -229,9 +226,8 @@ class FeasibilityChecker:
     """
 
     wd: WDMatrices
-    static_u: np.ndarray  # constraint r(u) - r(v) <= b ...
-    static_v: np.ndarray
-    static_b: np.ndarray
+    #: The edge and host rows (:func:`~repro.retime.constraints.static_rows`).
+    static: np.ndarray
     n: int
     max_delay: float
     #: Per-period grouped probe arcs. Binary searches probe only a few
@@ -248,24 +244,19 @@ class FeasibilityChecker:
     last_cycle: Optional[np.ndarray] = None
 
     @classmethod
-    def build(
-        cls,
-        graph: CircuitGraph,
-        wd: WDMatrices,
-        compiled: Optional["CompiledCircuit"] = None,
-    ) -> "FeasibilityChecker":
-        """The checker of ``graph`` probing with ``wd``, its static rows
-        :func:`~repro.retime.constraints.static_rows` of ``compiled``
-        (the artifact ``wd`` belongs to) or, without one, of ``graph``."""
-        rows = static_rows(graph, compiled)
+    def build(cls, graph: CircuitGraph, wd: WDMatrices) -> "FeasibilityChecker":
+        """The checker of ``graph`` probing with its W/D matrices ``wd``."""
         return cls(
             wd=wd,
-            static_u=rows["u"],
-            static_v=rows["v"],
-            static_b=rows["bound"],
+            static=static_rows(graph),
             n=len(wd.order),
             max_delay=wd.max_vertex_delay(),
         )
+
+    @property
+    def static_b(self) -> np.ndarray:
+        """The bounds of the static rows, one per static arc."""
+        return self.static["bound"]
 
     # ------------------------------------------------------------------
     def _probe_arcs(self, period: float) -> Arcs:
@@ -280,13 +271,8 @@ class FeasibilityChecker:
         cached = self.arc_cache.get(period)
         if cached is not None:
             return cached
-        rows, cols, bounds = clock_rows(self.wd, period, prune=True)
-        arcs = group_arcs(
-            self.n,
-            np.concatenate([self.static_u, rows]),
-            np.concatenate([self.static_v, cols]),
-            np.concatenate([self.static_b, bounds]),
-        )
+        rows = np.concatenate([self.static, clock_rows(self.wd, period, prune=True)])
+        arcs = group_arcs(self.n, rows["u"], rows["v"], rows["bound"])
         self.arc_cache[period] = arcs
         return arcs
 

@@ -174,7 +174,7 @@ def _feas_search(
             "feas/certify", t=candidates[idx], method="bellman-ford"
         ) as span:
             if checker is None:
-                checker = FeasibilityChecker.build(graph, compiled.wd, compiled)
+                checker = FeasibilityChecker.build(graph, compiled.wd)
             raw = checker.refine(candidates[idx], start)
             _record_verdict(span, checker, raw is not None)
         return raw
@@ -242,7 +242,7 @@ def _refine_exact(
         return period, labels
     domain.append(period)
     if checker is None:
-        checker = FeasibilityChecker.build(graph, compiled.wd, compiled)
+        checker = FeasibilityChecker.build(graph, compiled.wd)
 
     def refine_probe(t: float, warm: np.ndarray) -> Optional[np.ndarray]:
         with tracer.span("feas/refine", t=t) as span:

@@ -3,22 +3,25 @@
 The shipped constraint table (:mod:`repro.retime.constraints`) is a
 structured int64 array in the compiled artifact's index space. The
 oracles and tests here read constraints the way the paper writes them:
-one :class:`Constraint` per row, with unit names and a kind, built
-straight from the graph and the W/D matrices by dict loops that share
-no code with the shipped helpers. :func:`named_constraints` turns a
+one :class:`Constraint` per row, with unit names and a kind, built by
+Python loops over the graph's connections and the entries of the W/D
+matrices; they share only those matrices with the shipped helpers, not
+the mask, prune or collapse steps. :func:`named_constraints` turns a
 shipped :class:`~repro.retime.constraints.ConstraintSystem` into that
 form, so a test can compare the two row for row.
 
 Also here: the dict form of the min-area objective
-(:func:`retiming_objective`), its value (:func:`objective_value`), the
-all-vertex reference of the witness prune (:func:`prune_reference`), and
-the prune over arbitrary pair arrays the prune tests feed it
-(:func:`prune_redundant_arrays`).
+(:func:`retiming_objective`), its value (:func:`objective_value`) and
+the all-vertex reference of the witness prune
+(:func:`prune_reference`). :func:`prune_redundant_arrays` is not a
+reference: it is the shipped prune itself, applied to arbitrary pair
+arrays so the prune tests can feed it pairs of their choosing.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,9 +87,10 @@ def prune_reference(
 def prune_redundant_arrays(
     wd: WDMatrices, period: float, src: np.ndarray, dst: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The shipped witness prune over arbitrary ``(src, dst)`` pair
-    arrays, order kept (:func:`repro.retime.constraints.clock_rows`
-    applies it to the pairs exceeding a period only)."""
+    """The shipped witness prune (``_prune_keep_mask``, not a
+    reference) over arbitrary ``(src, dst)`` pair arrays, order kept;
+    :func:`repro.retime.constraints.clock_rows` applies it to the pairs
+    exceeding a period only."""
     if src.size == 0:
         return src, dst
     keep = _prune_keep_mask(wd, period, src, dst)
@@ -99,8 +103,12 @@ def clock_constraints(
     """Eqn. (2): ``r(u) - r(v) <= W(u, v) - 1`` for every pair ``u != v``
     with ``D(u, v) > period``, row-major; with ``prune``, only the pairs
     :func:`prune_reference` keeps."""
-    rows, cols = wd.pairs_exceeding_arrays(period)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
+    pairs = [
+        (i, j)
+        for i, row in enumerate(wd.d.tolist())
+        for j, d in enumerate(row)
+        if i != j and math.isfinite(d) and d > period
+    ]
     if prune:
         pairs = prune_reference(wd, period, pairs)
     return [

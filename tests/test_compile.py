@@ -55,8 +55,7 @@ def _replay_fields(artifact):
         "delays": artifact.delays.tolist(),
         "components": artifact.components,
         "pairs": {
-            key: tuple(a.tolist() for a in arrays)
-            for key, arrays in artifact.clock_pair_sets.items()
+            key: table.tolist() for key, table in artifact.clock_pair_sets.items()
         },
         "witness": artifact.t_min_labels,
     }
@@ -120,13 +119,15 @@ class TestArtifact:
         art = CompiledCircuit.compile(graph)
         wd = art.wd
         period = 0.6 * art.t_init + 0.4 * art.max_delay
-        rows, cols, bounds = art.clock_pairs(period, prune=True)
+        table = art.clock_pairs(period, prune=True)
+        rows, cols, bounds = table["u"], table["v"], table["bound"]
         all_r, all_c = wd.pairs_exceeding_arrays(period)
         kept_r, kept_c = prune_redundant_arrays(wd, period, all_r, all_c)
         expected = list(zip(kept_r.tolist(), kept_c.tolist()))
         assert list(zip(rows.tolist(), cols.tolist())) == expected
         assert bounds.tolist() == [int(wd.w[i, j]) - 1 for i, j in expected]
-        rows_u, cols_u, bounds_u = art.clock_pairs(period, prune=False)
+        table = art.clock_pairs(period, prune=False)
+        rows_u, cols_u, bounds_u = table["u"], table["v"], table["bound"]
         assert np.array_equal(rows_u, all_r) and np.array_equal(cols_u, all_c)
         assert np.array_equal(bounds_u, wd.w[all_r, all_c].astype(np.int64) - 1)
 
@@ -136,7 +137,7 @@ class TestArtifact:
         period = 0.7 * art.t_init + 0.3 * art.max_delay
         first = art.clock_pairs(period)
         assert art.dirty
-        assert art.clock_pairs(period)[0] is first[0]
+        assert art.clock_pairs(period) is first
 
     def test_infeasible_period_raises_like_clock_constraints(self, graph):
         art = CompiledCircuit.compile(graph)
@@ -313,8 +314,7 @@ class TestSchemaUpgrade:
         assert not hit
         assert (tmp_path / "quarantine" / path.name).exists()
         assert artifact.schema == COMPILE_SCHEMA
-        rows, _cols, _bounds = artifact.clock_pairs(period)
-        assert rows.size > 0
+        assert artifact.clock_pairs(period).size > 0
 
 
 class TestPlannerEquivalence:

@@ -103,8 +103,7 @@ class TestRebuildMatchesFreshCompile:
         tracer = Tracer()
         got = loaded.clock_pairs(period, prune=prune, graph=graph, tracer=tracer)
         want = fresh.clock_pairs(period, prune=prune)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         assert _rebuild_reasons(tracer) == ["clock_pairs"]
         # Once rebuilt, the inputs stay: the next new key rebuilds nothing.
         loaded.clock_pairs(period + 1e-3, prune=prune, graph=graph, tracer=tracer)
@@ -147,8 +146,8 @@ class TestRebuildMatchesFreshCompile:
 
     def test_stored_pairs_need_no_graph(self, graph, tmp_path):
         _fresh, loaded = _loaded(graph, tmp_path, solve=True)
-        for (period, prune), arrays in loaded.clock_pair_sets.items():
-            assert loaded.clock_pairs(period, prune=prune) is arrays
+        for (period, prune), table in loaded.clock_pair_sets.items():
+            assert loaded.clock_pairs(period, prune=prune) is table
         assert loaded.wd is None
         with pytest.raises(ValueError, match="needs the graph"):
             loaded.clock_pairs(loaded.t_init - 1e-6)

@@ -13,7 +13,6 @@ from repro.retime import (
     build_constraint_system,
     clock_period,
     min_area_retiming,
-    static_rows,
     tightest_rows,
     wd_matrices,
 )
@@ -215,13 +214,6 @@ class TestNamedDifferential:
             assert named_constraints(system) == expected_constraints(
                 g, period, prune=prune, wd=wd
             ), period
-
-    def test_static_rows_with_and_without_artifact(self):
-        from repro.compile import CompiledCircuit
-
-        g = _awkward_circuit(5)
-        compiled = CompiledCircuit.compile(g)
-        assert static_rows(g).tolist() == static_rows(g, compiled).tolist()
 
 
 class TestPruningSoundnessSweep:
