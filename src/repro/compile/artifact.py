@@ -54,7 +54,7 @@ from repro.retime.constraints import clock_rows
 from repro.retime.feas_probe import FeasProbe
 from repro.retime.wd import (
     WDMatrices,
-    candidate_periods,
+    candidate_sets,
     clock_period,
     connection_arrays,
     unit_delays,
@@ -81,10 +81,11 @@ def _search_inputs(graph: CircuitGraph) -> dict:
     the W/D matrices survive but the FEAS arrays do not.
     """
     wd = wd_matrices(graph)
+    candidates, exact_candidates = candidate_sets(wd)
     return {
         "wd": wd,
-        "candidates": candidate_periods(wd),
-        "exact_candidates": candidate_periods(wd, tol=0.0),
+        "candidates": candidates,
+        "exact_candidates": exact_candidates,
         "feas": FeasProbe.build(graph),
     }
 

@@ -33,6 +33,15 @@ the graph has no zero-weight cycles, the "implied-by" relation is
 acyclic, so pruning with witnesses is sound. Only the graph neighbours
 of the pair's endpoints need testing as witnesses (the
 neighbour-witness lemma, proved in ``docs/algorithms.md`` §3).
+
+Which neighbours are minimum-weight witnesses, and their ``D``, do not
+depend on the period; only the test ``D(witness) > T`` does. So a
+:class:`WitnessTable` stores, per pair, the largest witness delay
+``M(u, v)``, and ``(u, v)`` is an essential row exactly for ``T`` in
+``[M(u, v), D(u, v))``: one table answers the pruned rows of every
+period at or above the one it was built at, each a vectorised mask.
+The feasibility checker of a period search keeps one
+(:mod:`repro.retime.fastcheck`).
 """
 
 from __future__ import annotations
@@ -114,76 +123,119 @@ def static_rows(graph: CircuitGraph) -> np.ndarray:
 def clock_rows(wd: WDMatrices, period: float, prune: bool) -> np.ndarray:
     """The clocking rows for ``period`` as a :data:`ROW` table: every
     pair ``i != j`` with ``D(i, j) > period`` in row-major order, with
-    bound ``W(i, j) - 1``; with ``prune``, minus the pairs a witness
-    implies (:func:`_prune_keep_mask`), order kept."""
+    bound ``W(i, j) - 1``; with ``prune``, only the essential ones (a
+    :class:`WitnessTable` built at ``period``), order kept."""
+    if prune:
+        return WitnessTable.build(wd, period).rows(period)
     rows, cols = wd.pairs_exceeding_arrays(period)
-    if prune and rows.size:
-        keep = _prune_keep_mask(wd, period, rows, cols)
-        rows = rows[keep]
-        cols = cols[keep]
     return row_table(rows, cols, wd.w[rows, cols].astype(np.int64) - 1)
 
 
+@dataclasses.dataclass(frozen=True)
+class WitnessTable:
+    """The witness prune of every period ``>= floor``, computed once.
+
+    One entry per pair ``i != j`` of ``wd`` with ``D(i, j) > floor``, in
+    row-major order: its flat index ``i * n + j``, ``D(i, j)`` and
+    ``M(i, j)``, the largest ``D`` of a neighbour witness of the pair
+    (:func:`_witness_delays`; ``-inf`` when it has none). Being a
+    minimum-weight witness and the witness's ``D`` do not depend on the
+    period; only the comparison with it does. So the pair is an
+    essential clocking row at period ``T`` exactly when
+    ``M(i, j) <= T < D(i, j)``, and :meth:`rows` is one mask. A row's
+    ends and bound are read back from ``wd`` for the kept pairs only, so
+    the table holds 24 bytes a pair (about 15 MB for the 637k pairs of the
+    expanded s5378 at its ``T_min``).
+    """
+
+    wd: WDMatrices = dataclasses.field(repr=False)
+    floor: float
+    flat: np.ndarray
+    d: np.ndarray
+    m: np.ndarray
+
+    @classmethod
+    def build(cls, wd: WDMatrices, floor: float) -> "WitnessTable":
+        """The table of the pairs of ``wd`` whose ``D`` exceeds ``floor``."""
+        flat = np.flatnonzero(wd.exceeding(floor))
+        m = _witness_delays(wd, flat)
+        return cls(wd, float(floor), flat, wd.d.ravel()[flat], m)
+
+    @property
+    def kept_at_floor(self) -> int:
+        """How many of the table's pairs are essential at its floor."""
+        return int(np.count_nonzero(self.m <= self.floor))
+
+    def rows(self, period: float) -> np.ndarray:
+        """The essential clocking rows at ``period`` as a :data:`ROW`
+        table, row-major: the same rows, in the same order, as pruning
+        the pairs exceeding ``period`` pair by pair."""
+        if period < self.floor:
+            raise ValueError(
+                f"period {period} is below the witness table's floor {self.floor}"
+            )
+        flat = self.flat[(self.d > period) & (self.m <= period)]
+        u, v = np.divmod(flat, self.wd.w.shape[0])
+        return row_table(u, v, self.wd.w.ravel()[flat].astype(np.int64) - 1)
+
+
 #: Witness candidates (pair x neighbour edge) gathered per step of
-#: :func:`_prune_keep_mask`: bounds its temporary arrays to a few MiB
+#: :func:`_witness_delays`: bounds its temporary arrays to a few MiB
 #: however the endpoint degrees are distributed.
 _PRUNE_CHUNK = 1 << 17
 
 
-def _prune_keep_mask(
-    wd: WDMatrices, period: float, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Keep-mask over clocking pairs ``(src[k], dst[k])``.
+def _witness_delays(wd: WDMatrices, flat: np.ndarray) -> np.ndarray:
+    """``M`` over the pairs ``(i, j)`` with flat index ``flat[k] = i * n
+    + j``: the largest ``D`` of a neighbour witness, ``-inf`` for a pair
+    without one.
 
-    Implements the witness rule of the module docstring, testing only
-    the graph neighbours of each pair's endpoints as witnesses (the
-    neighbour-witness lemma): ``(i, j)`` is redundant iff
+    The neighbour witnesses of ``(i, j)`` (the neighbour-witness lemma
+    of ``docs/algorithms.md`` §3) are
 
-    * some edge ``p -> j`` with ``p != i`` has
-      ``W(i,p) + w(p,j) == W(i,j)`` and ``D(i,p) > T``, or
-    * some edge ``i -> s`` with ``s != j`` has
-      ``w(i,s) + W(s,j) == W(i,j)`` and ``D(s,j) > T``.
+    * ``(i, p)`` for each edge ``p -> j`` with ``p != i`` and
+      ``W(i,p) + w(p,j) == W(i,j)``, and
+    * ``(s, j)`` for each edge ``i -> s`` with ``s != j`` and
+      ``w(i,s) + W(s,j) == W(i,j)``.
 
-    If any vertex ``x`` on a minimum-weight ``i -> j`` path witnesses
-    ``D(i,x) > T``, then ``j``'s predecessor ``p`` on that path extends
-    the same path prefix, so ``D(i,p) >= D(i,x) > T`` and ``p``
-    witnesses too (symmetrically for ``i``'s successor); conversely a
-    neighbour passing the test lies on a minimum-weight path. Work per
-    pair is the degree of its endpoints instead of ``n``. Edges come
-    from ``wd.edge_*`` (minimum weight per pair, no self-loops); pairs
-    are expanded about ``_PRUNE_CHUNK`` candidates at a time.
+    The pair is redundant at ``T`` iff one of them has ``D > T``, i.e.
+    iff ``M > T``. Testing only neighbours suffices: if any vertex
+    ``x`` on a minimum-weight ``i -> j`` path has ``D(i,x) > T``, then
+    ``j``'s predecessor ``p`` on that path extends the same path
+    prefix, so ``D(i,p) >= D(i,x) > T`` (symmetrically for ``i``'s
+    successor). Work per pair is the degree of its endpoints instead of
+    ``n``. Edges come from ``wd.edge_*`` (minimum weight per pair, no
+    self-loops); pairs are expanded about ``_PRUNE_CHUNK`` candidates
+    at a time.
     """
     n = wd.w.shape[0]
     w_flat = wd.w.ravel()
     d_flat = wd.d.ravel()
-    ia = np.asarray(src, dtype=np.int64)
-    ja = np.asarray(dst, dtype=np.int64)
     # Per side: edges grouped (CSR) by the endpoint they share with the
     # pair, their far endpoints and weights, and whether the far
     # endpoint starts the witness pair.
     sides = []
-    work = np.zeros(ia.size, dtype=np.int64)
-    for near, far, pair_end, far_first in (
-        (wd.edge_dst, wd.edge_src, ja, False),  # p -> j: witness (i, p)
-        (wd.edge_src, wd.edge_dst, ia, True),  # i -> s: witness (s, j)
+    work = np.zeros(flat.size, dtype=np.int64)
+    for near, far, far_first in (
+        (wd.edge_dst, wd.edge_src, False),  # p -> j: witness (i, p)
+        (wd.edge_src, wd.edge_dst, True),  # i -> s: witness (s, j)
     ):
         order = np.argsort(near, kind="stable")
         degree = np.bincount(near, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degree, out=indptr[1:])
         sides.append((indptr, far[order], wd.edge_w[order], far_first))
-        work += degree[pair_end]
+        work += degree[flat // n if far_first else flat % n]
 
-    keep = np.ones(ia.size, dtype=bool)
-    if ia.size == 0:
-        return keep
-    cum = np.cumsum(work)
+    best = np.full(flat.size, -np.inf)
+    if flat.size == 0:
+        return best
+    cum = np.cumsum(work, out=work)
     cuts = np.searchsorted(cum, np.arange(_PRUNE_CHUNK, cum[-1], _PRUNE_CHUNK))
-    bounds = np.unique(np.concatenate([[0], cuts, [ia.size]]))
+    bounds = np.unique(np.concatenate([[0], cuts, [flat.size]]))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        i = ia[lo:hi]
-        j = ja[lo:hi]
-        wij = w_flat[i * n + j]
+        i, j = np.divmod(flat[lo:hi], n)
+        wij = w_flat[flat[lo:hi]]
         for indptr, far, w_edge, far_first in sides:
             near, other = (i, j) if far_first else (j, i)
             starts = indptr[near]
@@ -196,14 +248,10 @@ def _prune_keep_mask(
             pos = np.repeat(starts - shift, counts) + np.arange(total)
             x = far[pos]
             y = other[owner]
-            flat = x * n + y if far_first else y * n + x
-            hit = (
-                (x != y)
-                & (w_flat[flat] + w_edge[pos] == wij[owner])
-                & (d_flat[flat] > period)
-            )
-            keep[lo + owner[hit]] = False
-    return keep
+            witness = x * n + y if far_first else y * n + x
+            hit = (x != y) & (w_flat[witness] + w_edge[pos] == wij[owner])
+            np.maximum.at(best, lo + owner[hit], d_flat[witness[hit]])
+    return best
 
 
 def build_constraint_system(

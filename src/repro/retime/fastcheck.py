@@ -23,14 +23,17 @@ solver's constraint table comes from:
 
 * the static rows (edge rows, host-equality rows) are
   :func:`~repro.retime.constraints.static_rows`, built once per graph;
-* per probe, the clocking rows are
-  :func:`~repro.retime.constraints.clock_rows` with the witness prune:
-  a pruned pair is implied by a kept pair plus edge-row chains, so
-  dropping it changes neither the solution set nor the relaxed labels,
-  while cutting the arc count by ~99% on the larger circuits; the
-  arcs are grouped for the kernel and cached per probed period in the
-  checker (never in the compiled artifact, whose pickled record would
-  grow by every probe).
+* per probe, the clocking rows are the witness-pruned ones: a pruned
+  pair is implied by a kept pair plus edge-row chains, so dropping it
+  changes neither the solution set nor the relaxed labels, while
+  cutting the arc count by ~99% on the larger circuits. They are a
+  mask of one :class:`~repro.retime.constraints.WitnessTable` per
+  checker, built at the checker's first probe and rebuilt only for a
+  probe below the table's floor, so a period search runs the witness
+  kernel once per search (plus once per resume) instead of once per
+  probed period. The table, and the arcs grouped for the kernel and
+  cached per probed period, live in the checker, never in the
+  compiled artifact, whose pickled record would grow by every probe.
 
 The result is exact for the split-host semantics — identical to the
 constraint-object reference in ``tests/oracles/feasibility.py``, which
@@ -46,12 +49,13 @@ raw graph without touching any of these arrays.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, NamedTuple, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import clock_rows, static_rows
+from repro.obs import NOOP_TRACER
+from repro.retime.constraints import WitnessTable, static_rows
 from repro.retime.wd import WDMatrices
 
 
@@ -222,7 +226,11 @@ class FeasibilityChecker:
 
     Everything that does not depend on the probed period is computed
     once in :meth:`build`: the static constraint arcs and the maximum
-    single vertex delay (the immediate-reject bound).
+    single vertex delay (the immediate-reject bound). The clocking rows
+    of every probe come from one
+    :class:`~repro.retime.constraints.WitnessTable`, built at the first
+    probe and rebuilt only for a probe below its floor
+    (:meth:`cover`); it lives and dies with the checker.
     """
 
     wd: WDMatrices
@@ -230,6 +238,10 @@ class FeasibilityChecker:
     static: np.ndarray
     n: int
     max_delay: float
+    #: Records a ``feas/witness`` span per witness-table build.
+    tracer: Any = NOOP_TRACER
+    #: The witness table every probe's clocking rows are masked from.
+    witness: Optional[WitnessTable] = None
     #: Per-period grouped probe arcs. Binary searches probe only a few
     #: dozen distinct periods, so the cache stays small; the arcs
     #: themselves are post-prune, i.e. a few thousand.
@@ -244,13 +256,17 @@ class FeasibilityChecker:
     last_cycle: Optional[np.ndarray] = None
 
     @classmethod
-    def build(cls, graph: CircuitGraph, wd: WDMatrices) -> "FeasibilityChecker":
-        """The checker of ``graph`` probing with its W/D matrices ``wd``."""
+    def build(
+        cls, graph: CircuitGraph, wd: WDMatrices, tracer=NOOP_TRACER
+    ) -> "FeasibilityChecker":
+        """The checker of ``graph`` probing with its W/D matrices ``wd``;
+        ``tracer`` records its witness-table builds."""
         return cls(
             wd=wd,
             static=static_rows(graph),
             n=len(wd.order),
             max_delay=wd.max_vertex_delay(),
+            tracer=tracer,
         )
 
     @property
@@ -259,11 +275,25 @@ class FeasibilityChecker:
         return self.static["bound"]
 
     # ------------------------------------------------------------------
+    def cover(self, period: float) -> None:
+        """Make the witness table serve ``period``: build it at
+        ``period`` unless the current one's floor is at or below it.
+
+        A bisection over a known domain calls this with the domain's
+        smallest period first, so one table serves all its probes.
+        """
+        if self.witness is not None and self.witness.floor <= period:
+            return
+        with self.tracer.span("feas/witness", floor=float(period)) as span:
+            table = WitnessTable.build(self.wd, period)
+            span.set(pairs=table.flat.size, kept_at_floor=table.kept_at_floor)
+        self.witness = table
+
     def _probe_arcs(self, period: float) -> Arcs:
         """The grouped constraint arcs for one period, cached per period.
 
-        The clocking rows are pruned
-        (:func:`~repro.retime.constraints.clock_rows`) before the solve:
+        The clocking rows are the witness table's essential rows at
+        ``period`` (:meth:`~repro.retime.constraints.WitnessTable.rows`):
         the pruned system has the same solution set, so verdicts *and*
         relaxed labels are unchanged while the arc count falls by ~99%
         on the larger Table-1 circuits.
@@ -271,7 +301,8 @@ class FeasibilityChecker:
         cached = self.arc_cache.get(period)
         if cached is not None:
             return cached
-        rows = np.concatenate([self.static, clock_rows(self.wd, period, prune=True)])
+        self.cover(period)
+        rows = np.concatenate([self.static, self.witness.rows(period)])
         arcs = group_arcs(self.n, rows["u"], rows["v"], rows["bound"])
         self.arc_cache[period] = arcs
         return arcs

@@ -40,7 +40,11 @@ on the retiming engine's one Bellman–Ford kernel
 candidate. Its infeasible verdicts come with a negative cycle of the
 period's constraint system; the ``feas/certify`` and ``feas/refine``
 spans record the kernel's ``rounds`` and, when infeasible, the cycle's
-length (``cycle_len``).
+length (``cycle_len``). One checker serves a search, and its clocking
+rows come from one witness table, built at the first certification
+(or at the lowest exact-tie candidate) and rebuilt only by a resume,
+whose certification probes lower; each build is a ``feas/witness``
+span (``floor``, ``pairs``, ``kept_at_floor``).
 
 Everything the search reads — vertex order, W/D matrices, candidate
 sets, FEAS arrays — comes from one
@@ -174,7 +178,7 @@ def _feas_search(
             "feas/certify", t=candidates[idx], method="bellman-ford"
         ) as span:
             if checker is None:
-                checker = FeasibilityChecker.build(graph, compiled.wd)
+                checker = FeasibilityChecker.build(graph, compiled.wd, tracer)
             raw = checker.refine(candidates[idx], start)
             _record_verdict(span, checker, raw is not None)
         return raw
@@ -242,7 +246,10 @@ def _refine_exact(
         return period, labels
     domain.append(period)
     if checker is None:
-        checker = FeasibilityChecker.build(graph, compiled.wd)
+        checker = FeasibilityChecker.build(graph, compiled.wd, tracer)
+    # The refinement probes only at or above domain[0]: one witness
+    # table serves them all.
+    checker.cover(domain[0])
 
     def refine_probe(t: float, warm: np.ndarray) -> Optional[np.ndarray]:
         with tracer.span("feas/refine", t=t) as span:

@@ -56,12 +56,17 @@ class WDMatrices:
     edge_dst: np.ndarray
     edge_w: np.ndarray
 
+    def exceeding(self, period: float) -> np.ndarray:
+        """The boolean ``n x n`` mask of pairs ``i != j`` with finite
+        ``D > period``."""
+        mask = np.isfinite(self.d) & (self.d > period)
+        np.fill_diagonal(mask, False)
+        return mask
+
     def pairs_exceeding_arrays(self, period: float) -> Tuple[np.ndarray, np.ndarray]:
         """Index pairs ``(i, j)``, ``i != j``, with ``D > period``, as a
         ``(rows, cols)`` ndarray pair in row-major order."""
-        mask = np.isfinite(self.d) & (self.d > period)
-        np.fill_diagonal(mask, False)
-        return np.nonzero(mask)
+        return np.nonzero(self.exceeding(period))
 
     def max_vertex_delay(self) -> float:
         return float(np.diag(self.d).max()) if len(self.order) else 0.0
@@ -206,13 +211,27 @@ def candidate_periods(wd: WDMatrices, tol: float = _CANDIDATE_TOL) -> List[float
     ``tol``) while dropping decode-noise near-duplicates. ``tol=0``
     keeps every distinct float.
     """
-    mask = np.isfinite(wd.d)
-    if not mask.any():
-        return []
-    vals = np.unique(wd.d[mask])
-    if tol > 0 and vals.size > 1:
-        keep = np.empty(vals.size, dtype=bool)
-        keep[:-1] = np.diff(vals) > tol
-        keep[-1] = True
-        vals = vals[keep]
-    return [float(x) for x in vals]
+    return _merge_runs(_distinct_delays(wd), tol).tolist()
+
+
+def candidate_sets(wd: WDMatrices) -> Tuple[List[float], List[float]]:
+    """``(candidate_periods(wd), candidate_periods(wd, tol=0.0))``: the
+    merged and the exact candidate lists, from one sort of ``D``."""
+    exact = _distinct_delays(wd)
+    return _merge_runs(exact, _CANDIDATE_TOL).tolist(), exact.tolist()
+
+
+def _distinct_delays(wd: WDMatrices) -> np.ndarray:
+    """The sorted distinct finite values of ``wd.d``."""
+    return np.unique(wd.d[np.isfinite(wd.d)])
+
+
+def _merge_runs(vals: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted ``vals`` with each run of neighbours within ``tol`` of
+    each other reduced to its largest member (``tol <= 0``: all)."""
+    if tol <= 0 or vals.size < 2:
+        return vals
+    keep = np.empty(vals.size, dtype=bool)
+    keep[:-1] = np.diff(vals) > tol
+    keep[-1] = True
+    return vals[keep]

@@ -14,8 +14,9 @@ Also here: the dict form of the min-area objective
 (:func:`retiming_objective`), its value (:func:`objective_value`) and
 the all-vertex reference of the witness prune
 (:func:`prune_reference`). :func:`prune_redundant_arrays` is not a
-reference: it is the shipped prune itself, applied to arbitrary pair
-arrays so the prune tests can feed it pairs of their choosing.
+reference: it is the shipped witness kernel itself, applied to
+arbitrary pair arrays so the prune tests can feed it pairs of their
+choosing.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import ConstraintSystem, _prune_keep_mask
+from repro.retime.constraints import ConstraintSystem, _witness_delays
 from repro.retime.minarea import WEIGHT_SCALE
 from repro.retime.wd import WDMatrices, wd_matrices
 
@@ -87,13 +88,16 @@ def prune_reference(
 def prune_redundant_arrays(
     wd: WDMatrices, period: float, src: np.ndarray, dst: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The shipped witness prune (``_prune_keep_mask``, not a
-    reference) over arbitrary ``(src, dst)`` pair arrays, order kept;
-    :func:`repro.retime.constraints.clock_rows` applies it to the pairs
+    """The shipped witness prune (not a reference) over arbitrary
+    ``(src, dst)`` pair arrays, order kept: the pairs whose largest
+    neighbour-witness delay (``_witness_delays``, the kernel of
+    :class:`repro.retime.constraints.WitnessTable`) is at most
+    ``period``. The shipped clocking rows apply it to the pairs
     exceeding a period only."""
     if src.size == 0:
         return src, dst
-    keep = _prune_keep_mask(wd, period, src, dst)
+    flat = np.asarray(src, dtype=np.int64) * wd.w.shape[0] + dst
+    keep = _witness_delays(wd, flat) <= period
     return src[keep], dst[keep]
 
 

@@ -12,6 +12,7 @@ from repro.netlist import CircuitGraph, random_circuit
 from repro.retime import (
     build_constraint_system,
     clock_period,
+    clock_rows,
     min_area_retiming,
     tightest_rows,
     wd_matrices,
@@ -360,3 +361,109 @@ class TestArrayPaths:
             wd, period, pairs
         )
         assert kept == [p for p in pairs if p in set(kept)]
+
+
+class TestWitnessTable:
+    """One table at a floor serves every period at or above it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rows_match_reference_at_every_candidate(self, seed):
+        # Exact candidates make pairs tie on ``D > T`` and ``M <= T``;
+        # midpoints between them test the open intervals.
+        from repro.retime import candidate_periods
+        from repro.retime.constraints import WitnessTable
+
+        g = _awkward_circuit(seed)
+        assert g.host_units()
+        wd = wd_matrices(g)
+        floor = wd.max_vertex_delay()
+        table = WitnessTable.build(wd, floor)
+        exact = [t for t in candidate_periods(wd, tol=0.0) if t >= floor]
+        mids = [(a + b) / 2 for a, b in zip(exact, exact[1:])]
+        for t in exact + mids:
+            rows = table.rows(t)
+            kept = list(zip(rows["u"].tolist(), rows["v"].tolist()))
+            pairs = _pair_list(wd, t)
+            assert kept == prune_reference(wd, t, pairs), t
+            # The unpruned rows at ``t``, masked to the kept pairs.
+            full = clock_rows(wd, t, prune=False)
+            keep = set(kept)
+            pairs_full = zip(full["u"].tolist(), full["v"].tolist())
+            mask = np.array([p in keep for p in pairs_full], dtype=bool)
+            assert np.array_equal(rows, full[mask]), t
+
+    def test_rows_below_floor_refused(self):
+        from repro.retime.constraints import WitnessTable
+
+        wd = wd_matrices(random_circuit("pv", n_units=20, n_ffs=10, seed=3))
+        floor = 1.5 * wd.max_vertex_delay()
+        table = WitnessTable.build(wd, floor)
+        assert table.floor == floor
+        with pytest.raises(ValueError, match="below the witness table's floor"):
+            table.rows(floor - 1e-6)
+
+    def test_probe_below_floor_rebuilds(self):
+        from repro.obs import Tracer
+        from repro.retime.fastcheck import FeasibilityChecker
+
+        g = random_circuit("pv", n_units=30, n_ffs=16, seed=4)
+        wd = wd_matrices(g)
+        tracer = Tracer()
+        checker = FeasibilityChecker.build(g, wd, tracer=tracer)
+        high = clock_period(g, wd)
+        low = wd.max_vertex_delay()
+        checker.check(high)
+        table = checker.witness
+        assert table.floor == high
+        checker.check(high + 1.0)  # above the floor: the same table
+        assert checker.witness is table
+        checker.check(low)  # below it: rebuilt at the new period
+        assert checker.witness is not table and checker.witness.floor == low
+        checker.check(high)
+        builds = [s for s in tracer.spans if s.name == "feas/witness"]
+        assert [s.attrs["floor"] for s in builds] == [high, low]
+        for span, floor in zip(builds, (high, low)):
+            pairs = _pair_list(wd, floor)
+            assert span.attrs["pairs"] == len(pairs)
+            kept = prune_reference(wd, floor, pairs)
+            assert span.attrs["kept_at_floor"] == len(kept)
+
+    def test_chunked_table_unchanged(self, monkeypatch):
+        # Chunk edges must not leak into M: every pair's value, not
+        # only the kept rows, is the same.
+        import repro.retime.constraints as constraints_mod
+        from repro.retime.constraints import WitnessTable, _witness_delays
+
+        g = random_circuit("pv", n_units=30, n_ffs=16, seed=8)
+        wd = wd_matrices(g)
+        floor = wd.max_vertex_delay()
+        flat = np.flatnonzero(wd.exceeding(floor))
+        whole = _witness_delays(wd, flat)
+        table = WitnessTable.build(wd, floor)
+        monkeypatch.setattr(constraints_mod, "_PRUNE_CHUNK", 7)
+        assert flat.size > 7
+        assert np.array_equal(_witness_delays(wd, flat), whole)
+        chunked = WitnessTable.build(wd, floor)
+        for t in (floor, 0.5 * (floor + clock_period(g, wd))):
+            assert np.array_equal(chunked.rows(t), table.rows(t))
+
+    @pytest.mark.parametrize("name", ["s298", "s1269", "s5378"])
+    def test_checker_arcs_at_t_clk_equal_system_rows(self, name):
+        # The search leaves its checker's table at or below T_min; the
+        # checker's rows at T_clk must be the constraint table's.
+        from repro.experiments.fixtures import prepared_instance
+        from repro.retime.fastcheck import FeasibilityChecker, group_arcs
+
+        inst = prepared_instance(name)
+        system = inst.system
+        checker = FeasibilityChecker.build(inst.expanded.graph, inst.wd)
+        checker.cover(inst.t_min)
+        assert checker.witness.floor == inst.t_min < inst.t_clk
+        rows = system.constraints
+        assert np.array_equal(
+            checker.witness.rows(inst.t_clk), rows[system.n_static :]
+        )
+        expected = group_arcs(checker.n, rows["u"], rows["v"], rows["bound"])
+        got = checker._probe_arcs(inst.t_clk)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)

@@ -134,10 +134,13 @@ S298_QUICK_SAMPLES = sorted([
 #: The same run's span open/close sequence, as its former
 #: ``repro-events/1`` stream recorded it, one letter per event:
 #: span_open, span_close, metrics (a snapshot after each stage close,
-#: which the trace stream does not repeat), run_end.
+#: which the trace stream does not repeat), run_end. Since then the
+#: min-period search's ``feas/certify`` span holds one more span, its
+#: ``feas/witness`` table build (the inner ``oc`` of ``ocoocc``: a
+#: probe, then the certification holding the build).
 S298_QUICK_EVENTS = (
-    "ooococococcmooccmoocmooccmocmocmocmooococococococococococococococo"
-    "cocccmoococoocccmcce"
+    "ooococococcmooccmoocmooccmocmocmocmooocococococococococococococooc"
+    "cococccmoococoocccmcce"
 )
 
 

@@ -178,6 +178,38 @@ class TestCandidatePeriods:
         )
         assert candidate_periods(wd) == []
 
+    @staticmethod
+    def _per_element(wd, tol):
+        """The candidate list as built before the shared sort: its own
+        ``np.unique``, then one ``float()`` per element."""
+        mask = np.isfinite(wd.d)
+        if not mask.any():
+            return []
+        vals = np.unique(wd.d[mask])
+        if tol > 0 and vals.size > 1:
+            keep = np.empty(vals.size, dtype=bool)
+            keep[:-1] = np.diff(vals) > tol
+            keep[-1] = True
+            vals = vals[keep]
+        return [float(x) for x in vals]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_candidate_sets_bit_identical_to_per_element_lists(self, seed):
+        from repro.retime.wd import candidate_sets
+
+        cases = [
+            wd_matrices(random_circuit("cs", n_units=40, n_ffs=18, seed=seed)),
+            self._wd_with_d([1.0, 1.0 + 5e-10, 1.0 + 8e-10, 2.0, 2.0]),
+        ]
+        for wd in cases:
+            merged, exact = candidate_sets(wd)
+            for got, tol in ((merged, 1e-9), (exact, 0.0)):
+                want = self._per_element(wd, tol)
+                assert all(type(x) is float for x in got)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert merged == candidate_periods(wd)
+            assert exact == candidate_periods(wd, tol=0.0)
+
 
 class TestScalarisedCsr:
     """The vectorised scalarised-CSR builder against its dict-loop
