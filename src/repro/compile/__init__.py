@@ -1,7 +1,7 @@
 """Compile/solve split: content-addressed compiled-circuit artifacts.
 
 The planner's per-iteration front half (vertex order, W/D matrices,
-candidate periods, FEAS arrays, pruned constraint pairs) is pure in the
+candidate periods, pruned constraint pairs) is pure in the
 expanded graph + tech + a few config switches. This package packages
 that front half as a :class:`CompiledCircuit` artifact, names it by a
 content fingerprint, and caches it on disk (:class:`CompileCache`) so

@@ -14,12 +14,12 @@ iteration. An artifact has two halves:
   and the minimum-period witness. A warm re-plan replays the solve
   from this record alone;
 * the **search inputs**, memory-only: dense W/D matrices (scalarised
-  Johnson), merged and exact candidate-period sets and the FEAS probe.
-  A fresh compile computes them; an artifact loaded from disk (or
-  restored from a checkpoint) rebuilds them from the expanded graph
-  only when a solve needs something the record lacks (a min-period
-  search with no witness, clocking pairs for a new ``(period, prune)``
-  key, or the planner's degrade path).
+  Johnson) and the candidate periods. A fresh compile computes them;
+  an artifact loaded from disk (or restored from a checkpoint)
+  rebuilds them from the expanded graph only when a solve needs
+  something the record lacks (a min-period search with no witness,
+  clocking pairs for a new ``(period, prune)`` key that no witness
+  table covers, or the planner's degrade path).
 
 Artifacts are content-addressed: :func:`compile_fingerprint` hashes the
 circuit JSON (:func:`repro.netlist.io.graph_to_dict`), the
@@ -45,16 +45,17 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
-from repro.errors import InfeasiblePeriodError
+from repro.errors import InfeasiblePeriodError, RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.netlist.io import graph_to_dict
 from repro.obs import NOOP_TRACER
-from repro.retime.constraints import clock_rows
-from repro.retime.feas_probe import FeasProbe
+from repro.retime.constraints import WitnessTable, clock_rows
 from repro.retime.wd import (
     WDMatrices,
-    candidate_sets,
+    candidate_periods,
     clock_period,
     connection_arrays,
     unit_delays,
@@ -66,28 +67,44 @@ from repro.tech.params import DEFAULT_TECH, Technology
 COMPILE_SCHEMA = "repro-compile/4"
 
 #: The memory-only fields: never pickled, rebuilt from the graph.
-_SEARCH_FIELDS = ("wd", "candidates", "exact_candidates", "feas")
+_SEARCH_FIELDS = ("wd", "candidates")
 
 
 def _search_field():
     return dataclasses.field(default=None, compare=False, repr=False)
 
 
-def _search_inputs(graph: CircuitGraph) -> dict:
+def _refuse_combinational_loops(
+    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> None:
+    """Raise :class:`~repro.errors.RetimingError` if the connections
+    ``(u, v, w)`` of an ``n``-unit graph close a zero-weight cycle.
+
+    :func:`~repro.retime.wd.wd_matrices` refuses such a cycle only when
+    it holds some delay; a zero-weight self-loop, or a cycle of
+    zero-delay units, leaves W/D defined, yet no period is then
+    meaningful. Checked on the zero-weight connections directly: a
+    self-loop, or a strongly connected component of two units or more.
+    """
+    zero = w == 0
+    u, v = u[zero], v[zero]
+    if (u == v).any():
+        raise RetimingError("zero-weight self-loop; period feasibility undefined")
+    adjacency = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    if connected_components(adjacency, connection="strong", return_labels=False) < n:
+        raise RetimingError("zero-weight cycle; period feasibility undefined")
+
+
+def _search_inputs(graph: CircuitGraph, conn: Tuple[np.ndarray, ...]) -> dict:
     """The memory-only fields of a compile of ``graph``, by name.
 
+    ``conn`` is the graph's :func:`~repro.retime.wd.connection_arrays`.
     Raises :class:`~repro.errors.RetimingError` on a zero-weight cycle
-    (a combinational loop), including a zero-weight self-loop, which
-    the W/D matrices survive but the FEAS arrays do not.
+    (a combinational loop), including a zero-weight self-loop.
     """
+    _refuse_combinational_loops(graph.num_units, *conn)
     wd = wd_matrices(graph)
-    candidates, exact_candidates = candidate_sets(wd)
-    return {
-        "wd": wd,
-        "candidates": candidates,
-        "exact_candidates": exact_candidates,
-        "feas": FeasProbe.build(graph),
-    }
+    return {"wd": wd, "candidates": candidate_periods(wd)}
 
 
 def compile_fingerprint(
@@ -154,8 +171,6 @@ class CompiledCircuit:
     #: :meth:`rebuild_search_inputs`, ``None`` on a loaded artifact.
     wd: Optional[WDMatrices] = _search_field()
     candidates: Optional[List[float]] = _search_field()
-    exact_candidates: Optional[List[float]] = _search_field()
-    feas: Optional[FeasProbe] = _search_field()
     #: Vertex -> position in ``order`` (derived, not pickled).
     index: Dict[str, int] = dataclasses.field(init=False, compare=False, repr=False)
     #: True when the artifact holds solve by-products not yet persisted.
@@ -179,7 +194,7 @@ class CompiledCircuit:
         conn_u, conn_v, conn_w = connection_arrays(
             graph, {v: i for i, v in enumerate(order)}
         )
-        search = _search_inputs(graph)
+        search = _search_inputs(graph, (conn_u, conn_v, conn_w))
         wd = search["wd"]
         return cls(
             schema=COMPILE_SCHEMA,
@@ -267,9 +282,9 @@ class CompiledCircuit:
     def rebuild_search_inputs(
         self, graph: Optional[CircuitGraph], reason: str, tracer=None
     ) -> None:
-        """Make ``wd``, ``candidates``, ``exact_candidates`` and ``feas``
-        available, recomputing them from ``graph`` if this artifact was
-        loaded without them (a no-op otherwise).
+        """Make ``wd`` and ``candidates`` available, recomputing them
+        from ``graph`` if this artifact was loaded without them (a
+        no-op otherwise).
 
         ``reason`` (``"min_period"``, ``"clock_pairs"`` or
         ``"degrade"``) names the solve path that needed them; it rides
@@ -295,7 +310,8 @@ class CompiledCircuit:
                     f"{self.fingerprint[:16]} ({self.circuit}); refusing to "
                     "rebuild its search inputs"
                 )
-            self.__dict__.update(_search_inputs(graph))
+            conn = (self.conn_u, self.conn_v, self.conn_w)
+            self.__dict__.update(_search_inputs(graph, conn))
 
     # -- solve-side accessors ------------------------------------------
     def clock_pairs(
@@ -305,17 +321,20 @@ class CompiledCircuit:
         *,
         graph: Optional[CircuitGraph] = None,
         tracer=None,
+        witness: Optional[WitnessTable] = None,
     ) -> np.ndarray:
         """The (pruned) clocking-row table for ``period``
         (:func:`~repro.retime.constraints.clock_rows`), memoised per
         ``(period, prune)``.
 
-        A stored key is answered from the replay record; a new one
-        needs the W/D matrices and so may rebuild the search inputs
-        from ``graph`` (required then). Raises
-        :class:`InfeasiblePeriodError` when a single unit's delay
-        exceeds the period (no retiming can fix that), which sends the
-        planner down its degrade path.
+        A stored key is answered from the replay record. A new pruned
+        key is a mask of ``witness`` (a table of this artifact's W/D,
+        e.g. the min-period search's) when its floor is at or below
+        ``period``; otherwise the rows are built, which needs the W/D
+        matrices and so may rebuild the search inputs from ``graph``
+        (required then). Raises :class:`InfeasiblePeriodError` when a
+        single unit's delay exceeds the period (no retiming can fix
+        that), which sends the planner down its degrade path.
         """
         if self.max_delay > period:
             raise InfeasiblePeriodError(
@@ -326,16 +345,16 @@ class CompiledCircuit:
         cached = self.clock_pair_sets.get(key)
         if cached is not None:
             return cached
-        self.rebuild_search_inputs(graph, "clock_pairs", tracer=tracer)
-        pairs = clock_rows(self.wd, period, prune)
+        if witness is not None and witness.wd is not self.wd:
+            raise ValueError("witness table is not of this artifact's W/D matrices")
+        if prune and witness is not None and witness.floor <= period:
+            pairs = witness.rows(period)
+        else:
+            self.rebuild_search_inputs(graph, "clock_pairs", tracer=tracer)
+            pairs = clock_rows(self.wd, period, prune)
         self.clock_pair_sets[key] = pairs
         self.dirty = True
         return pairs
-
-    def feas_probe(self) -> FeasProbe:
-        """The FEAS engine with per-run scratch state reset."""
-        self.feas.last_rounds = 0
-        return self.feas
 
     def note_min_period(self, t_min: float, labels: Dict[str, int]) -> None:
         """Record the min-period search outcome (pre-normalise labels)."""

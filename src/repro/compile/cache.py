@@ -22,8 +22,8 @@ unit delay, the candidate-period count, every ``(period, prune)`` key's
 clocking pairs with their bounds ``W(u, v) - 1``, and the min-period
 witness (``T_min`` plus its pre-normalise labels). That is all a warm
 re-plan reads, so a hit deserialises a few tens of KiB. What it does
-not hold: the dense n×n W/D matrices, the candidate-period lists and
-the FEAS probe arrays (the search inputs, >97% of a compile's bytes).
+not hold: the dense n×n W/D matrices and the candidate-period list
+(the search inputs, >97% of a compile's bytes).
 A loaded artifact rebuilds them from the expanded graph — after
 checking the graph's fingerprint — only when the solve needs them: a
 min-period search with no stored witness, clocking pairs for a

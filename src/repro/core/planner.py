@@ -382,8 +382,8 @@ def _run_iteration_stages(
     expanded = runner.run("expand", _expand)
 
     def _compile(_a):
-        # The whole pure front half of the solve — W/D, candidate
-        # periods, FEAS arrays — keyed by the expanded graph's content.
+        # The whole pure front half of the solve — W/D and candidate
+        # periods — keyed by the expanded graph's content.
         io0 = cache.stats.bytes_read + cache.stats.bytes_written
         artifact, hit = cache.get_or_compile(
             expanded.graph,
@@ -400,14 +400,22 @@ def _run_iteration_stages(
 
     compiled = runner.run("compile", _compile)
     t_init = compiled.t_init
-    t_min, _ = runner.run(
-        "min_period",
-        lambda _a: min_period_retiming(
-            expanded.graph,
-            tracer=tracer,
-            compiled=compiled,
-        ),
-    )
+    # The min-period search's witness table covers every period from
+    # the largest unit delay up, T_clk's included: this iteration's
+    # first constraint build masks its rows out of it, then drops it.
+    # It never enters the stage value, the artifact or the checkpoint.
+    witness = None
+
+    def _min_period(_a):
+        nonlocal witness
+        t_min, found = min_period_retiming(
+            expanded.graph, tracer=tracer, compiled=compiled, search_only=True
+        )
+        if found.checker is not None:
+            witness = found.checker.witness
+        return t_min, found.labels
+
+    t_min, _ = runner.run("min_period", _min_period)
     requested = t_clk
     if t_clk is None:
         t_clk = t_min + config.target_fraction * (t_init - t_min)
@@ -417,6 +425,7 @@ def _run_iteration_stages(
         # same period, and constraint generation dominates run time
         # (the property the paper leans on in Section 4.2). The stage
         # timings of the outcome are the spans' own.
+        nonlocal witness
         with tracer.span("retime/constraints", period=period, prune=prune) as sp:
             system = build_constraint_system(
                 expanded.graph,
@@ -424,7 +433,9 @@ def _run_iteration_stages(
                 prune=prune,
                 compiled=compiled,
                 tracer=tracer,
+                witness=witness,
             )
+            witness = None  # the solves below must not hold the table
             sp.set(n_constraints=len(system.constraints))
         constraints_seconds = sp.elapsed
         # ... and one solver: LAC starts from uniform weights, so its

@@ -2,7 +2,7 @@
 
 Where the span tracer (:mod:`repro.obs.tracer`) answers *where did the
 wall clock go*, the :class:`MetricsRegistry` answers *how much work was
-done and what did it cost*: solver iterations, cache hits, FEAS
+done and what did it cost*: solver iterations, cache hits, period
 probes, annealing moves, rip-up passes, process RSS and CPU. Every
 instrument carries a label set (``counter("feas_probes_total",
 verdict="feasible")``), so one metric name fans out into per-dimension
@@ -187,12 +187,7 @@ SPAN_METRICS: Dict[str, Tuple[SpanMetric, ...]] = {
         SpanMetric("counter", "compile_cache_total", labels={"result": "cache"}),
         SpanMetric("gauge", "compile_candidates", "n_candidates"),
     ),
-    "feas/probe": (
-        SpanMetric("counter", "feas_probes_total", 1, {"kind": "=probe", **_VERDICT}),
-    ),
-    "feas/certify": (
-        SpanMetric("counter", "feas_probes_total", 1, {"kind": "=certify", **_VERDICT}),
-    ),
+    "feas/probe": (SpanMetric("counter", "feas_probes_total", 1, _VERDICT),),
     "lac/round": (
         SpanMetric("counter", "lac_rounds_total"),
         SpanMetric("gauge", "lac_n_foa", "n_foa"),

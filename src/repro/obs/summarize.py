@@ -17,7 +17,7 @@ after a list of the spans a killed run left unfinished, if any:
    ``N_FOA``/``N_F``/objective and tile-weight spread, marking rounds
    the solver replayed; per min-period
    search: every probe with candidate period, verdict, rounds and,
-   for an infeasible dense probe, the length of its negative cycle;
+   for an infeasible probe, the length of its negative cycle;
 5. **One-liners** — compile-cache lookups (hits, payload bytes, and
    search-input rebuilds by reason), floorplan annealing acceptance,
    FM cut trajectories, routing congestion and cost refreshes.
@@ -197,11 +197,7 @@ def _format_lac_tables(doc: TraceDocument) -> List[str]:
 def _format_feas_tables(doc: TraceDocument) -> List[str]:
     lines: List[str] = []
     for search in doc.by_name("min_period/search"):
-        probes = [
-            s
-            for s in doc.children_of(search)
-            if s.name in ("feas/probe", "feas/certify", "feas/refine")
-        ]
+        probes = [s for s in doc.children_of(search) if s.name == "feas/probe"]
         if not probes:
             continue
         probes.sort(key=lambda s: s.start)
@@ -213,23 +209,16 @@ def _format_feas_tables(doc: TraceDocument) -> List[str]:
             f"T_min={search.attrs.get('t_min', float('nan')):.4f} "
             f"({len(probes)} probes)"
         )
-        a = search.attrs
-        if "feas_rounds" in a:
-            lines.append(
-                f"  FEAS rounds: {a['feas_rounds']} total, "
-                f"{a['unverified_rounds']} unverified, {a['resumes']} resumes"
-            )
         lines.append(
-            f"  {'kind':<12}  {'T':>9}  {'verdict':<10}  {'rounds':>6}  "
-            f"{'cycle':>5}  {'seconds':>8}"
+            f"  {'T':>9}  {'verdict':<10}  {'rounds':>6}  {'cycle':>5}  "
+            f"{'seconds':>8}"
         )
         for p in probes:
             a = p.attrs
-            kind = p.name.split("/", 1)[1]
             rounds = a.get("rounds", "-")
             cycle = a.get("cycle_len", "-")
             lines.append(
-                f"  {kind:<12}  {a.get('t', float('nan')):>9.4f}  "
+                f"  {a.get('t', float('nan')):>9.4f}  "
                 f"{a.get('verdict', '?'):<10}  {rounds!s:>6}  {cycle!s:>5}  "
                 f"{p.elapsed:>7.3f}s"
             )

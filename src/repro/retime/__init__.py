@@ -7,14 +7,13 @@ from repro.retime.constraints import (
     static_rows,
     tightest_rows,
 )
-from repro.retime.feas_probe import FeasProbe
 from repro.retime.incremental import IncrementalMinArea, IncrementalStats
 from repro.retime.minarea import (
     RetimingResult,
     min_area_retiming,
     normalise_labels,
 )
-from repro.retime.minperiod import min_period_retiming
+from repro.retime.minperiod import MinPeriod, min_period_retiming
 from repro.retime.wd import WDMatrices, candidate_periods, clock_period, wd_matrices
 
 __all__ = [
@@ -26,12 +25,12 @@ __all__ = [
     "static_rows",
     "clock_rows",
     "tightest_rows",
-    "FeasProbe",
     "IncrementalMinArea",
     "IncrementalStats",
     "RetimingResult",
     "min_area_retiming",
     "normalise_labels",
     "clock_period",
+    "MinPeriod",
     "min_period_retiming",
 ]

@@ -41,7 +41,8 @@ depend on the period; only the test ``D(witness) > T`` does. So a
 ``[M(u, v), D(u, v))``: one table answers the pruned rows of every
 period at or above the one it was built at, each a vectorised mask.
 The feasibility checker of a period search keeps one
-(:mod:`repro.retime.fastcheck`).
+(:mod:`repro.retime.fastcheck`), and the min-period search hands its
+table on to the same planning iteration's ``T_clk`` build.
 """
 
 from __future__ import annotations
@@ -260,6 +261,7 @@ def build_constraint_system(
     prune: bool = False,
     compiled: Optional["CompiledCircuit"] = None,
     tracer=None,
+    witness: Optional[WitnessTable] = None,
 ) -> ConstraintSystem:
     """The constraint table for ``period``: :func:`static_rows`, then
     the clocking rows.
@@ -268,7 +270,9 @@ def build_constraint_system(
     :class:`repro.compile.CompiledCircuit` of ``graph``, compiled here
     if omitted), whose per-``(period, prune)`` cache
     (:meth:`~repro.compile.CompiledCircuit.clock_pairs`) generates them
-    once with :func:`clock_rows` and keeps them in the artifact.
+    once and keeps them in the artifact: a mask of ``witness`` (a
+    :class:`WitnessTable` of the artifact's W/D, such as the min-period
+    search's) when it covers ``period``, else :func:`clock_rows`.
     ``tracer`` records the artifact's ``compile/rebuild`` span if a new
     period needs its search inputs.
 
@@ -281,7 +285,9 @@ def build_constraint_system(
 
     compiled = CompiledCircuit.for_graph(graph, compiled)
     static = static_rows(graph)
-    clock = compiled.clock_pairs(period, prune=prune, graph=graph, tracer=tracer)
+    clock = compiled.clock_pairs(
+        period, prune=prune, graph=graph, tracer=tracer, witness=witness
+    )
     return ConstraintSystem(
         np.concatenate([static, clock]), float(period), len(static), compiled
     )

@@ -28,12 +28,13 @@ solver's constraint table comes from:
   changes neither the solution set nor the relaxed labels, while
   cutting the arc count by ~99% on the larger circuits. They are a
   mask of one :class:`~repro.retime.constraints.WitnessTable` per
-  checker, built at the checker's first probe and rebuilt only for a
-  probe below the table's floor, so a period search runs the witness
-  kernel once per search (plus once per resume) instead of once per
-  probed period. The table, and the arcs grouped for the kernel and
-  cached per probed period, live in the checker, never in the
-  compiled artifact, whose pickled record would grow by every probe.
+  checker, built at the checker's first probe (or by :meth:`cover`)
+  and rebuilt only for a probe below the table's floor; the
+  min-period search covers its lowest candidate up front, so it runs
+  the witness kernel once per search instead of once per probed
+  period. The table, and the arcs grouped for the kernel and cached
+  per probed period, live in the checker, never in the compiled
+  artifact, whose pickled record would grow by every probe.
 
 The result is exact for the split-host semantics — identical to the
 constraint-object reference in ``tests/oracles/feasibility.py``, which

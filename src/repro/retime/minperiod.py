@@ -1,67 +1,45 @@
-"""Minimum-period retiming: binary search over candidate periods.
+"""Minimum-period retiming: a binary search over the candidate periods.
 
 A classic Leiserson–Saxe result: the minimum achievable clock period is
 always one of the finitely many distinct ``D(u, v)`` values, and a
 period ``T`` is achievable iff the edge + clocking difference
-constraints for ``T`` are satisfiable. Feasibility probes run on the
-sparse vectorised FEAS engine
-(:mod:`repro.retime.feas_probe`); the search exploits three facts:
-
-* candidates below the maximum single-vertex delay are infeasible and
-  candidates at or above the initial clock period are feasible with the
-  identity retiming, so the search is clamped to that window for free;
-* a feasible witness at one period is a legal warm start for every
-  probe at a smaller period, so feasible probes converge in a handful
-  of FEAS rounds;
-* infeasible probes are the expensive case for FEAS (its sound
-  certificate needs up to ``|V|`` rounds), so the binary search runs
-  *budgeted* probes — "not verified within the budget" is treated as
-  tentatively infeasible — and afterwards certifies the single
-  boundary candidate below the best verified period with one sound
-  probe on the dense checker, whose negative-cycle exit refutes it in
-  a few rounds (eight on every Table-1 certificate). Feasibility is
-  monotone in the period, so that one certificate pins down the exact
-  minimum; if it instead uncovers a feasible period the search resumes
-  below it with a larger budget (each resume strictly lowers the best
-  index, so this terminates).
-
-The budget is small on purpose. An unverified probe always spends its
-whole budget, while a verified one (warm-started from the witness of a
-larger feasible period) needs only a few rounds: across the Table-1
-searches no verified probe needed more than 4, yet with a budget of 64
-the unverified probes burnt 97% of all FEAS rounds. A budget of 8 keeps
-every verdict of those searches, and a budget that is too small costs
-at most a certification plus a resume (``resumes`` on the search span),
-never a wrong ``T_min``.
-
-The dense checker (:class:`repro.retime.fastcheck.FeasibilityChecker`,
+constraints for ``T`` are satisfiable. Every probe of the search runs on
+the dense checker (:class:`repro.retime.fastcheck.FeasibilityChecker`,
 on the retiming engine's one Bellman–Ford kernel
-:func:`~repro.retime.fastcheck.relax`) certifies the boundary
-candidate. Its infeasible verdicts come with a negative cycle of the
-period's constraint system; the ``feas/certify`` and ``feas/refine``
-spans record the kernel's ``rounds`` and, when infeasible, the cycle's
-length (``cycle_len``). One checker serves a search, and its clocking
-rows come from one witness table, built at the first certification
-(or at the lowest exact-tie candidate) and rebuilt only by a resume,
-whose certification probes lower; each build is a ``feas/witness``
-span (``floor``, ``pairs``, ``kept_at_floor``).
+:func:`~repro.retime.fastcheck.relax`), and the search exploits three
+facts:
+
+* candidates below the largest unit delay are infeasible, and the
+  identity retiming (all-zero labels) is a witness at ``T_init``, so
+  the search is clamped to the candidates in between for free;
+* feasibility is monotone in the period, so a bisection over the
+  sorted candidates (:func:`~repro.retime.wd.candidate_periods`, every
+  distinct finite ``D``) finds the smallest feasible one: ``T_min`` is
+  the minimum over the exact candidate set by construction;
+* a feasible witness at one period is a legal warm start for every
+  probe at a smaller period, so a feasible probe converges in a few
+  rounds, and an infeasible one ends on the kernel's negative-cycle
+  exit a few rounds after the cycle forms (by round eight on every
+  Table-1 search).
+
+Each probe is a ``feas/probe`` span: its candidate period ``t``, its
+``verdict`` (``feasible`` or ``infeasible``), the kernel's ``rounds``
+and, when infeasible, the length of the refuting negative cycle
+(``cycle_len``). Every probe's clocking rows are a mask of one witness
+table, covered once at the largest unit delay, the lowest candidate
+the search can probe (a ``feas/witness`` span: ``floor``, ``pairs``,
+``kept_at_floor``). That table serves every period at or above its
+floor, so the planner hands it to the same iteration's constraint
+build (:func:`~repro.retime.constraints.build_constraint_system`'s
+``witness``), whose ``T_clk`` rows are then one more mask.
 
 Everything the search reads — vertex order, W/D matrices, candidate
-sets, FEAS arrays — comes from one
-:class:`~repro.compile.CompiledCircuit`, and all three orders are
-``list(graph.units())``, so labels pass between the FEAS engine, the
-dense checker and the artifact as one int64 array. A graph with a
-zero-weight cycle (a combinational loop) has no FEAS arrays; compiling
-it raises :class:`~repro.errors.RetimingError`, as
-:meth:`CircuitGraph.validate` does.
-
-The search runs over *merged* candidates (:func:`candidate_periods`
-collapses float-noise runs of ``D`` values), so every search finishes
-with an exact-tie refinement: a warm-started bisection over the few
-exact ``D`` values inside the winning run, decided by the exact
-checker (:meth:`FeasibilityChecker.refine`). ``T_min`` is therefore
-the minimum over the *exact* candidate set, not the merged one. The
-FEAS phase, the refinement and the degrade path's
+periods — comes from one :class:`~repro.compile.CompiledCircuit`, whose
+order is ``list(graph.units())``, so labels pass between the checker
+and the artifact as one int64 array. A graph with a zero-weight cycle
+(a combinational loop) does not compile: it raises
+:class:`~repro.errors.RetimingError`, as :meth:`CircuitGraph.validate`
+does. The search and the degrade path's
 :func:`~repro.resilience.degrade.find_relaxed_period` share one
 bisection, :func:`bisect_feasible`.
 
@@ -73,7 +51,7 @@ from __future__ import annotations
 
 import bisect
 import logging
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -84,11 +62,6 @@ from repro.retime.fastcheck import FeasibilityChecker
 from repro.retime.minarea import RetimingResult, normalise_labels
 
 log = logging.getLogger(__name__)
-
-#: Initial FEAS round budget for tentative probes inside the binary
-#: search (quadrupled on every boundary-certification miss). See the
-#: module docstring for why 8.
-_INITIAL_BUDGET = 8
 
 
 def bisect_feasible(
@@ -105,9 +78,8 @@ def bisect_feasible(
     ``witness`` until one is accepted). Returns ``(i, witness)``, with
     ``i == hi`` and the given ``witness`` when none was accepted.
 
-    The one bisection of the period searches: the FEAS phase and the
-    exact-tie refinement here, and
-    :func:`repro.resilience.degrade.find_relaxed_period`.
+    The one bisection of the period searches: the min-period search
+    here and :func:`repro.resilience.degrade.find_relaxed_period`.
     """
     while lo < hi:
         mid = (lo + hi) // 2
@@ -119,183 +91,80 @@ def bisect_feasible(
     return hi, witness
 
 
-def _record_verdict(span, checker: FeasibilityChecker, feasible: bool) -> None:
-    """Set a dense probe span's ``verdict`` and ``rounds``, and the
-    length of the refuting negative cycle (``cycle_len``) when there is
-    one."""
-    span.set(
-        verdict="feasible" if feasible else "infeasible",
-        rounds=checker.last_rounds,
-    )
-    if checker.last_cycle is not None:
-        span.set(cycle_len=len(checker.last_cycle))
+class MinPeriod(NamedTuple):
+    """What a min-period search finds (``min_period_retiming(...,
+    search_only=True)``).
 
-
-def _feas_search(
-    graph: CircuitGraph, compiled, tracer=NOOP_TRACER
-) -> Tuple[float, np.ndarray, Optional[float], Optional[FeasibilityChecker]]:
-    """Clamped, warm-started, budgeted binary search (see module doc).
-
-    Returns the best (merged) candidate, its witness labels with the
-    hosts at 0, the largest candidate certified infeasible (``None`` if
-    the search never moved above the first candidate), and the dense
-    checker if a certification built one.
-
-    Records on the enclosing ``min_period/search`` span the FEAS rounds
-    of all budgeted probes (``feas_rounds``), the share spent by
-    unverified ones (``unverified_rounds``), and the certifications
-    that found a feasible period and resumed the search (``resumes``).
-
-    The (rare — usually one per search) boundary certification runs on
-    the Bellman–Ford checker: FEAS's infeasibility certificate needs up
-    to ``|V|`` increments of one vertex and increments interleave, so
-    certifying a near-feasible period can take several thousand rounds
-    where one warm-started exact relaxation
-    (:meth:`FeasibilityChecker.refine`, seeded with the witness of the
-    best verified period) finds a negative cycle of the pruned
-    constraint arcs in a few rounds.
+    ``period`` is ``T_min`` and ``labels`` its witness by unit name, as
+    the search found it (hosts tied to one label, not shifted to 0).
+    ``checker`` is the search's checker, whose witness table covers
+    every period from the largest unit delay up; it is ``None`` when
+    the witness was replayed from the artifact.
     """
-    engine = compiled.feas_probe()
+
+    period: float
+    labels: Dict[str, int]
+    checker: Optional[FeasibilityChecker]
+
+
+def _search(
+    graph: CircuitGraph, compiled, tracer
+) -> Tuple[float, np.ndarray, FeasibilityChecker]:
+    """Bisect ``compiled.candidates`` on one checker (see module doc):
+    ``(T_min, its witness labels, the checker)``."""
     candidates = compiled.candidates
-    checker: Optional[FeasibilityChecker] = None
-    budget = _INITIAL_BUDGET
-    feas_rounds = unverified_rounds = resumes = 0
-
-    def budgeted_probe(idx: int, start: np.ndarray) -> Optional[np.ndarray]:
-        nonlocal feas_rounds, unverified_rounds
-        with tracer.span("feas/probe", t=candidates[idx], budget=budget) as span:
-            verified, raw = engine.probe_budget(candidates[idx], start, budget)
-            verdict = "feasible" if verified else "unverified"
-            span.set(verdict=verdict, rounds=engine.last_rounds)
-        feas_rounds += engine.last_rounds
-        if not verified:
-            unverified_rounds += engine.last_rounds
-        return raw
-
-    def sound_probe(idx: int, start: np.ndarray) -> Optional[np.ndarray]:
-        nonlocal checker
-        with tracer.span(
-            "feas/certify", t=candidates[idx], method="bellman-ford"
-        ) as span:
-            if checker is None:
-                checker = FeasibilityChecker.build(graph, compiled.wd, tracer)
-            raw = checker.refine(candidates[idx], start)
-            _record_verdict(span, checker, raw is not None)
-        return raw
-
-    # Clamp the window: below the max vertex delay nothing is feasible;
-    # at the first candidate >= the current clock period the identity
-    # retiming (all-zero labels) is a free witness.
-    floor = bisect.bisect_left(candidates, engine.max_delay)
+    checker = FeasibilityChecker.build(graph, compiled.wd, tracer)
+    lo = bisect.bisect_left(candidates, checker.max_delay)
+    # T_init is a D value, so a candidate, and the identity retiming
+    # realises it: the bisection never needs to probe it.
     hi = bisect.bisect_left(candidates, compiled.t_init)
-    best_idx = min(hi, len(candidates) - 1)
-    best_raw = np.zeros(engine.n, dtype=np.int64)
-    while True:
-        best_idx, best_raw = bisect_feasible(
-            floor, best_idx, budgeted_probe, best_raw
-        )
-        if best_idx == floor:
-            # Candidates below the floor are < max vertex delay:
-            # infeasible with certainty, nothing left to certify.
-            break
-        raw = sound_probe(best_idx - 1, best_raw)
-        if raw is None:
-            # Sound infeasibility one step below the best verified
-            # period: monotonicity makes the best period the minimum.
-            break
-        best_idx, best_raw = best_idx - 1, raw
-        budget *= 4
-        resumes += 1
-    tracer.current.set(
-        feas_rounds=feas_rounds,
-        unverified_rounds=unverified_rounds,
-        resumes=resumes,
-    )
-    if engine.host_idx.size:
-        best_raw = best_raw - best_raw[engine.host_idx[0]]
-    lower = candidates[best_idx - 1] if best_idx > 0 else None
-    return candidates[best_idx], best_raw, lower, checker
+    checker.cover(candidates[lo])
 
-
-def _refine_exact(
-    graph: CircuitGraph,
-    compiled,
-    period: float,
-    labels: np.ndarray,
-    lower: Optional[float],
-    checker: Optional[FeasibilityChecker],
-    tracer=NOOP_TRACER,
-) -> Tuple[float, np.ndarray]:
-    """Tighten a merged-candidate winner to the exact minimum.
-
-    :func:`candidate_periods` merges runs of near-equal ``D`` values to
-    the run's largest member, so the searched winner can sit up to the
-    merge tolerance above the true minimum over *exact* candidates.
-    Everything at or below ``lower`` is certified infeasible and the
-    run's members are within the FEAS epsilon of each other, so the tie
-    is broken with the exact warm-started checker
-    (:meth:`FeasibilityChecker.refine`): a bisection over the handful
-    of exact values between ``lower`` and ``period``.
-    """
-    exact = compiled.exact_candidates
-    lo = bisect.bisect_right(exact, lower) if lower is not None else 0
-    hi = bisect.bisect_left(exact, period)
-    max_delay = compiled.wd.max_vertex_delay()
-    domain = [t for t in exact[lo:hi] if t >= max_delay]
-    if not domain:
-        return period, labels
-    domain.append(period)
-    if checker is None:
-        checker = FeasibilityChecker.build(graph, compiled.wd, tracer)
-    # The refinement probes only at or above domain[0]: one witness
-    # table serves them all.
-    checker.cover(domain[0])
-
-    def refine_probe(t: float, warm: np.ndarray) -> Optional[np.ndarray]:
-        with tracer.span("feas/refine", t=t) as span:
-            raw = checker.refine(t, warm)
-            _record_verdict(span, checker, raw is not None)
+    def probe(i: int, warm: np.ndarray) -> Optional[np.ndarray]:
+        with tracer.span("feas/probe", t=candidates[i]) as span:
+            raw = checker.refine(candidates[i], warm)
+            span.set(
+                verdict="feasible" if raw is not None else "infeasible",
+                rounds=checker.last_rounds,
+            )
+            if checker.last_cycle is not None:
+                span.set(cycle_len=len(checker.last_cycle))
         return raw
 
     idx, raw = bisect_feasible(
-        0, len(domain), lambda i, warm: refine_probe(domain[i], warm), labels
+        lo, hi, probe, np.zeros(checker.n, dtype=np.int64)
     )
-    if idx < len(domain):
-        return domain[idx], raw
-    # Even the searched winner fails the exact check — possible only at
-    # a knife edge where the FEAS epsilon absorbed a real sub-tolerance
-    # violation. Walk up to the first exact winner.
-    for t in exact[bisect.bisect_right(exact, period):]:
-        raw = refine_probe(t, labels)
-        if raw is not None:
-            return t, raw
-    raise RetimingError("no feasible candidate period")  # pragma: no cover
+    return candidates[idx], raw, checker
 
 
 def min_period_retiming(
     graph: CircuitGraph,
     tracer=None,
     compiled=None,
+    *,
+    search_only: bool = False,
 ) -> Tuple[float, RetimingResult]:
     """Find the minimum feasible period and a retiming achieving it.
 
-    Returns ``(T_min, result)``; binary-searches the sorted distinct
-    ``D`` values with FEAS probes, certifies the boundary and breaks
-    exact ties on the Bellman–Ford checker (see the module docstring).
+    Returns ``(T_min, result)``: a bisection over the candidate periods
+    on the dense checker (see the module docstring), then the witness
+    normalised (hosts at 0) and applied to ``graph``. With
+    ``search_only`` the second element is the search's
+    :class:`MinPeriod` instead, and no retimed graph is built (the
+    planner needs only ``T_min`` and the search's witness table).
 
     ``tracer`` (a :class:`repro.obs.Tracer`) wraps the whole search in
-    a ``min_period/search`` span; every budgeted probe, boundary
-    certification and exact-tie refinement becomes a child span with
-    its candidate period, verdict, and FEAS round count.
+    a ``min_period/search`` span; the witness-table build and every
+    probe become child spans.
 
     ``compiled`` (a :class:`repro.compile.CompiledCircuit` of this
-    graph; compiled here if omitted) supplies the W/D matrices,
-    candidate sets and FEAS arrays, rebuilding them from ``graph``
-    first if it was loaded from disk without them. If it already
-    carries a min-period witness from a previous identical run, the
-    search is skipped outright and the witness replayed (the outcome is
-    bit-identical — the witness *is* the previous search's
-    pre-normalise result).
+    graph; compiled here if omitted) supplies the W/D matrices and the
+    candidate periods, rebuilding them from ``graph`` first if it was
+    loaded from disk without them. If it already carries a min-period
+    witness from a previous identical run, the search is skipped and
+    the witness replayed (the outcome is bit-identical: the witness
+    *is* the previous search's result); otherwise the search records
+    its outcome on the artifact.
 
     Raises:
         RetimingError: ``graph`` has a zero-weight cycle (a
@@ -309,6 +178,7 @@ def min_period_retiming(
     if tracer is None:
         tracer = NOOP_TRACER
     compiled = CompiledCircuit.for_graph(graph, compiled)
+    checker = None
     if compiled.t_min is not None and compiled.t_min_labels is not None:
         with tracer.span("min_period/search") as search:
             period = compiled.t_min
@@ -324,14 +194,11 @@ def min_period_retiming(
         if not compiled.candidates:
             raise RetimingError("graph has no paths; period undefined")
         with tracer.span("min_period/search") as search:
-            period, raw, lower, checker = _feas_search(graph, compiled, tracer)
-            period, raw = _refine_exact(
-                graph, compiled, period, raw, lower, checker, tracer=tracer
-            )
+            period, raw, checker = _search(graph, compiled, tracer)
             labels = dict(zip(compiled.order, raw.tolist()))
             compiled.note_min_period(period, labels)
             search.set(
-                engine="feas",
+                engine="bellman-ford",
                 n_candidates=compiled.n_candidates,
                 t_min=period,
             )
@@ -341,6 +208,8 @@ def min_period_retiming(
         period,
         compiled.n_candidates,
     )
+    if search_only:
+        return period, MinPeriod(period, labels, checker)
 
     labels = normalise_labels(graph, {v: labels.get(v, 0) for v in graph.units()})
     retimed = graph.retimed(labels)

@@ -195,43 +195,12 @@ def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     )
 
 
-#: Default merge tolerance for :func:`candidate_periods`: D values are
-#: decoded from scalarised distances, so mathematically equal path
-#: delays can differ by float noise well below this.
-_CANDIDATE_TOL = 1e-9
-
-
-def candidate_periods(wd: WDMatrices, tol: float = _CANDIDATE_TOL) -> List[float]:
+def candidate_periods(wd: WDMatrices) -> List[float]:
     """Sorted distinct finite D values — the binary-search domain for
     minimum-period retiming (the optimum period is always one of them).
 
-    Runs of values within ``tol`` of their neighbour are merged to the
-    run's *largest* member: feasibility is monotone in the period, so
-    keeping the maximum preserves the first-feasible candidate (up to
-    ``tol``) while dropping decode-noise near-duplicates. ``tol=0``
-    keeps every distinct float.
+    Every distinct float is kept: near-equal values that differ only
+    by decode noise are each a candidate, so the search's minimum is
+    the minimum over the exact set.
     """
-    return _merge_runs(_distinct_delays(wd), tol).tolist()
-
-
-def candidate_sets(wd: WDMatrices) -> Tuple[List[float], List[float]]:
-    """``(candidate_periods(wd), candidate_periods(wd, tol=0.0))``: the
-    merged and the exact candidate lists, from one sort of ``D``."""
-    exact = _distinct_delays(wd)
-    return _merge_runs(exact, _CANDIDATE_TOL).tolist(), exact.tolist()
-
-
-def _distinct_delays(wd: WDMatrices) -> np.ndarray:
-    """The sorted distinct finite values of ``wd.d``."""
-    return np.unique(wd.d[np.isfinite(wd.d)])
-
-
-def _merge_runs(vals: np.ndarray, tol: float) -> np.ndarray:
-    """Sorted ``vals`` with each run of neighbours within ``tol`` of
-    each other reduced to its largest member (``tol <= 0``: all)."""
-    if tol <= 0 or vals.size < 2:
-        return vals
-    keep = np.empty(vals.size, dtype=bool)
-    keep[:-1] = np.diff(vals) > tol
-    keep[-1] = True
-    return vals[keep]
+    return np.unique(wd.d[np.isfinite(wd.d)]).tolist()

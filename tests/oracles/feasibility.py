@@ -1,9 +1,9 @@
 """Reference period feasibility through explicit constraint objects.
 
-The shipped min-period search decides feasibility on array engines
-(:class:`repro.retime.feas_probe.FeasProbe`, and the relaxation kernel
-behind :class:`repro.retime.fastcheck.FeasibilityChecker` for
-certification and tie-breaking). This oracle builds the Leiserson–Saxe
+The shipped min-period search decides feasibility on an array engine
+(the relaxation kernel behind
+:class:`repro.retime.fastcheck.FeasibilityChecker`). This oracle
+builds the Leiserson–Saxe
 difference constraints as named :class:`~tests.oracles.constraints.Constraint`
 objects straight from the W/D matrices, unpruned, and solves them with
 networkx's Bellman–Ford from a virtual source: the textbook

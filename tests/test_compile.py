@@ -61,14 +61,6 @@ def _replay_fields(artifact):
     }
 
 
-def _feas_arrays(feas):
-    return {
-        k: v.tolist() if isinstance(v, np.ndarray) else v
-        for k, v in vars(feas).items()
-        if k != "last_rounds"
-    }
-
-
 @pytest.fixture()
 def graph():
     return random_circuit("cc", n_units=30, n_ffs=18, seed=9)
@@ -113,7 +105,7 @@ class TestArtifact:
         assert np.array_equal(art.wd.d[both], wd.d[both])
         assert art.t_init == clock_period(graph, wd)
         assert art.candidates == candidate_periods(wd)
-        assert art.exact_candidates == candidate_periods(wd, tol=0.0)
+        assert art.n_candidates == len(art.candidates)
 
     def test_clock_pairs_match_list_pipeline(self, graph):
         art = CompiledCircuit.compile(graph)
@@ -181,12 +173,10 @@ class TestCacheModes:
         assert restored.wd is None
         restored.rebuild_search_inputs(graph, "min_period")
         assert restored.candidates == original.candidates
-        assert restored.exact_candidates == original.exact_candidates
         for field in ("w", "d", "edge_src", "edge_dst", "edge_w"):
             assert np.array_equal(
                 getattr(restored.wd, field), getattr(original.wd, field)
             )
-        assert _feas_arrays(restored.feas) == _feas_arrays(original.feas)
 
     def test_memory_lru_serves_before_disk(self, graph, tmp_path):
         cache = CompileCache(tmp_path, mode="auto")

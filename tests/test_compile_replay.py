@@ -1,9 +1,11 @@
 """Lean compile artifacts: a disk hit loads only the replay record.
 
 A warm re-plan must reproduce the cold plan bit for bit without
-rebuilding the memory-only search inputs (W/D, candidate lists, FEAS
-probe); the rare paths that do rebuild them must give exactly what a
-fresh compile gives, and only for the graph the artifact names.
+rebuilding the memory-only search inputs (W/D, the candidate list);
+the rare paths that do rebuild them must give exactly what a fresh
+compile gives, and only for the graph the artifact names. A cold
+iteration's ``T_clk`` rows are a mask of the min-period search's
+witness table, never a second build.
 """
 
 import dataclasses
@@ -24,7 +26,10 @@ from repro.obs.export import read_trace, write_trace
 from repro.obs.summarize import summarize
 from repro.resilience import StageRunner, default_resilience
 from repro.resilience.degrade import find_relaxed_period
-from repro.retime import min_period_retiming
+from repro.resilience.checkpoint import CheckpointManager
+from repro.retime import candidate_periods, clock_rows, min_period_retiming
+from repro.retime.constraints import WitnessTable
+from repro.retime.fastcheck import FeasibilityChecker
 
 
 @pytest.fixture()
@@ -153,6 +158,96 @@ class TestRebuildMatchesFreshCompile:
             loaded.clock_pairs(loaded.t_init - 1e-6)
 
 
+class TestSearchTableHandoff:
+    """The min-period search's witness table serves the iteration's
+    ``T_clk`` rows; nothing keeps it afterwards."""
+
+    @staticmethod
+    def _searched(graph):
+        compiled = CompiledCircuit.compile(graph)
+        t_min, found = min_period_retiming(
+            graph, compiled=compiled, search_only=True
+        )
+        t_clk = t_min + 0.2 * (compiled.t_init - t_min)
+        return compiled, found.checker.witness, t_clk
+
+    def test_clock_pairs_mask_the_search_table(self, graph, monkeypatch):
+        compiled, table, t_clk = self._searched(graph)
+        want = clock_rows(compiled.wd, t_clk, True)
+
+        def no_build(*_a, **_k):
+            raise AssertionError("clock rows rebuilt despite a covering table")
+
+        monkeypatch.setattr("repro.compile.artifact.clock_rows", no_build)
+        got = compiled.clock_pairs(t_clk, witness=table)
+        assert np.array_equal(got, want)
+        assert compiled.clock_pair_sets[(t_clk, True)] is got
+
+    def test_uncovered_or_unpruned_periods_build(self, graph):
+        compiled, _table, t_clk = self._searched(graph)
+        high = WitnessTable.build(compiled.wd, compiled.t_init)
+        got = compiled.clock_pairs(t_clk, witness=high)  # floor above t_clk
+        assert np.array_equal(got, clock_rows(compiled.wd, t_clk, True))
+        full = compiled.clock_pairs(t_clk, prune=False, witness=high)
+        assert np.array_equal(full, clock_rows(compiled.wd, t_clk, False))
+
+    def test_foreign_table_refused(self, graph):
+        compiled, _table, t_clk = self._searched(graph)
+        _other, foreign, _t = self._searched(
+            random_circuit("lean", n_units=40, n_ffs=20, seed=5)
+        )
+        with pytest.raises(ValueError, match="not of this artifact"):
+            compiled.clock_pairs(t_clk, witness=foreign)
+
+    def test_cold_plan_builds_one_table_per_iteration(self, monkeypatch):
+        builds = []
+        real = WitnessTable.build.__func__
+
+        def counted(cls, wd, floor):
+            builds.append(floor)
+            return real(cls, wd, floor)
+
+        monkeypatch.setattr(WitnessTable, "build", classmethod(counted))
+        graph, kwargs = load_circuit("s386")
+        tracer = Tracer()
+        outcome = plan_interconnect(graph, tracer=tracer, **kwargs)
+        searches = [s for s in tracer.spans if s.name == "min_period/search"]
+        assert len(builds) == len(searches) == len(outcome.iterations) == 2
+        parent = {s.span_id: s.parent_id for s in tracer.spans}
+        for span in tracer.spans:
+            if span.name in ("feas/witness", "compile/rebuild"):
+                assert parent[span.span_id] in {s.span_id for s in searches}
+
+    def test_min_period_stage_value_holds_no_table(self, graph, tmp_path):
+        store = CheckpointManager(tmp_path / "ck")
+        plan_interconnect(
+            graph, checkpoint=store, max_iterations=1, floorplan_iterations=300
+        )
+        resumed = CheckpointManager(tmp_path / "ck", resume=True)
+        resumed.bind(store.circuit, store.fingerprint)
+        hit, value, _meta = resumed.restore("iteration 1/min_period#1")
+        assert hit
+        t_min, labels = value
+        assert isinstance(t_min, float) and labels
+        assert all(type(v) is int for v in labels.values())
+        raw = pickle.dumps(value)
+        assert b"WitnessTable" not in raw and b"FeasibilityChecker" not in raw
+
+    def test_find_relaxed_period_scans_exact_candidates(self, graph):
+        compiled = CompiledCircuit.compile(graph)
+        min_period_retiming(graph, compiled=compiled)
+        checker = FeasibilityChecker.build(graph, compiled.wd)
+        for t_clk in (0.5 * compiled.t_min, compiled.t_min - 1e-6):
+            window = [
+                t for t in candidate_periods(compiled.wd)
+                if t_clk < t <= compiled.t_init
+            ]
+            scan = next(t for t in window if checker.check(t) is not None)
+            assert find_relaxed_period(
+                graph, t_clk, compiled.t_init, compiled=compiled
+            ) == scan == compiled.t_min
+
+
 class TestForeignGraphRefused:
     def test_other_graph_is_not_used(self, graph, tmp_path):
         _fresh, loaded = _loaded(graph, tmp_path)
@@ -177,14 +272,13 @@ class TestPayload:
         data = path.read_bytes()
         raw = zlib.decompress(data[data.index(b"\n") + 1 :])
         assert b"WDMatrices" not in raw
-        assert b"FeasProbe" not in raw
         assert cache.stats.bytes_written > 0
         reader = CompileCache(tmp_path)
         loaded = reader.get(artifact.fingerprint)
         assert reader.stats.bytes_read == len(data) - data.index(b"\n") - 1
         assert all(
             getattr(loaded, f) is None
-            for f in ("wd", "candidates", "exact_candidates", "feas")
+            for f in ("wd", "candidates")
         )
         assert loaded.n_candidates == len(artifact.candidates)
         assert loaded.index == artifact.index

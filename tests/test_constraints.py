@@ -261,7 +261,7 @@ class TestPruneVectorisedAgainstReference:
         wd = wd_matrices(_awkward_circuit(seed))
         assert wd.edge_src.size and not (wd.edge_src == wd.edge_dst).any()
         exact = [
-            t for t in candidate_periods(wd, tol=0.0)
+            t for t in candidate_periods(wd)
             if t >= wd.max_vertex_delay()
         ]
         for t in exact[:: max(1, len(exact) // 8)]:
@@ -378,7 +378,7 @@ class TestWitnessTable:
         wd = wd_matrices(g)
         floor = wd.max_vertex_delay()
         table = WitnessTable.build(wd, floor)
-        exact = [t for t in candidate_periods(wd, tol=0.0) if t >= floor]
+        exact = [t for t in candidate_periods(wd) if t >= floor]
         mids = [(a + b) / 2 for a, b in zip(exact, exact[1:])]
         for t in exact + mids:
             rows = table.rows(t)

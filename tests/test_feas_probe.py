@@ -1,13 +1,12 @@
-"""Tests for the sparse FEAS engine and the min-period search's checkers.
+"""Tests for the min-period search's feasibility probes.
 
-Unlike classic single-host FEAS (conservative on open circuits),
-:class:`FeasProbe` ties the split hosts' labels instead of contracting
-them and must therefore decide *exactly* the split-host feasibility
-question — the same one the Bellman–Ford checker and the
-constraint-object oracle (``tests/oracles/feasibility.py``) answer.
-These tests pin that equivalence, the warm-start contract, and T_min
-invariance between the FEAS search and a bisection on the dense
-Bellman–Ford checker.
+Every probe of the search (a ``feas/probe`` span) is a warm-started
+run of the dense checker at one exact candidate period. The probes
+must decide the *split-host* feasibility question exactly (the one the
+constraint-object oracle in ``tests/oracles/feasibility.py`` answers),
+warm starts must never change a verdict, and ``T_min`` must be the
+smallest feasible candidate: the same value as a linear scan, probe
+for probe.
 """
 
 import numpy as np
@@ -16,160 +15,100 @@ import pytest
 from repro.compile import CompiledCircuit
 from repro.errors import NetlistError, RetimingError
 from repro.netlist import CircuitGraph, random_circuit, s27_graph
+from repro.obs import Tracer
 from repro.retime import (
-    FeasProbe,
     candidate_periods,
     clock_period,
+    clock_rows,
     min_period_retiming,
-    minperiod,
     wd_matrices,
 )
 from repro.retime.fastcheck import FeasibilityChecker
 from tests.oracles.feasibility import is_feasible_period
+from tests.test_feas import self_loop_graph
 from tests.test_wd import correlator
 
 
-def feas_labels(engine, period, start=None):
-    """A FEAS probe given the ``8 * (n + 1)`` round allowance that
-    decides every instance here: labels by unit name with the hosts at
-    0, or ``None`` when the infeasibility certificate fired (running
-    out of rounds instead fails the test)."""
-    allowance = 8 * (engine.n + 1)
-    verified, raw = engine.probe_budget(period, start, allowance)
-    if not verified:
-        assert engine.last_rounds < allowance, f"undecided at {period}"
-        return None
-    shift = int(raw[engine.host_idx[0]]) if engine.host_idx.size else 0
-    return {v: int(raw[i]) - shift for v, i in engine.index.items()}
+def search_probes(graph):
+    """``(T_min, [(t, feasible)])``: a traced search's probes in order."""
+    tracer = Tracer()
+    t_min, _ = min_period_retiming(graph, tracer=tracer)
+    probes = sorted(
+        (s for s in tracer.spans if s.name == "feas/probe"), key=lambda s: s.start
+    )
+    return t_min, [(p.attrs["t"], p.attrs["verdict"] == "feasible") for p in probes]
 
 
 def t_min_per_prober(graph):
-    """``{prober: T_min}`` for the FEAS search and a bisection over the
-    exact candidates on the dense Bellman–Ford checker."""
+    """``{prober: T_min}`` for the search and for a linear scan of the
+    candidates with cold :meth:`FeasibilityChecker.check` probes."""
     wd = wd_matrices(graph)
     checker = FeasibilityChecker.build(graph, wd)
-    exact = candidate_periods(wd, tol=0.0)
-    first, _labels = minperiod.bisect_feasible(
-        0, len(exact), lambda i, _warm: checker.check(exact[i])
-    )
-    return {"feas": min_period_retiming(graph)[0], "bellman-ford": exact[first]}
-
-
-def self_loop_graph():
-    """A zero-delay unit with a zero-weight self-loop on a 1-FF ring.
-
-    W/D are defined (the loop adds no delay), but FEAS arrival times
-    are not, so :meth:`FeasProbe.build` rejects it — as
-    :meth:`CircuitGraph.validate` rejects the combinational loop.
-    """
-    g = CircuitGraph("selfloop")
-    g.add_unit("z", delay=0.0)
-    g.add_unit("a", delay=1.0)
-    g.add_unit("b", delay=2.0)
-    g.add_connection("z", "z", weight=0)
-    g.add_connection("z", "a", weight=0)
-    g.add_connection("a", "b", weight=0)
-    g.add_connection("b", "z", weight=1)
-    return g
+    scan = next(t for t in candidate_periods(wd) if checker.check(t) is not None)
+    return {"search": min_period_retiming(graph)[0], "linear-scan": scan}
 
 
 class TestAgreement:
-    """FeasProbe verdicts == split-host Bellman–Ford verdicts."""
+    """Search probe verdicts == split-host oracle verdicts."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_circuits(self, seed):
         g = random_circuit("fp", n_units=30, n_ffs=20, seed=seed)
         wd = wd_matrices(g)
-        engine = FeasProbe.build(g)
-        t_init = clock_period(g, wd)
-        for frac in (0.3, 0.55, 0.7, 0.85, 0.95, 1.0, 1.15):
-            period = frac * t_init
+        t_min, probes = search_probes(g)
+        assert probes
+        for period, feasible in probes:
             ref = is_feasible_period(g, period, wd)
-            got = feas_labels(engine, period)
-            assert (got is None) == (ref is None), f"period {period}"
-            if got is not None:
-                # the witness must be a genuine solution...
-                assert clock_period(g.retimed(got)) <= period + 1e-9
-                # ...with the hosts pinned at zero
-                for host in g.host_units():
-                    assert got[host] == 0
+            assert feasible == (ref is not None), f"period {period}"
+        _t, result = min_period_retiming(g)
+        # the witness is a genuine solution with the hosts pinned at zero
+        assert clock_period(result.graph) <= t_min + 1e-9
+        for host in g.host_units():
+            assert result.labels[host] == 0
 
     def test_s27_combinational_io(self):
         # s27 has combinational PI->PO paths — exactly the case where
-        # contraction-based FEAS is conservative; the probe must not be.
+        # contracting the hosts into one vertex is conservative; the
+        # split-host probes must not be.
         g = s27_graph()
         wd = wd_matrices(g)
-        engine = FeasProbe.build(g)
-        for period in candidate_periods(wd):
+        _t_min, probes = search_probes(g)
+        assert any(f for _, f in probes) and not all(f for _, f in probes)
+        for period, feasible in probes:
             ref = is_feasible_period(g, period, wd)
-            got = feas_labels(engine, period)
-            assert (got is None) == (ref is None), f"period {period}"
+            assert feasible == (ref is not None), f"period {period}"
 
     def test_correlator_without_hosts(self):
         g = correlator()
-        engine = FeasProbe.build(g)
-        assert feas_labels(engine, 13.0) is not None
-        assert feas_labels(engine, 12.0) is None
+        t_min, probes = search_probes(g)
+        assert t_min == 13.0
+        assert (12.0, False) in probes
 
     def test_zero_weight_cycle_rejected_at_build(self):
+        # Zero-delay units: the W/D matrices survive this cycle, the
+        # compile does not.
         g = CircuitGraph()
-        g.add_unit("a", delay=1.0)
-        g.add_unit("b", delay=1.0)
+        g.add_unit("a", delay=0.0)
+        g.add_unit("b", delay=0.0)
+        g.add_unit("c", delay=1.0)
         g.add_connection("a", "b", weight=0)
         g.add_connection("b", "a", weight=0)
-        with pytest.raises(RetimingError, match="cycle"):
-            FeasProbe.build(g)
+        g.add_connection("b", "c", weight=1)
+        wd_matrices(g)
+        with pytest.raises(RetimingError, match="zero-weight cycle"):
+            CompiledCircuit.compile(g)
 
 
 class TestWarmStart:
     def test_witness_reuse_preserves_verdicts(self):
+        # The search warm-starts each probe from the last feasible
+        # witness; a cold probe at the same period agrees.
         g = random_circuit("fw", n_units=30, n_ffs=20, seed=7)
-        wd = wd_matrices(g)
-        engine = FeasProbe.build(g)
-        allowance = 8 * (engine.n + 1)
-        t_init = clock_period(g, wd)
-        verified, warm = engine.probe_budget(t_init, None, allowance)
-        assert verified
-        for frac in (0.9, 0.75, 0.6, 0.45):
-            period = frac * t_init
-            cold = feas_labels(engine, period)
-            hot = feas_labels(engine, period, start=warm)
-            assert (cold is None) == (hot is None), f"period {period}"
-            if hot is not None:
-                assert clock_period(g.retimed(hot)) <= period + 1e-9
-                warm = engine.probe_budget(period, warm, allowance)[1]
-
-    def test_illegal_start_rejected(self):
-        g = random_circuit("fw", n_units=20, n_ffs=12, seed=1)
-        engine = FeasProbe.build(g)
-        bad = np.zeros(engine.n, dtype=np.int64)
-        bad[engine.eu[0]] = 5  # pushes that vertex's out-edges negative
-        with pytest.raises(ValueError, match="legal"):
-            feas_labels(engine, clock_period(g), start=bad)
-
-    def test_wrong_shape_rejected(self):
-        g = random_circuit("fw", n_units=20, n_ffs=12, seed=2)
-        engine = FeasProbe.build(g)
-        with pytest.raises(ValueError, match="shape"):
-            feas_labels(engine, clock_period(g), start=np.zeros(3, dtype=np.int64))
-
-    def test_untied_hosts_rejected(self):
-        g = random_circuit("fw", n_units=20, n_ffs=12, seed=3)
-        engine = FeasProbe.build(g)
-        bad = np.zeros(engine.n, dtype=np.int64)
-        bad[engine.host_idx[0]] = 1
-        with pytest.raises(ValueError, match="hosts"):
-            feas_labels(engine, clock_period(g), start=bad)
-
-    def test_budgeted_probe_reports_unverified(self):
-        g = random_circuit("fb", n_units=30, n_ffs=20, seed=5)
-        engine = FeasProbe.build(g)
-        t_init = clock_period(g)
-        verified, raw = engine.probe_budget(t_init, None, rounds=64)
-        assert verified and raw is not None
-        # an infeasible period can never verify, whatever the budget
-        verified, raw = engine.probe_budget(0.4 * t_init, None, rounds=1)
-        assert not verified and raw is None
+        checker = FeasibilityChecker.build(g, wd_matrices(g))
+        _t_min, probes = search_probes(g)
+        assert any(f for _, f in probes) and not all(f for _, f in probes)
+        for period, feasible in probes:
+            assert (checker.check(period) is not None) == feasible, period
 
 
 class TestMinPeriodProbers:
@@ -179,20 +118,17 @@ class TestMinPeriodProbers:
         results = t_min_per_prober(g)
         assert len(set(results.values())) == 1, results
         _t_min, result = min_period_retiming(g)
-        assert clock_period(result.graph) <= results["feas"] + 1e-9
+        assert clock_period(result.graph) <= results["search"] + 1e-9
 
     def test_t_min_equals_linear_scan(self):
-        # T_min is the minimum over the *exact* candidate set (tol=0),
-        # not just the merged search domain: the exact-tie refinement
-        # must land on the same value as an exhaustive scan with the
-        # constraint-object oracle.
+        # T_min is the minimum over the exact candidate set: the
+        # bisection lands on the same value as an exhaustive scan with
+        # the constraint-object oracle.
         g = random_circuit("fm", n_units=25, n_ffs=15, seed=11)
         wd = wd_matrices(g)
         t_min, _ = min_period_retiming(g)
         feasible = [
-            t
-            for t in candidate_periods(wd, tol=0.0)
-            if is_feasible_period(g, t, wd) is not None
+            t for t in candidate_periods(wd) if is_feasible_period(g, t, wd) is not None
         ]
         assert t_min == min(feasible)
 
@@ -211,52 +147,35 @@ class TestMinPeriodProbers:
         with pytest.raises(RetimingError, match="self-loop"):
             min_period_retiming(g)
 
-
-class TestBudgetResume:
-    """A budget too small to verify feasible probes only costs resumes:
-    the certify step catches every miss, so ``T_min`` never moves."""
-
-    @staticmethod
-    def _search(graph):
-        from repro.obs import Tracer
-
+    def test_one_table_serves_the_search(self):
+        # The search covers its lowest probe once: one feas/witness,
+        # floored at the largest unit delay, whose table also gives
+        # the rows a fresh build at T_min would.
+        g = random_circuit("fm", n_units=40, n_ffs=20, seed=3)
         tracer = Tracer()
-        t_min, _ = min_period_retiming(graph, tracer=tracer)
-        (search,) = [s for s in tracer.spans if s.name == "min_period/search"]
-        probes = [
+        t_min, found = min_period_retiming(g, tracer=tracer, search_only=True)
+        (build,) = [s for s in tracer.spans if s.name == "feas/witness"]
+        wd = found.checker.wd
+        assert build.attrs["floor"] == wd.max_vertex_delay()
+        assert found.period == t_min
+        assert np.array_equal(
+            found.checker.witness.rows(t_min), clock_rows(wd, t_min, True)
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_predecessor_of_t_min_refuted_by_a_probe(self, seed):
+        # The bisection's answer is certified by its own probes: the
+        # candidate just below T_min was probed and refuted by a
+        # negative cycle (T_min is above the largest unit delay here).
+        g = random_circuit("fm", n_units=40, n_ffs=20, seed=seed)
+        wd = wd_matrices(g)
+        tracer = Tracer()
+        t_min, _ = min_period_retiming(g, tracer=tracer)
+        below = max(t for t in candidate_periods(wd) if t < t_min)
+        assert below >= wd.max_vertex_delay()
+        (probe,) = [
             s for s in tracer.spans
-            if s.name == "feas/probe" and s.parent_id == search.span_id
+            if s.name == "feas/probe" and s.attrs["t"] == below
         ]
-        return t_min, search.attrs, probes
-
-    def test_budget_one_keeps_t_min(self, monkeypatch):
-        from repro.experiments.fixtures import prepared_instance
-
-        instances = [
-            (inst.expanded.graph, inst.t_min)
-            for inst in map(prepared_instance, ("s298", "s386"))
-        ]
-        for seed in range(3):
-            g = random_circuit("br", n_units=40, n_ffs=20, seed=seed)
-            instances.append((g, min_period_retiming(g)[0]))
-        monkeypatch.setattr(minperiod, "_INITIAL_BUDGET", 1)
-        resumes = 0
-        for g, t_min in instances:
-            got, attrs, _probes = self._search(g)
-            assert got == t_min
-            resumes += attrs["resumes"]
-        assert resumes > 0
-
-    def test_search_span_totals_match_probe_spans(self):
-        g = random_circuit("br", n_units=40, n_ffs=20, seed=0)
-        _, attrs, probes = self._search(g)
-        unverified = [p for p in probes if p.attrs["verdict"] == "unverified"]
-        assert unverified
-        assert attrs["feas_rounds"] == sum(p.attrs["rounds"] for p in probes)
-        assert attrs["unverified_rounds"] == sum(
-            p.attrs["rounds"] for p in unverified
-        )
-        assert attrs["unverified_rounds"] <= minperiod._INITIAL_BUDGET * len(
-            unverified
-        )
-        assert attrs["resumes"] == 0
+        assert probe.attrs["verdict"] == "infeasible"
+        assert probe.attrs["cycle_len"] >= 2

@@ -517,13 +517,20 @@ class TestPlannerTrace:
         (search,) = doc.by_name("min_period/search")
         assert search.attrs["t_min"] > 0
         assert search.attrs["n_candidates"] > 0
-        assert search.attrs["resumes"] >= 0
-        assert 0 <= search.attrs["unverified_rounds"] <= search.attrs["feas_rounds"]
+        assert search.attrs["engine"] == "bellman-ford"
+        (witness,) = doc.by_name("feas/witness")
+        assert witness.parent_id == search.span_id
         probes = doc.by_name("feas/probe")
         assert probes
         for p in probes:
-            assert p.attrs["t"] > 0
-            assert p.attrs["verdict"] in ("feasible", "unverified", "infeasible")
+            assert p.parent_id == search.span_id
+            assert p.attrs["t"] > 0 and p.attrs["rounds"] >= 1
+            assert p.attrs["verdict"] in ("feasible", "infeasible")
+            infeasible = p.attrs["verdict"] == "infeasible"
+            assert ("cycle_len" in p.attrs) == infeasible
+        assert min(p.attrs["t"] for p in probes if p.attrs["verdict"] == "feasible") == (
+            search.attrs["t_min"]
+        )
 
     def test_anneal_and_fm_and_route_annotations(self, doc):
         (anneal,) = doc.by_name("floorplan/anneal")
@@ -548,7 +555,7 @@ class TestPlannerTrace:
         assert "plan s27" in text
         assert "LAC convergence" in text
         assert "min-period search" in text
-        assert "FEAS rounds:" in text
+        assert "verdict" in text and "cycle" in text
         assert "floorplan anneal" in text
         assert "1 replayed" in text
         assert "simplex iterations" in text

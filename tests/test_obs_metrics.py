@@ -138,7 +138,7 @@ class TestMetricsRoundTrip:
         reg = replay_metrics(read_trace(tmp_path / "t.jsonl"))
         assert reg.counter("lac_rounds_total").value == 2
         assert reg.gauge("lac_n_foa").value == 1
-        feasible = reg.counter("feas_probes_total", kind="probe", verdict="feasible")
+        feasible = reg.counter("feas_probes_total", verdict="feasible")
         assert feasible.value == 2
         hist = reg.histogram("stage_seconds", stage="retime")
         assert hist.count == 2

@@ -1,11 +1,12 @@
 """The one Bellman–Ford kernel, :func:`repro.retime.fastcheck.relax`.
 
 A differential test against networkx on seeded random difference
-systems, and the min-period gate: the negative-cycle exit changes no
-probe verdict of a real plan and certifies infeasibility in a few
-rounds.
+systems, and the min-period gate: the search's probes keep every
+pinned verdict of a real plan, and the negative-cycle exit certifies
+infeasibility in a few rounds.
 """
 
+import bisect
 import json
 from pathlib import Path
 
@@ -147,38 +148,104 @@ class TestRelaxDifferential:
         assert out.labels.size == 0 and out.cycle is None
 
 
-#: The period probes; ``feas/witness`` spans are table builds, not probes.
-PROBE_SPANS = ("feas/probe", "feas/certify", "feas/refine")
+def pinned_searches(rows):
+    """Pinned ``[span, t, verdict]`` rows cut into one list per search.
+
+    A search of the budgeted engine ended on its ``feas/refine`` rows,
+    or on an infeasible ``feas/certify`` when it had none (a feasible
+    one resumed it), so a ``feas/probe`` after either starts the next
+    search.
+    """
+    runs = [[]]
+    for row in rows:
+        prev = runs[-1][-1] if runs[-1] else None
+        ended = prev is not None and (
+            prev[0] == "feas/refine"
+            or prev[0] == "feas/certify" and prev[2] == "infeasible"
+        )
+        if row[0] == "feas/probe" and ended:
+            runs.append([])
+        runs[-1].append(row)
+    return runs
 
 
-def feas_spans(spans):
-    return sorted((s for s in spans if s.name in PROBE_SPANS), key=lambda s: s.start)
+def probe_spans(spans, parent):
+    """The ``feas/probe`` children of span ``parent``, in start order."""
+    return sorted(
+        (s for s in spans if s.name == "feas/probe" and s.parent_id == parent.span_id),
+        key=lambda s: s.start,
+    )
 
 
 class TestMinPeriodGate:
-    """Cold plans keep every probe verdict of the kernel without the
-    cycle exit, and an infeasible certificate costs a few rounds."""
+    """Cold plans: the search's probes and the verdicts pinned in
+    ``tests/data/feas_verdicts.json`` (recorded on the budgeted search
+    the dense one replaced: ``feas/probe`` rows may read ``unverified``,
+    and ``feas/certify``/``feas/refine`` rows are dense probes) all
+    agree with a fresh cold check, ``T_min`` is the first feasible
+    candidate, and an infeasible probe's certificate costs a few
+    rounds."""
 
     @pytest.mark.parametrize("name", ["s298", "s386", "s526"])
     def test_feas_verdicts_unchanged(self, name):
         spec = get_circuit(name)
         tracer = Tracer()
-        plan_interconnect(
+        outcome = plan_interconnect(
             spec.build(),
             ctx=RunContext(tracer=tracer),
             max_iterations=2,
             **spec.plan_kwargs(),
         )
-        got = [
-            [s.name, s.attrs["t"], s.attrs["verdict"]]
-            for s in feas_spans(tracer.spans)
-        ]
-        assert got == json.loads(FEAS_VERDICTS.read_text())[name]
-        for s in feas_spans(tracer.spans):
-            if s.name != "feas/probe" and s.attrs["verdict"] == "infeasible":
-                assert s.attrs["cycle_len"] >= 2
-            else:
-                assert "cycle_len" not in s.attrs
+        searches = sorted(
+            (s for s in tracer.spans if s.name == "min_period/search"),
+            key=lambda s: s.start,
+        )
+        assert len(searches) == len(outcome.iterations)
+        checkers, candidates = [], []
+        for it in outcome.iterations:
+            wd = wd_matrices(it.expanded.graph)
+            checkers.append(FeasibilityChecker.build(it.expanded.graph, wd))
+            candidates.append(candidate_periods(wd))
+
+        def feasible(k, t):
+            return checkers[k].check(t) is not None
+
+        # Every pinned verdict, on its own iteration's graph.
+        pinned = pinned_searches(json.loads(FEAS_VERDICTS.read_text())[name])
+        assert len(pinned) == len(searches)
+        unverified = 0
+        for k, rows in enumerate(pinned):
+            for _span, t, verdict in rows:
+                assert t in candidates[k]
+                if verdict == "unverified":
+                    unverified += 1
+                    continue
+                assert feasible(k, t) == (verdict == "feasible"), (t, verdict)
+        print(f"{name}: {unverified} unverified pinned verdicts skipped")
+
+        for k, search in enumerate(searches):
+            probes = probe_spans(tracer.spans, search)
+            assert probes
+            for p in probes:
+                t, verdict = p.attrs["t"], p.attrs["verdict"]
+                assert verdict in ("feasible", "infeasible")
+                assert feasible(k, t) == (verdict == "feasible"), (t, verdict)
+                if verdict == "infeasible":
+                    assert p.attrs["cycle_len"] >= 2
+                else:
+                    assert "cycle_len" not in p.attrs
+            # T_min is the first feasible candidate. A full scan of the
+            # tens of thousands below it would take minutes: every one
+            # below the largest unit delay is rejected outright, the
+            # one just below T_min and a sample of the rest are probed.
+            t_min = search.attrs["t_min"]
+            assert t_min == outcome.iterations[k].t_min and feasible(k, t_min)
+            below = [t for t in candidates[k] if t < t_min]
+            probed = below[bisect.bisect_left(below, checkers[k].max_delay) :]
+            assert len(probed) < len(below)
+            assert not any(feasible(k, t) for t in below[: len(below) - len(probed)])
+            assert not any(feasible(k, t) for t in probed[::-1][:: max(1, len(probed) // 16)])
+            assert not feasible(k, below[-1])
 
     def test_s386_certify_within_16_rounds(self):
         from repro.experiments.fixtures import prepared_instance
@@ -189,15 +256,15 @@ class TestMinPeriodGate:
         t_min, result = min_period_retiming(graph, tracer=tracer)
         certs = [
             s for s in tracer.spans
-            if s.name == "feas/certify" and s.attrs["verdict"] == "infeasible"
+            if s.name == "feas/probe" and s.attrs["verdict"] == "infeasible"
         ]
         assert certs
         for span in certs:
             assert span.attrs["rounds"] <= 16
             assert span.attrs["cycle_len"] >= 2
-        # The same certificate by hand: the largest exact candidate
-        # below T_min, warm-started from the T_min witness.
-        below = max(t for t in candidate_periods(wd, tol=0.0) if t < t_min)
+        # The certificate below T_min by hand: the largest candidate
+        # below it, warm-started from the T_min witness.
+        below = max(t for t in candidate_periods(wd) if t < t_min)
         checker = FeasibilityChecker.build(graph, wd)
         start = np.array([result.labels[v] for v in wd.order], dtype=np.int64)
         assert checker.refine(t_min, start) is not None
@@ -211,9 +278,9 @@ class TestMinPeriodGate:
     def test_dense_verdicts_say_why(self):
         """A dense probe refuted by relaxation carries its cycle; an
         immediate reject (a unit slower than the period) runs no round
-        and has none. The ``feas/certify`` and ``feas/refine`` spans
-        copy these fields."""
-        from tests.test_feas_probe import self_loop_graph
+        and has none. The search's ``feas/probe`` spans copy these
+        fields."""
+        from tests.test_feas import self_loop_graph
 
         graph = self_loop_graph()
         checker = FeasibilityChecker.build(graph, wd_matrices(graph))

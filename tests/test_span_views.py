@@ -99,8 +99,8 @@ class TestLedgerFromTrace:
         assert "resilience: " in text and "route: ok" in text
 
 
-def _feas(kind, verdict):
-    return (("kind", kind), ("verdict", verdict))
+def _feas(verdict):
+    return (("verdict", verdict),)
 
 
 #: Every planner metric of a traced ``plan s298 --quick`` (counter and
@@ -110,14 +110,13 @@ S298_QUICK_SAMPLES = sorted([
     ("counter", "anneal_accepts_total", (), 133),
     ("counter", "anneal_moves_total", (), 300),
     ("counter", "compile_cache_total", (("result", "miss"),), 1),
-    ("counter", "feas_probes_total", _feas("certify", "infeasible"), 1),
-    ("counter", "feas_probes_total", _feas("probe", "feasible"), 8),
-    ("counter", "feas_probes_total", _feas("probe", "unverified"), 5),
+    ("counter", "feas_probes_total", _feas("feasible"), 3),
+    ("counter", "feas_probes_total", _feas("infeasible"), 11),
     ("counter", "fm_passes_total", (), 18),
     ("counter", "lac_rounds_total", (), 1),
     ("counter", "route_nets_total", (), 22),
     ("counter", "route_ripup_total", (), 12),
-    ("gauge", "compile_candidates", (), 5948),
+    ("gauge", "compile_candidates", (), 14585),
     ("gauge", "fm_final_cut", (), 3),
     ("gauge", "lac_n_foa", (), 0),
     ("gauge", "route_overflowed_cells", (), 0),
@@ -135,12 +134,12 @@ S298_QUICK_SAMPLES = sorted([
 #: ``repro-events/1`` stream recorded it, one letter per event:
 #: span_open, span_close, metrics (a snapshot after each stage close,
 #: which the trace stream does not repeat), run_end. Since then the
-#: min-period search's ``feas/certify`` span holds one more span, its
-#: ``feas/witness`` table build (the inner ``oc`` of ``ocoocc``: a
-#: probe, then the certification holding the build).
+#: min-period search has become one ``feas/witness`` build followed by
+#: its ``feas/probe`` spans, all directly under the search (the run of
+#: ``oc`` pairs inside the ``min_period`` stage).
 S298_QUICK_EVENTS = (
-    "ooococococcmooccmoocmooccmocmocmocmooocococococococococococococooc"
-    "cococccmoococoocccmcce"
+    "ooococococcmooccmoocmooccmocmocmocmooocococococococococococococococ"
+    "ccmoococoocccmcce"
 )
 
 

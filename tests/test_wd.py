@@ -149,23 +149,11 @@ class TestCandidatePeriods:
             g = random_circuit("cp", n_units=25, n_ffs=14, seed=seed)
             wd = wd_matrices(g)
             exact = sorted({float(x) for x in wd.d[np.isfinite(wd.d)]})
-            assert candidate_periods(wd, tol=0.0) == exact
-
-    def test_merge_keeps_run_maximum(self):
-        wd = self._wd_with_d([1.0, 1.0 + 5e-10, 2.0])
-        # Feasibility is monotone in the period, so keeping the run's
-        # largest member preserves the first-feasible candidate.
-        assert candidate_periods(wd, tol=1e-9) == [1.0 + 5e-10, 2.0]
-
-    def test_merge_chains_across_adjacent_values(self):
-        vals = [1.0, 1.0 + 8e-10, 1.0 + 1.6e-9, 3.0]
-        wd = self._wd_with_d(vals)
-        # Each step is within tol of its neighbour: one run, keep max.
-        assert candidate_periods(wd, tol=1e-9) == [1.0 + 1.6e-9, 3.0]
+            assert candidate_periods(wd) == exact
 
     def test_well_separated_values_untouched(self):
         wd = self._wd_with_d([1.0, 2.0, 3.5])
-        assert candidate_periods(wd, tol=1e-9) == [1.0, 2.0, 3.5]
+        assert candidate_periods(wd) == [1.0, 2.0, 3.5]
 
     def test_no_finite_values(self):
         from repro.retime import WDMatrices
@@ -178,37 +166,19 @@ class TestCandidatePeriods:
         )
         assert candidate_periods(wd) == []
 
-    @staticmethod
-    def _per_element(wd, tol):
-        """The candidate list as built before the shared sort: its own
-        ``np.unique``, then one ``float()`` per element."""
-        mask = np.isfinite(wd.d)
-        if not mask.any():
-            return []
-        vals = np.unique(wd.d[mask])
-        if tol > 0 and vals.size > 1:
-            keep = np.empty(vals.size, dtype=bool)
-            keep[:-1] = np.diff(vals) > tol
-            keep[-1] = True
-            vals = vals[keep]
-        return [float(x) for x in vals]
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_candidate_sets_bit_identical_to_per_element_lists(self, seed):
-        from repro.retime.wd import candidate_sets
-
+        # Near-equal decode-noise values stay separate candidates, bit
+        # for bit: one ``np.unique``, no merging.
         cases = [
             wd_matrices(random_circuit("cs", n_units=40, n_ffs=18, seed=seed)),
             self._wd_with_d([1.0, 1.0 + 5e-10, 1.0 + 8e-10, 2.0, 2.0]),
         ]
         for wd in cases:
-            merged, exact = candidate_sets(wd)
-            for got, tol in ((merged, 1e-9), (exact, 0.0)):
-                want = self._per_element(wd, tol)
-                assert all(type(x) is float for x in got)
-                assert [x.hex() for x in got] == [x.hex() for x in want]
-            assert merged == candidate_periods(wd)
-            assert exact == candidate_periods(wd, tol=0.0)
+            got = candidate_periods(wd)
+            want = [float(x) for x in sorted(set(wd.d[np.isfinite(wd.d)].tolist()))]
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestScalarisedCsr:
