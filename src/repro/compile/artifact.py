@@ -45,22 +45,13 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from repro.errors import InfeasiblePeriodError, RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.netlist.io import graph_to_dict
 from repro.obs import NOOP_TRACER
 from repro.retime.constraints import WitnessTable, clock_rows
-from repro.retime.wd import (
-    WDMatrices,
-    candidate_periods,
-    clock_period,
-    connection_arrays,
-    unit_delays,
-    wd_matrices,
-)
+from repro.retime.wd import WDMatrices, candidate_periods, clock_period, wd_matrices
 from repro.tech.params import DEFAULT_TECH, Technology
 
 #: On-disk artifact schema (also the fingerprint domain separator).
@@ -74,35 +65,18 @@ def _search_field():
     return dataclasses.field(default=None, compare=False, repr=False)
 
 
-def _refuse_combinational_loops(
-    n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> None:
-    """Raise :class:`~repro.errors.RetimingError` if the connections
-    ``(u, v, w)`` of an ``n``-unit graph close a zero-weight cycle.
-
-    :func:`~repro.retime.wd.wd_matrices` refuses such a cycle only when
-    it holds some delay; a zero-weight self-loop, or a cycle of
-    zero-delay units, leaves W/D defined, yet no period is then
-    meaningful. Checked on the zero-weight connections directly: a
-    self-loop, or a strongly connected component of two units or more.
-    """
-    zero = w == 0
-    u, v = u[zero], v[zero]
-    if (u == v).any():
-        raise RetimingError("zero-weight self-loop; period feasibility undefined")
-    adjacency = csr_matrix((np.ones(u.size), (u, v)), shape=(n, n))
-    if connected_components(adjacency, connection="strong", return_labels=False) < n:
-        raise RetimingError("zero-weight cycle; period feasibility undefined")
-
-
-def _search_inputs(graph: CircuitGraph, conn: Tuple[np.ndarray, ...]) -> dict:
+def _search_inputs(graph: CircuitGraph) -> dict:
     """The memory-only fields of a compile of ``graph``, by name.
 
-    ``conn`` is the graph's :func:`~repro.retime.wd.connection_arrays`.
     Raises :class:`~repro.errors.RetimingError` on a zero-weight cycle
-    (a combinational loop), including a zero-weight self-loop.
+    (a combinational loop, :meth:`CircuitGraph.combinational_loop`),
+    including a zero-weight self-loop: :func:`~repro.retime.wd.wd_matrices`
+    refuses such a cycle only when it holds some delay, yet no period
+    is meaningful with one.
     """
-    _refuse_combinational_loops(graph.num_units, *conn)
+    loop = graph.combinational_loop()
+    if loop is not None:
+        raise RetimingError(f"{loop}; period feasibility undefined")
     wd = wd_matrices(graph)
     return {"wd": wd, "candidates": candidate_periods(wd)}
 
@@ -170,14 +144,10 @@ class CompiledCircuit:
     #: Search inputs: set by :meth:`compile` and
     #: :meth:`rebuild_search_inputs`, ``None`` on a loaded artifact.
     wd: Optional[WDMatrices] = _search_field()
-    candidates: Optional[List[float]] = _search_field()
-    #: Vertex -> position in ``order`` (derived, not pickled).
-    index: Dict[str, int] = dataclasses.field(init=False, compare=False, repr=False)
+    #: Sorted distinct finite ``D`` values (float64).
+    candidates: Optional[np.ndarray] = _search_field()
     #: True when the artifact holds solve by-products not yet persisted.
     dirty: bool = dataclasses.field(default=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.index = {v: i for i, v in enumerate(self.order)}
 
     @classmethod
     def compile(
@@ -190,11 +160,9 @@ class CompiledCircuit:
         """Run the full compile front half on ``graph``."""
         if fingerprint is None:
             fingerprint = compile_fingerprint(graph, tech, prune=prune)
-        order = list(graph.units())
-        conn_u, conn_v, conn_w = connection_arrays(
-            graph, {v: i for i, v in enumerate(order)}
-        )
-        search = _search_inputs(graph, (conn_u, conn_v, conn_w))
+        view = graph.arrays()
+        order = list(view.order)
+        search = _search_inputs(graph)
         wd = search["wd"]
         return cls(
             schema=COMPILE_SCHEMA,
@@ -207,10 +175,10 @@ class CompiledCircuit:
             t_init=clock_period(graph, wd),
             max_delay=wd.max_vertex_delay(),
             n_candidates=len(search["candidates"]),
-            conn_u=conn_u,
-            conn_v=conn_v,
-            conn_w=conn_w,
-            delays=unit_delays(graph, order),
+            conn_u=view.u,
+            conn_v=view.v,
+            conn_w=view.w,
+            delays=view.delays,
             components=_canonical_components(graph.weakly_connected_components()),
             clock_pair_sets={},
             **search,
@@ -240,12 +208,12 @@ class CompiledCircuit:
             ValueError: ``graph`` has other units, connections, weights
                 or delays.
         """
-        same = list(graph.units()) == self.order
-        if same:
-            theirs = connection_arrays(graph, self.index)
-            theirs += (unit_delays(graph, self.order),)
-            mine = (self.conn_u, self.conn_v, self.conn_w, self.delays)
-            same = all(np.array_equal(a, b) for a, b in zip(theirs, mine))
+        view = graph.arrays()
+        mine = (self.conn_u, self.conn_v, self.conn_w, self.delays)
+        theirs = (view.u, view.v, view.w, view.delays)
+        same = list(view.order) == self.order and all(
+            np.array_equal(a, b) for a, b in zip(theirs, mine)
+        )
         if not same:
             raise ValueError(
                 f"graph {graph.name!r} does not match compiled artifact "
@@ -257,7 +225,7 @@ class CompiledCircuit:
         # Pickle the replay record only: the search inputs are >97% of
         # a compile's bytes and a replayed solve never reads them.
         state = dict(self.__dict__)
-        for name in (*_SEARCH_FIELDS, "index"):
+        for name in _SEARCH_FIELDS:
             state.pop(name, None)
         # Artifacts loaded from older files hold frozensets.
         state["components"] = _canonical_components(self.components)
@@ -266,7 +234,6 @@ class CompiledCircuit:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.__dict__.update(dict.fromkeys(_SEARCH_FIELDS))
-        self.__post_init__()
 
     def is_current(self) -> bool:
         """False for an artifact pickled under an older schema.
@@ -310,8 +277,7 @@ class CompiledCircuit:
                     f"{self.fingerprint[:16]} ({self.circuit}); refusing to "
                     "rebuild its search inputs"
                 )
-            conn = (self.conn_u, self.conn_v, self.conn_w)
-            self.__dict__.update(_search_inputs(graph, conn))
+            self.__dict__.update(_search_inputs(graph))
 
     # -- solve-side accessors ------------------------------------------
     def clock_pairs(

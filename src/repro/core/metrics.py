@@ -61,11 +61,12 @@ class AreaAccountant:
     """Computes :class:`AreaReport` directly from retiming labels.
 
     Materialising ``graph.retimed(labels)`` just to count flip-flops
-    copies the whole multigraph; LAC does that once per reweighting
+    would copy every weight; LAC scores labels once per reweighting
     round. This accountant snapshots the per-connection structure
-    (fanin index, weight, fanin region, interconnect flag) once, then
-    scores any label vector with a few vectorised passes:
-    ``w_r(e) = w(e) + r(v) - r(u)``.
+    (fanin index, weight, fanin region, interconnect flag) once, from
+    the graph's array view, then scores any label vector with a few
+    vectorised passes: ``w_r(e) = w(e) + r(v) - r(u)``. The regions
+    of a report are in order of their first connection.
 
     For any labels that yield non-negative retimed weights,
     ``accountant.report(labels, grid, tech)`` equals
@@ -73,27 +74,20 @@ class AreaAccountant:
     """
 
     def __init__(self, graph: CircuitGraph, unit_region: Mapping[str, str]):
-        self._order = list(graph.units())
-        index = {u: i for i, u in enumerate(self._order)}
-        conn_u = []
-        conn_v = []
-        weights = []
-        region_ids = []
-        interconnect = []
-        regions: Dict[str, int] = {}
-        for (u, v, _key), w in graph.connections():
-            conn_u.append(index[u])
-            conn_v.append(index[v])
-            weights.append(w)
-            region = unit_region.get(u, IO_REGION)
-            region_ids.append(regions.setdefault(region, len(regions)))
-            interconnect.append(graph.kind(u) == INTERCONNECT)
-        self._conn_u = np.asarray(conn_u, dtype=np.int64)
-        self._conn_v = np.asarray(conn_v, dtype=np.int64)
-        self._w = np.asarray(weights, dtype=np.int64)
-        self._region_id = np.asarray(region_ids, dtype=np.int64)
-        self._interconnect = np.asarray(interconnect, dtype=bool)
-        self._regions = list(regions)
+        view = graph.arrays()
+        self._order = view.order
+        self._conn_u, self._conn_v, self._w = view.u, view.v, view.w
+        # A connection is charged to its fanin unit's region.
+        region_of = [unit_region.get(u, IO_REGION) for u in view.order]
+        ids: Dict[str, int] = {}
+        self._region_id = np.fromiter(
+            (ids.setdefault(region_of[i], len(ids)) for i in view.u.tolist()),
+            dtype=np.int64,
+            count=view.u.size,
+        )
+        self._regions = list(ids)
+        interconnect = np.array([graph.kind(u) == INTERCONNECT for u in view.order], dtype=bool)
+        self._interconnect = interconnect[view.u]
 
     def report(
         self,
@@ -146,32 +140,4 @@ def area_report(
     (``grid.used`` holds the repeater area), matching the paper's
     "remaining capacity after repeater insertion".
     """
-    ff_count: Dict[str, int] = {}
-    n_f = 0
-    n_fn = 0
-    for (u, _v, _k), w in graph.connections():
-        if w == 0:
-            continue
-        n_f += w
-        if graph.kind(u) == INTERCONNECT:
-            n_fn += w
-        region = unit_region.get(u, IO_REGION)
-        ff_count[region] = ff_count.get(region, 0) + w
-
-    violations: Dict[str, int] = {}
-    n_foa = 0
-    for region, count in ff_count.items():
-        if region == IO_REGION:
-            continue
-        fits = int(max(0.0, grid.remaining(region)) // tech.ff_area)
-        over = max(0, count - fits)
-        if over:
-            violations[region] = over
-            n_foa += over
-    return AreaReport(
-        ff_count=ff_count,
-        violations=violations,
-        n_foa=n_foa,
-        n_f=n_f,
-        n_fn=n_fn,
-    )
+    return AreaAccountant(graph, unit_region).report({}, grid, tech)

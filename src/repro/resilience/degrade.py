@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.compile.artifact import CompiledCircuit
 from repro.netlist.graph import CircuitGraph
 from repro.retime.fastcheck import FeasibilityChecker
@@ -44,9 +46,10 @@ def find_relaxed_period(
     """
     compiled = CompiledCircuit.for_graph(graph, compiled)
     compiled.rebuild_search_inputs(graph, "degrade")
-    candidates = [
-        p for p in compiled.candidates if t_clk + slack < p <= t_init + slack
-    ]
+    lo, hi = np.searchsorted(
+        compiled.candidates, [t_clk + slack, t_init + slack], side="right"
+    )
+    candidates = compiled.candidates[lo:hi].tolist()
     if not candidates or candidates[-1] < t_init - slack:
         candidates.append(t_init)
 

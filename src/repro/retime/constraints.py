@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.netlist.graph import CircuitGraph
-from repro.retime.wd import WDMatrices, connection_arrays, pair_minima
+from repro.retime.wd import WDMatrices, pair_minima
 
 if TYPE_CHECKING:
     from repro.compile.artifact import CompiledCircuit
@@ -109,9 +109,9 @@ def static_rows(graph: CircuitGraph) -> np.ndarray:
     :func:`tightest_rows`; host rows tie consecutive hosts both ways at
     bound 0.
     """
-    index = {v: i for i, v in enumerate(graph.units())}
-    edges = tightest_rows(*connection_arrays(graph, index))
-    hosts = np.array([index[h] for h in graph.host_units()], dtype=np.int64)
+    view = graph.arrays()
+    edges = tightest_rows(view.u, view.v, view.w)
+    hosts = np.array([view.order.index(h) for h in graph.host_units()], dtype=np.int64)
     a, b = hosts[:-1], hosts[1:]
     host = row_table(
         np.stack([a, b], axis=1).ravel(),

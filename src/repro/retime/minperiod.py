@@ -49,7 +49,6 @@ The paper uses min-period retiming to establish ``T_min``, then sets
 
 from __future__ import annotations
 
-import bisect
 import logging
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -114,15 +113,15 @@ def _search(
     ``(T_min, its witness labels, the checker)``."""
     candidates = compiled.candidates
     checker = FeasibilityChecker.build(graph, compiled.wd, tracer)
-    lo = bisect.bisect_left(candidates, checker.max_delay)
     # T_init is a D value, so a candidate, and the identity retiming
     # realises it: the bisection never needs to probe it.
-    hi = bisect.bisect_left(candidates, compiled.t_init)
-    checker.cover(candidates[lo])
+    lo, hi = np.searchsorted(candidates, [checker.max_delay, compiled.t_init]).tolist()
+    checker.cover(float(candidates[lo]))
 
     def probe(i: int, warm: np.ndarray) -> Optional[np.ndarray]:
-        with tracer.span("feas/probe", t=candidates[i]) as span:
-            raw = checker.refine(candidates[i], warm)
+        t = float(candidates[i])
+        with tracer.span("feas/probe", t=t) as span:
+            raw = checker.refine(t, warm)
             span.set(
                 verdict="feasible" if raw is not None else "infeasible",
                 rounds=checker.last_rounds,
@@ -134,7 +133,7 @@ def _search(
     idx, raw = bisect_feasible(
         lo, hi, probe, np.zeros(checker.n, dtype=np.int64)
     )
-    return candidates[idx], raw, checker
+    return float(candidates[idx]), raw, checker
 
 
 def min_period_retiming(
@@ -191,7 +190,7 @@ def min_period_retiming(
             )
     else:
         compiled.rebuild_search_inputs(graph, "min_period", tracer=tracer)
-        if not compiled.candidates:
+        if not compiled.candidates.size:
             raise RetimingError("graph has no paths; period undefined")
         with tracer.span("min_period/search") as search:
             period, raw, checker = _search(graph, compiled, tracer)

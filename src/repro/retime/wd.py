@@ -86,17 +86,6 @@ def clock_period(graph: CircuitGraph, wd: Optional[WDMatrices] = None) -> float:
     return float(wd.d[zero_weight].max())
 
 
-def connection_arrays(
-    graph: CircuitGraph, index: Dict[str, int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(u, v, w)`` int64 arrays: both ends of every connection of
-    ``graph`` as positions in ``index``, and its weight, in connection
-    order (parallel connections and self-loops included)."""
-    conn = [(index[u], index[v], w) for (u, v, _key), w in graph.connections()]
-    arr = np.asarray(conn, dtype=np.int64).reshape(len(conn), 3).T.copy()
-    return arr[0], arr[1], arr[2]
-
-
 def pair_minima(
     u: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -119,27 +108,18 @@ def pair_minima(
     return rank[starts], np.minimum.reduceat(w[rank], starts)
 
 
-def _min_weight_edges(
-    graph: CircuitGraph, order: List[str]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _min_weight_edges(graph: CircuitGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(src, dst, w)`` int64 arrays: one entry per connected ``(u, v)``
-    pair of ``order`` indices, at the minimum weight over its parallel
+    pair of unit indices, at the minimum weight over its parallel
     connections (:func:`pair_minima`), sorted by ``(src, dst)``.
     Self-loops are kept."""
-    u, v, w = connection_arrays(graph, {x: i for i, x in enumerate(order)})
-    first, weights = pair_minima(u, v, w)
-    return u[first], v[first], weights
-
-
-def unit_delays(graph: CircuitGraph, order: List[str]) -> np.ndarray:
-    """Every unit's delay, in ``order``."""
-    return np.fromiter((graph.delay(v) for v in order), np.float64, len(order))
+    view = graph.arrays()
+    first, weights = pair_minima(view.u, view.v, view.w)
+    return view.u[first], view.v[first], weights
 
 
 def _scalarised_csr(
-    graph: CircuitGraph,
-    order: List[str],
-    edges: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    graph: CircuitGraph, edges: Tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Tuple[csr_matrix, float]:
     """Build the scalarised cost matrix and return it with the base B.
 
@@ -148,20 +128,21 @@ def _scalarised_csr(
     ``(u, v)`` pair is the cost of the minimum weight.
     """
     base = graph.total_delay() + 1.0
-    n = len(order)
+    n = graph.num_units
     src, dst, weights = edges
     if not src.size:
         return csr_matrix((n, n), dtype=np.float64), base
-    data = weights.astype(np.float64) * base - unit_delays(graph, order)[src]
+    data = weights.astype(np.float64) * base - graph.arrays().delays[src]
     return csr_matrix((data, (src, dst)), shape=(n, n)), base
 
 
 def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     """Compute W/D with the scalarised Johnson algorithm."""
-    order = list(graph.units())
+    view = graph.arrays()
+    order = list(view.order)
     n = len(order)
-    src, dst, weights = _min_weight_edges(graph, order)
-    matrix, base = _scalarised_csr(graph, order, (src, dst, weights))
+    src, dst, weights = _min_weight_edges(graph)
+    matrix, base = _scalarised_csr(graph, (src, dst, weights))
     try:
         dist = johnson(matrix, directed=True)
     except NegativeCycleError as exc:
@@ -174,7 +155,7 @@ def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     d = np.full((n, n), np.inf)
     with np.errstate(invalid="ignore"):
         w_vals = np.ceil(dist / base - _DECODE_EPS)
-    delays = unit_delays(graph, order)
+    delays = view.delays
     w[reachable] = w_vals[reachable]
     with np.errstate(invalid="ignore"):
         slack = w_vals * base - dist
@@ -195,12 +176,13 @@ def wd_matrices(graph: CircuitGraph) -> WDMatrices:
     )
 
 
-def candidate_periods(wd: WDMatrices) -> List[float]:
-    """Sorted distinct finite D values — the binary-search domain for
-    minimum-period retiming (the optimum period is always one of them).
+def candidate_periods(wd: WDMatrices) -> np.ndarray:
+    """Sorted distinct finite D values, as a float64 array — the
+    binary-search domain for minimum-period retiming (the optimum
+    period is always one of them).
 
     Every distinct float is kept: near-equal values that differ only
     by decode noise are each a candidate, so the search's minimum is
     the minimum over the exact set.
     """
-    return np.unique(wd.d[np.isfinite(wd.d)]).tolist()
+    return np.unique(wd.d[np.isfinite(wd.d)])

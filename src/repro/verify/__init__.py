@@ -11,7 +11,7 @@ certificates aggregate into a :class:`VerificationReport`:
 * :mod:`repro.verify.timing` — independent arrival-time computation
   (``Δ(v) <= T_clk``) over the register-free subgraph;
 * :mod:`repro.verify.retiming` — ``w_r(e) = w(e) + r(v) - r(u)``
-  re-derivation, host-label pinning, cycle conservation;
+  re-derivation, host-label pinning;
 * :mod:`repro.verify.checkers` — the per-iteration certificate
   checkers and their exclusive-ownership contract;
 * :mod:`repro.verify.sim` — bounded random-simulation equivalence
@@ -43,7 +43,6 @@ from repro.verify.checkers import iteration_certificates
 from repro.verify.plan import verify_iteration, verify_outcome
 from repro.verify.retiming import (
     check_retiming_labels,
-    cycle_conservation_witnesses,
     derived_total_flip_flops,
 )
 from repro.verify.sim import equivalence_certificate
@@ -74,7 +73,6 @@ __all__ = [
     "verify_iteration",
     "verify_outcome",
     "check_retiming_labels",
-    "cycle_conservation_witnesses",
     "derived_total_flip_flops",
     "equivalence_certificate",
     "combinational_arrivals",

@@ -5,8 +5,7 @@ owns it exclusively — the ownership contract the differential fuzz
 harness enforces:
 
 * ``retiming`` — legality of the retiming labels and consistency of
-  the stored retimed graph with them (fresh pass, cycle conservation,
-  register total);
+  the stored retimed graph with them (fresh pass, register total);
 * ``period``   — period ordering (``T_min`` bounded below by the
   largest unit delay), ``T_init`` re-derivation, and
   ``Δ(v) <= T_clk`` on the stored retimed graph, via the independent
@@ -44,7 +43,6 @@ from repro.verify.certificate import (
 )
 from repro.verify.retiming import (
     check_retiming_labels,
-    cycle_conservation_witnesses,
     derived_total_flip_flops,
 )
 from repro.verify.timing import combinational_arrivals, late_units
@@ -167,8 +165,6 @@ def check_retiming(iteration, tag: str, result) -> Certificate:
     labels = result.labels
     stored = getattr(result, "graph", None)
     witnesses = check_retiming_labels(original, labels, stored)
-    if stored is not None and not witnesses:
-        witnesses += cycle_conservation_witnesses(original, stored, samples=8)
     total = derived_total_flip_flops(original, labels)
     stored_total = getattr(result, "total_ffs", None)
     if stored_total is not None and stored_total != total:

@@ -4,6 +4,10 @@ Each module here is a plain, slow, easy-to-audit version of a
 computation that ``src/`` ships in one fast form only. They are test
 code: nothing under ``src/`` imports them.
 
+* :mod:`tests.oracles.graph` — the retiming graph on a networkx
+  ``MultiDiGraph`` (the reference for ``CircuitGraph``'s flat storage),
+  the min-weight simple digraph and the sampled cycle-conservation
+  check;
 * :mod:`tests.oracles.wd` — tuple Bellman–Ford W/D matrices and the
   dict-loop scalarised cost matrix;
 * :mod:`tests.oracles.feasibility` — period feasibility through explicit

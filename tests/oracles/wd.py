@@ -17,6 +17,7 @@ from scipy.sparse import csr_matrix
 from repro.errors import RetimingError
 from repro.netlist.graph import CircuitGraph
 from repro.retime.wd import WDMatrices
+from tests.oracles.graph import simple_min_weight_digraph
 
 
 def scalarised_csr_reference(
@@ -46,7 +47,7 @@ def wd_matrices_reference(graph: CircuitGraph) -> WDMatrices:
     order = list(graph.units())
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
-    simple = graph.simple_min_weight_digraph()
+    simple = simple_min_weight_digraph(graph)
     inf = math.inf
     w = np.full((n, n), np.inf)
     d = np.full((n, n), np.inf)

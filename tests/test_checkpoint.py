@@ -404,6 +404,69 @@ class TestResumeEquivalence:
         assert _signature(resumed) == _signature(baseline)
         assert (tmp_path / "s27" / "quarantine" / path.name).exists()
 
+    def test_old_layout_graph_checkpoint_is_recomputed(self, tmp_path, caplog):
+        """An expand snapshot whose graph was pickled with the networkx
+        layout of ``CircuitGraph`` (a ``_g`` attribute) is refused on
+        unpickling: the file is quarantined and the stage recomputed to
+        the same outcome."""
+        import copyreg
+
+        from repro.netlist import CircuitGraph, graph_to_dict
+        from tests.oracles.graph import NxCircuitGraph
+
+        class OldLayout:
+            """Pickles as a ``CircuitGraph`` holding a networkx graph."""
+
+            def __init__(self, graph):
+                doc = graph_to_dict(graph)
+                old = NxCircuitGraph(graph.name)
+                for unit in doc["units"]:
+                    old.add_unit(unit["name"], unit["delay"], unit["area"], unit["kind"])
+                for conn in doc["connections"]:
+                    old.add_connection(conn["u"], conn["v"], conn["weight"])
+                self.state = {"name": graph.name, "_g": old.g, "_wcc_cache": None}
+
+            def __reduce_ex__(self, protocol):
+                return copyreg._reconstructor, (CircuitGraph, object, None), self.state
+
+        kwargs = dict(
+            seed=1, whitespace=0.4, max_iterations=2, floorplan_iterations=300
+        )
+        baseline = plan_interconnect(s27_graph(), **kwargs)
+        stages = [r.stage for r in baseline.ledger.records]
+        kill_at = stages.index("expand") + 1  # killed right after expand
+        faults = FaultInjector(
+            [FaultSpec("*", on_call=kill_at + 1, error=InterruptedRunError)]
+        )
+        with pytest.raises(InterruptedRunError):
+            plan_interconnect(
+                s27_graph(),
+                faults=faults,
+                checkpoint=CheckpointManager(tmp_path),
+                **kwargs,
+            )
+        (path,) = (tmp_path / "s27").glob("*expand*.ckpt")
+        data = path.read_bytes()
+        newline = data.index(b"\n")
+        header = json.loads(data[:newline])
+        expanded = pickle.loads(data[newline + 1 :])
+        expanded.graph = OldLayout(expanded.graph)
+        payload = pickle.dumps(expanded)
+        header["sha256"] = hashlib.sha256(payload).hexdigest()
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+        resumed = plan_interconnect(
+            s27_graph(),
+            checkpoint=CheckpointManager(tmp_path, resume=True),
+            **kwargs,
+        )
+        assert _signature(resumed) == _signature(baseline)
+        assert graph_to_dict(resumed.first.expanded.graph) == graph_to_dict(
+            baseline.first.expanded.graph
+        )
+        assert (tmp_path / "s27" / "quarantine" / path.name).exists()
+        assert "older CircuitGraph layout" in caplog.text
+
     def test_completed_run_resumes_via_outcome(self, tmp_path):
         kwargs = dict(
             seed=1, whitespace=0.4, max_iterations=2, floorplan_iterations=300

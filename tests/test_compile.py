@@ -20,7 +20,7 @@ from repro.compile import (
     compile_fingerprint,
 )
 from repro.errors import InfeasiblePeriodError
-from repro.netlist import random_circuit, s27_graph
+from repro.netlist import graph_from_dict, graph_to_dict, random_circuit, s27_graph
 from repro.retime import (
     candidate_periods,
     clock_period,
@@ -35,7 +35,6 @@ def _replay_fields(artifact):
     """The persisted record as comparable plain values."""
     return {
         "order": artifact.order,
-        "index": artifact.index,
         "scalars": (
             artifact.schema,
             artifact.circuit,
@@ -73,8 +72,9 @@ class TestFingerprint:
 
     def test_circuit_perturbations_change_digest(self, graph):
         base = compile_fingerprint(graph)
-        heavier = copy.deepcopy(graph)
-        heavier._g.nodes[next(iter(heavier.units()))]["delay"] += 0.5
+        doc = graph_to_dict(graph)
+        next(u for u in doc["units"] if u["kind"] == "logic")["delay"] += 0.5
+        heavier = graph_from_dict(doc)
         assert compile_fingerprint(heavier) != base
         rewired = copy.deepcopy(graph)
         u, v = list(rewired.units())[:2]
@@ -104,7 +104,7 @@ class TestArtifact:
         assert np.array_equal(art.wd.w[both], wd.w[both])
         assert np.array_equal(art.wd.d[both], wd.d[both])
         assert art.t_init == clock_period(graph, wd)
-        assert art.candidates == candidate_periods(wd)
+        assert np.array_equal(art.candidates, candidate_periods(wd))
         assert art.n_candidates == len(art.candidates)
 
     def test_clock_pairs_match_list_pipeline(self, graph):
@@ -172,7 +172,7 @@ class TestCacheModes:
         # ... and the search inputs, rebuilt from the graph, are equal.
         assert restored.wd is None
         restored.rebuild_search_inputs(graph, "min_period")
-        assert restored.candidates == original.candidates
+        assert np.array_equal(restored.candidates, original.candidates)
         for field in ("w", "d", "edge_src", "edge_dst", "edge_w"):
             assert np.array_equal(
                 getattr(restored.wd, field), getattr(original.wd, field)

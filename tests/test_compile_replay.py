@@ -281,15 +281,13 @@ class TestPayload:
             for f in ("wd", "candidates")
         )
         assert loaded.n_candidates == len(artifact.candidates)
-        assert loaded.index == artifact.index
 
     def test_checkpoint_pickle_is_lean_too(self, graph):
         artifact = CompiledCircuit.compile(graph)
         clone = pickle.loads(pickle.dumps(artifact))
-        assert (clone.fingerprint, clone.order, clone.index, clone.t_init) == (
+        assert (clone.fingerprint, clone.order, clone.t_init) == (
             artifact.fingerprint,
             artifact.order,
-            artifact.index,
             artifact.t_init,
         )
         assert clone.wd is None and artifact.wd is not None

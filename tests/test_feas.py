@@ -178,7 +178,7 @@ class TestFastChecker:
         wd = wd_matrices(g)
         checker = FeasibilityChecker.build(g, wd)
         verdicts = []
-        for period in candidate_periods(wd) + [0.5, 1.5]:
+        for period in candidate_periods(wd).tolist() + [0.5, 1.5]:
             fast = checker_labels(checker, period)
             assert fast == oracle_labels(g, wd, period), f"period {period}"
             verdicts.append(fast is not None)

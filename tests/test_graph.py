@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NetlistError
 from repro.netlist import CircuitGraph, HOST_SNK, HOST_SRC, relabeled
 from repro.netlist.graph import HOST_KIND, INTERCONNECT, LOGIC
+from tests.oracles.graph import simple_min_weight_digraph
 
 
 def three_unit_chain():
@@ -159,7 +160,7 @@ class TestHelpers:
     def test_simple_min_weight_digraph_collapses_parallel(self):
         g = three_unit_chain()
         g.add_connection("a", "b", weight=0)
-        simple = g.simple_min_weight_digraph()
+        simple = simple_min_weight_digraph(g)
         assert simple.edges["a", "b"]["weight"] == 0
 
     def test_relabeled(self):

@@ -18,7 +18,9 @@ import pytest
 
 from repro.core import lac_retiming
 from repro.errors import InfeasiblePeriodError
+from repro.netlist import graph_from_dict, graph_to_dict
 from repro.netlist.generate import random_circuit
+from repro.netlist.graph import LOGIC
 from repro.retime.constraints import build_constraint_system
 from repro.retime import incremental
 from repro.retime.incremental import IncrementalMinArea, _load_highs
@@ -259,15 +261,14 @@ class TestForeignArtifact:
         """A copy with one connection weight or one unit delay changed
         has the same units and connections, but other W/D, candidates
         and clocking rows: its artifact must be refused too."""
-        import copy
-
         mine = random_circuit("a", n_units=30, n_ffs=20, seed=1)
-        other = copy.deepcopy(mine)
         if field == "weight":
-            (u, v, key), w = next(iter(other.connections()))
-            other._g.edges[u, v, key]["weight"] = w + 1
+            other = mine.copy()
+            cid, w = next(iter(other.connections()))
+            other.set_weight(cid, w + 1)
         else:
-            unit = next(iter(other.logic_units()))
-            other._g.nodes[unit]["delay"] += 0.5
+            doc = graph_to_dict(mine)
+            next(u for u in doc["units"] if u["kind"] == LOGIC)["delay"] += 0.5
+            other = graph_from_dict(doc)
         other.validate()
         self._assert_refused(mine, other)

@@ -28,9 +28,9 @@ from repro.retime import (
     wd_matrices,
 )
 from repro.retime.fastcheck import FeasibilityChecker
-from repro.verify.retiming import cycle_conservation_witnesses
 from tests.oracles.constraints import named_constraints
 from tests.oracles.feasibility import is_feasible_period
+from tests.oracles.graph import cycle_conservation_witnesses
 from tests.oracles.wd import wd_matrices_reference
 
 

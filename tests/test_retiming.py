@@ -12,13 +12,11 @@ from repro.retime import (
     min_period_retiming,
     wd_matrices,
 )
-from repro.verify.retiming import (
-    check_retiming_labels,
-    cycle_conservation_witnesses,
-)
+from repro.verify.retiming import check_retiming_labels
 from repro.verify.timing import critical_period, late_units
 from tests.oracles.constraints import named_constraints, retiming_objective
 from tests.oracles.feasibility import is_feasible_period
+from tests.oracles.graph import cycle_conservation_witnesses
 from tests.test_wd import correlator
 
 
