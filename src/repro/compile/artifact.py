@@ -1,6 +1,6 @@
 """The compiled-circuit artifact: everything the retiming solve needs
-that depends only on the (expanded) circuit graph, tech parameters and
-the compilation-relevant planner switches.
+that depends only on the (expanded) circuit graph and the tech
+parameters.
 
 Compilation is the expensive, *pure* front half of a planning
 iteration. An artifact has two halves:
@@ -17,24 +17,22 @@ iteration. An artifact has two halves:
   Johnson) and the candidate periods. A fresh compile computes them;
   an artifact loaded from disk (or restored from a checkpoint)
   rebuilds them from the expanded graph only when a solve needs
-  something the record lacks (a min-period search with no witness,
-  clocking pairs for a new ``(period, prune)`` key that no witness
-  table covers, or the planner's degrade path).
+  something the record lacks (a min-period search with no witness, or
+  clocking rows for a new period that no witness table covers).
 
 Artifacts are content-addressed: :func:`compile_fingerprint` hashes the
-circuit JSON (:func:`repro.netlist.io.graph_to_dict`), the
-:class:`~repro.tech.params.Technology` fields and the
-compilation-relevant config switch (``prune``). The planner compiles the *expanded* graph of
-each iteration, whose content already reflects every upstream stage
-(partition seed, floorplan, routes, repeaters), so equal fingerprints
-really do mean equal solve inputs — and therefore bit-identical
-results. Every retiming entry point checks the graph it is handed
-against the record (:meth:`CompiledCircuit.check_graph`: vertex order,
-connections, weights and delays), and a rebuild checks it against the
-fingerprint, so nothing is ever read for another circuit. The
-run's plumbing (the cache itself, telemetry sinks, resilience posture)
-lives in a :class:`~repro.core.context.RunContext` and never reaches
-the hash.
+circuit JSON (:func:`repro.netlist.io.graph_to_dict`) and the
+:class:`~repro.tech.params.Technology` fields. The planner compiles the
+*expanded* graph of each iteration, whose content already reflects
+every upstream stage (partition seed, floorplan, routes, repeaters), so
+equal fingerprints really do mean equal solve inputs — and therefore
+bit-identical results. Every retiming entry point checks the graph it
+is handed against the record (:meth:`CompiledCircuit.check_graph`:
+vertex order, connections, weights and delays), and a rebuild checks it
+against the fingerprint, so nothing is ever read for another circuit.
+The run's plumbing (the cache itself, telemetry sinks, resilience
+posture) lives in a :class:`~repro.core.context.RunContext` and never
+reaches the hash.
 """
 
 from __future__ import annotations
@@ -81,23 +79,20 @@ def _search_inputs(graph: CircuitGraph) -> dict:
     return {"wd": wd, "candidates": candidate_periods(wd)}
 
 
-def compile_fingerprint(
-    graph: CircuitGraph,
-    tech: Technology = DEFAULT_TECH,
-    prune: bool = True,
-) -> str:
+def compile_fingerprint(graph: CircuitGraph, tech: Technology = DEFAULT_TECH) -> str:
     """Content hash naming the compilation of ``graph``.
 
     Any perturbation of the circuit (a unit, a delay, a connection
-    weight), the tech parameters, or a compilation-relevant config
-    switch changes the digest, so a cache keyed by it can never serve
-    a stale artifact.
+    weight) or of the tech parameters changes the digest, so a cache
+    keyed by it can never serve a stale artifact.
     """
     doc = {
         "schema": COMPILE_SCHEMA,
         "graph": graph_to_dict(graph),
         "tech": dataclasses.asdict(tech),
-        "config": {"prune": bool(prune)},
+        # The retired constraint-pruning switch, at the only value it
+        # had left: hashing it keeps every stored digest valid.
+        "config": {"prune": True},
     }
     blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -123,7 +118,6 @@ class CompiledCircuit:
     fingerprint: str
     circuit: str
     tech: Technology
-    prune: bool
     n: int
     order: List[str]
     t_init: float
@@ -137,8 +131,8 @@ class CompiledCircuit:
     #: so the pickle does not depend on the per-process string hash.
     components: List[Tuple[str, ...]]
     #: Clocking-row tables (:func:`~repro.retime.constraints.clock_rows`)
-    #: per ``(period, prune)``.
-    clock_pair_sets: Dict[Tuple[float, bool], np.ndarray]
+    #: per period.
+    clock_pair_sets: Dict[float, np.ndarray]
     t_min: Optional[float] = None
     t_min_labels: Optional[Dict[str, int]] = None
     #: Search inputs: set by :meth:`compile` and
@@ -154,12 +148,11 @@ class CompiledCircuit:
         cls,
         graph: CircuitGraph,
         tech: Technology = DEFAULT_TECH,
-        prune: bool = True,
         fingerprint: Optional[str] = None,
     ) -> "CompiledCircuit":
         """Run the full compile front half on ``graph``."""
         if fingerprint is None:
-            fingerprint = compile_fingerprint(graph, tech, prune=prune)
+            fingerprint = compile_fingerprint(graph, tech)
         view = graph.arrays()
         order = list(view.order)
         search = _search_inputs(graph)
@@ -169,7 +162,6 @@ class CompiledCircuit:
             fingerprint=fingerprint,
             circuit=graph.name,
             tech=tech,
-            prune=bool(prune),
             n=len(order),
             order=order,
             t_init=clock_period(graph, wd),
@@ -232,6 +224,14 @@ class CompiledCircuit:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        if state.pop("prune", None) is not None:
+            # A record written while the unpruned system still existed
+            # keys its tables by (period, prune); only pruned ones serve.
+            state["clock_pair_sets"] = {
+                period: table
+                for (period, pruned), table in state["clock_pair_sets"].items()
+                if pruned
+            }
         self.__dict__.update(state)
         self.__dict__.update(dict.fromkeys(_SEARCH_FIELDS))
 
@@ -253,9 +253,9 @@ class CompiledCircuit:
         from ``graph`` if this artifact was loaded without them (a
         no-op otherwise).
 
-        ``reason`` (``"min_period"``, ``"clock_pairs"`` or
-        ``"degrade"``) names the solve path that needed them; it rides
-        on the ``compile/rebuild`` span ``tracer`` records.
+        ``reason`` (``"min_period"`` or ``"clock_pairs"``) names the
+        solve path that needed them; it rides on the ``compile/rebuild``
+        span ``tracer`` records.
 
         Raises:
             ValueError: ``graph`` is missing, or is not the graph this
@@ -271,7 +271,7 @@ class CompiledCircuit:
         if tracer is None:
             tracer = NOOP_TRACER
         with tracer.span("compile/rebuild", reason=reason, circuit=self.circuit):
-            if compile_fingerprint(graph, self.tech, self.prune) != self.fingerprint:
+            if compile_fingerprint(graph, self.tech) != self.fingerprint:
                 raise ValueError(
                     f"graph {graph.name!r} does not match compiled artifact "
                     f"{self.fingerprint[:16]} ({self.circuit}); refusing to "
@@ -283,42 +283,41 @@ class CompiledCircuit:
     def clock_pairs(
         self,
         period: float,
-        prune: bool = True,
         *,
         graph: Optional[CircuitGraph] = None,
         tracer=None,
         witness: Optional[WitnessTable] = None,
     ) -> np.ndarray:
-        """The (pruned) clocking-row table for ``period``
+        """The clocking-row table for ``period``
         (:func:`~repro.retime.constraints.clock_rows`), memoised per
-        ``(period, prune)``.
+        period.
 
-        A stored key is answered from the replay record. A new pruned
-        key is a mask of ``witness`` (a table of this artifact's W/D,
+        A stored period is answered from the replay record. A new one
+        is a mask of ``witness`` (a table of this artifact's W/D,
         e.g. the min-period search's) when its floor is at or below
         ``period``; otherwise the rows are built, which needs the W/D
         matrices and so may rebuild the search inputs from ``graph``
         (required then). Raises :class:`InfeasiblePeriodError` when a
         single unit's delay exceeds the period (no retiming can fix
-        that), which sends the planner down its degrade path.
+        that).
         """
         if self.max_delay > period:
             raise InfeasiblePeriodError(
                 period,
                 f"a single unit has delay {self.max_delay} > period {period}",
             )
-        key = (float(period), bool(prune))
-        cached = self.clock_pair_sets.get(key)
+        period = float(period)
+        cached = self.clock_pair_sets.get(period)
         if cached is not None:
             return cached
         if witness is not None and witness.wd is not self.wd:
             raise ValueError("witness table is not of this artifact's W/D matrices")
-        if prune and witness is not None and witness.floor <= period:
+        if witness is not None and witness.floor <= period:
             pairs = witness.rows(period)
         else:
             self.rebuild_search_inputs(graph, "clock_pairs", tracer=tracer)
-            pairs = clock_rows(self.wd, period, prune)
-        self.clock_pair_sets[key] = pairs
+            pairs = clock_rows(self.wd, period)
+        self.clock_pair_sets[period] = pairs
         self.dirty = True
         return pairs
 

@@ -18,19 +18,18 @@ record::
 
 What the payload holds: the vertex order, the min-area objective
 gather arrays and weakly connected components, ``T_init``, the largest
-unit delay, the candidate-period count, every ``(period, prune)`` key's
-clocking pairs with their bounds ``W(u, v) - 1``, and the min-period
+unit delay, the candidate-period count, every stored period's
+clocking rows with their bounds ``W(u, v) - 1``, and the min-period
 witness (``T_min`` plus its pre-normalise labels). That is all a warm
 re-plan reads, so a hit deserialises a few tens of KiB. What it does
 not hold: the dense n×n W/D matrices and the candidate-period list
 (the search inputs, >97% of a compile's bytes).
 A loaded artifact rebuilds them from the expanded graph — after
 checking the graph's fingerprint — only when the solve needs them: a
-min-period search with no stored witness, clocking pairs for a
-``(period, prune)`` key not stored yet (the planner's ``unpruned``
-fallback, a new ``T_clk``), or the planner's degrade path. Each rebuild
-records a ``compile/rebuild`` span with its ``reason``. A fresh compile
-and the in-process LRU keep the search inputs they computed.
+min-period search with no stored witness, or clocking rows for a
+period not stored yet (a new ``T_clk``). Each rebuild records a
+``compile/rebuild`` span with its ``reason``. A fresh compile and the
+in-process LRU keep the search inputs they computed.
 
 Writes are atomic; on load :func:`repro.ioutil.read_sealed` verifies
 the schema, fingerprint and checksum and this store the artifact's own
@@ -166,7 +165,6 @@ class CompileCache:
         self,
         graph,
         tech: Technology = DEFAULT_TECH,
-        prune: bool = True,
     ) -> Tuple[CompiledCircuit, bool]:
         """The artifact for ``graph`` — cached, or freshly compiled.
 
@@ -174,15 +172,13 @@ class CompileCache:
         immediately (in ``"auto"`` mode), before the solve enriches it;
         :meth:`save` persists the enrichment afterwards.
         """
-        fingerprint = compile_fingerprint(graph, tech, prune=prune)
+        fingerprint = compile_fingerprint(graph, tech)
         artifact = self.get(fingerprint)
         if artifact is not None:
             self.stats.hits += 1
             return artifact, True
         self.stats.misses += 1
-        artifact = CompiledCircuit.compile(
-            graph, tech, prune=prune, fingerprint=fingerprint
-        )
+        artifact = CompiledCircuit.compile(graph, tech, fingerprint=fingerprint)
         self.put(artifact)
         return artifact, False
 
@@ -218,7 +214,7 @@ class CompileCache:
                 "t_init": artifact.t_init,
                 "t_min": artifact.t_min,
                 "n_candidates": artifact.n_candidates,
-                "periods": sorted({p for (p, _pr) in artifact.clock_pair_sets}),
+                "periods": sorted(artifact.clock_pair_sets),
             },
         }
         # Concurrent writers (service workers, table1 --jobs) routinely

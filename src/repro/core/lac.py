@@ -73,7 +73,6 @@ def lac_retiming(
     alpha: float = 0.2,
     n_max: int = 5,
     max_rounds: int = 30,
-    prune: bool = True,
     tracer=None,
     compiled=None,
     solver: Optional[IncrementalMinArea] = None,
@@ -90,7 +89,6 @@ def lac_retiming(
         alpha: Reweighting damping coefficient (paper recommends 0.2).
         n_max: Stop after this many consecutive non-improving rounds.
         max_rounds: Hard cap on weighted min-area solves.
-        prune: Apply clocking-constraint redundancy pruning.
         tracer: Optional :class:`repro.obs.Tracer`; each weighted
             min-area round becomes a ``lac/round`` span carrying the
             round's ``N_FOA``/``N_F``, weighted-FF objective, per-tile
@@ -100,10 +98,10 @@ def lac_retiming(
             graph (compiled here if omitted); supplies the clocking
             pairs and the incremental solver's gather arrays.
         solver: Optional :class:`IncrementalMinArea` over this graph's
-            constraint system for ``period`` (``prune`` and
-            ``compiled`` are then unused). The planner passes the one
-            its min-area baseline solved with uniform weights, so round
-            1 replays that solve and round 2 warm-starts from its basis.
+            constraint system for ``period`` (``compiled`` is then
+            unused). The planner passes the one its min-area baseline
+            solved with uniform weights, so round 1 replays that solve
+            and round 2 warm-starts from its basis.
 
     Raises:
         InfeasiblePeriodError: ``period`` is unachievable (from the
@@ -127,7 +125,7 @@ def lac_retiming(
         # Clocking constraints are generated once — the heuristic's
         # key run-time property (Section 4.2).
         system = build_constraint_system(
-            graph, period, prune=prune, compiled=compiled, tracer=tracer
+            graph, period, compiled=compiled, tracer=tracer
         )
         solver = IncrementalMinArea(graph, system)
     accountant = AreaAccountant(graph, unit_region)

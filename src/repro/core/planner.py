@@ -21,12 +21,11 @@ infeasible after a drastic floorplan change).
 Every stage executes through the :mod:`repro.resilience` layer: a
 :class:`~repro.resilience.runner.StageRunner` applies per-stage
 policies (bounded retries with seed perturbation for the stochastic
-stages, optional wall-clock deadlines, fallback chains such as the
-``retime`` stage falling back to the unpruned constraint system), and
-an infeasible ``T_clk`` degrades gracefully — the period is relaxed
-toward ``T_init`` and the iteration is marked ``degraded`` instead of
-being abandoned. The full attempt history lands on the stage spans;
-the outcome's :class:`~repro.resilience.ledger.RunLedger` is a view of
+stages, optional wall-clock deadlines), and an inherited ``T_clk``
+below the iteration's ``T_min`` degrades gracefully — the iteration
+retimes at ``T_min`` and is marked ``degraded`` instead of being
+abandoned. The full attempt history lands on the stage spans; the
+outcome's :class:`~repro.resilience.ledger.RunLedger` is a view of
 them.
 
 With a :class:`~repro.resilience.checkpoint.CheckpointManager`
@@ -48,7 +47,7 @@ from repro.compile import CompileCache
 from repro.core.context import RunContext
 from repro.core.lac import LACResult, lac_retiming
 from repro.core.metrics import AreaReport, area_report
-from repro.errors import InfeasiblePeriodError, PlanningError
+from repro.errors import PlanningError
 from repro.floorplan.plan import Floorplan, build_floorplan, expand_floorplan
 from repro.netlist.graph import CircuitGraph
 from repro.partition.multiway import Partition, default_block_count, partition_graph
@@ -84,7 +83,6 @@ class PlannerConfig:
     alpha: float = 0.2
     n_max: int = 5
     max_rounds: int = 30
-    prune: bool = True
     floorplan_iterations: int = 2000
     rrr_passes: int = 2
     max_units_per_connection: Optional[int] = 4
@@ -139,10 +137,10 @@ class PlanningIteration:
     """Everything produced by one interconnect-planning iteration.
 
     ``t_clk`` is the period actually retimed for. When the requested
-    period proved infeasible and degradation relaxed it, ``degraded``
-    is True and ``t_clk_requested`` keeps the original target;
-    ``infeasible`` is reserved for the case where no relaxation was
-    attempted (degradation disabled) or none succeeded.
+    period was below ``t_min`` (infeasible) and degradation retimed at
+    ``t_min`` instead, ``degraded`` is True and ``t_clk_requested``
+    keeps the original target; ``infeasible`` marks such an iteration
+    when degradation is disabled.
 
     The last four fields are audit snapshots for :mod:`repro.verify`:
     the per-region area the repeater stage reserved (``grid.used`` as
@@ -385,11 +383,7 @@ def _run_iteration_stages(
         # The whole pure front half of the solve — W/D and candidate
         # periods — keyed by the expanded graph's content.
         io0 = cache.stats.bytes_read + cache.stats.bytes_written
-        artifact, hit = cache.get_or_compile(
-            expanded.graph,
-            tech=config.tech,
-            prune=config.prune,
-        )
+        artifact, hit = cache.get_or_compile(expanded.graph, tech=config.tech)
         tracer.current.set(
             cache="hit" if hit else "miss",
             fingerprint=artifact.fingerprint[:16],
@@ -416,21 +410,19 @@ def _run_iteration_stages(
         return t_min, found.labels
 
     t_min, _ = runner.run("min_period", _min_period)
-    requested = t_clk
     if t_clk is None:
         t_clk = t_min + config.target_fraction * (t_init - t_min)
 
-    def _retime_at(period: float, prune: bool):
+    def _retime_at(period: float):
         # One constraint system serves both retimings: they target the
         # same period, and constraint generation dominates run time
         # (the property the paper leans on in Section 4.2). The stage
         # timings of the outcome are the spans' own.
         nonlocal witness
-        with tracer.span("retime/constraints", period=period, prune=prune) as sp:
+        with tracer.span("retime/constraints", period=period) as sp:
             system = build_constraint_system(
                 expanded.graph,
                 period,
-                prune=prune,
                 compiled=compiled,
                 tracer=tracer,
                 witness=witness,
@@ -441,9 +433,10 @@ def _run_iteration_stages(
         # ... and one solver: LAC starts from uniform weights, so its
         # first weighted min-area solve *is* the min-area baseline. The
         # baseline solves with exactly those weights and LAC's round 1
-        # replays the solve (an infeasible period surfaces here, from
-        # the solver's Bellman-Ford).
-        solver = IncrementalMinArea(expanded.graph, system)
+        # replays the solve.
+        with tracer.span("retime/solver") as sp:
+            solver = IncrementalMinArea(expanded.graph, system)
+            sp.set(engine=solver.stats.engine, build_seconds=solver.stats.build_seconds)
         min_area_timed: Optional[TimedRetiming] = None
         if config.run_baseline:
             with tracer.span("retime/min_area", period=period) as sp:
@@ -487,51 +480,26 @@ def _run_iteration_stages(
             )
         return min_area_timed, lac_result, sp.elapsed, constraints_seconds
 
-    def _retime(_attempt: int, prune: bool) -> _RetimeOutcome:
-        try:
-            ma, lac, lac_s, cons_s = _retime_at(t_clk, prune)
+    def _retime(_attempt: int) -> _RetimeOutcome:
+        # T_min is the smallest feasible period, and feasibility is
+        # monotone: the degrade decision needs nothing built.
+        relaxed = find_relaxed_period(t_clk, t_min)
+        if relaxed is None:
+            ma, lac, lac_s, cons_s = _retime_at(t_clk)
             return _RetimeOutcome(ma, lac, lac_s, t_clk, cons_s)
-        except InfeasiblePeriodError:
-            if not runner.config.degrade_t_clk:
-                return _RetimeOutcome(None, None, 0.0, t_clk, infeasible=True)
-            compiled.rebuild_search_inputs(expanded.graph, "degrade", tracer=tracer)
-            relaxed = find_relaxed_period(
-                expanded.graph, t_clk, t_init, compiled=compiled
-            )
-            if relaxed is None:
-                log.warning(
-                    "retime: T_clk=%.3f infeasible, no relaxed period below "
-                    "T_init=%.3f",
-                    t_clk,
-                    t_init,
-                )
-                runner.note(
-                    f"retime: T_clk={t_clk:.3f} infeasible and no relaxed "
-                    f"period found below T_init={t_init:.3f}"
-                )
-                return _RetimeOutcome(None, None, 0.0, t_clk, infeasible=True)
-            log.warning(
-                "retime: T_clk=%.3f infeasible; degraded to %.3f", t_clk, relaxed
-            )
-            runner.note(
-                f"retime: T_clk={t_clk:.3f} infeasible; degraded to "
-                f"{relaxed:.3f} (T_init={t_init:.3f})"
-            )
-            ma, lac, lac_s, cons_s = _retime_at(relaxed, prune)
-            return _RetimeOutcome(ma, lac, lac_s, relaxed, cons_s, degraded=True)
+        if not runner.config.degrade_t_clk:
+            return _RetimeOutcome(None, None, 0.0, t_clk, infeasible=True)
+        log.warning("retime: T_clk=%.3f infeasible; degraded to %.3f", t_clk, relaxed)
+        runner.note(
+            f"retime: T_clk={t_clk:.3f} infeasible; degraded to "
+            f"{relaxed:.3f} (T_init={t_init:.3f})"
+        )
+        ma, lac, lac_s, cons_s = _retime_at(relaxed)
+        return _RetimeOutcome(ma, lac, lac_s, relaxed, cons_s, degraded=True)
 
-    # Constraint pruning, if it ever produces an unsolvable reduced
-    # system, falls back to the unpruned (sound but slower) system.
-    fallbacks = (
-        [("unpruned", lambda a: _retime(a, prune=False))] if config.prune else []
-    )
-    retimed = runner.run(
-        "retime",
-        lambda a: _retime(a, prune=config.prune),
-        fallbacks=fallbacks,
-    )
-    # Persist whatever the solve added to the artifact (pruned pair
-    # sets, the min-period witness) so the next identical run replays
+    retimed = runner.run("retime", _retime)
+    # Persist whatever the solve added to the artifact (clocking-row
+    # tables, the min-period witness) so the next identical run replays
     # the solve front half straight from disk.
     cache.save(compiled)
 
@@ -550,11 +518,7 @@ def _run_iteration_stages(
         constraints_seconds=retimed.constraints_seconds,
         infeasible=retimed.infeasible,
         degraded=retimed.degraded,
-        t_clk_requested=(
-            (requested if requested is not None else t_clk)
-            if retimed.degraded
-            else None
-        ),
+        t_clk_requested=t_clk if retimed.degraded else None,
         repeater_used=repeater_used,
         n_repeaters=n_repeaters,
         route_usage=route_usage,

@@ -146,11 +146,11 @@ class StageTimeoutError(PlanningError):
 
 
 class StageFailedError(PlanningError):
-    """A pipeline stage failed after exhausting retries and fallbacks.
+    """A pipeline stage failed after exhausting its retries.
 
     ``attempts`` holds the full attempt history
     (:class:`repro.resilience.ledger.StageAttempt` records), so callers
-    can see every error, timing, and fallback that was tried.
+    can see every error and timing of the tries.
     """
 
     def __init__(self, stage, attempts, message=None):

@@ -55,7 +55,7 @@ def prepared_instance(
     ).first
     graph = first.expanded.graph
     # A memory hit: the same object the plan compiled and solved with.
-    compiled, _hit = cache.get_or_compile(graph, tech=config.tech, prune=config.prune)
+    compiled, _hit = cache.get_or_compile(graph, tech=config.tech)
     return PreparedInstance(
         name=name,
         config=config,
@@ -66,7 +66,5 @@ def prepared_instance(
         t_init=first.t_init,
         t_min=first.t_min,
         t_clk=first.t_clk,
-        system=build_constraint_system(
-            graph, first.t_clk, prune=config.prune, compiled=compiled
-        ),
+        system=build_constraint_system(graph, first.t_clk, compiled=compiled),
     )

@@ -153,8 +153,8 @@ class SpanMetric:
     name, read from the event's attributes; otherwise one per span.
     ``value`` is a source attribute or a constant; a label source is an
     attribute, :data:`SPAN_NAME` or an ``"=constant"``. A row whose
-    ``when`` attribute is falsy or whose sources are missing yields
-    nothing (a resumed ``compile`` stage has no ``cache`` attribute).
+    sources are missing yields nothing (a resumed ``compile`` stage has
+    no ``cache`` attribute).
     """
 
     kind: str
@@ -162,7 +162,6 @@ class SpanMetric:
     value: Union[str, int] = 1
     labels: Dict[str, str] = dataclasses.field(default_factory=dict)
     event: Optional[str] = None
-    when: Optional[str] = None
 
 
 _STAGE = {"stage": SPAN_NAME}
@@ -200,7 +199,6 @@ SPAN_METRICS: Dict[str, Tuple[SpanMetric, ...]] = {
             event="attempt",
         ),
         SpanMetric("histogram", "stage_seconds", "seconds", _STAGE, "attempt"),
-        SpanMetric("counter", "stage_fallbacks_total", labels=_STAGE, when="fallback"),
     ),
 }
 
@@ -289,8 +287,6 @@ class MetricsRegistry:
                     self._derive(row, span.name, attrs)
 
     def _derive(self, row: SpanMetric, span_name: str, attrs) -> None:
-        if row.when is not None and not attrs.get(row.when):
-            return
         labels = {k: _resolve(v, span_name, attrs) for k, v in row.labels.items()}
         value = _resolve(row.value, span_name, attrs)
         if value is None or None in labels.values():

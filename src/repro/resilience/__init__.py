@@ -8,12 +8,13 @@ every stage survivable:
 * :mod:`repro.resilience.policy` — per-stage execution policies
   (bounded retries, wall-clock deadlines, retryable exception sets);
 * :mod:`repro.resilience.runner` — the stage runner that executes a
-  callable under a policy with retry, fallback chains, and timeouts;
+  callable under a policy with retries and timeouts;
 * :mod:`repro.resilience.ledger` — the structured run ledger, a view
   of the stage spans' ``attempt`` and ``note`` events: every attempt,
-  error, timing, and fallback taken;
+  error and timing;
 * :mod:`repro.resilience.degrade` — graceful ``T_clk`` degradation
-  (binary search for the closest achievable period);
+  (an inherited period below the iteration's ``T_min`` runs at
+  ``T_min``);
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (stage failures, delays, simulated kills, checkpoint
   corruption) so every recovery path is testable in CI;

@@ -91,10 +91,11 @@ def run_fingerprint(graph, config, max_iterations: int) -> str:
         "schema": CKPT_SCHEMA,
         "graph": graph_to_dict(graph),
         # The retired knobs stay hashed at their only values, so
-        # default-run digests are unchanged and tree/slicing or
-        # multi-start ones go stale.
+        # default-run digests are unchanged and tree/slicing,
+        # multi-start or unpruned ones go stale.
         "config": {
             **dataclasses.asdict(config),
+            "prune": True,
             "floorplan_backend": "sequence_pair",
             "repeater_backend": "path",
             "anneal_replicas": 1,

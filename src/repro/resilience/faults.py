@@ -3,8 +3,8 @@
 A :class:`FaultInjector` sits inside the stage runner: every stage
 attempt first calls ``injector.on_call(stage)``, which counts calls
 per stage and fires any :class:`FaultSpec` armed for that call number
-— sleeping (to exercise deadlines) and/or raising (to exercise retry,
-fallback, and batch isolation paths). Counting is the only state, so
+— sleeping (to exercise deadlines) and/or raising (to exercise retry
+and batch isolation paths). Counting is the only state, so
 injection is fully deterministic and CI-friendly.
 
 Example — fail the first floorplan attempt, delay the second routing

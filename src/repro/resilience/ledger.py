@@ -2,7 +2,7 @@
 
 A view of the span tree: the stage runner writes each try as an
 ``attempt`` event on its stage span and each degradation note (e.g.
-"T_clk infeasible, relaxed to 3.62") as a ``note`` event, and
+"T_clk=0.010 infeasible; degraded to 3.620") as a ``note`` event, and
 :meth:`RunLedger.from_spans` reads them back, from live spans or a
 trace file, into one :class:`StageRecord` per stage execution. The
 ledger is attached to :class:`~repro.core.planner.PlanningOutcome` and
@@ -23,11 +23,11 @@ FAILED = "failed"
 
 @dataclasses.dataclass
 class StageAttempt:
-    """One try of one stage variant."""
+    """One try of one stage."""
 
     stage: str
-    attempt: int  # 1-based, per variant
-    variant: str  # "primary" or a fallback name
+    attempt: int  # 1-based
+    variant: str  # "primary", or "resumed" for a checkpoint restore
     status: str  # ok | error | timeout
     seconds: float
     error: Optional[str] = None  # "ExcType: message" when not ok
@@ -47,7 +47,6 @@ class StageRecord:
     attempts: List[StageAttempt]
     status: str  # ok | failed
     scope: str = ""  # e.g. "iteration 2"
-    fallback: Optional[str] = None  # fallback variant that succeeded
 
     @property
     def seconds(self) -> float:
@@ -55,7 +54,7 @@ class StageRecord:
 
     @property
     def retries(self) -> int:
-        """Attempts beyond the first (any variant)."""
+        """Attempts beyond the first."""
         return max(0, len(self.attempts) - 1)
 
     @property
@@ -63,13 +62,11 @@ class StageRecord:
         return f"{self.scope} · {self.stage}" if self.scope else self.stage
 
     def describe(self) -> str:
-        parts = [f"{self.name}: {self.status}"]
-        if self.fallback:
-            parts.append(f"via fallback {self.fallback!r}")
         n = len(self.attempts)
-        parts.append(f"{n} attempt{'s' if n != 1 else ''}")
-        parts.append(f"{self.seconds:.2f}s")
-        line = " — ".join([parts[0], ", ".join(parts[1:])])
+        line = (
+            f"{self.name}: {self.status} — "
+            f"{n} attempt{'s' if n != 1 else ''}, {self.seconds:.2f}s"
+        )
         if n > 1 or self.status != OK:
             detail = "; ".join(a.describe() for a in self.attempts)
             line += f" [{detail}]"
@@ -111,7 +108,6 @@ class RunLedger:
                         attempts=stage_attempts(span),
                         status=attrs.get("status", FAILED),
                         scope=attrs.get("scope") or "",
-                        fallback=attrs.get("fallback"),
                     )
                 )
             notes.extend(
@@ -128,10 +124,6 @@ class RunLedger:
         return sum(r.retries for r in self.records)
 
     @property
-    def n_fallbacks(self) -> int:
-        return sum(1 for r in self.records if r.fallback)
-
-    @property
     def n_failures(self) -> int:
         return sum(1 for r in self.records if r.status != OK)
 
@@ -142,7 +134,7 @@ class RunLedger:
     def summary(self) -> str:
         return (
             f"{len(self.records)} stage runs, {self.n_retries} retries, "
-            f"{self.n_fallbacks} fallbacks, {self.n_failures} failures "
+            f"{self.n_failures} failures "
             f"({self.total_seconds:.2f}s)"
         )
 
@@ -150,7 +142,7 @@ class RunLedger:
         """Render the ledger; non-verbose shows only eventful stages."""
         lines = [f"resilience: {self.summary()}"]
         for r in self.records:
-            if verbose or r.retries or r.fallback or r.status != OK:
+            if verbose or r.retries or r.status != OK:
                 lines.append(f"  {r.describe()}")
         for note in self.notes:
             lines.append(f"  note: {note}")
@@ -165,7 +157,6 @@ class RunLedger:
                     "stage": r.stage,
                     "scope": r.scope,
                     "status": r.status,
-                    "fallback": r.fallback,
                     "seconds": r.seconds,
                     "attempts": [dataclasses.asdict(a) for a in r.attempts],
                 }

@@ -32,9 +32,9 @@ class StagePolicy:
         timeout: Per-attempt wall-clock deadline in seconds; ``None``
             disables the deadline. A blown deadline counts like a
             retryable failure (:class:`~repro.errors.StageTimeoutError`).
-        retry_on: Exception classes that justify another attempt or a
-            fallback variant. Anything else propagates immediately —
-            genuine bugs should not be masked by retries.
+        retry_on: Exception classes that justify another attempt.
+            Anything else propagates immediately — genuine bugs
+            should not be masked by retries.
     """
 
     max_attempts: int = 1
@@ -58,9 +58,10 @@ class ResilienceConfig:
         policies: Stage name -> policy; stages not listed use
             ``default_policy``.
         default_policy: Policy for unlisted stages.
-        degrade_t_clk: When the target period is infeasible, relax it
-            toward ``T_init`` (recording a ``degraded`` iteration)
-            instead of marking the iteration infeasible.
+        degrade_t_clk: When an inherited target period is below the
+            iteration's ``T_min`` (infeasible), retime at ``T_min``
+            (recording a ``degraded`` iteration) instead of marking the
+            iteration infeasible.
     """
 
     policies: Dict[str, StagePolicy] = dataclasses.field(default_factory=dict)

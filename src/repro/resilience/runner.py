@@ -1,16 +1,14 @@
 """The stage runner: execute pipeline stages under a resilience policy.
 
-``StageRunner.run`` executes a *primary* callable (and, if it keeps
-failing, an ordered chain of *fallback* variants) under the stage's
+``StageRunner.run`` executes a stage callable under the stage's
 :class:`~repro.resilience.policy.StagePolicy`:
 
 * each attempt may run under a wall-clock deadline; a blown deadline
   raises :class:`~repro.errors.StageTimeoutError` and counts as a
   retryable failure (the worker thread is abandoned — Python cannot
   kill it — which is the standard soft-timeout trade-off);
-* failures in ``policy.retry_on`` consume attempts, then fallbacks;
-  any other exception propagates immediately so genuine bugs are
-  never masked;
+* failures in ``policy.retry_on`` consume attempts; any other
+  exception propagates immediately so genuine bugs are never masked;
 * every try is recorded once, as an ``attempt`` event on the stage
   span (the ledger and the stage metrics are views of them), and
   exhaustion raises :class:`~repro.errors.StageFailedError` carrying
@@ -36,7 +34,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import Callable, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from repro.errors import StageFailedError, StageTimeoutError
 from repro.obs import Tracer
@@ -101,17 +99,11 @@ class StageRunner:
             with self.tracer.span("note") as span:
                 span.event("note", message=prefix + message)
 
-    def run(
-        self,
-        stage: str,
-        primary: Callable[[int], T],
-        fallbacks: Sequence[Tuple[str, Callable[[int], T]]] = (),
-    ) -> T:
+    def run(self, stage: str, fn: Callable[[int], T]) -> T:
         """Run ``stage`` to completion or exhaustion.
 
-        ``primary`` gets ``policy.max_attempts`` tries; each fallback
-        variant then gets one. All callables receive the 1-based
-        attempt index of their variant.
+        ``fn`` gets ``policy.max_attempts`` tries, each passed its
+        1-based attempt index.
 
         When a checkpoint manager is attached, a valid snapshot for
         this stage request is restored instead of executing anything,
@@ -120,65 +112,53 @@ class StageRunner:
         ckpt_key: Optional[str] = None
         if self.checkpoint is not None:
             ckpt_key = self.checkpoint.key(self.scope, stage)
-            hit, value, meta = self.checkpoint.restore(ckpt_key)
+            hit, value, _meta = self.checkpoint.restore(ckpt_key)
             if hit:
-                return self._restored(stage, ckpt_key, value, meta)
+                return self._restored(stage, ckpt_key, value)
         policy = self.config.policy_for(stage)
-        variants = [("primary", primary)] + list(fallbacks)
-        tries = 0
         last_exc: Optional[BaseException] = None
         with self.tracer.span(stage, kind="stage", scope=self.scope) as span:
-            for v_index, (name, fn) in enumerate(variants):
-                n_tries = policy.max_attempts if v_index == 0 else 1
-                for attempt in range(1, n_tries + 1):
-                    tries += 1
-                    start = time.perf_counter()
-                    try:
-                        result = self._call(stage, fn, attempt, policy.timeout)
-                    except BaseException as exc:
-                        timed_out = isinstance(exc, StageTimeoutError)
-                        status = TIMEOUT if timed_out else ERROR
-                        _attempt(span, name, attempt, status, start, exc)
-                        if not (timed_out or isinstance(exc, policy.retry_on)):
-                            # Not retryable: close the stage span as
-                            # failed and let it propagate untouched.
-                            span.set(status=FAILED, attempts=tries)
-                            raise
-                        log.warning(
-                            "stage %s: %s#%d %s, retrying",
-                            stage,
-                            name,
-                            attempt,
-                            f"timed out after {policy.timeout:.1f}s"
-                            if timed_out
-                            else f"failed ({type(exc).__name__}: {exc})",
-                        )
-                        last_exc = exc
-                        continue
-                    seconds = _attempt(span, name, attempt, OK, start)
-                    span.set(status=OK, attempts=tries)
-                    if v_index > 0:
-                        span.set(fallback=name)
-                        log.info("stage %s: recovered via fallback %r", stage, name)
-                    log.debug(
-                        "stage %s: ok in %.3fs (%d attempt(s))", stage, seconds, tries
+            for attempt in range(1, policy.max_attempts + 1):
+                start = time.perf_counter()
+                try:
+                    result = self._call(stage, fn, attempt, policy.timeout)
+                except BaseException as exc:
+                    timed_out = isinstance(exc, StageTimeoutError)
+                    status = TIMEOUT if timed_out else ERROR
+                    _attempt(span, attempt, status, start, exc)
+                    if not (timed_out or isinstance(exc, policy.retry_on)):
+                        # Not retryable: close the stage span as
+                        # failed and let it propagate untouched.
+                        span.set(status=FAILED, attempts=attempt)
+                        raise
+                    log.warning(
+                        "stage %s: attempt %d %s, retrying",
+                        stage,
+                        attempt,
+                        f"timed out after {policy.timeout:.1f}s"
+                        if timed_out
+                        else f"failed ({type(exc).__name__}: {exc})",
                     )
-                    if self.checkpoint is not None and ckpt_key is not None:
-                        self.checkpoint.commit(
-                            ckpt_key, result, fallback=name if v_index > 0 else None
-                        )
-                    return result
-            span.set(status=FAILED, attempts=tries)
-            log.error("stage %s: exhausted after %d attempts", stage, tries)
+                    last_exc = exc
+                    continue
+                seconds = _attempt(span, attempt, OK, start)
+                span.set(status=OK, attempts=attempt)
+                log.debug(
+                    "stage %s: ok in %.3fs (%d attempt(s))", stage, seconds, attempt
+                )
+                if self.checkpoint is not None and ckpt_key is not None:
+                    self.checkpoint.commit(ckpt_key, result)
+                return result
+            span.set(status=FAILED, attempts=policy.max_attempts)
+            log.error(
+                "stage %s: exhausted after %d attempts", stage, policy.max_attempts
+            )
         raise StageFailedError(stage, stage_attempts(span)) from last_exc
 
-    def _restored(self, stage: str, key: str, value: T, meta) -> T:
+    def _restored(self, stage: str, key: str, value: T) -> T:
         """Account for a stage satisfied from the checkpoint store."""
-        fallback = meta.get("fallback") if isinstance(meta, dict) else None
         with self.tracer.span(stage, kind="stage", scope=self.scope) as span:
             span.set(status=OK, resumed=True)
-            if fallback:
-                span.set(fallback=fallback)
             span.event("resumed_from", checkpoint=key)
             span.event("attempt", variant="resumed", index=1, status=OK, seconds=0.0)
         log.info("stage %s: restored from checkpoint %s", stage, key)
@@ -216,7 +196,6 @@ class StageRunner:
 
 def _attempt(
     span,
-    variant: str,
     index: int,
     status: str,
     start: float,
@@ -224,7 +203,7 @@ def _attempt(
 ) -> float:
     """Record one try as an ``attempt`` event; returns its seconds."""
     seconds = time.perf_counter() - start
-    attrs = dict(variant=variant, index=index, status=status, seconds=seconds)
+    attrs = dict(variant="primary", index=index, status=status, seconds=seconds)
     if exc is not None:
         attrs["error"] = f"{type(exc).__name__}: {exc}"
     span.event("attempt", **attrs)

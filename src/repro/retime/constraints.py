@@ -13,7 +13,8 @@ indices positions in the compiled artifact's ``order``. Its rows are:
   solution is normalised to ``r(host) = 0`` afterwards;
 * **clocking rows** (Eqn. (2)): every path with delay greater than the
   clock period must hold at least one flip-flop, i.e.
-  ``r(u) - r(v) <= W(u, v) - 1`` whenever ``D(u, v) > T_clk``.
+  ``r(u) - r(v) <= W(u, v) - 1`` whenever ``D(u, v) > T_clk``, less
+  the rows the witness prune below proves redundant.
 
 :func:`build_constraint_system` is the one builder of the table. Its
 helpers, :func:`static_rows`, :func:`clock_rows` and
@@ -23,8 +24,10 @@ helpers, :func:`static_rows`, :func:`clock_rows` and
 
 The paper notes (Section 5) that constraint generation dominates
 min-area retiming run time, and that the Maheshwari–Sapatnekar
-reduction would cut it further; :func:`clock_rows` with ``prune``
-implements a reduction in that spirit. A clocking row ``(u, v)`` is
+reduction would cut it further; :func:`clock_rows` implements a
+reduction in that spirit, and every retiming reads only its rows (the
+unpruned ``D > T`` rows survive in ``tests/oracles/constraints.py`` as
+a reference). A clocking row ``(u, v)`` is
 dropped when a vertex ``x`` on a minimum-weight ``u -> v`` path
 (witnessed by ``W(u,x) + W(x,v) == W(u,v)``) carries a clocking row
 ``(u, x)`` or ``(x, v)``: the witness row plus the chain of edge rows
@@ -121,15 +124,12 @@ def static_rows(graph: CircuitGraph) -> np.ndarray:
     return np.concatenate([edges, host])
 
 
-def clock_rows(wd: WDMatrices, period: float, prune: bool) -> np.ndarray:
-    """The clocking rows for ``period`` as a :data:`ROW` table: every
-    pair ``i != j`` with ``D(i, j) > period`` in row-major order, with
-    bound ``W(i, j) - 1``; with ``prune``, only the essential ones (a
-    :class:`WitnessTable` built at ``period``), order kept."""
-    if prune:
-        return WitnessTable.build(wd, period).rows(period)
-    rows, cols = wd.pairs_exceeding_arrays(period)
-    return row_table(rows, cols, wd.w[rows, cols].astype(np.int64) - 1)
+def clock_rows(wd: WDMatrices, period: float) -> np.ndarray:
+    """The essential clocking rows for ``period`` as a :data:`ROW`
+    table: the pairs ``i != j`` with ``D(i, j) > period`` that no
+    neighbour witness makes redundant, in row-major order, with bound
+    ``W(i, j) - 1`` (a :class:`WitnessTable` built at ``period``)."""
+    return WitnessTable.build(wd, period).rows(period)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,7 +258,6 @@ def _witness_delays(wd: WDMatrices, flat: np.ndarray) -> np.ndarray:
 def build_constraint_system(
     graph: CircuitGraph,
     period: float,
-    prune: bool = False,
     compiled: Optional["CompiledCircuit"] = None,
     tracer=None,
     witness: Optional[WitnessTable] = None,
@@ -268,7 +267,7 @@ def build_constraint_system(
 
     The clocking rows come from ``compiled`` (a
     :class:`repro.compile.CompiledCircuit` of ``graph``, compiled here
-    if omitted), whose per-``(period, prune)`` cache
+    if omitted), whose per-period cache
     (:meth:`~repro.compile.CompiledCircuit.clock_pairs`) generates them
     once and keeps them in the artifact: a mask of ``witness`` (a
     :class:`WitnessTable` of the artifact's W/D, such as the min-period
@@ -285,9 +284,7 @@ def build_constraint_system(
 
     compiled = CompiledCircuit.for_graph(graph, compiled)
     static = static_rows(graph)
-    clock = compiled.clock_pairs(
-        period, prune=prune, graph=graph, tracer=tracer, witness=witness
-    )
+    clock = compiled.clock_pairs(period, graph=graph, tracer=tracer, witness=witness)
     return ConstraintSystem(
         np.concatenate([static, clock]), float(period), len(static), compiled
     )

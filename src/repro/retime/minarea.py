@@ -91,7 +91,6 @@ def min_area_retiming(
     graph: CircuitGraph,
     period: float,
     weights: Optional[Mapping[str, float]] = None,
-    prune: bool = False,
     compiled=None,
     solver: Optional["IncrementalMinArea"] = None,
 ) -> RetimingResult:
@@ -102,15 +101,14 @@ def min_area_retiming(
         period: Target clock period ``T_clk``.
         weights: Optional per-unit area weights ``A(v)``; uniform if
             omitted.
-        prune: Apply redundancy pruning when generating constraints.
         compiled: The :class:`repro.compile.CompiledCircuit` of
             ``graph`` the constraints are read from (compiled here if
             omitted).
         solver: An :class:`~repro.retime.incremental.IncrementalMinArea`
             over this graph's constraint system for ``period``
-            (``prune`` and ``compiled`` are then unused); built here if
-            omitted. The planner passes the one LAC-retiming re-solves,
-            so the baseline and LAC's first round share a solve.
+            (``compiled`` is then unused); built here if omitted. The
+            planner passes the one LAC-retiming re-solves, so the
+            baseline and LAC's first round share a solve.
 
     Raises:
         InfeasiblePeriodError: No retiming meets the period.
@@ -120,7 +118,7 @@ def min_area_retiming(
     from repro.retime.incremental import IncrementalMinArea
 
     if solver is None:
-        system = build_constraint_system(graph, period, prune=prune, compiled=compiled)
+        system = build_constraint_system(graph, period, compiled=compiled)
         solver = IncrementalMinArea(graph, system)
     try:
         labels = solver.solve(weights)

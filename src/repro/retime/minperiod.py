@@ -39,9 +39,12 @@ order is ``list(graph.units())``, so labels pass between the checker
 and the artifact as one int64 array. A graph with a zero-weight cycle
 (a combinational loop) does not compile: it raises
 :class:`~repro.errors.RetimingError`, as :meth:`CircuitGraph.validate`
-does. The search and the degrade path's
-:func:`~repro.resilience.degrade.find_relaxed_period` share one
-bisection, :func:`bisect_feasible`.
+does.
+
+``T_min`` also settles graceful degradation: an inherited ``T_clk``
+below it is infeasible and one at or above it feasible, so
+:func:`~repro.resilience.degrade.find_relaxed_period` compares the two
+numbers and never searches again.
 
 The paper uses min-period retiming to establish ``T_min``, then sets
 ``T_clk`` 20% of the way from ``T_min`` up to ``T_init``.
@@ -76,9 +79,6 @@ def bisect_feasible(
     the witness of the last accepted one as its warm start (the given
     ``witness`` until one is accepted). Returns ``(i, witness)``, with
     ``i == hi`` and the given ``witness`` when none was accepted.
-
-    The one bisection of the period searches: the min-period search
-    here and :func:`repro.resilience.degrade.find_relaxed_period`.
     """
     while lo < hi:
         mid = (lo + hi) // 2

@@ -63,11 +63,6 @@ class WDMatrices:
         np.fill_diagonal(mask, False)
         return mask
 
-    def pairs_exceeding_arrays(self, period: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Index pairs ``(i, j)``, ``i != j``, with ``D > period``, as a
-        ``(rows, cols)`` ndarray pair in row-major order."""
-        return np.nonzero(self.exceeding(period))
-
     def max_vertex_delay(self) -> float:
         return float(np.diag(self.d).max()) if len(self.order) else 0.0
 

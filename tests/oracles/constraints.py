@@ -17,6 +17,13 @@ the all-vertex reference of the witness prune
 reference: it is the shipped witness kernel itself, applied to
 arbitrary pair arrays so the prune tests can feed it pairs of their
 choosing.
+
+The shipped table holds the pruned clocking rows only. The unpruned
+ones, every pair with ``D(u, v) > T`` at bound ``W(u, v) - 1``
+(:func:`unpruned_clock_rows`), and the whole system built on them
+(:func:`unpruned_system`) live here: that system has the same solution
+set as the shipped one, so its min-area objective is the reference the
+prune is checked against.
 """
 
 from __future__ import annotations
@@ -27,8 +34,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compile.artifact import CompiledCircuit
+from repro.errors import InfeasiblePeriodError
 from repro.netlist.graph import CircuitGraph
-from repro.retime.constraints import ConstraintSystem, _witness_delays
+from repro.retime.constraints import (
+    ConstraintSystem,
+    _witness_delays,
+    row_table,
+    static_rows,
+)
 from repro.retime.minarea import WEIGHT_SCALE
 from repro.retime.wd import WDMatrices, wd_matrices
 
@@ -99,6 +113,42 @@ def prune_redundant_arrays(
     flat = np.asarray(src, dtype=np.int64) * wd.w.shape[0] + dst
     keep = _witness_delays(wd, flat) <= period
     return src[keep], dst[keep]
+
+
+def pairs_exceeding_arrays(
+    wd: WDMatrices, period: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i != j``, with ``D > period``, as a
+    ``(rows, cols)`` ndarray pair in row-major order."""
+    return np.nonzero(wd.exceeding(period))
+
+
+def unpruned_clock_rows(wd: WDMatrices, period: float) -> np.ndarray:
+    """The clocking rows before the witness prune, as a shipped
+    :data:`~repro.retime.constraints.ROW` table: every pair of
+    :func:`pairs_exceeding_arrays`, row-major, at bound ``W - 1``."""
+    rows, cols = pairs_exceeding_arrays(wd, period)
+    return row_table(rows, cols, wd.w[rows, cols].astype(np.int64) - 1)
+
+
+def unpruned_system(
+    graph: CircuitGraph,
+    period: float,
+    compiled: Optional[CompiledCircuit] = None,
+) -> ConstraintSystem:
+    """The shipped system's static rows, then :func:`unpruned_clock_rows`
+    (``compiled`` is compiled here if omitted; a loaded one rebuilds its
+    W/D). Raises :class:`InfeasiblePeriodError` when a unit's delay
+    exceeds ``period``, as the shipped builder does."""
+    compiled = CompiledCircuit.for_graph(graph, compiled)
+    if compiled.max_delay > period:
+        raise InfeasiblePeriodError(period, "a single unit's delay exceeds it")
+    compiled.rebuild_search_inputs(graph, "clock_pairs")
+    static = static_rows(graph)
+    clock = unpruned_clock_rows(compiled.wd, period)
+    return ConstraintSystem(
+        np.concatenate([static, clock]), float(period), len(static), compiled
+    )
 
 
 def clock_constraints(

@@ -32,10 +32,9 @@ def lac_retiming_cold(
     alpha: float = 0.2,
     n_max: int = 5,
     max_rounds: int = 30,
-    prune: bool = True,
 ) -> Tuple[RetimingResult, AreaReport, List[Tuple[int, int]]]:
     """Best ``(retiming, report)`` by ``(N_FOA, N_F)``, plus the history."""
-    system = build_constraint_system(graph, period, prune=prune)
+    system = build_constraint_system(graph, period)
     tile_weight: Dict[str, float] = {t: 1.0 for t in set(unit_region.values())}
     best: Optional[Tuple[Tuple[int, int], RetimingResult, AreaReport]] = None
     history: List[Tuple[int, int]] = []

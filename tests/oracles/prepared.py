@@ -60,7 +60,7 @@ def hand_wired_instance(
     t_init = clock_period(expanded.graph, wd)
     t_min, _ = min_period_retiming(expanded.graph)
     t_clk = t_min + config.target_fraction * (t_init - t_min)
-    system = build_constraint_system(expanded.graph, t_clk, prune=config.prune)
+    system = build_constraint_system(expanded.graph, t_clk)
     return PreparedInstance(
         name=name,
         config=config,

@@ -178,16 +178,16 @@ class TestCheckpointManager:
 
     def test_header_is_schema_versioned(self, tmp_path):
         mgr = self._bound(tmp_path)
-        path = mgr.commit("iteration 1/retime#1", [1, 2], fallback="unpruned")
+        path = mgr.commit("iteration 1/retime#1", [1, 2], source="test")
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header["schema"] == CKPT_SCHEMA
         assert header["key"] == "iteration 1/retime#1"
         assert header["fingerprint"] == "f" * 64
-        assert header["meta"] == {"fallback": "unpruned"}
+        assert header["meta"] == {"source": "test"}
         hit, _v, meta = self._bound(tmp_path, resume=True).restore(
             "iteration 1/retime#1"
         )
-        assert hit and meta["fallback"] == "unpruned"
+        assert hit and meta["source"] == "test"
 
     def test_no_restore_without_resume(self, tmp_path):
         self._bound(tmp_path).commit("a#1", 42)
@@ -390,8 +390,7 @@ class TestResumeEquivalence:
         header = json.loads(data[:newline])
         artifact = pickle.loads(data[newline + 1 :])
         artifact.schema = "repro-compile/2"
-        for field in ("tech", "prune"):
-            del artifact.__dict__[field]
+        del artifact.__dict__["tech"]
         payload = pickle.dumps(artifact)
         header["sha256"] = hashlib.sha256(payload).hexdigest()
         path.write_bytes(json.dumps(header).encode() + b"\n" + payload)

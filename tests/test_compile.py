@@ -28,7 +28,7 @@ from repro.retime import (
     wd_matrices,
 )
 from repro.tech.params import DEFAULT_TECH
-from tests.oracles.constraints import prune_redundant_arrays
+from tests.oracles.constraints import pairs_exceeding_arrays, prune_redundant_arrays
 
 
 def _replay_fields(artifact):
@@ -39,7 +39,6 @@ def _replay_fields(artifact):
             artifact.schema,
             artifact.circuit,
             artifact.tech,
-            artifact.prune,
             artifact.n,
             artifact.t_init,
             artifact.max_delay,
@@ -89,9 +88,15 @@ class TestFingerprint:
         )
         assert compile_fingerprint(graph, tech=tweaked) != base
 
-    def test_compile_switches_change_digest(self, graph):
-        base = compile_fingerprint(graph, prune=True)
-        assert compile_fingerprint(graph, prune=False) != base
+    def test_digests_unchanged_by_the_retired_switch(self, graph):
+        # Digests from when the constraint-pruning switch was hashed
+        # (at its default, True): stored artifacts keep their names.
+        assert compile_fingerprint(s27_graph()) == (
+            "89a8719f6d6bba8636398bc1e0f524313ecf0a067dcacf01c7b00dc9f9645801"
+        )
+        assert compile_fingerprint(graph) == (
+            "4d19a56af7fe1125926598da1eb874a5b926b52dc9e3cc4f398fdeda8c2acbf5"
+        )
 
 
 class TestArtifact:
@@ -111,17 +116,13 @@ class TestArtifact:
         art = CompiledCircuit.compile(graph)
         wd = art.wd
         period = 0.6 * art.t_init + 0.4 * art.max_delay
-        table = art.clock_pairs(period, prune=True)
+        table = art.clock_pairs(period)
         rows, cols, bounds = table["u"], table["v"], table["bound"]
-        all_r, all_c = wd.pairs_exceeding_arrays(period)
+        all_r, all_c = pairs_exceeding_arrays(wd, period)
         kept_r, kept_c = prune_redundant_arrays(wd, period, all_r, all_c)
         expected = list(zip(kept_r.tolist(), kept_c.tolist()))
         assert list(zip(rows.tolist(), cols.tolist())) == expected
         assert bounds.tolist() == [int(wd.w[i, j]) - 1 for i, j in expected]
-        table = art.clock_pairs(period, prune=False)
-        rows_u, cols_u, bounds_u = table["u"], table["v"], table["bound"]
-        assert np.array_equal(rows_u, all_r) and np.array_equal(cols_u, all_c)
-        assert np.array_equal(bounds_u, wd.w[all_r, all_c].astype(np.int64) - 1)
 
     def test_clock_pairs_memoise_and_mark_dirty(self, graph):
         art = CompiledCircuit.compile(graph)

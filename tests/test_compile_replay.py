@@ -27,9 +27,15 @@ from repro.obs.summarize import summarize
 from repro.resilience import StageRunner, default_resilience
 from repro.resilience.degrade import find_relaxed_period
 from repro.resilience.checkpoint import CheckpointManager
-from repro.retime import candidate_periods, clock_rows, min_period_retiming
+from repro.retime import (
+    build_constraint_system,
+    candidate_periods,
+    clock_rows,
+    min_period_retiming,
+)
 from repro.retime.constraints import WitnessTable
 from repro.retime.fastcheck import FeasibilityChecker
+from tests.oracles.constraints import unpruned_clock_rows
 
 
 @pytest.fixture()
@@ -99,30 +105,41 @@ class TestRebuildMatchesFreshCompile:
         assert loaded.t_min_labels == fresh.t_min_labels
         assert _rebuild_reasons(tracer) == ["min_period"]
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_clock_pairs_at_a_new_period(self, graph, tmp_path, prune):
+    @pytest.mark.parametrize("through_system", [True, False])
+    def test_clock_pairs_at_a_new_period(self, graph, tmp_path, through_system):
+        # Asked for directly or through the constraint builder, a new
+        # period rebuilds the search inputs once.
         fresh, loaded = _loaded(graph, tmp_path, solve=True)
-        stored = set(loaded.clock_pair_sets)
         period = loaded.t_min + 0.25 * (loaded.t_init - loaded.t_min)
-        assert (period, prune) not in stored
+        assert period not in loaded.clock_pair_sets
         tracer = Tracer()
-        got = loaded.clock_pairs(period, prune=prune, graph=graph, tracer=tracer)
-        want = fresh.clock_pairs(period, prune=prune)
+
+        def rows(t):
+            if through_system:
+                system = build_constraint_system(
+                    graph, t, compiled=loaded, tracer=tracer
+                )
+                return system.constraints[system.n_static :]
+            return loaded.clock_pairs(t, graph=graph, tracer=tracer)
+
+        got = rows(period)
+        want = fresh.clock_pairs(period)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert _rebuild_reasons(tracer) == ["clock_pairs"]
-        # Once rebuilt, the inputs stay: the next new key rebuilds nothing.
-        loaded.clock_pairs(period + 1e-3, prune=prune, graph=graph, tracer=tracer)
+        # Once rebuilt, the inputs stay: the next new period rebuilds nothing.
+        rows(period + 1e-3)
         assert _rebuild_reasons(tracer) == ["clock_pairs"]
 
     def test_find_relaxed_period(self, graph, tmp_path):
+        # The degrade rule reads the stored T_min alone: a loaded
+        # artifact answers it without its search inputs.
         fresh, loaded = _loaded(graph, tmp_path, solve=True)
-        tracer = Tracer()
-        loaded.rebuild_search_inputs(graph, "degrade", tracer=tracer)
-        t_clk = 0.5 * loaded.t_min
-        assert find_relaxed_period(
-            graph, t_clk, loaded.t_init, compiled=loaded
-        ) == find_relaxed_period(graph, t_clk, fresh.t_init, compiled=fresh)
-        assert _rebuild_reasons(tracer) == ["degrade"]
+        t_min = loaded.t_min
+        assert t_min == fresh.t_min
+        assert find_relaxed_period(0.5 * t_min, t_min) == t_min
+        assert find_relaxed_period(t_min, t_min) is None
+        assert find_relaxed_period(loaded.t_init, t_min) is None
+        assert loaded.wd is None
 
     def test_planner_degrade_path(self, tmp_path):
         g = random_circuit("resil", n_units=50, n_ffs=14, seed=31)
@@ -140,19 +157,29 @@ class TestRebuildMatchesFreshCompile:
                 cache=CompileCache(tmp_path),
             )
 
-        cold = iteration(Tracer())
+        cold_tracer = Tracer()
+        cold = iteration(cold_tracer)
         tracer = Tracer()
         warm = iteration(tracer)
         assert cold.degraded and warm.degraded
+        assert cold.t_clk == cold.t_min and cold.t_clk_requested == 0.01
         assert (warm.t_min, warm.t_clk) == (cold.t_min, cold.t_clk)
         assert warm.lac.history == cold.lac.history
         assert warm.lac.retiming.labels == cold.lac.retiming.labels
-        assert _rebuild_reasons(tracer) == ["degrade"]
+        # The warm hit replays T_min and the T_min rows: nothing rebuilt.
+        assert _rebuild_reasons(tracer) == []
+        # No period search but the min-period one, cold or warm.
+        for t in (cold_tracer, tracer):
+            searches = {s.span_id for s in t.spans if s.name == "min_period/search"}
+            parent = {s.span_id: s.parent_id for s in t.spans}
+            for span in t.spans:
+                if span.name.startswith("feas/"):
+                    assert parent[span.span_id] in searches, span.name
 
     def test_stored_pairs_need_no_graph(self, graph, tmp_path):
         _fresh, loaded = _loaded(graph, tmp_path, solve=True)
-        for (period, prune), table in loaded.clock_pair_sets.items():
-            assert loaded.clock_pairs(period, prune=prune) is table
+        for period, table in loaded.clock_pair_sets.items():
+            assert loaded.clock_pairs(period) is table
         assert loaded.wd is None
         with pytest.raises(ValueError, match="needs the graph"):
             loaded.clock_pairs(loaded.t_init - 1e-6)
@@ -173,7 +200,7 @@ class TestSearchTableHandoff:
 
     def test_clock_pairs_mask_the_search_table(self, graph, monkeypatch):
         compiled, table, t_clk = self._searched(graph)
-        want = clock_rows(compiled.wd, t_clk, True)
+        want = clock_rows(compiled.wd, t_clk)
 
         def no_build(*_a, **_k):
             raise AssertionError("clock rows rebuilt despite a covering table")
@@ -181,15 +208,20 @@ class TestSearchTableHandoff:
         monkeypatch.setattr("repro.compile.artifact.clock_rows", no_build)
         got = compiled.clock_pairs(t_clk, witness=table)
         assert np.array_equal(got, want)
-        assert compiled.clock_pair_sets[(t_clk, True)] is got
+        assert compiled.clock_pair_sets[t_clk] is got
 
     def test_uncovered_or_unpruned_periods_build(self, graph):
+        # A table whose floor lies above the period cannot mask it: the
+        # rows are built, and they are the unpruned rows (the oracle's)
+        # less the ones a witness makes redundant, order kept.
         compiled, _table, t_clk = self._searched(graph)
         high = WitnessTable.build(compiled.wd, compiled.t_init)
-        got = compiled.clock_pairs(t_clk, witness=high)  # floor above t_clk
-        assert np.array_equal(got, clock_rows(compiled.wd, t_clk, True))
-        full = compiled.clock_pairs(t_clk, prune=False, witness=high)
-        assert np.array_equal(full, clock_rows(compiled.wd, t_clk, False))
+        got = compiled.clock_pairs(t_clk, witness=high)
+        assert np.array_equal(got, clock_rows(compiled.wd, t_clk))
+        full = unpruned_clock_rows(compiled.wd, t_clk)
+        kept = set(zip(got["u"].tolist(), got["v"].tolist()))
+        mask = [p in kept for p in zip(full["u"].tolist(), full["v"].tolist())]
+        assert 0 < len(got) < len(full) and np.array_equal(got, full[mask])
 
     def test_foreign_table_refused(self, graph):
         compiled, _table, t_clk = self._searched(graph)
@@ -234,18 +266,18 @@ class TestSearchTableHandoff:
         assert b"WitnessTable" not in raw and b"FeasibilityChecker" not in raw
 
     def test_find_relaxed_period_scans_exact_candidates(self, graph):
+        # The scan the degrade path used to run, over the exact
+        # candidates in (T_clk, T_init], finds T_min every time.
         compiled = CompiledCircuit.compile(graph)
-        min_period_retiming(graph, compiled=compiled)
+        t_min, _ = min_period_retiming(graph, compiled=compiled)
         checker = FeasibilityChecker.build(graph, compiled.wd)
-        for t_clk in (0.5 * compiled.t_min, compiled.t_min - 1e-6):
+        for t_clk in (0.5 * t_min, t_min - 1e-6, compiled.max_delay - 1e-6):
             window = [
                 t for t in candidate_periods(compiled.wd)
                 if t_clk < t <= compiled.t_init
             ]
             scan = next(t for t in window if checker.check(t) is not None)
-            assert find_relaxed_period(
-                graph, t_clk, compiled.t_init, compiled=compiled
-            ) == scan == compiled.t_min
+            assert find_relaxed_period(t_clk, t_min) == scan == t_min
 
 
 class TestForeignGraphRefused:
@@ -291,6 +323,30 @@ class TestPayload:
             artifact.t_init,
         )
         assert clone.wd is None and artifact.wd is not None
+
+
+class TestOldRecords:
+    def test_record_keyed_by_period_and_prune_loads(self, graph):
+        # A record written while the unpruned system still existed has a
+        # ``prune`` field and (period, prune) keys; its pruned tables
+        # serve as stored, its unpruned ones are dropped.
+        fresh = CompiledCircuit.compile(graph)
+        t_min, _ = min_period_retiming(graph, compiled=fresh)
+        period = t_min + 0.5 * (fresh.t_init - t_min)
+        table = fresh.clock_pairs(period)
+        old = CompiledCircuit.__new__(CompiledCircuit)
+        old.__dict__.update(vars(fresh), prune=True)
+        old.clock_pair_sets = {
+            (period, True): table,
+            (fresh.t_init, False): unpruned_clock_rows(fresh.wd, fresh.t_init),
+        }
+        loaded = pickle.loads(pickle.dumps(old))
+        assert "prune" not in vars(loaded) and loaded.wd is None
+        assert list(loaded.clock_pair_sets) == [period]
+        tracer = Tracer()
+        got = loaded.clock_pairs(period, graph=graph, tracer=tracer)
+        assert np.array_equal(got, table) and loaded.clock_pair_sets[period] is got
+        assert _rebuild_reasons(tracer) == []
 
 
 class TestTraceSummary:

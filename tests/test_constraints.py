@@ -12,7 +12,6 @@ from repro.netlist import CircuitGraph, random_circuit
 from repro.retime import (
     build_constraint_system,
     clock_period,
-    clock_rows,
     min_area_retiming,
     tightest_rows,
     wd_matrices,
@@ -21,15 +20,18 @@ from tests.oracles.constraints import (
     by_kind,
     expected_constraints,
     named_constraints,
+    pairs_exceeding_arrays,
     prune_redundant_arrays,
     prune_reference,
     tightest_dict,
+    unpruned_clock_rows,
+    unpruned_system,
 )
 
 
 def _pair_list(wd, period):
-    """``wd.pairs_exceeding_arrays`` as an (i, j) list."""
-    rows, cols = wd.pairs_exceeding_arrays(period)
+    """:func:`pairs_exceeding_arrays` as an (i, j) list."""
+    rows, cols = pairs_exceeding_arrays(wd, period)
     return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -42,7 +44,7 @@ def prune_pairs(wd, period, pairs):
 
 
 def clock_constraints(g, period):
-    """The clocking rows of ``g``'s unpruned system at ``period``."""
+    """The clocking rows of ``g``'s system at ``period``."""
     return by_kind(named_constraints(build_constraint_system(g, period)), "clock")
 
 
@@ -201,7 +203,9 @@ def _awkward_circuit(seed):
 
 
 class TestNamedDifferential:
-    """The shipped table, named, equals the dict-built named list."""
+    """The shipped table, named, equals the dict-built named list; so
+    does the oracle's unpruned table (``prune=False``), the reference
+    the prune's equivalence tests solve on."""
 
     @pytest.mark.parametrize("prune", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -209,9 +213,10 @@ class TestNamedDifferential:
         g = _awkward_circuit(seed)
         assert g.host_units()
         wd = wd_matrices(g)
+        build = build_constraint_system if prune else unpruned_system
         for frac in (0.5, 0.75, 1.0):
             period = frac * clock_period(g, wd) + (1 - frac) * wd.max_vertex_delay()
-            system = build_constraint_system(g, period, prune=prune)
+            system = build(g, period)
             assert named_constraints(system) == expected_constraints(
                 g, period, prune=prune, wd=wd
             ), period
@@ -226,10 +231,10 @@ class TestPruningSoundnessSweep:
         wd = wd_matrices(g)
         period = 0.7 * clock_period(g, wd) + 0.3 * wd.max_vertex_delay()
         try:
-            labels = min_area_retiming(g, period, prune=True).labels
+            labels = min_area_retiming(g, period).labels
         except InfeasiblePeriodError:
             return  # nothing to check for this seed
-        full = build_constraint_system(g, period, prune=False)
+        full = unpruned_system(g, period)
         for c in named_constraints(full):
             assert labels.get(c.u, 0) - labels.get(c.v, 0) <= c.bound
 
@@ -353,7 +358,7 @@ class TestArrayPaths:
         g = random_circuit("pv", n_units=30, n_ffs=16, seed=seed)
         wd = wd_matrices(g)
         period = 0.6 * clock_period(g, wd) + 0.4 * wd.max_vertex_delay()
-        rows, cols = wd.pairs_exceeding_arrays(period)
+        rows, cols = pairs_exceeding_arrays(wd, period)
         kept_r, kept_c = prune_redundant_arrays(wd, period, rows, cols)
         kept = list(zip(kept_r.tolist(), kept_c.tolist()))
         pairs = _pair_list(wd, period)
@@ -386,7 +391,7 @@ class TestWitnessTable:
             pairs = _pair_list(wd, t)
             assert kept == prune_reference(wd, t, pairs), t
             # The unpruned rows at ``t``, masked to the kept pairs.
-            full = clock_rows(wd, t, prune=False)
+            full = unpruned_clock_rows(wd, t)
             keep = set(kept)
             pairs_full = zip(full["u"].tolist(), full["v"].tolist())
             mask = np.array([p in keep for p in pairs_full], dtype=bool)

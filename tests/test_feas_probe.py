@@ -159,7 +159,7 @@ class TestMinPeriodProbers:
         assert build.attrs["floor"] == wd.max_vertex_delay()
         assert found.period == t_min
         assert np.array_equal(
-            found.checker.witness.rows(t_min), clock_rows(wd, t_min, True)
+            found.checker.witness.rows(t_min), clock_rows(wd, t_min)
         )
 
     @pytest.mark.parametrize("seed", range(3))

@@ -220,9 +220,7 @@ class TestForeignArtifact:
 
     @staticmethod
     def _readers(other, compiled, system, period):
-        """The five retime entry points, each handed ``other``."""
-        from repro.resilience import find_relaxed_period
-
+        """The four retime entry points, each handed ``other``."""
         return {
             "build_constraint_system": lambda: build_constraint_system(
                 other, period, compiled=compiled
@@ -233,9 +231,6 @@ class TestForeignArtifact:
             ),
             "min_period_retiming": lambda: min_period_retiming(
                 other, compiled=compiled
-            ),
-            "find_relaxed_period": lambda: find_relaxed_period(
-                other, 0.5 * period, period, compiled=compiled
             ),
         }
 

@@ -25,6 +25,7 @@ from tests.oracles.constraints import (
     Constraint,
     named_constraints,
     retiming_objective,
+    unpruned_system,
 )
 from tests.oracles.flow import optimal_labels
 from tests.oracles.mcf import MinCostFlow, solve_retiming_dual
@@ -160,7 +161,7 @@ class TestBackendParameter:
     def test_min_area_native_backend(self):
         g = random_circuit("bk", n_units=25, n_ffs=12, seed=5)
         period = clock_period(g)
-        system = build_constraint_system(g, period, prune=False)
+        system = unpruned_system(g, period)
         labels = solve_retiming_dual(
             named_constraints(system), retiming_objective(g)
         )

@@ -3,6 +3,7 @@ fault injection, and graceful T_clk degradation through the planner."""
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.compile import CompileCache
@@ -71,7 +72,7 @@ class TestStageRunner:
         runner = self._runner()
         assert runner.run("s", lambda a: a * 10) == 10
         (rec,) = runner.ledger.records
-        assert rec.status == "ok" and rec.retries == 0 and rec.fallback is None
+        assert rec.status == "ok" and rec.retries == 0
 
     def test_retry_recovers_and_passes_attempt_index(self):
         runner = self._runner(s=StagePolicy(max_attempts=3))
@@ -89,36 +90,16 @@ class TestStageRunner:
         assert rec.retries == 2 and rec.status == "ok"
         assert rec.attempts[0].error.startswith("RoutingError")
 
-    def test_fallback_chain(self):
-        runner = self._runner()
-
-        def primary(_a):
-            raise FloorplanError("primary broken")
-
-        def alt(_a):
-            return "fallback result"
-
-        assert runner.run("s", primary, fallbacks=[("alt", alt)]) == (
-            "fallback result"
-        )
-        (rec,) = runner.ledger.records
-        assert rec.fallback == "alt"
-        assert runner.ledger.n_fallbacks == 1
-
     def test_exhaustion_raises_stage_failed_with_history(self):
         runner = self._runner(s=StagePolicy(max_attempts=2))
         with pytest.raises(StageFailedError) as info:
             runner.run(
-                "s",
-                lambda a: (_ for _ in ()).throw(RoutingError(f"try {a}")),
-                fallbacks=[
-                    ("alt", lambda a: (_ for _ in ()).throw(RoutingError("alt")))
-                ],
+                "s", lambda a: (_ for _ in ()).throw(RoutingError(f"try {a}"))
             )
         exc = info.value
         assert exc.stage == "s"
-        assert len(exc.attempts) == 3  # 2 primary + 1 fallback
-        assert [a.variant for a in exc.attempts] == ["primary", "primary", "alt"]
+        assert [a.attempt for a in exc.attempts] == [1, 2]
+        assert [a.variant for a in exc.attempts] == ["primary", "primary"]
         assert "try 1" in str(exc)
         (rec,) = runner.ledger.records
         assert rec.status == "failed"
@@ -283,7 +264,10 @@ class TestDegradation:
         assert any("degraded" in n for n in runner.ledger.notes)
 
     def test_strict_mode_keeps_infeasible_semantics(self, small_probe):
+        from repro.obs import Tracer
+
         g, probe = small_probe
+        tracer = Tracer()
         it = _run_iteration(
             g,
             probe.first.partition,
@@ -291,10 +275,14 @@ class TestDegradation:
             probe.config,
             index=2,
             t_clk=0.01,
-            runner=StageRunner(ResilienceConfig(degrade_t_clk=False)),
+            runner=StageRunner(ResilienceConfig(degrade_t_clk=False), tracer=tracer),
             cache=CompileCache(),
         )
         assert it.infeasible and not it.degraded and it.lac is None
+        # Decided from T_min: no constraint table, no solver is built.
+        names = {s.name for s in tracer.spans}
+        assert "retime" in names
+        assert not names & {"retime/constraints", "retime/solver"}
 
     def test_feasible_t_clk_not_marked_degraded(self, small_probe):
         g, probe = small_probe
@@ -303,15 +291,20 @@ class TestDegradation:
 
     def test_find_relaxed_period_bounds(self, small_probe):
         from repro.resilience import find_relaxed_period
-        from repro.retime import clock_period
         from tests.oracles.feasibility import is_feasible_period
 
         g, probe = small_probe
         graph = probe.first.expanded.graph
-        t_init = clock_period(graph)
-        relaxed = find_relaxed_period(graph, 0.01, t_init)
-        assert relaxed is not None and 0.01 < relaxed <= t_init + 1e-9
+        t_min, t_init = probe.first.t_min, probe.first.t_init
+        relaxed = find_relaxed_period(0.01, t_min)
+        assert relaxed == t_min and 0.01 < relaxed <= t_init
+        # T_min is feasible and the largest candidate below it is not,
+        # by the unpruned oracle: nothing smaller above 0.01 would do.
         assert is_feasible_period(graph, relaxed) is not None
+        assert is_feasible_period(graph, float(np.nextafter(t_min, 0))) is None
+        # A feasible T_clk is kept.
+        assert find_relaxed_period(t_min, t_min) is None
+        assert find_relaxed_period(probe.first.t_clk, t_min) is None
 
     def test_degraded_report_lines(self, small_probe):
         from repro.core.planner import PlanningOutcome
@@ -377,29 +370,20 @@ class TestPlannerResilience:
         assert info.value.stage == "route"
         assert len(info.value.attempts) == 2  # default route policy retries
 
-    def test_pruned_retime_falls_back_to_unpruned(self):
+    def test_injected_retime_fault_fails_after_one_attempt(self):
+        # The retime stage has one attempt and no second variant.
         g = random_circuit("fb", n_units=50, n_ffs=14, seed=29)
-
-        def plan(**ctx):
-            return plan_interconnect(
-                g,
-                seed=29,
-                max_iterations=1,
-                floorplan_iterations=400,
-                verify=True,
-                **ctx,
-            )
-
         faults = FaultInjector(
             [FaultSpec("retime", error=PlanningError, on_call=1)]
         )
-        outcome = plan(faults=faults)
-        (rec,) = outcome.ledger.for_stage("retime")
-        assert rec.fallback == "unpruned"
-        assert outcome.verification.ok, outcome.verification.format()
-        # Pruned and unpruned systems may pick different degenerate
-        # optima, so only the period is compared, not the labels.
-        assert outcome.first.t_clk == plan().first.t_clk
+        with pytest.raises(StageFailedError) as info:
+            plan_interconnect(
+                g, seed=29, max_iterations=1, floorplan_iterations=400, faults=faults
+            )
+        assert info.value.stage == "retime"
+        (attempt,) = info.value.attempts
+        assert (attempt.variant, attempt.attempt) == ("primary", 1)
+        assert attempt.error.startswith("PlanningError")
 
     def test_custom_resilience_config_via_override(self):
         g = random_circuit("cfgres", n_units=40, n_ffs=12, seed=5)

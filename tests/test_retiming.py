@@ -14,7 +14,11 @@ from repro.retime import (
 )
 from repro.verify.retiming import check_retiming_labels
 from repro.verify.timing import critical_period, late_units
-from tests.oracles.constraints import named_constraints, retiming_objective
+from tests.oracles.constraints import (
+    named_constraints,
+    retiming_objective,
+    unpruned_system,
+)
 from tests.oracles.feasibility import is_feasible_period
 from tests.oracles.graph import cycle_conservation_witnesses
 from tests.test_wd import correlator
@@ -50,10 +54,13 @@ class TestMinPeriod:
         assert not cycle_conservation_witnesses(g, result.graph)
 
     def test_min_area_with_pruning_matches(self):
-        """Pruned and unpruned constraint sets give the same optimum."""
+        """The shipped (pruned) system and the oracle's unpruned one
+        give the same optimum."""
         g = correlator()
-        plain = min_area_retiming(g, period=13.0, prune=False)
-        pruned = min_area_retiming(g, period=13.0, prune=True)
+        plain = min_area_retiming(
+            g, period=13.0, solver=IncrementalMinArea(g, unpruned_system(g, 13.0))
+        )
+        pruned = min_area_retiming(g, period=13.0)
         assert plain.total_ffs == pruned.total_ffs
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

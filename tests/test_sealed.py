@@ -179,7 +179,7 @@ def _header_keys(path):
 def test_checkpoint_header_format_is_pinned(tmp_path):
     mgr = CheckpointManager(tmp_path)
     mgr.bind("circ", "f" * 64)
-    path = mgr.commit("a#1", 1, fallback="unpruned")
+    path = mgr.commit("a#1", 1, source="test")
     assert _header_keys(path) == [
         "circuit",
         "fingerprint",

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.core import plan_interconnect
-from repro.errors import PlanningError, RoutingError
+from repro.errors import FloorplanError, RoutingError
 from repro.experiments.circuits import load_circuit, run_settings
 from repro.netlist import s27_graph
 from repro.obs import (
@@ -38,7 +38,6 @@ def _records(ledger: RunLedger):
             r.stage,
             r.scope,
             r.status,
-            r.fallback,
             [(a.variant, a.attempt, a.status, a.error) for a in r.attempts],
         )
         for r in ledger.records
@@ -47,12 +46,12 @@ def _records(ledger: RunLedger):
 
 class TestLedgerFromTrace:
     def test_trace_file_rebuilds_the_outcome_ledger(self, tmp_path):
-        """A retried route and a retime fallback survive the round trip
-        through ``repro-trace/1``, attempt by attempt."""
+        """A retried floorplan and a retried route survive the round
+        trip through ``repro-trace/1``, attempt by attempt."""
         faults = FaultInjector(
             [
+                FaultSpec("floorplan", error=FloorplanError("injected"), on_call=1),
                 FaultSpec("route", error=RoutingError("injected"), on_call=1),
-                FaultSpec("retime", error=PlanningError("injected"), on_call=1),
             ]
         )
         path = tmp_path / "t.jsonl"
@@ -60,7 +59,6 @@ class TestLedgerFromTrace:
             s27_graph(), faults=faults, trace_path=str(path), **QUICK
         )
         assert outcome.ledger.n_retries == 2
-        assert outcome.ledger.n_fallbacks == 1
         rebuilt = RunLedger.from_spans(read_trace(path).spans)
         assert _records(rebuilt) == _records(outcome.ledger)
         assert rebuilt.notes == outcome.ledger.notes
@@ -136,10 +134,12 @@ S298_QUICK_SAMPLES = sorted([
 #: which the trace stream does not repeat), run_end. Since then the
 #: min-period search has become one ``feas/witness`` build followed by
 #: its ``feas/probe`` spans, all directly under the search (the run of
-#: ``oc`` pairs inside the ``min_period`` stage).
+#: ``oc`` pairs inside the ``min_period`` stage), and the retime stage
+#: has built its solver in a ``retime/solver`` span (the ``oc`` after
+#: ``retime/constraints``).
 S298_QUICK_EVENTS = (
     "ooococococcmooccmoocmooccmocmocmocmooocococococococococococococococ"
-    "ccmoococoocccmcce"
+    "ccmoocococoocccmcce"
 )
 
 
@@ -223,12 +223,40 @@ class TestDerivedMetrics:
         assert set(SPAN_METRICS) - names == {STAGE}
 
 
+class TestSolverSpan:
+    def test_solver_is_built_inside_its_span(self, monkeypatch):
+        # The lazy HiGHS import, the feasibility Bellman–Ford and the
+        # model load all run in the constructor: under retime/solver,
+        # not in the retime stage's self time.
+        from repro.retime.incremental import IncrementalMinArea
+
+        tracer = Tracer()
+        seen = []
+        real = IncrementalMinArea.__init__
+
+        def init(self, *args, **kwargs):
+            seen.append(tracer.current.name)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalMinArea, "__init__", init)
+        outcome = plan_interconnect(s27_graph(), tracer=tracer, **QUICK)
+        assert seen == ["retime/solver"] * len(outcome.iterations)
+        by_id = {s.span_id: s for s in tracer.spans}
+        solver = [s for s in tracer.spans if s.name == "retime/solver"]
+        assert len(solver) == len(seen)
+        for span in solver:
+            stage = by_id[span.parent_id]
+            assert (stage.name, stage.attrs["kind"]) == ("retime", "stage")
+            assert span.attrs["engine"] in ("highs", "linprog")
+            assert 0 <= span.attrs["build_seconds"] <= span.elapsed
+
+
 class TestRegistryListener:
     def test_resumed_stage_counts_no_compile_lookup(self):
         tracer, metrics = Tracer(), MetricsRegistry()
         tracer.add_listener(metrics)
         with tracer.span("compile", kind="stage") as span:
-            span.set(status="ok", resumed=True, fallback="alt")
+            span.set(status="ok", resumed=True)
             span.event("attempt", variant="resumed", index=1, status="ok", seconds=0.0)
         assert prometheus_lines(metrics) == [
             "# TYPE stage_attempts_total counter",
@@ -241,8 +269,6 @@ class TestRegistryListener:
             ),
             'stage_seconds_sum{stage="compile"} 0',
             'stage_seconds_count{stage="compile"} 1',
-            "# TYPE stage_fallbacks_total counter",
-            'stage_fallbacks_total{stage="compile"} 1',
         ]
 
     def test_detached_registry_stops_counting(self):

