@@ -267,7 +267,9 @@ def _format_one_liners(doc: TraceDocument) -> List[str]:
             f"wirelength {a.get('wirelength_tiles', '?')} tiles, "
             f"overflow {a.get('overflowed_cells', 0):.0f} cells "
             f"(max usage {a.get('max_usage', 0):.0f}), "
-            f"{a.get('cost_refreshes', '?')} cost refreshes"
+            f"{a.get('cost_refreshes', '?')} cost refreshes, "
+            f"{a.get('topologies', '?')} Steiner builds, "
+            f"{a.get('searches', '?')} maze searches"
         )
     for sp in doc.spans:
         n_rep = sp.attrs.get("n_repeaters")

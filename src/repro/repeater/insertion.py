@@ -86,28 +86,28 @@ def insert_repeaters(
 
     l_max = tech.l_max_tiles
     size = grid.tile_size
-
-    def repeater_penalty(i: int) -> float:
-        region = grid.region_of_cell[path[i]]
-        return FULL_TILE_PENALTY if grid.remaining(region) < tech.repeater_area else 0.0
+    # Span delays depend only on the span's length in tiles: tabulate
+    # them once. first[s] is the driver-pin span, inner[s] a repeater's.
+    spans = range(min(l_max, n - 1) + 1)
+    first = [tech.wire_delay(s * size, tech.c_repeater) for s in spans]
+    inner = [tech.segment_delay(s * size) for s in spans]
 
     inf = float("inf")
     dp = [inf] * n
     parent = [-1] * n
     dp[0] = 0.0
     for i in range(1, n):
-        lo = max(0, i - l_max)
-        for j in range(lo, i):
+        if i < n - 1:
+            region = grid.region_of_cell[path[i]]
+            full = grid.remaining(region) < tech.repeater_area
+            penalty = FULL_TILE_PENALTY if full else 0.0
+        else:
+            penalty = 0.0  # the sink end holds no repeater
+        for j in range(max(0, i - l_max), i):
             if dp[j] == inf:
                 continue
-            length = (i - j) * size
-            if j == 0:
-                seg_delay = tech.wire_delay(length, tech.c_repeater)
-            else:
-                seg_delay = tech.segment_delay(length)
-            cost = dp[j] + seg_delay
-            if i < n - 1:
-                cost += repeater_penalty(i)
+            seg_delay = first[i - j] if j == 0 else inner[i - j]
+            cost = dp[j] + seg_delay + penalty
             if cost < dp[i]:
                 dp[i] = cost
                 parent[i] = j
@@ -122,19 +122,13 @@ def insert_repeaters(
 
     segments: List[Segment] = []
     for a, b in zip(breakpoints, breakpoints[1:]):
-        length = (b - a) * size
         driven = a != 0
-        delay = (
-            tech.segment_delay(length)
-            if driven
-            else tech.wire_delay(length, tech.c_repeater)
-        )
         segments.append(
             Segment(
                 start_cell=path[a],
                 end_cell=path[b],
-                length_mm=length,
-                delay_ns=delay,
+                length_mm=(b - a) * size,
+                delay_ns=inner[b - a] if driven else first[b - a],
                 driven_by_repeater=driven,
             )
         )

@@ -15,13 +15,13 @@ import heapq
 import logging
 import random
 import zlib
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import RoutingError
 from repro.floorplan.plan import Floorplan
 from repro.netlist.graph import CircuitGraph
 from repro.obs import NOOP_TRACER
-from repro.route.steiner import steiner_tree, tree_paths
+from repro.route.steiner import Edge, steiner_tree, tree_paths
 from repro.tiles.grid import CHANNEL, HARD, SOFT, Cell, TileGrid
 
 log = logging.getLogger(__name__)
@@ -134,6 +134,12 @@ class GlobalRouter:
     public entry points re-sync the cost array from them once on entry,
     so callers may mutate the dicts directly between calls.
     ``cost_refreshes`` counts the cells re-priced so far.
+
+    Each ordered pin list's Steiner topology is built once per router
+    (``steiner_tree`` is a pure function of it, so rip-up & re-route
+    reuses the first build), and each net runs one maze search per
+    distinct tree-edge source. ``topology_builds`` and
+    ``maze_searches`` count both so far.
     """
 
     def __init__(self, grid: TileGrid, history_weight: float = 0.5):
@@ -166,6 +172,9 @@ class GlobalRouter:
         ]
         self._cost: List[float] = list(self._base)
         self.cost_refreshes = 0
+        self._topologies: Dict[Tuple[Cell, ...], List[Edge]] = {}
+        self.topology_builds = 0
+        self.maze_searches = 0
 
     # ------------------------------------------------------------------
     def track_capacity(self, cell: Cell) -> int:
@@ -174,7 +183,7 @@ class GlobalRouter:
 
     def _cell_cost(self, cell: Cell) -> float:
         use = self.usage.get(cell, 0)
-        cap = self.track_capacity(cell)
+        cap = self._cap[cell[0] * self._n_rows + cell[1]]
         present = 1.0 + max(0.0, (use + 1 - cap)) * 2.0
         return present + self.history_weight * self.history.get(cell, 0.0)
 
@@ -195,15 +204,28 @@ class GlobalRouter:
     def _maze_route(self, start: Cell, goal: Cell) -> List[Cell]:
         """Dijkstra from start to goal over the lattice."""
         self._sync_costs()
-        return self._maze_route_fast(start, goal)
+        path = self._maze_search(start, [goal])[goal]
+        if path is None:
+            raise RoutingError(f"no route {start} -> {goal}")
+        return path
 
-    def _maze_route_fast(self, start: Cell, goal: Cell) -> List[Cell]:
-        """Dijkstra over the flat arrays; costs must be in sync."""
-        if start == goal:
-            return [start]
+    def _maze_search(
+        self, start: Cell, goals: Sequence[Cell]
+    ) -> Dict[Cell, Optional[List[Cell]]]:
+        """One Dijkstra from ``start`` until every goal is settled.
+
+        Costs must be in sync. Arc costs are positive, so a settled
+        cell's ``prev`` never changes: searching on past one goal keeps
+        its path exactly what a search stopping there would return.
+        Unreachable goals map to ``None``.
+        """
         n_rows = self._n_rows
         sid = start[0] * n_rows + start[1]
-        gid = goal[0] * n_rows + goal[1]
+        pending = {g[0] * n_rows + g[1] for g in goals}
+        pending.discard(sid)
+        if not pending:
+            return {goal: [start] for goal in goals}
+        self.maze_searches += 1
         cost = self._cost
         nbrs = self._nbrs
         inf = float("inf")
@@ -218,8 +240,10 @@ class GlobalRouter:
             d, cid = pop(heap)
             if seen[cid]:
                 continue
-            if cid == gid:
-                break
+            if cid in pending:
+                pending.remove(cid)
+                if not pending:
+                    break
             seen[cid] = True
             for nid in nbrs[cid]:
                 nd = d + cost[nid]
@@ -227,28 +251,53 @@ class GlobalRouter:
                     dist[nid] = nd
                     prev[nid] = cid
                     push(heap, (nd, nid))
-        if dist[gid] == inf:
-            raise RoutingError(f"no route {start} -> {goal}")
-        path_ids = [gid]
-        while path_ids[-1] != sid:
-            path_ids.append(prev[path_ids[-1]])
-        return [
-            (cid // n_rows, cid % n_rows) for cid in reversed(path_ids)
-        ]
+        paths: Dict[Cell, Optional[List[Cell]]] = {}
+        for goal in goals:
+            gid = goal[0] * n_rows + goal[1]
+            if dist[gid] == inf:
+                paths[goal] = None
+                continue
+            path_ids = [gid]
+            while path_ids[-1] != sid:
+                path_ids.append(prev[path_ids[-1]])
+            paths[goal] = [
+                (cid // n_rows, cid % n_rows) for cid in reversed(path_ids)
+            ]
+        return paths
 
     # ------------------------------------------------------------------
     def _embed_net(self, net: Net, synced: bool = False) -> RoutedNet:
         if not synced:
             self._sync_costs()
-        pins = [net.driver_cell] + [net.sink_cells[s] for s in net.sinks]
-        topology = steiner_tree(pins)
+        pins = (net.driver_cell, *(net.sink_cells[s] for s in net.sinks))
+        topology = self._topologies.get(pins)
+        if topology is None:
+            topology = self._topologies[pins] = steiner_tree(pins)
+            self.topology_builds += 1
+        goals: Dict[Cell, List[Cell]] = {}
+        for a, b in topology:
+            goals.setdefault(a, []).append(b)
+        found = {a: self._maze_search(a, bs) for a, bs in goals.items()}
+        # Filled in topology-edge order, so the set (and with it the
+        # usage dict's insertion order) is the same as edge by edge.
         cells: Set[Cell] = set(pins)
         segment_paths: Dict[Tuple[Cell, Cell], List[Cell]] = {}
         for a, b in topology:
-            path = self._maze_route_fast(a, b)
+            path = found[a][b]
+            if path is None:
+                raise RoutingError(f"no route {a} -> {b}")
             segment_paths[(a, b)] = path
             cells.update(path)
+        return self._routed(net, topology, cells, segment_paths)
 
+    def _routed(
+        self,
+        net: Net,
+        topology: List[Edge],
+        cells: Set[Cell],
+        segment_paths: Dict[Tuple[Cell, Cell], List[Cell]],
+    ) -> RoutedNet:
+        """Assemble a :class:`RoutedNet` from its embedded tree edges."""
         # Per-sink cell path: walk the topology, concatenating embedded
         # segments (reversing when traversing a tree edge backwards).
         point_paths = tree_paths(
@@ -291,6 +340,7 @@ class GlobalRouter:
         if tracer is None:
             tracer = NOOP_TRACER
         refreshes = self.cost_refreshes
+        builds, searches = self.topology_builds, self.maze_searches
         with tracer.span("route/global", nets=len(nets)) as span:
             # From here on every change to usage/history re-prices the
             # cells it touches, so the costs stay in sync net to net.
@@ -334,6 +384,8 @@ class GlobalRouter:
                     r.wirelength_tiles for r in routed.values()
                 ),
                 cost_refreshes=self.cost_refreshes - refreshes,
+                topologies=self.topology_builds - builds,
+                searches=self.maze_searches - searches,
                 **summary,
             )
         return routed

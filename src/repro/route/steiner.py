@@ -12,8 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
+import numpy as np
+
 Point = Tuple[int, int]
 Edge = Tuple[Point, Point]
+
+#: Marks a point already in a batched Prim's tree.
+_DONE = np.iinfo(np.int64).max
 
 
 def manhattan(a: Point, b: Point) -> int:
@@ -57,31 +62,72 @@ def hanan_points(points: Sequence[Point]) -> Set[Point]:
 def steiner_tree(points: Sequence[Point], max_rounds: int = 3) -> List[Edge]:
     """Iterated 1-Steiner heuristic.
 
-    Each round tries every Hanan point of the current terminal set and
-    keeps the one that shortens the spanning tree the most; stops when
-    no point helps or after ``max_rounds``.
+    Each round scores every Hanan point of the current terminal set at
+    once (:func:`_spanning_lengths`) and keeps the first one, in
+    ``hanan_points`` iteration order, that shortens the spanning tree
+    the most; stops when no point helps or after ``max_rounds``.
+
+    A tree as short as the pins' half-perimeter wirelength cannot be
+    beaten (every tree through all the pins is at least that long), so
+    rounds stop there without scoring; two pins are always there and
+    return their one edge directly.
     """
     terminals = list(dict.fromkeys(points))
     if len(terminals) < 2:
         return []
+    if len(terminals) == 2:
+        return [(terminals[0], terminals[1])]
+    xs = [p[0] for p in terminals]
+    ys = [p[1] for p in terminals]
+    hpwl = max(xs) - min(xs) + max(ys) - min(ys)
     edges = spanning_tree(terminals)
     best_len = tree_length(edges)
     for _ in range(max_rounds):
-        improved = False
-        for candidate in hanan_points(terminals):
-            trial_edges = spanning_tree(terminals + [candidate])
-            trial_len = tree_length(trial_edges)
-            if trial_len < best_len:
-                best_len = trial_len
-                best_candidate = candidate
-                improved = True
-        if not improved:
+        if best_len == hpwl:
             break
-        terminals.append(best_candidate)
+        candidates = list(hanan_points(terminals))
+        if not candidates:
+            break
+        lengths = _spanning_lengths(terminals, candidates)
+        best = int(np.argmin(lengths))
+        if lengths[best] >= best_len:
+            break
+        terminals.append(candidates[best])
         edges = spanning_tree(terminals)
         edges = _prune_leaf_steiner(edges, set(points))
         best_len = tree_length(edges)
     return edges
+
+
+def _spanning_lengths(
+    terminals: Sequence[Point], candidates: Sequence[Point]
+) -> np.ndarray:
+    """Spanning-tree length of ``terminals + [c]`` for every candidate ``c``.
+
+    One Prim per candidate, all run together as the rows of ``(K, n)``
+    arrays, so memory stays O(K·n). Each row's Prim starts at its
+    candidate and reads terminal-to-terminal distances from one shared
+    ``(n, n)`` table. Only lengths come out, and a minimum spanning
+    tree's length does not depend on where Prim starts or how it breaks
+    ties, so each row equals ``tree_length(spanning_tree(...))``.
+    """
+    term = np.array(terminals, dtype=np.int64)
+    cand = np.array(candidates, dtype=np.int64)
+    tx, ty = term[:, 0], term[:, 1]
+    dist = np.abs(tx[:, None] - tx) + np.abs(ty[:, None] - ty)
+    # link[r, q]: distance from terminal q to row r's tree so far; a
+    # terminal already in the tree reads as _DONE so argmin skips it.
+    link = np.abs(cand[:, :1] - tx) + np.abs(cand[:, 1:] - ty)
+    rows = np.arange(len(candidates))
+    in_tree = np.zeros(link.shape, dtype=bool)
+    total = np.zeros(len(candidates), dtype=np.int64)
+    for _ in range(len(terminals)):
+        nearest = link.argmin(axis=1)
+        total += link[rows, nearest]
+        in_tree[rows, nearest] = True
+        np.minimum(link, dist[nearest], out=link)
+        np.putmask(link, in_tree, _DONE)
+    return total
 
 
 def _prune_leaf_steiner(edges: List[Edge], pins: Set[Point]) -> List[Edge]:

@@ -23,7 +23,12 @@ code: nothing under ``src/`` imports them.
 * :mod:`tests.oracles.lac_cold` — LAC-retiming with one cold weighted
   min-area solve per round;
 * :mod:`tests.oracles.router` — the global router re-pricing every cell
-  before every net;
+  before every net, and the one building every Steiner tree afresh and
+  embedding each tree edge with its own Dijkstra;
+* :mod:`tests.oracles.steiner` — the 1-Steiner build with one full Prim
+  per Hanan candidate;
+* :mod:`tests.oracles.repeater` — the repeater DP re-deriving each
+  span's delay and penalty;
 * :mod:`tests.oracles.prepared` — the mid-flow ablation instance with
   the planner's stages wired by hand.
 """

@@ -542,6 +542,10 @@ class TestPlannerTrace:
         assert route.attrs["nets"] >= 0
         assert route.attrs["wirelength_tiles"] >= 0
         assert route.attrs["cost_refreshes"] >= route.attrs["used_cells"]
+        # No rip-up here: one Steiner build per net, and at least one
+        # maze search per built tree.
+        assert route.attrs["topologies"] == route.attrs["nets"] > 0
+        assert route.attrs["searches"] >= route.attrs["topologies"]
 
     def test_iteration_span_wraps_stages(self, doc):
         (it,) = doc.by_name("iteration")
@@ -560,6 +564,7 @@ class TestPlannerTrace:
         assert "1 replayed" in text
         assert "simplex iterations" in text
         assert "cost refreshes" in text
+        assert "Steiner builds" in text and "maze searches" in text
         assert "stage" in text and "seconds" in text
 
     def test_stage_table_matches_perf_recorder(self, doc):

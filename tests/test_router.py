@@ -1,5 +1,9 @@
 """Tests for the global router and repeater insertion."""
 
+import copy
+import dataclasses
+import random
+
 import pytest
 
 from repro.errors import RoutingError
@@ -10,6 +14,8 @@ from repro.repeater import buffer_routed_nets, insert_repeaters
 from repro.route import GlobalRouter, nets_from_graph
 from repro.tech import DEFAULT_TECH
 from repro.tiles import build_tile_grid
+from repro.tiles.grid import CHANNEL, TileGrid
+from tests.oracles.repeater import insert_repeaters as reference_insert_repeaters
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +148,62 @@ class TestRepeaterInsertion:
         c5 = insert_repeaters(path5, grid, DEFAULT_TECH, reserve=False)
         c10 = insert_repeaters(path10, grid, DEFAULT_TECH, reserve=False)
         assert c10.total_delay > c5.total_delay
+
+
+class TestRepeaterDPAgainstReference:
+    """The DP with tabulated span delays and a per-cell penalty against
+    the one that re-derives both per span (tests/oracles/repeater.py)."""
+
+    @staticmethod
+    def tight_grid(seed):
+        """A 9 x 7 grid of one-cell regions, a third of them full."""
+        rng = random.Random(seed)
+        cells = [(c, r) for c in range(9) for r in range(7)]
+        region_of_cell = {cell: f"t{cell}" for cell in cells}
+        capacity = {t: 2.0 for t in region_of_cell.values()}
+        used = {
+            t: rng.choice([0.0, 0.0, 1.0, 1.75, 2.0]) for t in region_of_cell.values()
+        }
+        return TileGrid(
+            n_cols=9,
+            n_rows=7,
+            tile_size=rng.choice([1.0, 2.5, 4.0]),
+            region_of_cell=region_of_cell,
+            kind={t: CHANNEL for t in region_of_cell.values()},
+            capacity=capacity,
+            used=used,
+            block_region={},
+        )
+
+    @staticmethod
+    def random_path(grid, rng):
+        path = [(rng.randrange(grid.n_cols), rng.randrange(grid.n_rows))]
+        for _ in range(rng.randrange(40)):
+            c, r = path[-1]
+            dc, dr = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
+            path.append(
+                (min(grid.n_cols - 1, max(0, c + dc)), min(grid.n_rows - 1, max(0, r + dr)))
+            )
+        return path
+
+    @pytest.mark.parametrize("slew_budget", [0.2, 1.0, 4.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_segments_and_reservations(self, seed, slew_budget):
+        rng = random.Random(seed)
+        tech = dataclasses.replace(DEFAULT_TECH, slew_budget=slew_budget)
+        shipped_grid = self.tight_grid(seed)
+        oracle_grid = copy.deepcopy(shipped_grid)
+        penalised = 0
+        for k in range(30):
+            path = self.random_path(shipped_grid, rng)
+            shipped = insert_repeaters(path, shipped_grid, tech, sink=f"v{k}")
+            expected = reference_insert_repeaters(path, oracle_grid, tech, sink=f"v{k}")
+            assert shipped == expected
+            assert shipped_grid.used == oracle_grid.used
+            penalised += any(
+                shipped_grid.remaining(shipped_grid.region_of_cell[c])
+                < tech.repeater_area
+                for c in path[1:-1]
+            )
+        # The full-tile penalty really is in play.
+        assert penalised

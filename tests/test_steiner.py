@@ -1,8 +1,11 @@
 """Tests for rectilinear Steiner tree construction."""
 
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.route import (
     hanan_points,
@@ -12,6 +15,7 @@ from repro.route import (
     tree_length,
     tree_paths,
 )
+from tests.oracles.steiner import steiner_tree as reference_steiner_tree
 
 
 class TestSpanningTree:
@@ -125,3 +129,78 @@ class TestSteinerProperties:
         pins = [(0, 0), (5, 0), (0, 4), (5, 4)]
         st = tree_length(steiner_tree(pins))
         assert st == 5 + 4 + min(5, 4)  # two rails + one crossbar
+
+
+coords = st.integers(min_value=0, max_value=12)
+pin_lists = st.lists(st.tuples(coords, coords), min_size=1, max_size=14)
+
+
+@st.composite
+def nets(draw):
+    """Pin lists as the router sees them: driver first, repeats allowed,
+    sometimes all on one row or column."""
+    pins = draw(pin_lists)
+    shape = draw(st.sampled_from(["free", "row", "column"]))
+    if shape == "row":
+        pins = [(x, pins[0][1]) for x, _ in pins]
+    elif shape == "column":
+        pins = [(pins[0][0], y) for _, y in pins]
+    extra = draw(st.lists(st.sampled_from(pins), max_size=3))
+    return pins + extra
+
+
+class TestAgainstReference:
+    """The batched candidate scoring against one Prim per candidate
+    (tests/oracles/steiner.py): same edges, in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nets())
+    def test_same_edges_in_same_order(self, pins):
+        assert steiner_tree(pins) == reference_steiner_tree(pins)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(coords, coords), st.tuples(coords, coords))
+    def test_two_pin_nets(self, a, b):
+        assert steiner_tree([a, b]) == reference_steiner_tree([a, b])
+        assert steiner_tree([a, b, a]) == reference_steiner_tree([a, b, a])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rounds_that_add_several_points(self, seed):
+        rng = random.Random(seed)
+        pins = [(rng.randrange(30), rng.randrange(30)) for _ in range(14)]
+        assert steiner_tree(pins) == reference_steiner_tree(pins)
+
+    @pytest.mark.parametrize(
+        "pins",
+        [
+            [(0, 0), (3, 0), (7, 0), (12, 0)],  # collinear: at the half-perimeter
+            [(0, 0), (5, 0), (0, 4), (5, 4)],  # rectangle corners: above it
+        ],
+    )
+    def test_nets_without_candidates(self, pins):
+        assert hanan_points(pins) == set()
+        assert steiner_tree(pins) == reference_steiner_tree(pins)
+
+
+class TestLargeNetMemory:
+    """Candidates are scored as rows of (K, n + 1) arrays: a 60-pin net
+    has K = 3,540 Hanan points, so one array is 1.7 MB, while a (K, n + 1,
+    n + 1) distance tensor would be 105 MB."""
+
+    PEAK_BOUND_BYTES = 32 * 2**20
+
+    def test_sixty_pins_within_bound(self):
+        rng = random.Random(60)
+        xs = rng.sample(range(200), 60)
+        ys = rng.sample(range(200), 60)
+        pins = list(zip(xs, ys))
+        assert len(hanan_points(pins)) == 60 * 60 - 60
+        tracemalloc.start()
+        try:
+            edges = steiner_tree(pins)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BOUND_BYTES
+        assert len({p for e in edges for p in e} & set(pins)) == 60
+        assert tree_length(edges) <= tree_length(spanning_tree(pins))
